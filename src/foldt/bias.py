@@ -322,16 +322,6 @@ def _match_conj(patterns, targets):
     return sigmas
 
 
-def apply_lookahead(candidate: Query, added, bias: Bias) -> list[Query]:
-    """The candidate extended by each lookahead whose trigger matches the
-    added conjunction (one level only; extensions never re-trigger).
-    Extension-only variables get fresh names after the candidate's own."""
-    return [
-        Query(candidate.literals + ext)
-        for ext in lookahead_extensions(added, bias, len(candidate.variables()), 0)
-    ]
-
-
 def lookahead_extensions(added, bias: Bias, name_base: int, fresh_used: int):
     """Extension conjunctions triggered by an added conjunction, one list per
     matching lookahead declaration/substitution (one level, no chaining)."""
@@ -400,7 +390,9 @@ def refinements(ctx: RefinementContext, bias: Bias) -> list[Candidate]:
 # Discretization (entropy minimization with the MDL stopping rule)
 
 
-def _entropy(counts) -> float:
+def entropy(counts) -> float:
+    """Class entropy in bits (of a split branch, or of a discretization
+    interval)."""
     total = sum(counts)
     if total == 0:
         return 0.0
@@ -410,6 +402,12 @@ def _entropy(counts) -> float:
             p = c / total
             h -= p * math.log2(p)
     return h
+
+
+def weighted_entropy(left, right) -> float:
+    n = sum(left) + sum(right)
+    nl = sum(left)
+    return (nl / n) * entropy(left) + ((n - nl) / n) * entropy(right)
 
 
 def _classes_present(counts) -> int:
@@ -446,13 +444,12 @@ def fayyad_irani_cuts(values, max_cuts: int) -> list[float]:
         [lo, hi); boundary b cuts between pts[b-1] and pts[b]."""
         parent = seg(lo, hi)
         n = sum(parent)
-        ent = _entropy(parent)
+        ent = entropy(parent)
         best = None
         for b in range(lo + 1, hi):
             left = seg(lo, b)
             right = seg(b, hi)
-            nl = sum(left)
-            w = (nl / n) * _entropy(left) + ((n - nl) / n) * _entropy(right)
+            w = weighted_entropy(left, right)
             if best is None or w < best[0] - 1e-12:
                 best = (w, b, left, right)
         if best is None:
@@ -461,7 +458,7 @@ def fayyad_irani_cuts(values, max_cuts: int) -> list[float]:
         gain = ent - w
         kc = _classes_present(parent)
         delta = math.log2(3**kc - 2) - (
-            kc * ent - _classes_present(left) * _entropy(left) - _classes_present(right) * _entropy(right)
+            kc * ent - _classes_present(left) * entropy(left) - _classes_present(right) * entropy(right)
         )
         accepted = gain > (math.log2(n - 1) + delta) / n
         return gain, b, accepted

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import generators, rdb
 from .engine import Background, load_background
-from .errors import FoldtError
+from .errors import DataError, FoldtError
 from .learner import LearnerConfig, learn
 from .model import classify, load_model, save_model, tree_depth
 from .settings import parse_settings
@@ -100,7 +100,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _open_data(args, settings):
     path = Path(args.data)
     if path.is_dir() or path.name == MANIFEST_NAME:
-        return open_dataset(path)
+        data = open_dataset(path)
+        if args.granularity not in (None, data.granularity):
+            raise DataError(
+                f"--granularity {args.granularity} cannot apply to the existing chunk store "
+                f"{data.dir}, which holds G={data.granularity}; compile the block file "
+                f"again to change it"
+            )
+        return data
     return load_dataset(
         path,
         settings,
@@ -113,17 +120,22 @@ def _background(args) -> Background | None:
     return load_background(args.bg) if args.bg else None
 
 
-def _cmd_learn(args) -> int:
+def _learn_inputs(args):
+    """Settings, learner configuration (checked before any data is read) and
+    dataset of a learning command."""
     settings = parse_settings(Path(args.settings).read_text(encoding="utf-8"))
-    data = _open_data(args, settings)
     cfg = LearnerConfig.from_settings(
         settings,
         algorithm=args.algo,
         heuristic=args.heuristic,
         minleaf=args.minleaf,
         max_depth=args.max_depth,
-        granularity=args.granularity,
     )
+    return settings, cfg, _open_data(args, settings)
+
+
+def _cmd_learn(args) -> int:
+    settings, cfg, data = _learn_inputs(args)
     model = learn(data, _background(args), settings, cfg)
     save_model(model, args.out)
     meta = model.metadata
@@ -213,16 +225,7 @@ def _cmd_discretize(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    settings = parse_settings(Path(args.settings).read_text(encoding="utf-8"))
-    data = _open_data(args, settings)
-    cfg = LearnerConfig.from_settings(
-        settings,
-        algorithm=args.algo,
-        heuristic=args.heuristic,
-        minleaf=args.minleaf,
-        max_depth=args.max_depth,
-        granularity=args.granularity,
-    )
+    settings, cfg, data = _learn_inputs(args)
     k_list = tuple(int(k) for k in args.k.split(","))
     result = bench_mod.bench_run(
         data,

@@ -68,8 +68,6 @@ class Query:
         return ", ".join(render_literal(l) for l in self.literals) or "true"
 
 
-EMPTY_QUERY = Query(())
-
 
 class Background:
     """Horn background program indexed by head predicate/arity."""

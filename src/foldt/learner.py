@@ -1,30 +1,36 @@
 """Tree induction: the depth-first classic engine and the level-wise
-large-dataset (LDS) engine, sharing the heuristics and stopping rules.
+large-dataset (LDS) engine, one algorithm reaching its examples two ways.
 
-The classic engine keeps every example resident and recurses: at each node it
-generates the refinement candidates of the associated query, evaluates each
-candidate on each example reaching the node (candidate loop outside, example
-loop inside), picks the best split, and partitions.  Selection considers only
-admissible candidates: positive gain and at least ``minleaf`` examples on
-each side.  Without that validity filter the gain ratio favors degenerate
-near-empty splits (a split isolating one example of a rare class scores a
-ratio of ~1.0), which would then be vetoed and turn the node into a leaf
-prematurely; a node becomes a leaf only when no admissible candidate exists.
+Everything that shapes the tree is shared.  A node that is not a forced leaf
+gets the refinement candidates of its associated query (``_open``).  Each
+example reaching the node is tested against every candidate (``_evaluate``:
+example loop outside, candidate loop inside), which adds the example's class
+to the counters ``counter[candidate][branch][class]`` and yields its outcome
+bits.  ``choose_split`` picks the winner from the counters alone, and
+``_split`` makes the two children.  Selection considers only admissible
+candidates: positive gain and at least ``minleaf`` examples on each side.
+Without that validity filter the gain ratio favors degenerate near-empty
+splits (a split isolating one example of a rare class scores a ratio of
+~1.0), which would then be vetoed and turn the node into a leaf prematurely;
+a node becomes a leaf only when no admissible candidate exists.
 
-The LDS engine builds one tree level per streaming pass.  During a pass it
-holds the class-distribution counter table ``counter[node, candidate,
-branch][class]`` in memory and, for each streamed example, evaluates all
-candidates of the example's node, spilling the outcome bits to a temporary
-file.  After the pass each open node either becomes a leaf or an internal
-node; examples are then routed to children straight from the spilled bits of
-the winning candidate, so no second pass over the data is needed.  Every
-level costs exactly one pass, including the final all-leaf level, so the
-pass count equals the depth of the finished tree (counted in node levels).
+The classic engine keeps every example resident and recurses depth-first,
+partitioning the examples of a node by the winner's outcome bit.
+
+The LDS engine builds one tree level per streaming pass.  A pass streams
+only the examples whose node has candidates, and spills each one's outcome
+bits to a temporary file in the system temporary directory.  After the pass
+each open node either becomes a leaf or an internal node; examples are then
+routed to children straight from the spilled bits of the winning candidate,
+so no second pass over the data is needed.  Every level costs exactly one
+pass, including the final all-leaf level, so the pass count equals the depth
+of the finished tree (counted in node levels).
 
 Memory at any moment is one chunk of examples (bounded by the store's
-granularity) plus the counter table, which scales with nodes-per-level times
-candidates-per-node, never with the number of examples.  The example-to-node
-assignment is one small integer per example.
+granularity) plus the counters of one level, which scale with nodes-per-level
+times candidates-per-node, never with the number of examples.  The
+example-to-node assignment is one reference per example; an example whose
+node became a leaf keeps pointing at it, and a leaf has no candidates.
 
 Both engines make identical decisions from identical integer counters, and
 fresh variable names are derived from path-local state, so the two engines
@@ -41,67 +47,25 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 
-from .bias import Candidate, RefinementContext, prepare_bias, refinements
+from .bias import (
+    Candidate,
+    RefinementContext,
+    entropy,
+    prepare_bias,
+    refinements,
+    weighted_entropy,
+)
 from .engine import Background, Query, succeeds
 from .errors import DataError
 from .model import FOLDT, INode, Leaf, Model, count_nodes, tree_depth
-from .settings import Settings, render_settings
+from .settings import LearnerConfig, Settings, render_settings
 from .store import DatasetHandle
 
 log = logging.getLogger(__name__)
 
-LEAF_COVERED = -1
-
-
-@dataclass
-class LearnerConfig:
-    algorithm: str = "lds"
-    heuristic: str = "gainratio"
-    minleaf: int = 2
-    gain_epsilon: float = 1e-9
-    resolution_budget: int = 100_000
-    granularity: int = 10
-    max_depth: int | None = None
-
-    @classmethod
-    def from_settings(cls, settings: Settings, **overrides) -> "LearnerConfig":
-        p = settings.params
-        cfg = cls(
-            algorithm=p.algorithm,
-            heuristic=p.heuristic,
-            minleaf=p.minleaf,
-            gain_epsilon=p.gain_epsilon,
-            resolution_budget=p.resolution_budget,
-            granularity=p.granularity,
-            max_depth=p.max_depth,
-        )
-        for k, v in overrides.items():
-            if v is not None:
-                setattr(cfg, k, v)
-        return cfg
-
 
 # ---------------------------------------------------------------------------
-# Heuristics
-
-
-def entropy(counts) -> float:
-    """Class entropy in bits."""
-    total = sum(counts)
-    if total == 0:
-        return 0.0
-    h = 0.0
-    for c in counts:
-        if c:
-            p = c / total
-            h -= p * math.log2(p)
-    return h
-
-
-def weighted_entropy(left, right) -> float:
-    n = sum(left) + sum(right)
-    nl = sum(left)
-    return (nl / n) * entropy(left) + ((n - nl) / n) * entropy(right)
+# Heuristics and the split decision
 
 
 def gain_of(parent, left, right) -> float:
@@ -131,29 +95,29 @@ def score(heuristic: str, parent, left, right) -> float | None:
     raise DataError(f"unknown heuristic {heuristic!r}")
 
 
-def select_best(scores, heuristic: str) -> int | None:
-    """Argmax (argmin for weighted entropy) with strict comparison, so ties
-    go to the earliest candidate in generation order."""
-    best = None
-    best_s = None
-    minimize = heuristic == "weighted_entropy"
-    for i, s in enumerate(scores):
+def choose_split(counts, counters, cfg: LearnerConfig) -> int | None:
+    """Index of the winning candidate at a node with class distribution
+    ``counts``, or None when no candidate is admissible.  ``counters[i]`` is
+    candidate i's pair of per-class counts (succeeding, failing).
+
+    A candidate is admissible when its gain exceeds ``gain_epsilon``, both
+    branches hold at least one and at least ``minleaf`` examples, and
+    ``score`` does not reject it.  The highest score wins (the lowest for
+    weighted entropy) under strict comparison, so ties go to the earliest
+    candidate in generation order."""
+    minimize = cfg.heuristic == "weighted_entropy"
+    best = best_s = None
+    for i, (left, right) in enumerate(counters):
+        if min(sum(left), sum(right)) < max(1, cfg.minleaf):
+            continue
+        if gain_of(counts, left, right) <= cfg.gain_epsilon:
+            continue
+        s = score(cfg.heuristic, counts, left, right)
         if s is None:
             continue
         if best is None or (s < best_s if minimize else s > best_s):
             best, best_s = i, s
     return best
-
-
-def is_good(gain: float, left_total: int, right_total: int, config: LearnerConfig) -> bool:
-    """A split is kept only if it gains information and both branches can
-    still carry at least ``minleaf`` examples."""
-    return (
-        gain > config.gain_epsilon
-        and left_total >= 1
-        and right_total >= 1
-        and min(left_total, right_total) >= config.minleaf
-    )
 
 
 def majority_class(counts, classes) -> str:
@@ -176,6 +140,10 @@ def _forced_leaf(counts, depth: int, config: LearnerConfig) -> bool:
     return config.max_depth is not None and depth >= config.max_depth
 
 
+# ---------------------------------------------------------------------------
+# The induction step shared by both engines
+
+
 @dataclass
 class BuildStats:
     passes: int = 0
@@ -184,6 +152,81 @@ class BuildStats:
     nodes_evaluated: int = 0
     candidates_generated: int = 0
     levels: list = field(default_factory=list)
+
+
+@dataclass(eq=False)
+class _Node:
+    """A tree node under construction.  ``usage`` (uses of each rmode on the
+    path from the root) and ``name_base`` (index of the next fresh variable
+    name) are path-local, so both engines name variables alike."""
+
+    query: Query
+    usage: tuple[int, ...]
+    name_base: int
+    depth: int
+    counts: tuple[int, ...]
+    candidates: list[Candidate] | None = None  # set while the node is evaluated
+    counters: list | None = None  # per candidate: [left per-class, right per-class]
+    winner: int | None = None  # index of the winning candidate, once split
+    conj: tuple = ()  # the winner's added conjunction
+    kids: tuple[_Node, _Node] | None = None
+
+
+def _open(node: _Node, cfg: LearnerConfig, bias, stats: BuildStats) -> bool:
+    """Give the node its candidates and zeroed counters; False when it is a
+    leaf without evaluation (forced, or no refinement applies)."""
+    if _forced_leaf(node.counts, node.depth, cfg):
+        return False
+    ctx = RefinementContext(node.query, node.usage, node.name_base)
+    node.candidates = refinements(ctx, bias) or None
+    if node.candidates is None:
+        return False
+    stats.nodes_evaluated += 1
+    stats.candidates_generated += len(node.candidates)
+    nclasses = len(node.counts)
+    node.counters = [[[0] * nclasses, [0] * nclasses] for _ in node.candidates]
+    return True
+
+
+def _evaluate(candidates, example, cls: int, counters, background, budget: int) -> int:
+    """Test every candidate on one example of class index ``cls``: count the
+    example in each candidate's succeeding or failing branch, and return the
+    outcome bits (bit i set when candidate i succeeds)."""
+    bits = 0
+    for ci, cand in enumerate(candidates):
+        if succeeds(cand.query, example, background, budget):
+            counters[ci][0][cls] += 1
+            bits |= 1 << ci
+        else:
+            counters[ci][1][cls] += 1
+    return bits
+
+
+def _split(node: _Node, cfg: LearnerConfig) -> int | None:
+    """Decide an evaluated node from its counters.  When a candidate is
+    admissible the node becomes internal with two children (left: the
+    candidate succeeds) and the winner's index is returned."""
+    w = choose_split(node.counts, node.counters, cfg)
+    if w is None:
+        return None
+    winner = node.candidates[w]
+    fresh = len(winner.query.variables()) - len(node.query.variables())
+    usage = tuple(u + 1 if ri == winner.rmode_index else u for ri, u in enumerate(node.usage))
+    base = node.name_base + fresh
+    left, right = node.counters[w]
+    node.winner, node.conj = w, winner.added
+    node.kids = (
+        _Node(winner.query, usage, base, node.depth + 1, tuple(left)),
+        _Node(node.query, node.usage, base, node.depth + 1, tuple(right)),
+    )
+    return w
+
+
+def _tree(node: _Node, classes) -> FOLDT:
+    if node.kids is None:
+        return Leaf(majority_class(node.counts, classes), node.counts)
+    left, right = node.kids
+    return INode(node.conj, node.query, _tree(left, classes), _tree(right, classes))
 
 
 def _root_counts(data: DatasetHandle, classes) -> tuple[int, ...]:
@@ -219,8 +262,52 @@ def _metadata(algorithm, cfg, data, stats, tree, wall, cpu) -> dict:
     }
 
 
+def _induce(algorithm, grow, data, background, settings, config) -> Model:
+    """Grow the tree from the root with one engine and wrap it in a model."""
+    cfg = config or LearnerConfig.from_settings(settings)
+    wall0, cpu0 = time.perf_counter(), time.process_time()
+    bias = prepare_bias(settings, data, background, cfg.resolution_budget)
+    classes = settings.classes
+    root = _Node(Query(()), (0,) * len(settings.rmodes), 0, 0, _root_counts(data, classes))
+    stats = BuildStats()
+    grow(root, data, background, settings.class_index(), cfg, bias, stats)
+    tree = _tree(root, classes)
+    wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
+    meta = _metadata(algorithm, cfg, data, stats, tree, wall, cpu)
+    return Model(tree, classes, render_settings(settings), meta)
+
+
 # ---------------------------------------------------------------------------
 # Classic engine
+
+
+def _grow_classic(root, data, background, cidx, cfg, bias, stats):
+    examples = [e for _, e in data.stream_examples()]
+    labels = [cidx[e.label] for e in examples]
+    stats.passes = 1
+
+    def grow(node: _Node, idxs):
+        if not _open(node, cfg, bias, stats):
+            return
+        t0 = time.perf_counter()
+        bits = [
+            _evaluate(
+                node.candidates, examples[i], labels[i], node.counters,
+                background, cfg.resolution_budget,
+            )
+            for i in idxs
+        ]
+        stats.evaluations += len(idxs) * len(node.candidates)
+        stats.eval_seconds += time.perf_counter() - t0
+        w = _split(node, cfg)
+        node.candidates = node.counters = None
+        if w is None:
+            return
+        left, right = node.kids
+        grow(left, [i for i, b in zip(idxs, bits) if b >> w & 1])
+        grow(right, [i for i, b in zip(idxs, bits) if not b >> w & 1])
+
+    grow(root, range(len(examples)))
 
 
 def learn_classic(
@@ -229,200 +316,46 @@ def learn_classic(
     settings: Settings,
     config: LearnerConfig | None = None,
 ) -> Model:
-    cfg = config or LearnerConfig.from_settings(settings)
-    wall0, cpu0 = time.perf_counter(), time.process_time()
-    bias = prepare_bias(settings, data, background, cfg.resolution_budget)
-    classes = settings.classes
-    cidx = settings.class_index()
-    _root_counts(data, classes)
-    examples = [e for _, e in data.stream_examples()]
-    labels = [cidx[e.label] for e in examples]
-    stats = BuildStats(passes=1)
-    nclasses = len(classes)
-
-    def dist_of(idxs) -> tuple[int, ...]:
-        counts = [0] * nclasses
-        for i in idxs:
-            counts[labels[i]] += 1
-        return tuple(counts)
-
-    def build(idxs, query: Query, usage, name_base: int, depth: int) -> FOLDT:
-        counts = dist_of(idxs)
-        if _forced_leaf(counts, depth, cfg):
-            return Leaf(majority_class(counts, classes), counts)
-        ctx = RefinementContext(query, usage, name_base)
-        candidates = refinements(ctx, bias)
-        if not candidates:
-            return Leaf(majority_class(counts, classes), counts)
-        stats.nodes_evaluated += 1
-        stats.candidates_generated += len(candidates)
-        t0 = time.perf_counter()
-        best_i = None
-        best_s = None
-        best_bits = None
-        minimize = cfg.heuristic == "weighted_entropy"
-        for ci, cand in enumerate(candidates):
-            left = [0] * nclasses
-            right = [0] * nclasses
-            bits = []
-            for i in idxs:
-                ok = succeeds(cand.query, examples[i], background, cfg.resolution_budget)
-                (left if ok else right)[labels[i]] += 1
-                bits.append(ok)
-            stats.evaluations += len(idxs)
-            if not is_good(gain_of(counts, left, right), sum(left), sum(right), cfg):
-                continue
-            s = score(cfg.heuristic, counts, left, right)
-            if s is None:
-                continue
-            if best_i is None or (s < best_s if minimize else s > best_s):
-                best_i, best_s = ci, s
-                best_bits = bits
-        stats.eval_seconds += time.perf_counter() - t0
-        if best_i is None:
-            return Leaf(majority_class(counts, classes), counts)
-        winner = candidates[best_i]
-        e1 = [i for i, ok in zip(idxs, best_bits) if ok]
-        e2 = [i for i, ok in zip(idxs, best_bits) if not ok]
-        fresh = len(winner.query.variables()) - len(query.variables())
-        new_usage = tuple(
-            u + 1 if ri == winner.rmode_index else u for ri, u in enumerate(usage)
-        )
-        left = build(e1, winner.query, new_usage, name_base + fresh, depth + 1)
-        right = build(e2, query, usage, name_base + fresh, depth + 1)
-        return INode(winner.added, query, left, right)
-
-    tree = build(
-        list(range(len(examples))), Query(()), (0,) * len(settings.rmodes), 0, 0
-    )
-    wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
-    meta = _metadata("classic", cfg, data, stats, tree, wall, cpu)
-    return Model(tree, classes, render_settings(settings), meta)
+    return _induce("classic", _grow_classic, data, background, settings, config)
 
 
 # ---------------------------------------------------------------------------
 # LDS engine
 
 
-@dataclass
-class _OpenNode:
-    nid: int
-    query: Query
-    usage: tuple[int, ...]
-    name_base: int
-    depth: int
-    counts: tuple[int, ...]
-    candidates: list[Candidate] | None = None
-    counters: list | None = None  # per candidate: [left per-class, right per-class]
-    result: tuple | None = None  # ("leaf", Leaf) | ("inode", conj, left_id, right_id, winner)
-
-
-def learn_lds(
-    data: DatasetHandle,
-    background: Background | None,
-    settings: Settings,
-    config: LearnerConfig | None = None,
-) -> Model:
-    cfg = config or LearnerConfig.from_settings(settings)
-    wall0, cpu0 = time.perf_counter(), time.process_time()
-    bias = prepare_bias(settings, data, background, cfg.resolution_budget)
-    classes = settings.classes
-    cidx = settings.class_index()
-    nclasses = len(classes)
-    n_examples = len(data)
-    ordinal_of = {ident: i for i, ident in enumerate(data.example_ids)}
-    assignment = [0] * n_examples
-    stats = BuildStats()
-
-    nodes: dict[int, _OpenNode] = {}
-    root = _OpenNode(
-        0, Query(()), (0,) * len(settings.rmodes), 0, 0, _root_counts(data, classes)
-    )
-    nodes[0] = root
+def _grow_lds(root, data, background, cidx, cfg, bias, stats):
+    assignment = [root] * len(data)
     frontier = [root]
-    next_id = 1
-
-    def selector(ident):
-        return assignment[ordinal_of[ident]] != LEAF_COVERED
-
     while frontier:
         stats.passes += 1
         level_wall0 = time.perf_counter()
-        for n in frontier:
-            if _forced_leaf(n.counts, n.depth, cfg):
-                continue
-            ctx = RefinementContext(n.query, n.usage, n.name_base)
-            n.candidates = refinements(ctx, bias) or None
-            if n.candidates:
-                stats.nodes_evaluated += 1
-                stats.candidates_generated += len(n.candidates)
-                n.counters = [
-                    [[0] * nclasses, [0] * nclasses] for _ in n.candidates
-                ]
-        evaluable = {n.nid: n for n in frontier if n.candidates}
+        evaluable = [n for n in frontier if _open(n, cfg, bias, stats)]
+        candidates = sum(len(n.candidates) for n in evaluable)
 
-        # One pass over the non-leaf-covered examples (Always exactly one per
-        # level: the final all-leaf level is decided during its own pass.)
+        # One pass over the examples whose node has candidates; always exactly
+        # one per level, since the final all-leaf level is decided by its own.
         touched = 0
         evals_before = stats.evaluations
         eval_t0 = time.perf_counter()
-        with tempfile.TemporaryFile(dir=str(data.dir)) as spill:
-            for ordinal, e in data.stream_examples(selector):
+        with tempfile.TemporaryFile() as spill:
+            for ordinal, e in data.stream_examples(
+                lambda o: assignment[o].candidates is not None
+            ):
                 touched += 1
-                node = evaluable.get(assignment[ordinal])
-                if node is None:
-                    continue
-                cls = cidx[e.label]
-                bits = 0
-                for ci, cand in enumerate(node.candidates):
-                    if succeeds(cand.query, e, background, cfg.resolution_budget):
-                        node.counters[ci][0][cls] += 1
-                        bits |= 1 << ci
-                    else:
-                        node.counters[ci][1][cls] += 1
+                node = assignment[ordinal]
+                bits = _evaluate(
+                    node.candidates, e, cidx[e.label], node.counters,
+                    background, cfg.resolution_budget,
+                )
                 stats.evaluations += len(node.candidates)
                 nbytes = (len(node.candidates) + 7) // 8
                 spill.write(struct.pack("<I", ordinal) + bits.to_bytes(nbytes, "little"))
             stats.eval_seconds += time.perf_counter() - eval_t0
 
-            # Decide every node of the level from its counters.
-            new_frontier: list[_OpenNode] = []
-            swept_leaf_ids = set()
-            for n in frontier:
-                winner_i = None
-                if n.candidates:
-                    scores = [
-                        score(cfg.heuristic, n.counts, tuple(l), tuple(r))
-                        if is_good(gain_of(n.counts, l, r), sum(l), sum(r), cfg)
-                        else None
-                        for l, r in n.counters
-                    ]
-                    winner_i = select_best(scores, cfg.heuristic)
-                if winner_i is None:
-                    n.result = ("leaf", Leaf(majority_class(n.counts, classes), n.counts))
-                    if not n.candidates:
-                        swept_leaf_ids.add(n.nid)
-                    continue
-                winner = n.candidates[winner_i]
-                left_counts, right_counts = n.counters[winner_i]
-                fresh = len(winner.query.variables()) - len(n.query.variables())
-                new_usage = tuple(
-                    u + 1 if ri == winner.rmode_index else u
-                    for ri, u in enumerate(n.usage)
-                )
-                lnode = _OpenNode(
-                    next_id, winner.query, new_usage, n.name_base + fresh,
-                    n.depth + 1, tuple(left_counts),
-                )
-                rnode = _OpenNode(
-                    next_id + 1, n.query, n.usage, n.name_base + fresh,
-                    n.depth + 1, tuple(right_counts),
-                )
-                next_id += 2
-                nodes[lnode.nid] = lnode
-                nodes[rnode.nid] = rnode
-                new_frontier.extend((lnode, rnode))
-                n.result = ("inode", winner.added, lnode.nid, rnode.nid, winner_i)
+            new_frontier: list[_Node] = []
+            for n in evaluable:
+                if _split(n, cfg) is not None:
+                    new_frontier.extend(n.kids)
 
             # Route examples to children from the spilled outcome bits of each
             # node's winning candidate; no re-evaluation pass.
@@ -430,31 +363,24 @@ def learn_lds(
             header = spill.read(4)
             while header:
                 (ordinal,) = struct.unpack("<I", header)
-                node = nodes[assignment[ordinal]]
-                nbytes = (len(node.candidates) + 7) // 8
-                bits = int.from_bytes(spill.read(nbytes), "little")
-                if node.result[0] == "leaf":
-                    assignment[ordinal] = LEAF_COVERED
-                else:
-                    _, _, left_id, right_id, wi = node.result
-                    assignment[ordinal] = left_id if bits >> wi & 1 else right_id
+                node = assignment[ordinal]
+                bits = int.from_bytes(spill.read((len(node.candidates) + 7) // 8), "little")
+                if node.kids is not None:
+                    left, right = node.kids
+                    assignment[ordinal] = left if bits >> node.winner & 1 else right
                 header = spill.read(4)
-        if swept_leaf_ids:
-            for i in range(n_examples):
-                if assignment[i] in swept_leaf_ids:
-                    assignment[i] = LEAF_COVERED
 
-        # Drop per-level candidate state before the next level's table is built.
-        for n in frontier:
-            n.candidates = None
-            n.counters = None
+        # Drop the level's candidates and counters before the next level's are
+        # built; a node without candidates selects no example.
+        for n in evaluable:
+            n.candidates = n.counters = None
         level_wall = time.perf_counter() - level_wall0
         stats.levels.append(
             {
                 "level": stats.passes,
                 "open_nodes": len(frontier),
                 "evaluated_nodes": len(evaluable),
-                "candidates": sum(len(v.candidates or ()) for v in evaluable.values()),
+                "candidates": candidates,
                 "examples_touched": touched,
                 "evaluations": stats.evaluations - evals_before,
                 "pass_wall_seconds": level_wall,
@@ -466,18 +392,14 @@ def learn_lds(
         )
         frontier = new_frontier
 
-    def materialize(nid: int) -> FOLDT:
-        n = nodes[nid]
-        kind = n.result[0]
-        if kind == "leaf":
-            return n.result[1]
-        _, conj, left_id, right_id, _ = n.result
-        return INode(conj, n.query, materialize(left_id), materialize(right_id))
 
-    tree = materialize(0)
-    wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
-    meta = _metadata("lds", cfg, data, stats, tree, wall, cpu)
-    return Model(tree, classes, render_settings(settings), meta)
+def learn_lds(
+    data: DatasetHandle,
+    background: Background | None,
+    settings: Settings,
+    config: LearnerConfig | None = None,
+) -> Model:
+    return _induce("lds", _grow_lds, data, background, settings, config)
 
 
 def learn(

@@ -70,7 +70,10 @@ class DiscretizeRequest:
 
 
 @dataclass
-class LearnerParams:
+class LearnerConfig:
+    """Learner parameters, as set by the settings file's parameter
+    directives."""
+
     minleaf: int = 2
     heuristic: str = "gainratio"
     algorithm: str = "lds"
@@ -80,6 +83,16 @@ class LearnerParams:
     max_depth: int | None = None
     max_thresholds: int = 8
 
+    @classmethod
+    def from_settings(cls, settings: Settings, **overrides) -> LearnerConfig:
+        """A copy of the settings' parameters with each override that is not
+        None applied; an override must pass the same checks as its
+        directive."""
+        return replace(
+            settings.params,
+            **{k: _check_param(k, v) for k, v in overrides.items() if v is not None},
+        )
+
 
 @dataclass
 class Settings:
@@ -88,7 +101,7 @@ class Settings:
     lookaheads: tuple[Lookahead, ...] = ()
     types: dict[tuple[str, int], tuple[str, ...]] = field(default_factory=dict)
     discretize: tuple[DiscretizeRequest, ...] = ()
-    params: LearnerParams = field(default_factory=LearnerParams)
+    params: LearnerConfig = field(default_factory=LearnerConfig)
 
     def class_index(self) -> dict[str, int]:
         return {c: i for i, c in enumerate(self.classes)}
@@ -103,7 +116,7 @@ class _SettingsParser:
         self.lookaheads: list[Lookahead] = []
         self.types: dict[tuple[str, int], tuple[str, ...]] = {}
         self.discretize: list[DiscretizeRequest] = []
-        self.params = LearnerParams()
+        self.params = LearnerConfig()
 
     def run(self) -> Settings:
         while not self.s.at("eof"):
@@ -199,7 +212,7 @@ class _SettingsParser:
             if t.kind != "atom":
                 raise ParseError(f"{name}/1 expects an atom", t.line, t.col)
             value = t.value
-        _apply_param(self.params, name, value, t)
+        setattr(self.params, name, _check_param(name, value, t.line, t.col))
 
     # -- template machinery ----------------------------------------------
 
@@ -312,24 +325,26 @@ _PARAM_TYPES = {
 }
 
 
-def _apply_param(params: LearnerParams, name: str, value, tok):
+def _check_param(name: str, value, line: int | None = None, col: int | None = None):
+    """The value of learner parameter ``name`` in canonical form, or a
+    ParseError naming the rule it breaks."""
     if name == "heuristic":
         value = value.replace("-", "_")
         if value not in HEURISTICS:
-            raise ParseError(f"unknown heuristic {value!r}", tok.line, tok.col)
+            raise ParseError(f"unknown heuristic {value!r}", line, col)
     elif name == "algorithm":
         if value not in ALGORITHMS:
-            raise ParseError(f"unknown algorithm {value!r}", tok.line, tok.col)
+            raise ParseError(f"unknown algorithm {value!r}", line, col)
     elif name == "gain_epsilon":
         if value <= 0:
-            raise ParseError("gain_epsilon must be positive", tok.line, tok.col)
+            raise ParseError("gain_epsilon must be positive", line, col)
     elif name in ("minleaf", "granularity", "resolution_budget"):
         if value < 1:
-            raise ParseError(f"{name} must be at least 1", tok.line, tok.col)
+            raise ParseError(f"{name} must be at least 1", line, col)
     elif name in ("max_depth", "max_thresholds"):
         if value < 0:
-            raise ParseError(f"{name} must be nonnegative", tok.line, tok.col)
-    setattr(params, name, value)
+            raise ParseError(f"{name} must be nonnegative", line, col)
+    return value
 
 
 def _check_builtin_safety(literals, input_vars: set[str], tok):

@@ -423,25 +423,23 @@ class DatasetHandle:
         that copy examples out of the stream are outside this accounting."""
         return self._peak
 
-    def chunk_ids(self, chunk: ChunkInfo) -> list[Term]:
-        return self.example_ids[chunk.start_ordinal : chunk.start_ordinal + chunk.count]
-
     def stream_examples(
-        self, selector: Callable[[Term], bool] | None = None
+        self, selector: Callable[[int], bool] | None = None
     ) -> Iterator[tuple[int, Interpretation]]:
         """Yield ``(ordinal, interpretation)`` in manifest order.
 
-        ``selector`` filters by example identifier; chunks whose examples are
-        all excluded are skipped without opening the file.  At most one chunk
+        ``selector`` filters by ordinal; chunks whose examples are all
+        excluded are skipped without opening the file.  At most one chunk
         (<= G examples) is decoded at a time.
         """
         for chunk in self.chunks:
-            if selector is not None and not any(selector(i) for i in self.chunk_ids(chunk)):
+            ordinals = range(chunk.start_ordinal, chunk.start_ordinal + chunk.count)
+            if selector is not None and not any(map(selector, ordinals)):
                 continue
             interps = self._load_chunk(chunk)
-            for offset, interp in enumerate(interps):
-                if selector is None or selector(interp.ident):
-                    yield chunk.start_ordinal + offset, interp
+            for ordinal, interp in zip(ordinals, interps):
+                if selector is None or selector(ordinal):
+                    yield ordinal, interp
             del interps
 
     def _load_chunk(self, chunk: ChunkInfo) -> list[Interpretation]:
@@ -539,20 +537,3 @@ def open_dataset(path) -> DatasetHandle:
         meta["fingerprint"],
         ids,
     )
-
-
-def write_kb_file(path, interps: Iterator[Interpretation], class_first: bool = False):
-    """Write interpretations back out as a begin/end block file."""
-    from .terms import render_fact
-
-    with open(path, "w", encoding="utf-8") as f:
-        for interp in interps:
-            ident = render_term(interp.ident)
-            f.write(f"begin(model({ident})).\n")
-            if class_first:
-                f.write(f"  {interp.label}.\n")
-            for fact in interp.facts:
-                f.write(f"  {render_fact(fact)}\n")
-            if not class_first:
-                f.write(f"  {interp.label}.\n")
-            f.write(f"end(model({ident})).\n")

@@ -446,10 +446,6 @@ def render_fact(lit: Literal) -> str:
     return render_literal(lit) + "."
 
 
-def fact_to_term(lit: Literal) -> Term:
-    return Atom(lit.pred) if not lit.args else Compound(lit.pred, lit.args)
-
-
 def iter_clause_texts(fileobj) -> Iterator[tuple[str, int, int]]:
     """Stream ``(clause_text, line, col)`` triples from a file-like object.
 

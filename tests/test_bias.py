@@ -108,21 +108,6 @@ lookahead(triangle(T), points(T,up)).
     assert [c.rmode_index for c in cands] == [0, 0]
 
 
-def test_apply_lookahead_direct():
-    from foldt.bias import apply_lookahead
-    from foldt.engine import Query
-
-    settings = parse_settings(
-        "classes([pos,neg]).\nrmode(5: triangle(-V)).\nlookahead(triangle(T), points(T,up)).\n"
-    )
-    bias = static_bias(settings)
-    added = tuple(mk_query_literals("triangle(A)"))
-    candidate = Query(tuple(mk_query_literals("circle(Q)")) + added)
-    extended = apply_lookahead(candidate, added, bias)
-    assert [str(q) for q in extended] == ["circle(Q), triangle(A), points(A,up)"]
-    assert apply_lookahead(candidate, tuple(mk_query_literals("square(A)")), bias) == []
-
-
 def test_lookahead_no_trigger_no_extension():
     settings = parse_settings(
         """

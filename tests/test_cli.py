@@ -119,6 +119,40 @@ def test_data_error_exit_2(tmp_path, bias_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_granularity_of_an_existing_store_is_fixed(tmp_path, bias_file, data_file, capsys):
+    store = tmp_path / "store"
+
+    def learn_with(data, g):
+        return main(
+            ["learn", "--data", str(data), "--settings", str(bias_file), "--chunks", str(store),
+             "--granularity", g, "--out", str(tmp_path / "m.foldt")]
+        )
+
+    assert learn_with(data_file, "4") == 0
+    assert learn_with(store, "4") == 0
+    capsys.readouterr()
+    assert learn_with(store, "5") == 2
+    err = capsys.readouterr().err
+    assert "--granularity 5" in err and "G=4" in err
+
+
+@pytest.mark.parametrize(
+    "flags,cause",
+    [
+        (["--minleaf", "0"], "minleaf must be at least 1"),
+        (["--max-depth", "-1"], "max_depth must be nonnegative"),
+    ],
+)
+def test_learner_flags_checked_like_directives(tmp_path, bias_file, data_file, capsys, flags, cause):
+    rc = main(
+        ["learn", "--data", str(data_file), "--settings", str(bias_file),
+         "--out", str(tmp_path / "m.foldt")] + flags
+    )
+    assert rc == 2
+    assert cause in capsys.readouterr().err
+    assert not (tmp_path / "b12.kb.chunks").exists()  # rejected before the data is read
+
+
 def test_classify_unlabeled(tmp_path, bias_file, data_file, capsys):
     model_path = tmp_path / "m.foldt"
     main(["learn", "--data", str(data_file), "--settings", str(bias_file), "--out", str(model_path)])

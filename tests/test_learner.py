@@ -2,19 +2,19 @@ import pytest
 from conftest import BONGARD_BIAS_TEXT, POKER_BIAS_TEXT, bongard12_kb_text, mk_query_literals
 from oracles import gain_oracle
 
+import foldt.learner
 from foldt.errors import DataError
 from foldt.generators import GenSpec, gen_bongard, gen_poker, replicate
 from foldt.learner import (
     LearnerConfig,
+    choose_split,
     entropy,
     gain_of,
-    is_good,
     learn,
     learn_classic,
     learn_lds,
     majority_class,
     score,
-    select_best,
 )
 from foldt.model import (
     INode,
@@ -71,19 +71,37 @@ def test_score_empty_parent():
         score("gain", (0, 0), (0, 0), (0, 0))
 
 
-def test_select_best_tiebreak_first():
-    assert select_best([0.5, 0.5, 0.2], "gain") == 0
-    assert select_best([None, 0.1, 0.3], "gainratio") == 2
-    assert select_best([0.4, 0.2, 0.2], "weighted_entropy") == 1
-    assert select_best([None, None], "gainratio") is None
+def test_choose_split_tiebreak_first():
+    cfg = LearnerConfig(minleaf=1)
+    pure, mixed = ((4, 0), (0, 4)), ((3, 1), (1, 3))
+    # equal scores: the earliest candidate wins
+    assert choose_split((4, 4), [pure, pure, mixed], LearnerConfig(heuristic="gain")) == 0
+    # an inadmissible candidate is skipped, then the highest ratio wins
+    assert choose_split((4, 4), [((4, 4), (0, 0)), mixed, pure], cfg) == 2
+    # weighted entropy: the lowest wins, ties to the earliest
+    we = LearnerConfig(heuristic="weighted_entropy", minleaf=1)
+    assert choose_split((4, 4), [mixed, pure, pure], we) == 1
+    assert choose_split((4, 4), [((4, 4), (0, 0)), ((2, 2), (2, 2))], cfg) is None
+    assert choose_split((4, 4), [], cfg) is None
 
 
-def test_is_good_cases():
+def test_choose_split_admissibility():
     cfg = LearnerConfig(minleaf=5)
-    assert not is_good(0.0, 50, 50, cfg)
-    assert not is_good(0.4, 1, 99, cfg)
-    assert is_good(0.3, 10, 10, cfg)
-    assert not is_good(0.3, 10, 4, cfg)
+    # no gain
+    assert choose_split((50, 50), [((25, 25), (25, 25))], cfg) is None
+    # gain, but one side below minleaf
+    assert choose_split((50, 50), [((1, 0), (49, 50))], cfg) is None
+    assert choose_split((10, 10), [((10, 0), (0, 10))], cfg) == 0
+    assert choose_split((10, 4), [((10, 0), (0, 4))], cfg) is None
+    # gain must exceed gain_epsilon
+    mixed = [((3, 1), (1, 3))]
+    assert choose_split((4, 4), mixed, LearnerConfig(minleaf=1)) == 0
+    assert choose_split((4, 4), mixed, LearnerConfig(minleaf=1, gain_epsilon=0.5)) is None
+
+
+def test_choose_split_score_none_rejects(monkeypatch):
+    monkeypatch.setattr(foldt.learner, "score", lambda *args: None)
+    assert choose_split((10, 10), [((10, 0), (0, 10))], LearnerConfig()) is None
 
 
 def test_majority_class():
@@ -134,6 +152,34 @@ def test_classic_equals_lds_exactly(bongard12):
     classic = learn_classic(bongard12, None, BONGARD_SETTINGS)
     lds = learn_lds(bongard12, None, BONGARD_SETTINGS)
     assert classic.tree == lds.tree  # conjunctions, names, counts, everything
+    for key in ("evaluations", "nodes_evaluated", "candidates_generated"):
+        assert classic.metadata[key] == lds.metadata[key], key
+
+
+def test_lds_level_records_sum_to_totals(bongard12):
+    meta = learn_lds(bongard12, None, BONGARD_SETTINGS).metadata
+    levels = meta["levels"]
+    assert sum(lv["candidates"] for lv in levels) == meta["candidates_generated"] > 0
+    assert sum(lv["evaluations"] for lv in levels) == meta["evaluations"]
+    # only examples at nodes with candidates are streamed; the last level has none
+    assert [lv["examples_touched"] for lv in levels] == [12, 9, 0]
+
+
+def test_lds_spills_outside_the_data_directory(bongard12, monkeypatch):
+    import tempfile
+
+    dirs = []
+    make = tempfile.TemporaryFile
+
+    def recording(*args, **kwargs):
+        dirs.append(kwargs.get("dir"))
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", recording)
+    before = sorted(bongard12.dir.iterdir())
+    model = learn_lds(bongard12, None, BONGARD_SETTINGS)
+    assert dirs == [None] * model.metadata["passes"]  # the system temporary directory
+    assert sorted(bongard12.dir.iterdir()) == before
 
 
 def test_resubstitution_accuracy_on_separable_data(bongard12):

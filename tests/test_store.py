@@ -97,9 +97,9 @@ def test_stream_counts_and_peak(tmp_path):
 
 def test_selector_skips_whole_chunk(tmp_path):
     handle = load_dataset(_write_many(tmp_path, 25), POKER_SETTINGS, granularity=10)
-    chunk2_ids = set(handle.chunk_ids(handle.chunks[1]))
-    selected = list(handle.stream_examples(lambda i: i not in chunk2_ids))
-    assert len(selected) == 15
+    selected = list(handle.stream_examples(lambda o: not 10 <= o < 20))
+    assert [o for o, _ in selected] == list(range(10)) + list(range(20, 25))
+    assert [e.ident for _, e in selected] == [handle.example_ids[o] for o, _ in selected]
     assert handle.chunk_loads == 2  # chunk 2 never opened
 
 
