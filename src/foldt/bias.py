@@ -31,17 +31,17 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .engine import DEFAULT_BUDGET, Query, answer_all, register_predicates
+from .engine import DEFAULT_BUDGET, Query, answer_all, matches, register_predicates
 from .errors import DataError
-from .settings import THRESHOLD_FUNCTOR, DiscretizeRequest, Settings
+from .settings import DiscretizeRequest, Settings, is_threshold, threshold_indices
 from .terms import (
     Compound,
     Literal,
     Number,
-    Term,
     Variable,
-    literal_variables,
+    map_literals,
     render_literal,
+    term_variables,
 )
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -128,7 +128,7 @@ def infer_var_types(query: Query, settings: Settings) -> dict[str, str | None]:
                 if arg.name not in types:
                     types[arg.name] = decl[pos] if decl else None
             elif isinstance(arg, Compound):
-                for v in literal_variables([Literal("", arg.args)]):
+                for v in term_variables(arg):
                     types.setdefault(v, None)
     return types
 
@@ -144,20 +144,12 @@ def _formal_specs(rmode, settings) -> list[tuple[str, str, str | None]]:
     for lit in rmode.template:
         decl = None if lit.builtin else settings.types.get(lit.key)
         for pos, arg in enumerate(lit.args):
-            for name in _arg_variables(arg):
+            for name in term_variables(arg):
                 if name not in seen:
                     seen.add(name)
                     ftype = decl[pos] if decl and isinstance(arg, Variable) else None
                     specs.append((name, rmode.modes[name], ftype))
     return specs
-
-
-def _arg_variables(t: Term):
-    if isinstance(t, Variable):
-        yield t.name
-    elif isinstance(t, Compound):
-        for a in t.args:
-            yield from _arg_variables(a)
 
 
 _FRESH = object()
@@ -196,60 +188,22 @@ def _instantiate(template, assignment, name_base):
     fresh = 0
     for formal, actual in assignment.items():
         if actual is _FRESH:
-            names[formal] = fresh_name(name_base + fresh)
+            actual = fresh_name(name_base + fresh)
             fresh += 1
-        else:
-            names[formal] = actual
-
-    def walk(t: Term) -> Term:
-        if isinstance(t, Variable):
-            return Variable(names[t.name])
-        if isinstance(t, Compound):
-            return Compound(t.functor, tuple(walk(a) for a in t.args))
-        return t
-
-    lits = tuple(
-        Literal(l.pred, tuple(walk(a) for a in l.args), l.builtin) for l in template
-    )
+        names[formal] = Variable(actual)
+    lits = map_literals(template, lambda t: names[t.name] if isinstance(t, Variable) else None)
     return lits, fresh
 
 
-def _threshold_slots(literals):
-    """Indices (by walk order) of threshold placeholders, as their K values."""
-    ks = []
-
-    def walk(t):
-        if isinstance(t, Compound):
-            if t.functor == THRESHOLD_FUNCTOR and len(t.args) == 1 and isinstance(t.args[0], Number):
-                ks.append(t.args[0].value)
-            else:
-                for a in t.args:
-                    walk(a)
-
-    for lit in literals:
-        for a in lit.args:
-            walk(a)
-    return ks
-
-
 def _expand_thresholds(literals, bias: Bias):
-    ks = _threshold_slots(literals)
+    ks = threshold_indices(literals)
     if not ks:
         return [literals]
-    pools = [bias.cuts.get(k, ()) for k in ks]
     expanded = []
-    for combo in itertools.product(*pools):
-        it = iter(combo)
-
-        def walk(t):
-            if isinstance(t, Compound):
-                if t.functor == THRESHOLD_FUNCTOR and len(t.args) == 1 and isinstance(t.args[0], Number):
-                    return Number(next(it))
-                return Compound(t.functor, tuple(walk(a) for a in t.args))
-            return t
-
+    for combo in itertools.product(*(bias.cuts.get(k, ()) for k in ks)):
+        cuts = iter(combo)
         expanded.append(
-            tuple(Literal(l.pred, tuple(walk(a) for a in l.args), l.builtin) for l in literals)
+            map_literals(literals, lambda t: Number(next(cuts)) if is_threshold(t) else None)
         )
     return expanded
 
@@ -257,69 +211,14 @@ def _expand_thresholds(literals, bias: Bias):
 def _canonical_key(added, qvars_set):
     """Added conjunction with its new variables renamed N0, N1, ... by first
     occurrence; used to drop duplicates up to variable renaming."""
-    names = {}
+    names: dict[str, Variable] = {}
 
-    def walk(t):
-        if isinstance(t, Variable):
-            if t.name in qvars_set:
-                return t
-            if t.name not in names:
-                names[t.name] = Variable(f"N{len(names)}")
-            return names[t.name]
-        if isinstance(t, Compound):
-            return Compound(t.functor, tuple(walk(a) for a in t.args))
-        return t
+    def rename(t):
+        if isinstance(t, Variable) and t.name not in qvars_set:
+            return names.setdefault(t.name, Variable(f"N{len(names)}"))
+        return None
 
-    return tuple(
-        render_literal(Literal(l.pred, tuple(walk(a) for a in l.args), l.builtin))
-        for l in added
-    )
-
-
-def _match_args(pargs, targs, sigma):
-    for p, t in zip(pargs, targs):
-        if isinstance(p, Variable):
-            bound = sigma.get(p.name)
-            if bound is None:
-                sigma = dict(sigma)
-                sigma[p.name] = t
-            elif bound != t:
-                return None
-        elif isinstance(p, Compound):
-            if not (
-                isinstance(t, Compound)
-                and t.functor == p.functor
-                and len(t.args) == len(p.args)
-            ):
-                return None
-            sigma = _match_args(p.args, t.args, sigma)
-            if sigma is None:
-                return None
-        elif p != t:
-            return None
-    return sigma
-
-
-def _match_conj(patterns, targets):
-    """All substitutions placing every pattern literal onto some target
-    literal (one-way matching; deterministic order; duplicates removed)."""
-    sigmas = []
-
-    def go(i, sigma):
-        if i == len(patterns):
-            if sigma not in sigmas:
-                sigmas.append(sigma)
-            return
-        lit = patterns[i]
-        for t in targets:
-            if t.pred != lit.pred or len(t.args) != len(lit.args) or t.builtin != lit.builtin:
-                continue
-            s2 = _match_args(lit.args, t.args, sigma)
-            if s2 is not None:
-                go(i + 1, s2)
-
-    go(0, {})
-    return sigmas
+    return tuple(render_literal(l) for l in map_literals(added, rename))
 
 
 def lookahead_extensions(added, bias: Bias, name_base: int, fresh_used: int):
@@ -327,29 +226,22 @@ def lookahead_extensions(added, bias: Bias, name_base: int, fresh_used: int):
     matching lookahead declaration/substitution (one level, no chaining)."""
     extensions = []
     for la in bias.settings.lookaheads:
-        for sigma in _match_conj(la.trigger, added):
+        seen: list[dict] = []
+        for sigma in matches(la.trigger, added):
+            if sigma in seen:
+                continue
+            seen.append(sigma)
             names = dict(sigma)
-            fresh = fresh_used
+            fresh = itertools.count(name_base + fresh_used)
 
-            def walk(t):
-                nonlocal fresh
-                if isinstance(t, Variable):
-                    bound = names.get(t.name)
-                    if bound is None:
-                        bound = Variable(fresh_name(name_base + fresh))
-                        fresh += 1
-                        names[t.name] = bound
-                    return bound
-                if isinstance(t, Compound):
-                    return Compound(t.functor, tuple(walk(a) for a in t.args))
-                return t
+            def bind(t):
+                if not isinstance(t, Variable):
+                    return None
+                if t.name not in names:
+                    names[t.name] = Variable(fresh_name(next(fresh)))
+                return names[t.name]
 
-            extensions.append(
-                tuple(
-                    Literal(l.pred, tuple(walk(a) for a in l.args), l.builtin)
-                    for l in la.extension
-                )
-            )
+            extensions.append(map_literals(la.extension, bind))
     return extensions
 
 

@@ -41,14 +41,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-v", "--verbose", action="store_true", help="info-level logging")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common_learn_args(sp, with_algo=True):
+    def common_learn_args(sp, learner_flags=True):
         sp.add_argument("--data", required=True, help="block file, or an existing chunk store")
         sp.add_argument("--settings", required=True, help="settings file")
         sp.add_argument("--bg", help="background program file")
         sp.add_argument("--granularity", type=int, help="examples per chunk (G)")
         sp.add_argument("--chunks", help="directory for the chunk store")
-        sp.add_argument("--minleaf", type=int, help="minimal examples per leaf")
-        if with_algo:
+        if learner_flags:
+            sp.add_argument("--minleaf", type=int, help="minimal examples per leaf")
             sp.add_argument("--algo", choices=("classic", "lds"), help="induction engine")
             sp.add_argument("--heuristic", choices=("gainratio", "gain", "weighted_entropy"))
             sp.add_argument("--max-depth", type=int, dest="max_depth")
@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("discretize", help="print thresholds for discretize declarations")
-    common_learn_args(sp, with_algo=False)
+    common_learn_args(sp, learner_flags=False)
     sp.add_argument("--max-thresholds", type=int, dest="max_thresholds")
 
     sp = sub.add_parser("bench", help="replicate-and-scale benchmark")
@@ -206,6 +206,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_discretize(args) -> int:
     settings = parse_settings(Path(args.settings).read_text(encoding="utf-8"))
+    cap = LearnerConfig.from_settings(settings, max_thresholds=args.max_thresholds).max_thresholds
     if not settings.discretize:
         print("no discretize declarations in the settings file")
         return 0
@@ -214,9 +215,6 @@ def _cmd_discretize(args) -> int:
 
     data = _open_data(args, settings)
     background = _background(args)
-    cap = args.max_thresholds
-    if cap is None:
-        cap = settings.params.max_thresholds
     for k, request in enumerate(settings.discretize, 1):
         th = run_discretize(request, data, background, max_thresholds=cap)
         cuts = ", ".join(repr(c) for c in th.cuts) or "(none)"

@@ -34,6 +34,7 @@ from .terms import (
     literal_variables,
     parse_program,
     render_literal,
+    render_term,
 )
 
 log = logging.getLogger(__name__)
@@ -327,6 +328,22 @@ def _warn_unknown(key: tuple[str, int]):
     )
 
 
+def _prove(query: Query, interp: Interpretation, background, budget: int):
+    """Prove ``query`` in ``interp`` plus background, yielding the bindings
+    once per solution.  An exhausted step budget is reported with the
+    example and the query it ran out on."""
+    _known_predicates.update(interp.predicates())
+    r = _Resolver(interp, background or EMPTY_BACKGROUND, Budget(budget))
+    try:
+        for _ in r.prove(query.literals):
+            yield r.bind
+    except BudgetExceededError:
+        raise BudgetExceededError(
+            f"resolution step budget of {budget} exhausted in example "
+            f"{render_term(interp.ident)} on query {query}"
+        ) from None
+
+
 def succeeds(
     query: Query,
     interp: Interpretation,
@@ -334,9 +351,7 @@ def succeeds(
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
     """True iff the query is provable in the example plus background."""
-    _known_predicates.update(interp.predicates())
-    r = _Resolver(interp, background or EMPTY_BACKGROUND, Budget(budget))
-    for _ in r.prove(query.literals):
+    for _ in _prove(query, interp, background, budget):
         return True
     return False
 
@@ -349,11 +364,9 @@ def solutions(
 ) -> Iterator[dict[str, Term]]:
     """All solutions, each as a fully-resolved substitution of the query's
     variables, in discovery order."""
-    _known_predicates.update(interp.predicates())
-    r = _Resolver(interp, background or EMPTY_BACKGROUND, Budget(budget))
     names = query.variables()
-    for _ in r.prove(query.literals):
-        yield {n: _resolve(Variable(n), r.bind) for n in names}
+    for bind in _prove(query, interp, background, budget):
+        yield {n: _resolve(Variable(n), bind) for n in names}
 
 
 def answer_all(
@@ -367,37 +380,33 @@ def answer_all(
     order)."""
     if var not in query.variables():
         raise QueryError(f"variable {var} does not occur in the query")
-    _known_predicates.update(interp.predicates())
-    r = _Resolver(interp, background or EMPTY_BACKGROUND, Budget(budget))
-    out: list[Term] = []
     v = Variable(var)
-    for _ in r.prove(query.literals):
-        out.append(_resolve(v, r.bind))
-    return out
+    return [_resolve(v, bind) for bind in _prove(query, interp, background, budget)]
 
 
 # ---------------------------------------------------------------------------
-# Theta-subsumption
+# One-way matching and theta-subsumption
 
 
-def theta_subsumes(q1: Query, q2: Query, budget: int = 1_000_000) -> bool:
-    """True iff a substitution makes every literal of ``q1`` a literal of
-    ``q2`` (set containment; ``q2``'s variables are treated as constants).
+def matches(patterns, targets, budget: Budget | None = None) -> Iterator[dict[str, Term]]:
+    """Substitutions that make every literal of ``patterns`` equal to some
+    literal of ``targets`` (one-way matching: only the patterns' variables
+    bind, and the targets' variables are rigid).
 
-    Worst-case exponential; the step budget raises ``BudgetExceededError``
-    on adversarial instances.
+    Solutions come depth first: pattern literals left to right, each tried
+    against the targets in order.  A substitution reached through two
+    different choices of targets is yielded twice.  ``budget``, if given,
+    is spent once per attempted literal pair.
     """
-    b = Budget(budget)
     theta: dict[str, Term] = {}
     trail: list[str] = []
-    lits1 = q1.literals
     by_key: dict[tuple[str, int, bool], list[Literal]] = {}
-    for l in q2.literals:
+    for l in targets:
         by_key.setdefault((l.pred, len(l.args), l.builtin), []).append(l)
 
     def match(p: Term, t: Term) -> bool:
-        # One-way matching: only q1's variables bind, and they bind to final
-        # q2 subterms (never dereferenced again -- q2's variables are rigid).
+        # Pattern variables bind to final target subterms, never
+        # dereferenced again.
         if isinstance(p, Variable):
             prev = theta.get(p.name)
             if prev is not None:
@@ -414,17 +423,30 @@ def theta_subsumes(q1: Query, q2: Query, budget: int = 1_000_000) -> bool:
             )
         return p == t
 
-    def go(i: int) -> bool:
-        if i == len(lits1):
-            return True
-        lit = lits1[i]
+    def go(i: int):
+        if i == len(patterns):
+            yield dict(theta)
+            return
+        lit = patterns[i]
         for cand in by_key.get((lit.pred, len(lit.args), lit.builtin), ()):
-            b.spend()
+            if budget is not None:
+                budget.spend()
             mark = len(trail)
-            if all(match(x, y) for x, y in zip(lit.args, cand.args)) and go(i + 1):
-                return True
+            if all(match(x, y) for x, y in zip(lit.args, cand.args)):
+                yield from go(i + 1)
             while len(trail) > mark:
                 del theta[trail.pop()]
-        return False
 
     return go(0)
+
+
+def theta_subsumes(q1: Query, q2: Query, budget: int = 1_000_000) -> bool:
+    """True iff a substitution makes every literal of ``q1`` a literal of
+    ``q2`` (set containment; ``q2``'s variables are treated as constants).
+
+    Worst-case exponential; the step budget raises ``BudgetExceededError``
+    on adversarial instances.
+    """
+    for _ in matches(q1.literals, q2.literals, Budget(budget)):
+        return True
+    return False

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, replace
 
 from .errors import ParseError
 from .terms import (
-    BUILTIN_PREDS,
     Atom,
     Compound,
     Literal,
@@ -33,9 +32,9 @@ from .terms import (
     TokenStream,
     Variable,
     literal_variables,
+    map_literals,
     render_atom,
-    render_term,
-    term_to_literal,
+    render_conjunction,
     tokenize,
 )
 
@@ -166,14 +165,14 @@ class _SettingsParser:
         self.s.next()
         self.s.expect("punct", ":")
         modes: dict[str, str] = {}
-        template = self._conjunction(modes=modes)
+        template = self._conjunction(modes)
         _check_builtin_safety(template, {v for v, m in modes.items() if m == "+"}, tok)
         self.rmodes.append(RMode(cnt.value, template, modes))
 
     def _d_lookahead(self, tok):
-        trigger = self._conjunction(modes=None)
+        trigger = self._conjunction()
         self.s.expect("punct", ",")
-        extension = self._conjunction(modes=None)
+        extension = self._conjunction()
         _check_builtin_safety(extension, set(literal_variables(trigger)), tok)
         self.lookaheads.append(Lookahead(trigger, extension))
 
@@ -187,7 +186,7 @@ class _SettingsParser:
         self.types[key] = tuple(a.name for a in t.args)
 
     def _d_discretize(self, tok):
-        query = self._conjunction(modes=None)
+        query = self._conjunction()
         self.s.expect("punct", ",")
         v = self.s.peek()
         if v.kind != "var":
@@ -216,78 +215,21 @@ class _SettingsParser:
 
     # -- template machinery ----------------------------------------------
 
-    def _conjunction(self, modes: dict[str, str] | None) -> tuple[Literal, ...]:
-        """One literal, or a parenthesized comma-list of literals."""
+    def _conjunction(self, modes: dict[str, str] | None = None) -> tuple[Literal, ...]:
+        """One literal, or a parenthesized comma-list of literals; variables
+        take mode markers, recorded in ``modes``, only when it is given."""
+        self.tp.modes = modes
         if self.s.at("punct", "("):
             self.s.next()
-            lits = [self._literal(modes)]
+            lits = [self.tp.literal()]
             while self.s.at("punct", ","):
                 self.s.next()
-                lits.append(self._literal(modes))
+                lits.append(self.tp.literal())
             self.s.expect("punct", ")")
-            return tuple(lits)
-        return (self._literal(modes),)
-
-    def _literal(self, modes) -> Literal:
-        tok = self.s.peek()
-        lhs = self._term(modes)
-        nxt = self.s.peek()
-        if nxt.kind == "op" and nxt.text in BUILTIN_PREDS:
-            self.s.next()
-            rhs = self._term(modes)
-            return Literal(nxt.text, (lhs, rhs), builtin=True)
-        return term_to_literal(lhs, line=tok.line, col=tok.col)
-
-    def _term(self, modes):
-        tok = self.s.peek()
-        if tok.kind == "punct" and tok.text in "+-":
-            marker = tok.text
-            self.s.next()
-            if marker == "+" and self.s.at("punct", "-"):
-                self.s.next()
-                marker = "+-"
-            v = self.s.peek()
-            if v.kind != "var":
-                raise ParseError("mode marker must precede a variable", v.line, v.col)
-            self.s.next()
-            if modes is None:
-                raise ParseError("mode markers are not allowed in this template", v.line, v.col)
-            if v.value in modes:
-                raise ParseError(
-                    f"variable {v.value} already carries a mode marker", v.line, v.col
-                )
-            modes[v.value] = marker
-            return Variable(v.value)
-        if tok.kind == "var":
-            self.s.next()
-            if tok.value == "_":
-                self.tp._anon += 1
-                name = f"_{self.tp._anon}"
-                if modes is not None:
-                    modes[name] = "-"  # each anonymous slot is a fresh output
-                return Variable(name)
-            if modes is not None and tok.value not in modes:
-                raise ParseError(
-                    f"variable {tok.value} needs a mode marker at its first occurrence",
-                    tok.line,
-                    tok.col,
-                )
-            return Variable(tok.value)
-        if tok.kind in ("int", "float"):
-            self.s.next()
-            return Number(tok.value)
-        if tok.kind == "atom":
-            self.s.next()
-            if self.s.at("punct", "("):
-                self.s.next()
-                args = [self._term(modes)]
-                while self.s.at("punct", ","):
-                    self.s.next()
-                    args.append(self._term(modes))
-                self.s.expect("punct", ")")
-                return Compound(tok.value, tuple(args))
-            return Atom(tok.value)
-        raise ParseError(f"expected a term, found {tok.text or tok.kind!r}", tok.line, tok.col)
+        else:
+            lits = [self.tp.literal()]
+        self.tp.modes = None
+        return tuple(lits)
 
     # -- finalization ------------------------------------------------------
 
@@ -303,7 +245,7 @@ class _SettingsParser:
             params=self.params,
         )
         for rm in st.rmodes:
-            for k in _threshold_indices(rm.template):
+            for k in threshold_indices(rm.template):
                 if not 1 <= k <= len(st.discretize):
                     raise ParseError(
                         f"threshold({k}) does not match any discretize declaration"
@@ -364,23 +306,25 @@ def _check_builtin_safety(literals, input_vars: set[str], tok):
             bound.update(literal_variables([lit]))
 
 
-def _threshold_indices(literals) -> list[int]:
+def is_threshold(t) -> bool:
+    """Whether ``t`` is a ``threshold(K)`` placeholder."""
+    return isinstance(t, Compound) and t.functor == THRESHOLD_FUNCTOR and len(t.args) == 1
+
+
+def threshold_indices(literals) -> list[int]:
+    """The K of each ``threshold(K)`` placeholder, in walk order."""
     found: list[int] = []
 
-    def walk(t):
-        if isinstance(t, Compound):
-            if t.functor == THRESHOLD_FUNCTOR and len(t.args) == 1:
-                arg = t.args[0]
-                if not (isinstance(arg, Number) and isinstance(arg.value, int)):
-                    raise ParseError("threshold placeholder expects an integer index")
-                found.append(arg.value)
-            else:
-                for a in t.args:
-                    walk(a)
+    def visit(t):
+        if not is_threshold(t):
+            return None
+        arg = t.args[0]
+        if not (isinstance(arg, Number) and isinstance(arg.value, int)):
+            raise ParseError("threshold placeholder expects an integer index")
+        found.append(arg.value)
+        return t
 
-    for lit in literals:
-        for a in lit.args:
-            walk(a)
+    map_literals(literals, visit)
     return found
 
 
@@ -392,43 +336,19 @@ def parse_settings(text: str) -> Settings:
 # Canonical rendering (used for the bias snapshot embedded in model files)
 
 
-def _render_template_term(t, modes: dict[str, str], seen: set[str]) -> str:
-    if isinstance(t, Variable):
-        if t.name in modes and t.name not in seen:
-            seen.add(t.name)
-            return modes[t.name] + t.name
-        return t.name
-    if isinstance(t, Compound):
-        return (
-            render_atom(t.functor)
-            + "("
-            + ",".join(_render_template_term(a, modes, seen) for a in t.args)
-            + ")"
-        )
-    return render_term(t)
+def _render_conj(literals, modes: dict[str, str] | None = None) -> str:
+    """A template conjunction, each moded variable marked at its first
+    occurrence; parenthesized when it has several literals."""
+    marked: set[str] = set()
 
+    def mark(t):
+        if isinstance(t, Variable) and modes and t.name in modes and t.name not in marked:
+            marked.add(t.name)
+            return Variable(modes[t.name] + t.name)
+        return None
 
-def _render_template_literal(lit: Literal, modes, seen) -> str:
-    if lit.builtin:
-        a = _render_template_term(lit.args[0], modes, seen)
-        b = _render_template_term(lit.args[1], modes, seen)
-        return f"{a} {lit.pred} {b}"
-    if not lit.args:
-        return render_atom(lit.pred)
-    return (
-        render_atom(lit.pred)
-        + "("
-        + ",".join(_render_template_term(a, modes, seen) for a in lit.args)
-        + ")"
-    )
-
-
-def _render_conj(literals, modes=None, seen=None) -> str:
-    modes = modes or {}
-    seen = set() if seen is None else seen
-    parts = [_render_template_literal(l, modes, seen) for l in literals]
-    inner = ", ".join(parts)
-    return f"({inner})" if len(parts) > 1 else inner
+    text = render_conjunction(map_literals(literals, mark))
+    return f"({text})" if len(literals) > 1 else text
 
 
 def render_settings(s: Settings) -> str:

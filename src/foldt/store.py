@@ -509,16 +509,19 @@ def open_dataset(path) -> DatasetHandle:
             if not line:
                 continue
             parts = line.split()
-            if len(parts) < 5 or parts[0] != "chunk":
-                raise DataError(f"bad manifest line {lineno}: {line!r}")
-            index = int(parts[1])
-            fname = parts[2]
-            count = int(parts[-1])
-            first_id = parse_term(" ".join(parts[3:-1]))
-            chunks.append(ChunkInfo(index, directory / fname, first_id, count, start))
+            try:
+                if len(parts) < 5 or parts[0] != "chunk":
+                    raise ValueError("expected chunk <index> <file> <first-id> <count>")
+                index = int(parts[1])
+                count = int(parts[-1])
+                first_id = parse_term(" ".join(parts[3:-1]))
+            except (ValueError, ParseError) as e:
+                raise DataError(f"bad manifest line {lineno} in {manifest}: {line!r} ({e})") from e
+            chunks.append(ChunkInfo(index, directory / parts[2], first_id, count, start))
             start += count
+    meta_path = directory / META_NAME
     try:
-        meta = json.loads((directory / META_NAME).read_text(encoding="utf-8"))
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
         ids = [
             parse_term(line)
             for line in (directory / IDS_NAME).read_text(encoding="utf-8").splitlines()
@@ -528,12 +531,15 @@ def open_dataset(path) -> DatasetHandle:
         raise DataError(f"cannot read chunk-store metadata in {directory}: {e}") from e
     if len(ids) != start:
         raise DataError("id list does not match manifest totals")
-    return DatasetHandle(
-        directory,
-        chunks,
-        meta["granularity"],
-        meta["total"],
-        dict(meta["class_counts"]),
-        meta["fingerprint"],
-        ids,
-    )
+    try:
+        granularity, total, class_counts, fingerprint = (
+            meta[k] for k in ("granularity", "total", "class_counts", "fingerprint")
+        )
+        counted = sum(class_counts.values())
+    except (KeyError, TypeError, AttributeError) as e:
+        raise DataError(f"malformed chunk-store metadata {meta_path}: {e!r}") from e
+    if total != start:
+        raise DataError(f"{meta_path} gives {total} examples but {manifest} lists {start}")
+    if counted != total:
+        raise DataError(f"class counts in {meta_path} sum to {counted}, not to the total {total}")
+    return DatasetHandle(directory, chunks, granularity, total, dict(class_counts), fingerprint, ids)

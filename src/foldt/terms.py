@@ -1,5 +1,6 @@
-"""Term model, tokenizer, parser, and renderer for the Prolog subset used by
-data files, background programs, and model files.
+"""Term model, tokenizer, parser, renderer and term mapper for the Prolog
+subset used by data files, background programs, settings files and model
+files.
 
 The grammar is deliberately small: unquoted lowercase atoms (interior hyphens
 allowed, so identifiers like ``h2o-1`` are plain atoms), single-quoted atoms
@@ -9,8 +10,16 @@ variables, and compounds ``f(t1,...,tn)``.  The only infix operators are
 canonical: ``parse(render(parse(t)))`` is structurally identical to
 ``parse(t)``, and atoms are quoted exactly when they would not re-parse
 unquoted.
-"""
 
+Refinement templates (the ``rmode`` directive of settings files) extend the
+grammar with mode markers: a variable may be written ``+V`` (input), ``-V``
+(output) or ``+-V`` (either).  Markers are accepted only while a
+``TermParser`` has a mode table; there, a named variable must carry a marker
+at its first occurrence and no later one, and each bare ``_`` counts as an
+output.  Anywhere else -- data files, background programs, lookahead
+declarations, discretize queries -- a marker is a ``ParseError`` at its
+position.
+"""
 from __future__ import annotations
 
 import math
@@ -120,6 +129,25 @@ def term_to_literal(term: Term, *, line=None, col=None) -> Literal:
     if isinstance(term, Compound):
         return Literal(term.functor, term.args)
     raise ParseError("a literal must be an atom or a compound term", line, col)
+
+
+def map_term(term: Term, fn) -> Term:
+    """``term`` with every subterm ``t`` for which ``fn(t)`` is not None
+    replaced by that value.  Subterms are visited left to right, outermost
+    first, and a replaced subterm is not descended into."""
+    new = fn(term)
+    if new is not None:
+        return new
+    if isinstance(term, Compound):
+        return Compound(term.functor, tuple(map_term(a, fn) for a in term.args))
+    return term
+
+
+def map_literals(literals, fn) -> tuple[Literal, ...]:
+    """``map_term`` over the arguments of each literal, in order."""
+    return tuple(
+        Literal(l.pred, tuple(map_term(a, fn) for a in l.args), l.builtin) for l in literals
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +336,15 @@ class TermParser:
 
     Every bare ``_`` token becomes a distinct fresh variable (``_1``, ``_2``,
     ...); named underscore variables such as ``_Foo`` are kept as written.
+    While ``modes`` is a dict, variables take mode markers and the dict
+    records each variable's marker (``+``, ``-`` or ``+-``); while it is
+    None, a marker is a parse error.
     """
 
     def __init__(self, stream: TokenStream):
         self.s = stream
         self._anon = 0
+        self.modes: dict[str, str] | None = None
 
     def term(self) -> Term:
         tok = self.s.peek()
@@ -320,7 +352,16 @@ class TermParser:
             self.s.next()
             if tok.text == "_":
                 self._anon += 1
-                return Variable(f"_{self._anon}")
+                name = f"_{self._anon}"
+                if self.modes is not None:
+                    self.modes[name] = "-"  # each anonymous slot is a fresh output
+                return Variable(name)
+            if self.modes is not None and tok.text not in self.modes:
+                raise ParseError(
+                    f"variable {tok.text} needs a mode marker at its first occurrence",
+                    tok.line,
+                    tok.col,
+                )
             return Variable(tok.text)
         if tok.kind in ("int", "float"):
             self.s.next()
@@ -336,7 +377,26 @@ class TermParser:
                 self.s.expect("punct", ")")
                 return Compound(tok.value, tuple(args))
             return Atom(tok.value)
+        if tok.kind == "punct" and tok.text in ("+", "-"):
+            return self._marked_variable(tok)
         raise ParseError(f"expected a term, found {tok.text or tok.kind!r}", tok.line, tok.col)
+
+    def _marked_variable(self, marker: Token) -> Variable:
+        if self.modes is None:
+            raise ParseError("mode markers are not allowed here", marker.line, marker.col)
+        self.s.next()
+        mode = marker.text
+        if mode == "+" and self.s.at("punct", "-"):
+            self.s.next()
+            mode = "+-"
+        v = self.s.peek()
+        if v.kind != "var":
+            raise ParseError("mode marker must precede a variable", v.line, v.col)
+        self.s.next()
+        if v.value in self.modes:
+            raise ParseError(f"variable {v.value} already carries a mode marker", v.line, v.col)
+        self.modes[v.value] = mode
+        return Variable(v.value)
 
     def literal(self, allow_cut: bool = False) -> Literal:
         tok = self.s.peek()

@@ -104,6 +104,20 @@ def test_discretize_cli(tmp_path, capsys):
     assert "5.5" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flags,rc,cause",
+    [
+        (["--max-thresholds", "-3"], 2, "max_thresholds must be nonnegative"),
+        (["--minleaf", "0"], 1, "unrecognized arguments: --minleaf"),
+    ],
+)
+def test_discretize_flags(tmp_path, bias_file, data_file, capsys, flags, rc, cause):
+    args = ["discretize", "--data", str(data_file), "--settings", str(bias_file)]
+    assert main(args + flags) == rc
+    assert cause in capsys.readouterr().err
+    assert not (tmp_path / "b12.kb.chunks").exists()  # rejected before the data is read
+
+
 def test_usage_error_exit_1(capsys):
     assert main(["learn"]) == 1
     assert main(["frobnicate"]) == 1

@@ -84,7 +84,7 @@ def test_unknown_predicate_fails_quietly():
 
 def test_budget_exhaustion_on_recursive_background():
     looping = Background(parse_program("p(X) :- p(X)."))
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match=r"in example 1 on query p\(a\)"):
         succeeds(q("p(a)"), P1, looping, budget=1000)
 
 

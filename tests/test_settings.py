@@ -88,6 +88,8 @@ def test_parameters_and_defaults():
         ("classes([a,b]). rmode(1: (f(-X), X \\= -Y)).", "unbound"),
         ("classes([a,b]). rmode(1: (f(-X), X =< threshold(2))).", "discretize"),
         ("classes([a,b]). heuristic(zorp).", "unknown heuristic"),
+        ("classes([a,b]). lookahead(p(+X), q(X)).", "mode markers are not allowed"),
+        ("classes([a,b]). discretize(val(-X,C), C).", "mode markers are not allowed"),
         ("rmode(1: f(-X)).", "classes"),
     ],
 )
@@ -120,3 +122,43 @@ def test_render_settings_roundtrip():
     assert s2.types == s.types
     assert s2.params == s.params
     assert render_settings(s2) == text
+
+
+EVERY_TEMPLATE_FEATURE = r"""
+classes([pos,neg]).
+rmode(3: inside(+V,+-W)).
+rmode(2: (val(-O,_), obj(O))).
+rmode(1: (val(+-O,-C), C > threshold(1))).
+rmode(1: (w(+O,-W), W =< threshold(2), W \= 0)).
+lookahead(inside(X,Y), (val(Y,_), w(Y,Z))).
+discretize(val(_,C), C).
+discretize((obj(O), w(O,W)), W).
+typed(inside(obj,obj)).
+minleaf(3). max_depth(4).
+"""
+
+
+def test_render_settings_text_is_pinned():
+    # Markers on first occurrences only, bare _ numbered across the whole
+    # file, builtins infix, multi-literal conjunctions parenthesized.
+    text = render_settings(parse_settings(EVERY_TEMPLATE_FEATURE))
+    assert text == (
+        "classes([pos,neg]).\n"
+        "typed(inside(obj,obj)).\n"
+        "rmode(3: inside(+V,+-W)).\n"
+        "rmode(2: (val(-O,-_1), obj(O))).\n"
+        "rmode(1: (val(+-O,-C), C > threshold(1))).\n"
+        "rmode(1: (w(+O,-W), W =< threshold(2), W \\= 0)).\n"
+        "lookahead(inside(X,Y), (val(Y,_2), w(Y,Z))).\n"
+        "discretize(val(_3,C), C).\n"
+        "discretize((obj(O), w(O,W)), W).\n"
+        "minleaf(3).\n"
+        "heuristic(gainratio).\n"
+        "algorithm(lds).\n"
+        "granularity(10).\n"
+        "gain_epsilon(1e-09).\n"
+        "resolution_budget(100000).\n"
+        "max_depth(4).\n"
+        "max_thresholds(8).\n"
+    )
+    assert render_settings(parse_settings(text)) == text

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from foldt.errors import DataError
@@ -120,6 +122,49 @@ def test_open_dataset_roundtrip(tmp_path):
     a = [i for _, i in handle.stream_examples()]
     b = [i for _, i in reopened.stream_examples()]
     assert a == b
+
+
+def _edit_meta(key, value):
+    def edit(directory):
+        path = directory / "meta.json"
+        meta = json.loads(path.read_text())
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        path.write_text(json.dumps(meta))
+
+    return edit
+
+
+def _edit_manifest_field(pos, value):
+    def edit(directory):
+        path = directory / "manifest.txt"
+        lines = path.read_text().splitlines()
+        parts = lines[0].split()
+        parts[pos] = value
+        lines[0] = " ".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit,names",
+    [
+        (_edit_meta("granularity", None), "meta.json"),
+        (_edit_meta("total", 7), "meta.json"),
+        (_edit_meta("class_counts", {"pair": 11}), "meta.json"),
+        (_edit_manifest_field(1, "one"), "manifest.txt"),
+        (_edit_manifest_field(-1, "5.0"), "manifest.txt"),
+    ],
+    ids=["no-granularity", "total", "class-counts", "index", "count"],
+)
+def test_open_dataset_rejects_inconsistent_store(tmp_path, edit, names):
+    handle = load_dataset(_write_many(tmp_path, 12), POKER_SETTINGS, granularity=5)
+    edit(handle.dir)
+    with pytest.raises(DataError, match=names):
+        open_dataset(handle.dir)
 
 
 def test_rechunking_preserves_content(tmp_path):

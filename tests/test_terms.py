@@ -84,6 +84,13 @@ def test_parse_errors_have_positions():
         parse_term("foo bar")
 
 
+@pytest.mark.parametrize("text,col", [("f(a,+X)", 5), ("f(-X)", 3), ("f(+-X)", 3)])
+def test_mode_markers_rejected_outside_templates(text, col):
+    with pytest.raises(ParseError, match="mode markers are not allowed") as e:
+        parse_term(text)
+    assert (e.value.line, e.value.column) == (1, col)
+
+
 def test_parse_program_rule():
     prog = parse_program("polygon(O) :- triangle(O).")
     assert prog == (
