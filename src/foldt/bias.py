@@ -22,16 +22,21 @@ with the minimum-description-length stopping rule, capped at
 ``max_thresholds`` (highest-gain cuts kept first).  A template containing the
 placeholder ``threshold(K)`` expands to one candidate per cut point of the
 K-th declaration.
+
+``prepare_bias`` runs once per learning run, before induction, and warns once
+for each predicate that the bias or a background clause body queries but that
+neither the dataset's facts nor a background clause head defines.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import logging
 import math
 from dataclasses import dataclass
 
-from .engine import DEFAULT_BUDGET, Query, answer_all, matches, register_predicates
+from .engine import DEFAULT_BUDGET, Query, answer_all, matches
 from .errors import DataError
 from .settings import DiscretizeRequest, Settings, is_threshold, threshold_indices
 from .terms import (
@@ -41,8 +46,11 @@ from .terms import (
     Variable,
     map_literals,
     render_literal,
+    render_term,
     term_variables,
 )
+
+log = logging.getLogger(__name__)
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -88,22 +96,40 @@ def static_bias(settings: Settings) -> Bias:
     return Bias(settings, {k: () for k in range(1, len(settings.discretize) + 1)})
 
 
-def declared_predicate_keys(settings: Settings) -> set[tuple[str, int]]:
-    """Predicate/arity pairs appearing in bias declarations; registering them
-    keeps the engine's unknown-predicate warning quiet for examples that
-    merely lack them."""
-    keys: set[tuple[str, int]] = set()
-    groups = [rm.template for rm in settings.rmodes]
-    groups += [la.trigger for la in settings.lookaheads]
-    groups += [la.extension for la in settings.lookaheads]
-    groups += [dr.query for dr in settings.discretize]
-    for literals in groups:
-        keys.update(l.key for l in literals if not l.builtin)
-    return keys
+def used_predicates(settings: Settings, background=None) -> dict[tuple[str, int], list[str]]:
+    """Each non-builtin predicate/arity pair that an rmode template, a
+    lookahead, a discretize query or a background clause body queries,
+    mapped to the places that use it, in declaration order."""
+    places = [(f"rmode {i}", rm.template) for i, rm in enumerate(settings.rmodes, 1)]
+    places += [
+        (f"lookahead {i}", la.trigger + la.extension)
+        for i, la in enumerate(settings.lookaheads, 1)
+    ]
+    places += [(f"discretize {i}", dr.query) for i, dr in enumerate(settings.discretize, 1)]
+    places += [
+        (f"the background clause for {c.head.pred}/{len(c.head.args)}", c.body)
+        for c in (background.clauses if background is not None else ())
+    ]
+    uses: dict[tuple[str, int], list[str]] = {}
+    for where, literals in places:
+        for l in literals:
+            if not l.builtin and where not in uses.setdefault(l.key, []):
+                uses[l.key].append(where)
+    return uses
 
 
 def prepare_bias(settings, data, background=None, budget: int = DEFAULT_BUDGET) -> Bias:
-    register_predicates(declared_predicate_keys(settings))
+    """Check the predicates the run queries against ``data.predicates`` and
+    the background, then compute the discretize thresholds."""
+    for key, wheres in used_predicates(settings, background).items():
+        if key not in data.predicates and not (background and background.clauses_for(key)):
+            log.warning(
+                "predicate %s/%d, used in %s, has no facts in any example and no "
+                "background clauses, so it always fails",
+                key[0],
+                key[1],
+                ", ".join(wheres),
+            )
     cuts = {}
     for k, request in enumerate(settings.discretize, 1):
         th = discretize(
@@ -389,8 +415,8 @@ def discretize(
         for t in answer_all(query, request.var, interp, background, budget):
             if not isinstance(t, Number):
                 raise DataError(
-                    f"discretize({query}, {request.var}) collected a non-numeric value: "
-                    f"{render_literal(Literal('v', (t,)))}"
+                    f"discretize({query}, {request.var}) collected the non-numeric value "
+                    f"{render_term(t)} in example {render_term(interp.ident)}"
                 )
             values.append((float(t.value), interp.label))
     if max_thresholds <= 0:

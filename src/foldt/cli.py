@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import generators, rdb
-from .engine import Background, load_background
+from .engine import DEFAULT_BUDGET, Background, load_background
 from .errors import DataError, FoldtError
 from .learner import LearnerConfig, learn
 from .model import classify, load_model, save_model, tree_depth
@@ -153,7 +153,7 @@ def _cmd_classify(args) -> int:
     model = load_model(args.model)
     background = _background(args)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    budget = model.metadata.get("resolution_budget", 100_000)
+    budget = model.metadata.get("resolution_budget", DEFAULT_BUDGET)
     correct = labelled = total = 0
     try:
         out.write("id\tactual\tpredicted\n")

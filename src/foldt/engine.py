@@ -9,15 +9,15 @@ runaway recursion in background rules into a diagnosable
 ``BudgetExceededError`` instead of a hang.
 
 Builtins: ``=`` unifies; ``\\=`` is syntactic disequality over ground terms;
-``<  >  =<  >=`` compare numbers exactly.  An unknown predicate fails with a
-one-time warning per predicate instead of raising, since background files may
-legitimately omit predicates absent from some datasets.
+``<  >  =<  >=`` compare numbers exactly.  A predicate with no facts in the
+example and no background clauses simply fails: an example may lack facts a
+bias mentions.  The engine keeps no state between proofs; predicates that no
+example and no background clause defines are reported once per run, before
+induction, by ``bias.prepare_bias``.
 """
 
 from __future__ import annotations
 
-import logging
-import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -37,23 +37,9 @@ from .terms import (
     render_term,
 )
 
-log = logging.getLogger(__name__)
-
 DEFAULT_BUDGET = 100_000
 
 _FAIL = object()
-
-_warn_lock = threading.Lock()
-_warned_predicates: set[tuple[str, int]] = set()
-_known_predicates: set[tuple[str, int]] = set()
-
-
-def register_predicates(keys):
-    """Mark predicate/arity pairs as known so that querying them in an
-    example that happens to lack them stays silent.  Predicates of every
-    evaluated example register automatically; learners register their bias
-    declarations up front."""
-    _known_predicates.update(keys)
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,9 +212,6 @@ class _Resolver:
         key = lit.key
         group = self.interp.group(key)
         clauses = self.bg.clauses_for(key)
-        if group is None and not clauses:
-            _warn_unknown(key)
-            return
         if group is not None:
             facts = group.facts
             if lit.args:
@@ -313,26 +296,10 @@ class _Resolver:
         raise QueryError(f"unknown builtin {op!r}")
 
 
-def _warn_unknown(key: tuple[str, int]):
-    if key in _known_predicates:
-        return
-    with _warn_lock:
-        if key in _warned_predicates:
-            return
-        _warned_predicates.add(key)
-    log.warning(
-        "query predicate %s/%d is not declared anywhere and has no facts or clauses; "
-        "treating as failure",
-        key[0],
-        key[1],
-    )
-
-
 def _prove(query: Query, interp: Interpretation, background, budget: int):
     """Prove ``query`` in ``interp`` plus background, yielding the bindings
     once per solution.  An exhausted step budget is reported with the
     example and the query it ran out on."""
-    _known_predicates.update(interp.predicates())
     r = _Resolver(interp, background or EMPTY_BACKGROUND, Budget(budget))
     try:
         for _ in r.prove(query.literals):

@@ -286,10 +286,6 @@ def deserialize(text: str) -> Model:
         raise ModelFormatError("malformed meta section") from e
     bias_text = "\n".join(sections["bias"]) + "\n"
     settings = parse_settings(bias_text)
-    from .bias import declared_predicate_keys
-    from .engine import register_predicates
-
-    register_predicates(declared_predicate_keys(settings))
     tree, pos = _read_tree(sections["tree"], 0, 0, set(settings.classes))
     if pos != len(sections["tree"]):
         raise ModelFormatError("extra lines in tree section")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from .engine import DEFAULT_BUDGET
 from .errors import ParseError
 from .terms import (
     Atom,
@@ -78,7 +79,7 @@ class LearnerConfig:
     algorithm: str = "lds"
     granularity: int = 10
     gain_epsilon: float = 1e-9
-    resolution_budget: int = 100_000
+    resolution_budget: int = DEFAULT_BUDGET
     max_depth: int | None = None
     max_thresholds: int = 8
 

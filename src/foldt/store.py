@@ -11,7 +11,8 @@ A dataset text file is a sequence of blocks::
 ``load_dataset`` parses the blocks once and writes a chunk store next to the
 source (or into a target directory): binary chunk files of ``G`` pre-parsed
 examples each, a line-oriented manifest (``chunk <index> <file> <first-id>
-<count>``), an id list, and a small metadata file.  Streaming passes then
+<count>``), and a small metadata file that also records every predicate/arity
+key the examples' facts use.  Streaming passes then
 decode one chunk at a time, so at most ``G`` examples are ever resident; the
 handle counts chunk loads and the peak number of resident examples so that
 callers can verify the bound.
@@ -47,7 +48,6 @@ log = logging.getLogger(__name__)
 CHUNK_MAGIC = b"foldt-chunk v1\n"
 MANIFEST_NAME = "manifest.txt"
 META_NAME = "meta.json"
-IDS_NAME = "ids.txt"
 
 
 class _FactGroup:
@@ -333,16 +333,16 @@ class ChunkWriter:
         self.granularity = granularity
         self._buffer: list[Interpretation] = []
         self._chunks: list[ChunkInfo] = []
-        self._ids: list[Term] = []
-        self._id_set: set[Term] = set()
+        self._ids: set[Term] = set()
+        self._predicates: set[tuple[str, int]] = set()
         self._class_counts: Counter = Counter()
         self._record_hashes: list[bytes] = []
 
     def add(self, interp: Interpretation):
-        if interp.ident in self._id_set:
+        if interp.ident in self._ids:
             raise DataError(f"duplicate example id {render_term(interp.ident)}")
-        self._id_set.add(interp.ident)
-        self._ids.append(interp.ident)
+        self._ids.add(interp.ident)
+        self._predicates.update(interp.predicates())
         self._class_counts[interp.label] += 1
         self._buffer.append(interp)
         if len(self._buffer) == self.granularity:
@@ -374,14 +374,12 @@ class ChunkWriter:
         with open(self.dir / MANIFEST_NAME, "w", encoding="utf-8") as f:
             for c in self._chunks:
                 f.write(f"chunk {c.index} {c.path.name} {render_term(c.first_id)} {c.count}\n")
-        with open(self.dir / IDS_NAME, "w", encoding="utf-8") as f:
-            for ident in self._ids:
-                f.write(render_term(ident) + "\n")
         meta = {
             "granularity": self.granularity,
             "total": len(self._ids),
             "class_counts": dict(self._class_counts),
             "fingerprint": fingerprint,
+            "predicates": [list(k) for k in sorted(self._predicates)],
         }
         with open(self.dir / META_NAME, "w", encoding="utf-8") as f:
             json.dump(meta, f, indent=1)
@@ -392,21 +390,24 @@ class ChunkWriter:
             len(self._ids),
             dict(self._class_counts),
             fingerprint,
-            self._ids,
+            frozenset(self._predicates),
         )
 
 
 class DatasetHandle:
     """Read handle over a chunk store; shareable for concurrent passes."""
 
-    def __init__(self, directory, chunks, granularity, total, class_counts, fingerprint, ids):
+    def __init__(
+        self, directory, chunks, granularity, total, class_counts, fingerprint, predicates
+    ):
         self.dir = Path(directory)
         self.chunks: list[ChunkInfo] = chunks
         self.granularity = granularity
         self.total = total
         self.class_counts = class_counts
         self.fingerprint = fingerprint
-        self.example_ids: list[Term] = ids
+        # Predicate/arity keys of every example's facts.
+        self.predicates: frozenset[tuple[str, int]] = predicates
         self.chunk_loads = 0
         self._peak = 0
 
@@ -522,24 +523,23 @@ def open_dataset(path) -> DatasetHandle:
     meta_path = directory / META_NAME
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        ids = [
-            parse_term(line)
-            for line in (directory / IDS_NAME).read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
-    except (OSError, json.JSONDecodeError, ParseError) as e:
-        raise DataError(f"cannot read chunk-store metadata in {directory}: {e}") from e
-    if len(ids) != start:
-        raise DataError("id list does not match manifest totals")
+    except (OSError, json.JSONDecodeError) as e:
+        raise DataError(f"cannot read chunk-store metadata {meta_path}: {e}") from e
     try:
-        granularity, total, class_counts, fingerprint = (
-            meta[k] for k in ("granularity", "total", "class_counts", "fingerprint")
+        granularity, total, class_counts, fingerprint, predicates = (
+            meta[k]
+            for k in ("granularity", "total", "class_counts", "fingerprint", "predicates")
         )
         counted = sum(class_counts.values())
-    except (KeyError, TypeError, AttributeError) as e:
+        predicates = frozenset(map(tuple, predicates))
+        if not all(isinstance(name, str) and type(arity) is int for name, arity in predicates):
+            raise ValueError("predicates must be a list of [name, arity] pairs")
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise DataError(f"malformed chunk-store metadata {meta_path}: {e!r}") from e
     if total != start:
         raise DataError(f"{meta_path} gives {total} examples but {manifest} lists {start}")
     if counted != total:
         raise DataError(f"class counts in {meta_path} sum to {counted}, not to the total {total}")
-    return DatasetHandle(directory, chunks, granularity, total, dict(class_counts), fingerprint, ids)
+    return DatasetHandle(
+        directory, chunks, granularity, total, dict(class_counts), fingerprint, predicates
+    )

@@ -16,9 +16,10 @@ grammar with mode markers: a variable may be written ``+V`` (input), ``-V``
 (output) or ``+-V`` (either).  Markers are accepted only while a
 ``TermParser`` has a mode table; there, a named variable must carry a marker
 at its first occurrence and no later one, and each bare ``_`` counts as an
-output.  Anywhere else -- data files, background programs, lookahead
-declarations, discretize queries -- a marker is a ``ParseError`` at its
-position.
+output.  A marked ``_`` (``+_``, ``-_``, ``+-_``) is a fresh variable,
+numbered like a bare one, that keeps its marker.  Anywhere else -- data files,
+background programs, lookahead declarations, discretize queries -- a marker
+is a ``ParseError`` at its position.
 """
 from __future__ import annotations
 
@@ -351,8 +352,7 @@ class TermParser:
         if tok.kind == "var":
             self.s.next()
             if tok.text == "_":
-                self._anon += 1
-                name = f"_{self._anon}"
+                name = self._fresh_anonymous()
                 if self.modes is not None:
                     self.modes[name] = "-"  # each anonymous slot is a fresh output
                 return Variable(name)
@@ -393,10 +393,18 @@ class TermParser:
         if v.kind != "var":
             raise ParseError("mode marker must precede a variable", v.line, v.col)
         self.s.next()
-        if v.value in self.modes:
+        if v.text == "_":
+            name = self._fresh_anonymous()
+        elif v.value in self.modes:
             raise ParseError(f"variable {v.value} already carries a mode marker", v.line, v.col)
-        self.modes[v.value] = mode
-        return Variable(v.value)
+        else:
+            name = v.value
+        self.modes[name] = mode
+        return Variable(name)
+
+    def _fresh_anonymous(self) -> str:
+        self._anon += 1
+        return f"_{self._anon}"
 
     def literal(self, allow_cut: bool = False) -> Literal:
         tok = self.s.peek()

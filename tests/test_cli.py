@@ -104,6 +104,20 @@ def test_discretize_cli(tmp_path, capsys):
     assert "5.5" in capsys.readouterr().out
 
 
+def test_discretize_names_a_non_numeric_value_and_its_example(tmp_path, capsys):
+    kb = tmp_path / "vals.kb"
+    kb.write_text(
+        "begin(model(1)). val(x,1). a. end(model(1)).\n"
+        "begin(model(e2)). val(x,abc). b. end(model(e2)).\n"
+    )
+    settings = tmp_path / "s.s"
+    settings.write_text("classes([a,b]).\ndiscretize(val(_,C), C).\n")
+    assert main(["discretize", "--data", str(kb), "--settings", str(settings)]) == 2
+    assert capsys.readouterr().err == (
+        "error: discretize(val(_1,C), C) collected the non-numeric value abc in example e2\n"
+    )
+
+
 @pytest.mark.parametrize(
     "flags,rc,cause",
     [

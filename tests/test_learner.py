@@ -1,8 +1,11 @@
+import logging
+
 import pytest
 from conftest import BONGARD_BIAS_TEXT, POKER_BIAS_TEXT, bongard12_kb_text, mk_query_literals
 from oracles import gain_oracle
 
 import foldt.learner
+from foldt.engine import Background
 from foldt.errors import DataError
 from foldt.generators import GenSpec, gen_bongard, gen_poker, replicate
 from foldt.learner import (
@@ -27,6 +30,7 @@ from foldt.model import (
 )
 from foldt.settings import parse_settings, settings_with
 from foldt.store import load_dataset
+from foldt.terms import parse_program
 
 BONGARD_SETTINGS = parse_settings(BONGARD_BIAS_TEXT)
 
@@ -276,3 +280,46 @@ def test_lds_pass_count_equals_depth_various(tmp_path):
     for minleaf in (1, 2, 6):
         model = learn_lds(data, None, settings_with(BONGARD_SETTINGS, minleaf=minleaf))
         assert model.metadata["passes"] == tree_depth(model.tree)
+
+
+# ---------------------------------------------------------------------------
+# Predicates that nothing defines are reported once per run, before induction
+
+
+def _poker100(tmp_path):
+    path = gen_poker(GenSpec("poker", 100, seed=7), tmp_path / "poker.kb")
+    return load_dataset(path, parse_settings(POKER_BIAS_TEXT))
+
+
+def _warnings(caplog):
+    return [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+MISSPELT_POKER_SETTINGS = parse_settings(POKER_BIAS_TEXT + "rmode(2: crad(-R,-S)).\n")
+
+
+def test_misspelt_bias_predicate_warns(tmp_path, caplog):
+    learn(_poker100(tmp_path), None, MISSPELT_POKER_SETTINGS)
+    (message,) = _warnings(caplog)
+    assert "crad/2" in message and "rmode 5" in message
+
+
+def test_misspelt_bias_predicate_warns_on_every_run(tmp_path, caplog):
+    data = _poker100(tmp_path)
+    for _ in range(2):
+        caplog.clear()
+        learn(data, None, MISSPELT_POKER_SETTINGS)
+        assert len(_warnings(caplog)) == 1
+
+
+def test_undefined_background_body_predicate_warns(bongard12, caplog):
+    background = Background(parse_program("polygon(O) :- triangel(O).\npolygon(O) :- square(O).\n"))
+    settings = parse_settings(BONGARD_BIAS_TEXT + "rmode(5: polygon(+-V)).\n")
+    learn(bongard12, background, settings)
+    (message,) = _warnings(caplog)
+    assert "triangel/1" in message and "the background clause for polygon/1" in message
+
+
+def test_readme_poker_bias_raises_no_warning(tmp_path, caplog):
+    learn(_poker100(tmp_path), None, parse_settings(POKER_BIAS_TEXT))
+    assert _warnings(caplog) == []

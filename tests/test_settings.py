@@ -124,6 +124,19 @@ def test_render_settings_roundtrip():
     assert render_settings(s2) == text
 
 
+def test_marked_anonymous_variables_are_fresh():
+    s = parse_settings("classes([a,b]). rmode(1: (f(+_), g(+_))). rmode(1: h(-_,+-_,_)).")
+    assert [rm.template for rm in s.rmodes] == [
+        (Literal("f", (Variable("_1"),)), Literal("g", (Variable("_2"),))),
+        (Literal("h", (Variable("_3"), Variable("_4"), Variable("_5"))),),
+    ]
+    assert [rm.modes for rm in s.rmodes] == [
+        {"_1": "+", "_2": "+"},
+        {"_3": "-", "_4": "+-", "_5": "-"},
+    ]
+    assert parse_settings(render_settings(s)) == s
+
+
 EVERY_TEMPLATE_FEATURE = r"""
 classes([pos,neg]).
 rmode(3: inside(+V,+-W)).

@@ -101,7 +101,7 @@ def test_selector_skips_whole_chunk(tmp_path):
     handle = load_dataset(_write_many(tmp_path, 25), POKER_SETTINGS, granularity=10)
     selected = list(handle.stream_examples(lambda o: not 10 <= o < 20))
     assert [o for o, _ in selected] == list(range(10)) + list(range(20, 25))
-    assert [e.ident for _, e in selected] == [handle.example_ids[o] for o, _ in selected]
+    assert [e.ident for _, e in selected] == [Number(o + 1) for o, _ in selected]
     assert handle.chunk_loads == 2  # chunk 2 never opened
 
 
@@ -118,10 +118,26 @@ def test_open_dataset_roundtrip(tmp_path):
     assert reopened.total == handle.total
     assert reopened.granularity == handle.granularity
     assert reopened.fingerprint == handle.fingerprint
-    assert reopened.example_ids == handle.example_ids
+    assert reopened.predicates == handle.predicates == {("card", 2)}
     a = [i for _, i in handle.stream_examples()]
     b = [i for _, i in reopened.stream_examples()]
+    assert [i.ident for i in b] == [Number(n) for n in range(1, 13)]
     assert a == b
+
+
+def test_store_records_predicates(tmp_path):
+    path = tmp_path / "mixed.kb"
+    path.write_text(
+        "begin(model(1)).\n pair.\n card(2,hearts).\n flush.\nend(model(1)).\n"
+        "begin(model(2)).\n nothing.\n rank(3).\n card(3,spades).\nend(model(2)).\n"
+    )
+    handle = load_dataset(path, POKER_SETTINGS)
+    meta = json.loads((handle.dir / "meta.json").read_text())
+    assert meta["predicates"] == [["card", 2], ["flush", 0], ["rank", 1]]
+    assert open_dataset(handle.dir).predicates == {("card", 2), ("flush", 0), ("rank", 1)}
+    assert sorted(p.name for p in handle.dir.iterdir()) == [
+        "chunk-00000.bin", "manifest.txt", "meta.json"
+    ]
 
 
 def _edit_meta(key, value):
@@ -155,10 +171,24 @@ def _edit_manifest_field(pos, value):
         (_edit_meta("granularity", None), "meta.json"),
         (_edit_meta("total", 7), "meta.json"),
         (_edit_meta("class_counts", {"pair": 11}), "meta.json"),
+        (_edit_meta("predicates", None), "meta.json"),
+        (_edit_meta("predicates", [["card"]]), "meta.json"),
+        (_edit_meta("predicates", [["card", "2"]]), "meta.json"),
+        (_edit_meta("predicates", "card/2"), "meta.json"),
         (_edit_manifest_field(1, "one"), "manifest.txt"),
         (_edit_manifest_field(-1, "5.0"), "manifest.txt"),
     ],
-    ids=["no-granularity", "total", "class-counts", "index", "count"],
+    ids=[
+        "no-granularity",
+        "total",
+        "class-counts",
+        "no-predicates",
+        "predicate-pair",
+        "predicate-arity",
+        "predicates-list",
+        "index",
+        "count",
+    ],
 )
 def test_open_dataset_rejects_inconsistent_store(tmp_path, edit, names):
     handle = load_dataset(_write_many(tmp_path, 12), POKER_SETTINGS, granularity=5)
@@ -216,6 +246,6 @@ def test_non_integer_ids(tmp_path):
         "begin(model(e72)).\n nothing.\n card(3,hearts).\nend(model(e72)).\n"
     )
     handle = load_dataset(path, POKER_SETTINGS)
-    assert [i for i in handle.example_ids] == [Atom("e71"), Atom("e72")]
+    assert [i.ident for _, i in handle.stream_examples()] == [Atom("e71"), Atom("e72")]
     reopened = open_dataset(handle.manifest_path)
-    assert reopened.example_ids == handle.example_ids
+    assert [i.ident for _, i in reopened.stream_examples()] == [Atom("e71"), Atom("e72")]
