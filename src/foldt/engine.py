@@ -32,7 +32,7 @@ from .terms import (
     Variable,
     is_ground,
     literal_variables,
-    parse_program,
+    read_clauses,
     render_literal,
     render_term,
 )
@@ -80,7 +80,7 @@ EMPTY_BACKGROUND = Background(())
 
 def load_background(path) -> Background:
     with open(path, "r", encoding="utf-8") as f:
-        return Background(parse_program(f.read()))
+        return Background(tuple(clause for _, clause in read_clauses(f)))
 
 
 class Budget:

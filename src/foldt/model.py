@@ -19,7 +19,7 @@ from typing import Union
 
 from .engine import DEFAULT_BUDGET, Background, Query, succeeds
 from .errors import ModelFormatError
-from .settings import Settings, parse_settings
+from .settings import parse_settings
 from .store import Interpretation
 from .terms import Literal, literal_variables, parse_program, render_conjunction
 
@@ -49,9 +49,6 @@ class Model:
     classes: tuple[str, ...]
     bias_text: str  # settings snapshot; classification reproduces training's environment
     metadata: dict
-
-    def settings(self) -> Settings:
-        return parse_settings(self.bias_text)
 
 
 def tree_depth(tree: FOLDT) -> int:
@@ -242,7 +239,7 @@ def _read_tree(lines: list[str], pos: int, depth: int, classes) -> tuple[FOLDT, 
     parts = lines[pos].split(" ", 2)
     if len(parts) != 3 or parts[0] not in ("inode", "leaf"):
         raise ModelFormatError(f"malformed tree line: {lines[pos]!r}")
-    if int(parts[1]) != depth:
+    if _int_field(parts[1], lines[pos]) != depth:
         raise ModelFormatError(f"tree line at wrong depth: {lines[pos]!r}")
     if parts[0] == "leaf":
         try:
@@ -259,6 +256,13 @@ def _read_tree(lines: list[str], pos: int, depth: int, classes) -> tuple[FOLDT, 
     return INode(conj, Query(()), left, right), pos
 
 
+def _int_field(field: str, line: str) -> int:
+    try:
+        return int(field)
+    except ValueError:
+        raise ModelFormatError(f"expected an integer, found {field!r} in line {line!r}") from None
+
+
 def deserialize(text: str) -> Model:
     lines = text.rstrip("\n").split("\n")
     if not lines or lines[0] != FORMAT_HEADER:
@@ -273,7 +277,7 @@ def deserialize(text: str) -> Model:
         parts = lines[i].split()
         if len(parts) != 3 or parts[0] != "section" or parts[1] != name:
             raise ModelFormatError(f"expected section {name!r}, found {lines[i]!r}")
-        n = int(parts[2])
+        n = _int_field(parts[2], lines[i])
         if i + 1 + n > len(lines):
             raise ModelFormatError(f"section {name!r} truncated")
         sections[name] = lines[i + 1 : i + 1 + n]

@@ -130,7 +130,7 @@ def parse_schema(text: str) -> Schema:
             raise ParseError("expected a schema directive", tok.line, tok.col)
         stream.next()
         if tok.value == "drop_id":
-            stream.expect("punct", ".")
+            stream.expect("end")
             drop_id = True
             continue
         stream.expect("punct", "(")
@@ -168,7 +168,7 @@ def parse_schema(text: str) -> Schema:
         else:
             raise ParseError(f"unknown schema directive {tok.value!r}", tok.line, tok.col)
         stream.expect("punct", ")")
-        stream.expect("punct", ".")
+        stream.expect("end")
 
     def table_of(name, what):
         t = tables.get(name)

@@ -53,9 +53,6 @@ class RMode:
     template: tuple[Literal, ...]
     modes: dict[str, str]  # formal variable -> '+', '-' or '+-'
 
-    def formals(self) -> list[str]:
-        return literal_variables(self.template)
-
 
 @dataclass
 class Lookahead:
@@ -132,7 +129,7 @@ class _SettingsParser:
             else:
                 raise ParseError(f"unknown directive {tok.value!r}", tok.line, tok.col)
             self.s.expect("punct", ")")
-            self.s.expect("punct", ".")
+            self.s.expect("end")
         return self._finish()
 
     # -- individual directives ------------------------------------------

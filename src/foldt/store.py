@@ -36,10 +36,9 @@ from .terms import (
     Literal,
     Number,
     Term,
-    Variable,
     is_ground,
-    iter_clause_texts,
     parse_term,
+    read_clauses,
     render_term,
 )
 
@@ -101,7 +100,9 @@ class Interpretation:
 # ---------------------------------------------------------------------------
 # Binary codec
 
-_TAG_ATOM, _TAG_INT, _TAG_FLOAT, _TAG_VAR, _TAG_COMPOUND = range(5)
+# Facts and ids are ground, so no tag encodes a variable.  Tag 3 stays
+# unassigned so that stores already written keep their tag numbers.
+_TAG_ATOM, _TAG_INT, _TAG_FLOAT, _TAG_COMPOUND = 0, 1, 2, 4
 
 
 def _put_uvarint(out: bytearray, n: int):
@@ -133,9 +134,6 @@ def _put_term(out: bytearray, t: Term):
         else:
             out.append(_TAG_FLOAT)
             out.extend(struct.pack("<d", t.value))
-    elif isinstance(t, Variable):
-        out.append(_TAG_VAR)
-        _put_str(out, t.name)
     elif isinstance(t, Compound):
         out.append(_TAG_COMPOUND)
         _put_str(out, t.functor)
@@ -143,7 +141,7 @@ def _put_term(out: bytearray, t: Term):
         for a in t.args:
             _put_term(out, a)
     else:
-        raise TypeError(f"not a term: {t!r}")
+        raise TypeError(f"not a ground term: {t!r}")
 
 
 def _reject_int(n: int):
@@ -185,8 +183,6 @@ class _Reader:
             (v,) = struct.unpack_from("<d", self.buf, self.pos)
             self.pos += 8
             return Number(v)
-        if tag == _TAG_VAR:
-            return Variable(self.string())
         if tag == _TAG_COMPOUND:
             functor = self.string()
             arity = self.uvarint()
@@ -218,6 +214,8 @@ def decode_record(buf: bytes) -> Interpretation:
         arity = r.uvarint()
         args = tuple(r.term() for _ in range(arity))
         facts.append(Literal(pred, args))
+    if r.pos != len(buf):
+        raise DataError(f"corrupt chunk record ({len(buf) - r.pos} bytes unread)")
     return Interpretation(ident, label, tuple(facts))
 
 
@@ -228,7 +226,8 @@ def decode_record(buf: bytes) -> Interpretation:
 def iter_kb_blocks(
     path, classes, on_bad: str = "error", allow_unlabeled: bool = False
 ) -> Iterator[Interpretation]:
-    """Stream interpretations from a ``begin/end`` block file.
+    """Stream interpretations from a ``begin/end`` block file, read clause by
+    clause through ``terms.read_clauses``.
 
     ``classes`` is the declared class-label list: exactly one matching nullary
     fact must appear in each block; it becomes the label and is removed from
@@ -242,9 +241,11 @@ def iter_kb_blocks(
     label: str | None = None
     bad: str | None = None
     with open(path, "r", encoding="utf-8") as f:
-        for text, line, col in iter_clause_texts(f):
-            term = parse_term(text, line, col)
-            marker = _block_marker(term)
+        for line, clause in read_clauses(f):
+            if clause.body:
+                raise DataError(f"a data file holds facts, not rules (line {line})")
+            fact = clause.head
+            marker = _block_marker(fact)
             if marker is not None:
                 kind, block_id = marker
                 if kind == "begin":
@@ -273,39 +274,33 @@ def iter_kb_blocks(
                 continue
             if ident is None:
                 raise DataError(f"fact outside of a begin/end block (line {line})")
-            if isinstance(term, Atom) and term.name in class_set:
+            if not fact.args and fact.pred in class_set:
                 if label is not None and bad is None:
                     bad = (
                         f"ambiguous class in example {render_term(ident)}: "
-                        f"both {label} and {term.name}"
+                        f"both {label} and {fact.pred}"
                     )
-                label = term.name
+                label = fact.pred
                 continue
-            if not is_ground(term):
+            if not all(map(is_ground, fact.args)):
                 raise DataError(f"non-ground fact in example {render_term(ident)} (line {line})")
-            if isinstance(term, Atom):
-                facts.append(Literal(term.name, ()))
-            elif isinstance(term, Compound):
-                facts.append(Literal(term.functor, term.args))
-            else:
-                raise DataError(f"a fact must be an atom or compound (line {line})")
+            facts.append(fact)
     if ident is not None:
         raise DataError(f"unterminated block {render_term(ident)} at end of file")
 
 
-def _block_marker(term: Term):
+def _block_marker(fact: Literal):
     if (
-        isinstance(term, Compound)
-        and term.functor in ("begin", "end")
-        and len(term.args) == 1
-        and isinstance(term.args[0], Compound)
-        and term.args[0].functor == "model"
-        and len(term.args[0].args) == 1
+        fact.pred in ("begin", "end")
+        and len(fact.args) == 1
+        and isinstance(fact.args[0], Compound)
+        and fact.args[0].functor == "model"
+        and len(fact.args[0].args) == 1
     ):
-        block_id = term.args[0].args[0]
+        block_id = fact.args[0].args[0]
         if not is_ground(block_id):
             raise DataError("example identifier must be ground")
-        return term.functor, block_id
+        return fact.pred, block_id
     return None
 
 
@@ -414,10 +409,6 @@ class DatasetHandle:
     def __len__(self):
         return self.total
 
-    @property
-    def manifest_path(self) -> Path:
-        return self.dir / MANIFEST_NAME
-
     def peak_resident(self) -> int:
         """Maximum number of simultaneously resident examples observed so far
         by streaming passes over this handle (0 before any pass).  Callers
@@ -461,7 +452,7 @@ class DatasetHandle:
                 raise DataError(f"corrupt chunk file {chunk.path}: truncated record")
             try:
                 out.append(decode_record(raw[pos : pos + ln]))
-            except (IndexError, UnicodeDecodeError, struct.error) as e:
+            except (DataError, IndexError, UnicodeDecodeError, struct.error) as e:
                 raise DataError(f"corrupt chunk file {chunk.path}: {e}") from e
             pos += ln
         if len(out) != chunk.count:
@@ -536,6 +527,10 @@ def open_dataset(path) -> DatasetHandle:
             raise ValueError("predicates must be a list of [name, arity] pairs")
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise DataError(f"malformed chunk-store metadata {meta_path}: {e!r}") from e
+    if type(granularity) is not int or granularity < 1:
+        raise DataError(f"granularity {granularity!r} in {meta_path} is not a positive integer")
+    if any(c.count > granularity for c in chunks):
+        raise DataError(f"{manifest} lists a chunk of more than the {granularity} examples {meta_path} allows")
     if total != start:
         raise DataError(f"{meta_path} gives {total} examples but {manifest} lists {start}")
     if counted != total:

@@ -6,7 +6,12 @@ The grammar is deliberately small: unquoted lowercase atoms (interior hyphens
 allowed, so identifiers like ``h2o-1`` are plain atoms), single-quoted atoms
 with ``''`` escaping, signed integers and floats, uppercase/underscore
 variables, and compounds ``f(t1,...,tn)``.  The only infix operators are
-``:-`` and the comparison builtins; ``%`` starts a comment.  Rendering is
+``:-`` and the comparison builtins; ``%`` starts a comment.
+
+The tokenizer alone decides where a clause ends: a ``.`` followed by layout,
+``%`` or the end of the input is an ``end`` token, in every input (a data
+file's last clause included).  Any other ``.`` is a ``punct`` token that no
+grammar accepts, so ``p(a).q(b).`` is a ``ParseError``.  Rendering is
 canonical: ``parse(render(parse(t)))`` is structurally identical to
 ``parse(t)``, and atoms are quoted exactly when they would not re-parse
 unquoted.
@@ -23,10 +28,11 @@ is a ``ParseError`` at its position.
 """
 from __future__ import annotations
 
+import io
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import ParseError
 
@@ -157,7 +163,7 @@ def map_literals(literals, fn) -> tuple[Literal, ...]:
 
 @dataclass(slots=True)
 class Token:
-    kind: str  # atom var int float punct op eof
+    kind: str  # atom var int float punct op end eof
     text: str
     value: object
     line: int
@@ -183,6 +189,14 @@ def _is_ident(ch: str) -> bool:
 def tokenize(text: str, line: int = 1, col: int = 1) -> list[Token]:
     """Tokenize ``text``; raises ParseError with position on bad input."""
     toks: list[Token] = []
+    line, col = _scan(text, line, col, toks)
+    toks.append(Token("eof", "", None, line, col))
+    return toks
+
+
+def _scan(text: str, line: int, col: int, toks: list[Token]) -> tuple[int, int]:
+    """Append the tokens of ``text`` to ``toks``; returns the position after
+    ``text``."""
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
@@ -220,7 +234,7 @@ def tokenize(text: str, line: int = 1, col: int = 1) -> list[Token]:
             i = j
             continue
         if _is_digit(ch) or (ch in "+-" and i + 1 < n and _is_digit(text[i + 1])):
-            i2, num = _scan_number(text, i)
+            i2, num = _scan_number(text, i, start_line, start_col)
             toks.append(
                 Token("float" if isinstance(num, float) else "int", text[i:i2], num, start_line, start_col)
             )
@@ -253,13 +267,13 @@ def tokenize(text: str, line: int = 1, col: int = 1) -> list[Token]:
             col += 1
             continue
         if ch in _PUNCT:
-            toks.append(Token("punct", ch, ch, start_line, start_col))
+            ends = ch == "." and (i + 1 == n or text[i + 1] in " \t\r\n%")
+            toks.append(Token("end" if ends else "punct", ch, ch, start_line, start_col))
             i += 1
             col += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", start_line, start_col)
-    toks.append(Token("eof", "", None, line, col))
-    return toks
+    return line, col
 
 
 def _scan_name(text: str, i: int) -> int:
@@ -276,7 +290,7 @@ def _scan_name(text: str, i: int) -> int:
     return j
 
 
-def _scan_number(text: str, i: int):
+def _scan_number(text: str, i: int, line: int, col: int):
     n = len(text)
     j = i
     if text[j] in "+-":
@@ -299,32 +313,40 @@ def _scan_number(text: str, i: int):
             while j < n and _is_digit(text[j]):
                 j += 1
     lexeme = text[i:j]
-    return j, (float(lexeme) if is_float else int(lexeme))
+    try:
+        return j, (float(lexeme) if is_float else int(lexeme))
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"number too long ({len(lexeme)} characters)", line, col) from None
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
+_WANTED = {"end": "'.' followed by layout to end the clause"}
+
 
 class TokenStream:
-    def __init__(self, tokens: list[Token]):
-        self._toks = tokens
-        self._pos = 0
+    """One token of lookahead over an iterable of tokens that ends with an
+    ``eof`` token; tokens are drawn from it only as the parser advances."""
+
+    def __init__(self, tokens: Iterable[Token]):
+        self._next = iter(tokens).__next__
+        self._tok = self._next()
 
     def peek(self) -> Token:
-        return self._toks[self._pos]
+        return self._tok
 
     def next(self) -> Token:
-        tok = self._toks[self._pos]
+        tok = self._tok
         if tok.kind != "eof":
-            self._pos += 1
+            self._tok = self._next()
         return tok
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
+        tok = self._tok
         if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}, found {tok.text or tok.kind!r}", tok.line, tok.col)
+            want = repr(text) if text is not None else _WANTED.get(kind, repr(kind))
+            raise ParseError(f"expected {want}, found {tok.text or tok.kind!r}", tok.line, tok.col)
         return self.next()
 
     def at(self, kind: str, text: str | None = None) -> bool:
@@ -434,16 +456,20 @@ def parse_term(text: str, line: int = 1, col: int = 1) -> Term:
     return term
 
 
-def parse_program(text: str, line: int = 1, col: int = 1,
-                  allow_cut: bool = False) -> tuple[Clause, ...]:
-    """Parse a sequence of ``Head.`` facts and ``Head :- B1, ..., Bn.`` rules.
+def read_clauses(lines: Iterable[str], allow_cut: bool = False) -> Iterator[tuple[int, Clause]]:
+    """Stream ``(line, clause)`` pairs, ``line`` being where the clause
+    starts, from an iterable of text lines such as an open file.
 
+    Clauses are ``Head.`` facts and ``Head :- B1, ..., Bn.`` rules, each
+    ended by the tokenizer's ``end`` token.  Lines are tokenized one at a
+    time as the parser needs them, so only one line's tokens plus the
+    pending clause are ever held.  One ``TermParser`` serves all the lines,
+    so bare ``_`` variables are numbered through the whole input.
     ``allow_cut`` admits ``!`` as a body literal, which the model-file
     decision-list section uses as a trailing marker token.
     """
-    stream = TokenStream(tokenize(text, line, col))
+    stream = TokenStream(_line_tokens(lines))
     parser = TermParser(stream)
-    clauses: list[Clause] = []
     while not stream.at("eof"):
         tok = stream.peek()
         head = parser.literal(allow_cut=False)
@@ -458,9 +484,26 @@ def parse_program(text: str, line: int = 1, col: int = 1,
             while stream.at("punct", ","):
                 stream.next()
                 body.append(parser.literal(allow_cut=allow_cut))
-        stream.expect("punct", ".")
-        clauses.append(Clause(head, tuple(body)))
-    return tuple(clauses)
+        stream.expect("end")
+        yield tok.line, Clause(head, tuple(body))
+
+
+def _line_tokens(lines: Iterable[str]) -> Iterator[Token]:
+    """The tokens of ``lines``, one line at a time; ``eof`` sits just after
+    the last token."""
+    last = Token("eof", "", None, 1, 1)
+    for line, text in enumerate(lines, 1):
+        toks: list[Token] = []
+        _scan(text, line, 1, toks)
+        if toks:
+            yield from toks
+            last = toks[-1]
+    yield Token("eof", "", None, last.line, last.col + len(last.text))
+
+
+def parse_program(text: str, allow_cut: bool = False) -> tuple[Clause, ...]:
+    """Parse a sequence of facts and rules (see ``read_clauses``)."""
+    return tuple(clause for _, clause in read_clauses(io.StringIO(text), allow_cut))
 
 
 # ---------------------------------------------------------------------------
@@ -512,84 +555,3 @@ def render_clause(clause: Clause) -> str:
 
 def render_fact(lit: Literal) -> str:
     return render_literal(lit) + "."
-
-
-def iter_clause_texts(fileobj) -> Iterator[tuple[str, int, int]]:
-    """Stream ``(clause_text, line, col)`` triples from a file-like object.
-
-    A clause ends at a ``.`` outside quotes/comments that is followed by
-    whitespace, a comment, or end of input.  The terminating dot is not
-    included in the yielded text.  This keeps file loading incremental: the
-    whole file is never required in memory.
-    """
-    buf: list[str] = []
-    line, col = 1, 1
-    start_line, start_col = None, None
-    in_quote = False
-    in_comment = False
-    while True:
-        ch = fileobj.read(1)
-        if ch == "":
-            if any(not c.isspace() for c in buf):
-                yield "".join(buf), start_line or line, start_col or col
-            return
-        if in_comment:
-            if ch == "\n":
-                in_comment = False
-                buf.append(ch)
-                line += 1
-                col = 1
-            else:
-                col += 1
-            continue
-        if in_quote:
-            buf.append(ch)
-            if ch == "'" or ch == "\n":
-                in_quote = False  # tokenizer reports an unterminated quote
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            continue
-        if ch == "%":
-            in_comment = True
-            col += 1
-            continue
-        if ch == ".":
-            # Peek one character: a dot followed by layout (or EOF) terminates
-            # the clause; a dot inside a number (e.g. 4.5) does not.
-            nxt = fileobj.read(1)
-            if nxt == "" or nxt.isspace() or nxt == "%":
-                text = "".join(buf)
-                if any(not c.isspace() for c in text):
-                    yield text, start_line or line, start_col or col
-                buf = []
-                start_line = start_col = None
-                in_comment = nxt == "%"
-                if nxt == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 2
-                continue
-            if start_line is None:
-                start_line, start_col = line, col
-            buf.append(ch)
-            buf.append(nxt)
-            if nxt == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 2
-            continue
-        if ch == "'":
-            in_quote = True
-        if start_line is None and not ch.isspace():
-            start_line, start_col = line, col
-        buf.append(ch)
-        if ch == "\n":
-            line += 1
-            col = 1
-        else:
-            col += 1

@@ -147,6 +147,15 @@ def test_data_error_exit_2(tmp_path, bias_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_malformed_model_exit_2(tmp_path, bias_file, data_file, capsys):
+    model_path = tmp_path / "m.foldt"
+    assert main(["learn", "--data", str(data_file), "--settings", str(bias_file), "--out", str(model_path)]) == 0
+    model_path.write_text(model_path.read_text().replace("section meta 1", "section meta x", 1))
+    capsys.readouterr()
+    assert main(["classify", "--model", str(model_path), "--data", str(data_file)]) == 2
+    assert "error: expected an integer, found 'x'" in capsys.readouterr().err
+
+
 def test_granularity_of_an_existing_store_is_fixed(tmp_path, bias_file, data_file, capsys):
     store = tmp_path / "store"
 

@@ -157,6 +157,16 @@ def test_version_mismatch_rejected():
         deserialize("hello\nworld\n")
 
 
+@pytest.mark.parametrize(
+    "old,new", [("section meta 1", "section meta x"), ("leaf 2 ", "leaf zero ")]
+)
+def test_non_integer_count_rejected(old, new):
+    text = serialize(bongard_tree())
+    assert old in text
+    with pytest.raises(ModelFormatError, match=new):
+        deserialize(text.replace(old, new, 1))
+
+
 def test_tampered_dlist_rejected():
     text = serialize(bongard_tree()).replace("class(neg) :- triangle(X), !.", "class(pos) :- triangle(X), !.")
     with pytest.raises(ModelFormatError, match="decision-list"):

@@ -1,10 +1,13 @@
 import json
+import struct
 
 import pytest
 
-from foldt.errors import DataError
+from foldt.errors import DataError, ParseError
 from foldt.settings import parse_settings
 from foldt.store import (
+    CHUNK_MAGIC,
+    MANIFEST_NAME,
     Interpretation,
     decode_record,
     encode_record,
@@ -77,6 +80,18 @@ def test_missing_class_and_mismatched_ids(tmp_path):
     path.write_text("f(a).\n")
     with pytest.raises(DataError, match="outside"):
         list(iter_kb_blocks(path, ("pos", "neg")))
+    path.write_text("begin(model(1)).\n pos.\n f(a) :- g(a).\nend(model(1)).\n")
+    with pytest.raises(DataError, match=r"facts, not rules \(line 3\)"):
+        list(iter_kb_blocks(path, ("pos", "neg")))
+
+
+@pytest.mark.parametrize("tail", ["", "\n", "\n% comment\n"])
+def test_last_clause_without_end_rejected(tmp_path, tail):
+    path = tmp_path / "bad.kb"
+    path.write_text("begin(model(1)).\n pair.\nend(model(1))" + tail)
+    with pytest.raises(ParseError) as e:
+        list(iter_kb_blocks(path, POKER_SETTINGS.classes))
+    assert e.value.line == 3
 
 
 def test_chunking_sizes(tmp_path):
@@ -175,6 +190,9 @@ def _edit_manifest_field(pos, value):
         (_edit_meta("predicates", [["card"]]), "meta.json"),
         (_edit_meta("predicates", [["card", "2"]]), "meta.json"),
         (_edit_meta("predicates", "card/2"), "meta.json"),
+        (_edit_meta("granularity", "ten"), "meta.json"),
+        (_edit_meta("granularity", 0), "meta.json"),
+        (_edit_meta("granularity", 4), "manifest.txt"),
         (_edit_manifest_field(1, "one"), "manifest.txt"),
         (_edit_manifest_field(-1, "5.0"), "manifest.txt"),
     ],
@@ -186,6 +204,9 @@ def _edit_manifest_field(pos, value):
         "predicate-pair",
         "predicate-arity",
         "predicates-list",
+        "granularity-type",
+        "granularity-zero",
+        "chunk-above-granularity",
         "index",
         "count",
     ],
@@ -239,6 +260,24 @@ def test_record_codec_roundtrip():
     assert decode_record(encode_record(interp)) == interp
 
 
+def test_record_codec_rejects_variables_bad_tags_and_unread_bytes(tmp_path):
+    with pytest.raises(TypeError, match="ground"):
+        encode_record(Interpretation(Number(1), "pair", (Literal("card", (parse_term("X"), Atom("hearts"))),)))
+    record = encode_record(Interpretation(Number(1), "pair", (Literal("flush", ()),)))
+    with pytest.raises(DataError, match="bad tag 3"):
+        decode_record(b"\x03\x01X" + record[2:])  # an unassigned tag in place of the id
+    with pytest.raises(DataError, match="1 bytes unread"):
+        decode_record(record + b"\x00")
+    handle = load_dataset(_write_many(tmp_path, 2), POKER_SETTINGS, granularity=5)
+    chunk = handle.chunks[0].path
+    raw = chunk.read_bytes()
+    (ln,) = struct.unpack_from("<I", raw, len(CHUNK_MAGIC))
+    padded = raw[len(CHUNK_MAGIC) + 4 : len(CHUNK_MAGIC) + 4 + ln] + b"\x00"
+    chunk.write_bytes(CHUNK_MAGIC + struct.pack("<I", len(padded)) + padded + raw[len(CHUNK_MAGIC) + 4 + ln :])
+    with pytest.raises(DataError, match=f"{chunk.name}: corrupt chunk record"):
+        list(open_dataset(handle.dir).stream_examples())
+
+
 def test_non_integer_ids(tmp_path):
     path = tmp_path / "sym.kb"
     path.write_text(
@@ -247,5 +286,5 @@ def test_non_integer_ids(tmp_path):
     )
     handle = load_dataset(path, POKER_SETTINGS)
     assert [i.ident for _, i in handle.stream_examples()] == [Atom("e71"), Atom("e72")]
-    reopened = open_dataset(handle.manifest_path)
+    reopened = open_dataset(handle.dir / MANIFEST_NAME)
     assert [i.ident for _, i in reopened.stream_examples()] == [Atom("e71"), Atom("e72")]

@@ -3,7 +3,10 @@ import io
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
+from foldt.engine import load_background
 from foldt.errors import ParseError
+from foldt.settings import parse_settings
+from foldt.store import iter_kb_blocks
 from foldt.terms import (
     Atom,
     Clause,
@@ -12,10 +15,12 @@ from foldt.terms import (
     Number,
     Variable,
     is_ground,
-    iter_clause_texts,
     parse_program,
     parse_term,
+    read_clauses,
     render_clause,
+    render_fact,
+    render_literal,
     render_term,
     term_variables,
 )
@@ -82,6 +87,9 @@ def test_parse_errors_have_positions():
         parse_term("   % just a comment")
     with pytest.raises(ParseError, match="trailing"):
         parse_term("foo bar")
+    with pytest.raises(ParseError, match="number too long") as e:
+        parse_term("f(a, " + "1" * 5000 + ")")
+    assert e.value.column == 6
 
 
 @pytest.mark.parametrize("text,col", [("f(a,+X)", 5), ("f(-X)", 3), ("f(+-X)", 3)])
@@ -142,25 +150,59 @@ def test_quoting_exactly_when_needed():
         assert parse_term(render_term(Atom(name))) == Atom(name)
 
 
-def test_iter_clause_texts_streaming():
+def test_read_clauses_streaming():
     src = io.StringIO(
         "begin(model(4)).\n  card(7,spades). % inline comment\n  card(9,clubs).\n"
         "pair.\nend(model(4)).\n% trailing comment\n"
     )
-    texts = [t for t, _, _ in iter_clause_texts(src)]
-    assert [t.strip() for t in texts] == [
+    clauses = list(read_clauses(src))
+    assert [render_literal(c.head) for _, c in clauses] == [
         "begin(model(4))",
         "card(7,spades)",
         "card(9,clubs)",
         "pair",
         "end(model(4))",
     ]
+    assert [line for line, _ in clauses] == [1, 2, 3, 4, 5]
 
 
-def test_iter_clause_texts_decimal_dot_not_terminator():
+def test_read_clauses_decimal_dot_not_terminator():
     src = io.StringIO("turn(137.4931640625).\nf(1.5,2).")
-    texts = [t.strip() for t, _, _ in iter_clause_texts(src)]
+    texts = [render_literal(c.head) for _, c in read_clauses(src)]
     assert texts == ["turn(137.4931640625)", "f(1.5,2)"]
+
+
+def test_read_clauses_reads_lines_as_it_goes():
+    def lines():
+        yield "p(a).\n"
+        yield "q(b).\n"
+        raise AssertionError("read past the line after the first clause")
+
+    assert next(read_clauses(lines())) == (1, Clause(Literal("p", (Atom("a"),))))
+
+
+def test_read_clauses_numbers_anonymous_variables_through_the_input():
+    src = io.StringIO("p(_) :- q(_).\nr(_).\n")
+    assert [render_clause(c) for _, c in read_clauses(src)] == ["p(_1) :- q(_2).", "r(_3)."]
+
+
+def test_dot_without_layout_is_an_error_everywhere(tmp_path):
+    data = tmp_path / "d.kb"
+    data.write_text("begin(model(1)).pair.\nend(model(1)).\n")
+    background = tmp_path / "bg.pl"
+    background.write_text("p(a).q(b).\n")
+    errors = []
+    for read in (
+        lambda: list(iter_kb_blocks(data, ("pair",))),
+        lambda: load_background(background),
+        lambda: parse_program("p(a).q(b)."),
+        lambda: parse_settings("classes([a,b]).minleaf(3).\n"),
+    ):
+        with pytest.raises(ParseError) as e:
+            read()
+        errors.append(e.value)
+    assert {e.message for e in errors} == {"expected '.' followed by layout to end the clause, found '.'"}
+    assert [(e.line, e.column) for e in errors] == [(1, 16), (1, 5), (1, 5), (1, 15)]
 
 
 # ---------------------------------------------------------------------------
@@ -177,19 +219,18 @@ _numbers = st.one_of(
 )
 
 
-def _terms(depth: int):
-    leaf = st.one_of(
-        _atom_names.map(Atom),
-        _numbers.map(Number),
-        _var_names.map(Variable),
-    )
+_ground_leaves = st.one_of(_atom_names.map(Atom), _numbers.map(Number))
+_functors = st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True)
+
+
+def _terms(depth: int, leaf=st.one_of(_ground_leaves, _var_names.map(Variable))):
     if depth == 0:
         return leaf
     return st.one_of(
         leaf,
         st.tuples(
-            st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True),
-            st.lists(_terms(depth - 1), min_size=1, max_size=3),
+            _functors,
+            st.lists(_terms(depth - 1, leaf), min_size=1, max_size=3),
         ).map(lambda fa: Compound(fa[0], tuple(fa[1]))),
     )
 
@@ -210,3 +251,42 @@ def test_parser_totality_on_fuzz(text):
         parse_term(text)
     except ParseError:
         pass
+
+
+@hsettings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.text(max_size=60), st.text(alphabet="pX_(),.:-'%\n 1.5e=\\!<>+", max_size=60)),
+    st.booleans(),
+)
+def test_read_clauses_raises_only_parse_errors(text, allow_cut):
+    try:
+        list(read_clauses(io.StringIO(text), allow_cut))
+    except ParseError:
+        pass
+
+
+_ground_facts = st.tuples(_functors, st.lists(_terms(2, _ground_leaves), max_size=3)).map(
+    lambda fa: Literal(fa[0], tuple(fa[1]))
+)
+
+
+@hsettings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(_ground_facts, st.booleans(), st.sampled_from([" ", "\n", " % a. b.\n", "%\n", "\n\n"])),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_read_clauses_roundtrip_of_laid_out_facts(items):
+    """Facts written several to a line, some split across two lines, with
+    comments between them, read back as the same facts at their lines."""
+    text, expected = "", []
+    for fact, split, layout in items:
+        rendered = render_fact(fact)
+        if split and fact.args:
+            rendered = rendered.replace("(", "(\n", 1)
+        expected.append((text.count("\n") + 1, Clause(fact)))
+        text += rendered + layout
+    assert list(read_clauses(io.StringIO(text))) == expected
+    assert list(read_clauses(io.StringIO(text.rstrip(" \n")))) == expected
