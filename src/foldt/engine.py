@@ -14,6 +14,13 @@ example and no background clauses simply fails: an example may lack facts a
 bias mentions.  The engine keeps no state between proofs; predicates that no
 example and no background clause defines are reported once per run, before
 induction, by ``bias.prepare_bias``.
+
+Coverage tests in a tree prove ``coverage_query(Q, C)`` rather than
+``Q and C``.  This relies on one invariant of the tree: every example that
+reaches a node satisfies the node's associated query ``Q`` (the root's is
+empty, a left child's is ``Q`` plus the winning conjunction, a right child's
+is its parent's ``Q``).  The literals of ``Q`` that no chain of shared
+variables links to the candidate conjunction ``C`` then need no proof.
 """
 
 from __future__ import annotations
@@ -349,6 +356,32 @@ def answer_all(
         raise QueryError(f"variable {var} does not occur in the query")
     v = Variable(var)
     return [_resolve(v, bind) for bind in _prove(query, interp, background, budget)]
+
+
+def coverage_query(query: Query, added: tuple[Literal, ...]) -> Query:
+    """The query whose success decides ``query`` plus ``added`` on an
+    example that satisfies ``query``: the literals of ``query`` linked to
+    ``added`` by shared variables, directly or through other literals of
+    ``query``, kept in their order, followed by ``added``.
+
+    Precondition: the example satisfies ``query``.  The literals left out
+    share no variable with what is kept, so they have a solution whatever
+    the kept literals bind, and the two queries succeed on exactly the same
+    such examples.  The depth-first proof of the result takes at most the
+    steps of the proof of the whole conjunction: it is that proof with the
+    independent literals, and their backtracking, taken out.
+    """
+    linked = set(literal_variables(added))
+    names = [set(literal_variables((lit,))) for lit in query.literals]
+    kept = [False] * len(names)
+    grew = True
+    while grew:
+        grew = False
+        for i, vs in enumerate(names):
+            if not kept[i] and vs & linked:
+                kept[i] = grew = True
+                linked |= vs
+    return Query(tuple(lit for lit, k in zip(query.literals, kept) if k) + tuple(added))
 
 
 # ---------------------------------------------------------------------------

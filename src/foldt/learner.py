@@ -14,6 +14,14 @@ splits (a split isolating one example of a rare class scores a ratio of
 ~1.0), which would then be vetoed and turn the node into a leaf prematurely;
 a node becomes a leaf only when no admissible candidate exists.
 
+Every example that reaches a node satisfies its associated query ``Q``: the
+root's ``Q`` is empty, a left child's is ``Q`` plus the winner's
+conjunction, and a right child's is its parent's.  So a test proves the
+candidate's coverage query (``engine.coverage_query``, computed once per
+candidate in ``_open``), which leaves out the literals of ``Q`` that the
+candidate's conjunction does not reach; the candidate's full query becomes
+the left child's ``Q``.
+
 The classic engine keeps every example resident and recurses depth-first,
 partitioning the examples of a node by the winner's outcome bit.
 
@@ -55,7 +63,7 @@ from .bias import (
     refinements,
     weighted_entropy,
 )
-from .engine import Background, Query, succeeds
+from .engine import Background, Query, coverage_query, succeeds
 from .errors import DataError
 from .model import FOLDT, INode, Leaf, Model, count_nodes, tree_depth
 from .settings import LearnerConfig, Settings, render_settings
@@ -166,6 +174,7 @@ class _Node:
     depth: int
     counts: tuple[int, ...]
     candidates: list[Candidate] | None = None  # set while the node is evaluated
+    tests: list[Query] | None = None  # per candidate: its coverage query
     counters: list | None = None  # per candidate: [left per-class, right per-class]
     winner: int | None = None  # index of the winning candidate, once split
     conj: tuple = ()  # the winner's added conjunction
@@ -173,8 +182,9 @@ class _Node:
 
 
 def _open(node: _Node, cfg: LearnerConfig, bias, stats: BuildStats) -> bool:
-    """Give the node its candidates and zeroed counters; False when it is a
-    leaf without evaluation (forced, or no refinement applies)."""
+    """Give the node its candidates, their coverage queries and zeroed
+    counters; False when it is a leaf without evaluation (forced, or no
+    refinement applies)."""
     if _forced_leaf(node.counts, node.depth, cfg):
         return False
     ctx = RefinementContext(node.query, node.usage, node.name_base)
@@ -183,18 +193,20 @@ def _open(node: _Node, cfg: LearnerConfig, bias, stats: BuildStats) -> bool:
         return False
     stats.nodes_evaluated += 1
     stats.candidates_generated += len(node.candidates)
+    node.tests = [coverage_query(node.query, c.added) for c in node.candidates]
     nclasses = len(node.counts)
     node.counters = [[[0] * nclasses, [0] * nclasses] for _ in node.candidates]
     return True
 
 
-def _evaluate(candidates, example, cls: int, counters, background, budget: int) -> int:
-    """Test every candidate on one example of class index ``cls``: count the
+def _evaluate(tests, example, cls: int, counters, background, budget: int) -> int:
+    """Test every candidate, given by its coverage query, on one example of
+    class index ``cls`` that satisfies the node's associated query: count the
     example in each candidate's succeeding or failing branch, and return the
     outcome bits (bit i set when candidate i succeeds)."""
     bits = 0
-    for ci, cand in enumerate(candidates):
-        if succeeds(cand.query, example, background, budget):
+    for ci, test in enumerate(tests):
+        if succeeds(test, example, background, budget):
             counters[ci][0][cls] += 1
             bits |= 1 << ci
         else:
@@ -292,7 +304,7 @@ def _grow_classic(root, data, background, cidx, cfg, bias, stats):
         t0 = time.perf_counter()
         bits = [
             _evaluate(
-                node.candidates, examples[i], labels[i], node.counters,
+                node.tests, examples[i], labels[i], node.counters,
                 background, cfg.resolution_budget,
             )
             for i in idxs
@@ -300,7 +312,7 @@ def _grow_classic(root, data, background, cidx, cfg, bias, stats):
         stats.evaluations += len(idxs) * len(node.candidates)
         stats.eval_seconds += time.perf_counter() - t0
         w = _split(node, cfg)
-        node.candidates = node.counters = None
+        node.candidates = node.tests = node.counters = None
         if w is None:
             return
         left, right = node.kids
@@ -344,7 +356,7 @@ def _grow_lds(root, data, background, cidx, cfg, bias, stats):
                 touched += 1
                 node = assignment[ordinal]
                 bits = _evaluate(
-                    node.candidates, e, cidx[e.label], node.counters,
+                    node.tests, e, cidx[e.label], node.counters,
                     background, cfg.resolution_budget,
                 )
                 stats.evaluations += len(node.candidates)
@@ -373,7 +385,7 @@ def _grow_lds(root, data, background, cidx, cfg, bias, stats):
         # Drop the level's candidates and counters before the next level's are
         # built; a node without candidates selects no example.
         for n in evaluable:
-            n.candidates = n.counters = None
+            n.candidates = n.tests = n.counters = None
         level_wall = time.perf_counter() - level_wall0
         stats.levels.append(
             {

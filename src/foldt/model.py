@@ -5,19 +5,23 @@ A tree is binary: internal nodes carry a conjunction of literals, leaves a
 class label with the training class distribution.  A node's test is evaluated
 as ``Q and conj`` where ``Q`` is the node's associated query (the conjunction
 of left-taken ancestors' conjunctions); success extends ``Q`` and descends
-left, failure descends right with ``Q`` unchanged.  Exported as a decision
+left, failure descends right with ``Q`` unchanged.  So every example that
+reaches a node satisfies its ``Q``, and ``classify`` proves only the node's
+coverage query (``engine.coverage_query``), which leaves out the literals of
+``Q`` that the conjunction does not reach.  Those queries are compiled once
+per ``Model``, when it is built (``Model.tests``).  Exported as a decision
 list, each leaf becomes one guarded clause ending in a cut, except the final
 catch-all clause, and first-matching-clause evaluation agrees with tree
-classification.
+classification; ``eval_decision_list`` proves the full guards.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
-from .engine import DEFAULT_BUDGET, Background, Query, succeeds
+from .engine import DEFAULT_BUDGET, Background, Query, coverage_query, succeeds
 from .errors import ModelFormatError
 from .settings import parse_settings
 from .store import Interpretation
@@ -43,12 +47,36 @@ class INode:
 FOLDT = Union[Leaf, INode]
 
 
+@dataclass(frozen=True, slots=True)
+class _Test:
+    """An internal node as ``classify`` walks it: the coverage query of the
+    node's conjunction under its associated query."""
+
+    query: Query
+    left: "_Test | Leaf"
+    right: "_Test | Leaf"
+
+
+def _compile(node: FOLDT, q_lits: tuple[Literal, ...] = ()) -> _Test | Leaf:
+    if isinstance(node, Leaf):
+        return node
+    return _Test(
+        coverage_query(Query(q_lits), node.conj),
+        _compile(node.left, q_lits + node.conj),
+        _compile(node.right, q_lits),
+    )
+
+
 @dataclass(frozen=True)
 class Model:
     tree: FOLDT
     classes: tuple[str, ...]
     bias_text: str  # settings snapshot; classification reproduces training's environment
     metadata: dict
+    tests: _Test | Leaf = field(init=False, repr=False, compare=False)  # derived from tree
+
+    def __post_init__(self):
+        object.__setattr__(self, "tests", _compile(self.tree))
 
 
 def tree_depth(tree: FOLDT) -> int:
@@ -73,14 +101,9 @@ def classify(
     background: Background | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> str:
-    node = model.tree
-    q_lits: tuple[Literal, ...] = ()
-    while isinstance(node, INode):
-        if succeeds(Query(q_lits + node.conj), interp, background, budget):
-            q_lits = q_lits + node.conj
-            node = node.left
-        else:
-            node = node.right
+    node = model.tests
+    while isinstance(node, _Test):
+        node = node.left if succeeds(node.query, interp, background, budget) else node.right
     return node.label
 
 

@@ -245,7 +245,7 @@ def iter_kb_blocks(
             if clause.body:
                 raise DataError(f"a data file holds facts, not rules (line {line})")
             fact = clause.head
-            marker = _block_marker(fact)
+            marker = _block_marker(fact, line)
             if marker is not None:
                 kind, block_id = marker
                 if kind == "begin":
@@ -289,7 +289,7 @@ def iter_kb_blocks(
         raise DataError(f"unterminated block {render_term(ident)} at end of file")
 
 
-def _block_marker(fact: Literal):
+def _block_marker(fact: Literal, line: int):
     if (
         fact.pred in ("begin", "end")
         and len(fact.args) == 1
@@ -299,7 +299,7 @@ def _block_marker(fact: Literal):
     ):
         block_id = fact.args[0].args[0]
         if not is_ground(block_id):
-            raise DataError("example identifier must be ground")
+            raise DataError(f"example identifier must be ground (line {line})")
         return fact.pred, block_id
     return None
 

@@ -2,12 +2,14 @@ import random
 
 import pytest
 from conftest import BONGARD_BACKGROUND, PICTURE_1, PICTURE_2, mk_interp, mk_query_literals
+from hypothesis import assume, given, settings as hsettings, strategies as st
 from oracles import ground_join_succeeds
 
 from foldt.engine import (
     Background,
     Query,
     answer_all,
+    coverage_query,
     solutions,
     succeeds,
     theta_subsumes,
@@ -173,3 +175,129 @@ def test_ground_join_oracle_equivalence():
         query = q(*lit_texts)
         expected = ground_join_succeeds(query.literals, e.facts)
         assert succeeds(query, e) == expected, (fact_texts, lit_texts)
+
+
+# ---------------------------------------------------------------------------
+# Coverage queries against the full conjunction they stand for
+
+
+def test_coverage_query_keeps_linked_literals_in_order():
+    qlits = mk_query_literals(
+        "triangle(X)", "circle(Z)", "inside(X,Y)", "points(Z,up)", "square(V)"
+    )
+    got = coverage_query(Query(qlits), mk_query_literals("circle(Y)"))
+    assert got == q("triangle(X)", "inside(X,Y)", "circle(Y)")
+    assert coverage_query(Query(qlits), mk_query_literals("square(W)")) == q("square(W)")
+    assert coverage_query(Query(()), mk_query_literals("p(X)")) == q("p(X)")
+
+
+def _steps(query, interp, background=None) -> int:
+    """The least budget under which ``succeeds`` finishes."""
+    lo, hi = 1, 1
+    while True:
+        try:
+            succeeds(query, interp, background, budget=hi)
+            break
+        except BudgetExceededError:
+            lo, hi = hi + 1, hi * 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            succeeds(query, interp, background, budget=mid)
+            hi = mid
+        except BudgetExceededError:
+            lo = mid + 1
+    return lo
+
+
+def _assert_coverage_matches(qlits, added, interp, background=None, facts=None):
+    """On an example that satisfies ``qlits``: the coverage query succeeds
+    exactly when the whole conjunction does (and when the naive join over
+    ``facts`` does), and it needs no larger budget."""
+    full = Query(qlits + added)
+    cover = coverage_query(Query(qlits), added)
+    expected = succeeds(full, interp, background)
+    assert succeeds(cover, interp, background) == expected, (full, cover)
+    if facts is not None:
+        assert ground_join_succeeds(full.literals, facts) == expected, full
+    assert _steps(cover, interp, background) <= _steps(full, interp, background), (full, cover)
+
+
+_VARS = "XYZUW"
+_CONSTS = "abc"
+
+
+@st.composite
+def _join_literals(draw, low, high):
+    out = []
+    for _ in range(draw(st.integers(low, high))):
+        kind = draw(st.sampled_from("prs"))
+        v1, v2 = draw(st.sampled_from(_VARS)), draw(st.sampled_from(_VARS + _CONSTS))
+        out.append(f"p({v1})" if kind == "p" else f"{kind}({v1},{v2})")
+    return out
+
+
+def _bound(texts):
+    """Variables a list of non-builtin literal texts binds, in order."""
+    return list(dict.fromkeys(ch for t in texts for ch in t if ch in _VARS))
+
+
+@hsettings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from("prs"), st.sampled_from(_CONSTS), st.sampled_from(_CONSTS)),
+        min_size=1,
+        max_size=10,
+    ),
+    _join_literals(0, 4),
+    _join_literals(1, 3),
+    st.booleans(),
+)
+def test_coverage_query_equals_full_conjunction(fact_parts, qtexts, ctexts, guard):
+    fact_texts = [f"p({a})" if f == "p" else f"{f}({a},{b})" for f, a, b in fact_parts]
+    e = mk_interp("1", "pos", *dict.fromkeys(fact_texts))
+    bound = _bound(qtexts + ctexts)
+    if guard and len(bound) >= 2:
+        ctexts = ctexts + [f"{bound[0]} \\= {bound[-1]}"]
+    qlits = mk_query_literals(*qtexts) if qtexts else ()
+    assume(succeeds(Query(qlits), e))
+    _assert_coverage_matches(qlits, mk_query_literals(*ctexts), e, facts=e.facts)
+
+
+_SHAPES = ("triangle", "square", "circle")
+
+
+@hsettings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(_SHAPES), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=4),
+    st.lists(
+        st.tuples(
+            st.sampled_from(_SHAPES + ("polygon", "inside", "doubletriangle")),
+            st.sampled_from(_VARS),
+            st.sampled_from(_VARS),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(0, 6),
+)
+def test_coverage_query_through_background(shapes, edges, parts, split):
+    """Scenes under the Bongard background; the naive join runs over the
+    scene plus the facts the background derives."""
+    facts = [f"{shape}(o{i})" for i, shape in enumerate(shapes)]
+    facts += [f"inside(o{a},o{b})" for a, b in edges if a < len(shapes) and b < len(shapes)]
+    e = mk_interp("1", "pos", *dict.fromkeys(facts))
+    texts = [
+        f"{f}({v},{w})" if f in ("inside", "doubletriangle") else f"{f}({v})"
+        for f, v, w in parts
+    ]
+    literals = mk_query_literals(*texts)
+    split = min(split, len(texts) - 1)
+    qlits, added = literals[:split], literals[split:]
+    assume(succeeds(Query(qlits), e, BG))
+    triangles = [f"o{i}" for i, s in enumerate(shapes) if s == "triangle"]
+    derived = [f"polygon(o{i})" for i, s in enumerate(shapes) if s != "circle"]
+    derived += [f"doubletriangle({a},{b})" for a in triangles for b in triangles if a != b]
+    closed = mk_interp("1", "pos", *dict.fromkeys(facts + derived))
+    _assert_coverage_matches(qlits, added, e, BG, facts=closed.facts)

@@ -274,6 +274,22 @@ def test_classic_equals_lds_on_generated_data(tmp_path):
     ).tree
 
 
+def test_budget_bounds_one_coverage_test(tmp_path):
+    # Below the root's left child, Q finds a pair, which has several
+    # solutions in a hand; a failing candidate with fresh variables would
+    # backtrack through all of them if Q were proved again.  That full
+    # re-proof needs thousands of steps on some hand, the coverage queries
+    # at most about 150.
+    settings = parse_settings(POKER_BIAS_TEXT)
+    path = gen_poker(GenSpec("poker", 150, seed=11), tmp_path / "p.kb")
+    data = load_dataset(path, settings, granularity=20)
+    unbounded = learn_classic(data, None, settings)
+    assert tree_depth(unbounded.tree) >= 3
+    tight = LearnerConfig.from_settings(settings, resolution_budget=400)
+    for fn in (learn_classic, learn_lds):
+        assert fn(data, None, settings, tight).tree == unbounded.tree
+
+
 def test_lds_pass_count_equals_depth_various(tmp_path):
     bon_path = gen_bongard(GenSpec("bongard", 80, seed=9), tmp_path / "b.kb")
     data = load_dataset(bon_path, BONGARD_SETTINGS, granularity=10)

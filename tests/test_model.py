@@ -1,8 +1,8 @@
 import pytest
 from conftest import PICTURE_1, PICTURE_2, mk_interp, mk_query_literals
 
-from foldt.engine import Query
-from foldt.errors import ModelFormatError
+from foldt.engine import Query, succeeds
+from foldt.errors import BudgetExceededError, ModelFormatError
 from foldt.model import (
     INode,
     Leaf,
@@ -77,6 +77,32 @@ def test_single_leaf_decision_list():
     assert rules == [type(rules[0])("pos", (), False)]
     assert render_decision_list(rules) == "class(pos).\n"
     assert classify(m, mk_interp("1", "neg", "circle(c1)")) == "pos"
+
+
+def test_classify_budget_bounds_one_coverage_test():
+    """The left child's test has fresh variables, so classification proves
+    it alone: under a budget that the full re-proof of ``Q`` plus the test
+    exhausts (it backtracks through each of the pairs ``Q`` finds), a two
+    pairs hand still goes left, then right."""
+    pair = lits("card(A,B)", "card(A,C)", "B \\= C")
+    trips = lits("card(D,E)", "card(D,F)", "E \\= F", "card(D,G)", "E \\= G", "F \\= G")
+    classes = ("nothing", "pair", "three_of_a_kind")
+    tree = INode(
+        pair,
+        Query(()),
+        INode(trips, Query(pair), Leaf("three_of_a_kind", (0, 0, 1)), Leaf("pair", (0, 1, 0))),
+        Leaf("nothing", (1, 0, 0)),
+    )
+    bias = render_settings(parse_settings("classes([nothing,pair,three_of_a_kind])."))
+    model = Model(tree, classes, bias, {})
+    hand = mk_interp(
+        "1", "two_pairs",
+        "card(7,spades)", "card(7,hearts)", "card(queen,clubs)", "card(queen,diamonds)",
+        "card(2,hearts)",
+    )
+    with pytest.raises(BudgetExceededError):
+        succeeds(Query(pair + trips), hand, budget=100)
+    assert classify(model, hand, budget=100) == classify(model, hand) == "pair"
 
 
 def test_classify_equals_decision_list():

@@ -83,6 +83,9 @@ def test_missing_class_and_mismatched_ids(tmp_path):
     path.write_text("begin(model(1)).\n pos.\n f(a) :- g(a).\nend(model(1)).\n")
     with pytest.raises(DataError, match=r"facts, not rules \(line 3\)"):
         list(iter_kb_blocks(path, ("pos", "neg")))
+    path.write_text("begin(model(1)).\n pos.\nend(model(1)).\nbegin(model(X)).\n")
+    with pytest.raises(DataError, match=r"identifier must be ground \(line 4\)"):
+        list(iter_kb_blocks(path, ("pos", "neg")))
 
 
 @pytest.mark.parametrize("tail", ["", "\n", "\n% comment\n"])
