@@ -9,19 +9,15 @@ level-wise engine (`learner`), the tree value itself with classification and
 decision-list export (`model`), a relational-snapshot converter (`rdb`),
 synthetic data generators (`generators`), and a scaling benchmark harness
 (`bench`).  The ``foldt`` console script fronts all of it.
+
+``__all__`` is written out by hand and names each stage's entry points,
+value types and errors.  It lists no submodule (import ``foldt.engine`` and
+the others by name) and no helper that only the test suite calls.
 """
 
 from .bench import BenchReport, BenchResult, bench_run
-from .bias import Bias, Candidate, RefinementContext, Thresholds, discretize, refinements
-from .engine import (
-    Background,
-    Query,
-    answer_all,
-    load_background,
-    solutions,
-    succeeds,
-    theta_subsumes,
-)
+from .bias import Bias, Candidate, RefinementContext, discretize, refinements
+from .engine import Background, Query, answer_all, load_background, succeeds
 from .errors import (
     BudgetExceededError,
     DataError,
@@ -37,7 +33,6 @@ from .model import (
     INode,
     Leaf,
     Model,
-    check_scope,
     classify,
     deserialize,
     eval_decision_list,
@@ -54,4 +49,29 @@ from .terms import Atom, Clause, Compound, Literal, Number, Variable, parse_prog
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # terms
+    "Atom", "Clause", "Compound", "Literal", "Number", "Variable", "parse_program", "parse_term",
+    # errors
+    "BudgetExceededError", "DataError", "FoldtError", "ModelFormatError", "ParseError",
+    "QueryError",
+    # settings
+    "Settings", "parse_settings", "render_settings",
+    # store
+    "DatasetHandle", "Interpretation", "load_dataset", "open_dataset",
+    # engine
+    "Background", "Query", "answer_all", "load_background", "succeeds",
+    # bias
+    "Bias", "Candidate", "RefinementContext", "discretize", "refinements",
+    # learner
+    "LearnerConfig", "learn", "learn_classic", "learn_lds",
+    # model
+    "FOLDT", "INode", "Leaf", "Model", "classify", "deserialize", "eval_decision_list",
+    "load_model", "save_model", "serialize", "to_decision_list", "tree_depth",
+    # rdb
+    "Schema", "convert_all", "extract_example", "load_snapshot", "parse_schema",
+    # generators
+    "GenSpec", "gen_bongard", "gen_poker", "replicate",
+    # bench
+    "BenchReport", "BenchResult", "bench_run",
+]

@@ -60,12 +60,6 @@ def fresh_name(i: int) -> str:
 
 
 @dataclass
-class Thresholds:
-    request: DiscretizeRequest
-    cuts: tuple[float, ...]
-
-
-@dataclass
 class Bias:
     """Settings plus the computed cut lists, ready for refinement generation."""
 
@@ -85,15 +79,6 @@ class Candidate:
     query: Query  # the full refined query
     added: tuple[Literal, ...]  # conjunction appended to the associated query
     rmode_index: int
-
-
-def root_context(settings: Settings) -> RefinementContext:
-    return RefinementContext(Query(()), (0,) * len(settings.rmodes), 0)
-
-
-def static_bias(settings: Settings) -> Bias:
-    """Bias with no computed thresholds (templates without placeholders)."""
-    return Bias(settings, {k: () for k in range(1, len(settings.discretize) + 1)})
 
 
 def used_predicates(settings: Settings, background=None) -> dict[tuple[str, int], list[str]]:
@@ -130,16 +115,11 @@ def prepare_bias(settings, data, background=None, budget: int = DEFAULT_BUDGET) 
                 key[1],
                 ", ".join(wheres),
             )
-    cuts = {}
-    for k, request in enumerate(settings.discretize, 1):
-        th = discretize(
-            request,
-            data,
-            background,
-            max_thresholds=settings.params.max_thresholds,
-            budget=budget,
-        )
-        cuts[k] = th.cuts
+    cap = settings.params.max_thresholds
+    cuts = {
+        k: discretize(request, data, background, max_thresholds=cap, budget=budget)
+        for k, request in enumerate(settings.discretize, 1)
+    }
     return Bias(settings, cuts)
 
 
@@ -406,9 +386,9 @@ def discretize(
     background=None,
     max_thresholds: int = 8,
     budget: int = DEFAULT_BUDGET,
-) -> Thresholds:
+) -> tuple[float, ...]:
     """Pool the variable's bindings over all examples (labelled with each
-    example's class) and derive cut points."""
+    example's class) and derive the sorted cut points."""
     query = Query(request.query)
     values: list[tuple[float, str]] = []
     for _, interp in data.stream_examples():
@@ -420,7 +400,7 @@ def discretize(
                 )
             values.append((float(t.value), interp.label))
     if max_thresholds <= 0:
-        return Thresholds(request, ())
+        return ()
     if not values:
         raise DataError(f"discretize({query}, {request.var}) collected no values")
-    return Thresholds(request, tuple(fayyad_irani_cuts(values, max_thresholds)))
+    return tuple(fayyad_irani_cuts(values, max_thresholds))

@@ -216,9 +216,9 @@ def _cmd_discretize(args) -> int:
     data = _open_data(args, settings)
     background = _background(args)
     for k, request in enumerate(settings.discretize, 1):
-        th = run_discretize(request, data, background, max_thresholds=cap)
-        cuts = ", ".join(repr(c) for c in th.cuts) or "(none)"
-        print(f"threshold({k}): {Query(request.query)} on {request.var} -> {cuts}")
+        cuts = run_discretize(request, data, background, max_thresholds=cap)
+        shown = ", ".join(map(repr, cuts)) or "(none)"
+        print(f"threshold({k}): {Query(request.query)} on {request.var} -> {shown}")
     return 0
 
 

@@ -78,9 +78,6 @@ class Background:
     def clauses_for(self, key: tuple[str, int]) -> list[Clause]:
         return self._by_key.get(key, [])
 
-    def __len__(self):
-        return len(self.clauses)
-
 
 EMPTY_BACKGROUND = Background(())
 
@@ -330,19 +327,6 @@ def succeeds(
     return False
 
 
-def solutions(
-    query: Query,
-    interp: Interpretation,
-    background: Background | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> Iterator[dict[str, Term]]:
-    """All solutions, each as a fully-resolved substitution of the query's
-    variables, in discovery order."""
-    names = query.variables()
-    for bind in _prove(query, interp, background, budget):
-        yield {n: _resolve(Variable(n), bind) for n in names}
-
-
 def answer_all(
     query: Query,
     var: str,
@@ -385,18 +369,17 @@ def coverage_query(query: Query, added: tuple[Literal, ...]) -> Query:
 
 
 # ---------------------------------------------------------------------------
-# One-way matching and theta-subsumption
+# One-way matching
 
 
-def matches(patterns, targets, budget: Budget | None = None) -> Iterator[dict[str, Term]]:
+def matches(patterns, targets) -> Iterator[dict[str, Term]]:
     """Substitutions that make every literal of ``patterns`` equal to some
     literal of ``targets`` (one-way matching: only the patterns' variables
     bind, and the targets' variables are rigid).
 
     Solutions come depth first: pattern literals left to right, each tried
     against the targets in order.  A substitution reached through two
-    different choices of targets is yielded twice.  ``budget``, if given,
-    is spent once per attempted literal pair.
+    different choices of targets is yielded twice.
     """
     theta: dict[str, Term] = {}
     trail: list[str] = []
@@ -429,8 +412,6 @@ def matches(patterns, targets, budget: Budget | None = None) -> Iterator[dict[st
             return
         lit = patterns[i]
         for cand in by_key.get((lit.pred, len(lit.args), lit.builtin), ()):
-            if budget is not None:
-                budget.spend()
             mark = len(trail)
             if all(match(x, y) for x, y in zip(lit.args, cand.args)):
                 yield from go(i + 1)
@@ -438,15 +419,3 @@ def matches(patterns, targets, budget: Budget | None = None) -> Iterator[dict[st
                 del theta[trail.pop()]
 
     return go(0)
-
-
-def theta_subsumes(q1: Query, q2: Query, budget: int = 1_000_000) -> bool:
-    """True iff a substitution makes every literal of ``q1`` a literal of
-    ``q2`` (set containment; ``q2``'s variables are treated as constants).
-
-    Worst-case exponential; the step budget raises ``BudgetExceededError``
-    on adversarial instances.
-    """
-    for _ in matches(q1.literals, q2.literals, Budget(budget)):
-        return True
-    return False

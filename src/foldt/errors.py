@@ -27,10 +27,10 @@ class QueryError(FoldtError):
 
 
 class BudgetExceededError(QueryError):
-    """The resolution (or subsumption) step budget ran out.
+    """The resolution step budget ran out.
 
     Distinct from logical failure: it usually signals runaway recursion
-    in background rules or an adversarial subsumption instance.
+    in background rules.
     """
 
 

@@ -238,7 +238,7 @@ def _tree(node: _Node, classes) -> FOLDT:
     if node.kids is None:
         return Leaf(majority_class(node.counts, classes), node.counts)
     left, right = node.kids
-    return INode(node.conj, node.query, _tree(left, classes), _tree(right, classes))
+    return INode(node.conj, _tree(left, classes), _tree(right, classes))
 
 
 def _root_counts(data: DatasetHandle, classes) -> tuple[int, ...]:

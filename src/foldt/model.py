@@ -25,7 +25,7 @@ from .engine import DEFAULT_BUDGET, Background, Query, coverage_query, succeeds
 from .errors import ModelFormatError
 from .settings import parse_settings
 from .store import Interpretation
-from .terms import Literal, literal_variables, parse_program, render_conjunction
+from .terms import Literal, parse_program, render_conjunction
 
 FORMAT_HEADER = "foldt-model v1"
 
@@ -39,7 +39,6 @@ class Leaf:
 @dataclass(frozen=True)
 class INode:
     conj: tuple[Literal, ...]
-    assoc_query: Query  # associated query of this node, recorded at build time
     left: "FOLDT"
     right: "FOLDT"
 
@@ -161,61 +160,6 @@ def eval_decision_list(
     raise ModelFormatError("decision list has no applicable clause")
 
 
-def check_scope(model: Model) -> bool:
-    """True iff no variable introduced by a node's conjunction occurs anywhere
-    in that node's right subtree."""
-
-    def subtree_vars(node: FOLDT) -> set[str]:
-        if isinstance(node, Leaf):
-            return set()
-        return (
-            set(literal_variables(node.conj))
-            | subtree_vars(node.left)
-            | subtree_vars(node.right)
-        )
-
-    def walk(node: FOLDT, scope: set[str]) -> bool:
-        if isinstance(node, Leaf):
-            return True
-        introduced = set(literal_variables(node.conj)) - scope
-        if introduced & subtree_vars(node.right):
-            return False
-        return walk(node.left, scope | introduced) and walk(node.right, scope)
-
-    return walk(model.tree, set())
-
-
-def recompute_assoc_queries(tree: FOLDT, q_lits: tuple[Literal, ...] = ()) -> FOLDT:
-    """Rebuild a tree whose stored associated queries are derived purely from
-    the structure (used on deserialization and for coherence checks)."""
-    if isinstance(tree, Leaf):
-        return tree
-    return INode(
-        tree.conj,
-        Query(q_lits),
-        recompute_assoc_queries(tree.left, q_lits + tree.conj),
-        recompute_assoc_queries(tree.right, q_lits),
-    )
-
-
-def assoc_queries_coherent(model: Model) -> bool:
-    return recompute_assoc_queries(model.tree) == model.tree
-
-
-def trees_equal(a: FOLDT, b: FOLDT, include_counts: bool = True) -> bool:
-    """Structural equality; with ``include_counts=False`` leaf distributions
-    are ignored (replication scales them without changing the tree)."""
-    if isinstance(a, Leaf) and isinstance(b, Leaf):
-        return a.label == b.label and (not include_counts or a.counts == b.counts)
-    if isinstance(a, INode) and isinstance(b, INode):
-        return (
-            a.conj == b.conj
-            and trees_equal(a.left, b.left, include_counts)
-            and trees_equal(a.right, b.right, include_counts)
-        )
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 
@@ -276,7 +220,7 @@ def _read_tree(lines: list[str], pos: int, depth: int, classes) -> tuple[FOLDT, 
     conj = _parse_conj(parts[2])
     left, pos = _read_tree(lines, pos + 1, depth + 1, classes)
     right, pos = _read_tree(lines, pos, depth + 1, classes)
-    return INode(conj, Query(()), left, right), pos
+    return INode(conj, left, right), pos
 
 
 def _int_field(field: str, line: str) -> int:
@@ -311,12 +255,16 @@ def deserialize(text: str) -> Model:
         metadata = json.loads(sections["meta"][0])
     except (IndexError, json.JSONDecodeError) as e:
         raise ModelFormatError("malformed meta section") from e
+    if not isinstance(metadata, dict):
+        raise ModelFormatError(f"meta section is not a JSON object: {sections['meta'][0]!r}")
+    budget = metadata.get("resolution_budget", DEFAULT_BUDGET)
+    if type(budget) is not int or budget < 1:
+        raise ModelFormatError(f"resolution_budget {budget!r} in meta is not a positive integer")
     bias_text = "\n".join(sections["bias"]) + "\n"
     settings = parse_settings(bias_text)
     tree, pos = _read_tree(sections["tree"], 0, 0, set(settings.classes))
     if pos != len(sections["tree"]):
         raise ModelFormatError("extra lines in tree section")
-    tree = recompute_assoc_queries(tree)
     model = Model(tree, settings.classes, bias_text, metadata)
     expected = render_decision_list(to_decision_list(model)).rstrip("\n").split("\n")
     if sections["dlist"] != expected:

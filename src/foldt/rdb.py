@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,11 +54,19 @@ _FLOAT_RE = re.compile(r"[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?\Z")
 
 
 def cell_term(text: str) -> Term:
+    """A number for a cell that lexically is one, else an atom; a numeric
+    cell without a finite value is a ``DataError``."""
     text = text.strip()
     if _INT_RE.match(text):
-        return Number(int(text))
-    if _FLOAT_RE.match(text) and not _INT_RE.match(text):
-        return Number(float(text))
+        try:
+            return Number(int(text))
+        except ValueError:  # more digits than int() converts
+            raise DataError(f"number too long ({len(text)} characters)") from None
+    if _FLOAT_RE.match(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise DataError(f"number out of range: {text}")
+        return Number(value)
     return Atom(text)
 
 
@@ -242,7 +251,10 @@ def load_snapshot(directory, schema: Schema, delimiter: str = ",") -> Snapshot:
                     raise DataError(
                         f"{path}:{lineno}: expected {len(table.attrs)} cells, found {len(cells)}"
                     )
-                table_rows.append(tuple(cell_term(c) for c in cells))
+                try:
+                    table_rows.append(tuple(cell_term(c) for c in cells))
+                except DataError as e:
+                    raise DataError(f"{path}:{lineno}: {e}") from None
             rows[name] = table_rows
     return Snapshot(rows)
 

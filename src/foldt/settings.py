@@ -371,7 +371,3 @@ def render_settings(s: Settings) -> str:
     lines.append(f"max_thresholds({p.max_thresholds}).")
     return "\n".join(lines) + "\n"
 
-
-def settings_with(s: Settings, **param_overrides) -> Settings:
-    """Copy of ``s`` with some learner parameters replaced."""
-    return replace(s, params=replace(s.params, **param_overrides))

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -41,8 +40,6 @@ from .terms import (
     read_clauses,
     render_term,
 )
-
-log = logging.getLogger(__name__)
 
 CHUNK_MAGIC = b"foldt-chunk v1\n"
 MANIFEST_NAME = "manifest.txt"
@@ -223,23 +220,19 @@ def decode_record(buf: bytes) -> Interpretation:
 # Reading data files
 
 
-def iter_kb_blocks(
-    path, classes, on_bad: str = "error", allow_unlabeled: bool = False
-) -> Iterator[Interpretation]:
+def iter_kb_blocks(path, classes, allow_unlabeled: bool = False) -> Iterator[Interpretation]:
     """Stream interpretations from a ``begin/end`` block file, read clause by
     clause through ``terms.read_clauses``.
 
     ``classes`` is the declared class-label list: exactly one matching nullary
     fact must appear in each block; it becomes the label and is removed from
-    the fact set.  ``on_bad`` is ``"error"`` or ``"skip"`` (warn and drop the
-    offending example).  With ``allow_unlabeled`` a block without a class fact
+    the fact set.  With ``allow_unlabeled`` a block without a class fact
     yields an interpretation with an empty label (classification input).
     """
     class_set = set(classes)
     ident = None
     facts: list[Literal] = []
     label: str | None = None
-    bad: str | None = None
     with open(path, "r", encoding="utf-8") as f:
         for line, clause in read_clauses(f):
             if clause.body:
@@ -251,7 +244,7 @@ def iter_kb_blocks(
                 if kind == "begin":
                     if ident is not None:
                         raise DataError(f"begin inside block {render_term(ident)} (line {line})")
-                    ident, facts, label, bad = block_id, [], None, None
+                    ident, facts, label = block_id, [], None
                     continue
                 if ident is None:
                     raise DataError(f"end outside any block (line {line})")
@@ -259,26 +252,20 @@ def iter_kb_blocks(
                     raise DataError(
                         f"mismatched begin/end ids: {render_term(ident)} vs {render_term(block_id)} (line {line})"
                     )
-                if label is None and bad is None:
-                    if allow_unlabeled:
-                        label = ""
-                    else:
-                        bad = f"no class fact in example {render_term(ident)}"
-                if bad is not None:
-                    if on_bad == "error":
-                        raise DataError(bad)
-                    log.warning("skipping example %s: %s", render_term(ident), bad)
-                else:
-                    yield Interpretation(ident, label, tuple(facts))
+                if label is None:
+                    if not allow_unlabeled:
+                        raise DataError(f"no class fact in example {render_term(ident)}")
+                    label = ""
+                yield Interpretation(ident, label, tuple(facts))
                 ident = None
                 continue
             if ident is None:
                 raise DataError(f"fact outside of a begin/end block (line {line})")
             if not fact.args and fact.pred in class_set:
-                if label is not None and bad is None:
-                    bad = (
+                if label is not None:
+                    raise DataError(
                         f"ambiguous class in example {render_term(ident)}: "
-                        f"both {label} and {fact.pred}"
+                        f"both {label} and {fact.pred} (line {line})"
                     )
                 label = fact.pred
                 continue
@@ -451,9 +438,15 @@ class DatasetHandle:
             if pos + ln > len(raw):
                 raise DataError(f"corrupt chunk file {chunk.path}: truncated record")
             try:
-                out.append(decode_record(raw[pos : pos + ln]))
+                interp = decode_record(raw[pos : pos + ln])
             except (DataError, IndexError, UnicodeDecodeError, struct.error) as e:
                 raise DataError(f"corrupt chunk file {chunk.path}: {e}") from e
+            if interp.label not in self.class_counts:
+                raise DataError(
+                    f"corrupt chunk file {chunk.path}: label {interp.label!r} is not "
+                    f"among the class counts of {META_NAME}"
+                )
+            out.append(interp)
             pos += ln
         if len(out) != chunk.count:
             raise DataError(
@@ -465,13 +458,7 @@ class DatasetHandle:
         return out
 
 
-def load_dataset(
-    path,
-    settings,
-    out_dir=None,
-    granularity: int | None = None,
-    on_bad: str = "error",
-) -> DatasetHandle:
+def load_dataset(path, settings, out_dir=None, granularity: int | None = None) -> DatasetHandle:
     """Parse a block file and build its chunk store.
 
     The store is written beside the source (``<file>.chunks/``) unless
@@ -481,7 +468,7 @@ def load_dataset(
     g = granularity if granularity is not None else settings.params.granularity
     directory = Path(out_dir) if out_dir is not None else path.with_name(path.name + ".chunks")
     writer = ChunkWriter(directory, g)
-    for interp in iter_kb_blocks(path, settings.classes, on_bad=on_bad):
+    for interp in iter_kb_blocks(path, settings.classes):
         writer.add(interp)
     return writer.finish()
 

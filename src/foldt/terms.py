@@ -314,9 +314,12 @@ def _scan_number(text: str, i: int, line: int, col: int):
                 j += 1
     lexeme = text[i:j]
     try:
-        return j, (float(lexeme) if is_float else int(lexeme))
+        value = float(lexeme) if is_float else int(lexeme)
     except ValueError:  # more digits than int() converts
         raise ParseError(f"number too long ({len(lexeme)} characters)", line, col) from None
+    if is_float and not math.isfinite(value):
+        raise ParseError("number out of range", line, col)
+    return j, value
 
 
 # ---------------------------------------------------------------------------

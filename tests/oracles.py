@@ -1,15 +1,22 @@
-"""Independent reference implementations used only by the test suite.
+"""Independent reference implementations and checks used only by the test
+suite.
 
 These deliberately avoid the package's own evaluation/scoring code paths:
 the join evaluator is a naive nested-loop join over ground facts, the
 entropy oracle recomputes scores from first principles with Fractions where
-possible, and the poker labeler is a direct rank-multiset table.
+possible, and the poker labeler is a direct rank-multiset table.  The
+helpers at the end check a tree's variable scope and theta-subsumption
+between queries, and build the root refinement context and a bias without
+thresholds.
 """
 
 import math
 from collections import Counter
 
-from foldt.terms import Compound, Number, Variable
+from foldt.bias import Bias, RefinementContext
+from foldt.engine import Query, matches
+from foldt.model import Leaf
+from foldt.terms import Compound, Number, Variable, literal_variables
 
 
 def _bind_term(qarg, farg, subst):
@@ -181,3 +188,48 @@ def random_join_instance(rng):
         a, b = sorted(set(used))[:2]
         lits.append(f"{a} \\= {b}")
     return facts, lits
+
+
+# ---------------------------------------------------------------------------
+# Tree and refinement checks
+
+
+def check_scope(model) -> bool:
+    """True iff no variable introduced by a node's conjunction occurs anywhere
+    in that node's right subtree."""
+
+    def subtree_vars(node) -> set[str]:
+        if isinstance(node, Leaf):
+            return set()
+        return (
+            set(literal_variables(node.conj))
+            | subtree_vars(node.left)
+            | subtree_vars(node.right)
+        )
+
+    def walk(node, scope: set[str]) -> bool:
+        if isinstance(node, Leaf):
+            return True
+        introduced = set(literal_variables(node.conj)) - scope
+        if introduced & subtree_vars(node.right):
+            return False
+        return walk(node.left, scope | introduced) and walk(node.right, scope)
+
+    return walk(model.tree, set())
+
+
+def theta_subsumes(q1: Query, q2: Query) -> bool:
+    """True iff a substitution makes every literal of ``q1`` a literal of
+    ``q2`` (set containment; ``q2``'s variables are treated as constants)."""
+    for _ in matches(q1.literals, q2.literals):
+        return True
+    return False
+
+
+def root_context(settings) -> RefinementContext:
+    return RefinementContext(Query(()), (0,) * len(settings.rmodes), 0)
+
+
+def static_bias(settings) -> Bias:
+    """Bias with no computed thresholds (templates without placeholders)."""
+    return Bias(settings, {k: () for k in range(1, len(settings.discretize) + 1)})

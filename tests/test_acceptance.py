@@ -18,26 +18,27 @@ from conftest import (
     mk_query_literals,
 )
 from oracles import (
+    check_scope,
     gain_oracle,
     ground_join_succeeds,
     random_join_instance,
+    root_context,
+    static_bias,
+    theta_subsumes,
 )
 from rdb_fixtures import CHEM_SCHEMA, CHEM_TABLES, H2O_FACTS, write_tables
 
 from foldt.bench import bench_run, fit_loglog_slope
-from foldt.bias import refinements, root_context, static_bias, RefinementContext
-from foldt.engine import Query, succeeds, theta_subsumes
+from foldt.bias import refinements, RefinementContext
+from foldt.engine import Query, succeeds
 from foldt.generators import GenSpec, gen_bongard, gen_poker
 from foldt.learner import LearnerConfig, learn_classic, learn_lds, score
 from foldt.model import (
-    assoc_queries_coherent,
-    check_scope,
     classify,
     eval_decision_list,
     render_decision_list,
     to_decision_list,
     tree_depth,
-    trees_equal,
     INode,
     Leaf,
 )
@@ -123,16 +124,14 @@ def test_criterion_1_reference_tree(tmp_path):
     lds = _lds(data, BONGARD)
     expected = INode(
         tuple(mk_query_literals("triangle(A)")),
-        Query(()),
         INode(
             tuple(mk_query_literals("inside(A,B)")),
-            Query(tuple(mk_query_literals("triangle(A)"))),
             Leaf("pos", (6, 0)),
             Leaf("neg", (0, 3)),
         ),
         Leaf("neg", (0, 3)),
     )
-    assert trees_equal(classic.tree, expected)
+    assert classic.tree == expected
     assert classic.tree == lds.tree
     assert render_decision_list(to_decision_list(classic)) == (
         "class(pos) :- triangle(A), inside(A,B), !.\n"
@@ -181,7 +180,7 @@ def test_criterion_2_classic_equals_lds(tmp_path):
         lds = _lds(data, settings, cfg)
         if classic.tree != lds.tree:
             mismatches += 1
-        assert check_scope(lds) and assoc_queries_coherent(lds)
+        assert check_scope(lds)
     # the constructed 12-example set under the default config rounds it to 20
     data12 = _bongard12(tmp_path)
     if learn_classic(data12, None, BONGARD).tree != _lds(data12, BONGARD).tree:
@@ -342,7 +341,7 @@ def test_criterion_8_property_suites(tmp_path):
         train = gen(GenSpec(domain, 200, seed=400 + j), tmp_path / f"t{j}.kb")
         data = load_dataset(train, settings, granularity=20)
         model = learn_classic(data, None, settings)
-        assert check_scope(model) and assoc_queries_coherent(model)
+        assert check_scope(model)
         rules = to_decision_list(model)
         fresh = gen(GenSpec(domain, 100, seed=500 + j), tmp_path / f"f{j}.kb")
         fresh_data = load_dataset(fresh, settings, granularity=50)

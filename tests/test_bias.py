@@ -1,5 +1,5 @@
 from conftest import mk_query_literals
-from oracles import best_single_cut
+from oracles import best_single_cut, root_context, static_bias, theta_subsumes
 
 from foldt.bias import (
     Candidate,
@@ -7,10 +7,8 @@ from foldt.bias import (
     fayyad_irani_cuts,
     fresh_name,
     refinements,
-    root_context,
-    static_bias,
 )
-from foldt.engine import Query, theta_subsumes
+from foldt.engine import Query
 from foldt.settings import parse_settings
 from foldt.terms import render_conjunction
 

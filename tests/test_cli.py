@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from conftest import BONGARD_BIAS_TEXT, bongard12_kb_text
 from rdb_fixtures import CHEM_SCHEMA_WITH_CLASS, CHEM_TABLES, write_tables
@@ -150,10 +152,19 @@ def test_data_error_exit_2(tmp_path, bias_file, capsys):
 def test_malformed_model_exit_2(tmp_path, bias_file, data_file, capsys):
     model_path = tmp_path / "m.foldt"
     assert main(["learn", "--data", str(data_file), "--settings", str(bias_file), "--out", str(model_path)]) == 0
-    model_path.write_text(model_path.read_text().replace("section meta 1", "section meta x", 1))
-    capsys.readouterr()
-    assert main(["classify", "--model", str(model_path), "--data", str(data_file)]) == 2
-    assert "error: expected an integer, found 'x'" in capsys.readouterr().err
+    text = model_path.read_text()
+    for pattern, replacement, cause in (
+        ("section meta 1", "section meta x", "expected an integer, found 'x'"),
+        (r"(?m)^\{.*\}$", "[1,2]", "meta section is not a JSON object: '[1,2]'"),
+        ('"resolution_budget":100000', '"resolution_budget":"x"', "resolution_budget 'x' in meta"),
+        ('"resolution_budget":100000', '"resolution_budget":0', "resolution_budget 0 in meta"),
+    ):
+        broken = re.sub(pattern, replacement, text, count=1)
+        assert broken != text
+        model_path.write_text(broken)
+        capsys.readouterr()
+        assert main(["classify", "--model", str(model_path), "--data", str(data_file)]) == 2
+        assert f"error: {cause}" in capsys.readouterr().err
 
 
 def test_granularity_of_an_existing_store_is_fixed(tmp_path, bias_file, data_file, capsys):

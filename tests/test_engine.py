@@ -3,16 +3,14 @@ import random
 import pytest
 from conftest import BONGARD_BACKGROUND, PICTURE_1, PICTURE_2, mk_interp, mk_query_literals
 from hypothesis import assume, given, settings as hsettings, strategies as st
-from oracles import ground_join_succeeds
+from oracles import ground_join_succeeds, theta_subsumes
 
 from foldt.engine import (
     Background,
     Query,
     answer_all,
     coverage_query,
-    solutions,
     succeeds,
-    theta_subsumes,
 )
 from foldt.errors import BudgetExceededError, DataError, QueryError
 from foldt.terms import Atom, Number, parse_program
@@ -119,8 +117,8 @@ def test_int_float_comparisons_exact():
 
 
 def test_solutions_deterministic_order():
-    sols1 = [s["X"] for s in solutions(q("triangle(X)"), P2)]
-    sols2 = [s["X"] for s in solutions(q("triangle(X)"), P2)]
+    sols1 = answer_all(q("triangle(X)"), "X", P2)
+    sols2 = answer_all(q("triangle(X)"), "X", P2)
     assert sols1 == sols2 == [Atom("o4"), Atom("o5")]
 
 

@@ -1,10 +1,12 @@
 import logging
+from dataclasses import replace
 
 import pytest
 from conftest import BONGARD_BIAS_TEXT, POKER_BIAS_TEXT, bongard12_kb_text, mk_query_literals
-from oracles import gain_oracle
+from oracles import check_scope, gain_oracle
 
 import foldt.learner
+from foldt.bench import structure_hash
 from foldt.engine import Background
 from foldt.errors import DataError
 from foldt.generators import GenSpec, gen_bongard, gen_poker, replicate
@@ -19,16 +21,8 @@ from foldt.learner import (
     majority_class,
     score,
 )
-from foldt.model import (
-    INode,
-    Leaf,
-    assoc_queries_coherent,
-    check_scope,
-    classify,
-    tree_depth,
-    trees_equal,
-)
-from foldt.settings import parse_settings, settings_with
+from foldt.model import INode, Leaf, classify, tree_depth
+from foldt.settings import parse_settings
 from foldt.store import load_dataset
 from foldt.terms import parse_program
 
@@ -127,28 +121,24 @@ def test_entropy_bits():
 
 
 def expected_bongard_tree():
-    from foldt.engine import Query
-
     tri = mk_query_literals("triangle(A)")
     ins = mk_query_literals("inside(A,B)")
     return INode(
         tri,
-        Query(()),
-        INode(ins, Query(tri), Leaf("pos", (6, 0)), Leaf("neg", (0, 3))),
+        INode(ins, Leaf("pos", (6, 0)), Leaf("neg", (0, 3))),
         Leaf("neg", (0, 3)),
     )
 
 
 def test_bongard12_classic_builds_reference_tree(bongard12):
     model = learn_classic(bongard12, None, BONGARD_SETTINGS)
-    assert trees_equal(model.tree, expected_bongard_tree())
+    assert model.tree == expected_bongard_tree()
     assert check_scope(model)
-    assert assoc_queries_coherent(model)
 
 
 def test_bongard12_lds_builds_reference_tree(bongard12):
     model = learn_lds(bongard12, None, BONGARD_SETTINGS)
-    assert trees_equal(model.tree, expected_bongard_tree())
+    assert model.tree == expected_bongard_tree()
     assert model.metadata["passes"] == tree_depth(model.tree) == 3
 
 
@@ -222,7 +212,7 @@ def test_empty_refinements_majority_leaf(tmp_path):
 
 
 def test_max_depth_caps_tree(bongard12):
-    settings = settings_with(BONGARD_SETTINGS, max_depth=1)
+    settings = replace(BONGARD_SETTINGS, params=replace(BONGARD_SETTINGS.params, max_depth=1))
     for fn in (learn_classic, learn_lds):
         model = fn(bongard12, None, settings)
         assert tree_depth(model.tree) <= 2  # one split at most
@@ -231,7 +221,7 @@ def test_max_depth_caps_tree(bongard12):
 
 
 def test_minleaf_blocks_small_branches(bongard12):
-    settings = settings_with(BONGARD_SETTINGS, minleaf=4)
+    settings = replace(BONGARD_SETTINGS, params=replace(BONGARD_SETTINGS.params, minleaf=4))
     model = learn_classic(bongard12, None, settings)
     # the inside split (6/3) is now rejected; triangle (9/3) also fails minleaf
     assert isinstance(model.tree, Leaf) or all(
@@ -252,10 +242,11 @@ def test_replication_invariance_small(tmp_path, bongard12):
         rep = replicate(bongard12, k, tmp_path / f"rep{k}")
         assert rep.total == 12 * k
         assert rep.class_counts == {c: k * v for c, v in bongard12.class_counts.items()}
-        scaled = settings_with(BONGARD_SETTINGS, minleaf=BONGARD_SETTINGS.params.minleaf * k)
+        params = BONGARD_SETTINGS.params
+        scaled = replace(BONGARD_SETTINGS, params=replace(params, minleaf=params.minleaf * k))
         for fn in (learn_classic, learn_lds):
             model = fn(rep, None, scaled)
-            assert trees_equal(model.tree, base.tree, include_counts=False)
+            assert structure_hash(model.tree) == structure_hash(base.tree)
 
 
 def test_classic_equals_lds_on_generated_data(tmp_path):
@@ -265,7 +256,7 @@ def test_classic_equals_lds_on_generated_data(tmp_path):
     classic = learn_classic(data, None, poker_settings)
     lds = learn_lds(data, None, poker_settings)
     assert classic.tree == lds.tree
-    assert check_scope(lds) and assoc_queries_coherent(lds)
+    assert check_scope(lds)
 
     bon_path = gen_bongard(GenSpec("bongard", 120, seed=5), tmp_path / "b.kb")
     bon = load_dataset(bon_path, BONGARD_SETTINGS, granularity=17)
@@ -294,7 +285,8 @@ def test_lds_pass_count_equals_depth_various(tmp_path):
     bon_path = gen_bongard(GenSpec("bongard", 80, seed=9), tmp_path / "b.kb")
     data = load_dataset(bon_path, BONGARD_SETTINGS, granularity=10)
     for minleaf in (1, 2, 6):
-        model = learn_lds(data, None, settings_with(BONGARD_SETTINGS, minleaf=minleaf))
+        settings = replace(BONGARD_SETTINGS, params=replace(BONGARD_SETTINGS.params, minleaf=minleaf))
+        model = learn_lds(data, None, settings)
         assert model.metadata["passes"] == tree_depth(model.tree)
 
 

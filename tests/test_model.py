@@ -1,5 +1,6 @@
 import pytest
 from conftest import PICTURE_1, PICTURE_2, mk_interp, mk_query_literals
+from oracles import check_scope
 
 from foldt.engine import Query, succeeds
 from foldt.errors import BudgetExceededError, ModelFormatError
@@ -7,7 +8,6 @@ from foldt.model import (
     INode,
     Leaf,
     Model,
-    check_scope,
     classify,
     count_nodes,
     deserialize,
@@ -16,7 +16,6 @@ from foldt.model import (
     serialize,
     to_decision_list,
     tree_depth,
-    assoc_queries_coherent,
 )
 from foldt.settings import render_settings, parse_settings
 BIAS_TEXT = render_settings(parse_settings("classes([pos,neg])."))
@@ -32,10 +31,8 @@ def bongard_tree() -> Model:
     ins = lits("inside(X,Y)")
     tree = INode(
         tri,
-        Query(()),
         INode(
             ins,
-            Query(tri),
             Leaf("pos", (6, 0)),
             Leaf("neg", (0, 3)),
         ),
@@ -89,8 +86,7 @@ def test_classify_budget_bounds_one_coverage_test():
     classes = ("nothing", "pair", "three_of_a_kind")
     tree = INode(
         pair,
-        Query(()),
-        INode(trips, Query(pair), Leaf("three_of_a_kind", (0, 0, 1)), Leaf("pair", (0, 1, 0))),
+        INode(trips, Leaf("three_of_a_kind", (0, 0, 1)), Leaf("pair", (0, 1, 0))),
         Leaf("nothing", (1, 0, 0)),
     )
     bias = render_settings(parse_settings("classes([nothing,pair,three_of_a_kind])."))
@@ -123,26 +119,14 @@ def test_check_scope():
     bad = Model(
         INode(
             lits("triangle(X)"),
-            Query(()),
             Leaf("pos", (1, 0)),
-            INode(lits("inside(X,Y)"), Query(()), Leaf("pos", (1, 0)), Leaf("neg", (0, 1))),
+            INode(lits("inside(X,Y)"), Leaf("pos", (1, 0)), Leaf("neg", (0, 1))),
         ),
         ("pos", "neg"),
         BIAS_TEXT,
         {},
     )
     assert not check_scope(bad)
-
-
-def test_assoc_queries_coherent():
-    assert assoc_queries_coherent(bongard_tree())
-    broken = Model(
-        INode(lits("triangle(X)"), Query(lits("circle(Z)")), Leaf("pos", (1, 0)), Leaf("neg", (0, 1))),
-        ("pos", "neg"),
-        BIAS_TEXT,
-        {},
-    )
-    assert not assoc_queries_coherent(broken)
 
 
 def test_depth_and_counts():

@@ -173,6 +173,14 @@ def test_empty_snapshot_rejected(tmp_path):
         convert_all(snapshot, schema, tmp_path / "x.kb", tmp_path / "x.pl")
 
 
+@pytest.mark.parametrize("cell,cause", [("1e999", "number out of range"), ("9" * 5000, "number too long")])
+def test_numeric_cell_without_a_finite_value_rejected(tmp_path, cell, cause):
+    d = write_tables(tmp_path / "big", {"t.csv": f"e1,1\ne2,{cell}\n"})
+    schema = parse_schema("table(t,[id,v]). key(t,[id]). example_id(t,id).")
+    with pytest.raises(DataError, match=f"t.csv:2: {cause}"):
+        load_snapshot(d, schema)
+
+
 def test_schema_validation_errors():
     with pytest.raises(ParseError, match="undeclared table"):
         parse_schema("table(a,[x]). fk(a,[x],b). example_id(a,x).")

@@ -2,8 +2,12 @@ import json
 import struct
 
 import pytest
+from conftest import POKER_BIAS_TEXT
+from hypothesis import given, settings as hsettings, strategies as st
 
 from foldt.errors import DataError, ParseError
+from foldt.generators import GenSpec, gen_poker
+from foldt.learner import learn_classic, learn_lds
 from foldt.settings import parse_settings
 from foldt.store import (
     CHUNK_MAGIC,
@@ -63,10 +67,8 @@ def test_ambiguous_class_rejected(tmp_path):
     path = tmp_path / "bad.kb"
     path.write_text("begin(model(1)).\n pos.\n neg.\nend(model(1)).\n")
     settings = parse_settings("classes([pos,neg]).")
-    with pytest.raises(DataError, match="ambiguous class"):
+    with pytest.raises(DataError, match=r"ambiguous class .* \(line 3\)"):
         list(iter_kb_blocks(path, settings.classes))
-    # warn-and-skip mode drops the example instead
-    assert list(iter_kb_blocks(path, settings.classes, on_bad="skip")) == []
 
 
 def test_missing_class_and_mismatched_ids(tmp_path):
@@ -279,6 +281,49 @@ def test_record_codec_rejects_variables_bad_tags_and_unread_bytes(tmp_path):
     chunk.write_bytes(CHUNK_MAGIC + struct.pack("<I", len(padded)) + padded + raw[len(CHUNK_MAGIC) + 4 + ln :])
     with pytest.raises(DataError, match=f"{chunk.name}: corrupt chunk record"):
         list(open_dataset(handle.dir).stream_examples())
+
+
+@pytest.mark.parametrize("learn", [learn_classic, learn_lds])
+def test_chunk_label_outside_class_counts_rejected(tmp_path, learn):
+    settings = parse_settings(POKER_BIAS_TEXT)
+    path = gen_poker(GenSpec("poker", 40, seed=3), tmp_path / "p.kb")
+    handle = load_dataset(path, settings, granularity=10)
+    chunk = handle.chunks[1].path
+    raw = chunk.read_bytes()
+    assert b"nothing" in raw
+    chunk.write_bytes(raw.replace(b"nothing", b"mothing"))
+    with pytest.raises(DataError, match=f"{chunk.name}: label 'mothing' is not among the class counts"):
+        learn(open_dataset(handle.dir), None, settings)
+
+
+@pytest.fixture(scope="module")
+def fuzz_store(tmp_path_factory):
+    path = gen_poker(GenSpec("poker", 30, seed=5), tmp_path_factory.mktemp("fuzz") / "p.kb")
+    handle = load_dataset(path, POKER_SETTINGS, granularity=10)
+    return handle.dir, [c.path for c in handle.chunks]
+
+
+@hsettings(max_examples=300, deadline=None)
+@given(
+    which=st.integers(0, 2),
+    cut=st.none() | st.integers(0, 10**6),
+    flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 7)), max_size=4),
+)
+def test_corrupt_chunk_streams_or_raises_data_error(fuzz_store, which, cut, flips):
+    directory, chunks = fuzz_store
+    chunk = chunks[which]
+    original = chunk.read_bytes()
+    raw = bytearray(original if cut is None else original[: cut % len(original)])
+    for pos, bit in flips:
+        if raw:
+            raw[pos % len(raw)] ^= 1 << bit
+    chunk.write_bytes(bytes(raw))
+    try:
+        list(open_dataset(directory).stream_examples())
+    except DataError:
+        pass
+    finally:
+        chunk.write_bytes(original)
 
 
 def test_non_integer_ids(tmp_path):

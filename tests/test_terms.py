@@ -90,6 +90,9 @@ def test_parse_errors_have_positions():
     with pytest.raises(ParseError, match="number too long") as e:
         parse_term("f(a, " + "1" * 5000 + ")")
     assert e.value.column == 6
+    with pytest.raises(ParseError, match="number out of range") as e:
+        parse_term("f(a, -1.5e999)")
+    assert e.value.column == 6
 
 
 @pytest.mark.parametrize("text,col", [("f(a,+X)", 5), ("f(-X)", 3), ("f(+-X)", 3)])
