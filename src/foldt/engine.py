@@ -1,19 +1,50 @@
 """Conjunctive query evaluation against one interpretation plus background.
 
-``succeeds`` decides whether the existential closure of an ordered
-conjunction of literals is provable from an example's ground facts together
-with a Horn background program, by SLD resolution with left-to-right literal
+One evaluator proves every query: ``compile_pack`` turns a list of queries
+into a ``Pack`` and ``Pack.run`` decides them all on one example in a single
+depth-first walk.  The learner runs one pack per (example, node), holding the
+coverage queries of the node's candidates; ``model.classify`` runs a
+one-query pack per node; ``succeeds`` and ``answer_all`` wrap a one-query
+pack.
+
+The pack is a trie over literal prefixes, so a prefix that several queries
+share is proved once.  The walk reaches a query's end once per solution of
+that query; reaching it marks the query as succeeded.  A subtree is pruned
+once every query below it has succeeded, and the walk stops when every query
+has.  Each query is proved by SLD resolution with left-to-right literal
 selection and clause order as written.  Facts of the current example are
-tried before background clauses for the same predicate.  A step budget turns
-runaway recursion in background rules into a diagnosable
-``BudgetExceededError`` instead of a hang.
+tried before background clauses for the same predicate, and the facts tried
+are those whose first argument equals the literal's when that argument is
+ground.  So a query meets its solutions in the same order inside a pack as
+alone, and ``answer_all`` lists them in that order, duplicates included.
+
+Variables are integer slots in one flat binding list; a trail records the
+bindings to undo on backtracking.  Each literal is compiled once per pack and
+background.  Where the slots a literal sees are known to be unbound or bound
+to ground terms (a query's variables are bound to ground subterms after a
+literal that only example facts prove), the literal is matched against the
+example's facts directly: example facts are ground, so no occurs check is
+needed.  Background clauses are compiled once and get fresh variables by
+shifting their slots past the end of the binding list.  Unification where two
+non-ground terms meet (clause heads, ``=``) keeps the occurs check.  Choice
+points live on an explicit stack: recursion in the background grows the
+stack, not the Python call depth, so an exhausted budget surfaces before any
+stack limit.
+
+A step is one fact tried, one clause tried or one builtin evaluated.  A pack
+of k queries may spend k times ``budget`` steps on an example, and exhausting
+them raises ``BudgetExceededError`` naming the example and the first
+undecided query below the literal being proved.  A one-query pack spends
+exactly the steps of the proof alone.  A k-query pack never spends more than
+the k proofs alone: it goes on past a solution of a prefix only while some
+query below that prefix is undecided, and that query's own proof meets the
+same solution.  ``Pack.steps`` adds up the steps of every run.
 
 Builtins: ``=`` unifies; ``\\=`` is syntactic disequality over ground terms;
 ``<  >  =<  >=`` compare numbers exactly.  A predicate with no facts in the
 example and no background clauses simply fails: an example may lack facts a
-bias mentions.  The engine keeps no state between proofs; predicates that no
-example and no background clause defines are reported once per run, before
-induction, by ``bias.prepare_bias``.
+bias mentions.  Predicates that no example and no background clause defines
+are reported once per run, before induction, by ``bias.prepare_bias``.
 
 Coverage tests in a tree prove ``coverage_query(Q, C)`` rather than
 ``Q and C``.  This relies on one invariant of the tree: every example that
@@ -46,8 +77,6 @@ from .terms import (
 
 DEFAULT_BUDGET = 100_000
 
-_FAIL = object()
-
 
 @dataclass(frozen=True, slots=True)
 class Query:
@@ -62,21 +91,79 @@ class Query:
         return ", ".join(render_literal(l) for l in self.literals) or "true"
 
 
+# ---------------------------------------------------------------------------
+# Compiled terms and literals
+#
+# A compiled term is a ground ``Term`` as it is, an ``int`` for a variable
+# (its slot), or a ``_Struct`` for a compound with a variable in it.  A
+# clause's slots count from 0 and are shifted by the offset of its frame; a
+# pack's slots are absolute.  Bound values are ground terms, slots, or
+# ``_Struct``s over absolute slots.
+
+
+class _Struct:
+    __slots__ = ("functor", "args")
+
+    def __init__(self, functor: str, args: tuple):
+        self.functor = functor
+        self.args = args
+
+
+def _compile_term(t: Term, slots: dict[str, int]):
+    if isinstance(t, Variable):
+        s = slots.get(t.name)
+        if s is None:
+            s = slots[t.name] = len(slots)
+        return s
+    if isinstance(t, Compound):
+        args = tuple(_compile_term(a, slots) for a in t.args)
+        if any(type(a) is int or type(a) is _Struct for a in args):
+            return _Struct(t.functor, args)
+    return t
+
+
+class _Lit:
+    """A compiled literal.  ``plan`` is set for a pack's literal whose
+    arguments are constants and slots known to be unbound or bound to a
+    ground term (see ``_fact_plan`` and ``_builtin_plan``)."""
+
+    __slots__ = ("lit", "key", "args", "op", "plan")
+
+    def __init__(self, lit: Literal, slots: dict[str, int]):
+        self.lit = lit
+        self.key = lit.key
+        self.args = tuple(_compile_term(a, slots) for a in lit.args)
+        self.op = lit.pred if lit.builtin else None
+        self.plan = None
+
+
+class _Clause:
+    __slots__ = ("size", "head", "body")
+
+    def __init__(self, clause: Clause):
+        slots: dict[str, int] = {}
+        self.head = tuple(_compile_term(a, slots) for a in clause.head.args)
+        self.body = tuple(_Lit(l, slots) for l in clause.body)
+        self.size = len(slots)
+
 
 class Background:
-    """Horn background program indexed by head predicate/arity."""
+    """Horn background program indexed by head predicate/arity, each clause
+    compiled once."""
 
     def __init__(self, clauses: tuple[Clause, ...] = ()):
         self.clauses = clauses
-        self._by_key: dict[tuple[str, int], list[Clause]] = {}
+        by_key: dict[tuple[str, int], list[_Clause]] = {}
         for c in clauses:
             for lit in c.body:
                 if lit.pred == "!":
                     raise DataError("background clauses cannot contain cuts")
-            self._by_key.setdefault(c.head.key, []).append(c)
+            by_key.setdefault(c.head.key, []).append(_Clause(c))
+        self._by_key = {k: tuple(v) for k, v in by_key.items()}
 
-    def clauses_for(self, key: tuple[str, int]) -> list[Clause]:
-        return self._by_key.get(key, [])
+    def clauses_for(self, key: tuple[str, int]) -> tuple:
+        """The compiled clauses for ``key``, in program order."""
+        return self._by_key.get(key, ())
 
 
 EMPTY_BACKGROUND = Background(())
@@ -87,232 +174,487 @@ def load_background(path) -> Background:
         return Background(tuple(clause for _, clause in read_clauses(f)))
 
 
-class Budget:
-    __slots__ = ("remaining",)
-
-    def __init__(self, steps: int):
-        if steps <= 0:
-            raise QueryError("resolution budget must be positive")
-        self.remaining = steps
-
-    def spend(self):
-        self.remaining -= 1
-        if self.remaining < 0:
-            raise BudgetExceededError("resolution step budget exhausted")
+# ---------------------------------------------------------------------------
+# Unification over the binding list
 
 
-def _deref(t: Term, bind: dict) -> Term:
-    while isinstance(t, Variable):
-        nxt = bind.get(t.name)
-        if nxt is None:
+def _deref(t, b: list):
+    while type(t) is int:
+        v = b[t]
+        if v is None:
             return t
-        t = nxt
+        t = v
     return t
 
 
-def _resolve(t: Term, bind: dict) -> Term:
-    t = _deref(t, bind)
-    if isinstance(t, Compound):
-        return Compound(t.functor, tuple(_resolve(a, bind) for a in t.args))
+def _shift(t, off: int):
+    if type(t) is int:
+        return t + off
+    if type(t) is _Struct:
+        return _Struct(t.functor, tuple(_shift(a, off) for a in t.args))
     return t
 
 
-def _occurs(name: str, t: Term, bind: dict) -> bool:
-    t = _deref(t, bind)
-    if isinstance(t, Variable):
-        return t.name == name
-    if isinstance(t, Compound):
-        return any(_occurs(name, a, bind) for a in t.args)
+def _undo(b: list, trail: list, mark: int):
+    for s in trail[mark:]:
+        b[s] = None
+    del trail[mark:]
+
+
+def _occurs(s: int, t, b: list) -> bool:
+    t = _deref(t, b)
+    if type(t) is int:
+        return t == s
+    if type(t) is _Struct:
+        return any(_occurs(s, a, b) for a in t.args)
     return False
 
 
-class _Resolver:
-    __slots__ = ("interp", "bg", "budget", "bind", "trail", "_fresh")
+def _bind(s: int, t, b: list, trail: list):
+    b[s] = t
+    trail.append(s)
 
-    def __init__(self, interp: Interpretation, bg: Background, budget: Budget):
-        self.interp = interp
-        self.bg = bg
-        self.budget = budget
-        self.bind: dict[str, Term] = {}
-        self.trail: list[str] = []
-        self._fresh = 0
 
-    # -- unification ---------------------------------------------------
-
-    def unify(self, a: Term, b: Term) -> bool:
-        a = _deref(a, self.bind)
-        b = _deref(b, self.bind)
-        if a is b:
+def _unify(x, y, b: list, trail: list) -> bool:
+    x = _deref(x, b)
+    y = _deref(y, b)
+    if type(x) is int:
+        if type(y) is int and x == y:
             return True
-        if isinstance(a, Variable):
-            if isinstance(b, Variable) and b.name == a.name:
-                return True
-            if _occurs(a.name, b, self.bind):
-                return False
-            self.bind[a.name] = b
-            self.trail.append(a.name)
-            return True
-        if isinstance(b, Variable):
-            if _occurs(b.name, a, self.bind):
-                return False
-            self.bind[b.name] = a
-            self.trail.append(b.name)
-            return True
-        if isinstance(a, Compound):
-            return (
-                isinstance(b, Compound)
-                and a.functor == b.functor
-                and len(a.args) == len(b.args)
-                and all(self.unify(x, y) for x, y in zip(a.args, b.args))
-            )
-        return a == b
-
-    def undo(self, mark: int):
-        while len(self.trail) > mark:
-            del self.bind[self.trail.pop()]
-
-    def _unify_args(self, xs, ys) -> bool:
-        return all(self.unify(x, y) for x, y in zip(xs, ys))
-
-    def _rename_clause(self, clause: Clause) -> tuple[Literal, tuple[Literal, ...]]:
-        self._fresh += 1
-        suffix = f"@{self._fresh}"
-        mapping: dict[str, Variable] = {}
-
-        def walk(t: Term) -> Term:
-            if isinstance(t, Variable):
-                v = mapping.get(t.name)
-                if v is None:
-                    v = Variable(t.name + suffix)
-                    mapping[t.name] = v
-                return v
-            if isinstance(t, Compound):
-                return Compound(t.functor, tuple(walk(a) for a in t.args))
-            return t
-
-        head = Literal(clause.head.pred, tuple(walk(a) for a in clause.head.args))
-        body = tuple(
-            Literal(l.pred, tuple(walk(a) for a in l.args), l.builtin) for l in clause.body
+        if _occurs(x, y, b):
+            return False
+        _bind(x, y, b, trail)
+        return True
+    if type(y) is int:
+        if _occurs(y, x, b):
+            return False
+        _bind(y, x, b, trail)
+        return True
+    if type(x) is _Struct or type(y) is _Struct:
+        return (
+            isinstance(x, (Compound, _Struct))
+            and isinstance(y, (Compound, _Struct))
+            and x.functor == y.functor
+            and len(x.args) == len(y.args)
+            and all(_unify(p, q, b, trail) for p, q in zip(x.args, y.args))
         )
-        return head, body
+    return x == y
 
-    # -- resolution ------------------------------------------------------
 
-    def _alternatives(self, lit: Literal, rest):
-        """Yield successor goal lists for one selected literal.
+def _match(t, g: Term, b: list, trail: list) -> bool:
+    """Unify ``t`` with the ground term ``g`` (no occurs check needed)."""
+    t = _deref(t, b)
+    if type(t) is int:
+        _bind(t, g, b, trail)
+        return True
+    if type(t) is _Struct:
+        return (
+            type(g) is Compound
+            and g.functor == t.functor
+            and len(g.args) == len(t.args)
+            and all(_match(x, y, b, trail) for x, y in zip(t.args, g.args))
+        )
+    return t == g
 
-        Each yield leaves the trail extended with the alternative's bindings;
-        the driver undoes to the choice-point mark before asking for the next
-        alternative, so only failed attempts are undone here.
-        """
-        if lit.builtin:
-            self.budget.spend()
-            mark = len(self.trail)
-            if self._builtin(lit):
-                yield rest
-            else:
-                self.undo(mark)
-            return
-        key = lit.key
-        group = self.interp.group(key)
-        clauses = self.bg.clauses_for(key)
-        if group is not None:
-            facts = group.facts
-            if lit.args:
-                a0 = _resolve(lit.args[0], self.bind)
-                if is_ground(a0):
-                    facts = group.by_first.get(a0, ())
-            for fact in facts:
-                self.budget.spend()
-                mark = len(self.trail)
-                if self._unify_args(lit.args, fact.args):
-                    yield rest
-                else:
-                    self.undo(mark)
-        for clause in clauses:
-            self.budget.spend()
-            mark = len(self.trail)
-            head, body = self._rename_clause(clause)
-            if self._unify_args(lit.args, head.args):
-                goals = rest
-                for l in reversed(body):
-                    goals = (l, goals)
-                yield goals
-            else:
-                self.undo(mark)
 
-    def prove(self, literals: tuple[Literal, ...]):
-        """Depth-first proof over an explicit choice-point stack (no Python
-        recursion, so budget exhaustion surfaces before any stack limit).
-        Yields once per solution; bindings are valid only during the yield.
-        """
-        goals = None
-        for lit in reversed(literals):
-            goals = (lit, goals)
-        stack: list[tuple] = []
+def _term(t, b: list, names: list[str]) -> Term:
+    """The term ``t`` stands for under the bindings; an unbound slot becomes
+    the variable it was compiled from (``_G<slot>`` inside a clause)."""
+    t = _deref(t, b)
+    if type(t) is int:
+        return Variable(names[t] if t < len(names) else f"_G{t}")
+    if type(t) is _Struct:
+        return Compound(t.functor, tuple(_term(a, b, names) for a in t.args))
+    return t
+
+
+def _test(op: str, x: Term, y: Term, lit: Literal) -> bool:
+    """``\\=`` or a comparison between two resolved terms."""
+    if op == "\\=":
+        if not (is_ground(x) and is_ground(y)):
+            raise QueryError(f"\\= needs ground arguments, got {render_literal(lit)}")
+        return x != y
+    if not (type(x) is Number and type(y) is Number):
+        raise QueryError(f"{op} needs numeric arguments, got {render_literal(lit)}")
+    if op == "<":
+        return x.value < y.value
+    if op == ">":
+        return x.value > y.value
+    if op == "=<":
+        return x.value <= y.value
+    if op == ">=":
+        return x.value >= y.value
+    raise QueryError(f"unknown builtin {op!r}")
+
+
+def _scan(facts, i: int, want, sames) -> int:
+    """Index of the first fact from ``i`` on with ``want``'s values at their
+    positions and equal arguments at each pair of ``sames`` positions;
+    ``len(facts)`` when there is none."""
+    n = len(facts)
+    while i < n:
+        fa = facts[i].args
+        for p, v in want:
+            if fa[p] != v:
+                break
+        else:
+            if not sames or all(fa[p] == fa[q] for p, q in sames):
+                return i
+        i += 1
+    return n
+
+
+def _builtin(g: _Lit, off: int, b: list, trail: list, names) -> bool:
+    x, y = g.args
+    if off:
+        x, y = _shift(x, off), _shift(y, off)
+    if g.op == "=":
+        return _unify(x, y, b, trail)
+    return _test(g.op, _term(x, b, names), _term(y, b, names), g.lit)
+
+
+# ---------------------------------------------------------------------------
+# Plans: what is known, along a path of the trie, about each slot
+
+_DIRECT, _UNKNOWN = 1, 2  # bound to a ground term / anything; absent: unbound
+
+
+def _known(a, state: dict) -> bool:
+    """A constant, or a slot bound to a ground term."""
+    return type(a) is not _Struct and (type(a) is not int or state.get(a) == _DIRECT)
+
+
+def _builtin_plan(g: _Lit, state: dict):
+    """For an argument pair that is all constants and ground-bound slots:
+    ``(x, x_is_slot, y, y_is_slot, equal)``, where ``equal`` is what the
+    builtin needs of ``x == y`` (True for ``=``, False for ``\\=``, None for a
+    comparison)."""
+    x, y = g.args
+    if _known(x, state) and _known(y, state):
+        equal = {"=": True, "\\=": False}.get(g.op)
+        return (x, type(x) is int, y, type(y) is int, equal)
+    return None
+
+
+def _fact_plan(g: _Lit, state: dict, rules: dict):
+    """For a literal that only facts prove, over constants and slots that are
+    unbound or ground-bound: ``(index, want, checks, binds, sames)``.
+
+    ``index`` is None (scan every fact), ``(False, constant)`` or ``(True,
+    slot)`` for the first-argument index key.  A fact must have ``want``'s
+    constants and ``checks``' slot values at their positions (position 0 is
+    left out when indexed), equal arguments at each pair of ``sames``
+    positions, and then gives ``binds``' unbound slots their values."""
+    if g.key in rules:
+        return None
+    want, checks, binds, sames, first = [], [], [], [], {}
+    for p, a in enumerate(g.args):
+        if type(a) is _Struct:
+            return None
+        if type(a) is not int:
+            want.append((p, a))
+        elif state.get(a) == _UNKNOWN:
+            return None
+        elif state.get(a) == _DIRECT:
+            checks.append((p, a))
+        elif a in first:
+            sames.append((p, first[a]))
+        else:
+            first[a] = p
+            binds.append((p, a))
+    index = None
+    if want and want[0][0] == 0:
+        index = (False, want.pop(0)[1])
+    elif checks and checks[0][0] == 0:
+        index = (True, checks.pop(0)[1])
+    return (index, tuple(want), tuple(checks), tuple(binds), tuple(sames))
+
+
+def _after(g: _Lit, state: dict, rules: dict) -> dict:
+    """The slot states once ``g`` has succeeded: a literal that only facts
+    prove binds its unbound slots to ground terms; ``=`` and a literal with
+    background clauses may leave them anything."""
+    if g.op is not None and g.op != "=":
+        return state
+    slots: list[int] = []
+    stack = list(g.args)
+    while stack:
+        a = stack.pop()
+        if type(a) is int:
+            slots.append(a)
+        elif type(a) is _Struct:
+            stack.extend(a.args)
+    new = _DIRECT if g.op is None and g.key not in rules else _UNKNOWN
+    out = dict(state)
+    for s in slots:
+        out.setdefault(s, new)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Query packs
+
+
+class _Node:
+    """A trie node: the literals on its path are a prefix of every query in
+    ``mask`` and the whole of every query in ``ends``.  ``entry`` is the goal
+    list that proves the node's literal and then arrives at the node."""
+
+    __slots__ = ("lit", "ends", "mask", "kids", "entry")
+
+    def __init__(self, lit: _Lit | None):
+        self.lit = lit
+        self.ends = self.mask = 0
+        self.kids: tuple[_Node, ...] = ()
+        self.entry = (lit, 0, (self, 0, None))
+
+
+_BRANCH, _FACTS, _GENERAL = 0, 1, 2  # choice point kinds
+
+
+class Pack:
+    """Queries compiled into one literal-prefix trie (see the module
+    docstring); build it with ``compile_pack``."""
+
+    def __init__(self, queries):
+        self.queries = tuple(queries)
+        slots: dict[str, int] = {}
+        self.root = _Node(None)
+        index: dict[tuple[int, Literal], _Node] = {}
+        for qi, query in enumerate(self.queries):
+            bit = 1 << qi
+            node = self.root
+            node.mask |= bit
+            for lit in query.literals:
+                kid = index.get((id(node), lit))
+                if kid is None:
+                    kid = index[id(node), lit] = _Node(_Lit(lit, slots))
+                    node.kids += (kid,)
+                node = kid
+                node.mask |= bit
+            node.ends |= bit
+        self.slots = slots
+        self.names = list(slots)  # slot -> variable name
+        self.full = (1 << len(self.queries)) - 1
+        self.steps = 0
+        self._background = None  # the background the plans were made for
+
+    def _plan(self, background: Background):
+        rules = background._by_key
+        todo = [(self.root, {})]
+        while todo:
+            node, state = todo.pop()
+            for kid in node.kids:
+                g = kid.lit
+                g.plan = _fact_plan(g, state, rules) if g.op is None else _builtin_plan(g, state)
+                todo.append((kid, _after(g, state, rules)))
+        self._background = background
+
+    def run(
+        self,
+        interp: Interpretation,
+        background: Background | None = None,
+        budget: int = DEFAULT_BUDGET,
+    ) -> int:
+        """Outcome bits on one example: bit i is set when query i succeeds."""
+        return self._walk(interp, background, budget, None)
+
+    def _exhausted(self, interp, budget: int, pending: int) -> BudgetExceededError:
+        """The error for a walk that ran out of steps while proving for the
+        undecided queries ``pending``: it names the first of them."""
+        first = (pending & -pending).bit_length() - 1
+        k = len(self.queries)
+        return BudgetExceededError(
+            f"resolution step budget of {budget if k == 1 else f'{k} x {budget}'} "
+            f"exhausted in example {render_term(interp.ident)} "
+            f"on query {self.queries[first]}"
+        )
+
+    def _walk(self, interp, background, budget: int, sink) -> int:
+        """The depth-first walk.  Without ``sink`` it decides the queries and
+        returns their outcome bits.  With one, it calls ``sink(bindings)`` at
+        every solution of every query and never prunes."""
+        if budget <= 0:
+            raise QueryError("resolution budget must be positive")
+        bg = EMPTY_BACKGROUND if background is None else background
+        if bg is not self._background:
+            self._plan(bg)
+        rules = bg._by_key
+        groups = interp.groups
+        names = self.names
+        full = self.full
+        limit = budget * len(self.queries)
+        b: list = [None] * len(names)
+        trail: list[int] = []
+        stack: list[list] = []
+        steps = done = 0
+        owner = self.root  # the trie node the current goals lead to
+        goals = owner.entry[2]
         while True:
-            if goals is None:
-                yield
-            else:
-                lit, rest = goals
-                gen = self._alternatives(lit, rest)
-                mark = len(self.trail)
-                nxt = next(gen, _FAIL)
-                if nxt is not _FAIL:
-                    stack.append((gen, mark))
-                    goals = nxt
+            g, off, rest = goals
+            if type(g) is _Node:
+                if sink is None:
+                    done |= g.ends
+                    if done == full:
+                        break
+                elif g.ends:
+                    sink(b)
+                # The walk reaches a node only while a query below it is
+                # undecided, so a lone kid is still undecided.
+                kids = g.kids
+                if len(kids) == 1:
+                    owner = kids[0]
+                    goals = owner.entry
                     continue
-                self.undo(mark)
-            while True:  # backtrack
-                if not stack:
-                    return
-                gen, mark = stack[-1]
-                self.undo(mark)
-                nxt = next(gen, _FAIL)
-                if nxt is _FAIL:
-                    stack.pop()
+                if kids:
+                    stack.append([_BRANCH, g, len(trail), len(b), 0, kids])
+            elif g.op is not None:
+                steps += 1
+                if steps > limit:
+                    raise self._exhausted(interp, budget, owner.mask & ~done)
+                plan = g.plan
+                if plan is None:
+                    ok = _builtin(g, off, b, trail, names)
                 else:
-                    goals = nxt
+                    x, xs, y, ys, equal = plan
+                    x = b[x] if xs else x
+                    y = b[y] if ys else y
+                    ok = _test(g.op, x, y, g.lit) if equal is None else (x == y) is equal
+                if ok:
+                    goals = rest
+                    continue
+            elif g.plan is not None:
+                index, want, checks, binds, sames = g.plan
+                group = groups.get(g.key)
+                if group is not None:
+                    if index is None:
+                        facts = group.facts
+                    else:
+                        facts = group.by_first.get(b[index[1]] if index[0] else index[1], ())
+                    if checks:
+                        want = want + tuple((p, b[s]) for p, s in checks)
+                    n = len(facts)
+                    i = _scan(facts, 0, want, sames) if want or sames else 0
+                    steps += i + 1 if i < n else n
+                    if steps > limit:
+                        raise self._exhausted(interp, budget, owner.mask & ~done)
+                    if i < n:
+                        if i + 1 < n:  # facts left to try on backtracking
+                            stack.append([
+                                _FACTS, owner, len(trail), len(b), i + 1,
+                                facts, want, binds, sames, rest,
+                            ])
+                        fa = facts[i].args
+                        for p, s in binds:
+                            b[s] = fa[p]
+                            trail.append(s)
+                        goals = rest
+                        continue
+            else:
+                args = g.args if not off else tuple(_shift(a, off) for a in g.args)
+                group = groups.get(g.key)
+                facts = ()
+                if group is not None:
+                    facts = group.facts
+                    if args:
+                        a0 = _term(args[0], b, names)
+                        if is_ground(a0):
+                            facts = group.by_first.get(a0, ())
+                clauses = rules.get(g.key, ())
+                if facts or clauses:
+                    stack.append(
+                        [_GENERAL, owner, len(trail), len(b), 0, facts, args, clauses, rest]
+                    )
+
+            # Backtrack: resume the newest choice point that still serves an
+            # undecided query; leave the walk when none is left.
+            while stack:
+                cp = stack[-1]
+                mark = cp[2]
+                if len(trail) > mark:
+                    _undo(b, trail, mark)
+                if len(b) > cp[3]:
+                    del b[cp[3] :]
+                if not cp[1].mask & ~done:
+                    stack.pop()
+                    continue
+                kind, i = cp[0], cp[4]
+                if kind is _FACTS:
+                    facts, want, binds, sames = cp[5], cp[6], cp[7], cp[8]
+                    n = len(facts)
+                    j = _scan(facts, i, want, sames) if want or sames else i
+                    steps += j + 1 - i if j < n else n - i
+                    if steps > limit:
+                        raise self._exhausted(interp, budget, cp[1].mask & ~done)
+                    if j == n:
+                        stack.pop()
+                        continue
+                    if j + 1 < n:
+                        cp[4] = j + 1
+                    else:
+                        stack.pop()
+                    fa = facts[j].args
+                    for p, s in binds:
+                        b[s] = fa[p]
+                        trail.append(s)
+                    owner, goals = cp[1], cp[9]
                     break
+                if kind is _GENERAL:
+                    facts, args, clauses = cp[5], cp[6], cp[7]
+                    nf = len(facts)
+                    found = False
+                    while i < nf:
+                        fa = facts[i].args
+                        i += 1
+                        steps += 1
+                        if steps > limit:
+                            raise self._exhausted(interp, budget, cp[1].mask & ~done)
+                        if all(_match(x, y, b, trail) for x, y in zip(args, fa)):
+                            found = True
+                            goals = cp[8]
+                            break
+                        _undo(b, trail, mark)
+                    while not found and i - nf < len(clauses):
+                        c = clauses[i - nf]
+                        i += 1
+                        steps += 1
+                        if steps > limit:
+                            raise self._exhausted(interp, budget, cp[1].mask & ~done)
+                        top = len(b)
+                        b.extend([None] * c.size)
+                        if all(_unify(x, _shift(h, top), b, trail) for x, h in zip(args, c.head)):
+                            found = True
+                            goals = cp[8]
+                            for lit in reversed(c.body):
+                                goals = (lit, top, goals)
+                            break
+                        _undo(b, trail, mark)
+                        del b[top:]
+                    if found:
+                        cp[4] = i
+                        owner = cp[1]
+                        break
+                    stack.pop()
+                    continue
+                kids = cp[5]
+                while i < len(kids) and not kids[i].mask & ~done:
+                    i += 1
+                if i < len(kids):
+                    cp[4] = i + 1
+                    owner = kids[i]
+                    goals = owner.entry
+                    break
+                stack.pop()
+            else:
+                break
+        self.steps += steps
+        return done
 
-    def _builtin(self, lit: Literal) -> bool:
-        a = _resolve(lit.args[0], self.bind)
-        b = _resolve(lit.args[1], self.bind)
-        op = lit.pred
-        if op == "=":
-            return self.unify(a, b)
-        if op == "\\=":
-            if not (is_ground(a) and is_ground(b)):
-                raise QueryError(
-                    f"\\= needs ground arguments, got {render_literal(lit)}"
-                )
-            return a != b
-        if not (isinstance(a, Number) and isinstance(b, Number)):
-            raise QueryError(f"{op} needs numeric arguments, got {render_literal(lit)}")
-        if op == "<":
-            return a.value < b.value
-        if op == ">":
-            return a.value > b.value
-        if op == "=<":
-            return a.value <= b.value
-        if op == ">=":
-            return a.value >= b.value
-        raise QueryError(f"unknown builtin {op!r}")
 
-
-def _prove(query: Query, interp: Interpretation, background, budget: int):
-    """Prove ``query`` in ``interp`` plus background, yielding the bindings
-    once per solution.  An exhausted step budget is reported with the
-    example and the query it ran out on."""
-    r = _Resolver(interp, background or EMPTY_BACKGROUND, Budget(budget))
-    try:
-        for _ in r.prove(query.literals):
-            yield r.bind
-    except BudgetExceededError:
-        raise BudgetExceededError(
-            f"resolution step budget of {budget} exhausted in example "
-            f"{render_term(interp.ident)} on query {query}"
-        ) from None
+def compile_pack(queries) -> Pack:
+    """Compile ``queries`` into one pack; ``Pack.run`` decides them all on
+    an example in one walk."""
+    return Pack(queries)
 
 
 def succeeds(
@@ -322,9 +664,7 @@ def succeeds(
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
     """True iff the query is provable in the example plus background."""
-    for _ in _prove(query, interp, background, budget):
-        return True
-    return False
+    return compile_pack((query,)).run(interp, background, budget) == 1
 
 
 def answer_all(
@@ -338,8 +678,10 @@ def answer_all(
     order)."""
     if var not in query.variables():
         raise QueryError(f"variable {var} does not occur in the query")
-    v = Variable(var)
-    return [_resolve(v, bind) for bind in _prove(query, interp, background, budget)]
+    pack = compile_pack((query,))
+    slot, names, out = pack.slots[var], pack.names, []
+    pack._walk(interp, background, budget, lambda b: out.append(_term(slot, b, names)))
+    return out
 
 
 def coverage_query(query: Query, added: tuple[Literal, ...]) -> Query:

@@ -2,11 +2,14 @@
 large-dataset (LDS) engine, one algorithm reaching its examples two ways.
 
 Everything that shapes the tree is shared.  A node that is not a forced leaf
-gets the refinement candidates of its associated query (``_open``).  Each
-example reaching the node is tested against every candidate (``_evaluate``:
-example loop outside, candidate loop inside), which adds the example's class
-to the counters ``counter[candidate][branch][class]`` and yields its outcome
-bits.  ``choose_split`` picks the winner from the counters alone, and
+gets the refinement candidates of its associated query, and their coverage
+tests are compiled once into one query pack (``_open``,
+``engine.compile_pack``).  Each example reaching the node runs that pack
+once (``_evaluate``: one pack per example), which decides every candidate in
+one walk, adds the example's class to the counters
+``counter[candidate][branch][class]`` and yields its outcome bits.  The
+steps the node's pack spent go to the ``proof_steps`` of the run and of its
+level.  ``choose_split`` picks the winner from the counters alone, and
 ``_split`` makes the two children.  Selection considers only admissible
 candidates: positive gain and at least ``minleaf`` examples on each side.
 Without that validity filter the gain ratio favors degenerate near-empty
@@ -63,7 +66,7 @@ from .bias import (
     refinements,
     weighted_entropy,
 )
-from .engine import Background, Query, coverage_query, succeeds
+from .engine import Background, Pack, Query, compile_pack, coverage_query
 from .errors import DataError
 from .model import FOLDT, INode, Leaf, Model, count_nodes, tree_depth
 from .settings import LearnerConfig, Settings, render_settings
@@ -159,6 +162,7 @@ class BuildStats:
     eval_seconds: float = 0.0
     nodes_evaluated: int = 0
     candidates_generated: int = 0
+    proof_steps: int = 0
     levels: list = field(default_factory=list)
 
 
@@ -174,7 +178,7 @@ class _Node:
     depth: int
     counts: tuple[int, ...]
     candidates: list[Candidate] | None = None  # set while the node is evaluated
-    tests: list[Query] | None = None  # per candidate: its coverage query
+    pack: Pack | None = None  # the candidates' coverage queries, in candidate order
     counters: list | None = None  # per candidate: [left per-class, right per-class]
     winner: int | None = None  # index of the winning candidate, once split
     conj: tuple = ()  # the winner's added conjunction
@@ -182,9 +186,9 @@ class _Node:
 
 
 def _open(node: _Node, cfg: LearnerConfig, bias, stats: BuildStats) -> bool:
-    """Give the node its candidates, their coverage queries and zeroed
-    counters; False when it is a leaf without evaluation (forced, or no
-    refinement applies)."""
+    """Give the node its candidates, the pack of their coverage queries and
+    zeroed counters; False when it is a leaf without evaluation (forced, or
+    no refinement applies)."""
     if _forced_leaf(node.counts, node.depth, cfg):
         return False
     ctx = RefinementContext(node.query, node.usage, node.name_base)
@@ -193,25 +197,30 @@ def _open(node: _Node, cfg: LearnerConfig, bias, stats: BuildStats) -> bool:
         return False
     stats.nodes_evaluated += 1
     stats.candidates_generated += len(node.candidates)
-    node.tests = [coverage_query(node.query, c.added) for c in node.candidates]
+    node.pack = compile_pack(coverage_query(node.query, c.added) for c in node.candidates)
     nclasses = len(node.counts)
     node.counters = [[[0] * nclasses, [0] * nclasses] for _ in node.candidates]
     return True
 
 
-def _evaluate(tests, example, cls: int, counters, background, budget: int) -> int:
-    """Test every candidate, given by its coverage query, on one example of
-    class index ``cls`` that satisfies the node's associated query: count the
-    example in each candidate's succeeding or failing branch, and return the
-    outcome bits (bit i set when candidate i succeeds)."""
-    bits = 0
-    for ci, test in enumerate(tests):
-        if succeeds(test, example, background, budget):
-            counters[ci][0][cls] += 1
-            bits |= 1 << ci
-        else:
-            counters[ci][1][cls] += 1
+def _evaluate(pack: Pack, example, cls: int, counters, background, budget: int) -> int:
+    """Run the node's pack on one example of class index ``cls`` that
+    satisfies the node's associated query: count the example in each
+    candidate's succeeding or failing branch, and return the outcome bits
+    (bit i set when candidate i succeeds)."""
+    bits = pack.run(example, background, budget)
+    for ci, (left, right) in enumerate(counters):
+        (left if bits >> ci & 1 else right)[cls] += 1
     return bits
+
+
+def _close(node: _Node, stats: BuildStats) -> int:
+    """Drop an evaluated node's candidates, pack and counters, and return
+    the proof steps its pack spent."""
+    steps = node.pack.steps
+    stats.proof_steps += steps
+    node.candidates = node.pack = node.counters = None
+    return steps
 
 
 def _split(node: _Node, cfg: LearnerConfig) -> int | None:
@@ -268,6 +277,7 @@ def _metadata(algorithm, cfg, data, stats, tree, wall, cpu) -> dict:
         "nodes_evaluated": stats.nodes_evaluated,
         "candidates_generated": stats.candidates_generated,
         "eval_seconds": stats.eval_seconds,
+        "proof_steps": stats.proof_steps,
         "induction_wall_seconds": wall,
         "induction_cpu_seconds": cpu,
         "levels": stats.levels,
@@ -304,7 +314,7 @@ def _grow_classic(root, data, background, cidx, cfg, bias, stats):
         t0 = time.perf_counter()
         bits = [
             _evaluate(
-                node.tests, examples[i], labels[i], node.counters,
+                node.pack, examples[i], labels[i], node.counters,
                 background, cfg.resolution_budget,
             )
             for i in idxs
@@ -312,7 +322,7 @@ def _grow_classic(root, data, background, cidx, cfg, bias, stats):
         stats.evaluations += len(idxs) * len(node.candidates)
         stats.eval_seconds += time.perf_counter() - t0
         w = _split(node, cfg)
-        node.candidates = node.tests = node.counters = None
+        _close(node, stats)
         if w is None:
             return
         left, right = node.kids
@@ -356,7 +366,7 @@ def _grow_lds(root, data, background, cidx, cfg, bias, stats):
                 touched += 1
                 node = assignment[ordinal]
                 bits = _evaluate(
-                    node.tests, e, cidx[e.label], node.counters,
+                    node.pack, e, cidx[e.label], node.counters,
                     background, cfg.resolution_budget,
                 )
                 stats.evaluations += len(node.candidates)
@@ -384,8 +394,7 @@ def _grow_lds(root, data, background, cidx, cfg, bias, stats):
 
         # Drop the level's candidates and counters before the next level's are
         # built; a node without candidates selects no example.
-        for n in evaluable:
-            n.candidates = n.tests = n.counters = None
+        steps = sum(_close(n, stats) for n in evaluable)
         level_wall = time.perf_counter() - level_wall0
         stats.levels.append(
             {
@@ -395,6 +404,7 @@ def _grow_lds(root, data, background, cidx, cfg, bias, stats):
                 "candidates": candidates,
                 "examples_touched": touched,
                 "evaluations": stats.evaluations - evals_before,
+                "proof_steps": steps,
                 "pass_wall_seconds": level_wall,
             }
         )

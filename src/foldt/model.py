@@ -8,8 +8,10 @@ of left-taken ancestors' conjunctions); success extends ``Q`` and descends
 left, failure descends right with ``Q`` unchanged.  So every example that
 reaches a node satisfies its ``Q``, and ``classify`` proves only the node's
 coverage query (``engine.coverage_query``), which leaves out the literals of
-``Q`` that the conjunction does not reach.  Those queries are compiled once
-per ``Model``, when it is built (``Model.tests``).  Exported as a decision
+``Q`` that the conjunction does not reach.  Each such query is compiled
+once per ``Model``, when it is built, into a one-query pack
+(``engine.compile_pack``, ``Model.tests``), so ``classify`` runs one pack per
+(example, node) on the evaluator the learner uses.  Exported as a decision
 list, each leaf becomes one guarded clause ending in a cut, except the final
 catch-all clause, and first-matching-clause evaluation agrees with tree
 classification; ``eval_decision_list`` proves the full guards.
@@ -21,7 +23,15 @@ import json
 from dataclasses import dataclass, field
 from typing import Union
 
-from .engine import DEFAULT_BUDGET, Background, Query, coverage_query, succeeds
+from .engine import (
+    DEFAULT_BUDGET,
+    Background,
+    Pack,
+    Query,
+    compile_pack,
+    coverage_query,
+    succeeds,
+)
 from .errors import ModelFormatError
 from .settings import parse_settings
 from .store import Interpretation
@@ -48,10 +58,10 @@ FOLDT = Union[Leaf, INode]
 
 @dataclass(frozen=True, slots=True)
 class _Test:
-    """An internal node as ``classify`` walks it: the coverage query of the
-    node's conjunction under its associated query."""
+    """An internal node as ``classify`` walks it: a one-query pack of the
+    coverage query of the node's conjunction under its associated query."""
 
-    query: Query
+    pack: Pack
     left: "_Test | Leaf"
     right: "_Test | Leaf"
 
@@ -60,7 +70,7 @@ def _compile(node: FOLDT, q_lits: tuple[Literal, ...] = ()) -> _Test | Leaf:
     if isinstance(node, Leaf):
         return node
     return _Test(
-        coverage_query(Query(q_lits), node.conj),
+        compile_pack((coverage_query(Query(q_lits), node.conj),)),
         _compile(node.left, q_lits + node.conj),
         _compile(node.right, q_lits),
     )
@@ -102,7 +112,7 @@ def classify(
 ) -> str:
     node = model.tests
     while isinstance(node, _Test):
-        node = node.left if succeeds(node.query, interp, background, budget) else node.right
+        node = node.left if node.pack.run(interp, background, budget) else node.right
     return node.label
 
 

@@ -265,6 +265,9 @@ def load_snapshot(directory, schema: Schema, delimiter: str = ",") -> Snapshot:
 
 class _Indexes:
     def __init__(self, snapshot: Snapshot, schema: Schema):
+        self._snapshot = snapshot
+        self._schema = schema
+        self._seeds: dict[str, dict[Term, list[tuple[str, int]]]] = {}
         self.key_rows: dict[str, dict[tuple, list[int]]] = {}
         self.fk_rows: dict[tuple[str, int], dict[tuple, list[int]]] = {}
         self.inbound: dict[str, list[tuple[str, int]]] = {}
@@ -284,6 +287,25 @@ class _Indexes:
                 if not table.background:
                     self.inbound.setdefault(fk.target, []).append((name, fi))
 
+    def seeds(self, containing: str) -> dict[Term, list[tuple[str, int]]]:
+        """Each cell value mapped to the non-background rows that contain it
+        (in any cell, or in a key cell for ``containing="key"``), in table
+        declaration order then row order; built once per mode."""
+        index = self._seeds.get(containing)
+        if index is None:
+            index = self._seeds[containing] = {}
+            for name, table in self._schema.tables.items():
+                if table.background:
+                    continue
+                if containing == "key":
+                    pos = table.positions(table.key) if table.key else ()
+                else:
+                    pos = range(len(table.attrs))
+                for ri, row in enumerate(self._snapshot.rows[name]):
+                    for value in {row[p] for p in pos}:
+                        index.setdefault(value, []).append((name, ri))
+        return index
+
 
 def _closure(
     snapshot: Snapshot,
@@ -292,20 +314,12 @@ def _closure(
     id_value: Term,
     strict_fk: bool,
     containing: str,
-    warnings: list[str],
+    warnings: dict[str, None],
 ):
+    """The rows collected for one example id.  ``warnings`` is an ordered
+    set of the dangling-key messages met so far."""
     selected: set[tuple[str, int]] = set()
-    queue: list[tuple[str, int]] = []
-    for name, table in schema.tables.items():
-        if table.background:
-            continue
-        if containing == "key":
-            pos = table.positions(table.key) if table.key else ()
-        else:
-            pos = range(len(table.attrs))
-        for ri, row in enumerate(snapshot.rows[name]):
-            if any(row[p] == id_value for p in pos):
-                queue.append((name, ri))
+    queue = list(idx.seeds(containing).get(id_value, ()))
     while queue:
         item = queue.pop()
         if item in selected:
@@ -327,8 +341,7 @@ def _closure(
                 )
                 if strict_fk:
                     raise DataError(msg)
-                if msg not in warnings:
-                    warnings.append(msg)
+                warnings[msg] = None
             for rj in refs:
                 queue.append((fk.target, rj))
         if table.key:
@@ -365,7 +378,7 @@ def extract_example(
     """The fixpoint closure for one example id, converted to ground facts in
     table-declaration order then row order."""
     idx = _Indexes(snapshot, schema)
-    warnings: list[str] = []
+    warnings: dict[str, None] = {}
     root = schema.tables[schema.example_table]
     id_pos = root.attrs.index(schema.id_attr)
     if all(row[id_pos] != id_value for row in snapshot.rows[root.name]):
@@ -402,24 +415,20 @@ def convert_all(
     root_rows = snapshot.rows[root.name]
     if not root_rows:
         raise DataError("no examples: the example table is empty")
-    ids: list[Term] = []
+    # Each example id, in first-occurrence order, with the class cells of
+    # its rows.
+    labels_of: dict[Term, set[Term]] = {}
     for row in root_rows:
-        if row[id_pos] not in ids:
-            ids.append(row[id_pos])
+        labels = labels_of.setdefault(row[id_pos], set())
+        if class_pos is not None:
+            labels.add(row[class_pos])
     report = ConversionReport(0, 0)
-    id_set = set(ids)
+    warnings: dict[str, None] = {}
     with open(out_data, "w", encoding="utf-8") as f:
-        for id_value in ids:
-            selected = _closure(
-                snapshot, schema, idx, id_value, strict_fk, containing, report.warnings
-            )
+        for id_value, labels in labels_of.items():
+            selected = _closure(snapshot, schema, idx, id_value, strict_fk, containing, warnings)
             label = None
             if class_pos is not None:
-                labels = {
-                    row[class_pos]
-                    for row in root_rows
-                    if row[id_pos] == id_value
-                }
                 if len(labels) != 1:
                     raise DataError(
                         f"conflicting class values for example {render_term(id_value)}"
@@ -432,7 +441,7 @@ def convert_all(
             facts = _selected_facts(snapshot, schema, selected)
             for fact in facts:
                 for cell in fact.args:
-                    if cell != id_value and cell in id_set:
+                    if cell != id_value and cell in labels_of:
                         report.locality_violations.append(
                             f"example {render_term(id_value)} mentions "
                             f"{render_term(cell)} in {fact.pred}"
@@ -444,6 +453,7 @@ def convert_all(
                 f.write(f"  {render_fact(fact)}\n")
             f.write(f"end(model({render_term(id_value)})).\n")
             report.example_count += 1
+    report.warnings = list(warnings)
     with open(out_background, "w", encoding="utf-8") as f:
         for name, table in schema.tables.items():
             if not table.background:

@@ -60,9 +60,10 @@ class _FactGroup:
 
 class Interpretation:
     """One example: an identifier, a class label, and an indexed set of
-    ground facts (the class fact itself is kept out of the index)."""
+    ground facts (the class fact itself is kept out of the index).
+    ``groups`` maps each predicate/arity key to its facts."""
 
-    __slots__ = ("ident", "label", "facts", "_groups")
+    __slots__ = ("ident", "label", "facts", "groups")
 
     def __init__(self, ident: Term, label: str, facts: tuple[Literal, ...]):
         self.ident = ident
@@ -71,13 +72,10 @@ class Interpretation:
         groups: dict[tuple[str, int], list[Literal]] = {}
         for f in facts:
             groups.setdefault(f.key, []).append(f)
-        self._groups = {k: _FactGroup(tuple(v)) for k, v in groups.items()}
-
-    def group(self, key: tuple[str, int]) -> _FactGroup | None:
-        return self._groups.get(key)
+        self.groups = {k: _FactGroup(tuple(v)) for k, v in groups.items()}
 
     def predicates(self):
-        return self._groups.keys()
+        return self.groups.keys()
 
     def __eq__(self, other):
         return (
@@ -397,9 +395,10 @@ class DatasetHandle:
         return self.total
 
     def peak_resident(self) -> int:
-        """Maximum number of simultaneously resident examples observed so far
-        by streaming passes over this handle (0 before any pass).  Callers
-        that copy examples out of the stream are outside this accounting."""
+        """Maximum number of examples decoded from one chunk, and so
+        resident at once, by streaming passes over this handle so far (0
+        before any pass).  Callers that copy examples out of the stream are
+        outside this accounting."""
         return self._peak
 
     def stream_examples(
@@ -407,21 +406,23 @@ class DatasetHandle:
     ) -> Iterator[tuple[int, Interpretation]]:
         """Yield ``(ordinal, interpretation)`` in manifest order.
 
-        ``selector`` filters by ordinal; chunks whose examples are all
-        excluded are skipped without opening the file.  At most one chunk
-        (<= G examples) is decoded at a time.
+        ``selector`` filters by ordinal and is called once per ordinal;
+        chunks whose examples are all excluded are skipped without opening
+        the file, and only the selected records of a chunk are decoded.  At
+        most one chunk (<= G examples) is decoded at a time.
         """
         for chunk in self.chunks:
             ordinals = range(chunk.start_ordinal, chunk.start_ordinal + chunk.count)
-            if selector is not None and not any(map(selector, ordinals)):
+            chosen = None if selector is None else list(map(selector, ordinals))
+            if chosen is not None and not any(chosen):
                 continue
-            interps = self._load_chunk(chunk)
-            for ordinal, interp in zip(ordinals, interps):
-                if selector is None or selector(ordinal):
-                    yield ordinal, interp
-            del interps
+            yield from self._load_chunk(chunk, chosen)
 
-    def _load_chunk(self, chunk: ChunkInfo) -> list[Interpretation]:
+    def _load_chunk(self, chunk: ChunkInfo, chosen=None) -> list[tuple[int, Interpretation]]:
+        """The chunk's records that ``chosen`` selects by position (all of
+        them without it), decoded, with their ordinals.  The framing of
+        every record is checked: magic, record headers and lengths, and the
+        record count."""
         try:
             raw = chunk.path.read_bytes()
         except OSError as e:
@@ -429,7 +430,8 @@ class DatasetHandle:
         if not raw.startswith(CHUNK_MAGIC):
             raise DataError(f"corrupt chunk file {chunk.path}: bad magic")
         pos = len(CHUNK_MAGIC)
-        out: list[Interpretation] = []
+        out: list[tuple[int, Interpretation]] = []
+        found = 0
         while pos < len(raw):
             if pos + 4 > len(raw):
                 raise DataError(f"corrupt chunk file {chunk.path}: truncated record header")
@@ -437,25 +439,30 @@ class DatasetHandle:
             pos += 4
             if pos + ln > len(raw):
                 raise DataError(f"corrupt chunk file {chunk.path}: truncated record")
-            try:
-                interp = decode_record(raw[pos : pos + ln])
-            except (DataError, IndexError, UnicodeDecodeError, struct.error) as e:
-                raise DataError(f"corrupt chunk file {chunk.path}: {e}") from e
-            if interp.label not in self.class_counts:
-                raise DataError(
-                    f"corrupt chunk file {chunk.path}: label {interp.label!r} is not "
-                    f"among the class counts of {META_NAME}"
-                )
-            out.append(interp)
+            if found < chunk.count and (chosen is None or chosen[found]):
+                out.append((chunk.start_ordinal + found, self._decode(chunk, raw[pos : pos + ln])))
+            found += 1
             pos += ln
-        if len(out) != chunk.count:
+        if found != chunk.count:
             raise DataError(
-                f"corrupt chunk file {chunk.path}: expected {chunk.count} records, found {len(out)}"
+                f"corrupt chunk file {chunk.path}: expected {chunk.count} records, found {found}"
             )
         self.chunk_loads += 1
         if len(out) > self._peak:
             self._peak = len(out)
         return out
+
+    def _decode(self, chunk: ChunkInfo, record: bytes) -> Interpretation:
+        try:
+            interp = decode_record(record)
+        except (DataError, IndexError, UnicodeDecodeError, struct.error) as e:
+            raise DataError(f"corrupt chunk file {chunk.path}: {e}") from e
+        if interp.label not in self.class_counts:
+            raise DataError(
+                f"corrupt chunk file {chunk.path}: label {interp.label!r} is not "
+                f"among the class counts of {META_NAME}"
+            )
+        return interp
 
 
 def load_dataset(path, settings, out_dir=None, granularity: int | None = None) -> DatasetHandle:

@@ -1,5 +1,7 @@
 """Snapshot fixtures for the relational converter tests."""
 
+import random
+
 CHEM_TABLES = {
     "mendelev.csv": (
         "1,H,1.0079,1\n"
@@ -77,6 +79,29 @@ example_id(contains, picture).
 drop_id.
 elide(contains).
 """
+
+
+def bongard_tables(n, seed):
+    """Tables for ``BONGARD_SCHEMA`` with ``n`` pictures of 2 to 5 objects
+    each: every object a circle or a pointing triangle, and one object of
+    each picture inside another."""
+    rng = random.Random(seed)
+    tables = {name: [] for name in ("contains", "circle", "triangle", "points", "inside")}
+    obj = 0
+    for picture in range(1, n + 1):
+        objects = []
+        for _ in range(rng.randint(2, 5)):
+            obj += 1
+            objects.append(f"o{obj}")
+            tables["contains"].append(f"{picture},o{obj}\n")
+            if rng.random() < 0.5:
+                tables["circle"].append(f"o{obj}\n")
+            else:
+                tables["triangle"].append(f"o{obj}\n")
+                tables["points"].append(f"o{obj},{rng.choice(('up', 'down'))}\n")
+        inner, outer = rng.sample(objects, 2)
+        tables["inside"].append(f"{inner},{outer}\n")
+    return {f"{name}.csv": "".join(rows) for name, rows in tables.items()}
 
 
 def write_tables(directory, tables):

@@ -180,6 +180,10 @@ def test_criterion_2_classic_equals_lds(tmp_path):
         lds = _lds(data, settings, cfg)
         if classic.tree != lds.tree:
             mismatches += 1
+        # the same packs run on the same examples
+        steps = lds.metadata["proof_steps"]
+        assert classic.metadata["proof_steps"] == steps > 0, (domain, count)
+        assert sum(lv["proof_steps"] for lv in lds.metadata["levels"]) == steps
         assert check_scope(lds)
     # the constructed 12-example set under the default config rounds it to 20
     data12 = _bongard12(tmp_path)

@@ -9,11 +9,12 @@ from foldt.engine import (
     Background,
     Query,
     answer_all,
+    compile_pack,
     coverage_query,
     succeeds,
 )
 from foldt.errors import BudgetExceededError, DataError, QueryError
-from foldt.terms import Atom, Number, parse_program
+from foldt.terms import Atom, Literal, Number, parse_program, parse_term
 
 P1 = mk_interp(*PICTURE_1)
 P2 = mk_interp(*PICTURE_2)
@@ -299,3 +300,150 @@ def test_coverage_query_through_background(shapes, edges, parts, split):
     derived += [f"doubletriangle({a},{b})" for a in triangles for b in triangles if a != b]
     closed = mk_interp("1", "pos", *dict.fromkeys(facts + derived))
     _assert_coverage_matches(qlits, added, e, BG, facts=closed.facts)
+
+
+# ---------------------------------------------------------------------------
+# Query packs against the proofs they replace
+
+
+def _separate_steps(queries, interp, background=None) -> int:
+    """Steps of proving each query alone, added up."""
+    total = 0
+    for query in queries:
+        pack = compile_pack((query,))
+        pack.run(interp, background)
+        total += pack.steps
+    return total
+
+
+# ``t`` is ``r`` plus the diagonal over ``p``; the naive join sees it as
+# facts derived from the example.
+_JOIN_BACKGROUND = Background(parse_program("t(X,Y) :- r(X,Y).\nt(X,X) :- p(X).\n"))
+
+
+@hsettings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans())
+def test_pack_bits_equal_separate_proofs_and_naive_join(seed, k, derived):
+    """Outcome bits of a k-query pack equal those of k one-query packs and of
+    the naive join, and the pack spends no more steps than they do.  Queries
+    extend each other's prefixes, so the trie shares literals; with
+    ``derived`` some of them go through background clauses."""
+    from oracles import random_join_instance
+
+    rng = random.Random(seed)
+    fact_texts, first = random_join_instance(rng)
+    e = mk_interp("1", "pos", *dict.fromkeys(fact_texts))
+    texts = [first]
+    for _ in range(k - 1):
+        _, lits = random_join_instance(rng)
+        if derived:
+            lits = [t.replace("r(", "t(") if rng.random() < 0.5 else t for t in lits]
+        base = rng.choice(texts)
+        texts.append(base[: rng.randint(0, len(base))] + lits)
+    background = _JOIN_BACKGROUND if derived else None
+    closed = e.facts + tuple(
+        Literal("t", f.args if f.pred == "r" else f.args * 2) for f in e.facts
+    )
+    queries = [q(*t) for t in texts]
+    pack = compile_pack(queries)
+    bits = pack.run(e, background)
+    for i, query in enumerate(queries):
+        alone = compile_pack((query,)).run(e, background) == 1
+        assert (bits >> i & 1 == 1) == alone == succeeds(query, e, background), texts[i]
+        assert alone == ground_join_succeeds(query.literals, closed), texts[i]
+    assert pack.steps <= _separate_steps(queries, e, background), texts
+
+
+def test_one_query_pack_spends_what_succeeds_spends():
+    queries = [q("card(A,B)", "card(A,C)", "B \\= C"), q("triangle(X)", "inside(X,Y)")]
+    for query in queries:
+        for e in (P1, P2, HAND):
+            pack = compile_pack((query,))
+            pack.run(e, BG)
+            # ``_steps`` tries budgets from 1, so it reads 1 for a 0-step proof
+            assert max(pack.steps, 1) == _steps(query, e, BG)
+
+
+HAND = mk_interp(
+    "4", "pair",
+    "card(7,spades)", "card(queen,hearts)", "card(9,clubs)", "card(9,spades)", "card(ace,diamonds)",
+)
+CHAIN = mk_interp("5", "pos", "par(a,b)", "par(b,c)", "par(c,d)")
+ANCESTOR = Background(
+    parse_program("anc(X,Y) :- par(X,Y).\nanc(X,Y) :- par(X,Z), anc(Z,Y).\n")
+)
+NUMBERS = mk_interp("6", "pos", "val(a,1)", "val(b,2)", "val(c,2.5)", "v(2)", "v(2.0)")
+TERMS = mk_interp("7", "pos", "s(g(b))", "s(f(a))", "r(a,b)")
+_PAIR = ("card(A,B)", "card(A,C)", "B \\= C")
+
+# Least budgets under which ``succeeds`` finishes, measured with ``_steps``
+# on the resolver that query packs replaced, and pinned: a step is one fact
+# tried, one clause tried or one builtin evaluated.
+STEP_TABLE = [
+    (("triangle(X)", "inside(X,Y)"), P1, None, True, 2),
+    (("triangle(X)", "inside(X,Y)"), P2, None, True, 2),
+    (("doubletriangle(A,B)",), P2, BG, True, 6),
+    (("doubletriangle(A,B)",), P1, BG, False, 4),
+    (("polygon(X)", "inside(X,Y)", "circle(Y)"), P2, BG, False, 5),
+    (_PAIR, HAND, None, True, 11),
+    (_PAIR + ("card(A,D)", "B \\= D", "C \\= D"), HAND, None, False, 29),
+    (("v(X)", "v(Y)", "X \\= Y"), NUMBERS, None, True, 5),
+    (("val(X,V)", "V > 2"), NUMBERS, None, True, 6),
+    (("anc(a,d)",), CHAIN, ANCESTOR, True, 10),
+    (("anc(d,a)",), CHAIN, ANCESTOR, False, 2),
+    (("s(T)", "T = f(U)", "r(U,V)"), TERMS, None, True, 5),
+]
+
+
+@pytest.mark.parametrize("texts,e,background,expected,steps", STEP_TABLE)
+def test_step_counts_pinned(texts, e, background, expected, steps):
+    query = q(*texts)
+    assert succeeds(query, e, background) is expected
+    assert _steps(query, e, background) == steps
+
+
+def test_pack_through_recursive_background():
+    queries = [q("anc(a,d)"), q("anc(d,a)"), q("anc(b,X)", "par(X,Y)"), q("anc(X,a)")]
+    pack = compile_pack(queries)
+    assert pack.run(CHAIN, ANCESTOR) == 0b0101
+    assert pack.steps <= _separate_steps(queries, CHAIN, ANCESTOR)
+    assert answer_all(q("anc(a,X)"), "X", CHAIN, ANCESTOR) == [Atom("b"), Atom("c"), Atom("d")]
+    deep = mk_interp("8", "pos", *(f"par(n{i},n{i + 1})" for i in range(300)))
+    assert succeeds(q("anc(n0,n300)"), deep, ANCESTOR)
+    with pytest.raises(BudgetExceededError, match=r"budget of 50 exhausted in example 8"):
+        succeeds(q("anc(n0,n300)"), deep, ANCESTOR, budget=50)
+
+
+def test_unification_with_compounds_and_occurs_check():
+    assert succeeds(q("s(T)", "T = f(U)", "r(U,V)"), TERMS)
+    assert answer_all(q("s(T)", "T = f(U)"), "U", TERMS) == [Atom("a")]
+    assert answer_all(q("X = f(Y, g(Z))", "Y = a", "Z = Y"), "X", TERMS) == [
+        parse_term("f(a, g(a))")
+    ]
+    assert not succeeds(q("X = f(X)"), TERMS)
+    assert not succeeds(q("X = f(Y)", "Y = g(X)"), TERMS)
+    wrap = Background(parse_program("wrap(X, f(X)).\nself(X) :- X = f(X).\n"))
+    assert succeeds(q("wrap(a, W)", "s(W)"), mk_interp("9", "pos", "s(f(a))"), wrap)
+    assert not succeeds(q("wrap(W, W)"), TERMS, wrap)
+    assert not succeeds(q("self(X)"), TERMS, wrap)
+    # an unbound variable comes back under its own name
+    assert answer_all(q("wrap(a, W)"), "W", TERMS, wrap) == [parse_term("f(a)")]
+
+
+def test_answer_all_keeps_fact_then_clause_order():
+    colours = Background(parse_program("col(X) :- red(X).\ncol(X) :- blue(X).\ncol(green).\n"))
+    e = mk_interp("1", "pos", "blue(b1)", "red(r1)", "col(c0)", "red(r2)")
+    assert answer_all(q("col(X)"), "X", e, colours) == [
+        Atom("c0"), Atom("r1"), Atom("r2"), Atom("b1"), Atom("green")
+    ]
+    assert answer_all(q("col(X)", "col(X)"), "X", e, colours) == [
+        Atom("c0"), Atom("r1"), Atom("r2"), Atom("b1"), Atom("green")
+    ]
+
+
+def test_pack_budget_error_names_example_and_first_undecided_query():
+    looping = Background(parse_program("p(X) :- p(X)."))
+    pack = compile_pack([q("triangle(X)"), q("p(a)"), q("p(b)")])
+    expected = r"of 3 x 100 exhausted in example 1 on query p\(a\)"
+    with pytest.raises(BudgetExceededError, match=expected):
+        pack.run(P1, looping, budget=100)

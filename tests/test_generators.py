@@ -54,7 +54,7 @@ def test_poker_label_against_enumeration_oracle():
 def test_generated_poker_labels_consistent(tmp_path):
     path = gen_poker(GenSpec("poker", 200, seed=3), tmp_path / "p.kb")
     for interp in iter_kb_blocks(path, POKER_SETTINGS.classes):
-        group = interp.group(("card", 2))
+        group = interp.groups[("card", 2)]
         assert len(group.facts) == 5
         assert len(set(group.facts)) == 5  # distinct cards
         ranks = [render_term(f.args[0]) for f in group.facts]
@@ -74,7 +74,7 @@ def test_generated_bongard_labels_match_query(tmp_path):
 def test_bongard_inside_acyclic(tmp_path):
     path = gen_bongard(GenSpec("bongard", 150, seed=21), tmp_path / "b.kb")
     for interp in iter_kb_blocks(path, ("pos", "neg")):
-        group = interp.group(("inside", 2))
+        group = interp.groups.get(("inside", 2))
         if group is None:
             continue
         edges = {(render_term(f.args[0]), render_term(f.args[1])) for f in group.facts}

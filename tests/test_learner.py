@@ -8,7 +8,7 @@ from oracles import check_scope, gain_oracle
 import foldt.learner
 from foldt.bench import structure_hash
 from foldt.engine import Background
-from foldt.errors import DataError
+from foldt.errors import BudgetExceededError, DataError
 from foldt.generators import GenSpec, gen_bongard, gen_poker, replicate
 from foldt.learner import (
     LearnerConfig,
@@ -146,8 +146,9 @@ def test_classic_equals_lds_exactly(bongard12):
     classic = learn_classic(bongard12, None, BONGARD_SETTINGS)
     lds = learn_lds(bongard12, None, BONGARD_SETTINGS)
     assert classic.tree == lds.tree  # conjunctions, names, counts, everything
-    for key in ("evaluations", "nodes_evaluated", "candidates_generated"):
+    for key in ("evaluations", "nodes_evaluated", "candidates_generated", "proof_steps"):
         assert classic.metadata[key] == lds.metadata[key], key
+    assert lds.metadata["proof_steps"] > 0
 
 
 def test_lds_level_records_sum_to_totals(bongard12):
@@ -155,6 +156,7 @@ def test_lds_level_records_sum_to_totals(bongard12):
     levels = meta["levels"]
     assert sum(lv["candidates"] for lv in levels) == meta["candidates_generated"] > 0
     assert sum(lv["evaluations"] for lv in levels) == meta["evaluations"]
+    assert sum(lv["proof_steps"] for lv in levels) == meta["proof_steps"] > 0
     # only examples at nodes with candidates are streamed; the last level has none
     assert [lv["examples_touched"] for lv in levels] == [12, 9, 0]
 
@@ -331,3 +333,17 @@ def test_undefined_background_body_predicate_warns(bongard12, caplog):
 def test_readme_poker_bias_raises_no_warning(tmp_path, caplog):
     learn(_poker100(tmp_path), None, parse_settings(POKER_BIAS_TEXT))
     assert _warnings(caplog) == []
+
+
+def test_pack_budget_exhaustion_in_learn_names_example_and_query(tmp_path):
+    path = tmp_path / "loop.kb"
+    path.write_text(bongard12_kb_text())
+    settings = parse_settings(BONGARD_BIAS_TEXT + "rmode(5: looping(+-V)).\n")
+    data = load_dataset(path, settings, granularity=5)
+    looping = Background(parse_program("looping(X) :- looping(X)."))
+    config = LearnerConfig.from_settings(settings, resolution_budget=200)
+    for fn in (learn_classic, learn_lds):
+        with pytest.raises(
+            BudgetExceededError, match=r"exhausted in example 1 on query looping\(A\)"
+        ):
+            fn(data, looping, settings, config)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from rdb_fixtures import (
     BONGARD_SCHEMA,
@@ -6,9 +8,11 @@ from rdb_fixtures import (
     CHEM_SCHEMA_WITH_CLASS,
     CHEM_TABLES,
     H2O_FACTS,
+    bongard_tables,
     write_tables,
 )
 
+from foldt.bench import fit_loglog_slope
 from foldt.errors import DataError, ParseError
 from foldt.rdb import cell_term, convert_all, extract_example, load_snapshot, parse_schema
 from foldt.settings import parse_settings
@@ -200,3 +204,25 @@ def test_conflicting_class_values(tmp_path):
     snapshot = load_snapshot(d, schema)
     with pytest.raises(DataError, match="conflicting class"):
         convert_all(snapshot, schema, tmp_path / "x.kb", tmp_path / "x.pl")
+
+
+def test_convert_all_time_grows_linearly(tmp_path):
+    """Seeding, id deduplication, labels and warnings are looked up, not
+    scanned, so conversion time grows linearly with the number of pictures
+    (a quadratic converter gives a slope near 2 at these sizes)."""
+    schema = parse_schema(BONGARD_SCHEMA)
+    sizes = (500, 1000, 2000, 4000)
+    seconds = []
+    for n in sizes:
+        tables = write_tables(tmp_path / f"t{n}", bongard_tables(n, seed=n))
+        snapshot = load_snapshot(tables, schema)
+        best = None
+        for _ in range(3):
+            t0 = time.perf_counter()
+            report = convert_all(snapshot, schema, tmp_path / "out.kb", tmp_path / "bg.pl")
+            t = time.perf_counter() - t0
+            best = t if best is None else min(best, t)
+        assert report.example_count == n
+        seconds.append(best)
+    slope = fit_loglog_slope(sizes, seconds)
+    assert slope <= 1.3, (slope, seconds)

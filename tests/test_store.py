@@ -55,7 +55,7 @@ def test_block_parse_card_example(tmp_path):
     assert interp.ident == Number(4)
     assert interp.label == "pair"
     assert len(interp.facts) == 5
-    group = interp.group(("card", 2))
+    group = interp.groups[("card", 2)]
     assert group is not None and len(group.facts) == 5
     assert group.by_first[Number(9)] == (
         Literal("card", (Number(9), Atom("clubs"))),
@@ -123,6 +123,37 @@ def test_selector_skips_whole_chunk(tmp_path):
     assert [o for o, _ in selected] == list(range(10)) + list(range(20, 25))
     assert [e.ident for _, e in selected] == [Number(o + 1) for o, _ in selected]
     assert handle.chunk_loads == 2  # chunk 2 never opened
+
+
+def test_selective_stream_decodes_only_selected_records(tmp_path, monkeypatch):
+    import foldt.store
+
+    handle = load_dataset(_write_many(tmp_path, 25), POKER_SETTINGS, granularity=10)
+    decoded = []
+    decode = foldt.store.decode_record
+    monkeypatch.setattr(foldt.store, "decode_record", lambda rec: decoded.append(1) or decode(rec))
+    calls = []
+
+    def selector(o):
+        calls.append(o)
+        return o % 4 == 0
+
+    selected = [o for o, _ in handle.stream_examples(selector)]
+    assert selected == [0, 4, 8, 12, 16, 20, 24]
+    assert len(decoded) == 7
+    assert sorted(calls) == list(range(25))  # once per ordinal
+    assert handle.peak_resident() == 3
+
+    # Corrupt the payload of record 1 (not selected) but keep its framing.
+    chunk = handle.chunks[0].path
+    raw = bytearray(chunk.read_bytes())
+    pos = len(CHUNK_MAGIC)
+    (ln,) = struct.unpack_from("<I", raw, pos)
+    raw[pos + 4 + ln + 4] = 0x7F  # the identifier's term tag
+    chunk.write_bytes(bytes(raw))
+    assert [o for o, _ in handle.stream_examples(lambda o: o % 4 == 0)] == selected
+    with pytest.raises(DataError, match="bad tag"):
+        list(handle.stream_examples())
 
 
 def test_granularity_one_loads_per_example(tmp_path):
