@@ -27,7 +27,7 @@ from .errors import (
     QueryError,
 )
 from .generators import GenSpec, gen_bongard, gen_poker, replicate
-from .learner import LearnerConfig, learn, learn_classic, learn_lds
+from .learner import LearnerConfig, learn
 from .model import (
     FOLDT,
     INode,
@@ -64,7 +64,7 @@ __all__ = [
     # bias
     "Bias", "Candidate", "RefinementContext", "discretize", "refinements",
     # learner
-    "LearnerConfig", "learn", "learn_classic", "learn_lds",
+    "LearnerConfig", "learn",
     # model
     "FOLDT", "INode", "Leaf", "Model", "classify", "deserialize", "eval_decision_list",
     "load_model", "save_model", "serialize", "to_decision_list", "tree_depth",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import tempfile
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -87,8 +88,13 @@ def bench_run(
     workdir=None,
     out_tsv=None,
 ) -> BenchResult:
-    cfg = config or LearnerConfig.from_settings(settings)
-    workdir = Path(workdir) if workdir is not None else data.dir / "bench"
+    """Learn at each replication factor in ``k_list``; the replicated stores
+    go under ``workdir``, or a temporary directory removed afterwards."""
+    if workdir is None:
+        with tempfile.TemporaryDirectory() as tmp:
+            return bench_run(data, background, settings, config, k_list, tmp, out_tsv)
+    cfg = config or settings.params
+    workdir = Path(workdir)
     reports: list[BenchReport] = []
     hashes: list[str] = []
     for k in k_list:

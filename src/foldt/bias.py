@@ -36,9 +36,9 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .engine import DEFAULT_BUDGET, Query, answer_all, matches
+from .engine import Query, answer_all, matches
 from .errors import DataError
-from .settings import DiscretizeRequest, Settings, is_threshold, threshold_indices
+from .settings import DiscretizeRequest, LearnerConfig, Settings, is_threshold, threshold_indices
 from .terms import (
     Compound,
     Literal,
@@ -103,9 +103,10 @@ def used_predicates(settings: Settings, background=None) -> dict[tuple[str, int]
     return uses
 
 
-def prepare_bias(settings, data, background=None, budget: int = DEFAULT_BUDGET) -> Bias:
+def prepare_bias(settings, data, background=None) -> Bias:
     """Check the predicates the run queries against ``data.predicates`` and
-    the background, then compute the discretize thresholds."""
+    the background, then compute the discretize thresholds under the run's
+    configuration, ``settings.params``."""
     for key, wheres in used_predicates(settings, background).items():
         if key not in data.predicates and not (background and background.clauses_for(key)):
             log.warning(
@@ -115,9 +116,8 @@ def prepare_bias(settings, data, background=None, budget: int = DEFAULT_BUDGET) 
                 key[1],
                 ", ".join(wheres),
             )
-    cap = settings.params.max_thresholds
     cuts = {
-        k: discretize(request, data, background, max_thresholds=cap, budget=budget)
+        k: discretize(request, data, background, settings.params)
         for k, request in enumerate(settings.discretize, 1)
     }
     return Bias(settings, cuts)
@@ -380,27 +380,22 @@ def fayyad_irani_cuts(values, max_cuts: int) -> list[float]:
     return sorted(cuts)
 
 
-def discretize(
-    request: DiscretizeRequest,
-    data,
-    background=None,
-    max_thresholds: int = 8,
-    budget: int = DEFAULT_BUDGET,
-) -> tuple[float, ...]:
+def discretize(request: DiscretizeRequest, data, background, cfg: LearnerConfig) -> tuple[float, ...]:
     """Pool the variable's bindings over all examples (labelled with each
-    example's class) and derive the sorted cut points."""
+    example's class) and derive the sorted cut points, at most
+    ``cfg.max_thresholds`` of them, each query under ``cfg.resolution_budget``."""
     query = Query(request.query)
     values: list[tuple[float, str]] = []
     for _, interp in data.stream_examples():
-        for t in answer_all(query, request.var, interp, background, budget):
+        for t in answer_all(query, request.var, interp, background, cfg.resolution_budget):
             if not isinstance(t, Number):
                 raise DataError(
                     f"discretize({query}, {request.var}) collected the non-numeric value "
                     f"{render_term(t)} in example {render_term(interp.ident)}"
                 )
             values.append((float(t.value), interp.label))
-    if max_thresholds <= 0:
+    if cfg.max_thresholds <= 0:
         return ()
     if not values:
         raise DataError(f"discretize({query}, {request.var}) collected no values")
-    return tuple(fayyad_irani_cuts(values, max_thresholds))
+    return tuple(fayyad_irani_cuts(values, cfg.max_thresholds))

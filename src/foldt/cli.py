@@ -15,6 +15,8 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+import tempfile
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -23,7 +25,7 @@ from .engine import DEFAULT_BUDGET, Background, load_background
 from .errors import DataError, FoldtError
 from .learner import LearnerConfig, learn
 from .model import classify, load_model, save_model, tree_depth
-from .settings import parse_settings
+from .settings import ALGORITHMS, HEURISTICS, parse_settings
 from .store import MANIFEST_NAME, iter_kb_blocks, load_dataset, open_dataset
 from .terms import render_term
 
@@ -34,6 +36,24 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _factors(text: str) -> tuple[int, ...]:
+    """``--k``: comma-separated positive replication factors."""
+    try:
+        factors = tuple(int(k) for k in text.split(","))
+    except ValueError:
+        factors = ()
+    if not factors or min(factors) < 1:
+        raise argparse.ArgumentTypeError(f"expected comma-separated positive integers, got {text!r}")
+    return factors
+
+
+def _one_char(text: str) -> str:
+    """``--delimiter``: exactly one character."""
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"expected one character, got {text!r}")
+    return text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,8 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--chunks", help="directory for the chunk store")
         if learner_flags:
             sp.add_argument("--minleaf", type=int, help="minimal examples per leaf")
-            sp.add_argument("--algo", choices=("classic", "lds"), help="induction engine")
-            sp.add_argument("--heuristic", choices=("gainratio", "gain", "weighted_entropy"))
+            sp.add_argument("--algo", choices=ALGORITHMS, help="induction engine")
+            sp.add_argument("--heuristic", choices=HEURISTICS)
             sp.add_argument("--max-depth", type=int, dest="max_depth")
 
     sp = sub.add_parser("learn", help="induce a tree and save the model")
@@ -70,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bg", required=True, help="background fact file to write")
     sp.add_argument("--strict-fk", action="store_true", dest="strict_fk",
                     help="dangling foreign keys are fatal")
-    sp.add_argument("--delimiter", default=",")
+    sp.add_argument("--delimiter", type=_one_char, default=",")
     sp.add_argument("--containing", choices=("any", "key"), default="any",
                     help="seed the closure from any cell or key cells only")
 
@@ -87,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bench", help="replicate-and-scale benchmark")
     common_learn_args(sp)
-    sp.add_argument("--k", default="1,2,4,8", help="comma-separated replication factors")
+    sp.add_argument("--k", type=_factors, default="1,2,4,8", help="comma-separated replication factors")
     sp.add_argument("--out", required=True, help="TSV report file")
     sp.add_argument("--workdir", help="directory for replicated chunk stores")
     for child in sub.choices.values():
@@ -97,7 +117,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@contextmanager
 def _open_data(args, settings):
+    """The command's dataset: an existing chunk store, or the block file
+    compiled into ``--chunks``, or else into a temporary directory that is
+    removed when the command ends."""
     path = Path(args.data)
     if path.is_dir() or path.name == MANIFEST_NAME:
         data = open_dataset(path)
@@ -107,22 +131,19 @@ def _open_data(args, settings):
                 f"{data.dir}, which holds G={data.granularity}; compile the block file "
                 f"again to change it"
             )
-        return data
-    return load_dataset(
-        path,
-        settings,
-        out_dir=args.chunks,
-        granularity=args.granularity,
-    )
+        yield data
+        return
+    with nullcontext(args.chunks) if args.chunks else tempfile.TemporaryDirectory() as out_dir:
+        yield load_dataset(path, settings, out_dir=out_dir, granularity=args.granularity)
 
 
 def _background(args) -> Background | None:
     return load_background(args.bg) if args.bg else None
 
 
-def _learn_inputs(args):
-    """Settings, learner configuration (checked before any data is read) and
-    dataset of a learning command."""
+def _learn_settings(args):
+    """Settings and learner configuration of a learning command, checked
+    before any data is read."""
     settings = parse_settings(Path(args.settings).read_text(encoding="utf-8"))
     cfg = LearnerConfig.from_settings(
         settings,
@@ -131,12 +152,13 @@ def _learn_inputs(args):
         minleaf=args.minleaf,
         max_depth=args.max_depth,
     )
-    return settings, cfg, _open_data(args, settings)
+    return settings, cfg
 
 
 def _cmd_learn(args) -> int:
-    settings, cfg, data = _learn_inputs(args)
-    model = learn(data, _background(args), settings, cfg)
+    settings, cfg = _learn_settings(args)
+    with _open_data(args, settings) as data:
+        model = learn(data, _background(args), settings, cfg)
     save_model(model, args.out)
     meta = model.metadata
     print(
@@ -206,34 +228,34 @@ def _cmd_gen(args) -> int:
 
 def _cmd_discretize(args) -> int:
     settings = parse_settings(Path(args.settings).read_text(encoding="utf-8"))
-    cap = LearnerConfig.from_settings(settings, max_thresholds=args.max_thresholds).max_thresholds
+    cfg = LearnerConfig.from_settings(settings, max_thresholds=args.max_thresholds)
     if not settings.discretize:
         print("no discretize declarations in the settings file")
         return 0
     from .bias import discretize as run_discretize
     from .engine import Query
 
-    data = _open_data(args, settings)
-    background = _background(args)
-    for k, request in enumerate(settings.discretize, 1):
-        cuts = run_discretize(request, data, background, max_thresholds=cap)
-        shown = ", ".join(map(repr, cuts)) or "(none)"
-        print(f"threshold({k}): {Query(request.query)} on {request.var} -> {shown}")
+    with _open_data(args, settings) as data:
+        background = _background(args)
+        for k, request in enumerate(settings.discretize, 1):
+            cuts = run_discretize(request, data, background, cfg)
+            shown = ", ".join(map(repr, cuts)) or "(none)"
+            print(f"threshold({k}): {Query(request.query)} on {request.var} -> {shown}")
     return 0
 
 
 def _cmd_bench(args) -> int:
-    settings, cfg, data = _learn_inputs(args)
-    k_list = tuple(int(k) for k in args.k.split(","))
-    result = bench_mod.bench_run(
-        data,
-        _background(args),
-        settings,
-        cfg,
-        k_list=k_list,
-        workdir=args.workdir,
-        out_tsv=args.out,
-    )
+    settings, cfg = _learn_settings(args)
+    with _open_data(args, settings) as data:
+        result = bench_mod.bench_run(
+            data,
+            _background(args),
+            settings,
+            cfg,
+            k_list=args.k,
+            workdir=args.workdir,
+            out_tsv=args.out,
+        )
     print(bench_mod.format_bench_table(result.reports))
     if not result.trees_identical:
         print("benchmark invalidated: trees differ across replication factors", file=sys.stderr)

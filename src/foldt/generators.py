@@ -137,12 +137,12 @@ def generate(spec: GenSpec, out_path) -> Path:
     raise DataError(f"unknown generator domain {spec.domain!r}")
 
 
-def replicate(data: DatasetHandle, k: int, out_dir, granularity: int | None = None) -> DatasetHandle:
+def replicate(data: DatasetHandle, k: int, out_dir) -> DatasetHandle:
     """Duplicate every example exactly ``k`` times under fresh unique ids
     (``rep(<original>, <copy>)``); the class histogram scales by exactly k."""
     if k < 1:
         raise DataError("replication factor must be at least 1")
-    writer = ChunkWriter(out_dir, granularity or data.granularity)
+    writer = ChunkWriter(out_dir, data.granularity)
     for _, e in data.stream_examples():
         for copy in range(1, k + 1):
             writer.add(

@@ -56,7 +56,7 @@ import math
 import struct
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .bias import (
     Candidate,
@@ -84,8 +84,9 @@ def gain_of(parent, left, right) -> float:
 
 
 def score(heuristic: str, parent, left, right) -> float | None:
-    """The heuristic's value for a split; None rejects the candidate
-    (gain ratio is undefined when the split puts everything on one side)."""
+    """The value of ``heuristic`` (one of ``settings.HEURISTICS``) for a
+    split; None rejects the candidate (gain ratio is undefined when the split
+    puts everything on one side)."""
     if sum(parent) == 0:
         raise DataError("empty parent distribution")
     w = weighted_entropy(left, right)
@@ -94,16 +95,14 @@ def score(heuristic: str, parent, left, right) -> float | None:
     gain = entropy(parent) - w
     if heuristic == "gain":
         return gain
-    if heuristic == "gainratio":
-        n = sum(parent)
-        splitinfo = 0.0
-        for nb in (sum(left), sum(right)):
-            if nb:
-                splitinfo -= (nb / n) * math.log2(nb / n)
-        if splitinfo == 0.0:
-            return None
-        return gain / splitinfo
-    raise DataError(f"unknown heuristic {heuristic!r}")
+    n = sum(parent)
+    splitinfo = 0.0
+    for nb in (sum(left), sum(right)):
+        if nb:
+            splitinfo -= (nb / n) * math.log2(nb / n)
+    if splitinfo == 0.0:
+        return None
+    return gain / splitinfo
 
 
 def choose_split(counts, counters, cfg: LearnerConfig) -> int | None:
@@ -257,15 +256,15 @@ def _root_counts(data: DatasetHandle, classes) -> tuple[int, ...]:
     return tuple(data.class_counts.get(c, 0) for c in classes)
 
 
-def _metadata(algorithm, cfg, data, stats, tree, wall, cpu) -> dict:
+def _metadata(cfg, data, stats, tree, wall, cpu) -> dict:
     inodes, leaves = count_nodes(tree)
     return {
-        "algorithm": algorithm,
+        "algorithm": cfg.algorithm,
         "heuristic": cfg.heuristic,
         "minleaf": cfg.minleaf,
         "gain_epsilon": cfg.gain_epsilon,
         "resolution_budget": cfg.resolution_budget,
-        "granularity": data.granularity,
+        "granularity": cfg.granularity,
         "max_depth": cfg.max_depth,
         "examples": len(data),
         "dataset_fingerprint": data.fingerprint,
@@ -282,21 +281,6 @@ def _metadata(algorithm, cfg, data, stats, tree, wall, cpu) -> dict:
         "induction_cpu_seconds": cpu,
         "levels": stats.levels,
     }
-
-
-def _induce(algorithm, grow, data, background, settings, config) -> Model:
-    """Grow the tree from the root with one engine and wrap it in a model."""
-    cfg = config or LearnerConfig.from_settings(settings)
-    wall0, cpu0 = time.perf_counter(), time.process_time()
-    bias = prepare_bias(settings, data, background, cfg.resolution_budget)
-    classes = settings.classes
-    root = _Node(Query(()), (0,) * len(settings.rmodes), 0, 0, _root_counts(data, classes))
-    stats = BuildStats()
-    grow(root, data, background, settings.class_index(), cfg, bias, stats)
-    tree = _tree(root, classes)
-    wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
-    meta = _metadata(algorithm, cfg, data, stats, tree, wall, cpu)
-    return Model(tree, classes, render_settings(settings), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +314,6 @@ def _grow_classic(root, data, background, cidx, cfg, bias, stats):
         grow(right, [i for i, b in zip(idxs, bits) if not b >> w & 1])
 
     grow(root, range(len(examples)))
-
-
-def learn_classic(
-    data: DatasetHandle,
-    background: Background | None,
-    settings: Settings,
-    config: LearnerConfig | None = None,
-) -> Model:
-    return _induce("classic", _grow_classic, data, background, settings, config)
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +390,7 @@ def _grow_lds(root, data, background, cidx, cfg, bias, stats):
         frontier = new_frontier
 
 
-def learn_lds(
-    data: DatasetHandle,
-    background: Background | None,
-    settings: Settings,
-    config: LearnerConfig | None = None,
-) -> Model:
-    return _induce("lds", _grow_lds, data, background, settings, config)
+_ENGINES = {"classic": _grow_classic, "lds": _grow_lds}
 
 
 def learn(
@@ -430,9 +399,20 @@ def learn(
     settings: Settings,
     config: LearnerConfig | None = None,
 ) -> Model:
-    cfg = config or LearnerConfig.from_settings(settings)
-    if cfg.algorithm == "classic":
-        return learn_classic(data, background, settings, cfg)
-    if cfg.algorithm == "lds":
-        return learn_lds(data, background, settings, cfg)
-    raise DataError(f"unknown algorithm {cfg.algorithm!r}")
+    """Grow a tree with the engine ``config.algorithm`` names (``config``
+    defaults to the settings' parameters) and wrap it in a model.  The run's
+    configuration is ``config`` with the store's granularity; the bias
+    computation reads it, and the model's bias section and ``meta`` record
+    it."""
+    cfg = replace(config or settings.params, granularity=data.granularity)
+    settings = replace(settings, params=cfg)
+    wall0, cpu0 = time.perf_counter(), time.process_time()
+    bias = prepare_bias(settings, data, background)
+    classes = settings.classes
+    root = _Node(Query(()), (0,) * len(settings.rmodes), 0, 0, _root_counts(data, classes))
+    stats = BuildStats()
+    _ENGINES[cfg.algorithm](root, data, background, settings.class_index(), cfg, bias, stats)
+    tree = _tree(root, classes)
+    wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
+    meta = _metadata(cfg, data, stats, tree, wall, cpu)
+    return Model(tree, classes, render_settings(settings), meta)

@@ -20,7 +20,7 @@ per cut point of the K-th ``discretize`` declaration (1-based).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .engine import DEFAULT_BUDGET
 from .errors import ParseError
@@ -66,10 +66,12 @@ class DiscretizeRequest:
     var: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class LearnerConfig:
-    """Learner parameters, as set by the settings file's parameter
-    directives."""
+    """Learner parameters.  Each field is one parameter directive of a
+    settings file, read by its type (``int``, ``float`` as any number, ``str``
+    as an atom); the value must pass the directive's rule, checked on
+    construction."""
 
     minleaf: int = 2
     heuristic: str = "gainratio"
@@ -80,15 +82,30 @@ class LearnerConfig:
     max_depth: int | None = None
     max_thresholds: int = 8
 
+    def __post_init__(self):
+        object.__setattr__(self, "heuristic", self.heuristic.replace("-", "_"))
+        if self.heuristic not in HEURISTICS:
+            raise ParseError(f"unknown heuristic {self.heuristic!r}")
+        if self.algorithm not in ALGORITHMS:
+            raise ParseError(f"unknown algorithm {self.algorithm!r}")
+        if self.gain_epsilon <= 0:
+            raise ParseError("gain_epsilon must be positive")
+        for name in ("minleaf", "granularity", "resolution_budget"):
+            if getattr(self, name) < 1:
+                raise ParseError(f"{name} must be at least 1")
+        for name in ("max_depth", "max_thresholds"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ParseError(f"{name} must be nonnegative")
+
     @classmethod
     def from_settings(cls, settings: Settings, **overrides) -> LearnerConfig:
         """A copy of the settings' parameters with each override that is not
-        None applied; an override must pass the same checks as its
-        directive."""
-        return replace(
-            settings.params,
-            **{k: _check_param(k, v) for k, v in overrides.items() if v is not None},
-        )
+        None applied."""
+        return replace(settings.params, **{k: v for k, v in overrides.items() if v is not None})
+
+
+_PARAMS = {f.name: f for f in fields(LearnerConfig)}
 
 
 @dataclass
@@ -124,8 +141,8 @@ class _SettingsParser:
             self.s.expect("punct", "(")
             if tok.value in _DIRECTIVES:
                 getattr(self, f"_d_{tok.value}")(tok)
-            elif tok.value in _PARAM_TYPES:
-                self._d_param(tok.value, tok)
+            elif tok.value in _PARAMS:
+                self._d_param(_PARAMS[tok.value])
             else:
                 raise ParseError(f"unknown directive {tok.value!r}", tok.line, tok.col)
             self.s.expect("punct", ")")
@@ -194,22 +211,19 @@ class _SettingsParser:
             raise ParseError(f"variable {v.value} does not occur in the discretize query", v.line, v.col)
         self.discretize.append(DiscretizeRequest(query, v.value))
 
-    def _d_param(self, name, tok):
+    def _d_param(self, f):
         t = self.s.next()
-        kind = _PARAM_TYPES[name]
-        if kind == "int":
-            if t.kind != "int":
-                raise ParseError(f"{name}/1 expects an integer", t.line, t.col)
+        kind = f.type.removesuffix(" | None")
+        if (kind, t.kind) in (("int", "int"), ("str", "atom")):
             value = t.value
-        elif kind == "number":
-            if t.kind not in ("int", "float"):
-                raise ParseError(f"{name}/1 expects a number", t.line, t.col)
+        elif kind == "float" and t.kind in ("int", "float"):
             value = float(t.value)
         else:
-            if t.kind != "atom":
-                raise ParseError(f"{name}/1 expects an atom", t.line, t.col)
-            value = t.value
-        setattr(self.params, name, _check_param(name, value, t.line, t.col))
+            raise ParseError(f"{f.name}/1 expects {_KIND_NAMES[kind]}", t.line, t.col)
+        try:
+            self.params = replace(self.params, **{f.name: value})
+        except ParseError as e:
+            raise ParseError(e.message, t.line, t.col) from None
 
     # -- template machinery ----------------------------------------------
 
@@ -253,38 +267,7 @@ class _SettingsParser:
 
 _DIRECTIVES = frozenset({"classes", "rmode", "lookahead", "typed", "discretize"})
 
-_PARAM_TYPES = {
-    "minleaf": "int",
-    "granularity": "int",
-    "max_depth": "int",
-    "resolution_budget": "int",
-    "max_thresholds": "int",
-    "gain_epsilon": "number",
-    "heuristic": "atom",
-    "algorithm": "atom",
-}
-
-
-def _check_param(name: str, value, line: int | None = None, col: int | None = None):
-    """The value of learner parameter ``name`` in canonical form, or a
-    ParseError naming the rule it breaks."""
-    if name == "heuristic":
-        value = value.replace("-", "_")
-        if value not in HEURISTICS:
-            raise ParseError(f"unknown heuristic {value!r}", line, col)
-    elif name == "algorithm":
-        if value not in ALGORITHMS:
-            raise ParseError(f"unknown algorithm {value!r}", line, col)
-    elif name == "gain_epsilon":
-        if value <= 0:
-            raise ParseError("gain_epsilon must be positive", line, col)
-    elif name in ("minleaf", "granularity", "resolution_budget"):
-        if value < 1:
-            raise ParseError(f"{name} must be at least 1", line, col)
-    elif name in ("max_depth", "max_thresholds"):
-        if value < 0:
-            raise ParseError(f"{name} must be nonnegative", line, col)
-    return value
+_KIND_NAMES = {"int": "an integer", "float": "a number", "str": "an atom"}
 
 
 def _check_builtin_safety(literals, input_vars: set[str], tok):
@@ -359,15 +342,9 @@ def render_settings(s: Settings) -> str:
         lines.append(f"lookahead({_render_conj(la.trigger)}, {_render_conj(la.extension)}).")
     for dr in s.discretize:
         lines.append(f"discretize({_render_conj(dr.query)}, {dr.var}).")
-    p = s.params
-    lines.append(f"minleaf({p.minleaf}).")
-    lines.append(f"heuristic({p.heuristic}).")
-    lines.append(f"algorithm({p.algorithm}).")
-    lines.append(f"granularity({p.granularity}).")
-    lines.append(f"gain_epsilon({p.gain_epsilon!r}).")
-    lines.append(f"resolution_budget({p.resolution_budget}).")
-    if p.max_depth is not None:
-        lines.append(f"max_depth({p.max_depth}).")
-    lines.append(f"max_thresholds({p.max_thresholds}).")
+    for f in fields(s.params):
+        value = getattr(s.params, f.name)
+        if value is not None:
+            text = render_atom(value) if isinstance(value, str) else repr(value)
+            lines.append(f"{f.name}({text}).")
     return "\n".join(lines) + "\n"
-

@@ -186,10 +186,10 @@ def _is_ident(ch: str) -> bool:
     return "a" <= ch <= "z" or "A" <= ch <= "Z" or _is_digit(ch) or ch == "_"
 
 
-def tokenize(text: str, line: int = 1, col: int = 1) -> list[Token]:
+def tokenize(text: str) -> list[Token]:
     """Tokenize ``text``; raises ParseError with position on bad input."""
     toks: list[Token] = []
-    line, col = _scan(text, line, col, toks)
+    line, col = _scan(text, 1, 1, toks)
     toks.append(Token("eof", "", None, line, col))
     return toks
 
@@ -447,11 +447,11 @@ class TermParser:
         return term_to_literal(lhs, line=tok.line, col=tok.col)
 
 
-def parse_term(text: str, line: int = 1, col: int = 1) -> Term:
+def parse_term(text: str) -> Term:
     """Parse a complete term; trailing input is an error."""
-    stream = TokenStream(tokenize(text, line, col))
+    stream = TokenStream(tokenize(text))
     if stream.at("eof"):
-        raise ParseError("empty input", line, col)
+        raise ParseError("empty input", 1, 1)
     term = TermParser(stream).term()
     tok = stream.peek()
     if tok.kind != "eof":
@@ -548,12 +548,6 @@ def render_conjunction(literals) -> str:
     if not literals:
         return "true"
     return ", ".join(render_literal(l) for l in literals)
-
-
-def render_clause(clause: Clause) -> str:
-    if not clause.body:
-        return render_literal(clause.head) + "."
-    return render_literal(clause.head) + " :- " + render_conjunction(clause.body) + "."
 
 
 def render_fact(lit: Literal) -> str:

@@ -1,8 +1,10 @@
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from foldt.learner import learn
 from foldt.store import Interpretation
 from foldt.terms import parse_program, parse_term, term_to_literal
 
@@ -10,6 +12,12 @@ from foldt.terms import parse_program, parse_term, term_to_literal
 def mk_interp(ident_text, label, *fact_texts) -> Interpretation:
     facts = tuple(term_to_literal(parse_term(t)) for t in fact_texts)
     return Interpretation(parse_term(str(ident_text)), label, facts)
+
+
+def learn_with(algorithm, data, background, settings, config=None):
+    """``learn`` with the engine named ``algorithm`` and the other parameters
+    of ``config`` (default: the settings')."""
+    return learn(data, background, settings, replace(config or settings.params, algorithm=algorithm))
 
 
 def mk_query_literals(*texts):

@@ -14,6 +14,7 @@ from conftest import (
     POKER_BIAS_TEXT,
     bongard12_interps,
     bongard12_kb_text,
+    learn_with,
     mk_interp,
     mk_query_literals,
 )
@@ -32,7 +33,7 @@ from foldt.bench import bench_run, fit_loglog_slope
 from foldt.bias import refinements, RefinementContext
 from foldt.engine import Query, succeeds
 from foldt.generators import GenSpec, gen_bongard, gen_poker
-from foldt.learner import LearnerConfig, learn_classic, learn_lds, score
+from foldt.learner import LearnerConfig, score
 from foldt.model import (
     classify,
     eval_decision_list,
@@ -55,7 +56,7 @@ _LDS_RUNS: list[tuple[int, int]] = []
 
 
 def _lds(data, settings, config=None):
-    model = learn_lds(data, None, settings, config)
+    model = learn_with("lds", data, None, settings, config)
     _LDS_RUNS.append((model.metadata["passes"], tree_depth(model.tree)))
     return model
 
@@ -120,7 +121,7 @@ def test_criterion_1_reference_tree(tmp_path):
     assert child_cands[best] == "inside(X,B)" and best_r > runner + 1e-6
 
     data = _bongard12(tmp_path)
-    classic = learn_classic(data, None, BONGARD)
+    classic = learn_with("classic", data, None, BONGARD)
     lds = _lds(data, BONGARD)
     expected = INode(
         tuple(mk_query_literals("triangle(A)")),
@@ -176,7 +177,7 @@ def test_criterion_2_classic_equals_lds(tmp_path):
             granularity=overrides["granularity"],
         )
         cfg = LearnerConfig.from_settings(settings, **overrides)
-        classic = learn_classic(data, None, settings, cfg)
+        classic = learn_with("classic", data, None, settings, cfg)
         lds = _lds(data, settings, cfg)
         if classic.tree != lds.tree:
             mismatches += 1
@@ -187,7 +188,7 @@ def test_criterion_2_classic_equals_lds(tmp_path):
         assert check_scope(lds)
     # the constructed 12-example set under the default config rounds it to 20
     data12 = _bongard12(tmp_path)
-    if learn_classic(data12, None, BONGARD).tree != _lds(data12, BONGARD).tree:
+    if learn_with("classic", data12, None, BONGARD).tree != _lds(data12, BONGARD).tree:
         mismatches += 1
     assert len(configs_used) >= 3
     assert mismatches == 0
@@ -344,7 +345,7 @@ def test_criterion_8_property_suites(tmp_path):
         gen = gen_poker if domain == "poker" else gen_bongard
         train = gen(GenSpec(domain, 200, seed=400 + j), tmp_path / f"t{j}.kb")
         data = load_dataset(train, settings, granularity=20)
-        model = learn_classic(data, None, settings)
+        model = learn_with("classic", data, None, settings)
         assert check_scope(model)
         rules = to_decision_list(model)
         fresh = gen(GenSpec(domain, 100, seed=500 + j), tmp_path / f"f{j}.kb")

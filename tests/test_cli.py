@@ -6,6 +6,7 @@ from rdb_fixtures import CHEM_SCHEMA_WITH_CLASS, CHEM_TABLES, write_tables
 
 from foldt.cli import main
 from foldt.model import load_model, tree_depth
+from foldt.settings import parse_settings
 
 
 @pytest.fixture
@@ -20,6 +21,10 @@ def data_file(tmp_path):
     p = tmp_path / "b12.kb"
     p.write_text(bongard12_kb_text())
     return p
+
+
+def _listing(directory):
+    return sorted(p.name for p in directory.iterdir())
 
 
 def test_learn_and_classify(tmp_path, bias_file, data_file, capsys):
@@ -101,9 +106,11 @@ def test_discretize_cli(tmp_path, capsys):
     kb.write_text("\n".join(blocks) + "\n")
     settings = tmp_path / "s.s"
     settings.write_text("classes([a,b]).\ndiscretize(val(_,C), C).\n")
+    before = _listing(tmp_path)
     rc = main(["discretize", "--data", str(kb), "--settings", str(settings)])
     assert rc == 0
     assert "5.5" in capsys.readouterr().out
+    assert _listing(tmp_path) == before
 
 
 def test_discretize_names_a_non_numeric_value_and_its_example(tmp_path, capsys):
@@ -129,9 +136,10 @@ def test_discretize_names_a_non_numeric_value_and_its_example(tmp_path, capsys):
 )
 def test_discretize_flags(tmp_path, bias_file, data_file, capsys, flags, rc, cause):
     args = ["discretize", "--data", str(data_file), "--settings", str(bias_file)]
+    before = _listing(tmp_path)
     assert main(args + flags) == rc
     assert cause in capsys.readouterr().err
-    assert not (tmp_path / "b12.kb.chunks").exists()  # rejected before the data is read
+    assert _listing(tmp_path) == before
 
 
 def test_usage_error_exit_1(capsys):
@@ -192,13 +200,67 @@ def test_granularity_of_an_existing_store_is_fixed(tmp_path, bias_file, data_fil
     ],
 )
 def test_learner_flags_checked_like_directives(tmp_path, bias_file, data_file, capsys, flags, cause):
+    before = _listing(tmp_path)
     rc = main(
         ["learn", "--data", str(data_file), "--settings", str(bias_file),
          "--out", str(tmp_path / "m.foldt")] + flags
     )
     assert rc == 2
     assert cause in capsys.readouterr().err
-    assert not (tmp_path / "b12.kb.chunks").exists()  # rejected before the data is read
+    assert _listing(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "args,cause",
+    [
+        (["bench", "--k", "1,x"], "argument --k: expected comma-separated positive integers, got '1,x'"),
+        (["bench", "--k", "2,0"], "argument --k: expected comma-separated positive integers, got '2,0'"),
+        (["convert", "--delimiter", ""], "argument --delimiter: expected one character, got ''"),
+        (["convert", "--delimiter", ";;"], "argument --delimiter: expected one character, got ';;'"),
+    ],
+)
+def test_bad_flag_values_are_usage_errors(tmp_path, capsys, args, cause):
+    required = {
+        "bench": ["--data", "d.kb", "--settings", "s.s", "--out", "r.tsv"],
+        "convert": ["--tables", "t", "--schema", "s.s", "--out", "d.kb", "--bg", "bg.pl"],
+    }
+    assert main(args + required[args[0]]) == 1
+    assert capsys.readouterr().err.endswith(f"foldt {args[0]}: error: {cause}\n")
+
+
+@pytest.mark.parametrize(
+    "command,out",
+    [(["learn"], "m.foldt"), (["bench", "--k", "1,2"], "bench.tsv")],
+)
+def test_commands_leave_the_data_and_store_directories_as_they_were(
+    tmp_path, bias_file, data_file, command, out
+):
+    store = tmp_path / "store"
+    assert main(
+        ["learn", "--data", str(data_file), "--settings", str(bias_file), "--chunks", str(store),
+         "--out", str(tmp_path / "first.foldt")]
+    ) == 0
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    before = _listing(tmp_path), _listing(store)
+    for data in (data_file, store):
+        args = ["--data", str(data), "--settings", str(bias_file), "--out", str(out_dir / out)]
+        assert main(command + args) == 0
+    assert (_listing(tmp_path), _listing(store)) == before
+
+
+def test_bias_section_records_the_run_configuration(tmp_path, bias_file, data_file):
+    model_path = tmp_path / "m.foldt"
+    assert main(
+        ["learn", "--data", str(data_file), "--settings", str(bias_file), "--algo", "classic",
+         "--minleaf", "4", "--granularity", "5", "--out", str(model_path)]
+    ) == 0
+    model = load_model(model_path)
+    params = parse_settings(model.bias_text).params
+    assert (params.algorithm, params.minleaf, params.granularity) == ("classic", 4, 5)
+    for key in ("algorithm", "minleaf", "heuristic", "granularity", "gain_epsilon",
+                "resolution_budget", "max_depth"):
+        assert getattr(params, key) == model.metadata[key], key
 
 
 def test_classify_unlabeled(tmp_path, bias_file, data_file, capsys):

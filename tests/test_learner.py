@@ -2,7 +2,13 @@ import logging
 from dataclasses import replace
 
 import pytest
-from conftest import BONGARD_BIAS_TEXT, POKER_BIAS_TEXT, bongard12_kb_text, mk_query_literals
+from conftest import (
+    BONGARD_BIAS_TEXT,
+    POKER_BIAS_TEXT,
+    bongard12_kb_text,
+    learn_with,
+    mk_query_literals,
+)
 from oracles import check_scope, gain_oracle
 
 import foldt.learner
@@ -16,13 +22,11 @@ from foldt.learner import (
     entropy,
     gain_of,
     learn,
-    learn_classic,
-    learn_lds,
     majority_class,
     score,
 )
 from foldt.model import INode, Leaf, classify, tree_depth
-from foldt.settings import parse_settings
+from foldt.settings import ALGORITHMS, parse_settings
 from foldt.store import load_dataset
 from foldt.terms import parse_program
 
@@ -131,20 +135,20 @@ def expected_bongard_tree():
 
 
 def test_bongard12_classic_builds_reference_tree(bongard12):
-    model = learn_classic(bongard12, None, BONGARD_SETTINGS)
+    model = learn_with("classic", bongard12, None, BONGARD_SETTINGS)
     assert model.tree == expected_bongard_tree()
     assert check_scope(model)
 
 
 def test_bongard12_lds_builds_reference_tree(bongard12):
-    model = learn_lds(bongard12, None, BONGARD_SETTINGS)
+    model = learn_with("lds", bongard12, None, BONGARD_SETTINGS)
     assert model.tree == expected_bongard_tree()
     assert model.metadata["passes"] == tree_depth(model.tree) == 3
 
 
 def test_classic_equals_lds_exactly(bongard12):
-    classic = learn_classic(bongard12, None, BONGARD_SETTINGS)
-    lds = learn_lds(bongard12, None, BONGARD_SETTINGS)
+    classic = learn_with("classic", bongard12, None, BONGARD_SETTINGS)
+    lds = learn_with("lds", bongard12, None, BONGARD_SETTINGS)
     assert classic.tree == lds.tree  # conjunctions, names, counts, everything
     for key in ("evaluations", "nodes_evaluated", "candidates_generated", "proof_steps"):
         assert classic.metadata[key] == lds.metadata[key], key
@@ -152,7 +156,7 @@ def test_classic_equals_lds_exactly(bongard12):
 
 
 def test_lds_level_records_sum_to_totals(bongard12):
-    meta = learn_lds(bongard12, None, BONGARD_SETTINGS).metadata
+    meta = learn_with("lds", bongard12, None, BONGARD_SETTINGS).metadata
     levels = meta["levels"]
     assert sum(lv["candidates"] for lv in levels) == meta["candidates_generated"] > 0
     assert sum(lv["evaluations"] for lv in levels) == meta["evaluations"]
@@ -173,7 +177,7 @@ def test_lds_spills_outside_the_data_directory(bongard12, monkeypatch):
 
     monkeypatch.setattr(tempfile, "TemporaryFile", recording)
     before = sorted(bongard12.dir.iterdir())
-    model = learn_lds(bongard12, None, BONGARD_SETTINGS)
+    model = learn_with("lds", bongard12, None, BONGARD_SETTINGS)
     assert dirs == [None] * model.metadata["passes"]  # the system temporary directory
     assert sorted(bongard12.dir.iterdir()) == before
 
@@ -191,10 +195,10 @@ def test_single_class_dataset_single_leaf(tmp_path):
         "begin(model(2)). circle(c1). pos. end(model(2)).\n"
     )
     data = load_dataset(path, BONGARD_SETTINGS)
-    for fn in (learn_classic, learn_lds):
-        model = fn(data, None, BONGARD_SETTINGS)
+    for algorithm in ALGORITHMS:
+        model = learn_with(algorithm, data, None, BONGARD_SETTINGS)
         assert model.tree == Leaf("pos", (2, 0))
-        if fn is learn_lds:
+        if algorithm == "lds":
             assert model.metadata["passes"] == 1
 
 
@@ -208,23 +212,23 @@ def test_empty_refinements_majority_leaf(tmp_path):
     )
     no_rmodes = parse_settings("classes([pos,neg]).")
     data = load_dataset(path, no_rmodes)
-    for fn in (learn_classic, learn_lds):
-        model = fn(data, None, no_rmodes)
+    for algorithm in ALGORITHMS:
+        model = learn_with(algorithm, data, None, no_rmodes)
         assert model.tree == Leaf("pos", (3, 1))
 
 
 def test_max_depth_caps_tree(bongard12):
     settings = replace(BONGARD_SETTINGS, params=replace(BONGARD_SETTINGS.params, max_depth=1))
-    for fn in (learn_classic, learn_lds):
-        model = fn(bongard12, None, settings)
+    for algorithm in ALGORITHMS:
+        model = learn_with(algorithm, bongard12, None, settings)
         assert tree_depth(model.tree) <= 2  # one split at most
-    lds = learn_lds(bongard12, None, settings)
+    lds = learn_with("lds", bongard12, None, settings)
     assert lds.metadata["passes"] == tree_depth(lds.tree)
 
 
 def test_minleaf_blocks_small_branches(bongard12):
     settings = replace(BONGARD_SETTINGS, params=replace(BONGARD_SETTINGS.params, minleaf=4))
-    model = learn_classic(bongard12, None, settings)
+    model = learn_with("classic", bongard12, None, settings)
     # the inside split (6/3) is now rejected; triangle (9/3) also fails minleaf
     assert isinstance(model.tree, Leaf) or all(
         sum(leaf.counts) >= 4
@@ -239,15 +243,15 @@ def _leaves(tree):
 
 
 def test_replication_invariance_small(tmp_path, bongard12):
-    base = learn_classic(bongard12, None, BONGARD_SETTINGS)
+    base = learn_with("classic", bongard12, None, BONGARD_SETTINGS)
     for k in (2, 3):
         rep = replicate(bongard12, k, tmp_path / f"rep{k}")
         assert rep.total == 12 * k
         assert rep.class_counts == {c: k * v for c, v in bongard12.class_counts.items()}
         params = BONGARD_SETTINGS.params
         scaled = replace(BONGARD_SETTINGS, params=replace(params, minleaf=params.minleaf * k))
-        for fn in (learn_classic, learn_lds):
-            model = fn(rep, None, scaled)
+        for algorithm in ALGORITHMS:
+            model = learn_with(algorithm, rep, None, scaled)
             assert structure_hash(model.tree) == structure_hash(base.tree)
 
 
@@ -255,14 +259,14 @@ def test_classic_equals_lds_on_generated_data(tmp_path):
     poker_settings = parse_settings(POKER_BIAS_TEXT)
     path = gen_poker(GenSpec("poker", 150, seed=11), tmp_path / "p.kb")
     data = load_dataset(path, poker_settings, granularity=20)
-    classic = learn_classic(data, None, poker_settings)
-    lds = learn_lds(data, None, poker_settings)
+    classic = learn_with("classic", data, None, poker_settings)
+    lds = learn_with("lds", data, None, poker_settings)
     assert classic.tree == lds.tree
     assert check_scope(lds)
 
     bon_path = gen_bongard(GenSpec("bongard", 120, seed=5), tmp_path / "b.kb")
     bon = load_dataset(bon_path, BONGARD_SETTINGS, granularity=17)
-    assert learn_classic(bon, None, BONGARD_SETTINGS).tree == learn_lds(
+    assert learn_with("classic", bon, None, BONGARD_SETTINGS).tree == learn_with("lds", 
         bon, None, BONGARD_SETTINGS
     ).tree
 
@@ -276,11 +280,30 @@ def test_budget_bounds_one_coverage_test(tmp_path):
     settings = parse_settings(POKER_BIAS_TEXT)
     path = gen_poker(GenSpec("poker", 150, seed=11), tmp_path / "p.kb")
     data = load_dataset(path, settings, granularity=20)
-    unbounded = learn_classic(data, None, settings)
+    unbounded = learn_with("classic", data, None, settings)
     assert tree_depth(unbounded.tree) >= 3
     tight = LearnerConfig.from_settings(settings, resolution_budget=400)
-    for fn in (learn_classic, learn_lds):
-        assert fn(data, None, settings, tight).tree == unbounded.tree
+    for algorithm in ALGORITHMS:
+        assert learn_with(algorithm, data, None, settings, tight).tree == unbounded.tree
+
+
+BANDS_TEXT = "classes([a,b,c]).\ndiscretize(val(_,C), C).\nrmode(1: (val(-O,-C), C =< threshold(1))).\n"
+
+
+def test_max_thresholds_override_acts_like_the_directive(tmp_path):
+    path = tmp_path / "bands.kb"
+    path.write_text(
+        "".join(f"begin(model({i})). val(x,{i}). {'abc'[i // 10]}. end(model({i})).\n" for i in range(30))
+    )
+    settings = parse_settings(BANDS_TEXT)
+    data = load_dataset(path, settings)
+    default = learn(data, None, settings)
+    override = learn(data, None, settings, LearnerConfig.from_settings(settings, max_thresholds=1))
+    directive = learn(data, None, parse_settings(BANDS_TEXT + "max_thresholds(1).\n"))
+    generated = [m.metadata["candidates_generated"] for m in (default, override, directive)]
+    assert generated[0] > generated[1] == generated[2]
+    assert override.tree == directive.tree
+    assert override.bias_text == directive.bias_text
 
 
 def test_lds_pass_count_equals_depth_various(tmp_path):
@@ -288,7 +311,7 @@ def test_lds_pass_count_equals_depth_various(tmp_path):
     data = load_dataset(bon_path, BONGARD_SETTINGS, granularity=10)
     for minleaf in (1, 2, 6):
         settings = replace(BONGARD_SETTINGS, params=replace(BONGARD_SETTINGS.params, minleaf=minleaf))
-        model = learn_lds(data, None, settings)
+        model = learn_with("lds", data, None, settings)
         assert model.metadata["passes"] == tree_depth(model.tree)
 
 
@@ -342,8 +365,8 @@ def test_pack_budget_exhaustion_in_learn_names_example_and_query(tmp_path):
     data = load_dataset(path, settings, granularity=5)
     looping = Background(parse_program("looping(X) :- looping(X)."))
     config = LearnerConfig.from_settings(settings, resolution_budget=200)
-    for fn in (learn_classic, learn_lds):
+    for algorithm in ALGORITHMS:
         with pytest.raises(
             BudgetExceededError, match=r"exhausted in example 1 on query looping\(A\)"
         ):
-            fn(data, looping, settings, config)
+            learn_with(algorithm, data, looping, settings, config)

@@ -10,7 +10,7 @@ PUBLIC = {
     "DatasetHandle", "Interpretation", "load_dataset", "open_dataset",
     "Background", "Query", "answer_all", "load_background", "succeeds",
     "Bias", "Candidate", "RefinementContext", "discretize", "refinements",
-    "LearnerConfig", "learn", "learn_classic", "learn_lds",
+    "LearnerConfig", "learn",
     "FOLDT", "INode", "Leaf", "Model", "classify", "deserialize", "eval_decision_list",
     "load_model", "save_model", "serialize", "to_decision_list", "tree_depth",
     "Schema", "convert_all", "extract_example", "load_snapshot", "parse_schema",

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from foldt.errors import ParseError
-from foldt.settings import parse_settings, render_settings
+from foldt.settings import LearnerConfig, parse_settings, render_settings
 from foldt.terms import Atom, Literal, Variable
 
 BONGARD_BIAS = """
@@ -88,6 +90,8 @@ def test_parameters_and_defaults():
         ("classes([a,b]). rmode(1: (f(-X), X \\= -Y)).", "unbound"),
         ("classes([a,b]). rmode(1: (f(-X), X =< threshold(2))).", "discretize"),
         ("classes([a,b]). heuristic(zorp).", "unknown heuristic"),
+        ("classes([a,b]).\nminleaf(0).", "minleaf must be at least 1 at line 2, column 9"),
+        ("classes([a,b]). gain_epsilon(a).", "gain_epsilon/1 expects a number"),
         ("classes([a,b]). lookahead(p(+X), q(X)).", "mode markers are not allowed"),
         ("classes([a,b]). discretize(val(-X,C), C).", "mode markers are not allowed"),
         ("rmode(1: f(-X)).", "classes"),
@@ -96,6 +100,23 @@ def test_parameters_and_defaults():
 def test_settings_errors(text, msg):
     with pytest.raises(ParseError, match=msg):
         parse_settings(text)
+
+
+@pytest.mark.parametrize(
+    "name,value,msg",
+    [
+        ("minleaf", 0, "minleaf must be at least 1"),
+        ("heuristic", "zorp", "unknown heuristic 'zorp'"),
+        ("algorithm", "fast", "unknown algorithm 'fast'"),
+        ("gain_epsilon", 0.0, "gain_epsilon must be positive"),
+        ("max_thresholds", -1, "max_thresholds must be nonnegative"),
+    ],
+)
+def test_learner_config_checks_itself_like_the_directive(name, value, msg):
+    with pytest.raises(ParseError, match=f"^{msg}$"):
+        LearnerConfig(**{name: value})
+    with pytest.raises(ParseError, match=f"^{msg}$"):
+        replace(LearnerConfig(), **{name: value})
 
 
 def test_gain_epsilon_accepts_scientific_notation():

@@ -2,13 +2,12 @@ import json
 import struct
 
 import pytest
-from conftest import POKER_BIAS_TEXT
+from conftest import POKER_BIAS_TEXT, learn_with
 from hypothesis import given, settings as hsettings, strategies as st
 
 from foldt.errors import DataError, ParseError
 from foldt.generators import GenSpec, gen_poker
-from foldt.learner import learn_classic, learn_lds
-from foldt.settings import parse_settings
+from foldt.settings import ALGORITHMS, parse_settings
 from foldt.store import (
     CHUNK_MAGIC,
     MANIFEST_NAME,
@@ -314,8 +313,8 @@ def test_record_codec_rejects_variables_bad_tags_and_unread_bytes(tmp_path):
         list(open_dataset(handle.dir).stream_examples())
 
 
-@pytest.mark.parametrize("learn", [learn_classic, learn_lds])
-def test_chunk_label_outside_class_counts_rejected(tmp_path, learn):
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_chunk_label_outside_class_counts_rejected(tmp_path, algorithm):
     settings = parse_settings(POKER_BIAS_TEXT)
     path = gen_poker(GenSpec("poker", 40, seed=3), tmp_path / "p.kb")
     handle = load_dataset(path, settings, granularity=10)
@@ -324,7 +323,7 @@ def test_chunk_label_outside_class_counts_rejected(tmp_path, learn):
     assert b"nothing" in raw
     chunk.write_bytes(raw.replace(b"nothing", b"mothing"))
     with pytest.raises(DataError, match=f"{chunk.name}: label 'mothing' is not among the class counts"):
-        learn(open_dataset(handle.dir), None, settings)
+        learn_with(algorithm, open_dataset(handle.dir), None, settings)
 
 
 @pytest.fixture(scope="module")
