@@ -34,7 +34,7 @@ class BenchReport:
     examples: int  # N
     node_count: int  # n: internal nodes evaluated and kept
     mean_candidates: float  # t: candidates per evaluated node
-    mean_test_seconds: float  # c: seconds per single candidate-on-example test
+    mean_test_seconds: float  # c: evaluation seconds per coverage test proven (meta evaluations)
     passes: int
     peak_resident: int
     chunk_wall_seconds: float

@@ -2,46 +2,65 @@
 large-dataset (LDS) engine, one algorithm reaching its examples two ways.
 
 Everything that shapes the tree is shared.  A node that is not a forced leaf
-gets the refinement candidates of its associated query, and their coverage
-tests are compiled once into one query pack (``_open``,
-``engine.compile_pack``).  Each example reaching the node runs that pack
-once (``_evaluate``: one pack per example), which decides every candidate in
-one walk, adds the example's class to the counters
-``counter[candidate][branch][class]`` and yields its outcome bits.  The
-steps the node's pack spent go to the ``proof_steps`` of the run and of its
-level.  ``choose_split`` picks the winner from the counters alone, and
-``_split`` makes the two children.  Selection considers only admissible
-candidates: positive gain and at least ``minleaf`` examples on each side.
-Without that validity filter the gain ratio favors degenerate near-empty
-splits (a split isolating one example of a rare class scores a ratio of
-~1.0), which would then be vetoed and turn the node into a leaf prematurely;
-a node becomes a leaf only when no admissible candidate exists.
+gets the refinement candidates of its associated query (``_open``).  Every
+example that reaches a node satisfies the node's associated query ``Q``:
+the root's ``Q`` is empty, a left child's is ``Q`` plus the winner's
+conjunction, and a right child's is its parent's.  So a candidate is decided
+by its coverage query (``engine.coverage_query``), which leaves out the
+literals of ``Q`` that the candidate's conjunction does not reach; the
+candidate's full query becomes the left child's ``Q``.
 
-Every example that reaches a node satisfies its associated query ``Q``: the
-root's ``Q`` is empty, a left child's is ``Q`` plus the winner's
-conjunction, and a right child's is its parent's.  So a test proves the
-candidate's coverage query (``engine.coverage_query``, computed once per
-candidate in ``_open``), which leaves out the literals of ``Q`` that the
-candidate's conjunction does not reach; the candidate's full query becomes
-the left child's ``Q``.
+Each coverage query is decided at most once per example.  An example
+carries path bits: its outcome for every distinct coverage query decided on
+its path from the root.  A node's table (``decided``) maps the key of each
+such query (``_query_key``: variables renamed by first occurrence, literal
+order kept) to its position in the path bits.  A candidate whose key the
+table holds reads that outcome; a coverage query is the same closed query
+at every node, so it holds on the same examples.  This is common: a right
+child keeps its parent's ``Q`` and rmode usage, and a conjunction that
+shares no variable with ``Q`` has the same coverage query at every depth.
+Only the remaining queries are compiled into the node's query pack
+(``engine.compile_pack``), whose outcomes take the next positions.  Each
+example reaching the node runs that pack once, if there is one, and adds
+its class to the counters ``counter[candidate][branch][class]``
+(``_evaluate``).  ``evaluations`` counts the (example, query) outcomes the
+packs proved, ``reused`` those read from the path bits, and ``proof_steps``
+the steps the packs spent.  ``choose_split`` picks the winner from the
+counters alone, and ``_split`` makes the two children, which inherit the
+node's table.  Selection considers only admissible candidates: positive
+gain and at least ``minleaf`` examples on each side.  Without that validity
+filter the gain ratio favors degenerate near-empty splits (a split isolating
+one example of a rare class scores a ratio of ~1.0), which would then be
+vetoed and turn the node into a leaf prematurely; a node becomes a leaf only
+when no admissible candidate exists.
 
-The classic engine keeps every example resident and recurses depth-first,
-partitioning the examples of a node by the winner's outcome bit.
+The classic engine keeps every example and its path bits resident and
+recurses depth-first, partitioning the examples of a node by the winner's
+outcome bit.
 
-The LDS engine builds one tree level per streaming pass.  A pass streams
-only the examples whose node has candidates, and spills each one's outcome
-bits to a temporary file in the system temporary directory.  After the pass
-each open node either becomes a leaf or an internal node; examples are then
-routed to children straight from the spilled bits of the winning candidate,
-so no second pass over the data is needed.  Every level costs exactly one
-pass, including the final all-leaf level, so the pass count equals the depth
-of the finished tree (counted in node levels).
+The LDS engine builds one tree level per streaming pass, and the path bits
+travel on disk.  A pass reads the previous pass's spill file, one record
+(ordinal, class index, path bits) per example that was at a node with
+candidates, and skips the records of examples that have since reached a
+leaf.  It merge-joins the rest, in manifest order, with the stream of the
+examples whose node has a pack: only those are decoded, and a node whose
+candidates all reuse outcomes counts its examples from their records alone.
+A level whose nodes all reuse their outcomes streams no example and opens
+no chunk.  The pass writes each example's record, with its new path bits,
+to a spill file of its own in the system temporary directory.  After the
+pass each open node either becomes a leaf or an internal node, and routing
+reads that spill to move each example to the child its winner's bit names,
+so no second pass over the data is needed; the next pass reads the same
+spill.  Every level costs exactly one pass, including the final all-leaf
+level, so the pass count equals the depth of the finished tree (counted in
+node levels).
 
 Memory at any moment is one chunk of examples (bounded by the store's
-granularity) plus the counters of one level, which scale with nodes-per-level
-times candidates-per-node, never with the number of examples.  The
-example-to-node assignment is one reference per example; an example whose
-node became a leaf keeps pointing at it, and a leaf has no candidates.
+granularity) plus the counters and tables of one level, which scale with
+nodes-per-level times candidates-per-node, never with the number of
+examples.  The example-to-node assignment is one reference per example; an
+example whose node became a leaf keeps pointing at it, and a leaf has no
+candidates.
 
 Both engines make identical decisions from identical integer counters, and
 fresh variable names are derived from path-local state, so the two engines
@@ -51,6 +70,7 @@ names, and leaf distributions) for the same inputs.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 import struct
@@ -71,6 +91,7 @@ from .errors import DataError
 from .model import FOLDT, INode, Leaf, Model, count_nodes, tree_depth
 from .settings import LearnerConfig, Settings, render_settings
 from .store import DatasetHandle
+from .terms import Literal, Variable, map_literals
 
 log = logging.getLogger(__name__)
 
@@ -158,6 +179,7 @@ def _forced_leaf(counts, depth: int, config: LearnerConfig) -> bool:
 class BuildStats:
     passes: int = 0
     evaluations: int = 0
+    reused: int = 0
     eval_seconds: float = 0.0
     nodes_evaluated: int = 0
     candidates_generated: int = 0
@@ -165,67 +187,107 @@ class BuildStats:
     levels: list = field(default_factory=list)
 
 
+def _query_key(query: Query) -> tuple[Literal, ...]:
+    """``query`` with its variables renamed V0, V1, ... by first occurrence
+    and its literal order kept.  Two queries with one key are the same up to
+    renaming, so they hold on the same examples."""
+    names: dict[str, Variable] = {}
+
+    def rename(t):
+        if isinstance(t, Variable):
+            return names.setdefault(t.name, Variable(f"V{len(names)}"))
+        return None
+
+    return map_literals(query.literals, rename)
+
+
 @dataclass(eq=False)
 class _Node:
     """A tree node under construction.  ``usage`` (uses of each rmode on the
     path from the root) and ``name_base`` (index of the next fresh variable
-    name) are path-local, so both engines name variables alike."""
+    name) are path-local, so both engines name variables alike.  So is
+    ``decided``: the key (``_query_key``) of each coverage query decided on
+    the path from the root, mapped to the position of its outcome in the
+    path bits of the examples that reach the node."""
 
     query: Query
     usage: tuple[int, ...]
     name_base: int
     depth: int
     counts: tuple[int, ...]
+    decided: dict[tuple[Literal, ...], int] | None
     candidates: list[Candidate] | None = None  # set while the node is evaluated
-    pack: Pack | None = None  # the candidates' coverage queries, in candidate order
+    positions: list[int] | None = None  # per candidate: the position of its outcome
+    base: int = 0  # the position of the outcome of the pack's first query
+    pack: Pack | None = None  # the coverage queries the path has not decided, if any
     counters: list | None = None  # per candidate: [left per-class, right per-class]
-    winner: int | None = None  # index of the winning candidate, once split
+    win_bit: int | None = None  # the position of the winner's outcome, once split
     conj: tuple = ()  # the winner's added conjunction
     kids: tuple[_Node, _Node] | None = None
 
 
 def _open(node: _Node, cfg: LearnerConfig, bias, stats: BuildStats) -> bool:
-    """Give the node its candidates, the pack of their coverage queries and
-    zeroed counters; False when it is a leaf without evaluation (forced, or
-    no refinement applies)."""
+    """Give the node its candidates, the position of each one's outcome,
+    the pack of the coverage queries its path has not decided and zeroed
+    counters; False when it is a leaf without evaluation (forced, or no
+    refinement applies).  The node's examples are counted as proving the
+    pack's queries and reusing the other candidates' outcomes."""
+    inherited, node.decided = node.decided, None
     if _forced_leaf(node.counts, node.depth, cfg):
         return False
     ctx = RefinementContext(node.query, node.usage, node.name_base)
     node.candidates = refinements(ctx, bias) or None
     if node.candidates is None:
         return False
-    stats.nodes_evaluated += 1
-    stats.candidates_generated += len(node.candidates)
-    node.pack = compile_pack(coverage_query(node.query, c.added) for c in node.candidates)
+    decided = dict(inherited)  # the sibling shares the inherited table
+    fresh = []
+    node.positions = []
+    for c in node.candidates:
+        query = coverage_query(node.query, c.added)
+        key = _query_key(query)
+        if key not in decided:
+            decided[key] = len(decided)
+            fresh.append(query)
+        node.positions.append(decided[key])
+    node.base, node.decided = len(inherited), decided
+    node.pack = compile_pack(fresh) if fresh else None
     nclasses = len(node.counts)
     node.counters = [[[0] * nclasses, [0] * nclasses] for _ in node.candidates]
+    examples = sum(node.counts)
+    stats.nodes_evaluated += 1
+    stats.candidates_generated += len(node.candidates)
+    stats.evaluations += examples * len(fresh)
+    stats.reused += examples * (len(node.candidates) - len(fresh))
     return True
 
 
-def _evaluate(pack: Pack, example, cls: int, counters, background, budget: int) -> int:
-    """Run the node's pack on one example of class index ``cls`` that
-    satisfies the node's associated query: count the example in each
-    candidate's succeeding or failing branch, and return the outcome bits
-    (bit i set when candidate i succeeds)."""
-    bits = pack.run(example, background, budget)
-    for ci, (left, right) in enumerate(counters):
-        (left if bits >> ci & 1 else right)[cls] += 1
+def _evaluate(node: _Node, example, cls: int, bits: int, background, budget: int) -> int:
+    """Evaluate the node's candidates on one example of class index ``cls``
+    that satisfies the node's associated query and brings the path bits
+    ``bits``; ``example`` is read only when the node has a pack.  The pack
+    adds its outcomes to the bits, the example is counted in each
+    candidate's succeeding or failing branch, and the new bits are
+    returned."""
+    if node.pack is not None:
+        bits |= node.pack.run(example, background, budget) << node.base
+    for pos, (left, right) in zip(node.positions, node.counters):
+        (left if bits >> pos & 1 else right)[cls] += 1
     return bits
 
 
-def _close(node: _Node, stats: BuildStats) -> int:
-    """Drop an evaluated node's candidates, pack and counters, and return
-    the proof steps its pack spent."""
-    steps = node.pack.steps
-    stats.proof_steps += steps
-    node.candidates = node.pack = node.counters = None
-    return steps
+def _close(node: _Node, stats: BuildStats):
+    """Drop an evaluated node's candidates, pack, counters and table, and
+    add the steps its pack spent to the run's proof steps."""
+    if node.pack is not None:
+        stats.proof_steps += node.pack.steps
+    node.candidates = node.positions = node.pack = node.counters = node.decided = None
 
 
 def _split(node: _Node, cfg: LearnerConfig) -> int | None:
     """Decide an evaluated node from its counters.  When a candidate is
     admissible the node becomes internal with two children (left: the
-    candidate succeeds) and the winner's index is returned."""
+    candidate succeeds), which inherit its table, and the position of the
+    winner's outcome is returned."""
     w = choose_split(node.counts, node.counters, cfg)
     if w is None:
         return None
@@ -234,12 +296,12 @@ def _split(node: _Node, cfg: LearnerConfig) -> int | None:
     usage = tuple(u + 1 if ri == winner.rmode_index else u for ri, u in enumerate(node.usage))
     base = node.name_base + fresh
     left, right = node.counters[w]
-    node.winner, node.conj = w, winner.added
+    node.win_bit, node.conj = node.positions[w], winner.added
     node.kids = (
-        _Node(winner.query, usage, base, node.depth + 1, tuple(left)),
-        _Node(node.query, node.usage, base, node.depth + 1, tuple(right)),
+        _Node(winner.query, usage, base, node.depth + 1, tuple(left), node.decided),
+        _Node(node.query, node.usage, base, node.depth + 1, tuple(right), node.decided),
     )
-    return w
+    return node.win_bit
 
 
 def _tree(node: _Node, classes) -> FOLDT:
@@ -273,6 +335,7 @@ def _metadata(cfg, data, stats, tree, wall, cpu) -> dict:
         "leaves": leaves,
         "passes": stats.passes,
         "evaluations": stats.evaluations,
+        "reused": stats.reused,
         "nodes_evaluated": stats.nodes_evaluated,
         "candidates_generated": stats.candidates_generated,
         "eval_seconds": stats.eval_seconds,
@@ -290,28 +353,25 @@ def _metadata(cfg, data, stats, tree, wall, cpu) -> dict:
 def _grow_classic(root, data, background, cidx, cfg, bias, stats):
     examples = [e for _, e in data.stream_examples()]
     labels = [cidx[e.label] for e in examples]
+    bits = [0] * len(examples)  # each example's path bits
     stats.passes = 1
 
     def grow(node: _Node, idxs):
         if not _open(node, cfg, bias, stats):
             return
         t0 = time.perf_counter()
-        bits = [
-            _evaluate(
-                node.pack, examples[i], labels[i], node.counters,
-                background, cfg.resolution_budget,
+        for i in idxs:
+            bits[i] = _evaluate(
+                node, examples[i], labels[i], bits[i], background, cfg.resolution_budget
             )
-            for i in idxs
-        ]
-        stats.evaluations += len(idxs) * len(node.candidates)
         stats.eval_seconds += time.perf_counter() - t0
-        w = _split(node, cfg)
+        pos = _split(node, cfg)
         _close(node, stats)
-        if w is None:
+        if pos is None:
             return
         left, right = node.kids
-        grow(left, [i for i, b in zip(idxs, bits) if b >> w & 1])
-        grow(right, [i for i, b in zip(idxs, bits) if not b >> w & 1])
+        grow(left, [i for i in idxs if bits[i] >> pos & 1])
+        grow(right, [i for i in idxs if not bits[i] >> pos & 1])
 
     grow(root, range(len(examples)))
 
@@ -319,75 +379,115 @@ def _grow_classic(root, data, background, cidx, cfg, bias, stats):
 # ---------------------------------------------------------------------------
 # LDS engine
 
+# A spill record: an example's ordinal and class index, then its path bits in
+# a width fixed per file.
+_RECORD = struct.Struct("<II")
+
+
+def _spill_records(spill, width: int):
+    """The ``(ordinal, class index, path bits)`` records of a spill file."""
+    spill.seek(0)
+    size = _RECORD.size + width
+    while record := spill.read(size):
+        ordinal, cls = _RECORD.unpack_from(record)
+        yield ordinal, cls, int.from_bytes(record[_RECORD.size :], "little")
+
 
 def _grow_lds(root, data, background, cidx, cfg, bias, stats):
     assignment = [root] * len(data)
     frontier = [root]
-    while frontier:
-        stats.passes += 1
-        level_wall0 = time.perf_counter()
-        evaluable = [n for n in frontier if _open(n, cfg, bias, stats)]
-        candidates = sum(len(n.candidates) for n in evaluable)
+    budget = cfg.resolution_budget
+    with contextlib.ExitStack() as files:
+        spill = None  # the previous pass's records
+        while frontier:
+            stats.passes += 1
+            level_wall0 = time.perf_counter()
+            before = stats.evaluations, stats.reused, stats.proof_steps
+            evaluable = [n for n in frontier if _open(n, cfg, bias, stats)]
+            candidates = sum(len(n.candidates) for n in evaluable)
+            width = (max((len(n.decided) for n in evaluable), default=0) + 7) // 8
 
-        # One pass over the examples whose node has candidates; always exactly
-        # one per level, since the final all-leaf level is decided by its own.
-        touched = 0
-        evals_before = stats.evaluations
-        eval_t0 = time.perf_counter()
-        with tempfile.TemporaryFile() as spill:
-            for ordinal, e in data.stream_examples(
-                lambda o: assignment[o].candidates is not None
-            ):
-                touched += 1
+            # One pass: the previous pass's records, merge-joined in manifest
+            # order with the stream of the examples whose node has a pack.
+            # Always exactly one per level, even when it selects no example.
+            if spill is None:  # every example is at the root, with no path bits
+                records = ((o, None, 0) for o in range(len(data)))
+            else:
+                records = _spill_records(spill, spill_width)
+            stream = data.stream_examples(lambda o: assignment[o].pack is not None)
+            out = files.enter_context(tempfile.TemporaryFile())
+            touched, decode = 0, 0.0
+            pass_t0 = time.perf_counter()
+            for ordinal, cls, bits in records:
                 node = assignment[ordinal]
-                bits = _evaluate(
-                    node.pack, e, cidx[e.label], node.counters,
-                    background, cfg.resolution_budget,
-                )
-                stats.evaluations += len(node.candidates)
-                nbytes = (len(node.candidates) + 7) // 8
-                spill.write(struct.pack("<I", ordinal) + bits.to_bytes(nbytes, "little"))
-            stats.eval_seconds += time.perf_counter() - eval_t0
+                if node.candidates is None:  # the example reached a leaf
+                    continue
+                e = None
+                if node.pack is not None:
+                    t0 = time.perf_counter()
+                    _, e = next(stream)
+                    decode += time.perf_counter() - t0
+                    touched += 1
+                    cls = cidx[e.label]
+                bits = _evaluate(node, e, cls, bits, background, budget)
+                out.write(_RECORD.pack(ordinal, cls) + bits.to_bytes(width, "little"))
+            t0 = time.perf_counter()
+            next(stream, None)  # ends the pass, and starts it when no record read it
+            decode += time.perf_counter() - t0
+            if spill is not None:
+                spill.close()
+            spill, spill_width = out, width
+            pass_seconds = time.perf_counter() - pass_t0
+            stats.eval_seconds += pass_seconds
 
+            t0 = time.perf_counter()
             new_frontier: list[_Node] = []
             for n in evaluable:
                 if _split(n, cfg) is not None:
                     new_frontier.extend(n.kids)
+            decide = time.perf_counter() - t0
 
-            # Route examples to children from the spilled outcome bits of each
-            # node's winning candidate; no re-evaluation pass.
-            spill.seek(0)
-            header = spill.read(4)
-            while header:
-                (ordinal,) = struct.unpack("<I", header)
+            # Route each example to its child by the winner's bit in its
+            # record; no re-evaluation pass.  The next pass skips the records
+            # of examples whose child is a leaf.
+            t0 = time.perf_counter()
+            for ordinal, _, bits in _spill_records(spill, width):
                 node = assignment[ordinal]
-                bits = int.from_bytes(spill.read((len(node.candidates) + 7) // 8), "little")
                 if node.kids is not None:
-                    left, right = node.kids
-                    assignment[ordinal] = left if bits >> node.winner & 1 else right
-                header = spill.read(4)
+                    assignment[ordinal] = node.kids[0 if bits >> node.win_bit & 1 else 1]
+            route = time.perf_counter() - t0
 
-        # Drop the level's candidates and counters before the next level's are
-        # built; a node without candidates selects no example.
-        steps = sum(_close(n, stats) for n in evaluable)
-        level_wall = time.perf_counter() - level_wall0
-        stats.levels.append(
-            {
-                "level": stats.passes,
-                "open_nodes": len(frontier),
-                "evaluated_nodes": len(evaluable),
-                "candidates": candidates,
-                "examples_touched": touched,
-                "evaluations": stats.evaluations - evals_before,
-                "proof_steps": steps,
-                "pass_wall_seconds": level_wall,
-            }
-        )
-        log.info(
-            "level %d: open=%d evaluated=%d examples=%d pass=%.3fs",
-            stats.passes, len(frontier), len(evaluable), touched, level_wall,
-        )
-        frontier = new_frontier
+            # Drop the level's candidates and counters before the next level's
+            # are built; a node without candidates selects no example.
+            for n in evaluable:
+                _close(n, stats)
+            level_wall = time.perf_counter() - level_wall0
+            evaluations, reused, steps = (
+                now - then
+                for now, then in zip((stats.evaluations, stats.reused, stats.proof_steps), before)
+            )
+            stats.levels.append(
+                {
+                    "level": stats.passes,
+                    "open_nodes": len(frontier),
+                    "evaluated_nodes": len(evaluable),
+                    "candidates": candidates,
+                    "examples_touched": touched,
+                    "evaluations": evaluations,
+                    "reused": reused,
+                    "proof_steps": steps,
+                    "decode_seconds": decode,
+                    "eval_seconds": pass_seconds - decode,
+                    "decide_seconds": decide,
+                    "route_seconds": route,
+                    "pass_wall_seconds": level_wall,
+                }
+            )
+            log.info(
+                "level %d: open=%d evaluated=%d examples=%d pass=%.3fs",
+                stats.passes, len(frontier), len(evaluable), touched, level_wall,
+            )
+            frontier = new_frontier
 
 
 _ENGINES = {"classic": _grow_classic, "lds": _grow_lds}
@@ -409,7 +509,7 @@ def learn(
     wall0, cpu0 = time.perf_counter(), time.process_time()
     bias = prepare_bias(settings, data, background)
     classes = settings.classes
-    root = _Node(Query(()), (0,) * len(settings.rmodes), 0, 0, _root_counts(data, classes))
+    root = _Node(Query(()), (0,) * len(settings.rmodes), 0, 0, _root_counts(data, classes), {})
     stats = BuildStats()
     _ENGINES[cfg.algorithm](root, data, background, settings.class_index(), cfg, bias, stats)
     tree = _tree(root, classes)

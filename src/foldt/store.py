@@ -8,8 +8,8 @@ A dataset text file is a sequence of blocks::
       pair.
     end(model(4)).
 
-``load_dataset`` parses the blocks once and writes a chunk store next to the
-source (or into a target directory): binary chunk files of ``G`` pre-parsed
+``load_dataset`` parses the blocks once and writes a chunk store into the
+directory it is given: binary chunk files of ``G`` pre-parsed
 examples each, a line-oriented manifest (``chunk <index> <file> <first-id>
 <count>``), and a small metadata file that also records every predicate/arity
 key the examples' facts use.  Streaming passes then
@@ -465,16 +465,12 @@ class DatasetHandle:
         return interp
 
 
-def load_dataset(path, settings, out_dir=None, granularity: int | None = None) -> DatasetHandle:
-    """Parse a block file and build its chunk store.
-
-    The store is written beside the source (``<file>.chunks/``) unless
-    ``out_dir`` is given.  Granularity defaults to the settings parameter.
-    """
-    path = Path(path)
+def load_dataset(path, settings, out_dir, granularity: int | None = None) -> DatasetHandle:
+    """Parse a block file and build its chunk store in the directory
+    ``out_dir``; nothing is written beside the block file.  Granularity
+    defaults to the settings parameter."""
     g = granularity if granularity is not None else settings.params.granularity
-    directory = Path(out_dir) if out_dir is not None else path.with_name(path.name + ".chunks")
-    writer = ChunkWriter(directory, g)
+    writer = ChunkWriter(out_dir, g)
     for interp in iter_kb_blocks(path, settings.classes):
         writer.add(interp)
     return writer.finish()

@@ -6,15 +6,15 @@ the join evaluator is a naive nested-loop join over ground facts, the
 entropy oracle recomputes scores from first principles with Fractions where
 possible, and the poker labeler is a direct rank-multiset table.  The
 helpers at the end check a tree's variable scope and theta-subsumption
-between queries, and build the root refinement context and a bias without
-thresholds.
+between queries, build the root refinement context and a bias without
+thresholds, and count a node's candidates by proving each full query alone.
 """
 
 import math
 from collections import Counter
 
 from foldt.bias import Bias, RefinementContext
-from foldt.engine import Query, matches
+from foldt.engine import Query, matches, succeeds
 from foldt.model import Leaf
 from foldt.terms import Compound, Number, Variable, literal_variables
 
@@ -233,3 +233,19 @@ def root_context(settings) -> RefinementContext:
 def static_bias(settings) -> Bias:
     """Bias with no computed thresholds (templates without placeholders)."""
     return Bias(settings, {k: () for k in range(1, len(settings.discretize) + 1)})
+
+
+def full_query_counters(queries, examples, classes, background=None):
+    """Per query, the per-class counts of the ``examples`` on which it
+    succeeds and of those on which it fails, each query proved whole and
+    alone with ``engine.succeeds``: the counters that a node whose
+    candidates have these full queries must reach, however its outcomes were
+    decided."""
+    index = {c: i for i, c in enumerate(classes)}
+    counters = []
+    for query in queries:
+        left, right = [0] * len(classes), [0] * len(classes)
+        for e in examples:
+            (left if succeeds(query, e, background) else right)[index[e.label]] += 1
+        counters.append([left, right])
+    return counters

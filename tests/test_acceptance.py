@@ -64,7 +64,7 @@ def _lds(data, settings, config=None):
 def _bongard12(tmp_path, granularity=5):
     path = tmp_path / "b12.kb"
     path.write_text(bongard12_kb_text())
-    return load_dataset(path, BONGARD, granularity=granularity)
+    return load_dataset(path, BONGARD, tmp_path / "b12.chunks", granularity=granularity)
 
 
 def _report(n, detail):
@@ -181,9 +181,11 @@ def test_criterion_2_classic_equals_lds(tmp_path):
         lds = _lds(data, settings, cfg)
         if classic.tree != lds.tree:
             mismatches += 1
-        # the same packs run on the same examples
+        # the same packs run on the same examples, and reuse the same outcomes
         steps = lds.metadata["proof_steps"]
         assert classic.metadata["proof_steps"] == steps > 0, (domain, count)
+        for key in ("evaluations", "reused"):
+            assert classic.metadata[key] == lds.metadata[key], (domain, count, key)
         assert sum(lv["proof_steps"] for lv in lds.metadata["levels"]) == steps
         assert check_scope(lds)
     # the constructed 12-example set under the default config rounds it to 20
@@ -208,7 +210,7 @@ def test_criterion_2_classic_equals_lds(tmp_path):
 def test_criterion_3_replication_invariance(tmp_path):
     t0 = time.perf_counter()
     path = gen_poker(GenSpec("poker", 300, seed=77), tmp_path / "p300.kb")
-    data = load_dataset(path, POKER, granularity=10)
+    data = load_dataset(path, POKER, tmp_path / "p300.chunks", granularity=10)
     out_tsv = tmp_path / "bench.tsv"
     result = bench_run(
         data,
@@ -268,7 +270,7 @@ def test_criterion_6_poker_accuracy(tmp_path):
     t0 = time.perf_counter()
     train_path = gen_poker(GenSpec("poker", 1000, seed=31), tmp_path / "train.kb")
     test_path = gen_poker(GenSpec("poker", 10_000, seed=32), tmp_path / "test.kb")
-    train = load_dataset(train_path, POKER, granularity=10)
+    train = load_dataset(train_path, POKER, tmp_path / "train.chunks", granularity=10)
     model = _lds(train, POKER)
     test = load_dataset(test_path, POKER, out_dir=tmp_path / "test.chunks", granularity=100)
     correct = sum(classify(model, e) == e.label for _, e in test.stream_examples())
@@ -344,12 +346,12 @@ def test_criterion_8_property_suites(tmp_path):
         settings = POKER if domain == "poker" else BONGARD
         gen = gen_poker if domain == "poker" else gen_bongard
         train = gen(GenSpec(domain, 200, seed=400 + j), tmp_path / f"t{j}.kb")
-        data = load_dataset(train, settings, granularity=20)
+        data = load_dataset(train, settings, tmp_path / f"t{j}.chunks", granularity=20)
         model = learn_with("classic", data, None, settings)
         assert check_scope(model)
         rules = to_decision_list(model)
         fresh = gen(GenSpec(domain, 100, seed=500 + j), tmp_path / f"f{j}.kb")
-        fresh_data = load_dataset(fresh, settings, granularity=50)
+        fresh_data = load_dataset(fresh, settings, tmp_path / f"f{j}.chunks", granularity=50)
         for _, e in fresh_data.stream_examples():
             assert classify(model, e) == eval_decision_list(rules, e)
             pairs += 1
@@ -384,7 +386,7 @@ def test_criterion_4_pass_count_law(tmp_path):
         for domain, settings in (("poker", POKER), ("bongard", BONGARD)):
             gen = gen_poker if domain == "poker" else gen_bongard
             path = gen(GenSpec(domain, 250, seed=seed), tmp_path / f"{domain}{seed}.kb")
-            d = load_dataset(path, settings, granularity=25)
+            d = load_dataset(path, settings, tmp_path / f"{domain}{seed}.chunks", granularity=25)
             _lds(d, settings, LearnerConfig.from_settings(settings, minleaf=minleaf))
     assert len(_LDS_RUNS) >= 10  # plus everything the earlier criteria ran
     bad = [(p, d) for p, d in _LDS_RUNS if p != d]

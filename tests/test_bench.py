@@ -14,7 +14,7 @@ BONGARD_SETTINGS = parse_settings(BONGARD_BIAS_TEXT)
 def bongard12(tmp_path):
     path = tmp_path / "b12.kb"
     path.write_text(bongard12_kb_text())
-    return load_dataset(path, BONGARD_SETTINGS, granularity=6)
+    return load_dataset(path, BONGARD_SETTINGS, tmp_path / "b12.chunks", granularity=6)
 
 
 def test_bench_identical_trees_and_tsv(tmp_path, bongard12):

@@ -94,7 +94,7 @@ def test_balanced_generation(tmp_path):
 
 def test_replicate_counts_and_histogram(tmp_path):
     path = gen_poker(GenSpec("poker", 188, seed=1), tmp_path / "m.kb")
-    data = load_dataset(path, POKER_SETTINGS, granularity=25)
+    data = load_dataset(path, POKER_SETTINGS, tmp_path / "m.chunks", granularity=25)
     rep = replicate(data, 8, tmp_path / "rep8")
     assert rep.total == 1504
     assert rep.class_counts == {c: 8 * v for c, v in data.class_counts.items()}
@@ -102,7 +102,7 @@ def test_replicate_counts_and_histogram(tmp_path):
 
 def test_replicate_k1_content_identical_new_ids(tmp_path):
     path = gen_poker(GenSpec("poker", 12, seed=2), tmp_path / "s.kb")
-    data = load_dataset(path, POKER_SETTINGS, granularity=5)
+    data = load_dataset(path, POKER_SETTINGS, tmp_path / "s.chunks", granularity=5)
     rep = replicate(data, 1, tmp_path / "rep1")
     originals = [e for _, e in data.stream_examples()]
     copies = [e for _, e in rep.stream_examples()]

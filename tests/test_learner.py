@@ -1,7 +1,9 @@
 import logging
 from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings as hsettings, strategies as st
 from conftest import (
     BONGARD_BIAS_TEXT,
     POKER_BIAS_TEXT,
@@ -9,11 +11,11 @@ from conftest import (
     learn_with,
     mk_query_literals,
 )
-from oracles import check_scope, gain_oracle
+from oracles import check_scope, full_query_counters, gain_oracle
 
 import foldt.learner
 from foldt.bench import structure_hash
-from foldt.engine import Background
+from foldt.engine import Background, succeeds
 from foldt.errors import BudgetExceededError, DataError
 from foldt.generators import GenSpec, gen_bongard, gen_poker, replicate
 from foldt.learner import (
@@ -37,7 +39,7 @@ BONGARD_SETTINGS = parse_settings(BONGARD_BIAS_TEXT)
 def bongard12(tmp_path):
     path = tmp_path / "bongard12.kb"
     path.write_text(bongard12_kb_text())
-    return load_dataset(path, BONGARD_SETTINGS, granularity=5)
+    return load_dataset(path, BONGARD_SETTINGS, tmp_path / "bongard12.chunks", granularity=5)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +152,7 @@ def test_classic_equals_lds_exactly(bongard12):
     classic = learn_with("classic", bongard12, None, BONGARD_SETTINGS)
     lds = learn_with("lds", bongard12, None, BONGARD_SETTINGS)
     assert classic.tree == lds.tree  # conjunctions, names, counts, everything
-    for key in ("evaluations", "nodes_evaluated", "candidates_generated", "proof_steps"):
+    for key in ("evaluations", "reused", "nodes_evaluated", "candidates_generated", "proof_steps"):
         assert classic.metadata[key] == lds.metadata[key], key
     assert lds.metadata["proof_steps"] > 0
 
@@ -160,9 +162,111 @@ def test_lds_level_records_sum_to_totals(bongard12):
     levels = meta["levels"]
     assert sum(lv["candidates"] for lv in levels) == meta["candidates_generated"] > 0
     assert sum(lv["evaluations"] for lv in levels) == meta["evaluations"]
+    assert sum(lv["reused"] for lv in levels) == meta["reused"]
     assert sum(lv["proof_steps"] for lv in levels) == meta["proof_steps"] > 0
-    # only examples at nodes with candidates are streamed; the last level has none
+    # only examples at nodes with a pack are streamed; the last level has none
     assert [lv["examples_touched"] for lv in levels] == [12, 9, 0]
+
+
+def _generated(domain, count, seed, tmp_path, granularity=17):
+    settings = parse_settings(POKER_BIAS_TEXT) if domain == "poker" else BONGARD_SETTINGS
+    gen = gen_poker if domain == "poker" else gen_bongard
+    path = gen(GenSpec(domain, count, seed=seed), tmp_path / f"{domain}{seed}.kb")
+    return load_dataset(path, settings, tmp_path / f"{domain}{seed}.chunks", granularity), settings
+
+
+@pytest.mark.parametrize("domain", ["poker", "bongard"])
+def test_level_tests_proven_and_reused_cover_every_candidate(tmp_path, monkeypatch, domain):
+    data, settings = _generated(domain, 150, 11, tmp_path)
+    opened = []
+    open_node = foldt.learner._open
+
+    def recording(node, *args):
+        evaluated = open_node(node, *args)
+        if evaluated:
+            opened.append((node.depth + 1, sum(node.counts) * len(node.candidates)))
+        return evaluated
+
+    monkeypatch.setattr(foldt.learner, "_open", recording)
+    meta = learn_with("lds", data, None, settings).metadata
+    for lv in meta["levels"]:
+        tests = sum(n for level, n in opened if level == lv["level"])
+        assert lv["evaluations"] + lv["reused"] == tests, lv["level"]
+    assert meta["reused"] > 0
+
+
+def test_poker_levels_below_the_root_reuse_every_outcome(tmp_path):
+    # Every poker candidate's coverage query is one of the root's four up to
+    # renaming, so below the root nothing is proven and nothing is streamed.
+    data, settings = _generated("poker", 150, 11, tmp_path)
+    model = learn_with("lds", data, None, settings)
+    meta, levels = model.metadata, model.metadata["levels"]
+    assert len(levels) == meta["passes"] == tree_depth(model.tree) > 2
+    assert [lv["examples_touched"] for lv in levels] == [150] + [0] * (len(levels) - 1)
+    assert meta["evaluations"] == levels[0]["evaluations"] == 150 * levels[0]["candidates"]
+    assert all(lv["proof_steps"] == 0 for lv in levels[1:])
+    assert meta["reused"] > 0
+
+
+def test_lds_level_time_split_fits_in_the_pass(tmp_path):
+    data, settings = _generated("bongard", 120, 5, tmp_path, granularity=10)
+    meta = learn_with("lds", data, None, settings).metadata
+    parts = ("decode_seconds", "eval_seconds", "decide_seconds", "route_seconds")
+    for lv in meta["levels"]:
+        assert all(lv[p] >= 0 for p in parts), lv
+        assert sum(lv[p] for p in parts) <= lv["pass_wall_seconds"], lv
+    passes = sum(lv["decode_seconds"] + lv["eval_seconds"] for lv in meta["levels"])
+    assert meta["eval_seconds"] == pytest.approx(passes)
+
+
+_DIFFERENTIAL_CONFIGS = [
+    dict(heuristic="gainratio", minleaf=1, granularity=7),
+    dict(heuristic="gain", minleaf=3, granularity=25),
+    dict(heuristic="weighted_entropy", minleaf=2, granularity=10, max_depth=3),
+]
+
+
+@hsettings(max_examples=30, deadline=None)
+@given(
+    domain=st.sampled_from(["poker", "bongard"]),
+    count=st.integers(30, 120),
+    seed=st.integers(0, 10_000),
+    overrides=st.sampled_from(_DIFFERENTIAL_CONFIGS),
+)
+def test_node_counters_equal_full_query_proofs(tmp_path_factory, domain, count, seed, overrides):
+    """At every evaluated node, the counters ``choose_split`` receives
+    equal those from proving each candidate's full query alone on each
+    example at the node, with no coverage query or reused outcome
+    involved."""
+    tmp = tmp_path_factory.mktemp("differential")
+    data, settings = _generated(domain, count, seed, tmp, overrides["granularity"])
+    cfg = LearnerConfig.from_settings(settings, **overrides)
+    examples = [e for _, e in data.stream_examples()]
+    split = foldt.learner._split
+    for algorithm in ALGORITHMS:
+        evaluated = {}  # id of each evaluated node -> (node, full queries, counters)
+
+        def recording(node, cfg):
+            queries = [c.query for c in node.candidates]
+            evaluated[id(node)] = (node, queries, node.counters)
+            return split(node, cfg)
+
+        with mock.patch.object(foldt.learner, "_split", recording):
+            learn_with(algorithm, data, None, settings, cfg)
+        if not evaluated:
+            continue
+        todo = [(next(iter(evaluated.values()))[0], examples)]  # the root is evaluated first
+        while todo:
+            node, members = todo.pop()
+            _, queries, counters = evaluated.pop(id(node))
+            assert counters == full_query_counters(queries, members, settings.classes), algorithm
+            if node.kids is not None:
+                left, right = node.kids
+                goes_left = [succeeds(left.query, e) for e in members]
+                for kid, side in ((left, True), (right, False)):
+                    if id(kid) in evaluated:
+                        todo.append((kid, [e for e, g in zip(members, goes_left) if g == side]))
+        assert not evaluated, algorithm  # every evaluated node was reached
 
 
 def test_lds_spills_outside_the_data_directory(bongard12, monkeypatch):
@@ -194,7 +298,7 @@ def test_single_class_dataset_single_leaf(tmp_path):
         "begin(model(1)). triangle(t1). points(t1,up). pos. end(model(1)).\n"
         "begin(model(2)). circle(c1). pos. end(model(2)).\n"
     )
-    data = load_dataset(path, BONGARD_SETTINGS)
+    data = load_dataset(path, BONGARD_SETTINGS, tmp_path / "mono.chunks")
     for algorithm in ALGORITHMS:
         model = learn_with(algorithm, data, None, BONGARD_SETTINGS)
         assert model.tree == Leaf("pos", (2, 0))
@@ -211,7 +315,7 @@ def test_empty_refinements_majority_leaf(tmp_path):
         "begin(model(4)). f(d). neg. end(model(4)).\n"
     )
     no_rmodes = parse_settings("classes([pos,neg]).")
-    data = load_dataset(path, no_rmodes)
+    data = load_dataset(path, no_rmodes, tmp_path / "mixed.chunks")
     for algorithm in ALGORITHMS:
         model = learn_with(algorithm, data, None, no_rmodes)
         assert model.tree == Leaf("pos", (3, 1))
@@ -258,14 +362,14 @@ def test_replication_invariance_small(tmp_path, bongard12):
 def test_classic_equals_lds_on_generated_data(tmp_path):
     poker_settings = parse_settings(POKER_BIAS_TEXT)
     path = gen_poker(GenSpec("poker", 150, seed=11), tmp_path / "p.kb")
-    data = load_dataset(path, poker_settings, granularity=20)
+    data = load_dataset(path, poker_settings, tmp_path / "p.chunks", granularity=20)
     classic = learn_with("classic", data, None, poker_settings)
     lds = learn_with("lds", data, None, poker_settings)
     assert classic.tree == lds.tree
     assert check_scope(lds)
 
     bon_path = gen_bongard(GenSpec("bongard", 120, seed=5), tmp_path / "b.kb")
-    bon = load_dataset(bon_path, BONGARD_SETTINGS, granularity=17)
+    bon = load_dataset(bon_path, BONGARD_SETTINGS, tmp_path / "b.chunks", granularity=17)
     assert learn_with("classic", bon, None, BONGARD_SETTINGS).tree == learn_with("lds", 
         bon, None, BONGARD_SETTINGS
     ).tree
@@ -279,7 +383,7 @@ def test_budget_bounds_one_coverage_test(tmp_path):
     # at most about 150.
     settings = parse_settings(POKER_BIAS_TEXT)
     path = gen_poker(GenSpec("poker", 150, seed=11), tmp_path / "p.kb")
-    data = load_dataset(path, settings, granularity=20)
+    data = load_dataset(path, settings, tmp_path / "p.chunks", granularity=20)
     unbounded = learn_with("classic", data, None, settings)
     assert tree_depth(unbounded.tree) >= 3
     tight = LearnerConfig.from_settings(settings, resolution_budget=400)
@@ -296,7 +400,7 @@ def test_max_thresholds_override_acts_like_the_directive(tmp_path):
         "".join(f"begin(model({i})). val(x,{i}). {'abc'[i // 10]}. end(model({i})).\n" for i in range(30))
     )
     settings = parse_settings(BANDS_TEXT)
-    data = load_dataset(path, settings)
+    data = load_dataset(path, settings, tmp_path / "bands.chunks")
     default = learn(data, None, settings)
     override = learn(data, None, settings, LearnerConfig.from_settings(settings, max_thresholds=1))
     directive = learn(data, None, parse_settings(BANDS_TEXT + "max_thresholds(1).\n"))
@@ -308,7 +412,7 @@ def test_max_thresholds_override_acts_like_the_directive(tmp_path):
 
 def test_lds_pass_count_equals_depth_various(tmp_path):
     bon_path = gen_bongard(GenSpec("bongard", 80, seed=9), tmp_path / "b.kb")
-    data = load_dataset(bon_path, BONGARD_SETTINGS, granularity=10)
+    data = load_dataset(bon_path, BONGARD_SETTINGS, tmp_path / "b.chunks", granularity=10)
     for minleaf in (1, 2, 6):
         settings = replace(BONGARD_SETTINGS, params=replace(BONGARD_SETTINGS.params, minleaf=minleaf))
         model = learn_with("lds", data, None, settings)
@@ -321,7 +425,7 @@ def test_lds_pass_count_equals_depth_various(tmp_path):
 
 def _poker100(tmp_path):
     path = gen_poker(GenSpec("poker", 100, seed=7), tmp_path / "poker.kb")
-    return load_dataset(path, parse_settings(POKER_BIAS_TEXT))
+    return load_dataset(path, parse_settings(POKER_BIAS_TEXT), tmp_path / "poker.chunks")
 
 
 def _warnings(caplog):
@@ -362,7 +466,7 @@ def test_pack_budget_exhaustion_in_learn_names_example_and_query(tmp_path):
     path = tmp_path / "loop.kb"
     path.write_text(bongard12_kb_text())
     settings = parse_settings(BONGARD_BIAS_TEXT + "rmode(5: looping(+-V)).\n")
-    data = load_dataset(path, settings, granularity=5)
+    data = load_dataset(path, settings, tmp_path / "loop.chunks", granularity=5)
     looping = Background(parse_program("looping(X) :- looping(X)."))
     config = LearnerConfig.from_settings(settings, resolution_budget=200)
     for algorithm in ALGORITHMS:

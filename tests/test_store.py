@@ -98,16 +98,26 @@ def test_last_clause_without_end_rejected(tmp_path, tail):
     assert e.value.line == 3
 
 
+def test_compile_leaves_the_block_file_directory_as_it_was(tmp_path):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    path = _write_many(data_dir, 5)
+    before = sorted(data_dir.iterdir())
+    handle = load_dataset(path, POKER_SETTINGS, tmp_path / "store", granularity=2)
+    assert sorted(data_dir.iterdir()) == before
+    assert handle.dir == tmp_path / "store" and len(handle.chunks) == 3
+
+
 def test_chunking_sizes(tmp_path):
     path = _write_many(tmp_path, 25)
-    handle = load_dataset(path, POKER_SETTINGS, granularity=10)
+    handle = load_dataset(path, POKER_SETTINGS, tmp_path / "store", granularity=10)
     assert [c.count for c in handle.chunks] == [10, 10, 5]
     assert handle.total == 25
     assert handle.class_counts == {"pair": 25}
 
 
 def test_stream_counts_and_peak(tmp_path):
-    handle = load_dataset(_write_many(tmp_path, 25), POKER_SETTINGS, granularity=10)
+    handle = load_dataset(_write_many(tmp_path, 25), POKER_SETTINGS, tmp_path / "store", granularity=10)
     assert handle.peak_resident() == 0
     seen = list(handle.stream_examples())
     assert len(seen) == 25
@@ -117,7 +127,7 @@ def test_stream_counts_and_peak(tmp_path):
 
 
 def test_selector_skips_whole_chunk(tmp_path):
-    handle = load_dataset(_write_many(tmp_path, 25), POKER_SETTINGS, granularity=10)
+    handle = load_dataset(_write_many(tmp_path, 25), POKER_SETTINGS, tmp_path / "store", granularity=10)
     selected = list(handle.stream_examples(lambda o: not 10 <= o < 20))
     assert [o for o, _ in selected] == list(range(10)) + list(range(20, 25))
     assert [e.ident for _, e in selected] == [Number(o + 1) for o, _ in selected]
@@ -127,7 +137,7 @@ def test_selector_skips_whole_chunk(tmp_path):
 def test_selective_stream_decodes_only_selected_records(tmp_path, monkeypatch):
     import foldt.store
 
-    handle = load_dataset(_write_many(tmp_path, 25), POKER_SETTINGS, granularity=10)
+    handle = load_dataset(_write_many(tmp_path, 25), POKER_SETTINGS, tmp_path / "store", granularity=10)
     decoded = []
     decode = foldt.store.decode_record
     monkeypatch.setattr(foldt.store, "decode_record", lambda rec: decoded.append(1) or decode(rec))
@@ -156,14 +166,14 @@ def test_selective_stream_decodes_only_selected_records(tmp_path, monkeypatch):
 
 
 def test_granularity_one_loads_per_example(tmp_path):
-    handle = load_dataset(_write_many(tmp_path, 7), POKER_SETTINGS, granularity=1)
+    handle = load_dataset(_write_many(tmp_path, 7), POKER_SETTINGS, tmp_path / "store", granularity=1)
     list(handle.stream_examples())
     assert handle.chunk_loads == 7
     assert handle.peak_resident() == 1
 
 
 def test_open_dataset_roundtrip(tmp_path):
-    handle = load_dataset(_write_many(tmp_path, 12), POKER_SETTINGS, granularity=5)
+    handle = load_dataset(_write_many(tmp_path, 12), POKER_SETTINGS, tmp_path / "store", granularity=5)
     reopened = open_dataset(handle.dir)
     assert reopened.total == handle.total
     assert reopened.granularity == handle.granularity
@@ -181,7 +191,7 @@ def test_store_records_predicates(tmp_path):
         "begin(model(1)).\n pair.\n card(2,hearts).\n flush.\nend(model(1)).\n"
         "begin(model(2)).\n nothing.\n rank(3).\n card(3,spades).\nend(model(2)).\n"
     )
-    handle = load_dataset(path, POKER_SETTINGS)
+    handle = load_dataset(path, POKER_SETTINGS, tmp_path / "store")
     meta = json.loads((handle.dir / "meta.json").read_text())
     assert meta["predicates"] == [["card", 2], ["flush", 0], ["rank", 1]]
     assert open_dataset(handle.dir).predicates == {("card", 2), ("flush", 0), ("rank", 1)}
@@ -247,7 +257,7 @@ def _edit_manifest_field(pos, value):
     ],
 )
 def test_open_dataset_rejects_inconsistent_store(tmp_path, edit, names):
-    handle = load_dataset(_write_many(tmp_path, 12), POKER_SETTINGS, granularity=5)
+    handle = load_dataset(_write_many(tmp_path, 12), POKER_SETTINGS, tmp_path / "store", granularity=5)
     edit(handle.dir)
     with pytest.raises(DataError, match=names):
         open_dataset(handle.dir)
@@ -262,7 +272,7 @@ def test_rechunking_preserves_content(tmp_path):
 
 
 def test_streaming_order_deterministic(tmp_path):
-    handle = load_dataset(_write_many(tmp_path, 9), POKER_SETTINGS, granularity=4)
+    handle = load_dataset(_write_many(tmp_path, 9), POKER_SETTINGS, tmp_path / "store", granularity=4)
     first = [(o, i.ident) for o, i in handle.stream_examples()]
     second = [(o, i.ident) for o, i in handle.stream_examples()]
     assert first == second
@@ -273,14 +283,14 @@ def test_duplicate_ids_rejected(tmp_path):
     block = "begin(model(1)).\n pair.\n card(2,spades).\nend(model(1)).\n"
     path.write_text(block + block)
     with pytest.raises(DataError, match="duplicate example id"):
-        load_dataset(path, POKER_SETTINGS)
+        load_dataset(path, POKER_SETTINGS, tmp_path / "store")
 
 
 def test_empty_dataset_rejected(tmp_path):
     path = tmp_path / "empty.kb"
     path.write_text("% nothing here\n")
     with pytest.raises(DataError, match="empty dataset"):
-        load_dataset(path, POKER_SETTINGS)
+        load_dataset(path, POKER_SETTINGS, tmp_path / "store")
 
 
 def test_record_codec_roundtrip():
@@ -303,7 +313,7 @@ def test_record_codec_rejects_variables_bad_tags_and_unread_bytes(tmp_path):
         decode_record(b"\x03\x01X" + record[2:])  # an unassigned tag in place of the id
     with pytest.raises(DataError, match="1 bytes unread"):
         decode_record(record + b"\x00")
-    handle = load_dataset(_write_many(tmp_path, 2), POKER_SETTINGS, granularity=5)
+    handle = load_dataset(_write_many(tmp_path, 2), POKER_SETTINGS, tmp_path / "store", granularity=5)
     chunk = handle.chunks[0].path
     raw = chunk.read_bytes()
     (ln,) = struct.unpack_from("<I", raw, len(CHUNK_MAGIC))
@@ -317,7 +327,7 @@ def test_record_codec_rejects_variables_bad_tags_and_unread_bytes(tmp_path):
 def test_chunk_label_outside_class_counts_rejected(tmp_path, algorithm):
     settings = parse_settings(POKER_BIAS_TEXT)
     path = gen_poker(GenSpec("poker", 40, seed=3), tmp_path / "p.kb")
-    handle = load_dataset(path, settings, granularity=10)
+    handle = load_dataset(path, settings, tmp_path / "store", granularity=10)
     chunk = handle.chunks[1].path
     raw = chunk.read_bytes()
     assert b"nothing" in raw
@@ -328,8 +338,9 @@ def test_chunk_label_outside_class_counts_rejected(tmp_path, algorithm):
 
 @pytest.fixture(scope="module")
 def fuzz_store(tmp_path_factory):
-    path = gen_poker(GenSpec("poker", 30, seed=5), tmp_path_factory.mktemp("fuzz") / "p.kb")
-    handle = load_dataset(path, POKER_SETTINGS, granularity=10)
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path = gen_poker(GenSpec("poker", 30, seed=5), tmp / "p.kb")
+    handle = load_dataset(path, POKER_SETTINGS, tmp / "store", granularity=10)
     return handle.dir, [c.path for c in handle.chunks]
 
 
@@ -362,7 +373,7 @@ def test_non_integer_ids(tmp_path):
         "begin(model(e71)).\n pair.\n card(2,hearts).\nend(model(e71)).\n"
         "begin(model(e72)).\n nothing.\n card(3,hearts).\nend(model(e72)).\n"
     )
-    handle = load_dataset(path, POKER_SETTINGS)
+    handle = load_dataset(path, POKER_SETTINGS, tmp_path / "store")
     assert [i.ident for _, i in handle.stream_examples()] == [Atom("e71"), Atom("e72")]
     reopened = open_dataset(handle.dir / MANIFEST_NAME)
     assert [i.ident for _, i in reopened.stream_examples()] == [Atom("e71"), Atom("e72")]
