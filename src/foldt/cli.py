@@ -22,7 +22,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import generators, rdb
 from .engine import DEFAULT_BUDGET, Background, load_background
-from .errors import DataError, FoldtError
+from .errors import DataError, FoldtError, in_file
 from .learner import LearnerConfig, learn
 from .model import classify, load_model, save_model, tree_depth
 from .settings import ALGORITHMS, HEURISTICS, parse_settings
@@ -141,10 +141,15 @@ def _background(args) -> Background | None:
     return load_background(args.bg) if args.bg else None
 
 
+def _settings(args):
+    with in_file(args.settings):
+        return parse_settings(Path(args.settings).read_text(encoding="utf-8"))
+
+
 def _learn_settings(args):
     """Settings and learner configuration of a learning command, checked
     before any data is read."""
-    settings = parse_settings(Path(args.settings).read_text(encoding="utf-8"))
+    settings = _settings(args)
     cfg = LearnerConfig.from_settings(
         settings,
         algorithm=args.algo,
@@ -198,7 +203,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    schema = rdb.parse_schema(Path(args.schema).read_text(encoding="utf-8"))
+    with in_file(args.schema):
+        schema = rdb.parse_schema(Path(args.schema).read_text(encoding="utf-8"))
     snapshot = rdb.load_snapshot(args.tables, schema, delimiter=args.delimiter)
     report = rdb.convert_all(
         snapshot,
@@ -227,7 +233,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_discretize(args) -> int:
-    settings = parse_settings(Path(args.settings).read_text(encoding="utf-8"))
+    settings = _settings(args)
     cfg = LearnerConfig.from_settings(settings, max_thresholds=args.max_thresholds)
     if not settings.discretize:
         print("no discretize declarations in the settings file")

@@ -59,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import BudgetExceededError, DataError, QueryError
+from .errors import BudgetExceededError, DataError, QueryError, in_file
 from .store import Interpretation
 from .terms import (
     Clause,
@@ -170,7 +170,7 @@ EMPTY_BACKGROUND = Background(())
 
 
 def load_background(path) -> Background:
-    with open(path, "r", encoding="utf-8") as f:
+    with in_file(path), open(path, "r", encoding="utf-8") as f:
         return Background(tuple(clause for _, clause in read_clauses(f)))
 
 

@@ -1,21 +1,25 @@
 """Exception hierarchy shared by the whole package."""
 
+from contextlib import contextmanager
+
 
 class FoldtError(Exception):
     """Base class for all errors raised by this package."""
 
 
 class ParseError(FoldtError):
-    """Syntax or validation error in a text input, with source position."""
+    """Syntax or validation error in a text input, with source position and,
+    when the input is a file, its path."""
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+    def __init__(self, message: str, line: int | None = None, column: int | None = None, path=None):
         self.message = message
         self.line = line
         self.column = column
+        self.path = path
         where = ""
         if line is not None:
             where = f" at line {line}" + (f", column {column}" if column is not None else "")
-        super().__init__(message + where)
+        super().__init__(("" if path is None else f"{path}: ") + message + where)
 
 
 class DataError(FoldtError):
@@ -36,3 +40,15 @@ class BudgetExceededError(QueryError):
 
 class ModelFormatError(FoldtError):
     """Model file cannot be read: wrong version, truncated, or inconsistent."""
+
+
+@contextmanager
+def in_file(path):
+    """Name the file ``path`` in a ParseError or DataError raised inside the
+    ``with`` block."""
+    try:
+        yield
+    except ParseError as e:
+        raise ParseError(e.message, e.line, e.column, path) from None
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None

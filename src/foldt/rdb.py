@@ -49,8 +49,8 @@ from .terms import (
 
 log = logging.getLogger(__name__)
 
-_INT_RE = re.compile(r"[+-]?\d+\Z")
-_FLOAT_RE = re.compile(r"[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?\Z")
+_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
+_FLOAT_RE = re.compile(r"[+-]?([0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)([eE][+-]?[0-9]+)?\Z")
 
 
 def cell_term(text: str) -> Term:

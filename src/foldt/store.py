@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .errors import DataError, ParseError
+from .errors import DataError, ParseError, in_file
 from .terms import (
     Atom,
     Compound,
@@ -231,7 +231,7 @@ def iter_kb_blocks(path, classes, allow_unlabeled: bool = False) -> Iterator[Int
     ident = None
     facts: list[Literal] = []
     label: str | None = None
-    with open(path, "r", encoding="utf-8") as f:
+    with in_file(path), open(path, "r", encoding="utf-8") as f:
         for line, clause in read_clauses(f):
             if clause.body:
                 raise DataError(f"a data file holds facts, not rules (line {line})")
@@ -270,8 +270,8 @@ def iter_kb_blocks(path, classes, allow_unlabeled: bool = False) -> Iterator[Int
             if not all(map(is_ground, fact.args)):
                 raise DataError(f"non-ground fact in example {render_term(ident)} (line {line})")
             facts.append(fact)
-    if ident is not None:
-        raise DataError(f"unterminated block {render_term(ident)} at end of file")
+        if ident is not None:
+            raise DataError(f"unterminated block {render_term(ident)} at end of file")
 
 
 def _block_marker(fact: Literal, line: int):

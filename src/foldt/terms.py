@@ -32,13 +32,11 @@ import io
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .errors import ParseError
 
 BUILTIN_PREDS = frozenset({"=", "\\=", "<", ">", "=<", ">="})
-
-_UNQUOTED_ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*\Z")
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,9 +158,35 @@ def map_literals(literals, fn) -> tuple[Literal, ...]:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
+# The lexical grammar, one named group per token kind.  Layout (space, tab,
+# CR, LF and %-comments) is absorbed before each token, and the unnamed last
+# alternative matches the end of the line.  Alternatives are tried in order:
+# a float before an int, a signed number before a '+'/'-' marker, a two-
+# character operator before one.  Unquoted lexemes are ASCII (Unicode goes
+# inside quotes), so digits are [0-9], never \d.  Python 3.10 has neither
+# possessive quantifiers nor atomic groups; ``(?!')`` instead keeps a quoted
+# atom from closing on the first quote of a ``''`` escape.
+_ATOM = r"[a-z][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*"
+_TOKEN_RE = re.compile(
+    rf"""(?:[ \t\r\n]|%[^\n]*)*
+    (?: (?P<quoted>'(?:[^'\n]|'')*'(?!'))
+      | (?P<float>[+-]?[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))
+      | (?P<int>[+-]?[0-9]+)
+      | (?P<atom>{_ATOM})
+      | (?P<var>[A-Z_][A-Za-z0-9_]*)
+      | (?P<op>:-|=<|>=|\\=|[=<>])
+      | (?P<end>\.)(?=[ \t\r\n%]|\Z)
+      | (?P<punct>[(),.\[\]:+!-])
+      | (?P<unterminated>')
+      | (?P<unexpected>.)
+      | \Z
+    )""",
+    re.VERBOSE,
+)
+_UNQUOTED_ATOM_RE = re.compile(_ATOM + r"\Z")
 
-@dataclass(slots=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str  # atom var int float punct op end eof
     text: str
     value: object
@@ -170,156 +194,47 @@ class Token:
     col: int
 
 
-_TWO_CHAR_OPS = (":-", "=<", ">=", "\\=")
-_ONE_CHAR_OPS = ("=", "<", ">")
-_PUNCT = "(),.[]:+-!"
-
-
-# Unquoted lexemes are ASCII-only (Unicode goes inside quotes), so the
-# classifiers below must not use str.isdigit()/isalpha(), which accept
-# characters like superscripts that int()/the grammar reject.
-def _is_digit(ch: str) -> bool:
-    return "0" <= ch <= "9"
-
-
-def _is_ident(ch: str) -> bool:
-    return "a" <= ch <= "z" or "A" <= ch <= "Z" or _is_digit(ch) or ch == "_"
+# Builds a Token without the Python frame of NamedTuple.__new__, which is a
+# quarter of the lexer's time on a large block file.
+_new_token = tuple.__new__
 
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize ``text``; raises ParseError with position on bad input."""
-    toks: list[Token] = []
-    line, col = _scan(text, 1, 1, toks)
-    toks.append(Token("eof", "", None, line, col))
-    return toks
+    return list(_line_tokens(io.StringIO(text)))
 
 
-def _scan(text: str, line: int, col: int, toks: list[Token]) -> tuple[int, int]:
-    """Append the tokens of ``text`` to ``toks``; returns the position after
-    ``text``."""
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch == "'":
-            j = i + 1
-            buf = []
-            while True:
-                if j >= n or text[j] == "\n":
-                    raise ParseError("unterminated quote", start_line, start_col)
-                if text[j] == "'":
-                    if j + 1 < n and text[j + 1] == "'":
-                        buf.append("'")
-                        j += 2
-                        continue
-                    j += 1
-                    break
-                buf.append(text[j])
-                j += 1
-            toks.append(Token("atom", text[i:j], "".join(buf), start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if _is_digit(ch) or (ch in "+-" and i + 1 < n and _is_digit(text[i + 1])):
-            i2, num = _scan_number(text, i, start_line, start_col)
-            toks.append(
-                Token("float" if isinstance(num, float) else "int", text[i:i2], num, start_line, start_col)
-            )
-            col += i2 - i
-            i = i2
-            continue
-        if "a" <= ch <= "z":
-            i2 = _scan_name(text, i)
-            toks.append(Token("atom", text[i:i2], text[i:i2], start_line, start_col))
-            col += i2 - i
-            i = i2
-            continue
-        if "A" <= ch <= "Z" or ch == "_":
-            i2 = i + 1
-            while i2 < n and _is_ident(text[i2]):
-                i2 += 1
-            toks.append(Token("var", text[i:i2], text[i:i2], start_line, start_col))
-            col += i2 - i
-            i = i2
-            continue
-        two = text[i : i + 2]
-        if two in _TWO_CHAR_OPS:
-            toks.append(Token("op", two, two, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in _ONE_CHAR_OPS:
-            toks.append(Token("op", ch, ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch in _PUNCT:
-            ends = ch == "." and (i + 1 == n or text[i + 1] in " \t\r\n%")
-            toks.append(Token("end" if ends else "punct", ch, ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", start_line, start_col)
-    return line, col
-
-
-def _scan_name(text: str, i: int) -> int:
-    n = len(text)
-    j = i + 1
-    while j < n:
-        c = text[j]
-        if _is_ident(c):
-            j += 1
-        elif c == "-" and j + 1 < n and _is_ident(text[j + 1]):
-            j += 2
-        else:
-            break
-    return j
-
-
-def _scan_number(text: str, i: int, line: int, col: int):
-    n = len(text)
-    j = i
-    if text[j] in "+-":
-        j += 1
-    while j < n and _is_digit(text[j]):
-        j += 1
-    is_float = False
-    if j + 1 < n and text[j] == "." and _is_digit(text[j + 1]):
-        is_float = True
-        j += 1
-        while j < n and _is_digit(text[j]):
-            j += 1
-    if j < n and text[j] in "eE":
-        k = j + 1
-        if k < n and text[k] in "+-":
-            k += 1
-        if k < n and _is_digit(text[k]):
-            is_float = True
-            j = k
-            while j < n and _is_digit(text[j]):
-                j += 1
-    lexeme = text[i:j]
-    try:
-        value = float(lexeme) if is_float else int(lexeme)
-    except ValueError:  # more digits than int() converts
-        raise ParseError(f"number too long ({len(lexeme)} characters)", line, col) from None
-    if is_float and not math.isfinite(value):
-        raise ParseError("number out of range", line, col)
-    return j, value
+def _line_tokens(lines: Iterable[str]) -> Iterator[Token]:
+    """The tokens of ``lines``, one line at a time; ``eof`` sits just after
+    the last token, or at line 1, column 1 when there is none."""
+    tok = Token("eof", "", None, 1, 1)
+    for line, text in enumerate(lines, 1):
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind is None:
+                break
+            lexeme = m[kind]
+            col = m.start(kind) + 1
+            if kind == "int":
+                try:
+                    value = int(lexeme)
+                except ValueError:  # more digits than int() converts
+                    raise ParseError(f"number too long ({len(lexeme)} characters)", line, col) from None
+            elif kind == "float":
+                value = float(lexeme)
+                if not math.isfinite(value):
+                    raise ParseError("number out of range", line, col)
+            elif kind == "quoted":
+                kind, value = "atom", lexeme[1:-1].replace("''", "'")
+            elif kind == "unterminated":
+                raise ParseError("unterminated quote", line, col)
+            elif kind == "unexpected":
+                raise ParseError(f"unexpected character {lexeme!r}", line, col)
+            else:
+                value = lexeme
+            tok = _new_token(Token, (kind, lexeme, value, line, col))
+            yield tok
+    yield Token("eof", "", None, tok.line, tok.col + len(tok.text))
 
 
 # ---------------------------------------------------------------------------
@@ -489,19 +404,6 @@ def read_clauses(lines: Iterable[str], allow_cut: bool = False) -> Iterator[tupl
                 body.append(parser.literal(allow_cut=allow_cut))
         stream.expect("end")
         yield tok.line, Clause(head, tuple(body))
-
-
-def _line_tokens(lines: Iterable[str]) -> Iterator[Token]:
-    """The tokens of ``lines``, one line at a time; ``eof`` sits just after
-    the last token."""
-    last = Token("eof", "", None, 1, 1)
-    for line, text in enumerate(lines, 1):
-        toks: list[Token] = []
-        _scan(text, line, 1, toks)
-        if toks:
-            yield from toks
-            last = toks[-1]
-    yield Token("eof", "", None, last.line, last.col + len(last.text))
 
 
 def parse_program(text: str, allow_cut: bool = False) -> tuple[Clause, ...]:

@@ -5,9 +5,11 @@ These deliberately avoid the package's own evaluation/scoring code paths:
 the join evaluator is a naive nested-loop join over ground facts, the
 entropy oracle recomputes scores from first principles with Fractions where
 possible, and the poker labeler is a direct rank-multiset table.  The
-helpers at the end check a tree's variable scope and theta-subsumption
+helpers after them check a tree's variable scope and theta-subsumption
 between queries, build the root refinement context and a bias without
 thresholds, and count a node's candidates by proving each full query alone.
+Last comes ``scan``, a character-loop tokenizer that states the lexical
+grammar without regular expressions, the reference for ``terms.tokenize``.
 """
 
 import math
@@ -15,8 +17,9 @@ from collections import Counter
 
 from foldt.bias import Bias, RefinementContext
 from foldt.engine import Query, matches, succeeds
+from foldt.errors import ParseError
 from foldt.model import Leaf
-from foldt.terms import Compound, Number, Variable, literal_variables
+from foldt.terms import Compound, Number, Token, Variable, literal_variables
 
 
 def _bind_term(qarg, farg, subst):
@@ -249,3 +252,149 @@ def full_query_counters(queries, examples, classes, background=None):
             (left if succeeds(query, e, background) else right)[index[e.label]] += 1
         counters.append([left, right])
     return counters
+
+
+_TWO_CHAR_OPS = (":-", "=<", ">=", "\\=")
+_ONE_CHAR_OPS = ("=", "<", ">")
+_PUNCT = "(),.[]:+-!"
+
+
+# Unquoted lexemes are ASCII-only (Unicode goes inside quotes), so the
+# classifiers below must not use str.isdigit()/isalpha(), which accept
+# characters like superscripts that int()/the grammar reject.
+def _is_digit(ch: str) -> bool:
+    return "0" <= ch <= "9"
+
+
+def _is_ident(ch: str) -> bool:
+    return "a" <= ch <= "z" or "A" <= ch <= "Z" or _is_digit(ch) or ch == "_"
+
+
+def scan(text: str) -> list[Token]:
+    """The tokens of ``text``, without ``eof``; raises ParseError with
+    position on bad input."""
+    toks: list[Token] = []
+    i, n = 0, len(text)
+    line = col = 1
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "%":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_line, start_col = line, col
+        if ch == "'":
+            j = i + 1
+            buf = []
+            while True:
+                if j >= n or text[j] == "\n":
+                    raise ParseError("unterminated quote", start_line, start_col)
+                if text[j] == "'":
+                    if j + 1 < n and text[j + 1] == "'":
+                        buf.append("'")
+                        j += 2
+                        continue
+                    j += 1
+                    break
+                buf.append(text[j])
+                j += 1
+            toks.append(Token("atom", text[i:j], "".join(buf), start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if _is_digit(ch) or (ch in "+-" and i + 1 < n and _is_digit(text[i + 1])):
+            i2, num = _scan_number(text, i, start_line, start_col)
+            toks.append(
+                Token("float" if isinstance(num, float) else "int", text[i:i2], num, start_line, start_col)
+            )
+            col += i2 - i
+            i = i2
+            continue
+        if "a" <= ch <= "z":
+            i2 = _scan_name(text, i)
+            toks.append(Token("atom", text[i:i2], text[i:i2], start_line, start_col))
+            col += i2 - i
+            i = i2
+            continue
+        if "A" <= ch <= "Z" or ch == "_":
+            i2 = i + 1
+            while i2 < n and _is_ident(text[i2]):
+                i2 += 1
+            toks.append(Token("var", text[i:i2], text[i:i2], start_line, start_col))
+            col += i2 - i
+            i = i2
+            continue
+        two = text[i : i + 2]
+        if two in _TWO_CHAR_OPS:
+            toks.append(Token("op", two, two, start_line, start_col))
+            i += 2
+            col += 2
+            continue
+        if ch in _ONE_CHAR_OPS:
+            toks.append(Token("op", ch, ch, start_line, start_col))
+            i += 1
+            col += 1
+            continue
+        if ch in _PUNCT:
+            ends = ch == "." and (i + 1 == n or text[i + 1] in " \t\r\n%")
+            toks.append(Token("end" if ends else "punct", ch, ch, start_line, start_col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", start_line, start_col)
+    return toks
+
+
+def _scan_name(text: str, i: int) -> int:
+    n = len(text)
+    j = i + 1
+    while j < n:
+        c = text[j]
+        if _is_ident(c):
+            j += 1
+        elif c == "-" and j + 1 < n and _is_ident(text[j + 1]):
+            j += 2
+        else:
+            break
+    return j
+
+
+def _scan_number(text: str, i: int, line: int, col: int):
+    n = len(text)
+    j = i
+    if text[j] in "+-":
+        j += 1
+    while j < n and _is_digit(text[j]):
+        j += 1
+    is_float = False
+    if j + 1 < n and text[j] == "." and _is_digit(text[j + 1]):
+        is_float = True
+        j += 1
+        while j < n and _is_digit(text[j]):
+            j += 1
+    if j < n and text[j] in "eE":
+        k = j + 1
+        if k < n and text[k] in "+-":
+            k += 1
+        if k < n and _is_digit(text[k]):
+            is_float = True
+            j = k
+            while j < n and _is_digit(text[j]):
+                j += 1
+    lexeme = text[i:j]
+    try:
+        value = float(lexeme) if is_float else int(lexeme)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"number too long ({len(lexeme)} characters)", line, col) from None
+    if is_float and not math.isfinite(value):
+        raise ParseError("number out of range", line, col)
+    return j, value

@@ -154,7 +154,28 @@ def test_data_error_exit_2(tmp_path, bias_file, capsys):
         ["learn", "--data", str(bad), "--settings", str(bias_file), "--out", str(tmp_path / "m")]
     )
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {bad}: ambiguous class in example 1: both pos and neg (line 1)\n"
+
+
+@pytest.mark.parametrize(
+    "flag,text,where",
+    [
+        ("--data", "begin(model(1)).\npos.\ncard(7,²).\nend(model(1)).\n", "line 3, column 8"),
+        ("--bg", "p(a).\nq(²).\n", "line 2, column 3"),
+        ("--settings", "classes([pos,neg]).\nminleaf(²).\n", "line 2, column 9"),
+    ],
+    ids=["data", "background", "settings"],
+)
+def test_parse_errors_name_their_file(tmp_path, bias_file, data_file, capsys, flag, text, where):
+    background = tmp_path / "bg.pl"
+    background.write_text("p(a).\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text, encoding="utf-8")
+    files = {"--data": data_file, "--settings": bias_file, "--bg": background}
+    files[flag] = bad
+    args = [x for f, path in files.items() for x in (f, str(path))]
+    assert main(["learn", *args, "--out", str(tmp_path / "m.foldt")]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: unexpected character '²' at {where}\n"
 
 
 def test_malformed_model_exit_2(tmp_path, bias_file, data_file, capsys):

@@ -36,6 +36,10 @@ def test_cell_typing():
     assert cell_term("h2o-1") == Atom("h2o-1")
     assert cell_term("carbon dioxide") == Atom("carbon dioxide")
     assert cell_term("nan") == Atom("nan")
+    # Digits are ASCII, as in the term grammar: Arabic-Indic digits are no
+    # number, so these cells cannot join the key value 12.
+    assert cell_term("١٢") == Atom("١٢")
+    assert cell_term("1.٥") == Atom("1.٥")
 
 
 def test_h2o_extraction_is_the_nine_facts(chem):

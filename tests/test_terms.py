@@ -2,6 +2,7 @@ import io
 
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
+from oracles import scan
 
 from foldt.engine import load_background
 from foldt.errors import ParseError
@@ -13,6 +14,7 @@ from foldt.terms import (
     Compound,
     Literal,
     Number,
+    Token,
     Variable,
     is_ground,
     parse_program,
@@ -22,6 +24,7 @@ from foldt.terms import (
     render_literal,
     render_term,
     term_variables,
+    tokenize,
 )
 
 
@@ -203,8 +206,42 @@ def test_dot_without_layout_is_an_error_everywhere(tmp_path):
     assert [(e.line, e.column) for e in errors] == [(1, 16), (1, 5), (1, 5), (1, 15)]
 
 
+@pytest.mark.parametrize(
+    "text", ["classes([a,b])", "classes([a,b]) % x", "classes([a,b])   ", "classes([a,b])\n\n% x\n"]
+)
+def test_eof_sits_just_after_the_last_token(text):
+    assert tokenize(text)[-1] == Token("eof", "", None, 1, 15)
+    with pytest.raises(ParseError, match="found 'eof'") as e:
+        parse_settings(text)
+    assert (e.value.line, e.value.column) == (1, 15)
+
+
 # ---------------------------------------------------------------------------
 # Property tests
+
+_lexer_pieces = st.sampled_from(
+    ["'", "''", "+", "-", "e", "E", ".", "%", "\n", "\r", "\x0c", "\t", " ", "²", "١", "a", "X", "_",
+     "7", "(", ")", ",", "[", "]", ":", "!", "=", "<", ">", "\\", "1" * 5000, "1e999"]
+)
+
+
+@hsettings(max_examples=500, deadline=None)
+@given(st.one_of(st.lists(_lexer_pieces, max_size=20).map("".join), st.text(max_size=40)))
+def test_tokenize_agrees_with_the_character_scanner(text):
+    """The token pattern gives the reference scanner's tokens, then ``eof``
+    just after the last one, or the same ParseError at the same place."""
+
+    def outcome(lex):
+        try:
+            return [(t.kind, t.text, t.value, type(t.value), t.line, t.col) for t in lex(text)]
+        except ParseError as e:
+            return (e.message, e.line, e.column)
+
+    expected = outcome(scan)
+    if isinstance(expected, list):
+        kind, lexeme, _, _, line, col = expected[-1] if expected else ("", "", None, None, 1, 1)
+        expected.append(("eof", "", None, type(None), line, col + len(lexeme)))
+    assert outcome(tokenize) == expected
 
 _atom_names = st.one_of(
     st.from_regex(r"[a-z][a-z0-9_]{0,6}(-[a-z0-9]{1,3}){0,2}", fullmatch=True),
