@@ -177,7 +177,8 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    model = load_model(args.model)
+    with in_file(args.model):
+        model = load_model(args.model)
     background = _background(args)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     budget = model.metadata.get("resolution_budget", DEFAULT_BUDGET)

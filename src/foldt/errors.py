@@ -4,7 +4,12 @@ from contextlib import contextmanager
 
 
 class FoldtError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; ``path`` names the
+    file whose contents caused the error, once it is known."""
+
+    def __init__(self, message: str, path=None):
+        self.message, self.path = message, path
+        super().__init__(message if path is None else f"{path}: {message}")
 
 
 class ParseError(FoldtError):
@@ -12,14 +17,11 @@ class ParseError(FoldtError):
     when the input is a file, its path."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None, path=None):
-        self.message = message
-        self.line = line
-        self.column = column
-        self.path = path
         where = ""
         if line is not None:
             where = f" at line {line}" + (f", column {column}" if column is not None else "")
-        super().__init__(("" if path is None else f"{path}: ") + message + where)
+        super().__init__(message + where, path)
+        self.message, self.line, self.column = message, line, column
 
 
 class DataError(FoldtError):
@@ -44,11 +46,13 @@ class ModelFormatError(FoldtError):
 
 @contextmanager
 def in_file(path):
-    """Name the file ``path`` in a ParseError or DataError raised inside the
-    ``with`` block."""
+    """Name the file ``path`` in a ParseError, DataError or ModelFormatError
+    raised inside the ``with`` block that names no file yet."""
     try:
         yield
-    except ParseError as e:
-        raise ParseError(e.message, e.line, e.column, path) from None
-    except DataError as e:
-        raise DataError(f"{path}: {e}") from None
+    except (ParseError, DataError, ModelFormatError) as e:
+        if e.path is not None:
+            raise
+        if isinstance(e, ParseError):
+            raise ParseError(e.message, e.line, e.column, path) from None
+        raise type(e)(e.message, path) from None

@@ -40,7 +40,6 @@ from .terms import (
     Number,
     Term,
     TermParser,
-    TokenStream,
     render_atom,
     render_fact,
     render_term,
@@ -99,8 +98,7 @@ class Schema:
 
 
 def parse_schema(text: str) -> Schema:
-    stream = TokenStream(tokenize(text))
-    parser = TermParser(stream)
+    stream = TermParser(tokenize(text))
     tables: dict[str, Table] = {}
     fks: list[tuple[str, tuple[str, ...], str]] = []
     keys: list[tuple[str, tuple[str, ...]]] = []

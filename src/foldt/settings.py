@@ -30,7 +30,6 @@ from .terms import (
     Literal,
     Number,
     TermParser,
-    TokenStream,
     Variable,
     literal_variables,
     map_literals,
@@ -123,8 +122,7 @@ class Settings:
 
 class _SettingsParser:
     def __init__(self, text: str):
-        self.s = TokenStream(tokenize(text))
-        self.tp = TermParser(self.s)
+        self.s = TermParser(tokenize(text))
         self.classes: list[str] | None = None
         self.rmodes: list[RMode] = []
         self.lookaheads: list[Lookahead] = []
@@ -192,7 +190,7 @@ class _SettingsParser:
         self.lookaheads.append(Lookahead(trigger, extension))
 
     def _d_typed(self, tok):
-        t = self.tp.term()
+        t = self.s.term()
         if not isinstance(t, Compound) or not all(isinstance(a, Atom) for a in t.args):
             raise ParseError("typed/1 expects pred(type1,...,typeN)", tok.line, tok.col)
         key = (t.functor, len(t.args))
@@ -230,17 +228,17 @@ class _SettingsParser:
     def _conjunction(self, modes: dict[str, str] | None = None) -> tuple[Literal, ...]:
         """One literal, or a parenthesized comma-list of literals; variables
         take mode markers, recorded in ``modes``, only when it is given."""
-        self.tp.modes = modes
+        self.s.modes = modes
         if self.s.at("punct", "("):
             self.s.next()
-            lits = [self.tp.literal()]
+            lits = [self.s.literal()]
             while self.s.at("punct", ","):
                 self.s.next()
-                lits.append(self.tp.literal())
+                lits.append(self.s.literal())
             self.s.expect("punct", ")")
         else:
-            lits = [self.tp.literal()]
-        self.tp.modes = None
+            lits = [self.s.literal()]
+        self.s.modes = None
         return tuple(lits)
 
     # -- finalization ------------------------------------------------------

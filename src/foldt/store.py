@@ -236,8 +236,7 @@ def iter_kb_blocks(path, classes, allow_unlabeled: bool = False) -> Iterator[Int
             if clause.body:
                 raise DataError(f"a data file holds facts, not rules (line {line})")
             fact = clause.head
-            marker = _block_marker(fact, line)
-            if marker is not None:
+            if fact.pred in ("begin", "end") and (marker := _block_marker(fact, line)) is not None:
                 kind, block_id = marker
                 if kind == "begin":
                     if ident is not None:
@@ -276,8 +275,7 @@ def iter_kb_blocks(path, classes, allow_unlabeled: bool = False) -> Iterator[Int
 
 def _block_marker(fact: Literal, line: int):
     if (
-        fact.pred in ("begin", "end")
-        and len(fact.args) == 1
+        len(fact.args) == 1
         and isinstance(fact.args[0], Compound)
         and fact.args[0].functor == "model"
         and len(fact.args[0].args) == 1
@@ -340,7 +338,7 @@ class ChunkWriter:
                 self._record_hashes.append(hashlib.sha256(rec).digest())
                 f.write(struct.pack("<I", len(rec)))
                 f.write(rec)
-        start = sum(c.count for c in self._chunks)
+        start = self._chunks[-1].start_ordinal + self._chunks[-1].count if self._chunks else 0
         self._chunks.append(
             ChunkInfo(index, path, self._buffer[0].ident, len(self._buffer), start)
         )
@@ -471,9 +469,10 @@ def load_dataset(path, settings, out_dir, granularity: int | None = None) -> Dat
     defaults to the settings parameter."""
     g = granularity if granularity is not None else settings.params.granularity
     writer = ChunkWriter(out_dir, g)
-    for interp in iter_kb_blocks(path, settings.classes):
-        writer.add(interp)
-    return writer.finish()
+    with in_file(path):
+        for interp in iter_kb_blocks(path, settings.classes):
+            writer.add(interp)
+        return writer.finish()
 
 
 def open_dataset(path) -> DatasetHandle:

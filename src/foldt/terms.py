@@ -194,86 +194,75 @@ class Token(NamedTuple):
     col: int
 
 
-# Builds a Token without the Python frame of NamedTuple.__new__, which is a
-# quarter of the lexer's time on a large block file.
-_new_token = tuple.__new__
-
-
 def tokenize(text: str) -> list[Token]:
     """Tokenize ``text``; raises ParseError with position on bad input."""
-    return list(_line_tokens(io.StringIO(text)))
+    return [Token._make(tok) for toks in _clause_tokens(io.StringIO(text)) for tok in toks]
 
 
-def _line_tokens(lines: Iterable[str]) -> Iterator[Token]:
-    """The tokens of ``lines``, one line at a time; ``eof`` sits just after
-    the last token, or at line 1, column 1 when there is none."""
-    tok = Token("eof", "", None, 1, 1)
+def _clause_tokens(lines: Iterable[str]) -> Iterator[list[tuple]]:
+    """The tokens of ``lines`` as tuples of ``Token``'s fields, one list per
+    clause, handed out at its ``end`` token.  The last list ends with ``eof``,
+    just after the last token (at line 1, column 1 when there is none).  A
+    lexical error hands out the tokens before it, and is raised next."""
+    toks: list[tuple] = []
+    last = ("eof", "", None, 1, 1)
     for line, text in enumerate(lines, 1):
-        for m in _TOKEN_RE.finditer(text):
-            kind = m.lastgroup
-            if kind is None:
-                break
-            lexeme = m[kind]
-            col = m.start(kind) + 1
-            if kind == "int":
-                try:
-                    value = int(lexeme)
-                except ValueError:  # more digits than int() converts
-                    raise ParseError(f"number too long ({len(lexeme)} characters)", line, col) from None
-            elif kind == "float":
-                value = float(lexeme)
-                if not math.isfinite(value):
-                    raise ParseError("number out of range", line, col)
-            elif kind == "quoted":
-                kind, value = "atom", lexeme[1:-1].replace("''", "'")
-            elif kind == "unterminated":
-                raise ParseError("unterminated quote", line, col)
-            elif kind == "unexpected":
-                raise ParseError(f"unexpected character {lexeme!r}", line, col)
-            else:
-                value = lexeme
-            tok = _new_token(Token, (kind, lexeme, value, line, col))
-            yield tok
-    yield Token("eof", "", None, tok.line, tok.col + len(tok.text))
+        try:
+            for m in _TOKEN_RE.finditer(text):
+                kind = m.lastgroup
+                if kind is None:
+                    break
+                lexeme = m[kind]
+                col = m.start(kind) + 1
+                if kind == "int":
+                    try:
+                        value = int(lexeme)
+                    except ValueError:  # more digits than int() converts
+                        raise ParseError(f"number too long ({len(lexeme)} characters)", line, col) from None
+                elif kind == "float":
+                    value = float(lexeme)
+                    if not math.isfinite(value):
+                        raise ParseError("number out of range", line, col)
+                elif kind == "quoted":
+                    kind, value = "atom", lexeme[1:-1].replace("''", "'")
+                elif kind == "unterminated":
+                    raise ParseError("unterminated quote", line, col)
+                elif kind == "unexpected":
+                    raise ParseError(f"unexpected character {lexeme!r}", line, col)
+                else:
+                    value = lexeme
+                toks.append((kind, lexeme, value, line, col))
+                if kind == "end":
+                    yield toks
+                    last, toks = toks[-1], []
+        except ParseError:
+            yield toks
+            raise
+    last = (toks or [last])[-1]
+    toks.append(("eof", "", None, last[3], last[4] + len(last[1])))
+    yield toks
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
+# A punctuation or operator token is told by its text alone: no other kind
+# has such a text, as a quoted atom's text keeps its quotes.
 _WANTED = {"end": "'.' followed by layout to end the clause"}
 
 
-class TokenStream:
-    """One token of lookahead over an iterable of tokens that ends with an
-    ``eof`` token; tokens are drawn from it only as the parser advances."""
-
-    def __init__(self, tokens: Iterable[Token]):
-        self._next = iter(tokens).__next__
-        self._tok = self._next()
-
-    def peek(self) -> Token:
-        return self._tok
-
-    def next(self) -> Token:
-        tok = self._tok
-        if tok.kind != "eof":
-            self._tok = self._next()
-        return tok
-
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self._tok
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = repr(text) if text is not None else _WANTED.get(kind, repr(kind))
-            raise ParseError(f"expected {want}, found {tok.text or tok.kind!r}", tok.line, tok.col)
-        return self.next()
-
-    def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (text is None or tok.text == text)
+def _expected(want: str, tok) -> ParseError:
+    return ParseError(f"expected {want}, found {tok[1] or tok[0]!r}", tok[3], tok[4])
 
 
 class TermParser:
-    """Recursive-descent parser over a token stream.
+    """Recursive-descent parser over a list of tokens that ends with an
+    ``end`` or ``eof`` token.  The grammar methods take the list and an index
+    and return what they parsed with the index after it.  They read a token
+    only after taking the one before it, so tokens that a lexical error cut
+    short run out (``IndexError``) where a parser pulling one token at a time
+    would meet the error.  ``peek``, ``next``, ``expect``, ``at``, ``term``
+    and ``literal`` work at a cursor over the constructor's list.
 
     Every bare ``_`` token becomes a distinct fresh variable (``_1``, ``_2``,
     ...); named underscore variables such as ``_Foo`` are kept as written.
@@ -282,93 +271,141 @@ class TermParser:
     None, a marker is a parse error.
     """
 
-    def __init__(self, stream: TokenStream):
-        self.s = stream
+    def __init__(self, tokens: list[Token] = ()):
+        self.toks = tokens
+        self.i = 0
         self._anon = 0
         self.modes: dict[str, str] | None = None
 
+    def peek(self) -> Token:
+        return self.toks[self.i]
+
+    def next(self) -> Token:
+        tok = self.toks[self.i]
+        if tok[0] != "eof":
+            self.i += 1
+        return tok
+
+    def expect(self, kind: str, text: str | None = None) -> Token:
+        tok = self.toks[self.i]
+        if tok[0] != kind or (text is not None and tok[1] != text):
+            raise _expected(repr(text) if text is not None else _WANTED.get(kind, repr(kind)), tok)
+        return self.next()
+
+    def at(self, kind: str, text: str | None = None) -> bool:
+        tok = self.toks[self.i]
+        return tok[0] == kind and (text is None or tok[1] == text)
+
     def term(self) -> Term:
-        tok = self.s.peek()
-        if tok.kind == "var":
-            self.s.next()
-            if tok.text == "_":
+        term, self.i = self._term(self.toks, self.i)
+        return term
+
+    def literal(self, allow_cut: bool = False) -> Literal:
+        lit, self.i = self._literal(self.toks, self.i, allow_cut)
+        return lit
+
+    def clause(self, toks, allow_cut: bool = False) -> Clause:
+        """The fact ``Head.`` or rule ``Head :- B1, ..., Bn.`` that ``toks``
+        holds up to its ``end`` token."""
+        head, i = self._literal(toks, 0, False)
+        tok = toks[i]
+        if head.builtin or head.pred == "!":
+            what = f"builtin {head.pred!r}" if head.builtin else "cut"
+            raise ParseError(f"{what} cannot appear in head position", toks[0][3], toks[0][4])
+        body: list[Literal] = []
+        sep = ":-"
+        while tok[1] == sep:
+            lit, i = self._literal(toks, i + 1, allow_cut)
+            body.append(lit)
+            tok, sep = toks[i], ","
+        if tok[0] != "end":
+            raise _expected(_WANTED["end"], tok)
+        return Clause(head, tuple(body))
+
+    def _literal(self, toks, i, allow_cut):
+        tok = toks[i]
+        if tok[1] == "!":
+            if not allow_cut:
+                raise ParseError("cut is not allowed here", tok[3], tok[4])
+            return Literal("!", ()), i + 1
+        if tok[0] == "atom":  # built as a literal unless a builtin follows
+            args, i = self._args(toks, i + 2) if toks[i + 1][1] == "(" else ((), i + 1)
+            if toks[i][1] not in BUILTIN_PREDS:
+                return Literal(tok[2], args), i
+            lhs = Compound(tok[2], args) if args else Atom(tok[2])
+        else:
+            lhs, i = self._term(toks, i)
+        op = toks[i][1]
+        if op not in BUILTIN_PREDS:
+            return term_to_literal(lhs, line=tok[3], col=tok[4]), i
+        rhs, i = self._term(toks, i + 1)
+        return Literal(op, (lhs, rhs), builtin=True), i
+
+    def _term(self, toks, i):
+        kind, text, value, line, col = toks[i]
+        if kind == "atom":
+            if toks[i + 1][1] == "(":
+                args, i = self._args(toks, i + 2)
+                return Compound(value, args), i
+            return Atom(value), i + 1
+        if kind == "int" or kind == "float":
+            return Number(value), i + 1
+        if kind == "var":
+            if text == "_":
                 name = self._fresh_anonymous()
                 if self.modes is not None:
                     self.modes[name] = "-"  # each anonymous slot is a fresh output
-                return Variable(name)
-            if self.modes is not None and tok.text not in self.modes:
-                raise ParseError(
-                    f"variable {tok.text} needs a mode marker at its first occurrence",
-                    tok.line,
-                    tok.col,
-                )
-            return Variable(tok.text)
-        if tok.kind in ("int", "float"):
-            self.s.next()
-            return Number(tok.value)
-        if tok.kind == "atom":
-            self.s.next()
-            if self.s.at("punct", "("):
-                self.s.next()
-                args = [self.term()]
-                while self.s.at("punct", ","):
-                    self.s.next()
-                    args.append(self.term())
-                self.s.expect("punct", ")")
-                return Compound(tok.value, tuple(args))
-            return Atom(tok.value)
-        if tok.kind == "punct" and tok.text in ("+", "-"):
-            return self._marked_variable(tok)
-        raise ParseError(f"expected a term, found {tok.text or tok.kind!r}", tok.line, tok.col)
+                return Variable(name), i + 1
+            if self.modes is not None and text not in self.modes:
+                raise ParseError(f"variable {text} needs a mode marker at its first occurrence", line, col)
+            return Variable(text), i + 1
+        if text == "+" or text == "-":
+            return self._marked_variable(toks, i)
+        raise ParseError(f"expected a term, found {text or kind!r}", line, col)
 
-    def _marked_variable(self, marker: Token) -> Variable:
+    def _args(self, toks, i):
+        """The comma-separated terms from ``toks[i]`` to a closing ``)``."""
+        arg, i = self._term(toks, i)
+        args = [arg]
+        while toks[i][1] == ",":
+            arg, i = self._term(toks, i + 1)
+            args.append(arg)
+        if toks[i][1] != ")":
+            raise _expected("')'", toks[i])
+        return tuple(args), i + 1
+
+    def _marked_variable(self, toks, i):
+        marker = toks[i]
         if self.modes is None:
-            raise ParseError("mode markers are not allowed here", marker.line, marker.col)
-        self.s.next()
-        mode = marker.text
-        if mode == "+" and self.s.at("punct", "-"):
-            self.s.next()
-            mode = "+-"
-        v = self.s.peek()
-        if v.kind != "var":
-            raise ParseError("mode marker must precede a variable", v.line, v.col)
-        self.s.next()
-        if v.text == "_":
+            raise ParseError("mode markers are not allowed here", marker[3], marker[4])
+        mode = marker[1]
+        i += 1
+        if mode == "+" and toks[i][1] == "-":
+            mode, i = "+-", i + 1
+        v = toks[i]
+        if v[0] != "var":
+            raise ParseError("mode marker must precede a variable", v[3], v[4])
+        if v[1] == "_":
             name = self._fresh_anonymous()
-        elif v.value in self.modes:
-            raise ParseError(f"variable {v.value} already carries a mode marker", v.line, v.col)
+        elif v[1] in self.modes:
+            raise ParseError(f"variable {v[1]} already carries a mode marker", v[3], v[4])
         else:
-            name = v.value
+            name = v[1]
         self.modes[name] = mode
-        return Variable(name)
+        return Variable(name), i + 1
 
     def _fresh_anonymous(self) -> str:
         self._anon += 1
         return f"_{self._anon}"
 
-    def literal(self, allow_cut: bool = False) -> Literal:
-        tok = self.s.peek()
-        if tok.kind == "punct" and tok.text == "!":
-            if not allow_cut:
-                raise ParseError("cut is not allowed here", tok.line, tok.col)
-            self.s.next()
-            return Literal("!", ())
-        lhs = self.term()
-        nxt = self.s.peek()
-        if nxt.kind == "op" and nxt.text in BUILTIN_PREDS:
-            self.s.next()
-            rhs = self.term()
-            return Literal(nxt.text, (lhs, rhs), builtin=True)
-        return term_to_literal(lhs, line=tok.line, col=tok.col)
-
 
 def parse_term(text: str) -> Term:
     """Parse a complete term; trailing input is an error."""
-    stream = TokenStream(tokenize(text))
-    if stream.at("eof"):
+    parser = TermParser(tokenize(text))
+    if parser.at("eof"):
         raise ParseError("empty input", 1, 1)
-    term = TermParser(stream).term()
-    tok = stream.peek()
+    term = parser.term()
+    tok = parser.peek()
     if tok.kind != "eof":
         raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
     return term
@@ -379,37 +416,29 @@ def read_clauses(lines: Iterable[str], allow_cut: bool = False) -> Iterator[tupl
     starts, from an iterable of text lines such as an open file.
 
     Clauses are ``Head.`` facts and ``Head :- B1, ..., Bn.`` rules, each
-    ended by the tokenizer's ``end`` token.  Lines are tokenized one at a
-    time as the parser needs them, so only one line's tokens plus the
-    pending clause are ever held.  One ``TermParser`` serves all the lines,
-    so bare ``_`` variables are numbered through the whole input.
+    ended by the tokenizer's ``end`` token.  Lines are read up to a clause's
+    ``end`` and no further before the clause is yielded, and at most one
+    clause's tokens are held at a time.  A syntax error takes precedence
+    over a lexical error later in the same clause: the tokens before a
+    lexical error are parsed first.  One ``TermParser`` serves all the
+    lines, so bare ``_`` variables are numbered through the whole input.
     ``allow_cut`` admits ``!`` as a body literal, which the model-file
     decision-list section uses as a trailing marker token.
     """
-    stream = TokenStream(_line_tokens(lines))
-    parser = TermParser(stream)
-    while not stream.at("eof"):
-        tok = stream.peek()
-        head = parser.literal(allow_cut=False)
-        if head.builtin:
-            raise ParseError(f"builtin {head.pred!r} cannot appear in head position", tok.line, tok.col)
-        if head.pred == "!":
-            raise ParseError("cut cannot appear in head position", tok.line, tok.col)
-        body: list[Literal] = []
-        if stream.at("op", ":-"):
-            stream.next()
-            body.append(parser.literal(allow_cut=allow_cut))
-            while stream.at("punct", ","):
-                stream.next()
-                body.append(parser.literal(allow_cut=allow_cut))
-        stream.expect("end")
-        yield tok.line, Clause(head, tuple(body))
+    parser = TermParser()
+    for toks in _clause_tokens(lines):
+        if toks and toks[0][0] == "eof":
+            return
+        try:
+            clause = parser.clause(toks, allow_cut)
+        except IndexError:  # cut short by a lexical error, raised by the next list
+            continue
+        yield toks[0][3], clause
 
 
 def parse_program(text: str, allow_cut: bool = False) -> tuple[Clause, ...]:
     """Parse a sequence of facts and rules (see ``read_clauses``)."""
     return tuple(clause for _, clause in read_clauses(io.StringIO(text), allow_cut))
-
 
 # ---------------------------------------------------------------------------
 # Renderer

@@ -8,18 +8,37 @@ possible, and the poker labeler is a direct rank-multiset table.  The
 helpers after them check a tree's variable scope and theta-subsumption
 between queries, build the root refinement context and a bias without
 thresholds, and count a node's candidates by proving each full query alone.
-Last comes ``scan``, a character-loop tokenizer that states the lexical
+Then comes ``scan``, a character-loop tokenizer that states the lexical
 grammar without regular expressions, the reference for ``terms.tokenize``.
+Last comes the parser that ``terms`` had before it parsed each clause from a
+list of tokens, the reference for ``terms.read_clauses``, ``parse_term`` and
+the directive grammars: a one-token-lookahead ``TokenStream`` that pulls
+tokens from the lazy ``_line_tokens`` as a ``TermParser`` advances.
 """
 
+import io
 import math
 from collections import Counter
+from typing import Iterable, Iterator
 
 from foldt.bias import Bias, RefinementContext
 from foldt.engine import Query, matches, succeeds
 from foldt.errors import ParseError
 from foldt.model import Leaf
-from foldt.terms import Compound, Number, Token, Variable, literal_variables
+from foldt.terms import (
+    _TOKEN_RE,
+    BUILTIN_PREDS,
+    Atom,
+    Clause,
+    Compound,
+    Literal,
+    Number,
+    Term,
+    Token,
+    Variable,
+    literal_variables,
+    term_to_literal,
+)
 
 
 def _bind_term(qarg, farg, subst):
@@ -398,3 +417,225 @@ def _scan_number(text: str, i: int, line: int, col: int):
     if is_float and not math.isfinite(value):
         raise ParseError("number out of range", line, col)
     return j, value
+
+
+# ---------------------------------------------------------------------------
+# Reference parser: one token pulled at a time
+
+# Builds a Token without the Python frame of NamedTuple.__new__, which is a
+# quarter of the lexer's time on a large block file.
+_new_token = tuple.__new__
+
+
+def tokenize(text: str) -> list[Token]:
+    """Tokenize ``text``; raises ParseError with position on bad input."""
+    return list(_line_tokens(io.StringIO(text)))
+
+
+def _line_tokens(lines: Iterable[str]) -> Iterator[Token]:
+    """The tokens of ``lines``, one line at a time; ``eof`` sits just after
+    the last token, or at line 1, column 1 when there is none."""
+    tok = Token("eof", "", None, 1, 1)
+    for line, text in enumerate(lines, 1):
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind is None:
+                break
+            lexeme = m[kind]
+            col = m.start(kind) + 1
+            if kind == "int":
+                try:
+                    value = int(lexeme)
+                except ValueError:  # more digits than int() converts
+                    raise ParseError(f"number too long ({len(lexeme)} characters)", line, col) from None
+            elif kind == "float":
+                value = float(lexeme)
+                if not math.isfinite(value):
+                    raise ParseError("number out of range", line, col)
+            elif kind == "quoted":
+                kind, value = "atom", lexeme[1:-1].replace("''", "'")
+            elif kind == "unterminated":
+                raise ParseError("unterminated quote", line, col)
+            elif kind == "unexpected":
+                raise ParseError(f"unexpected character {lexeme!r}", line, col)
+            else:
+                value = lexeme
+            tok = _new_token(Token, (kind, lexeme, value, line, col))
+            yield tok
+    yield Token("eof", "", None, tok.line, tok.col + len(tok.text))
+
+
+_WANTED = {"end": "'.' followed by layout to end the clause"}
+
+
+class TokenStream:
+    """One token of lookahead over an iterable of tokens that ends with an
+    ``eof`` token; tokens are drawn from it only as the parser advances."""
+
+    def __init__(self, tokens: Iterable[Token]):
+        self._next = iter(tokens).__next__
+        self._tok = self._next()
+
+    def peek(self) -> Token:
+        return self._tok
+
+    def next(self) -> Token:
+        tok = self._tok
+        if tok.kind != "eof":
+            self._tok = self._next()
+        return tok
+
+    def expect(self, kind: str, text: str | None = None) -> Token:
+        tok = self._tok
+        if tok.kind != kind or (text is not None and tok.text != text):
+            want = repr(text) if text is not None else _WANTED.get(kind, repr(kind))
+            raise ParseError(f"expected {want}, found {tok.text or tok.kind!r}", tok.line, tok.col)
+        return self.next()
+
+    def at(self, kind: str, text: str | None = None) -> bool:
+        tok = self.peek()
+        return tok.kind == kind and (text is None or tok.text == text)
+
+
+class TermParser:
+    """Recursive-descent parser over a token stream.
+
+    Every bare ``_`` token becomes a distinct fresh variable (``_1``, ``_2``,
+    ...); named underscore variables such as ``_Foo`` are kept as written.
+    While ``modes`` is a dict, variables take mode markers and the dict
+    records each variable's marker (``+``, ``-`` or ``+-``); while it is
+    None, a marker is a parse error.
+    """
+
+    def __init__(self, stream: TokenStream):
+        self.s = stream
+        self._anon = 0
+        self.modes: dict[str, str] | None = None
+
+    def term(self) -> Term:
+        tok = self.s.peek()
+        if tok.kind == "var":
+            self.s.next()
+            if tok.text == "_":
+                name = self._fresh_anonymous()
+                if self.modes is not None:
+                    self.modes[name] = "-"  # each anonymous slot is a fresh output
+                return Variable(name)
+            if self.modes is not None and tok.text not in self.modes:
+                raise ParseError(
+                    f"variable {tok.text} needs a mode marker at its first occurrence",
+                    tok.line,
+                    tok.col,
+                )
+            return Variable(tok.text)
+        if tok.kind in ("int", "float"):
+            self.s.next()
+            return Number(tok.value)
+        if tok.kind == "atom":
+            self.s.next()
+            if self.s.at("punct", "("):
+                self.s.next()
+                args = [self.term()]
+                while self.s.at("punct", ","):
+                    self.s.next()
+                    args.append(self.term())
+                self.s.expect("punct", ")")
+                return Compound(tok.value, tuple(args))
+            return Atom(tok.value)
+        if tok.kind == "punct" and tok.text in ("+", "-"):
+            return self._marked_variable(tok)
+        raise ParseError(f"expected a term, found {tok.text or tok.kind!r}", tok.line, tok.col)
+
+    def _marked_variable(self, marker: Token) -> Variable:
+        if self.modes is None:
+            raise ParseError("mode markers are not allowed here", marker.line, marker.col)
+        self.s.next()
+        mode = marker.text
+        if mode == "+" and self.s.at("punct", "-"):
+            self.s.next()
+            mode = "+-"
+        v = self.s.peek()
+        if v.kind != "var":
+            raise ParseError("mode marker must precede a variable", v.line, v.col)
+        self.s.next()
+        if v.text == "_":
+            name = self._fresh_anonymous()
+        elif v.value in self.modes:
+            raise ParseError(f"variable {v.value} already carries a mode marker", v.line, v.col)
+        else:
+            name = v.value
+        self.modes[name] = mode
+        return Variable(name)
+
+    def _fresh_anonymous(self) -> str:
+        self._anon += 1
+        return f"_{self._anon}"
+
+    def literal(self, allow_cut: bool = False) -> Literal:
+        tok = self.s.peek()
+        if tok.kind == "punct" and tok.text == "!":
+            if not allow_cut:
+                raise ParseError("cut is not allowed here", tok.line, tok.col)
+            self.s.next()
+            return Literal("!", ())
+        lhs = self.term()
+        nxt = self.s.peek()
+        if nxt.kind == "op" and nxt.text in BUILTIN_PREDS:
+            self.s.next()
+            rhs = self.term()
+            return Literal(nxt.text, (lhs, rhs), builtin=True)
+        return term_to_literal(lhs, line=tok.line, col=tok.col)
+
+
+def parse_term(text: str) -> Term:
+    """Parse a complete term; trailing input is an error."""
+    stream = TokenStream(tokenize(text))
+    if stream.at("eof"):
+        raise ParseError("empty input", 1, 1)
+    term = TermParser(stream).term()
+    tok = stream.peek()
+    if tok.kind != "eof":
+        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+    return term
+
+
+def read_clauses(lines: Iterable[str], allow_cut: bool = False) -> Iterator[tuple[int, Clause]]:
+    """Stream ``(line, clause)`` pairs, ``line`` being where the clause
+    starts, from an iterable of text lines such as an open file.
+
+    Clauses are ``Head.`` facts and ``Head :- B1, ..., Bn.`` rules, each
+    ended by the tokenizer's ``end`` token.  Lines are tokenized one at a
+    time as the parser needs them, so only one line's tokens plus the
+    pending clause are ever held.  One ``TermParser`` serves all the lines,
+    so bare ``_`` variables are numbered through the whole input.
+    ``allow_cut`` admits ``!`` as a body literal, which the model-file
+    decision-list section uses as a trailing marker token.
+    """
+    stream = TokenStream(_line_tokens(lines))
+    parser = TermParser(stream)
+    while not stream.at("eof"):
+        tok = stream.peek()
+        head = parser.literal(allow_cut=False)
+        if head.builtin:
+            raise ParseError(f"builtin {head.pred!r} cannot appear in head position", tok.line, tok.col)
+        if head.pred == "!":
+            raise ParseError("cut cannot appear in head position", tok.line, tok.col)
+        body: list[Literal] = []
+        if stream.at("op", ":-"):
+            stream.next()
+            body.append(parser.literal(allow_cut=allow_cut))
+            while stream.at("punct", ","):
+                stream.next()
+                body.append(parser.literal(allow_cut=allow_cut))
+        stream.expect("end")
+        yield tok.line, Clause(head, tuple(body))
+
+
+class CursorParser(TermParser):
+    """The reference ``TermParser`` with the cursor methods of
+    ``terms.TermParser``, so that the directive grammars of settings and
+    schema files run over it unchanged."""
+
+    def __init__(self, tokens):
+        super().__init__(TokenStream(tokens))
+        self.peek, self.next, self.expect, self.at = self.s.peek, self.s.next, self.s.expect, self.s.at

@@ -183,17 +183,48 @@ def test_malformed_model_exit_2(tmp_path, bias_file, data_file, capsys):
     assert main(["learn", "--data", str(data_file), "--settings", str(bias_file), "--out", str(model_path)]) == 0
     text = model_path.read_text()
     for pattern, replacement, cause in (
-        ("section meta 1", "section meta x", "expected an integer, found 'x'"),
+        (
+            "section meta 1",
+            "section meta x",
+            "expected an integer, found 'x' in line 'section meta x'",
+        ),
         (r"(?m)^\{.*\}$", "[1,2]", "meta section is not a JSON object: '[1,2]'"),
-        ('"resolution_budget":100000', '"resolution_budget":"x"', "resolution_budget 'x' in meta"),
-        ('"resolution_budget":100000', '"resolution_budget":0', "resolution_budget 0 in meta"),
+        (
+            '"resolution_budget":100000',
+            '"resolution_budget":"x"',
+            "resolution_budget 'x' in meta is not a positive integer",
+        ),
+        (
+            '"resolution_budget":100000',
+            '"resolution_budget":0',
+            "resolution_budget 0 in meta is not a positive integer",
+        ),
     ):
         broken = re.sub(pattern, replacement, text, count=1)
         assert broken != text
         model_path.write_text(broken)
         capsys.readouterr()
         assert main(["classify", "--model", str(model_path), "--data", str(data_file)]) == 2
-        assert f"error: {cause}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {model_path}: {cause}\n"
+
+
+@pytest.mark.parametrize(
+    "text,cause",
+    [
+        (
+            "begin(model(1)).\npos.\nend(model(1)).\nbegin(model(1)).\nneg.\nend(model(1)).\n",
+            "duplicate example id 1",
+        ),
+        ("% no examples\n", "empty dataset"),
+    ],
+    ids=["duplicate-id", "comment-only"],
+)
+def test_store_errors_name_the_block_file_once(tmp_path, bias_file, capsys, text, cause):
+    data = tmp_path / "dup.kb"
+    data.write_text(text)
+    args = ["learn", "--data", str(data), "--settings", str(bias_file), "--out", str(tmp_path / "m.foldt")]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {data}: {cause}\n"
 
 
 def test_granularity_of_an_existing_store_is_fixed(tmp_path, bias_file, data_file, capsys):

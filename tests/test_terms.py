@@ -1,11 +1,16 @@
 import io
+from unittest import mock
 
+import oracles
 import pytest
-from hypothesis import given, settings as hsettings, strategies as st
+from hypothesis import example, given, settings as hsettings, strategies as st
 from oracles import scan
 
+import foldt.rdb
+import foldt.settings
 from foldt.engine import load_background
-from foldt.errors import ParseError
+from foldt.errors import FoldtError, ParseError
+from foldt.rdb import parse_schema
 from foldt.settings import parse_settings
 from foldt.store import iter_kb_blocks
 from foldt.terms import (
@@ -179,6 +184,33 @@ def test_read_clauses_reads_lines_as_it_goes():
     assert next(read_clauses(lines())) == (1, Clause(Literal("p", (Atom("a"),))))
 
 
+def test_read_clauses_yields_a_clause_before_reading_the_next_line():
+    def lines():
+        yield "p(a).\n"
+        raise AssertionError("read the line after the first clause")
+
+    assert next(read_clauses(lines())) == (1, Clause(Literal("p", (Atom("a"),))))
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        ("p(a b\nc \u00b2).", ("expected ')', found 'b'", 1, 5)),
+        ("p(a b \u00b2).", ("expected ')', found 'b'", 1, 5)),
+        ("p(a, \u00b2).", ("unexpected character '\u00b2'", 1, 6)),
+        ("X = Y \u00b2.", ("unexpected character '\u00b2'", 1, 7)),
+        ("X = Y.", ("builtin '=' cannot appear in head position", 1, 1)),
+        ("p(a", ("expected ')', found 'eof'", 1, 4)),
+    ],
+)
+def test_a_syntax_error_precedes_a_later_lexical_error(text, error):
+    """The tokens before a lexical error are parsed first; the lexical error
+    is reported once the parser needs the token it spoils."""
+    with pytest.raises(ParseError) as e:
+        list(read_clauses(io.StringIO(text)))
+    assert (e.value.message, e.value.line, e.value.column) == error
+
+
 def test_read_clauses_numbers_anonymous_variables_through_the_input():
     src = io.StringIO("p(_) :- q(_).\nr(_).\n")
     assert [c for _, c in read_clauses(src)] == [
@@ -325,3 +357,151 @@ def test_read_clauses_roundtrip_of_laid_out_facts(items):
         text += rendered + layout
     assert list(read_clauses(io.StringIO(text))) == expected
     assert list(read_clauses(io.StringIO(text.rstrip(" \n")))) == expected
+
+
+# ---------------------------------------------------------------------------
+# The list-indexed parser against the reference parser that pulls one token
+# at a time (tests/oracles.py)
+
+_noise = st.sampled_from(
+    ["\u00b2", "'", "1" * 5000, "1e999", "(", ")", ",", ".", ". ", ":-", "=", "!", "+", "-", "X", "_", "a",
+     "\n", " ", "%c\n", "[", "]", ":"]
+)
+_leaves = st.sampled_from(
+    ["a", "b", "'B c'", "X", "Y", "_", "_Y", "7", "-2", "3.5e1"] * 6 + ["+X", "-_", "'!'"]
+)
+
+
+def _comma_separated(items):
+    return [x for i, item in enumerate(items) for x in ([","] if i else []) + item]
+
+
+def _applied(functors, args):
+    """A functor alone, or applied to a nonempty argument list."""
+    return st.tuples(functors, args).map(
+        lambda fa: [fa[0]] + (["("] + _comma_separated(fa[1]) + [")"] if fa[1] else [])
+    )
+
+
+_term_lexemes = st.recursive(
+    _leaves.map(lambda leaf: [leaf]),
+    lambda inner: _applied(st.sampled_from(["f", "g"]), st.lists(inner, min_size=1, max_size=3)),
+    max_leaves=6,
+)
+_predicate_lexemes = _applied(st.sampled_from(["p", "q", "r"]), st.lists(_term_lexemes, max_size=3))
+# Mostly predicates; one literal in eight a builtin, one in sixteen a cut, a
+# variable or a number.
+_literal_lexemes = st.tuples(
+    st.integers(0, 15),
+    _predicate_lexemes,
+    st.tuples(_term_lexemes, st.sampled_from(["=", "\\=", "<", ">=", "=<"]), _term_lexemes).map(
+        lambda t: t[0] + [t[1]] + t[2]
+    ),
+    st.sampled_from([["!"], ["X"], ["7"]]),
+).map(lambda t: t[1] if t[0] < 13 else t[2] if t[0] < 15 else t[3])
+_clause_lexemes = st.tuples(_literal_lexemes, st.lists(_literal_lexemes, max_size=3)).map(
+    lambda hb: hb[0] + ([":-"] + _comma_separated(hb[1]) if hb[1] else []) + ["."]
+)
+
+
+def _laid_out(lexemes, separators, noise, cut):
+    """``lexemes`` joined by ``separators`` in turn, with each ``(k, piece)``
+    of ``noise`` put before lexeme ``k``, and cut short to ``cut`` characters
+    when ``cut`` is not None."""
+    pieces = list(lexemes)
+    for k, piece in sorted(noise, reverse=True):
+        pieces.insert(min(k, len(pieces)), piece)
+    text = "".join(p + separators[i % len(separators)] for i, p in enumerate(pieces))
+    return text if cut is None else text[:cut]
+
+
+_programs = st.builds(
+    _laid_out,
+    st.lists(_clause_lexemes, min_size=1, max_size=4).map(lambda cs: [x for c in cs for x in c]),
+    st.lists(st.sampled_from([" ", "\n", " % c\n", "\n\n  "]), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 40), _noise), max_size=1),
+    st.none() | st.none() | st.integers(0, 120),
+)
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except FoldtError as e:
+        return (type(e).__name__, str(e), getattr(e, "line", None), getattr(e, "column", None))
+
+
+@hsettings(max_examples=600, deadline=None)
+@given(st.one_of(_programs, st.lists(_noise, max_size=12).map("".join)), st.booleans())
+@example("p(a b\nc \u00b2).", False)
+@example("q.\nX = f(Y) \u00b2.", False)
+@example("p(_, X) :- q(_),\n  r(X, _).\ns(_).\n", False)
+@example("p :- q, !.\nr(a) :- !.", True)
+@example("p(a).\nq(b", False)
+def test_read_clauses_agrees_with_the_reference_parser(text, allow_cut):
+    """Same ``(line, clause)`` list, or the same ParseError at the same
+    place, as the parser that pulls one token at a time."""
+    expected = _outcome(lambda t: list(oracles.read_clauses(io.StringIO(t), allow_cut)), text)
+    assert _outcome(lambda t: list(read_clauses(io.StringIO(t), allow_cut)), text) == expected
+
+
+@hsettings(max_examples=300, deadline=None)
+@given(st.one_of(_term_lexemes.map(" ".join), st.lists(_noise, max_size=8).map("".join)))
+def test_parse_term_agrees_with_the_reference_parser(text):
+    assert _outcome(parse_term, text) == _outcome(oracles.parse_term, text)
+
+
+def _reference(module, parse):
+    """``parse`` with the reference parser behind ``module``'s directive
+    grammar."""
+
+    def run(text):
+        with mock.patch.object(module, "TermParser", oracles.CursorParser), mock.patch.object(
+            module, "tokenize", oracles.tokenize
+        ):
+            return parse(text)
+
+    return run
+
+
+_directives = st.sampled_from(
+    ["classes([pos,neg]).", "classes([a]).", "rmode(2: p(+X,-Y)).", "rmode(1: (q(+-A), r(A,-_), A \\= b)).",
+     "rmode(3: s(+_, -B, +-_)).", "rmode(1: t(X)).", "rmode(1: (p(+X), q(+X))).", "rmode(1: p(+ -)).",
+     "rmode(1: (p(-X), X < threshold(1))).", "lookahead(p(X), q(X,Y)).", "lookahead((p(X), q(X)), r(X)).",
+     "typed(p(t,u)).", "discretize(p(_,X), X).", "minleaf(2).", "heuristic(gain).", "granularity(3).",
+     "minleaf(a).", "rmode(1: !)."]
+)
+_schema_directives = st.sampled_from(
+    ["table(m, [f, n, c]).", "key(m, [f]).", "table(c, [m, a]).", "fk(c, [m], m).", "background(b).",
+     "table(b, [x]).", "example_id(m, f).", "class_attr(m, c).", "drop_id.", "elide(c).", "key(m, [])."]
+)
+
+
+@hsettings(max_examples=300, deadline=None)
+@given(
+    st.builds(
+        _laid_out,
+        st.lists(_directives, max_size=6),
+        st.lists(st.sampled_from(["\n", " ", "\n% c\n"]), min_size=1, max_size=3),
+        st.lists(st.tuples(st.integers(0, 6), _noise), max_size=1),
+        st.none(),
+    )
+)
+@example("classes([pos,neg]).\nrmode(2: (p(+X,-Y), q(Y, _))).\nrmode(1: r(+-_)).\n")
+def test_parse_settings_agrees_with_the_reference_parser(text):
+    assert _outcome(parse_settings, text) == _outcome(_reference(foldt.settings, parse_settings), text)
+
+
+@hsettings(max_examples=200, deadline=None)
+@given(
+    st.builds(
+        _laid_out,
+        st.lists(_schema_directives, max_size=8),
+        st.lists(st.sampled_from(["\n", " "]), min_size=1, max_size=2),
+        st.lists(st.tuples(st.integers(0, 8), _noise), max_size=1),
+        st.none(),
+    )
+)
+@example("table(m, [f, n, c]).\ntable(c, [m, a]).\nkey(m, [f]).\nfk(c, [m], m).\nexample_id(m, f).\n")
+def test_parse_schema_agrees_with_the_reference_parser(text):
+    assert _outcome(parse_schema, text) == _outcome(_reference(foldt.rdb, parse_schema), text)
