@@ -26,7 +26,7 @@ from .errors import DataError, FoldtError, in_file
 from .learner import LearnerConfig, learn
 from .model import classify, load_model, save_model, tree_depth
 from .settings import ALGORITHMS, HEURISTICS, parse_settings
-from .store import MANIFEST_NAME, iter_kb_blocks, load_dataset, open_dataset
+from .store import iter_kb_blocks, load_dataset, open_dataset
 from .terms import render_term
 
 log = logging.getLogger(__name__)
@@ -123,7 +123,7 @@ def _open_data(args, settings):
     compiled into ``--chunks``, or else into a temporary directory that is
     removed when the command ends."""
     path = Path(args.data)
-    if path.is_dir() or path.name == MANIFEST_NAME:
+    if path.is_dir():
         data = open_dataset(path)
         if args.granularity not in (None, data.granularity):
             raise DataError(

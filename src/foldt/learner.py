@@ -42,7 +42,7 @@ The LDS engine builds one tree level per streaming pass, and the path bits
 travel on disk.  A pass reads the previous pass's spill file, one record
 (ordinal, class index, path bits) per example that was at a node with
 candidates, and skips the records of examples that have since reached a
-leaf.  It merge-joins the rest, in manifest order, with the stream of the
+leaf.  It merge-joins the rest, in ordinal order, with the stream of the
 examples whose node has a pack: only those are decoded, and a node whose
 candidates all reuse outcomes counts its examples from their records alone.
 A level whose nodes all reuse their outcomes streams no example and opens
@@ -90,7 +90,7 @@ from .engine import Background, Pack, Query, compile_pack, coverage_query
 from .errors import DataError
 from .model import FOLDT, INode, Leaf, Model, count_nodes, tree_depth
 from .settings import LearnerConfig, Settings, render_settings
-from .store import DatasetHandle
+from .store import META_NAME, DatasetHandle
 from .terms import Literal, Variable, map_literals
 
 log = logging.getLogger(__name__)
@@ -283,11 +283,18 @@ def _close(node: _Node, stats: BuildStats):
     node.candidates = node.positions = node.pack = node.counters = node.decided = None
 
 
-def _split(node: _Node, cfg: LearnerConfig) -> int | None:
+def _split(node: _Node, cfg: LearnerConfig, data: DatasetHandle) -> int | None:
     """Decide an evaluated node from its counters.  When a candidate is
     admissible the node becomes internal with two children (left: the
     candidate succeeds), which inherit its table, and the position of the
-    winner's outcome is returned."""
+    winner's outcome is returned.  A candidate's two branches count each of
+    the node's examples once; only the root's counts, read from the store's
+    metadata, can differ from their sum."""
+    counted = tuple(map(sum, zip(*node.counters[0])))
+    if counted != node.counts:
+        raise DataError(
+            f"class counts in {data.dir / META_NAME} are {node.counts}, not the examples' {counted}"
+        )
     w = choose_split(node.counts, node.counters, cfg)
     if w is None:
         return None
@@ -365,7 +372,7 @@ def _grow_classic(root, data, background, cidx, cfg, bias, stats):
                 node, examples[i], labels[i], bits[i], background, cfg.resolution_budget
             )
         stats.eval_seconds += time.perf_counter() - t0
-        pos = _split(node, cfg)
+        pos = _split(node, cfg, data)
         _close(node, stats)
         if pos is None:
             return
@@ -407,7 +414,7 @@ def _grow_lds(root, data, background, cidx, cfg, bias, stats):
             candidates = sum(len(n.candidates) for n in evaluable)
             width = (max((len(n.decided) for n in evaluable), default=0) + 7) // 8
 
-            # One pass: the previous pass's records, merge-joined in manifest
+            # One pass: the previous pass's records, merge-joined in ordinal
             # order with the stream of the examples whose node has a pack.
             # Always exactly one per level, even when it selects no example.
             if spill is None:  # every example is at the root, with no path bits
@@ -443,7 +450,7 @@ def _grow_lds(root, data, background, cidx, cfg, bias, stats):
             t0 = time.perf_counter()
             new_frontier: list[_Node] = []
             for n in evaluable:
-                if _split(n, cfg) is not None:
+                if _split(n, cfg, data) is not None:
                     new_frontier.extend(n.kids)
             decide = time.perf_counter() - t0
 

@@ -9,13 +9,13 @@ A dataset text file is a sequence of blocks::
     end(model(4)).
 
 ``load_dataset`` parses the blocks once and writes a chunk store into the
-directory it is given: binary chunk files of ``G`` pre-parsed
-examples each, a line-oriented manifest (``chunk <index> <file> <first-id>
-<count>``), and a small metadata file that also records every predicate/arity
-key the examples' facts use.  Streaming passes then
-decode one chunk at a time, so at most ``G`` examples are ever resident; the
-handle counts chunk loads and the peak number of resident examples so that
-callers can verify the bound.
+directory it is given: binary chunk files of ``G`` pre-parsed examples each,
+the last holding the rest, and a metadata file whose ``granularity`` and
+``total`` give that layout and which also records every predicate/arity key
+the examples' facts use.  Streaming passes then decode one chunk at a time,
+so at most ``G`` examples are ever resident; the handle counts chunk loads
+and the peak number of resident examples so that callers can verify the
+bound.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .errors import DataError, ParseError, in_file
+from .errors import DataError, in_file
 from .terms import (
     Atom,
     Compound,
@@ -36,14 +36,13 @@ from .terms import (
     Number,
     Term,
     is_ground,
-    parse_term,
     read_clauses,
     render_term,
 )
 
 CHUNK_MAGIC = b"foldt-chunk v1\n"
-MANIFEST_NAME = "manifest.txt"
 META_NAME = "meta.json"
+CHUNK_NAME = "chunk-{:05d}.bin"
 
 
 class _FactGroup:
@@ -293,9 +292,7 @@ def _block_marker(fact: Literal, line: int):
 
 @dataclass
 class ChunkInfo:
-    index: int
     path: Path
-    first_id: Term
     count: int
     start_ordinal: int
 
@@ -310,7 +307,6 @@ class ChunkWriter:
         self.dir.mkdir(parents=True, exist_ok=True)
         self.granularity = granularity
         self._buffer: list[Interpretation] = []
-        self._chunks: list[ChunkInfo] = []
         self._ids: set[Term] = set()
         self._predicates: set[tuple[str, int]] = set()
         self._class_counts: Counter = Counter()
@@ -327,31 +323,25 @@ class ChunkWriter:
             self._flush()
 
     def _flush(self):
+        """Write the buffer as the next chunk: when it reaches G, and once at
+        the end, which is the layout ``open_dataset`` derives."""
         if not self._buffer:
             return
-        index = len(self._chunks)
-        path = self.dir / f"chunk-{index:05d}.bin"
-        with open(path, "wb") as f:
+        index = len(self._record_hashes) // self.granularity
+        with open(self.dir / CHUNK_NAME.format(index), "wb") as f:
             f.write(CHUNK_MAGIC)
             for interp in self._buffer:
                 rec = encode_record(interp)
                 self._record_hashes.append(hashlib.sha256(rec).digest())
                 f.write(struct.pack("<I", len(rec)))
                 f.write(rec)
-        start = self._chunks[-1].start_ordinal + self._chunks[-1].count if self._chunks else 0
-        self._chunks.append(
-            ChunkInfo(index, path, self._buffer[0].ident, len(self._buffer), start)
-        )
         self._buffer = []
 
     def finish(self) -> "DatasetHandle":
         self._flush()
-        if not self._chunks:
+        if not self._ids:
             raise DataError("empty dataset")
         fingerprint = hashlib.sha256(b"".join(sorted(self._record_hashes))).hexdigest()
-        with open(self.dir / MANIFEST_NAME, "w", encoding="utf-8") as f:
-            for c in self._chunks:
-                f.write(f"chunk {c.index} {c.path.name} {render_term(c.first_id)} {c.count}\n")
         meta = {
             "granularity": self.granularity,
             "total": len(self._ids),
@@ -361,15 +351,7 @@ class ChunkWriter:
         }
         with open(self.dir / META_NAME, "w", encoding="utf-8") as f:
             json.dump(meta, f, indent=1)
-        return DatasetHandle(
-            self.dir,
-            self._chunks,
-            self.granularity,
-            len(self._ids),
-            dict(self._class_counts),
-            fingerprint,
-            frozenset(self._predicates),
-        )
+        return open_dataset(self.dir)
 
 
 class DatasetHandle:
@@ -402,7 +384,7 @@ class DatasetHandle:
     def stream_examples(
         self, selector: Callable[[int], bool] | None = None
     ) -> Iterator[tuple[int, Interpretation]]:
-        """Yield ``(ordinal, interpretation)`` in manifest order.
+        """Yield ``(ordinal, interpretation)`` in ordinal order.
 
         ``selector`` filters by ordinal and is called once per ordinal;
         chunks whose examples are all excluded are skipped without opening
@@ -475,31 +457,10 @@ def load_dataset(path, settings, out_dir, granularity: int | None = None) -> Dat
         return writer.finish()
 
 
-def open_dataset(path) -> DatasetHandle:
-    """Open an existing chunk store from its directory or manifest path."""
-    path = Path(path)
-    directory = path.parent if path.name == MANIFEST_NAME else path
-    manifest = directory / MANIFEST_NAME
-    if not manifest.exists():
-        raise DataError(f"no manifest at {manifest}")
-    chunks: list[ChunkInfo] = []
-    start = 0
-    with open(manifest, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            try:
-                if len(parts) < 5 or parts[0] != "chunk":
-                    raise ValueError("expected chunk <index> <file> <first-id> <count>")
-                index = int(parts[1])
-                count = int(parts[-1])
-                first_id = parse_term(" ".join(parts[3:-1]))
-            except (ValueError, ParseError) as e:
-                raise DataError(f"bad manifest line {lineno} in {manifest}: {line!r} ({e})") from e
-            chunks.append(ChunkInfo(index, directory / parts[2], first_id, count, start))
-            start += count
+def open_dataset(directory) -> DatasetHandle:
+    """Open an existing chunk store from its directory.  Its metadata is
+    checked here; each chunk, against the layout, when it is streamed."""
+    directory = Path(directory)
     meta_path = directory / META_NAME
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
@@ -510,7 +471,7 @@ def open_dataset(path) -> DatasetHandle:
             meta[k]
             for k in ("granularity", "total", "class_counts", "fingerprint", "predicates")
         )
-        counted = sum(class_counts.values())
+        counts = list(class_counts.values())
         predicates = frozenset(map(tuple, predicates))
         if not all(isinstance(name, str) and type(arity) is int for name, arity in predicates):
             raise ValueError("predicates must be a list of [name, arity] pairs")
@@ -518,12 +479,17 @@ def open_dataset(path) -> DatasetHandle:
         raise DataError(f"malformed chunk-store metadata {meta_path}: {e!r}") from e
     if type(granularity) is not int or granularity < 1:
         raise DataError(f"granularity {granularity!r} in {meta_path} is not a positive integer")
-    if any(c.count > granularity for c in chunks):
-        raise DataError(f"{manifest} lists a chunk of more than the {granularity} examples {meta_path} allows")
-    if total != start:
-        raise DataError(f"{meta_path} gives {total} examples but {manifest} lists {start}")
-    if counted != total:
-        raise DataError(f"class counts in {meta_path} sum to {counted}, not to the total {total}")
+    if type(total) is not int or total < 1:
+        raise DataError(f"total {total!r} in {meta_path} is not a positive integer")
+    if not all(type(n) is int and n >= 0 for n in counts) or sum(counts) != total:
+        raise DataError(f"class counts in {meta_path} are not integers >= 0 summing to {total}")
+    last = directory / CHUNK_NAME.format((total - 1) // granularity)
+    if not last.is_file():  # before the layout is built: a tampered total allocates nothing
+        raise DataError(f"missing chunk file {last}: {meta_path} gives {total} examples")
+    chunks = [
+        ChunkInfo(directory / CHUNK_NAME.format(i), min(granularity, total - start), start)
+        for i, start in enumerate(range(0, total, granularity))
+    ]
     return DatasetHandle(
         directory, chunks, granularity, total, dict(class_counts), fingerprint, predicates
     )

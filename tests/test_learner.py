@@ -246,10 +246,10 @@ def test_node_counters_equal_full_query_proofs(tmp_path_factory, domain, count, 
     for algorithm in ALGORITHMS:
         evaluated = {}  # id of each evaluated node -> (node, full queries, counters)
 
-        def recording(node, cfg):
+        def recording(node, *args):
             queries = [c.query for c in node.candidates]
             evaluated[id(node)] = (node, queries, node.counters)
-            return split(node, cfg)
+            return split(node, *args)
 
         with mock.patch.object(foldt.learner, "_split", recording):
             learn_with(algorithm, data, None, settings, cfg)

@@ -10,7 +10,6 @@ from foldt.generators import GenSpec, gen_poker
 from foldt.settings import ALGORITHMS, parse_settings
 from foldt.store import (
     CHUNK_MAGIC,
-    MANIFEST_NAME,
     Interpretation,
     decode_record,
     encode_record,
@@ -196,50 +195,67 @@ def test_store_records_predicates(tmp_path):
     assert meta["predicates"] == [["card", 2], ["flush", 0], ["rank", 1]]
     assert open_dataset(handle.dir).predicates == {("card", 2), ("flush", 0), ("rank", 1)}
     assert sorted(p.name for p in handle.dir.iterdir()) == [
-        "chunk-00000.bin", "manifest.txt", "meta.json"
+        "chunk-00000.bin", "meta.json"
     ]
 
 
-def _edit_meta(key, value):
+def _record_count(chunk) -> int:
+    raw = chunk.read_bytes()
+    pos, found = len(CHUNK_MAGIC), 0
+    while pos < len(raw):
+        (ln,) = struct.unpack_from("<I", raw, pos)
+        pos, found = pos + 4 + ln, found + 1
+    return found
+
+
+@pytest.mark.parametrize("n,g", [(12, 5), (10, 5), (3, 5), (7, 1)])
+def test_store_layout_follows_from_meta(tmp_path, n, g):
+    handle = load_dataset(_write_many(tmp_path, n), POKER_SETTINGS, tmp_path / "store", granularity=g)
+    chunks = -(-n // g)
+    assert sorted(p.name for p in handle.dir.iterdir()) == [
+        f"chunk-{i:05d}.bin" for i in range(chunks)
+    ] + ["meta.json"]
+    assert [c.count for c in handle.chunks] == [_record_count(c.path) for c in handle.chunks]
+    assert vars(handle) == vars(open_dataset(handle.dir))
+
+
+def _edit_meta(**changes):
+    """Set each key of meta.json to its value, or delete it for None."""
+
     def edit(directory):
         path = directory / "meta.json"
         meta = json.loads(path.read_text())
-        if value is None:
-            del meta[key]
-        else:
-            meta[key] = value
+        for key, value in changes.items():
+            if value is None:
+                del meta[key]
+            else:
+                meta[key] = value
         path.write_text(json.dumps(meta))
 
     return edit
 
 
-def _edit_manifest_field(pos, value):
-    def edit(directory):
-        path = directory / "manifest.txt"
-        lines = path.read_text().splitlines()
-        parts = lines[0].split()
-        parts[pos] = value
-        lines[0] = " ".join(parts)
-        path.write_text("\n".join(lines) + "\n")
-
-    return edit
-
-
 @pytest.mark.parametrize(
-    "edit,names",
+    "edit,when,names",
     [
-        (_edit_meta("granularity", None), "meta.json"),
-        (_edit_meta("total", 7), "meta.json"),
-        (_edit_meta("class_counts", {"pair": 11}), "meta.json"),
-        (_edit_meta("predicates", None), "meta.json"),
-        (_edit_meta("predicates", [["card"]]), "meta.json"),
-        (_edit_meta("predicates", [["card", "2"]]), "meta.json"),
-        (_edit_meta("predicates", "card/2"), "meta.json"),
-        (_edit_meta("granularity", "ten"), "meta.json"),
-        (_edit_meta("granularity", 0), "meta.json"),
-        (_edit_meta("granularity", 4), "manifest.txt"),
-        (_edit_manifest_field(1, "one"), "manifest.txt"),
-        (_edit_manifest_field(-1, "5.0"), "manifest.txt"),
+        (_edit_meta(granularity=None), "open", "meta.json"),
+        (_edit_meta(total=7), "open", "meta.json"),
+        (_edit_meta(class_counts={"pair": 11}), "open", "meta.json"),
+        (_edit_meta(predicates=None), "open", "meta.json"),
+        (_edit_meta(predicates=[["card"]]), "open", "meta.json"),
+        (_edit_meta(predicates=[["card", "2"]]), "open", "meta.json"),
+        (_edit_meta(predicates="card/2"), "open", "meta.json"),
+        (_edit_meta(granularity="ten"), "open", "meta.json"),
+        (_edit_meta(granularity=0), "open", "meta.json"),
+        (_edit_meta(class_counts={"pair": 13, "nothing": -1}), "open", "meta.json"),
+        (_edit_meta(class_counts={"pair": 11, "nothing": True}), "open", "meta.json"),
+        (_edit_meta(class_counts={"pair": 12.0}), "open", "meta.json"),
+        (_edit_meta(class_counts=[["pair", 12]]), "open", "meta.json"),
+        (_edit_meta(total=12.0), "open", "meta.json"),
+        (_edit_meta(total=0, class_counts={}), "open", "meta.json"),
+        (_edit_meta(total=10**12, class_counts={"pair": 10**12}), "open", "missing chunk file .*chunk-199999999999.bin"),
+        (_edit_meta(granularity=4), "stream", "chunk-00000.bin: expected 4 records, found 5"),
+        (_edit_meta(total=11, class_counts={"pair": 11}), "stream", "chunk-00002.bin: expected 1 records, found 2"),
     ],
     ids=[
         "no-granularity",
@@ -251,16 +267,41 @@ def _edit_manifest_field(pos, value):
         "predicates-list",
         "granularity-type",
         "granularity-zero",
+        "class-count-negative",
+        "class-count-bool",
+        "class-count-float",
+        "class-counts-list",
+        "total-float",
+        "total-zero",
+        "total-without-chunks",
         "chunk-above-granularity",
-        "index",
-        "count",
+        "last-chunk-above-total",
     ],
 )
-def test_open_dataset_rejects_inconsistent_store(tmp_path, edit, names):
+def test_open_dataset_rejects_inconsistent_store(tmp_path, edit, when, names):
+    """Metadata that contradicts itself fails at open; chunk files that
+    contradict the layout it gives fail as they are streamed."""
     handle = load_dataset(_write_many(tmp_path, 12), POKER_SETTINGS, tmp_path / "store", granularity=5)
     edit(handle.dir)
-    with pytest.raises(DataError, match=names):
-        open_dataset(handle.dir)
+    if when == "open":
+        with pytest.raises(DataError, match=names):
+            open_dataset(handle.dir)
+    else:
+        store = open_dataset(handle.dir)
+        with pytest.raises(DataError, match=names):
+            list(store.stream_examples())
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_class_counts_unlike_the_examples_rejected(tmp_path, algorithm):
+    settings = parse_settings(POKER_BIAS_TEXT)
+    path = gen_poker(GenSpec("poker", 200, seed=5), tmp_path / "p.kb")
+    handle = load_dataset(path, settings, tmp_path / "store", granularity=10)
+    counts = dict(handle.class_counts, pair=handle.class_counts["pair"] - 5)
+    counts["nothing"] += 5
+    _edit_meta(class_counts=counts)(handle.dir)
+    with pytest.raises(DataError, match=r"class counts in .*meta\.json are \(111, 80, "):
+        learn_with(algorithm, open_dataset(handle.dir), None, settings)
 
 
 def test_rechunking_preserves_content(tmp_path):
@@ -375,5 +416,5 @@ def test_non_integer_ids(tmp_path):
     )
     handle = load_dataset(path, POKER_SETTINGS, tmp_path / "store")
     assert [i.ident for _, i in handle.stream_examples()] == [Atom("e71"), Atom("e72")]
-    reopened = open_dataset(handle.dir / MANIFEST_NAME)
+    reopened = open_dataset(handle.dir)
     assert [i.ident for _, i in reopened.stream_examples()] == [Atom("e71"), Atom("e72")]
