@@ -288,12 +288,12 @@ def _test(op: str, x: Term, y: Term, lit: Literal) -> bool:
 
 
 def _scan(facts, i: int, want, sames) -> int:
-    """Index of the first fact from ``i`` on with ``want``'s values at their
-    positions and equal arguments at each pair of ``sames`` positions;
-    ``len(facts)`` when there is none."""
+    """Index of the first fact from ``i`` on (``facts`` holds argument
+    tuples) with ``want``'s values at their positions and equal arguments
+    at each pair of ``sames`` positions; ``len(facts)`` when there is none."""
     n = len(facts)
     while i < n:
-        fa = facts[i].args
+        fa = facts[i]
         for p, v in want:
             if fa[p] != v:
                 break
@@ -528,9 +528,9 @@ class Pack:
                 group = groups.get(g.key)
                 if group is not None:
                     if index is None:
-                        facts = group.facts
+                        facts = group.rows
                     else:
-                        facts = group.by_first.get(b[index[1]] if index[0] else index[1], ())
+                        facts = group.first(b[index[1]] if index[0] else index[1])
                     if checks:
                         want = want + tuple((p, b[s]) for p, s in checks)
                     n = len(facts)
@@ -544,7 +544,7 @@ class Pack:
                                 _FACTS, owner, len(trail), len(b), i + 1,
                                 facts, want, binds, sames, rest,
                             ])
-                        fa = facts[i].args
+                        fa = facts[i]
                         for p, s in binds:
                             b[s] = fa[p]
                             trail.append(s)
@@ -555,11 +555,11 @@ class Pack:
                 group = groups.get(g.key)
                 facts = ()
                 if group is not None:
-                    facts = group.facts
+                    facts = group.rows
                     if args:
                         a0 = _term(args[0], b, names)
                         if is_ground(a0):
-                            facts = group.by_first.get(a0, ())
+                            facts = group.first(a0)
                 clauses = rules.get(g.key, ())
                 if facts or clauses:
                     stack.append(
@@ -593,7 +593,7 @@ class Pack:
                         cp[4] = j + 1
                     else:
                         stack.pop()
-                    fa = facts[j].args
+                    fa = facts[j]
                     for p, s in binds:
                         b[s] = fa[p]
                         trail.append(s)
@@ -604,7 +604,7 @@ class Pack:
                     nf = len(facts)
                     found = False
                     while i < nf:
-                        fa = facts[i].args
+                        fa = facts[i]
                         i += 1
                         steps += 1
                         if steps > limit:

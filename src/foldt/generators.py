@@ -145,7 +145,6 @@ def replicate(data: DatasetHandle, k: int, out_dir) -> DatasetHandle:
     writer = ChunkWriter(out_dir, data.granularity)
     for _, e in data.stream_examples():
         for copy in range(1, k + 1):
-            writer.add(
-                Interpretation(Compound("rep", (e.ident, Number(copy))), e.label, e.facts)
-            )
+            ident = Compound("rep", (e.ident, Number(copy)))
+            writer.add(Interpretation.from_groups(ident, e.label, e.groups))
     return writer.finish()

@@ -9,10 +9,12 @@ A dataset text file is a sequence of blocks::
     end(model(4)).
 
 ``load_dataset`` parses the blocks once and writes a chunk store into the
-directory it is given: binary chunk files of ``G`` pre-parsed examples each,
-the last holding the rest, and a metadata file whose ``granularity`` and
-``total`` give that layout and which also records every predicate/arity key
-the examples' facts use.  Streaming passes then decode one chunk at a time,
+directory it is given, after removing any store it held: binary chunk files
+of ``G`` pre-parsed examples each, the last holding the rest, and a metadata
+file whose ``granularity`` and ``total`` give that layout and which also
+records every predicate/arity key the examples' facts use.  Each record
+decodes straight into the grouped fact index that the engine reads
+(``Interpretation.groups``).  Streaming passes then decode one chunk at a time,
 so at most ``G`` examples are ever resident; the handle counts chunk loads
 and the peak number of resident examples so that callers can verify the
 bound.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -40,63 +43,104 @@ from .terms import (
     render_term,
 )
 
-CHUNK_MAGIC = b"foldt-chunk v1\n"
+CHUNK_MAGIC = b"foldt-chunk v2\n"
 META_NAME = "meta.json"
 CHUNK_NAME = "chunk-{:05d}.bin"
+_CHUNK_FILE = re.compile(r"chunk-\d{5,}\.bin")
 
 
 class _FactGroup:
-    __slots__ = ("facts", "by_first")
+    """The facts of one predicate/arity key in one example: ``rows`` holds
+    their argument tuples in file order.  ``first(t)`` gives the rows whose
+    first argument is ``t``; its index is built on first use."""
 
-    def __init__(self, facts: tuple[Literal, ...]):
-        self.facts = facts
-        by_first: dict[Term, list[Literal]] = {}
-        if facts and facts[0].args:
-            for f in facts:
-                by_first.setdefault(f.args[0], []).append(f)
-        self.by_first = {k: tuple(v) for k, v in by_first.items()}
+    __slots__ = ("rows", "_index")
+
+    def __init__(self, rows: tuple[tuple[Term, ...], ...]):
+        self.rows = rows
+        self._index = None
+
+    def first(self, term: Term):
+        index = self._index
+        if index is None:
+            index = self._index = {}
+            for row in self.rows:
+                index.setdefault(row[0], []).append(row)
+        return index.get(term, ())
 
 
 class Interpretation:
-    """One example: an identifier, a class label, and an indexed set of
-    ground facts (the class fact itself is kept out of the index).
-    ``groups`` maps each predicate/arity key to its facts."""
+    """One example: an identifier, a class label, and its ground facts (the
+    class fact itself is kept out).  ``groups`` maps each predicate/arity
+    key, in order of first occurrence, to its facts."""
 
-    __slots__ = ("ident", "label", "facts", "groups")
+    __slots__ = ("ident", "label", "groups")
 
     def __init__(self, ident: Term, label: str, facts: tuple[Literal, ...]):
+        groups: dict[tuple[str, int], list] = {}
+        for f in facts:
+            groups.setdefault(f.key, []).append(f.args)
         self.ident = ident
         self.label = label
-        self.facts = facts
-        groups: dict[tuple[str, int], list[Literal]] = {}
-        for f in facts:
-            groups.setdefault(f.key, []).append(f)
         self.groups = {k: _FactGroup(tuple(v)) for k, v in groups.items()}
+
+    @classmethod
+    def from_groups(cls, ident: Term, label: str, groups: dict[tuple[str, int], _FactGroup]):
+        """An example over ``groups`` as they are, shared and not copied."""
+        interp = cls.__new__(cls)
+        interp.ident = ident
+        interp.label = label
+        interp.groups = groups
+        return interp
+
+    @property
+    def facts(self) -> tuple[Literal, ...]:
+        """The facts as literals, key by key in ``groups`` order."""
+        return tuple(
+            Literal(pred, row) for (pred, _), g in self.groups.items() for row in g.rows
+        )
 
     def predicates(self):
         return self.groups.keys()
+
+    def _content(self):
+        return tuple((k, g.rows) for k, g in self.groups.items())
 
     def __eq__(self, other):
         return (
             isinstance(other, Interpretation)
             and self.ident == other.ident
             and self.label == other.label
-            and self.facts == other.facts
+            and self._content() == other._content()
         )
 
     def __hash__(self):
-        return hash((self.ident, self.label, self.facts))
+        return hash((self.ident, self.label, self._content()))
 
     def __repr__(self):
-        return f"Interpretation({render_term(self.ident)}, {self.label}, {len(self.facts)} facts)"
+        n = sum(len(g.rows) for g in self.groups.values())
+        return f"Interpretation({render_term(self.ident)}, {self.label}, {n} facts)"
 
 
 # ---------------------------------------------------------------------------
 # Binary codec
+#
+# A record is self-contained.  It opens with its constant table: a count,
+# then per constant a kind byte and its value (an atom's UTF-8 name, an
+# integer's zigzag uvarint, a float's ``<d`` bytes).  Then come the example
+# id (an argument), the label (a constant index), the number of groups and,
+# per predicate/arity key in order of first occurrence, the predicate (a
+# constant index), the arity, the fact count and the facts' arguments in
+# file order.  An argument is one uvarint ``c``: constant ``c >> 1`` when
+# ``c`` is even, else a compound of functor constant ``c >> 1`` followed by
+# its arity and its arguments.  Facts and ids are ground, so nothing
+# encodes a variable.
 
-# Facts and ids are ground, so no tag encodes a variable.  Tag 3 stays
-# unassigned so that stores already written keep their tag numbers.
-_TAG_ATOM, _TAG_INT, _TAG_FLOAT, _TAG_COMPOUND = 0, 1, 2, 4
+_ATOM, _INT, _FLOAT = 0, 1, 2  # constant kinds
+# A nullary fact takes no bytes after its group's header, so this bound keeps
+# a corrupt fact count from allocating without limit.
+_MAX_NULLARY = 1 << 16
+_DOUBLE = struct.Struct("<d")
 
 
 def _put_uvarint(out: bytearray, n: int):
@@ -110,107 +154,210 @@ def _put_uvarint(out: bytearray, n: int):
             return
 
 
-def _put_str(out: bytearray, s: str):
-    raw = s.encode("utf-8")
-    _put_uvarint(out, len(raw))
-    out.extend(raw)
-
-
-def _put_term(out: bytearray, t: Term):
-    if isinstance(t, Atom):
-        out.append(_TAG_ATOM)
-        _put_str(out, t.name)
-    elif isinstance(t, Number):
-        if isinstance(t.value, int):
-            out.append(_TAG_INT)
-            n = t.value
-            _put_uvarint(out, (n << 1) ^ (n >> 63) if -(2**63) <= n < 2**63 else _reject_int(n))
-        else:
-            out.append(_TAG_FLOAT)
-            out.extend(struct.pack("<d", t.value))
-    elif isinstance(t, Compound):
-        out.append(_TAG_COMPOUND)
-        _put_str(out, t.functor)
-        _put_uvarint(out, len(t.args))
-        for a in t.args:
-            _put_term(out, a)
-    else:
-        raise TypeError(f"not a ground term: {t!r}")
-
-
-def _reject_int(n: int):
-    raise DataError(f"integer {n} out of the 64-bit storable range")
-
-
-class _Reader:
-    __slots__ = ("buf", "pos")
-
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def uvarint(self) -> int:
-        shift = n = 0
-        while True:
-            b = self.buf[self.pos]
-            self.pos += 1
-            n |= (b & 0x7F) << shift
-            if not b & 0x80:
-                return n
-            shift += 7
-
-    def string(self) -> str:
-        ln = self.uvarint()
-        raw = self.buf[self.pos : self.pos + ln]
-        self.pos += ln
-        return raw.decode("utf-8")
-
-    def term(self) -> Term:
-        tag = self.buf[self.pos]
-        self.pos += 1
-        if tag == _TAG_ATOM:
-            return Atom(self.string())
-        if tag == _TAG_INT:
-            z = self.uvarint()
-            return Number((z >> 1) ^ -(z & 1))
-        if tag == _TAG_FLOAT:
-            (v,) = struct.unpack_from("<d", self.buf, self.pos)
-            self.pos += 8
-            return Number(v)
-        if tag == _TAG_COMPOUND:
-            functor = self.string()
-            arity = self.uvarint()
-            return Compound(functor, tuple(self.term() for _ in range(arity)))
-        raise DataError(f"corrupt chunk record (bad tag {tag})")
-
-
 def encode_record(interp: Interpretation) -> bytes:
+    # Constants take indexes in order of first use: the dict's order is the
+    # table's.  Floats are keyed by their bytes, so -0.0 and 0.0 stay apart.
+    consts: dict = {}  # atom name, int value or packed float -> index
+    codes: list[int] = []  # the uvarints after the table, in order
+
+    def put(t: Term):
+        tt = type(t)
+        if tt is Atom:
+            codes.append(consts.setdefault(t.name, len(consts)) << 1)
+        elif tt is Number:
+            v = t.value
+            key = v if type(v) is int else _DOUBLE.pack(v)
+            codes.append(consts.setdefault(key, len(consts)) << 1)
+        elif tt is Compound:
+            codes.append(consts.setdefault(t.functor, len(consts)) << 1 | 1)
+            codes.append(len(t.args))
+            for a in t.args:
+                put(a)
+        else:
+            raise TypeError(f"not a ground term: {t!r}")
+
+    put(interp.ident)
+    codes.append(consts.setdefault(interp.label, len(consts)))
+    codes.append(len(interp.groups))
+    nullary = 0
+    for (pred, arity), group in interp.groups.items():
+        rows = group.rows
+        codes.append(consts.setdefault(pred, len(consts)))
+        codes.append(arity)
+        codes.append(len(rows))
+        if not arity:
+            nullary += len(rows)
+        for row in rows:
+            for t in row:
+                if type(t) is Atom:
+                    codes.append(consts.setdefault(t.name, len(consts)) << 1)
+                else:
+                    put(t)
+    if nullary > _MAX_NULLARY:
+        raise DataError(
+            f"example {render_term(interp.ident)} has {nullary} nullary facts, "
+            f"more than a record holds ({_MAX_NULLARY})"
+        )
     out = bytearray()
-    _put_term(out, interp.ident)
-    _put_str(out, interp.label)
-    _put_uvarint(out, len(interp.facts))
-    for f in interp.facts:
-        _put_str(out, f.pred)
-        _put_uvarint(out, len(f.args))
-        for a in f.args:
-            _put_term(out, a)
+    _put_uvarint(out, len(consts))
+    for key in consts:
+        if type(key) is str:
+            raw = key.encode("utf-8")
+            out.append(_ATOM)
+            _put_uvarint(out, len(raw))
+            out += raw
+        elif type(key) is int:
+            if not -(2**63) <= key < 2**63:
+                raise DataError(f"integer {key} out of the 64-bit storable range")
+            out.append(_INT)
+            _put_uvarint(out, (key << 1) ^ (key >> 63))
+        else:
+            out.append(_FLOAT)
+            out += key
+    if max(codes) < 0x80:
+        out += bytes(codes)
+    else:
+        for c in codes:
+            _put_uvarint(out, c)
     return bytes(out)
 
 
+def _uvarint_tail(buf: bytes, pos: int, n: int) -> tuple[int, int]:
+    """Finish a uvarint whose first byte ``n`` had its continuation bit set."""
+    n &= 0x7F
+    shift = 7
+    while True:
+        b = buf[pos]
+        pos += 1
+        n |= (b & 0x7F) << shift
+        if b < 0x80:
+            return n, pos
+        shift += 7
+
+
+def _args(buf: bytes, pos: int, count: int, terms: dict, names: dict) -> tuple[list, int]:
+    """The ``count`` arguments from ``pos`` on, and the position after them."""
+    out = []
+    for _ in range(count):
+        c = buf[pos]
+        pos += 1
+        if c > 0x7F:
+            c, pos = _uvarint_tail(buf, pos, c)
+        if c & 1:
+            functor = names[c >> 1]
+            arity = buf[pos]
+            pos += 1
+            if arity > 0x7F:
+                arity, pos = _uvarint_tail(buf, pos, arity)
+            args, pos = _args(buf, pos, arity, terms, names)
+            out.append(Compound(functor, tuple(args)))
+        else:
+            out.append(terms[c])
+    return out, pos
+
+
+# The even one-byte argument codes: constants 0-63.  A run of arguments that
+# ``bytes.translate`` deletes entirely holds no compound and no longer uvarint.
+_SHORT_CONSTANTS = bytes(range(0, 0x80, 2))
+
+
 def decode_record(buf: bytes) -> Interpretation:
-    r = _Reader(buf)
-    ident = r.term()
-    label = r.string()
-    nfacts = r.uvarint()
-    facts = []
-    for _ in range(nfacts):
-        pred = r.string()
-        arity = r.uvarint()
-        args = tuple(r.term() for _ in range(arity))
-        facts.append(Literal(pred, args))
-    if r.pos != len(buf):
-        raise DataError(f"corrupt chunk record ({len(buf) - r.pos} bytes unread)")
-    return Interpretation(ident, label, tuple(facts))
+    """The example a record holds, its facts decoded straight into groups.
+    A record that does not decode, or leaves bytes unread, is a
+    ``DataError``."""
+    terms: dict[int, Term] = {}  # argument code (constant index << 1) -> its term
+    names: dict[int, str] = {}  # atom constant index -> its name
+    size = len(buf)
+    try:
+        n = buf[0]
+        pos = 1
+        if n > 0x7F:
+            n, pos = _uvarint_tail(buf, pos, n)
+        for i in range(n):
+            kind = buf[pos]
+            pos += 1
+            if kind == _ATOM:
+                ln = buf[pos]
+                pos += 1
+                if ln > 0x7F:
+                    ln, pos = _uvarint_tail(buf, pos, ln)
+                end = pos + ln
+                if end > size:
+                    raise IndexError
+                name = names[i] = buf[pos:end].decode("utf-8")
+                terms[i << 1] = Atom(name)
+                pos = end
+            elif kind == _INT:
+                z = buf[pos]
+                pos += 1
+                if z > 0x7F:
+                    z, pos = _uvarint_tail(buf, pos, z)
+                terms[i << 1] = Number((z >> 1) ^ -(z & 1))
+            elif kind == _FLOAT:
+                terms[i << 1] = Number(_DOUBLE.unpack_from(buf, pos)[0])
+                pos += 8
+            else:
+                raise DataError(f"corrupt chunk record (bad constant kind {kind})")
+        (ident,), pos = _args(buf, pos, 1, terms, names)
+        c = buf[pos]
+        pos += 1
+        if c > 0x7F:
+            c, pos = _uvarint_tail(buf, pos, c)
+        label = names[c]
+        ngroups = buf[pos]
+        pos += 1
+        if ngroups > 0x7F:
+            ngroups, pos = _uvarint_tail(buf, pos, ngroups)
+        groups: dict[tuple[str, int], _FactGroup] = {}
+        nullary = 0
+        for _ in range(ngroups):
+            c = buf[pos]
+            pos += 1
+            if c > 0x7F:
+                c, pos = _uvarint_tail(buf, pos, c)
+            arity = buf[pos]
+            pos += 1
+            if arity > 0x7F:
+                arity, pos = _uvarint_tail(buf, pos, arity)
+            key = (names[c], arity)
+            if key in groups:
+                raise DataError(f"corrupt chunk record ({key[0]}/{arity} grouped twice)")
+            n = buf[pos]
+            pos += 1
+            if n > 0x7F:
+                n, pos = _uvarint_tail(buf, pos, n)
+            if not arity:
+                nullary += n
+                if nullary > _MAX_NULLARY:
+                    raise DataError(f"corrupt chunk record (over {_MAX_NULLARY} nullary facts)")
+                groups[key] = _FactGroup(((),) * n)
+                continue
+            end = pos + n * arity
+            run = buf[pos:end]
+            if end <= size and not run.translate(None, _SHORT_CONSTANTS):
+                args = map(terms.__getitem__, run)
+                pos = end
+            else:
+                args, pos = _args(buf, pos, n * arity, terms, names)
+            groups[key] = _FactGroup(tuple(zip(*[iter(args)] * arity)))
+    except (IndexError, struct.error):
+        raise DataError("corrupt chunk record (truncated)") from None
+    except KeyError as e:
+        # Every constant is in ``terms``; only an index past the table, or a
+        # number where ``names`` wants an atom, is missing.
+        (k,) = e.args
+        raise DataError(
+            f"corrupt chunk record (constant {k} is a number where a name is required)"
+            if k < len(terms)
+            else f"corrupt chunk record (a constant index beyond the table of {len(terms)})"
+        ) from None
+    except UnicodeDecodeError:
+        raise DataError("corrupt chunk record (an atom name is not UTF-8)") from None
+    except RecursionError:
+        raise DataError("corrupt chunk record (compounds nested too deeply)") from None
+    if pos != size:
+        raise DataError(f"corrupt chunk record ({size - pos} bytes unread)")
+    return Interpretation.from_groups(ident, label, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +474,8 @@ class ChunkWriter:
         the end, which is the layout ``open_dataset`` derives."""
         if not self._buffer:
             return
+        if not self._record_hashes:
+            self._clear()
         index = len(self._record_hashes) // self.granularity
         with open(self.dir / CHUNK_NAME.format(index), "wb") as f:
             f.write(CHUNK_MAGIC)
@@ -336,6 +485,15 @@ class ChunkWriter:
                 f.write(struct.pack("<I", len(rec)))
                 f.write(rec)
         self._buffer = []
+
+    def _clear(self):
+        """Remove the store the directory may hold, ``meta.json`` first, so
+        that a compile that stops midway leaves no store that opens, and
+        one that ends leaves no chunk file beyond its layout."""
+        (self.dir / META_NAME).unlink(missing_ok=True)
+        for path in self.dir.glob("chunk-*.bin"):
+            if _CHUNK_FILE.fullmatch(path.name) and not path.is_dir():
+                path.unlink()
 
     def finish(self) -> "DatasetHandle":
         self._flush()
@@ -408,41 +566,41 @@ class DatasetHandle:
         except OSError as e:
             raise DataError(f"missing chunk file {chunk.path}: {e}") from e
         if not raw.startswith(CHUNK_MAGIC):
+            if raw.startswith(b"foldt-chunk v1\n"):
+                raise DataError(
+                    f"chunk file {chunk.path} is in the old v1 record format: "
+                    "compile the data file again"
+                )
             raise DataError(f"corrupt chunk file {chunk.path}: bad magic")
+        counts = self.class_counts
         pos = len(CHUNK_MAGIC)
         out: list[tuple[int, Interpretation]] = []
         found = 0
-        while pos < len(raw):
-            if pos + 4 > len(raw):
-                raise DataError(f"corrupt chunk file {chunk.path}: truncated record header")
-            (ln,) = struct.unpack_from("<I", raw, pos)
-            pos += 4
-            if pos + ln > len(raw):
-                raise DataError(f"corrupt chunk file {chunk.path}: truncated record")
-            if found < chunk.count and (chosen is None or chosen[found]):
-                out.append((chunk.start_ordinal + found, self._decode(chunk, raw[pos : pos + ln])))
-            found += 1
-            pos += ln
-        if found != chunk.count:
-            raise DataError(
-                f"corrupt chunk file {chunk.path}: expected {chunk.count} records, found {found}"
-            )
+        try:
+            while pos < len(raw):
+                if pos + 4 > len(raw):
+                    raise DataError("truncated record header")
+                (ln,) = struct.unpack_from("<I", raw, pos)
+                pos += 4
+                if pos + ln > len(raw):
+                    raise DataError("truncated record")
+                if found < chunk.count and (chosen is None or chosen[found]):
+                    interp = decode_record(raw[pos : pos + ln])
+                    if interp.label not in counts:
+                        raise DataError(
+                            f"label {interp.label!r} is not among the class counts of {META_NAME}"
+                        )
+                    out.append((chunk.start_ordinal + found, interp))
+                found += 1
+                pos += ln
+            if found != chunk.count:
+                raise DataError(f"expected {chunk.count} records, found {found}")
+        except DataError as e:
+            raise DataError(f"corrupt chunk file {chunk.path}: {e}") from e
         self.chunk_loads += 1
         if len(out) > self._peak:
             self._peak = len(out)
         return out
-
-    def _decode(self, chunk: ChunkInfo, record: bytes) -> Interpretation:
-        try:
-            interp = decode_record(record)
-        except (DataError, IndexError, UnicodeDecodeError, struct.error) as e:
-            raise DataError(f"corrupt chunk file {chunk.path}: {e}") from e
-        if interp.label not in self.class_counts:
-            raise DataError(
-                f"corrupt chunk file {chunk.path}: label {interp.label!r} is not "
-                f"among the class counts of {META_NAME}"
-            )
-        return interp
 
 
 def load_dataset(path, settings, out_dir, granularity: int | None = None) -> DatasetHandle:

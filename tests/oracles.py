@@ -14,17 +14,22 @@ Last comes the parser that ``terms`` had before it parsed each clause from a
 list of tokens, the reference for ``terms.read_clauses``, ``parse_term`` and
 the directive grammars: a one-token-lookahead ``TokenStream`` that pulls
 tokens from the lazy ``_line_tokens`` as a ``TermParser`` advances.
+Last of all comes the v1 chunk record codec, which wrote each fact as its
+predicate name and tagged argument terms, one after another in file order:
+the reference for ``store.encode_record`` and ``store.decode_record``.
 """
 
 import io
 import math
+import struct
 from collections import Counter
 from typing import Iterable, Iterator
 
 from foldt.bias import Bias, RefinementContext
 from foldt.engine import Query, matches, succeeds
-from foldt.errors import ParseError
+from foldt.errors import DataError, ParseError
 from foldt.model import Leaf
+from foldt.store import Interpretation
 from foldt.terms import (
     _TOKEN_RE,
     BUILTIN_PREDS,
@@ -639,3 +644,125 @@ class CursorParser(TermParser):
     def __init__(self, tokens):
         super().__init__(TokenStream(tokens))
         self.peek, self.next, self.expect, self.at = self.s.peek, self.s.next, self.s.expect, self.s.at
+
+
+# ---------------------------------------------------------------------------
+# The v1 chunk record codec
+
+# Facts and ids are ground, so no tag encodes a variable.  Tag 3 stays
+# unassigned so that stores already written keep their tag numbers.
+_TAG_ATOM, _TAG_INT, _TAG_FLOAT, _TAG_COMPOUND = 0, 1, 2, 4
+
+
+def _put_uvarint(out: bytearray, n: int):
+    while True:
+        b = n & 0x7F
+        n >>= 7
+        if n:
+            out.append(b | 0x80)
+        else:
+            out.append(b)
+            return
+
+
+def _put_str(out: bytearray, s: str):
+    raw = s.encode("utf-8")
+    _put_uvarint(out, len(raw))
+    out.extend(raw)
+
+
+def _put_term(out: bytearray, t: Term):
+    if isinstance(t, Atom):
+        out.append(_TAG_ATOM)
+        _put_str(out, t.name)
+    elif isinstance(t, Number):
+        if isinstance(t.value, int):
+            out.append(_TAG_INT)
+            n = t.value
+            _put_uvarint(out, (n << 1) ^ (n >> 63) if -(2**63) <= n < 2**63 else _reject_int(n))
+        else:
+            out.append(_TAG_FLOAT)
+            out.extend(struct.pack("<d", t.value))
+    elif isinstance(t, Compound):
+        out.append(_TAG_COMPOUND)
+        _put_str(out, t.functor)
+        _put_uvarint(out, len(t.args))
+        for a in t.args:
+            _put_term(out, a)
+    else:
+        raise TypeError(f"not a ground term: {t!r}")
+
+
+def _reject_int(n: int):
+    raise DataError(f"integer {n} out of the 64-bit storable range")
+
+
+class _Reader:
+    __slots__ = ("buf", "pos")
+
+    def __init__(self, buf: bytes):
+        self.buf = buf
+        self.pos = 0
+
+    def uvarint(self) -> int:
+        shift = n = 0
+        while True:
+            b = self.buf[self.pos]
+            self.pos += 1
+            n |= (b & 0x7F) << shift
+            if not b & 0x80:
+                return n
+            shift += 7
+
+    def string(self) -> str:
+        ln = self.uvarint()
+        raw = self.buf[self.pos : self.pos + ln]
+        self.pos += ln
+        return raw.decode("utf-8")
+
+    def term(self) -> Term:
+        tag = self.buf[self.pos]
+        self.pos += 1
+        if tag == _TAG_ATOM:
+            return Atom(self.string())
+        if tag == _TAG_INT:
+            z = self.uvarint()
+            return Number((z >> 1) ^ -(z & 1))
+        if tag == _TAG_FLOAT:
+            (v,) = struct.unpack_from("<d", self.buf, self.pos)
+            self.pos += 8
+            return Number(v)
+        if tag == _TAG_COMPOUND:
+            functor = self.string()
+            arity = self.uvarint()
+            return Compound(functor, tuple(self.term() for _ in range(arity)))
+        raise DataError(f"corrupt chunk record (bad tag {tag})")
+
+
+def encode_record(interp: Interpretation) -> bytes:
+    out = bytearray()
+    _put_term(out, interp.ident)
+    _put_str(out, interp.label)
+    _put_uvarint(out, len(interp.facts))
+    for f in interp.facts:
+        _put_str(out, f.pred)
+        _put_uvarint(out, len(f.args))
+        for a in f.args:
+            _put_term(out, a)
+    return bytes(out)
+
+
+def decode_record(buf: bytes) -> Interpretation:
+    r = _Reader(buf)
+    ident = r.term()
+    label = r.string()
+    nfacts = r.uvarint()
+    facts = []
+    for _ in range(nfacts):
+        pred = r.string()
+        arity = r.uvarint()
+        args = tuple(r.term() for _ in range(arity))
+        facts.append(Literal(pred, args))
+    if r.pos != len(buf):
+        raise DataError(f"corrupt chunk record ({len(buf) - r.pos} bytes unread)")
+    return Interpretation(ident, label, tuple(facts))

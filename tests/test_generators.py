@@ -55,9 +55,9 @@ def test_generated_poker_labels_consistent(tmp_path):
     path = gen_poker(GenSpec("poker", 200, seed=3), tmp_path / "p.kb")
     for interp in iter_kb_blocks(path, POKER_SETTINGS.classes):
         group = interp.groups[("card", 2)]
-        assert len(group.facts) == 5
-        assert len(set(group.facts)) == 5  # distinct cards
-        ranks = [render_term(f.args[0]) for f in group.facts]
+        assert len(group.rows) == 5
+        assert len(set(group.rows)) == 5  # distinct cards
+        ranks = [render_term(rank) for rank, _ in group.rows]
         assert interp.label == poker_label_oracle(ranks)
 
 
@@ -77,7 +77,7 @@ def test_bongard_inside_acyclic(tmp_path):
         group = interp.groups.get(("inside", 2))
         if group is None:
             continue
-        edges = {(render_term(f.args[0]), render_term(f.args[1])) for f in group.facts}
+        edges = {(render_term(inner), render_term(outer)) for inner, outer in group.rows}
         # inner always has a higher object index than outer
         for inner, outer in edges:
             assert int(inner[1:]) > int(outer[1:])

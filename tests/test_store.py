@@ -1,6 +1,7 @@
 import json
 import struct
 
+import oracles
 import pytest
 from conftest import POKER_BIAS_TEXT, learn_with
 from hypothesis import given, settings as hsettings, strategies as st
@@ -17,7 +18,7 @@ from foldt.store import (
     load_dataset,
     open_dataset,
 )
-from foldt.terms import Atom, Literal, Number, parse_term
+from foldt.terms import Atom, Compound, Literal, Number, parse_term
 
 POKER_SETTINGS = parse_settings(
     "classes([nothing,pair,two_pairs,three_of_a_kind,full_house,four_of_a_kind])."
@@ -54,11 +55,12 @@ def test_block_parse_card_example(tmp_path):
     assert interp.label == "pair"
     assert len(interp.facts) == 5
     group = interp.groups[("card", 2)]
-    assert group is not None and len(group.facts) == 5
-    assert group.by_first[Number(9)] == (
-        Literal("card", (Number(9), Atom("clubs"))),
-        Literal("card", (Number(9), Atom("spades"))),
-    )
+    assert group is not None and len(group.rows) == 5
+    assert list(group.first(Number(9))) == [
+        (Number(9), Atom("clubs")),
+        (Number(9), Atom("spades")),
+    ]
+    assert list(group.first(Number(10))) == []
 
 
 def test_ambiguous_class_rejected(tmp_path):
@@ -157,10 +159,10 @@ def test_selective_stream_decodes_only_selected_records(tmp_path, monkeypatch):
     raw = bytearray(chunk.read_bytes())
     pos = len(CHUNK_MAGIC)
     (ln,) = struct.unpack_from("<I", raw, pos)
-    raw[pos + 4 + ln + 4] = 0x7F  # the identifier's term tag
+    raw[pos + 4 + ln + 4 + 1] = 0x7F  # the kind of its first constant
     chunk.write_bytes(bytes(raw))
     assert [o for o, _ in handle.stream_examples(lambda o: o % 4 == 0)] == selected
-    with pytest.raises(DataError, match="bad tag"):
+    with pytest.raises(DataError, match="bad constant kind 127"):
         list(handle.stream_examples())
 
 
@@ -350,8 +352,9 @@ def test_record_codec_rejects_variables_bad_tags_and_unread_bytes(tmp_path):
     with pytest.raises(TypeError, match="ground"):
         encode_record(Interpretation(Number(1), "pair", (Literal("card", (parse_term("X"), Atom("hearts"))),)))
     record = encode_record(Interpretation(Number(1), "pair", (Literal("flush", ()),)))
-    with pytest.raises(DataError, match="bad tag 3"):
-        decode_record(b"\x03\x01X" + record[2:])  # an unassigned tag in place of the id
+    assert record[:3] == b"\x03\x01\x02"  # three constants, the first the integer 1
+    with pytest.raises(DataError, match="bad constant kind 3"):
+        decode_record(record[:1] + b"\x03" + record[2:])  # an unassigned kind
     with pytest.raises(DataError, match="1 bytes unread"):
         decode_record(record + b"\x00")
     handle = load_dataset(_write_many(tmp_path, 2), POKER_SETTINGS, tmp_path / "store", granularity=5)
@@ -401,11 +404,16 @@ def test_corrupt_chunk_streams_or_raises_data_error(fuzz_store, which, cut, flip
             raw[pos % len(raw)] ^= 1 << bit
     chunk.write_bytes(bytes(raw))
     try:
-        list(open_dataset(directory).stream_examples())
+        examples = [e for _, e in open_dataset(directory).stream_examples()]
     except DataError:
-        pass
+        examples = []
     finally:
         chunk.write_bytes(original)
+    for e in examples:
+        for (pred, arity), group in e.groups.items():
+            assert type(pred) is str
+            for row in group.rows:
+                assert len(row) == arity and all(type(t) in (Atom, Number, Compound) for t in row)
 
 
 def test_non_integer_ids(tmp_path):
@@ -418,3 +426,173 @@ def test_non_integer_ids(tmp_path):
     assert [i.ident for _, i in handle.stream_examples()] == [Atom("e71"), Atom("e72")]
     reopened = open_dataset(handle.dir)
     assert [i.ident for _, i in reopened.stream_examples()] == [Atom("e71"), Atom("e72")]
+
+
+def test_v1_chunk_rejected_with_a_recompile_hint(tmp_path):
+    handle = load_dataset(_write_many(tmp_path, 3), POKER_SETTINGS, tmp_path / "store", granularity=5)
+    chunk = handle.chunks[0].path
+    assert chunk.read_bytes().startswith(b"foldt-chunk v2\n")
+    chunk.write_bytes(b"foldt-chunk v1\n" + chunk.read_bytes()[len(CHUNK_MAGIC) :])
+    with pytest.raises(DataError, match=f"{chunk.name} is in the old v1 .*compile the data file again"):
+        list(open_dataset(handle.dir).stream_examples())
+
+
+def _record(consts, body) -> bytes:
+    """A v2 record from its constants, each ``(kind, payload)``, and the
+    bytes that follow the table."""
+    return bytes([len(consts)]) + b"".join(bytes([k]) + p for k, p in consts) + bytes(body)
+
+
+# One example: id 1, label pair, one fact card(x).  Constants: 0 the integer
+# 1, 1 pair, 2 card, 3 x.  The body: id, label, one group of card/1 with one
+# fact whose argument is constant 3.
+_CONSTS = [(1, b"\x02"), (0, b"\x04pair"), (0, b"\x04card"), (0, b"\x01x")]
+_BODY = [0 << 1, 1, 1, 2, 1, 1, 3 << 1]
+
+
+@pytest.mark.parametrize(
+    "record,message",
+    [
+        (_record(_CONSTS, _BODY), None),
+        (_record(_CONSTS, _BODY[:-1] + [9 << 1]), r"constant index beyond the table of 4"),
+        (_record(_CONSTS, _BODY[:1] + [7] + _BODY[2:]), r"constant index beyond the table of 4"),
+        (_record(_CONSTS, _BODY[:3] + [0] + _BODY[4:]), r"constant 0 is a number where a name"),
+        (_record(_CONSTS, _BODY[:1] + [0] + _BODY[2:]), r"constant 0 is a number where a name"),
+        (_record(_CONSTS, [0 << 1 | 1, 1, 3 << 1] + _BODY[1:]), r"constant 0 is a number where a name"),
+        (_record(_CONSTS[:3] + [(7, b"\x01x")], _BODY), r"bad constant kind 7"),
+        (_record(_CONSTS, _BODY + [0]), r"1 bytes unread"),
+        (_record(_CONSTS, _BODY[:-1]), r"truncated"),
+        (_record(_CONSTS, _BODY[:2] + [2] + _BODY[3:] + _BODY[3:]), r"card/1 grouped twice"),
+        (_record(_CONSTS, _BODY[:3] + [2, 0, 0x81, 0x80, 0x04]), r"over 65536 nullary facts"),
+        (_record(_CONSTS[:3] + [(0, b"\x01\xff")], _BODY), r"not UTF-8"),
+        (_record(_CONSTS, [1 << 1 | 1, 1] * 5000 + _BODY), r"nested too deeply"),
+    ],
+    ids=[
+        "valid", "argument-index", "label-index", "predicate-number", "label-number",
+        "functor-number", "constant-kind", "unread-bytes", "truncated", "group-twice",
+        "nullary-count", "utf8", "deep-compound",
+    ],
+)
+def test_corrupt_v2_record_names_its_chunk(tmp_path, record, message):
+    handle = load_dataset(_write_many(tmp_path, 1), POKER_SETTINGS, tmp_path / "store", granularity=5)
+    chunk = handle.chunks[0].path
+    chunk.write_bytes(CHUNK_MAGIC + struct.pack("<I", len(record)) + record)
+    store = open_dataset(handle.dir)
+    if message is None:
+        [(_, e)] = store.stream_examples()
+        assert (e.ident, e.label, e.facts) == (Number(1), "pair", (Literal("card", (Atom("x"),)),))
+        return
+    with pytest.raises(DataError, match=f"corrupt chunk file .*{chunk.name}: corrupt chunk record .*{message}"):
+        list(store.stream_examples())
+
+
+def test_float_constants_keep_their_bits():
+    values = [0.0, -0.0, float("nan"), 1.0, float("-inf")]
+    interp = Interpretation(Atom("e"), "pos", (Literal("v", tuple(map(Number, values)) + (Number(1),)),))
+    [row] = decode_record(encode_record(interp)).groups[("v", 6)].rows
+    assert [struct.pack("<d", t.value) for t in row[:5]] == [struct.pack("<d", v) for v in values]
+    assert type(row[5].value) is int
+
+
+def test_too_many_nullary_facts_rejected_at_encode():
+    interp = Interpretation(Number(1), "pair", (Literal("flush", ()),) * (2**16 + 1))
+    with pytest.raises(DataError, match="65537 nullary facts"):
+        encode_record(interp)
+
+
+def test_compile_over_a_larger_store_leaves_only_its_own_files(tmp_path):
+    store = tmp_path / "store"
+    load_dataset(_write_many(tmp_path, 30), POKER_SETTINGS, store, granularity=5)
+    (store / "notes.txt").write_text("kept")
+    (store / "chunk-00001.txt").write_text("kept")
+    handle = load_dataset(_write_many(tmp_path, 12, "small.kb"), POKER_SETTINGS, store, granularity=5)
+    assert sorted(p.name for p in store.iterdir()) == [
+        "chunk-00000.bin", "chunk-00001.bin", "chunk-00001.txt", "chunk-00002.bin",
+        "meta.json", "notes.txt",
+    ]
+    assert [e.ident for _, e in handle.stream_examples()] == [Number(n) for n in range(1, 13)]
+
+
+def test_compile_that_fails_midway_leaves_no_store(tmp_path):
+    store = tmp_path / "store"
+    load_dataset(gen_poker(GenSpec("poker", 30, seed=1), tmp_path / "a.kb"), POKER_SETTINGS, store, granularity=5)
+    text = gen_poker(GenSpec("poker", 30, seed=4), tmp_path / "b.kb").read_text()
+    lines = text.splitlines(keepends=True)
+    ends = [i for i, line in enumerate(lines) if line.startswith("end(")]
+    broken = tmp_path / "broken.kb"
+    broken.write_text("".join(lines[: ends[14] + 1]) + "begin(model(x)).\n card(2,\n")
+    with pytest.raises(ParseError):
+        load_dataset(broken, POKER_SETTINGS, store, granularity=5)
+    assert (store / "chunk-00002.bin").exists()  # the 15 blocks before the error were written
+    with pytest.raises(DataError, match=r"meta\.json"):
+        open_dataset(store)
+
+
+_NAMES = ["p", "card", "o1", "pair", "", "it's", "two words", "Upper", "ünï", "π"]
+_INT_EDGES = [-(2**63), -(2**63) + 1, -1, 0, 1, 63, 64, 2**63 - 2, 2**63 - 1]
+
+
+def _ground_terms(allow_nan: bool):
+    names = st.sampled_from(_NAMES) | st.text(max_size=4)
+    leaves = (
+        st.builds(Atom, names)
+        | st.builds(Number, st.sampled_from(_INT_EDGES) | st.integers(-(2**63), 2**63 - 1))
+        | st.builds(Number, st.sampled_from([0.0, -0.0, 1.0]) | st.floats(allow_nan=allow_nan))
+    )
+    return st.recursive(
+        leaves,
+        lambda kids: st.builds(Compound, names, st.lists(kids, min_size=1, max_size=3).map(tuple)),
+        max_leaves=6,
+    )
+
+
+@st.composite
+def _interpretations(draw, allow_nan=True):
+    """Ground examples whose facts repeat, are nullary, and reuse predicate
+    names as atoms and functors."""
+    terms = _ground_terms(allow_nan)
+    pool = draw(st.lists(
+        st.tuples(st.sampled_from(_NAMES), st.lists(terms, max_size=3).map(tuple)), min_size=1, max_size=5
+    ))
+    facts = draw(st.lists(st.sampled_from(pool), max_size=12))
+    label = draw(st.sampled_from(_NAMES))
+    return Interpretation(draw(terms), label, tuple(Literal(p, args) for p, args in facts))
+
+
+def _bits(t):
+    """A term with each float replaced by its bytes, so that -0.0, 0.0 and
+    NaN compare by their bits."""
+    if isinstance(t, Number):
+        return (type(t.value).__name__, struct.pack("<d", t.value) if isinstance(t.value, float) else t.value)
+    if isinstance(t, Compound):
+        return (t.functor, tuple(map(_bits, t.args)))
+    return t
+
+
+@hsettings(max_examples=300, deadline=None)
+@given(interp=_interpretations())
+def test_v2_record_groups_what_the_v1_codec_decodes(interp):
+    reference = oracles.decode_record(oracles.encode_record(interp))
+    expected: dict = {}
+    for f in reference.facts:
+        expected.setdefault(f.key, []).append(tuple(map(_bits, f.args)))
+    decoded = decode_record(encode_record(interp))
+    assert _bits(decoded.ident) == _bits(reference.ident)
+    assert decoded.label == reference.label
+    assert {k: [tuple(map(_bits, row)) for row in g.rows] for k, g in decoded.groups.items()} == expected
+    assert list(decoded.groups) == list(expected)  # keys in order of first occurrence
+
+
+@hsettings(max_examples=200, deadline=None)
+@given(interp=_interpretations(allow_nan=False), absent=_ground_terms(allow_nan=False))
+def test_first_argument_index_equals_an_eager_index(interp, absent):
+    decoded = decode_record(encode_record(interp))
+    for group in decoded.groups.values():
+        if not group.rows or not group.rows[0]:
+            continue
+        eager: dict = {}
+        for row in group.rows:
+            eager.setdefault(row[0], []).append(row)
+        for t in [row[0] for row in group.rows] + [absent]:
+            assert list(group.first(t)) == eager.get(t, [])
+            assert list(group.first(t)) == [row for row in group.rows if row[0] == t]
