@@ -131,15 +131,12 @@ class Interpretation:
 # id (an argument), the label (a constant index), the number of groups and,
 # per predicate/arity key in order of first occurrence, the predicate (a
 # constant index), the arity, the fact count and the facts' arguments in
-# file order.  An argument is one uvarint ``c``: constant ``c >> 1`` when
-# ``c`` is even, else a compound of functor constant ``c >> 1`` followed by
-# its arity and its arguments.  Facts and ids are ground, so nothing
-# encodes a variable.
+# file order, or a 0 byte per fact when the arity is 0.  An argument is one
+# uvarint ``c``: constant ``c >> 1`` when ``c`` is even, else a compound of
+# functor constant ``c >> 1`` followed by its arity and its arguments.
+# Facts and ids are ground, so nothing encodes a variable.
 
 _ATOM, _INT, _FLOAT = 0, 1, 2  # constant kinds
-# A nullary fact takes no bytes after its group's header, so this bound keeps
-# a corrupt fact count from allocating without limit.
-_MAX_NULLARY = 1 << 16
 _DOUBLE = struct.Struct("<d")
 
 
@@ -179,25 +176,16 @@ def encode_record(interp: Interpretation) -> bytes:
     put(interp.ident)
     codes.append(consts.setdefault(interp.label, len(consts)))
     codes.append(len(interp.groups))
-    nullary = 0
     for (pred, arity), group in interp.groups.items():
         rows = group.rows
         codes.append(consts.setdefault(pred, len(consts)))
         codes.append(arity)
         codes.append(len(rows))
         if not arity:
-            nullary += len(rows)
+            codes += [0] * len(rows)
         for row in rows:
             for t in row:
-                if type(t) is Atom:
-                    codes.append(consts.setdefault(t.name, len(consts)) << 1)
-                else:
-                    put(t)
-    if nullary > _MAX_NULLARY:
-        raise DataError(
-            f"example {render_term(interp.ident)} has {nullary} nullary facts, "
-            f"more than a record holds ({_MAX_NULLARY})"
-        )
+                put(t)
     out = bytearray()
     _put_uvarint(out, len(consts))
     for key in consts:
@@ -214,18 +202,14 @@ def encode_record(interp: Interpretation) -> bytes:
         else:
             out.append(_FLOAT)
             out += key
-    if max(codes) < 0x80:
-        out += bytes(codes)
-    else:
-        for c in codes:
-            _put_uvarint(out, c)
+    for c in codes:
+        _put_uvarint(out, c)
     return bytes(out)
 
 
-def _uvarint_tail(buf: bytes, pos: int, n: int) -> tuple[int, int]:
-    """Finish a uvarint whose first byte ``n`` had its continuation bit set."""
-    n &= 0x7F
-    shift = 7
+def _uvarint(buf: bytes, pos: int) -> tuple[int, int]:
+    """The uvarint at ``pos``, and the position after it."""
+    n = shift = 0
     while True:
         b = buf[pos]
         pos += 1
@@ -239,26 +223,15 @@ def _args(buf: bytes, pos: int, count: int, terms: dict, names: dict) -> tuple[l
     """The ``count`` arguments from ``pos`` on, and the position after them."""
     out = []
     for _ in range(count):
-        c = buf[pos]
-        pos += 1
-        if c > 0x7F:
-            c, pos = _uvarint_tail(buf, pos, c)
+        c, pos = _uvarint(buf, pos)
         if c & 1:
             functor = names[c >> 1]
-            arity = buf[pos]
-            pos += 1
-            if arity > 0x7F:
-                arity, pos = _uvarint_tail(buf, pos, arity)
+            arity, pos = _uvarint(buf, pos)
             args, pos = _args(buf, pos, arity, terms, names)
             out.append(Compound(functor, tuple(args)))
         else:
             out.append(terms[c])
     return out, pos
-
-
-# The even one-byte argument codes: constants 0-63.  A run of arguments that
-# ``bytes.translate`` deletes entirely holds no compound and no longer uvarint.
-_SHORT_CONSTANTS = bytes(range(0, 0x80, 2))
 
 
 def decode_record(buf: bytes) -> Interpretation:
@@ -269,18 +242,12 @@ def decode_record(buf: bytes) -> Interpretation:
     names: dict[int, str] = {}  # atom constant index -> its name
     size = len(buf)
     try:
-        n = buf[0]
-        pos = 1
-        if n > 0x7F:
-            n, pos = _uvarint_tail(buf, pos, n)
+        n, pos = _uvarint(buf, 0)
         for i in range(n):
             kind = buf[pos]
             pos += 1
             if kind == _ATOM:
-                ln = buf[pos]
-                pos += 1
-                if ln > 0x7F:
-                    ln, pos = _uvarint_tail(buf, pos, ln)
+                ln, pos = _uvarint(buf, pos)
                 end = pos + ln
                 if end > size:
                     raise IndexError
@@ -288,10 +255,7 @@ def decode_record(buf: bytes) -> Interpretation:
                 terms[i << 1] = Atom(name)
                 pos = end
             elif kind == _INT:
-                z = buf[pos]
-                pos += 1
-                if z > 0x7F:
-                    z, pos = _uvarint_tail(buf, pos, z)
+                z, pos = _uvarint(buf, pos)
                 terms[i << 1] = Number((z >> 1) ^ -(z & 1))
             elif kind == _FLOAT:
                 terms[i << 1] = Number(_DOUBLE.unpack_from(buf, pos)[0])
@@ -299,47 +263,31 @@ def decode_record(buf: bytes) -> Interpretation:
             else:
                 raise DataError(f"corrupt chunk record (bad constant kind {kind})")
         (ident,), pos = _args(buf, pos, 1, terms, names)
-        c = buf[pos]
-        pos += 1
-        if c > 0x7F:
-            c, pos = _uvarint_tail(buf, pos, c)
+        c, pos = _uvarint(buf, pos)
         label = names[c]
-        ngroups = buf[pos]
-        pos += 1
-        if ngroups > 0x7F:
-            ngroups, pos = _uvarint_tail(buf, pos, ngroups)
+        ngroups, pos = _uvarint(buf, pos)
         groups: dict[tuple[str, int], _FactGroup] = {}
-        nullary = 0
         for _ in range(ngroups):
-            c = buf[pos]
-            pos += 1
-            if c > 0x7F:
-                c, pos = _uvarint_tail(buf, pos, c)
-            arity = buf[pos]
-            pos += 1
-            if arity > 0x7F:
-                arity, pos = _uvarint_tail(buf, pos, arity)
+            c, pos = _uvarint(buf, pos)
+            arity, pos = _uvarint(buf, pos)
             key = (names[c], arity)
             if key in groups:
                 raise DataError(f"corrupt chunk record ({key[0]}/{arity} grouped twice)")
-            n = buf[pos]
-            pos += 1
-            if n > 0x7F:
-                n, pos = _uvarint_tail(buf, pos, n)
-            if not arity:
-                nullary += n
-                if nullary > _MAX_NULLARY:
-                    raise DataError(f"corrupt chunk record (over {_MAX_NULLARY} nullary facts)")
-                groups[key] = _FactGroup(((),) * n)
-                continue
-            end = pos + n * arity
-            run = buf[pos:end]
-            if end <= size and not run.translate(None, _SHORT_CONSTANTS):
-                args = map(terms.__getitem__, run)
-                pos = end
-            else:
+            n, pos = _uvarint(buf, pos)
+            # Every fact takes at least a byte per argument, a nullary one
+            # its 0 marker, and no group is empty: this bounds what a
+            # corrupt count or arity allocates by the record's length.
+            if not 0 < n * max(arity, 1) <= size - pos:
+                raise DataError(f"corrupt chunk record ({n} facts of {key[0]}/{arity} do not fit)")
+            if arity:
                 args, pos = _args(buf, pos, n * arity, terms, names)
-            groups[key] = _FactGroup(tuple(zip(*[iter(args)] * arity)))
+                rows = tuple(zip(*[iter(args)] * arity))
+            else:
+                if any(buf[pos : pos + n]):
+                    raise DataError(f"corrupt chunk record (a fact of {key[0]}/0 is not marked 0)")
+                rows = ((),) * n
+                pos += n
+            groups[key] = _FactGroup(rows)
     except (IndexError, struct.error):
         raise DataError("corrupt chunk record (truncated)") from None
     except KeyError as e:

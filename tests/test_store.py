@@ -461,16 +461,23 @@ _BODY = [0 << 1, 1, 1, 2, 1, 1, 3 << 1]
         (_record(_CONSTS, [0 << 1 | 1, 1, 3 << 1] + _BODY[1:]), r"constant 0 is a number where a name"),
         (_record(_CONSTS[:3] + [(7, b"\x01x")], _BODY), r"bad constant kind 7"),
         (_record(_CONSTS, _BODY + [0]), r"1 bytes unread"),
-        (_record(_CONSTS, _BODY[:-1]), r"truncated"),
+        (_record(_CONSTS, _BODY[:3]), r"truncated"),
+        (_record(_CONSTS, _BODY[:-1]), r"1 facts of card/1 do not fit"),
         (_record(_CONSTS, _BODY[:2] + [2] + _BODY[3:] + _BODY[3:]), r"card/1 grouped twice"),
-        (_record(_CONSTS, _BODY[:3] + [2, 0, 0x81, 0x80, 0x04]), r"over 65536 nullary facts"),
+        (_record(_CONSTS, _BODY[:5] + [0]), r"0 facts of card/1 do not fit"),
+        (_record(_CONSTS, _BODY[:4] + [0x80] * 5 + [0x20, 0]), r"0 facts of card/1099511627776 do not fit"),
+        (_record(_CONSTS, _BODY[:4] + [0x80] * 9 + [0x02, 1]), r"1 facts of card/18446744073709551616 do not fit"),
+        (_record(_CONSTS, _BODY[:3] + [2, 0, 0x81, 0x80, 0x04]), r"65537 facts of card/0 do not fit"),
+        (_record(_CONSTS, _BODY[:3] + [2, 0, 2, 0, 5]), r"a fact of card/0 is not marked 0"),
         (_record(_CONSTS[:3] + [(0, b"\x01\xff")], _BODY), r"not UTF-8"),
         (_record(_CONSTS, [1 << 1 | 1, 1] * 5000 + _BODY), r"nested too deeply"),
     ],
     ids=[
         "valid", "argument-index", "label-index", "predicate-number", "label-number",
-        "functor-number", "constant-kind", "unread-bytes", "truncated", "group-twice",
-        "nullary-count", "utf8", "deep-compound",
+        "functor-number", "constant-kind", "unread-bytes", "truncated", "facts-past-record",
+        "group-twice",
+        "zero-facts", "zero-facts-huge-arity", "arity-past-record", "nullary-count",
+        "nullary-marker", "utf8", "deep-compound",
     ],
 )
 def test_corrupt_v2_record_names_its_chunk(tmp_path, record, message):
@@ -494,10 +501,9 @@ def test_float_constants_keep_their_bits():
     assert type(row[5].value) is int
 
 
-def test_too_many_nullary_facts_rejected_at_encode():
+def test_many_nullary_facts_round_trip():
     interp = Interpretation(Number(1), "pair", (Literal("flush", ()),) * (2**16 + 1))
-    with pytest.raises(DataError, match="65537 nullary facts"):
-        encode_record(interp)
+    assert decode_record(encode_record(interp)) == interp
 
 
 def test_compile_over_a_larger_store_leaves_only_its_own_files(tmp_path):
