@@ -20,21 +20,32 @@ alone, and ``answer_all`` lists them in that order, duplicates included.
 
 Variables are integer slots in one flat binding list; a trail records the
 bindings to undo on backtracking.  Each literal is compiled once per pack and
-background.  Where the slots a literal sees are known to be unbound or bound
+background.  A literal whose predicate has no background clauses is matched
+against the example's facts directly, through a fact plan: its ground
+arguments must equal the fact's (the first argument, when ground, picks the
+facts through the first-argument index), a slot it repeats must meet equal
+arguments, and its unbound slots take the fact's values.  Example facts are
+ground, so no occurs check is needed.  A pack's literal gets its plan once,
+where the slots it sees are known along its trie path to be unbound or bound
 to ground terms (a query's variables are bound to ground subterms after a
-literal that only example facts prove), the literal is matched against the
-example's facts directly: example facts are ground, so no occurs check is
-needed.  Background clauses are compiled once and get fresh variables by
-shifting their slots past the end of the binding list.  Unification where two
-non-ground terms meet (clause heads, ``=``) keeps the occurs check.  Choice
-points live on an explicit stack: recursion in the background grows the
-stack, not the Python call depth, so an exhausted budget surfaces before any
-stack limit.
+literal that only example facts prove).  Any other such literal, in a clause
+body or after a literal that background clauses prove, gets its plan when
+the walk reaches it, from its arguments dereferenced; only an argument that
+holds a non-ground compound makes it match fact by fact, term by term.
+Background clauses are compiled once and get fresh variables by shifting
+their slots past the end of the binding list.  A head of distinct variables
+(a linear head) binds each argument to its fresh slot, or the slot to the
+argument, with no unification; other heads and ``=`` unify with the occurs
+check.  Builtins and the first-argument index dereference their arguments
+and rebuild a term only for a compound.  Choice points live on an explicit
+stack: recursion in the background grows the stack, not the Python call
+depth, so an exhausted budget surfaces before any stack limit.
 
 A step is one fact tried, one clause tried or one builtin evaluated.  A pack
 of k queries may spend k times ``budget`` steps on an example, and exhausting
-them raises ``BudgetExceededError`` naming the example and the first
-undecided query below the literal being proved.  A one-query pack spends
+them raises ``BudgetExceededError`` naming the example and the first undecided
+query below the literal being proved; a builtin that cannot evaluate its
+arguments raises ``QueryError`` naming the same.  A one-query pack spends
 exactly the steps of the proof alone.  A k-query pack never spends more than
 the k proofs alone: it goes on past a solution of a prefix only while some
 query below that prefix is undecided, and that query's own proof meets the
@@ -125,7 +136,8 @@ def _compile_term(t: Term, slots: dict[str, int]):
 class _Lit:
     """A compiled literal.  ``plan`` is set for a pack's literal whose
     arguments are constants and slots known to be unbound or bound to a
-    ground term (see ``_fact_plan`` and ``_builtin_plan``)."""
+    ground term (see ``_fact_plan`` and ``_builtin_plan``); other literals
+    that only facts prove get theirs from ``_goal_plan`` in the walk."""
 
     __slots__ = ("lit", "key", "args", "op", "plan")
 
@@ -138,13 +150,18 @@ class _Lit:
 
 
 class _Clause:
-    __slots__ = ("size", "head", "body")
+    """A compiled clause.  ``linear`` is set when the head's arguments are
+    distinct variables in slot order, so that matching the head is binding
+    each argument (see ``Pack._walk``)."""
+
+    __slots__ = ("size", "head", "body", "linear")
 
     def __init__(self, clause: Clause):
         slots: dict[str, int] = {}
         self.head = tuple(_compile_term(a, slots) for a in clause.head.args)
         self.body = tuple(_Lit(l, slots) for l in clause.body)
         self.size = len(slots)
+        self.linear = self.head == tuple(range(len(self.head)))
 
 
 class Background:
@@ -268,10 +285,23 @@ def _term(t, b: list, names: list[str]) -> Term:
     return t
 
 
-def _test(op: str, x: Term, y: Term, lit: Literal) -> bool:
-    """``\\=`` or a comparison between two resolved terms."""
+def _ground(t, b: list, names: list[str]):
+    """The ground term ``t`` stands for under the bindings, or None when it
+    is not ground; only a compound is rebuilt as a ``Term``."""
+    t = _deref(t, b)
+    if type(t) is int:
+        return None
+    if type(t) is _Struct:
+        t = _term(t, b, names)
+        return t if is_ground(t) else None
+    return t
+
+
+def _test(op: str, x: Term | None, y: Term | None, lit: Literal) -> bool:
+    """``\\=`` or a comparison between two ground terms (None where an
+    argument is not ground)."""
     if op == "\\=":
-        if not (is_ground(x) and is_ground(y)):
+        if x is None or y is None:
             raise QueryError(f"\\= needs ground arguments, got {render_literal(lit)}")
         return x != y
     if not (type(x) is Number and type(y) is Number):
@@ -310,7 +340,36 @@ def _builtin(g: _Lit, off: int, b: list, trail: list, names) -> bool:
         x, y = _shift(x, off), _shift(y, off)
     if g.op == "=":
         return _unify(x, y, b, trail)
-    return _test(g.op, _term(x, b, names), _term(y, b, names), g.lit)
+    return _test(g.op, _ground(x, b, names), _ground(y, b, names), g.lit)
+
+
+def _goal_plan(args: tuple, off: int, b: list, names: list[str]):
+    """The fact plan of a literal that only facts prove, made when the walk
+    reaches it: ``_fact_plan``'s ``(index, want, checks, binds, sames)``
+    with every argument dereferenced, so ground values go to ``want`` (or
+    the index) and ``checks`` is empty.  None when an argument holds a
+    compound that is not ground."""
+    want, binds, sames = [], [], []
+    for p, a in enumerate(args):
+        if type(a) is int:
+            a = _deref(a + off, b)
+            if type(a) is int:
+                for q, s in binds:
+                    if s == a:
+                        sames.append((p, q))
+                        break
+                else:
+                    binds.append((p, a))
+                continue
+        elif type(a) is _Struct and off:
+            a = _shift(a, off)
+        if type(a) is _Struct:
+            a = _term(a, b, names)
+            if not is_ground(a):
+                return None
+        want.append((p, a))
+    index = (False, want.pop(0)[1]) if want and want[0][0] == 0 else None
+    return index, want, (), binds, sames
 
 
 # ---------------------------------------------------------------------------
@@ -459,16 +518,17 @@ class Pack:
         """Outcome bits on one example: bit i is set when query i succeeds."""
         return self._walk(interp, background, budget, None)
 
-    def _exhausted(self, interp, budget: int, pending: int) -> BudgetExceededError:
-        """The error for a walk that ran out of steps while proving for the
-        undecided queries ``pending``: it names the first of them."""
+    def _error(self, cls, what: str, interp, pending: int) -> QueryError:
+        """The error ``cls`` for a walk that failed with ``what`` while
+        proving for the undecided queries ``pending``: it names the example
+        and the first of them."""
         first = (pending & -pending).bit_length() - 1
+        return cls(f"{what} in example {render_term(interp.ident)} on query {self.queries[first]}")
+
+    def _exhausted(self, interp, budget: int, pending: int) -> BudgetExceededError:
         k = len(self.queries)
-        return BudgetExceededError(
-            f"resolution step budget of {budget if k == 1 else f'{k} x {budget}'} "
-            f"exhausted in example {render_term(interp.ident)} "
-            f"on query {self.queries[first]}"
-        )
+        what = f"resolution step budget of {budget if k == 1 else f'{k} x {budget}'} exhausted"
+        return self._error(BudgetExceededError, what, interp, pending)
 
     def _walk(self, interp, background, budget: int, sink) -> int:
         """The depth-first walk.  Without ``sink`` it decides the queries and
@@ -513,20 +573,42 @@ class Pack:
                 if steps > limit:
                     raise self._exhausted(interp, budget, owner.mask & ~done)
                 plan = g.plan
-                if plan is None:
-                    ok = _builtin(g, off, b, trail, names)
-                else:
-                    x, xs, y, ys, equal = plan
-                    x = b[x] if xs else x
-                    y = b[y] if ys else y
-                    ok = _test(g.op, x, y, g.lit) if equal is None else (x == y) is equal
+                try:
+                    if plan is None:
+                        ok = _builtin(g, off, b, trail, names)
+                    else:
+                        x, xs, y, ys, equal = plan
+                        x = b[x] if xs else x
+                        y = b[y] if ys else y
+                        ok = _test(g.op, x, y, g.lit) if equal is None else (x == y) is equal
+                except QueryError as e:
+                    raise self._error(QueryError, e.message, interp, owner.mask & ~done) from None
                 if ok:
                     goals = rest
                     continue
-            elif g.plan is not None:
-                index, want, checks, binds, sames = g.plan
+            else:
+                # Facts prove the literal through its plan: the static one,
+                # else one made now when the predicate has no clauses.
+                plan = g.plan
                 group = groups.get(g.key)
-                if group is not None:
+                if plan is None and group is not None and g.key not in rules:
+                    plan = _goal_plan(g.args, off, b, names)
+                if plan is None:
+                    args = g.args if not off else tuple(_shift(a, off) for a in g.args)
+                    facts = ()
+                    if group is not None:
+                        facts = group.rows
+                        if args:
+                            a0 = _ground(args[0], b, names)
+                            if a0 is not None:
+                                facts = group.first(a0)
+                    clauses = rules.get(g.key, ())
+                    if facts or clauses:
+                        stack.append(
+                            [_GENERAL, owner, len(trail), len(b), 0, facts, args, clauses, rest]
+                        )
+                elif group is not None:
+                    index, want, checks, binds, sames = plan
                     if index is None:
                         facts = group.rows
                     else:
@@ -550,21 +632,6 @@ class Pack:
                             trail.append(s)
                         goals = rest
                         continue
-            else:
-                args = g.args if not off else tuple(_shift(a, off) for a in g.args)
-                group = groups.get(g.key)
-                facts = ()
-                if group is not None:
-                    facts = group.rows
-                    if args:
-                        a0 = _term(args[0], b, names)
-                        if is_ground(a0):
-                            facts = group.first(a0)
-                clauses = rules.get(g.key, ())
-                if facts or clauses:
-                    stack.append(
-                        [_GENERAL, owner, len(trail), len(b), 0, facts, args, clauses, rest]
-                    )
 
             # Backtrack: resume the newest choice point that still serves an
             # undecided query; leave the walk when none is left.
@@ -622,8 +689,24 @@ class Pack:
                             raise self._exhausted(interp, budget, cp[1].mask & ~done)
                         top = len(b)
                         b.extend([None] * c.size)
-                        if all(_unify(x, _shift(h, top), b, trail) for x, h in zip(args, c.head)):
+                        if c.linear:
+                            # What ``_unify`` does against fresh slots: an
+                            # unbound argument is bound to its head slot,
+                            # anything else binds the head slot.
+                            for s, x in enumerate(args, top):
+                                x = _deref(x, b)
+                                if type(x) is int:
+                                    b[x] = s
+                                    trail.append(x)
+                                else:
+                                    b[s] = x
+                                    trail.append(s)
                             found = True
+                        else:
+                            found = all(
+                                _unify(x, _shift(h, top), b, trail) for x, h in zip(args, c.head)
+                            )
+                        if found:
                             goals = cp[8]
                             for lit in reversed(c.body):
                                 goals = (lit, top, goals)

@@ -234,10 +234,14 @@ def _args(buf: bytes, pos: int, count: int, terms: dict, names: dict) -> tuple[l
     return out, pos
 
 
-def decode_record(buf: bytes) -> Interpretation:
+def decode_record(buf: bytes, memo: dict | None = None) -> Interpretation:
     """The example a record holds, its facts decoded straight into groups.
     A record that does not decode, or leaves bytes unread, is a
-    ``DataError``."""
+    ``DataError``.  ``memo`` keeps the constants built so far, an atom under
+    its UTF-8 bytes and an integer under its zigzag value, so that records
+    decoded with one memo share them."""
+    if memo is None:
+        memo = {}
     terms: dict[int, Term] = {}  # argument code (constant index << 1) -> its term
     names: dict[int, str] = {}  # atom constant index -> its name
     size = len(buf)
@@ -251,12 +255,19 @@ def decode_record(buf: bytes) -> Interpretation:
                 end = pos + ln
                 if end > size:
                     raise IndexError
-                name = names[i] = buf[pos:end].decode("utf-8")
-                terms[i << 1] = Atom(name)
+                raw = buf[pos:end]
+                atom = memo.get(raw)
+                if atom is None:
+                    atom = memo[raw] = Atom(raw.decode("utf-8"))
+                terms[i << 1] = atom
+                names[i] = atom.name
                 pos = end
             elif kind == _INT:
                 z, pos = _uvarint(buf, pos)
-                terms[i << 1] = Number((z >> 1) ^ -(z & 1))
+                number = memo.get(z)
+                if number is None:
+                    number = memo[z] = Number((z >> 1) ^ -(z & 1))
+                terms[i << 1] = number
             elif kind == _FLOAT:
                 terms[i << 1] = Number(_DOUBLE.unpack_from(buf, pos)[0])
                 pos += 8
@@ -524,6 +535,7 @@ class DatasetHandle:
         pos = len(CHUNK_MAGIC)
         out: list[tuple[int, Interpretation]] = []
         found = 0
+        memo: dict = {}  # the chunk's constants, shared by its records
         try:
             while pos < len(raw):
                 if pos + 4 > len(raw):
@@ -533,7 +545,7 @@ class DatasetHandle:
                 if pos + ln > len(raw):
                     raise DataError("truncated record")
                 if found < chunk.count and (chosen is None or chosen[found]):
-                    interp = decode_record(raw[pos : pos + ln])
+                    interp = decode_record(raw[pos : pos + ln], memo)
                     if interp.label not in counts:
                         raise DataError(
                             f"label {interp.label!r} is not among the class counts of {META_NAME}"

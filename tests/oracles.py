@@ -4,8 +4,10 @@ suite.
 These deliberately avoid the package's own evaluation/scoring code paths:
 the join evaluator is a naive nested-loop join over ground facts, the
 entropy oracle recomputes scores from first principles with Fractions where
-possible, and the poker labeler is a direct rank-multiset table.  The
-helpers after them check a tree's variable scope and theta-subsumption
+possible, and the poker labeler is a direct rank-multiset table.  Next is
+``SLDResolver``, plain SLD resolution by substitution over named variables
+that counts steps as the engine does, the reference for ``engine.Pack``.
+The helpers after it check a tree's variable scope and theta-subsumption
 between queries, build the root refinement context and a bias without
 thresholds, and count a node's candidates by proving each full query alone.
 Then comes ``scan``, a character-loop tokenizer that states the lexical
@@ -27,7 +29,7 @@ from typing import Iterable, Iterator
 
 from foldt.bias import Bias, RefinementContext
 from foldt.engine import Query, matches, succeeds
-from foldt.errors import DataError, ParseError
+from foldt.errors import BudgetExceededError, DataError, ParseError, QueryError
 from foldt.model import Leaf
 from foldt.store import Interpretation
 from foldt.terms import (
@@ -41,7 +43,10 @@ from foldt.terms import (
     Term,
     Token,
     Variable,
+    is_ground,
     literal_variables,
+    render_literal,
+    render_term,
     term_to_literal,
 )
 
@@ -123,6 +128,180 @@ def ground_join_solutions(literals, facts):
 
 def ground_join_succeeds(literals, facts) -> bool:
     return bool(ground_join_solutions(literals, facts))
+
+
+# ---------------------------------------------------------------------------
+# Reference SLD resolver
+
+
+def _walk(t, subst):
+    while isinstance(t, Variable) and t.name in subst:
+        t = subst[t.name]
+    return t
+
+
+def _resolved(t, subst):
+    t = _walk(t, subst)
+    if isinstance(t, Compound):
+        return Compound(t.functor, tuple(_resolved(a, subst) for a in t.args))
+    return t
+
+
+def _occurs_in(name, t, subst) -> bool:
+    t = _walk(t, subst)
+    if isinstance(t, Variable):
+        return t.name == name
+    return isinstance(t, Compound) and any(_occurs_in(name, a, subst) for a in t.args)
+
+
+def _unify(x, y, subst):
+    """``subst`` extended so that ``x`` and ``y`` are equal, or None.  An
+    unbound ``x`` is bound to ``y``, else an unbound ``y`` to ``x``, with
+    the occurs check."""
+    x, y = _walk(x, subst), _walk(y, subst)
+    if isinstance(x, Variable):
+        if x == y:
+            return subst
+        return None if _occurs_in(x.name, y, subst) else {**subst, x.name: y}
+    if isinstance(y, Variable):
+        return None if _occurs_in(y.name, x, subst) else {**subst, y.name: x}
+    if isinstance(x, Compound) and isinstance(y, Compound):
+        if x.functor != y.functor or len(x.args) != len(y.args):
+            return None
+        for a, b in zip(x.args, y.args):
+            subst = _unify(a, b, subst)
+            if subst is None:
+                return None
+        return subst
+    if isinstance(x, Compound) or isinstance(y, Compound):
+        return None
+    return subst if x == y else None
+
+
+def _renamed(t, names: dict):
+    if isinstance(t, Variable):
+        return names[t.name]
+    if isinstance(t, Compound):
+        return Compound(t.functor, tuple(_renamed(a, names) for a in t.args))
+    return t
+
+
+class SLDResolver:
+    """Plain SLD resolution of one query against an example plus background
+    clauses, by substitution over named variables: the reference for
+    ``engine.Pack``.
+
+    Goals are selected left to right.  A literal is proved by the example's
+    facts for its predicate/arity first, in file order and only those whose
+    first argument equals the literal's when that argument is ground, then
+    by the clauses for it in program order.  A step is one fact tried, one
+    clause tried or one builtin evaluated; more than ``budget`` of them is a
+    ``BudgetExceededError``.  A clause tried with the binding list ``top``
+    slots long gets its variables named ``_G<top + k>``, k counting them in
+    order of first occurrence, head first, and its frame makes the list
+    ``top`` plus its variable count long for the goals after it; the
+    query's own variables take the first slots.  So an unbound answer
+    carries the engine's name for it."""
+
+    def __init__(self, query, interp: Interpretation, clauses, budget: int):
+        self.query, self.interp, self.budget = query, interp, budget
+        self.facts: dict = {}
+        for f in interp.facts:
+            self.facts.setdefault(f.key, []).append(f.args)
+        self.clauses: dict = {}
+        for c in clauses:
+            self.clauses.setdefault(c.head.key, []).append(c)
+        self.steps = 0
+
+    def _fail(self, cls, what: str):
+        return cls(f"{what} in example {render_term(self.interp.ident)} on query {self.query}")
+
+    def _step(self):
+        self.steps += 1
+        if self.steps > self.budget:
+            what = f"resolution step budget of {self.budget} exhausted"
+            raise self._fail(BudgetExceededError, what)
+
+    def solutions(self) -> Iterator[dict]:
+        """Substitutions at each solution, in SLD order, duplicates kept."""
+        goals = None
+        for lit in reversed(self.query.literals):
+            goals = ((lit, lit), goals)
+        return self._solve(goals, {}, len(self.query.variables()))
+
+    def _solve(self, goals, subst, top):
+        if goals is None:
+            yield subst
+            return
+        (lit, written), rest = goals
+        if lit.builtin:
+            self._step()
+            x, y = (_resolved(a, subst) for a in lit.args)
+            if lit.pred == "=":
+                subst = _unify(x, y, subst)
+                ok = subst is not None
+            elif lit.pred == "\\=":
+                if not (is_ground(x) and is_ground(y)):
+                    what = f"\\= needs ground arguments, got {render_literal(written)}"
+                    raise self._fail(QueryError, what)
+                ok = x != y
+            else:
+                if not (isinstance(x, Number) and isinstance(y, Number)):
+                    what = f"{lit.pred} needs numeric arguments, got {render_literal(written)}"
+                    raise self._fail(QueryError, what)
+                x, y = x.value, y.value
+                ok = {"<": x < y, ">": x > y, "=<": x <= y, ">=": x >= y}[lit.pred]
+            if ok:
+                yield from self._solve(rest, subst, top)
+            return
+        first = _resolved(lit.args[0], subst) if lit.args else None
+        for args in self.facts.get(lit.key, ()):
+            if first is not None and is_ground(first) and args[0] != first:
+                continue
+            self._step()
+            s = subst
+            for a, f in zip(lit.args, args):
+                s = _unify(a, f, s)
+                if s is None:
+                    break
+            else:
+                yield from self._solve(rest, s, top)
+        for clause in self.clauses.get(lit.key, ()):
+            self._step()
+            order = literal_variables((clause.head,) + clause.body)
+            names = {v: Variable(f"_G{top + k}") for k, v in enumerate(order)}
+            s = subst
+            for a, h in zip(lit.args, clause.head.args):
+                s = _unify(a, _renamed(h, names), s)
+                if s is None:
+                    break
+            else:
+                body = rest
+                for b in reversed(clause.body):
+                    renamed = Literal(b.pred, tuple(_renamed(a, names) for a in b.args), b.builtin)
+                    body = ((renamed, b), body)
+                yield from self._solve(body, s, top + len(order))
+
+
+def sld_outcome(query, interp: Interpretation, clauses, budget: int):
+    """``(True or False, steps to decide)`` for a query proved alone, or the
+    error it raises, as ``(type, message)``."""
+    r = SLDResolver(query, interp, clauses, budget)
+    try:
+        found = next(r.solutions(), None) is not None
+    except QueryError as e:
+        return type(e), str(e)
+    return found, r.steps
+
+
+def sld_answers(query, var: str, interp: Interpretation, clauses, budget: int):
+    """The bindings of ``var`` over every solution, unbound variables kept,
+    or the error the search raises, as ``(type, message)``."""
+    r = SLDResolver(query, interp, clauses, budget)
+    try:
+        return [_resolved(Variable(var), s) for s in r.solutions()]
+    except QueryError as e:
+        return type(e), str(e)
 
 
 # ---------------------------------------------------------------------------

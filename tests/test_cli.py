@@ -178,6 +178,18 @@ def test_parse_errors_name_their_file(tmp_path, bias_file, data_file, capsys, fl
     assert capsys.readouterr().err == f"error: {bad}: unexpected character '²' at {where}\n"
 
 
+def test_builtin_error_names_its_example_and_query(tmp_path, data_file, capsys):
+    bias = tmp_path / "bias.s"
+    bias.write_text("classes([pos,neg]).\nrmode(5: triangle(+-V)).\nrmode(5: bad(+-V)).\n")
+    background = tmp_path / "bg.pl"
+    background.write_text("bad(X) :- X \\= Y.\n")
+    args = ["--data", str(data_file), "--settings", str(bias), "--bg", str(background)]
+    assert main(["learn", *args, "--out", str(tmp_path / "m.foldt")]) == 2
+    assert capsys.readouterr().err == (
+        "error: \\= needs ground arguments, got X \\= Y in example 1 on query bad(A)\n"
+    )
+
+
 def test_malformed_model_exit_2(tmp_path, bias_file, data_file, capsys):
     model_path = tmp_path / "m.foldt"
     assert main(["learn", "--data", str(data_file), "--settings", str(bias_file), "--out", str(model_path)]) == 0

@@ -108,6 +108,22 @@ def test_builtin_semantics():
         succeeds(q("val(X,V)", "X < V"), e)
 
 
+def test_builtin_errors_name_the_example_and_the_first_undecided_query():
+    e = mk_interp("e7", "pos", "val(a,1)", "val(b,x)")
+    checks = Background(parse_program("bad(X) :- X \\= Y.\nlow(X) :- val(X,V), V < 2.\n"))
+    ground, numeric = "\\= needs ground arguments, got X \\= Y", "< needs numeric arguments, got V < 2"
+    cases = [
+        ([q("val(X,V)", "X \\= Y")], ground, "val(X,V), X \\= Y"),  # a pack literal
+        ([q("val(a,V)"), q("bad(a)")], ground, "bad(a)"),  # a clause body's
+        ([q("low(X)", "val(X,x)"), q("low(b)")], numeric, "low(X), val(X,x)"),
+    ]
+    for queries, cause, query in cases:
+        with pytest.raises(QueryError) as info:
+            compile_pack(queries).run(e, checks)
+        assert type(info.value) is QueryError
+        assert str(info.value) == f"{cause} in example e7 on query {query}"
+
+
 def test_int_float_comparisons_exact():
     e = mk_interp("1", "pos", "v(2)", "v(2.0)")
     assert succeeds(q("v(X)", "X >= 2"), e)
@@ -375,10 +391,22 @@ ANCESTOR = Background(
 NUMBERS = mk_interp("6", "pos", "val(a,1)", "val(b,2)", "val(c,2.5)", "v(2)", "v(2.0)")
 TERMS = mk_interp("7", "pos", "s(g(b))", "s(f(a))", "r(a,b)")
 _PAIR = ("card(A,B)", "card(A,C)", "B \\= C")
+LINKS = mk_interp("10", "pos", "p(a,b)", "p(b,b)", "p(a,c)", "p(c,c)", "s(c)", "s(b)")
+# Clause bodies with a repeated variable, a binding chain (s(X) reads X
+# through Y and Z), a disequality between clause-local variables, and a
+# head that is not distinct variables.
+LINKED = Background(parse_program(
+    "loop(X) :- p(X,X).\n"
+    "chain(X) :- X = Y, Y = Z, p(Z,W), s(X).\n"
+    "diff(X) :- p(X,Y), p(X,Z), Y \\= Z.\n"
+    "link(X,X) :- s(X).\n"
+))
 
 # Least budgets under which ``succeeds`` finishes, measured with ``_steps``
-# on the resolver that query packs replaced, and pinned: a step is one fact
-# tried, one clause tried or one builtin evaluated.
+# and pinned: the rows over LINKS on the resolver before clause bodies were
+# proved through fact plans, the others on the resolver that query packs
+# replaced.  A step is one fact tried, one clause tried or one builtin
+# evaluated.
 STEP_TABLE = [
     (("triangle(X)", "inside(X,Y)"), P1, None, True, 2),
     (("triangle(X)", "inside(X,Y)"), P2, None, True, 2),
@@ -392,6 +420,11 @@ STEP_TABLE = [
     (("anc(a,d)",), CHAIN, ANCESTOR, True, 10),
     (("anc(d,a)",), CHAIN, ANCESTOR, False, 2),
     (("s(T)", "T = f(U)", "r(U,V)"), TERMS, None, True, 5),
+    (("loop(A)",), LINKS, LINKED, True, 3),
+    (("chain(A)",), LINKS, LINKED, True, 6),
+    (("diff(A)",), LINKS, LINKED, True, 6),
+    (("s(A)", "diff(A)"), LINKS, LINKED, False, 10),
+    (("p(A,B)", "link(A,B)"), LINKS, LINKED, True, 5),
 ]
 
 
@@ -447,3 +480,103 @@ def test_pack_budget_error_names_example_and_first_undecided_query():
     expected = r"of 3 x 100 exhausted in example 1 on query p\(a\)"
     with pytest.raises(BudgetExceededError, match=expected):
         pack.run(P1, looping, budget=100)
+
+
+# ---------------------------------------------------------------------------
+# The engine against the reference SLD resolver
+
+_CLAUSE_VARS = ("X", "Y", "Z")
+_QUERY_VARS = ("A", "B", "C")
+_GROUND = ("a", "b", "1", "2", "f(a)")
+# Example facts prove e/1, n/1 and r/2; clauses prove d/1 and t/2, and may
+# prove r/2 as well, so some literals meet facts and clauses both.
+_FACTS = (
+    st.sampled_from(("a", "b", "c", "f(a)")).map(lambda x: f"e({x})")
+    | st.sampled_from(("1", "2", "3")).map(lambda x: f"n({x})")
+    | st.tuples(st.sampled_from("abc"), st.sampled_from(("a", "b", "c", "1"))).map(
+        lambda xy: f"r({xy[0]},{xy[1]})"
+    )
+)
+
+
+def _arg(variables):
+    # Mostly variables, so that literals repeat them and clauses share them.
+    return st.one_of(
+        *[st.sampled_from(variables)] * 3,
+        st.sampled_from(_GROUND),
+        st.sampled_from(variables).map(lambda v: f"f({v})"),
+    )
+
+
+def _derived_literal(variables):
+    a = _arg(variables)
+    return st.builds("d({})".format, a) | st.builds("t({},{})".format, a, a)
+
+
+def _body_literal(variables):
+    v = st.sampled_from(variables)
+    a = _arg(variables)
+    return st.one_of(
+        st.builds("e({})".format, a),
+        st.builds("n({})".format, a),
+        st.builds("r({},{})".format, a, a),
+        st.builds("r({0},{0})".format, v),
+        _derived_literal(variables),
+        st.builds("{} = {}".format, v, a),
+        st.builds("{} \\= {}".format, v, a),
+        st.builds("{} < {}".format, v, st.sampled_from(variables + ("2",))),
+    )
+
+
+@st.composite
+def _clause(draw):
+    pred = draw(st.sampled_from(("d", "t", "t", "r")))
+    arity = 1 if pred == "d" else 2
+    if draw(st.booleans()):  # distinct variables: a linear head
+        head = draw(st.permutations(_CLAUSE_VARS))[:arity]
+    else:
+        head = [draw(_arg(_CLAUSE_VARS)) for _ in range(arity)]
+    body = draw(st.lists(_body_literal(_CLAUSE_VARS), max_size=3))
+    text = f"{pred}({','.join(head)})"
+    return text + (" :- " + ", ".join(body) if body else "") + "."
+
+
+@hsettings(max_examples=400, deadline=None)
+@given(
+    st.lists(_clause(), max_size=5),
+    st.lists(_FACTS, max_size=8),
+    st.lists(
+        st.lists(_derived_literal(_QUERY_VARS) | _body_literal(_QUERY_VARS), min_size=1, max_size=3),
+        min_size=1, max_size=3,
+    ),
+    st.integers(1, 12),
+)
+def test_engine_agrees_with_the_reference_resolver(clauses, facts, query_texts, small):
+    """One-query outcomes and steps, ``answer_all`` lists (unbound answers
+    included) and errors, at a full and at a small budget, and the bits of
+    a pack of the queries, equal those of plain SLD resolution."""
+    from oracles import sld_answers, sld_outcome
+
+    def caught(call):
+        try:
+            return call()
+        except QueryError as error:
+            return type(error), str(error)
+
+    program = parse_program("\n".join(clauses))
+    background = Background(program)
+    e = mk_interp("1", "pos", *dict.fromkeys(facts))
+    queries = [q(*texts) for texts in query_texts]
+    full = 200
+    for query in queries:
+        for budget in (full, small):
+            pack = compile_pack((query,))
+            got = caught(lambda: (pack.run(e, background, budget) == 1, pack.steps))
+            assert got == sld_outcome(query, e, program, budget), (clauses, facts, str(query))
+            for var in query.variables():
+                got = caught(lambda: answer_all(query, var, e, background, budget))
+                assert got == sld_answers(query, var, e, program, budget), (clauses, facts, str(query))
+    outcomes = [sld_outcome(query, e, program, full)[0] for query in queries]
+    if all(type(o) is bool for o in outcomes):
+        bits = compile_pack(queries).run(e, background, full)
+        assert bits == sum(1 << i for i, o in enumerate(outcomes) if o)

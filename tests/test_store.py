@@ -3,7 +3,7 @@ import struct
 
 import oracles
 import pytest
-from conftest import POKER_BIAS_TEXT, learn_with
+from conftest import POKER_BIAS_TEXT, learn_with, mk_interp
 from hypothesis import given, settings as hsettings, strategies as st
 
 from foldt.errors import DataError, ParseError
@@ -141,7 +141,9 @@ def test_selective_stream_decodes_only_selected_records(tmp_path, monkeypatch):
     handle = load_dataset(_write_many(tmp_path, 25), POKER_SETTINGS, tmp_path / "store", granularity=10)
     decoded = []
     decode = foldt.store.decode_record
-    monkeypatch.setattr(foldt.store, "decode_record", lambda rec: decoded.append(1) or decode(rec))
+    monkeypatch.setattr(
+        foldt.store, "decode_record", lambda rec, memo: decoded.append(1) or decode(rec, memo)
+    )
     calls = []
 
     def selector(o):
@@ -346,6 +348,21 @@ def test_record_codec_roundtrip():
         ),
     )
     assert decode_record(encode_record(interp)) == interp
+
+
+def test_records_decoded_with_one_memo_share_their_constants():
+    hands = [
+        mk_interp("1", "pair", "card(7,spades)", "v(2.5)"),
+        mk_interp("2", "pair", "card(queen,spades)", "card(7,clubs)"),
+    ]
+    memo: dict = {}
+    first, second = (decode_record(encode_record(e), memo) for e in hands)
+    assert [first, second] == hands == [decode_record(encode_record(e)) for e in hands]
+    [(seven, spades)] = first.groups[("card", 2)].rows
+    [(_, spades_again), (seven_again, _)] = second.groups[("card", 2)].rows
+    assert spades_again is spades and seven_again is seven
+    # without the memo, each record builds its own
+    assert decode_record(encode_record(hands[1])).groups[("card", 2)].rows[0][1] is not spades
 
 
 def test_record_codec_rejects_variables_bad_tags_and_unread_bytes(tmp_path):
