@@ -142,9 +142,9 @@ def replicate(data: DatasetHandle, k: int, out_dir) -> DatasetHandle:
     (``rep(<original>, <copy>)``); the class histogram scales by exactly k."""
     if k < 1:
         raise DataError("replication factor must be at least 1")
-    writer = ChunkWriter(out_dir, data.granularity)
-    for _, e in data.stream_examples():
-        for copy in range(1, k + 1):
-            ident = Compound("rep", (e.ident, Number(copy)))
-            writer.add(Interpretation.from_groups(ident, e.label, e.groups))
-    return writer.finish()
+    with ChunkWriter(out_dir, data.granularity) as writer:
+        for _, e in data.stream_examples():
+            for copy in range(1, k + 1):
+                ident = Compound("rep", (e.ident, Number(copy)))
+                writer.add(Interpretation.from_groups(ident, e.label, e.groups))
+        return writer.finish()

@@ -9,22 +9,23 @@ A dataset text file is a sequence of blocks::
     end(model(4)).
 
 ``load_dataset`` parses the blocks once and writes a chunk store into the
-directory it is given, after removing any store it held: binary chunk files
-of ``G`` pre-parsed examples each, the last holding the rest, and a metadata
-file whose ``granularity`` and ``total`` give that layout and which also
-records every predicate/arity key the examples' facts use.  Each record
-decodes straight into the grouped fact index that the engine reads
-(``Interpretation.groups``).  Streaming passes then decode one chunk at a time,
-so at most ``G`` examples are ever resident; the handle counts chunk loads
-and the peak number of resident examples so that callers can verify the
-bound.
+directory it is given, in place of any store it held: one data file whose
+frames are chunks of ``G`` pre-parsed examples each, the last holding the
+rest, and a metadata file whose ``granularity`` and ``total`` give that
+layout and which also records every predicate/arity key the examples' facts
+use.  Each record decodes straight into the grouped fact index that the
+engine reads (``Interpretation.groups``).  A streaming pass reads the data
+file front to back and decodes one chunk at a time, so at most ``G``
+examples are ever resident; the handle counts chunk loads and the peak
+number of resident examples so that callers can verify the bound.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
-import re
+import os
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -43,10 +44,10 @@ from .terms import (
     render_term,
 )
 
-CHUNK_MAGIC = b"foldt-chunk v2\n"
+CHUNK_MAGIC = b"foldt-chunk v3\n"
 META_NAME = "meta.json"
-CHUNK_NAME = "chunk-{:05d}.bin"
-_CHUNK_FILE = re.compile(r"chunk-\d{5,}\.bin")
+DATA_NAME = "chunks.bin"
+_FRAME = struct.Struct("<I")  # the length of a chunk's frame body, or of a record in it
 
 
 class _FactGroup:
@@ -99,9 +100,6 @@ class Interpretation:
         return tuple(
             Literal(pred, row) for (pred, _), g in self.groups.items() for row in g.rows
         )
-
-    def predicates(self):
-        return self.groups.keys()
 
     def _content(self):
         return tuple((k, g.rows) for k, g in self.groups.items())
@@ -398,13 +396,15 @@ def _block_marker(fact: Literal, line: int):
 
 @dataclass
 class ChunkInfo:
-    path: Path
+    path: Path  # the store's data file, which holds every chunk
     count: int
     start_ordinal: int
 
 
-class ChunkWriter:
-    """Accumulates interpretations and writes chunk files of size G."""
+class ChunkWriter(contextlib.AbstractContextManager):
+    """Accumulates interpretations and appends them to the store's data
+    file, a frame of G records at a time.  As a context manager it removes
+    the data file it was writing unless ``finish`` published the store."""
 
     def __init__(self, directory, granularity: int):
         if granularity < 1:
@@ -417,74 +417,72 @@ class ChunkWriter:
         self._predicates: set[tuple[str, int]] = set()
         self._class_counts: Counter = Counter()
         self._record_hashes: list[bytes] = []
+        # The directory's old store stops opening before anything is written;
+        # the new one opens once ``finish`` has renamed its meta.json.
+        (self.dir / META_NAME).unlink(missing_ok=True)
+        self._tmp = self.dir / f"{DATA_NAME}.tmp"
+        self._file = open(self._tmp, "wb")
+        self._file.write(CHUNK_MAGIC)
+
+    def __exit__(self, *exc):
+        self._file.close()
+        self._tmp.unlink(missing_ok=True)
 
     def add(self, interp: Interpretation):
         if interp.ident in self._ids:
             raise DataError(f"duplicate example id {render_term(interp.ident)}")
         self._ids.add(interp.ident)
-        self._predicates.update(interp.predicates())
+        self._predicates.update(interp.groups)
         self._class_counts[interp.label] += 1
         self._buffer.append(interp)
         if len(self._buffer) == self.granularity:
             self._flush()
 
     def _flush(self):
-        """Write the buffer as the next chunk: when it reaches G, and once at
-        the end, which is the layout ``open_dataset`` derives."""
+        """Append the buffer as the next chunk's frame: when it reaches G,
+        and once at the end, which is the layout ``open_dataset`` derives."""
         if not self._buffer:
             return
-        if not self._record_hashes:
-            self._clear()
-        index = len(self._record_hashes) // self.granularity
-        with open(self.dir / CHUNK_NAME.format(index), "wb") as f:
-            f.write(CHUNK_MAGIC)
-            for interp in self._buffer:
-                rec = encode_record(interp)
-                self._record_hashes.append(hashlib.sha256(rec).digest())
-                f.write(struct.pack("<I", len(rec)))
-                f.write(rec)
+        body = bytearray()
+        for interp in self._buffer:
+            rec = encode_record(interp)
+            self._record_hashes.append(hashlib.sha256(rec).digest())
+            body += _FRAME.pack(len(rec)) + rec
+        if len(body) >= 1 << 32:
+            raise DataError(f"a chunk of {len(body)} bytes is over the 4 GiB that a frame holds")
+        self._file.write(_FRAME.pack(len(body)) + body)
         self._buffer = []
-
-    def _clear(self):
-        """Remove the store the directory may hold, ``meta.json`` first, so
-        that a compile that stops midway leaves no store that opens, and
-        one that ends leaves no chunk file beyond its layout."""
-        (self.dir / META_NAME).unlink(missing_ok=True)
-        for path in self.dir.glob("chunk-*.bin"):
-            if _CHUNK_FILE.fullmatch(path.name) and not path.is_dir():
-                path.unlink()
 
     def finish(self) -> "DatasetHandle":
         self._flush()
         if not self._ids:
             raise DataError("empty dataset")
-        fingerprint = hashlib.sha256(b"".join(sorted(self._record_hashes))).hexdigest()
         meta = {
             "granularity": self.granularity,
             "total": len(self._ids),
             "class_counts": dict(self._class_counts),
-            "fingerprint": fingerprint,
+            "fingerprint": hashlib.sha256(b"".join(sorted(self._record_hashes))).hexdigest(),
             "predicates": [list(k) for k in sorted(self._predicates)],
         }
-        with open(self.dir / META_NAME, "w", encoding="utf-8") as f:
-            json.dump(meta, f, indent=1)
+        self._file.close()
+        self._tmp.replace(self.dir / DATA_NAME)
+        self._tmp = self.dir / f"{META_NAME}.tmp"  # now the one ``__exit__`` removes
+        self._tmp.write_text(json.dumps(meta, indent=1), encoding="utf-8")
+        self._tmp.replace(self.dir / META_NAME)
         return open_dataset(self.dir)
 
 
 class DatasetHandle:
     """Read handle over a chunk store; shareable for concurrent passes."""
 
-    def __init__(
-        self, directory, chunks, granularity, total, class_counts, fingerprint, predicates
-    ):
+    def __init__(self, directory, chunks, granularity, total, class_counts, fingerprint, predicates):
         self.dir = Path(directory)
         self.chunks: list[ChunkInfo] = chunks
         self.granularity = granularity
         self.total = total
         self.class_counts = class_counts
         self.fingerprint = fingerprint
-        # Predicate/arity keys of every example's facts.
-        self.predicates: frozenset[tuple[str, int]] = predicates
+        self.predicates: frozenset[tuple[str, int]] = predicates  # of every example's facts
         self.chunk_loads = 0
         self._peak = 0
 
@@ -503,60 +501,63 @@ class DatasetHandle:
     ) -> Iterator[tuple[int, Interpretation]]:
         """Yield ``(ordinal, interpretation)`` in ordinal order.
 
-        ``selector`` filters by ordinal and is called once per ordinal;
-        chunks whose examples are all excluded are skipped without opening
-        the file, and only the selected records of a chunk are decoded.  At
-        most one chunk (<= G examples) is decoded at a time.
-        """
-        for chunk in self.chunks:
-            ordinals = range(chunk.start_ordinal, chunk.start_ordinal + chunk.count)
-            chosen = None if selector is None else list(map(selector, ordinals))
-            if chosen is not None and not any(chosen):
-                continue
-            yield from self._load_chunk(chunk, chosen)
+        ``selector`` filters by ordinal and is called once per ordinal; only
+        the selected records of a chunk are decoded, at most one chunk (<= G
+        examples) at a time.  The data file is opened at the first chunk with
+        a selected ordinal and read front to back from there: a chunk with
+        none is passed over by its frame header, and a pass that selects
+        nothing opens no file."""
+        path, f = self.chunks[0].path, None
 
-    def _load_chunk(self, chunk: ChunkInfo, chosen=None) -> list[tuple[int, Interpretation]]:
-        """The chunk's records that ``chosen`` selects by position (all of
-        them without it), decoded, with their ordinals.  The framing of
-        every record is checked: magic, record headers and lengths, and the
-        record count."""
-        try:
-            raw = chunk.path.read_bytes()
-        except OSError as e:
-            raise DataError(f"missing chunk file {chunk.path}: {e}") from e
-        if not raw.startswith(CHUNK_MAGIC):
-            if raw.startswith(b"foldt-chunk v1\n"):
-                raise DataError(
-                    f"chunk file {chunk.path} is in the old v1 record format: "
-                    "compile the data file again"
-                )
-            raise DataError(f"corrupt chunk file {chunk.path}: bad magic")
+        def length(index: int) -> int:  # of the frame body whose header ``f`` is at
+            head = f.read(4)
+            if len(head) < 4 or f.tell() + (ln := _FRAME.unpack(head)[0]) > size:
+                raise DataError(f"corrupt chunk {index} of data file {path}: its frame is truncated")
+            return ln
+
+        with contextlib.ExitStack() as files:
+            for index, chunk in enumerate(self.chunks):
+                ordinals = range(chunk.start_ordinal, chunk.start_ordinal + chunk.count)
+                chosen = None if selector is None else list(map(selector, ordinals))
+                wanted = chosen is None or any(chosen)
+                if f is None and wanted:
+                    f = files.enter_context(open(path, "rb"))
+                    size = os.fstat(f.fileno()).st_size
+                    if f.read(len(CHUNK_MAGIC)) != CHUNK_MAGIC:
+                        raise DataError(f"data file {path} is not in chunk format v3: compile the data file again")
+                    for skipped in range(index):
+                        f.seek(length(skipped), 1)
+                if wanted:
+                    yield from self._load_chunk(index, chunk, f.read(length(index)), chosen)
+                elif f is not None:
+                    f.seek(length(index), 1)
+            if f is not None and f.tell() != size:
+                raise DataError(f"corrupt chunk {index} of data file {path}: {size - f.tell()} bytes follow it")
+
+    def _load_chunk(self, index, chunk, raw, chosen=None) -> list[tuple[int, Interpretation]]:
+        """The records of chunk ``index`` in its frame body ``raw`` that
+        ``chosen`` selects by position (all of them without it), decoded,
+        with their ordinals; the record framing and count are checked."""
         counts = self.class_counts
-        pos = len(CHUNK_MAGIC)
         out: list[tuple[int, Interpretation]] = []
-        found = 0
+        pos = found = 0
         memo: dict = {}  # the chunk's constants, shared by its records
         try:
             while pos < len(raw):
-                if pos + 4 > len(raw):
-                    raise DataError("truncated record header")
-                (ln,) = struct.unpack_from("<I", raw, pos)
-                pos += 4
-                if pos + ln > len(raw):
-                    raise DataError("truncated record")
+                start = pos + 4
+                pos = start + (_FRAME.unpack_from(raw, pos)[0] if start <= len(raw) else len(raw))
+                if pos > len(raw):  # as does a record header cut short
+                    raise DataError("its records overrun the frame")
                 if found < chunk.count and (chosen is None or chosen[found]):
-                    interp = decode_record(raw[pos : pos + ln], memo)
+                    interp = decode_record(raw[start:pos], memo)
                     if interp.label not in counts:
-                        raise DataError(
-                            f"label {interp.label!r} is not among the class counts of {META_NAME}"
-                        )
+                        raise DataError(f"label {interp.label!r} is not among the class counts of {META_NAME}")
                     out.append((chunk.start_ordinal + found, interp))
                 found += 1
-                pos += ln
             if found != chunk.count:
                 raise DataError(f"expected {chunk.count} records, found {found}")
         except DataError as e:
-            raise DataError(f"corrupt chunk file {chunk.path}: {e}") from e
+            raise DataError(f"corrupt chunk {index} of data file {chunk.path}: {e}") from e
         self.chunk_loads += 1
         if len(out) > self._peak:
             self._peak = len(out)
@@ -568,8 +569,7 @@ def load_dataset(path, settings, out_dir, granularity: int | None = None) -> Dat
     ``out_dir``; nothing is written beside the block file.  Granularity
     defaults to the settings parameter."""
     g = granularity if granularity is not None else settings.params.granularity
-    writer = ChunkWriter(out_dir, g)
-    with in_file(path):
+    with in_file(path), ChunkWriter(out_dir, g) as writer:
         for interp in iter_kb_blocks(path, settings.classes):
             writer.add(interp)
         return writer.finish()
@@ -601,13 +601,12 @@ def open_dataset(directory) -> DatasetHandle:
         raise DataError(f"total {total!r} in {meta_path} is not a positive integer")
     if not all(type(n) is int and n >= 0 for n in counts) or sum(counts) != total:
         raise DataError(f"class counts in {meta_path} are not integers >= 0 summing to {total}")
-    last = directory / CHUNK_NAME.format((total - 1) // granularity)
-    if not last.is_file():  # before the layout is built: a tampered total allocates nothing
-        raise DataError(f"missing chunk file {last}: {meta_path} gives {total} examples")
-    chunks = [
-        ChunkInfo(directory / CHUNK_NAME.format(i), min(granularity, total - start), start)
-        for i, start in enumerate(range(0, total, granularity))
-    ]
-    return DatasetHandle(
-        directory, chunks, granularity, total, dict(class_counts), fingerprint, predicates
-    )
+    data = directory / DATA_NAME
+    if not data.is_file():
+        raise DataError(f"chunk store {directory} has no {DATA_NAME}: compile the data file again")
+    # Every frame takes its 4-byte length and every record its own and a
+    # byte: before the layout is built, a tampered total allocates nothing.
+    if data.stat().st_size < len(CHUNK_MAGIC) + 4 * -(-total // granularity) + 5 * total:
+        raise DataError(f"data file {data} is too short for the {total} examples of {meta_path}")
+    chunks = [ChunkInfo(data, min(granularity, total - o), o) for o in range(0, total, granularity)]
+    return DatasetHandle(directory, chunks, granularity, total, dict(class_counts), fingerprint, predicates)

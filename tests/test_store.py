@@ -11,6 +11,7 @@ from foldt.generators import GenSpec, gen_poker
 from foldt.settings import ALGORITHMS, parse_settings
 from foldt.store import (
     CHUNK_MAGIC,
+    DATA_NAME,
     Interpretation,
     decode_record,
     encode_record,
@@ -45,6 +46,40 @@ def _write_many(tmp_path, n, name="data.kb"):
         )
     path.write_text("".join(blocks))
     return path
+
+
+def _frames(path) -> list[bytes]:
+    """The chunk frame bodies of a data file, in order; the file must frame
+    exactly."""
+    raw = path.read_bytes()
+    assert raw.startswith(CHUNK_MAGIC)
+    pos, bodies = len(CHUNK_MAGIC), []
+    while pos < len(raw):
+        (ln,) = struct.unpack_from("<I", raw, pos)
+        bodies.append(raw[pos + 4 : pos + 4 + ln])
+        pos += 4 + ln
+    assert pos == len(raw)
+    return bodies
+
+
+def _records(body: bytes) -> list[bytes]:
+    """The records of a frame body, in order; it must frame exactly."""
+    pos, records = 0, []
+    while pos < len(body):
+        (ln,) = struct.unpack_from("<I", body, pos)
+        records.append(body[pos + 4 : pos + 4 + ln])
+        pos += 4 + ln
+    assert pos == len(body)
+    return records
+
+
+def _body(records) -> bytes:
+    """A frame body, or a data file's frames: each item after its length."""
+    return b"".join(struct.pack("<I", len(r)) + r for r in records)
+
+
+def _write_frames(path, bodies):
+    path.write_bytes(CHUNK_MAGIC + _body(bodies))
 
 
 def test_block_parse_card_example(tmp_path):
@@ -157,12 +192,12 @@ def test_selective_stream_decodes_only_selected_records(tmp_path, monkeypatch):
     assert handle.peak_resident() == 3
 
     # Corrupt the payload of record 1 (not selected) but keep its framing.
-    chunk = handle.chunks[0].path
-    raw = bytearray(chunk.read_bytes())
-    pos = len(CHUNK_MAGIC)
+    data = handle.chunks[0].path
+    raw = bytearray(data.read_bytes())
+    pos = len(CHUNK_MAGIC) + 4  # past the first frame's header
     (ln,) = struct.unpack_from("<I", raw, pos)
     raw[pos + 4 + ln + 4 + 1] = 0x7F  # the kind of its first constant
-    chunk.write_bytes(bytes(raw))
+    data.write_bytes(bytes(raw))
     assert [o for o, _ in handle.stream_examples(lambda o: o % 4 == 0)] == selected
     with pytest.raises(DataError, match="bad constant kind 127"):
         list(handle.stream_examples())
@@ -198,28 +233,19 @@ def test_store_records_predicates(tmp_path):
     meta = json.loads((handle.dir / "meta.json").read_text())
     assert meta["predicates"] == [["card", 2], ["flush", 0], ["rank", 1]]
     assert open_dataset(handle.dir).predicates == {("card", 2), ("flush", 0), ("rank", 1)}
-    assert sorted(p.name for p in handle.dir.iterdir()) == [
-        "chunk-00000.bin", "meta.json"
-    ]
-
-
-def _record_count(chunk) -> int:
-    raw = chunk.read_bytes()
-    pos, found = len(CHUNK_MAGIC), 0
-    while pos < len(raw):
-        (ln,) = struct.unpack_from("<I", raw, pos)
-        pos, found = pos + 4 + ln, found + 1
-    return found
+    assert sorted(p.name for p in handle.dir.iterdir()) == [DATA_NAME, "meta.json"]
 
 
 @pytest.mark.parametrize("n,g", [(12, 5), (10, 5), (3, 5), (7, 1)])
 def test_store_layout_follows_from_meta(tmp_path, n, g):
     handle = load_dataset(_write_many(tmp_path, n), POKER_SETTINGS, tmp_path / "store", granularity=g)
-    chunks = -(-n // g)
-    assert sorted(p.name for p in handle.dir.iterdir()) == [
-        f"chunk-{i:05d}.bin" for i in range(chunks)
-    ] + ["meta.json"]
-    assert [c.count for c in handle.chunks] == [_record_count(c.path) for c in handle.chunks]
+    data = handle.dir / DATA_NAME
+    assert sorted(p.name for p in handle.dir.iterdir()) == [DATA_NAME, "meta.json"]
+    assert {c.path for c in handle.chunks} == {data}
+    frames = _frames(data)
+    assert len(frames) == len(handle.chunks) == -(-n // g)
+    assert [c.count for c in handle.chunks] == [len(_records(b)) for b in frames]
+    assert [c.start_ordinal for c in handle.chunks] == list(range(0, n, g))
     assert vars(handle) == vars(open_dataset(handle.dir))
 
 
@@ -257,9 +283,17 @@ def _edit_meta(**changes):
         (_edit_meta(class_counts=[["pair", 12]]), "open", "meta.json"),
         (_edit_meta(total=12.0), "open", "meta.json"),
         (_edit_meta(total=0, class_counts={}), "open", "meta.json"),
-        (_edit_meta(total=10**12, class_counts={"pair": 10**12}), "open", "missing chunk file .*chunk-199999999999.bin"),
-        (_edit_meta(granularity=4), "stream", "chunk-00000.bin: expected 4 records, found 5"),
-        (_edit_meta(total=11, class_counts={"pair": 11}), "stream", "chunk-00002.bin: expected 1 records, found 2"),
+        (
+            _edit_meta(total=10**12, class_counts={"pair": 10**12}),
+            "open",
+            r"data file .*chunks\.bin is too short for the 1000000000000 examples of .*meta\.json",
+        ),
+        (_edit_meta(granularity=4), "stream", r"chunk 0 of data file .*chunks\.bin: expected 4 records, found 5"),
+        (
+            _edit_meta(total=11, class_counts={"pair": 11}),
+            "stream",
+            r"chunk 2 of data file .*chunks\.bin: expected 1 records, found 2",
+        ),
     ],
     ids=[
         "no-granularity",
@@ -283,8 +317,9 @@ def _edit_meta(**changes):
     ],
 )
 def test_open_dataset_rejects_inconsistent_store(tmp_path, edit, when, names):
-    """Metadata that contradicts itself fails at open; chunk files that
-    contradict the layout it gives fail as they are streamed."""
+    """Metadata that contradicts itself, or that the data file is too short
+    for, fails at open; chunks that contradict the layout it gives fail as
+    they are streamed."""
     handle = load_dataset(_write_many(tmp_path, 12), POKER_SETTINGS, tmp_path / "store", granularity=5)
     edit(handle.dir)
     if when == "open":
@@ -336,6 +371,7 @@ def test_empty_dataset_rejected(tmp_path):
     path.write_text("% nothing here\n")
     with pytest.raises(DataError, match="empty dataset"):
         load_dataset(path, POKER_SETTINGS, tmp_path / "store")
+    assert list((tmp_path / "store").iterdir()) == []
 
 
 def test_record_codec_roundtrip():
@@ -375,12 +411,11 @@ def test_record_codec_rejects_variables_bad_tags_and_unread_bytes(tmp_path):
     with pytest.raises(DataError, match="1 bytes unread"):
         decode_record(record + b"\x00")
     handle = load_dataset(_write_many(tmp_path, 2), POKER_SETTINGS, tmp_path / "store", granularity=5)
-    chunk = handle.chunks[0].path
-    raw = chunk.read_bytes()
-    (ln,) = struct.unpack_from("<I", raw, len(CHUNK_MAGIC))
-    padded = raw[len(CHUNK_MAGIC) + 4 : len(CHUNK_MAGIC) + 4 + ln] + b"\x00"
-    chunk.write_bytes(CHUNK_MAGIC + struct.pack("<I", len(padded)) + padded + raw[len(CHUNK_MAGIC) + 4 + ln :])
-    with pytest.raises(DataError, match=f"{chunk.name}: corrupt chunk record"):
+    data = handle.chunks[0].path
+    [body] = _frames(data)
+    first, second = _records(body)
+    _write_frames(data, [_body([first + b"\x00", second])])
+    with pytest.raises(DataError, match=r"chunk 0 of data file .*chunks\.bin: corrupt chunk record"):
         list(open_dataset(handle.dir).stream_examples())
 
 
@@ -389,11 +424,12 @@ def test_chunk_label_outside_class_counts_rejected(tmp_path, algorithm):
     settings = parse_settings(POKER_BIAS_TEXT)
     path = gen_poker(GenSpec("poker", 40, seed=3), tmp_path / "p.kb")
     handle = load_dataset(path, settings, tmp_path / "store", granularity=10)
-    chunk = handle.chunks[1].path
-    raw = chunk.read_bytes()
-    assert b"nothing" in raw
-    chunk.write_bytes(raw.replace(b"nothing", b"mothing"))
-    with pytest.raises(DataError, match=f"{chunk.name}: label 'mothing' is not among the class counts"):
+    data = handle.chunks[1].path
+    bodies = _frames(data)
+    assert b"nothing" in bodies[1]
+    bodies[1] = bodies[1].replace(b"nothing", b"mothing")
+    _write_frames(data, bodies)
+    with pytest.raises(DataError, match=r"chunk 1 of data file .*chunks\.bin: label 'mothing' is not among the class counts"):
         learn_with(algorithm, open_dataset(handle.dir), None, settings)
 
 
@@ -402,7 +438,7 @@ def fuzz_store(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("fuzz")
     path = gen_poker(GenSpec("poker", 30, seed=5), tmp / "p.kb")
     handle = load_dataset(path, POKER_SETTINGS, tmp / "store", granularity=10)
-    return handle.dir, [c.path for c in handle.chunks]
+    return handle.dir, handle.chunks[0].path
 
 
 @hsettings(max_examples=300, deadline=None)
@@ -412,20 +448,24 @@ def fuzz_store(tmp_path_factory):
     flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 7)), max_size=4),
 )
 def test_corrupt_chunk_streams_or_raises_data_error(fuzz_store, which, cut, flips):
-    directory, chunks = fuzz_store
-    chunk = chunks[which]
-    original = chunk.read_bytes()
-    raw = bytearray(original if cut is None else original[: cut % len(original)])
+    """Chunk ``which``'s frame, its header included, cut short or with
+    flipped bits: a pass streams or raises a DataError."""
+    directory, data = fuzz_store
+    original = data.read_bytes()
+    bodies = _frames(data)
+    start = len(CHUNK_MAGIC) + sum(4 + len(b) for b in bodies[:which])
+    frame = original[start : start + 4 + len(bodies[which])]
+    raw = bytearray(frame if cut is None else frame[: cut % len(frame)])
     for pos, bit in flips:
         if raw:
             raw[pos % len(raw)] ^= 1 << bit
-    chunk.write_bytes(bytes(raw))
+    data.write_bytes(original[:start] + bytes(raw) + original[start + len(frame) :])
     try:
         examples = [e for _, e in open_dataset(directory).stream_examples()]
     except DataError:
         examples = []
     finally:
-        chunk.write_bytes(original)
+        data.write_bytes(original)
     for e in examples:
         for (pred, arity), group in e.groups.items():
             assert type(pred) is str
@@ -447,11 +487,114 @@ def test_non_integer_ids(tmp_path):
 
 def test_v1_chunk_rejected_with_a_recompile_hint(tmp_path):
     handle = load_dataset(_write_many(tmp_path, 3), POKER_SETTINGS, tmp_path / "store", granularity=5)
-    chunk = handle.chunks[0].path
-    assert chunk.read_bytes().startswith(b"foldt-chunk v2\n")
-    chunk.write_bytes(b"foldt-chunk v1\n" + chunk.read_bytes()[len(CHUNK_MAGIC) :])
-    with pytest.raises(DataError, match=f"{chunk.name} is in the old v1 .*compile the data file again"):
+    data = handle.chunks[0].path
+    assert data.read_bytes().startswith(b"foldt-chunk v3\n")
+    data.write_bytes(b"foldt-chunk v1\n" + data.read_bytes()[len(CHUNK_MAGIC) :])
+    with pytest.raises(DataError, match=r"store/chunks\.bin is not in chunk format v3: compile the data file again"):
         list(open_dataset(handle.dir).stream_examples())
+
+
+def _v2_layout(directory):
+    """Turn a store into the layout of format v2: a chunk file per frame,
+    each opening with the v2 magic line, and no data file."""
+    data = directory / DATA_NAME
+    for i, body in enumerate(_frames(data)):
+        (directory / f"chunk-{i:05d}.bin").write_bytes(b"foldt-chunk v2\n" + body)
+    data.unlink()
+
+
+def _v2_magic(directory):
+    data = directory / DATA_NAME
+    data.write_bytes(b"foldt-chunk v2\n" + data.read_bytes()[len(CHUNK_MAGIC) :])
+
+
+@pytest.mark.parametrize(
+    "edit,when,message",
+    [
+        (_v2_layout, "open", r"chunk store .*/store has no chunks\.bin: compile the data file again"),
+        (_v2_magic, "stream", r"data file .*/store/chunks\.bin is not in chunk format v3: compile the data file again"),
+        (lambda d: (d / DATA_NAME).unlink(), "open", r"chunk store .*/store has no chunks\.bin"),
+    ],
+    ids=["v2-layout", "v2-magic", "no-data-file"],
+)
+def test_older_store_rejected_with_a_recompile_hint(tmp_path, edit, when, message):
+    handle = load_dataset(_write_many(tmp_path, 12), POKER_SETTINGS, tmp_path / "store", granularity=5)
+    edit(handle.dir)
+    with pytest.raises(DataError, match=message):
+        list(open_dataset(handle.dir).stream_examples())
+
+
+def _edit_frames(edit, tail=b"", cut=0):
+    """Replace the data file's frame bodies by ``edit(bodies)``, add the
+    bytes ``tail`` and drop the last ``cut`` bytes."""
+
+    def apply(data):
+        raw = CHUNK_MAGIC + _body(edit(_frames(data))) + tail
+        data.write_bytes(raw[: len(raw) - cut])
+
+    return apply
+
+
+# A store of 12 examples at G=5: frames of 5, 5 and 2 records.
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_edit_frames(lambda b: b[:2], tail=b"\x05\x00"), r"chunk 2 .*: its frame is truncated"),
+        (_edit_frames(lambda b: b, cut=1), r"chunk 2 .*: its frame is truncated"),
+        (_edit_frames(lambda b: b[:2]), r"chunk 2 .*: its frame is truncated"),
+        (_edit_frames(lambda b: [b[0] + b"\x01", *b[1:]]), r"chunk 0 .*: its records overrun the frame"),
+        (_edit_frames(lambda b: [b[0][:-1], *b[1:]]), r"chunk 0 .*: its records overrun the frame"),
+        (_edit_frames(lambda b: [b[0], _body(_records(b[1])[:4]), b[2]]), r"chunk 1 .*: expected 5 records, found 4"),
+        (_edit_frames(lambda b: [b[0], b[1] + b[2]]), r"chunk 1 .*: expected 5 records, found 7"),
+        (_edit_frames(lambda b: [*b, b"x"]), r"chunk 2 .*: 5 bytes follow it"),
+        (_edit_frames(lambda b: b, tail=b"\x00\x00"), r"chunk 2 .*: 2 bytes follow it"),
+    ],
+    ids=[
+        "header-truncated", "body-truncated", "frame-missing", "records-short-of-frame",
+        "record-past-frame", "too-few-records", "too-many-records", "frame-after-last", "bytes-after-last",
+    ],
+)
+def test_corrupt_data_file_names_its_chunk(tmp_path, edit, message):
+    handle = load_dataset(_write_many(tmp_path, 12), POKER_SETTINGS, tmp_path / "store", granularity=5)
+    edit(handle.dir / DATA_NAME)
+    store = open_dataset(handle.dir)
+    with pytest.raises(DataError, match=r"corrupt " + message.replace(" .*", r" of data file .*/store/chunks\.bin")):
+        list(store.stream_examples())
+
+
+def test_level_that_selects_nothing_opens_nothing(tmp_path):
+    handle = load_dataset(_write_many(tmp_path, 12), POKER_SETTINGS, tmp_path / "store", granularity=5)
+    (handle.dir / DATA_NAME).unlink()
+    assert list(handle.stream_examples(lambda o: False)) == []
+    assert handle.chunk_loads == 0
+
+
+def test_stream_reads_only_the_frame_headers_of_unselected_chunks(tmp_path):
+    handle = load_dataset(_write_many(tmp_path, 12), POKER_SETTINGS, tmp_path / "store", granularity=5)
+    data = handle.dir / DATA_NAME
+    bodies = _frames(data)
+    _write_frames(data, [b"\xff" * len(bodies[0]), bodies[1], b"\xff" * len(bodies[2])])
+    assert [o for o, _ in handle.stream_examples(lambda o: 5 <= o < 10)] == list(range(5, 10))
+    assert handle.chunk_loads == 1
+
+
+def test_stream_closes_the_data_file_when_abandoned(tmp_path, monkeypatch):
+    import builtins
+
+    import foldt.store
+
+    handle = load_dataset(_write_many(tmp_path, 12), POKER_SETTINGS, tmp_path / "store", granularity=5)
+    opened = []
+    monkeypatch.setattr(
+        foldt.store, "open", lambda *a, **k: opened.append(builtins.open(*a, **k)) or opened[-1], raising=False
+    )
+    stream = handle.stream_examples(lambda o: o % 3 == 0)
+    assert next(stream)[0] == 0 and next(stream)[0] == 3
+    assert len(opened) == 1 and not opened[0].closed
+    stream.close()
+    assert opened[0].closed
+    assert [o for o, _ in handle.stream_examples()] == list(range(12))
+    assert len(opened) == 2 and opened[1].closed
 
 
 def _record(consts, body) -> bytes:
@@ -499,14 +642,13 @@ _BODY = [0 << 1, 1, 1, 2, 1, 1, 3 << 1]
 )
 def test_corrupt_v2_record_names_its_chunk(tmp_path, record, message):
     handle = load_dataset(_write_many(tmp_path, 1), POKER_SETTINGS, tmp_path / "store", granularity=5)
-    chunk = handle.chunks[0].path
-    chunk.write_bytes(CHUNK_MAGIC + struct.pack("<I", len(record)) + record)
+    _write_frames(handle.dir / DATA_NAME, [_body([record])])
     store = open_dataset(handle.dir)
     if message is None:
         [(_, e)] = store.stream_examples()
         assert (e.ident, e.label, e.facts) == (Number(1), "pair", (Literal("card", (Atom("x"),)),))
         return
-    with pytest.raises(DataError, match=f"corrupt chunk file .*{chunk.name}: corrupt chunk record .*{message}"):
+    with pytest.raises(DataError, match=rf"corrupt chunk 0 of data file .*chunks\.bin: corrupt chunk record .*{message}"):
         list(store.stream_examples())
 
 
@@ -526,14 +668,21 @@ def test_many_nullary_facts_round_trip():
 def test_compile_over_a_larger_store_leaves_only_its_own_files(tmp_path):
     store = tmp_path / "store"
     load_dataset(_write_many(tmp_path, 30), POKER_SETTINGS, store, granularity=5)
-    (store / "notes.txt").write_text("kept")
-    (store / "chunk-00001.txt").write_text("kept")
+    foreign = {
+        "notes.txt": b"kept",
+        "chunk-00001.txt": b"kept",
+        "chunk-00000.bin": b"foldt-chunk v2\n",  # a v2 store's chunk files
+        "chunk-00007.bin": b"foldt-chunk v2\n",
+    }
+    for name, content in foreign.items():
+        (store / name).write_bytes(content)
     handle = load_dataset(_write_many(tmp_path, 12, "small.kb"), POKER_SETTINGS, store, granularity=5)
-    assert sorted(p.name for p in store.iterdir()) == [
-        "chunk-00000.bin", "chunk-00001.bin", "chunk-00001.txt", "chunk-00002.bin",
-        "meta.json", "notes.txt",
-    ]
-    assert [e.ident for _, e in handle.stream_examples()] == [Number(n) for n in range(1, 13)]
+    assert sorted(p.name for p in store.iterdir()) == sorted([*foreign, DATA_NAME, "meta.json"])
+    assert all((store / name).read_bytes() == content for name, content in foreign.items())
+    assert len(_frames(store / DATA_NAME)) == 3
+    reopened = open_dataset(store)
+    assert [e.ident for _, e in reopened.stream_examples()] == [Number(n) for n in range(1, 13)]
+    assert reopened.fingerprint == handle.fingerprint
 
 
 def test_compile_that_fails_midway_leaves_no_store(tmp_path):
@@ -546,7 +695,9 @@ def test_compile_that_fails_midway_leaves_no_store(tmp_path):
     broken.write_text("".join(lines[: ends[14] + 1]) + "begin(model(x)).\n card(2,\n")
     with pytest.raises(ParseError):
         load_dataset(broken, POKER_SETTINGS, store, granularity=5)
-    assert (store / "chunk-00002.bin").exists()  # the 15 blocks before the error were written
+    # The old data file stays, but without its meta.json; the 15 blocks
+    # written before the error went to a temporary file, which is gone.
+    assert sorted(p.name for p in store.iterdir()) == [DATA_NAME]
     with pytest.raises(DataError, match=r"meta\.json"):
         open_dataset(store)
 
