@@ -20,26 +20,27 @@ alone, and ``answer_all`` lists them in that order, duplicates included.
 
 Variables are integer slots in one flat binding list; a trail records the
 bindings to undo on backtracking.  Each literal is compiled once per pack and
-background.  A literal whose predicate has no background clauses is matched
-against the example's facts directly, through a fact plan: its ground
-arguments must equal the fact's (the first argument, when ground, picks the
-facts through the first-argument index), a slot it repeats must meet equal
-arguments, and its unbound slots take the fact's values.  Example facts are
-ground, so no occurs check is needed.  A pack's literal gets its plan once,
-where the slots it sees are known along its trie path to be unbound or bound
-to ground terms (a query's variables are bound to ground subterms after a
-literal that only example facts prove).  Any other such literal, in a clause
-body or after a literal that background clauses prove, gets its plan when
-the walk reaches it, from its arguments dereferenced; only an argument that
-holds a non-ground compound makes it match fact by fact, term by term.
-Background clauses are compiled once and get fresh variables by shifting
-their slots past the end of the binding list.  A head of distinct variables
-(a linear head) binds each argument to its fresh slot, or the slot to the
-argument, with no unification; other heads and ``=`` unify with the occurs
-check.  Builtins and the first-argument index dereference their arguments
-and rebuild a term only for a compound.  Choice points live on an explicit
-stack: recursion in the background grows the stack, not the Python call
-depth, so an exhausted budget surfaces before any stack limit.
+background.  Every literal meets the example's facts through a fact plan:
+its ground arguments must equal the fact's (the first argument, when ground,
+picks the facts through the first-argument index), a slot it repeats must
+meet equal arguments, its unbound slots take the fact's values, and an
+argument that holds a compound with an unbound slot is a pattern that the
+fact's argument must match.  Example facts are ground, so no occurs check is
+needed.  A pack's literal whose predicate has no background clauses gets its
+plan once, where the slots it sees are known along its trie path to be
+unbound or bound to ground terms (a query's variables are bound to ground
+subterms after a literal that only example facts prove).  Any other literal,
+in a clause body, after a literal that background clauses prove, or with
+clauses of its own, gets its plan when the walk reaches it, from its
+arguments dereferenced.  The facts are tried first, through the plan, and
+then the predicate's clauses.  Background clauses are compiled once and get
+fresh variables by shifting their slots past the end of the binding list.  A
+head of distinct variables (a linear head) binds each argument to its fresh
+slot, or the slot to the argument, with no unification; other heads and
+``=`` unify with the occurs check.  Builtins and run-time plans dereference
+their arguments and rebuild a term only for a compound.  Choice points live
+on an explicit stack: recursion in the background grows the stack, not the
+Python call depth, so an exhausted budget surfaces before any stack limit.
 
 A step is one fact tried, one clause tried or one builtin evaluated.  A pack
 of k queries may spend k times ``budget`` steps on an example, and exhausting
@@ -135,9 +136,10 @@ def _compile_term(t: Term, slots: dict[str, int]):
 
 class _Lit:
     """A compiled literal.  ``plan`` is set for a pack's literal whose
-    arguments are constants and slots known to be unbound or bound to a
-    ground term (see ``_fact_plan`` and ``_builtin_plan``); other literals
-    that only facts prove get theirs from ``_goal_plan`` in the walk."""
+    predicate has no clauses and whose arguments are constants and slots
+    known to be unbound or bound to a ground term (see ``_fact_plan`` and
+    ``_builtin_plan``); every other literal that is not a builtin gets its
+    fact plan from ``_goal_plan`` when the walk reaches it."""
 
     __slots__ = ("lit", "key", "args", "op", "plan")
 
@@ -317,10 +319,12 @@ def _test(op: str, x: Term | None, y: Term | None, lit: Literal) -> bool:
     raise QueryError(f"unknown builtin {op!r}")
 
 
-def _scan(facts, i: int, want, sames) -> int:
+def _scan(facts, i: int, want, sames, pats, b: list, trail: list) -> int:
     """Index of the first fact from ``i`` on (``facts`` holds argument
-    tuples) with ``want``'s values at their positions and equal arguments
-    at each pair of ``sames`` positions; ``len(facts)`` when there is none."""
+    tuples) with ``want``'s values at their positions, equal arguments at
+    each pair of ``sames`` positions, and arguments that ``pats``' compiled
+    terms match in order; ``len(facts)`` when there is none.  The matches
+    with the fact found stay bound."""
     n = len(facts)
     while i < n:
         fa = facts[i]
@@ -329,7 +333,12 @@ def _scan(facts, i: int, want, sames) -> int:
                 break
         else:
             if not sames or all(fa[p] == fa[q] for p, q in sames):
-                return i
+                if not pats:
+                    return i
+                mark = len(trail)
+                if all(_match(t, fa[p], b, trail) for p, t in pats):
+                    return i
+                _undo(b, trail, mark)
         i += 1
     return n
 
@@ -344,12 +353,14 @@ def _builtin(g: _Lit, off: int, b: list, trail: list, names) -> bool:
 
 
 def _goal_plan(args: tuple, off: int, b: list, names: list[str]):
-    """The fact plan of a literal that only facts prove, made when the walk
-    reaches it: ``_fact_plan``'s ``(index, want, checks, binds, sames)``
-    with every argument dereferenced, so ground values go to ``want`` (or
-    the index) and ``checks`` is empty.  None when an argument holds a
-    compound that is not ground."""
-    want, binds, sames = [], [], []
+    """The fact plan of a literal with no static one, made when the walk
+    reaches it: ``_fact_plan``'s ``(index, want, checks, binds, sames,
+    pats)`` with every argument dereferenced, so ground values go to
+    ``want`` (or the index) and ``checks`` is empty.  An argument that holds
+    a compound with an unbound slot goes to ``pats``; then the unbound slots
+    go there too, ahead of it, so ``_scan`` binds them before it matches the
+    compounds, and ``binds`` is empty."""
+    want, binds, sames, pats = [], [], [], []
     for p, a in enumerate(args):
         if type(a) is int:
             a = _deref(a + off, b)
@@ -364,12 +375,16 @@ def _goal_plan(args: tuple, off: int, b: list, names: list[str]):
         elif type(a) is _Struct and off:
             a = _shift(a, off)
         if type(a) is _Struct:
-            a = _term(a, b, names)
-            if not is_ground(a):
-                return None
+            t = _ground(a, b, names)
+            if t is None:
+                pats.append((p, a))
+                continue
+            a = t
         want.append((p, a))
     index = (False, want.pop(0)[1]) if want and want[0][0] == 0 else None
-    return index, want, (), binds, sames
+    if pats:
+        return index, want, (), (), sames, binds + pats
+    return index, want, (), binds, sames, ()
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +412,14 @@ def _builtin_plan(g: _Lit, state: dict):
 
 def _fact_plan(g: _Lit, state: dict, rules: dict):
     """For a literal that only facts prove, over constants and slots that are
-    unbound or ground-bound: ``(index, want, checks, binds, sames)``.
+    unbound or ground-bound: ``(index, want, checks, binds, sames, pats)``.
 
     ``index`` is None (scan every fact), ``(False, constant)`` or ``(True,
     slot)`` for the first-argument index key.  A fact must have ``want``'s
     constants and ``checks``' slot values at their positions (position 0 is
     left out when indexed), equal arguments at each pair of ``sames``
-    positions, and then gives ``binds``' unbound slots their values."""
+    positions, and then gives ``binds``' unbound slots their values.
+    ``pats`` is always empty here (see ``_goal_plan``)."""
     if g.key in rules:
         return None
     want, checks, binds, sames, first = [], [], [], [], {}
@@ -426,7 +442,7 @@ def _fact_plan(g: _Lit, state: dict, rules: dict):
         index = (False, want.pop(0)[1])
     elif checks and checks[0][0] == 0:
         index = (True, checks.pop(0)[1])
-    return (index, tuple(want), tuple(checks), tuple(binds), tuple(sames))
+    return (index, tuple(want), tuple(checks), tuple(binds), tuple(sames), ())
 
 
 def _after(g: _Lit, state: dict, rules: dict) -> dict:
@@ -468,7 +484,7 @@ class _Node:
         self.entry = (lit, 0, (self, 0, None))
 
 
-_BRANCH, _FACTS, _GENERAL = 0, 1, 2  # choice point kinds
+_BRANCH, _FACTS, _CLAUSES = 0, 1, 2  # choice point kinds
 
 
 class Pack:
@@ -587,28 +603,19 @@ class Pack:
                     goals = rest
                     continue
             else:
-                # Facts prove the literal through its plan: the static one,
-                # else one made now when the predicate has no clauses.
+                # Facts prove the literal through its plan (the static one,
+                # else one made now), then its clauses: their choice point
+                # goes below the facts' one, to resume once the facts are
+                # spent.
                 plan = g.plan
-                group = groups.get(g.key)
-                if plan is None and group is not None and g.key not in rules:
-                    plan = _goal_plan(g.args, off, b, names)
-                if plan is None:
+                if plan is None and g.key in rules:
                     args = g.args if not off else tuple(_shift(a, off) for a in g.args)
-                    facts = ()
-                    if group is not None:
-                        facts = group.rows
-                        if args:
-                            a0 = _ground(args[0], b, names)
-                            if a0 is not None:
-                                facts = group.first(a0)
-                    clauses = rules.get(g.key, ())
-                    if facts or clauses:
-                        stack.append(
-                            [_GENERAL, owner, len(trail), len(b), 0, facts, args, clauses, rest]
-                        )
-                elif group is not None:
-                    index, want, checks, binds, sames = plan
+                    stack.append([_CLAUSES, owner, len(trail), len(b), 0, rules[g.key], args, rest])
+                group = groups.get(g.key)
+                if group is not None:
+                    if plan is None:
+                        plan = _goal_plan(g.args, off, b, names)
+                    index, want, checks, binds, sames, pats = plan
                     if index is None:
                         facts = group.rows
                     else:
@@ -616,15 +623,16 @@ class Pack:
                     if checks:
                         want = want + tuple((p, b[s]) for p, s in checks)
                     n = len(facts)
-                    i = _scan(facts, 0, want, sames) if want or sames else 0
+                    mark = len(trail)
+                    i = _scan(facts, 0, want, sames, pats, b, trail) if want or sames or pats else 0
                     steps += i + 1 if i < n else n
                     if steps > limit:
                         raise self._exhausted(interp, budget, owner.mask & ~done)
                     if i < n:
                         if i + 1 < n:  # facts left to try on backtracking
                             stack.append([
-                                _FACTS, owner, len(trail), len(b), i + 1,
-                                facts, want, binds, sames, rest,
+                                _FACTS, owner, mark, len(b), i + 1,
+                                facts, want, binds, sames, pats, rest,
                             ])
                         fa = facts[i]
                         for p, s in binds:
@@ -647,9 +655,9 @@ class Pack:
                     continue
                 kind, i = cp[0], cp[4]
                 if kind is _FACTS:
-                    facts, want, binds, sames = cp[5], cp[6], cp[7], cp[8]
+                    facts, want, binds, sames, pats = cp[5], cp[6], cp[7], cp[8], cp[9]
                     n = len(facts)
-                    j = _scan(facts, i, want, sames) if want or sames else i
+                    j = _scan(facts, i, want, sames, pats, b, trail) if want or sames or pats else i
                     steps += j + 1 - i if j < n else n - i
                     if steps > limit:
                         raise self._exhausted(interp, budget, cp[1].mask & ~done)
@@ -664,25 +672,12 @@ class Pack:
                     for p, s in binds:
                         b[s] = fa[p]
                         trail.append(s)
-                    owner, goals = cp[1], cp[9]
+                    owner, goals = cp[1], cp[10]
                     break
-                if kind is _GENERAL:
-                    facts, args, clauses = cp[5], cp[6], cp[7]
-                    nf = len(facts)
-                    found = False
-                    while i < nf:
-                        fa = facts[i]
-                        i += 1
-                        steps += 1
-                        if steps > limit:
-                            raise self._exhausted(interp, budget, cp[1].mask & ~done)
-                        if all(_match(x, y, b, trail) for x, y in zip(args, fa)):
-                            found = True
-                            goals = cp[8]
-                            break
-                        _undo(b, trail, mark)
-                    while not found and i - nf < len(clauses):
-                        c = clauses[i - nf]
+                if kind is _CLAUSES:
+                    clauses, args = cp[5], cp[6]
+                    while i < len(clauses):
+                        c = clauses[i]
                         i += 1
                         steps += 1
                         if steps > limit:
@@ -701,24 +696,21 @@ class Pack:
                                 else:
                                     b[s] = x
                                     trail.append(s)
-                            found = True
-                        else:
-                            found = all(
-                                _unify(x, _shift(h, top), b, trail) for x, h in zip(args, c.head)
-                            )
-                        if found:
-                            goals = cp[8]
-                            for lit in reversed(c.body):
-                                goals = (lit, top, goals)
-                            break
-                        _undo(b, trail, mark)
-                        del b[top:]
-                    if found:
+                        elif not all(
+                            _unify(x, _shift(h, top), b, trail) for x, h in zip(args, c.head)
+                        ):
+                            _undo(b, trail, mark)
+                            del b[top:]
+                            continue
                         cp[4] = i
-                        owner = cp[1]
+                        owner, goals = cp[1], cp[7]
+                        for lit in reversed(c.body):
+                            goals = (lit, top, goals)
                         break
-                    stack.pop()
-                    continue
+                    else:
+                        stack.pop()
+                        continue
+                    break
                 kids = cp[5]
                 while i < len(kids) and not kids[i].mask & ~done:
                     i += 1

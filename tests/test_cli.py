@@ -313,6 +313,35 @@ def test_commands_leave_the_data_and_store_directories_as_they_were(
     assert (_listing(tmp_path), _listing(store)) == before
 
 
+def _files(directory):
+    """Each entry of ``directory`` by name: a file's bytes, None for a
+    subdirectory."""
+    return {p.name: p.read_bytes() if p.is_file() else None for p in directory.iterdir()}
+
+
+def test_classify_and_convert_write_only_their_outputs(tmp_path, bias_file, data_file):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    model = out_dir / "m.foldt"
+    assert main(
+        ["learn", "--data", str(data_file), "--settings", str(bias_file), "--out", str(model)]
+    ) == 0
+    tables = write_tables(tmp_path / "chem", CHEM_TABLES)
+    schema = tmp_path / "schema.s"
+    schema.write_text(CHEM_SCHEMA_WITH_CLASS)
+    before = _files(tmp_path), _files(tables)
+    assert main(
+        ["classify", "--model", str(model), "--data", str(data_file),
+         "--out", str(out_dir / "preds.tsv")]
+    ) == 0
+    assert main(
+        ["convert", "--tables", str(tables), "--schema", str(schema),
+         "--out", str(out_dir / "chem.kb"), "--bg", str(out_dir / "bg.pl")]
+    ) == 0
+    assert (_files(tmp_path), _files(tables)) == before
+    assert _listing(out_dir) == ["bg.pl", "chem.kb", "m.foldt", "preds.tsv"]
+
+
 def test_bias_section_records_the_run_configuration(tmp_path, bias_file, data_file):
     model_path = tmp_path / "m.foldt"
     assert main(

@@ -401,12 +401,17 @@ LINKED = Background(parse_program(
     "diff(X) :- p(X,Y), p(X,Z), Y \\= Z.\n"
     "link(X,X) :- s(X).\n"
 ))
+COL = Background(parse_program("col(X) :- red(X).\ncol(X) :- blue(X).\ncol(green).\n"))
+COLOURED = mk_interp("1", "pos", "blue(b1)", "red(r1)", "col(c0)", "red(r2)")
+NESTED = mk_interp("11", "pos", "s(g(b))", "s(f(a))", "r(a,f(a))", "r(b,f(c))", "r(c,f(c))")
 
 # Least budgets under which ``succeeds`` finishes, measured with ``_steps``
-# and pinned: the rows over LINKS on the resolver before clause bodies were
-# proved through fact plans, the others on the resolver that query packs
-# replaced.  A step is one fact tried, one clause tried or one builtin
-# evaluated.
+# and pinned.  The rows over LINKS were measured on the resolver before
+# clause bodies were proved through fact plans; those over COLOURED and
+# NESTED and those with an s(f(...)) literal on the resolver that matched
+# such literals against facts in a loop of its own; the others on the
+# resolver that query packs replaced.  A step is one fact tried, one clause
+# tried or one builtin evaluated.
 STEP_TABLE = [
     (("triangle(X)", "inside(X,Y)"), P1, None, True, 2),
     (("triangle(X)", "inside(X,Y)"), P2, None, True, 2),
@@ -425,6 +430,14 @@ STEP_TABLE = [
     (("diff(A)",), LINKS, LINKED, True, 6),
     (("s(A)", "diff(A)"), LINKS, LINKED, False, 10),
     (("p(A,B)", "link(A,B)"), LINKS, LINKED, True, 5),
+    (("col(X)", "blue(X)"), COLOURED, COL, True, 7),
+    (("col(X)", "col(green)"), COLOURED, COL, True, 4),
+    (("s(f(X))",), TERMS, None, True, 2),
+    (("s(f(X))", "r(X,b)"), TERMS, None, True, 3),
+    (("s(f(a))",), TERMS, None, True, 1),
+    (("r(X,f(X))",), NESTED, None, True, 1),
+    (("r(X,f(Y))", "s(f(Y))"), NESTED, None, True, 2),
+    (("r(X,f(X))", "X \\= a"), NESTED, None, True, 5),
 ]
 
 
@@ -464,12 +477,10 @@ def test_unification_with_compounds_and_occurs_check():
 
 
 def test_answer_all_keeps_fact_then_clause_order():
-    colours = Background(parse_program("col(X) :- red(X).\ncol(X) :- blue(X).\ncol(green).\n"))
-    e = mk_interp("1", "pos", "blue(b1)", "red(r1)", "col(c0)", "red(r2)")
-    assert answer_all(q("col(X)"), "X", e, colours) == [
+    assert answer_all(q("col(X)"), "X", COLOURED, COL) == [
         Atom("c0"), Atom("r1"), Atom("r2"), Atom("b1"), Atom("green")
     ]
-    assert answer_all(q("col(X)", "col(X)"), "X", e, colours) == [
+    assert answer_all(q("col(X)", "col(X)"), "X", COLOURED, COL) == [
         Atom("c0"), Atom("r1"), Atom("r2"), Atom("b1"), Atom("green")
     ]
 
@@ -489,13 +500,16 @@ _CLAUSE_VARS = ("X", "Y", "Z")
 _QUERY_VARS = ("A", "B", "C")
 _GROUND = ("a", "b", "1", "2", "f(a)")
 # Example facts prove e/1, n/1 and r/2; clauses prove d/1 and t/2, and may
-# prove r/2 as well, so some literals meet facts and clauses both.
+# prove r/2 as well, so some literals meet facts and clauses both.  An r/2
+# fact may hold a compound in either argument, so that a literal such as
+# r(A,f(B)) can match one.
 _FACTS = (
     st.sampled_from(("a", "b", "c", "f(a)")).map(lambda x: f"e({x})")
     | st.sampled_from(("1", "2", "3")).map(lambda x: f"n({x})")
-    | st.tuples(st.sampled_from("abc"), st.sampled_from(("a", "b", "c", "1"))).map(
-        lambda xy: f"r({xy[0]},{xy[1]})"
-    )
+    | st.tuples(
+        st.sampled_from(("a", "b", "c", "f(a)")),
+        st.sampled_from(("a", "b", "c", "1", "f(a)", "f(b)")),
+    ).map(lambda xy: f"r({xy[0]},{xy[1]})")
 )
 
 

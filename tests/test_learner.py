@@ -5,6 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 from conftest import (
+    BONGARD_BACKGROUND,
     BONGARD_BIAS_TEXT,
     POKER_BIAS_TEXT,
     bongard12_kb_text,
@@ -206,6 +207,22 @@ def test_poker_levels_below_the_root_reuse_every_outcome(tmp_path):
     assert meta["evaluations"] == levels[0]["evaluations"] == 150 * levels[0]["candidates"]
     assert all(lv["proof_steps"] == 0 for lv in levels[1:])
     assert meta["reused"] > 0
+
+
+def test_clause_for_a_predicate_with_facts_keeps_both_engines_equal(tmp_path):
+    # points/2 has facts in the scenes and, here, a clause too, so a points
+    # test tries the scene's facts and then the clause.
+    settings = parse_settings(
+        BONGARD_BIAS_TEXT + "rmode(5: polygon(+-V)).\nrmode(5: doubletriangle(+-V,+-W)).\n"
+    )
+    background = Background(parse_program(BONGARD_BACKGROUND + "points(O,up) :- circle(O).\n"))
+    path = gen_bongard(GenSpec("bongard", 400, seed=7), tmp_path / "scenes.kb")
+    data = load_dataset(path, settings, tmp_path / "scenes.chunks")
+    classic, lds = (learn_with(a, data, background, settings) for a in ("classic", "lds"))
+    assert classic.tree == lds.tree
+    for model in (classic, lds):
+        meta = model.metadata
+        assert (meta["evaluations"], meta["reused"], meta["proof_steps"]) == (5090, 1545, 10021)
 
 
 def test_lds_level_time_split_fits_in_the_pass(tmp_path):
