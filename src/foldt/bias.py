@@ -16,8 +16,8 @@ name introduced by a node's conjunction can never reappear in that node's
 right subtree.
 
 Numeric thresholds come from ``discretize(Query, Var)`` declarations: the
-query runs in every example, the collected values are labelled with their
-example's class, and cut points are chosen by recursive entropy minimization
+query runs in every example, each collected value's occurrences are counted
+per example class, and cut points are chosen by recursive entropy minimization
 with the minimum-description-length stopping rule, capped at
 ``max_thresholds`` (highest-gain cuts kept first).  A template containing the
 placeholder ``threshold(K)`` expands to one candidate per cut point of the
@@ -34,6 +34,7 @@ import heapq
 import itertools
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .engine import Query, answer_all, matches
@@ -312,8 +313,9 @@ def _classes_present(counts) -> int:
     return sum(1 for c in counts if c)
 
 
-def fayyad_irani_cuts(values, max_cuts: int) -> list[float]:
-    """Cut points for a multiset of ``(value, label)`` pairs.
+def fayyad_irani_cuts(counts, max_cuts: int) -> list[float]:
+    """Cut points for the values ``counts`` maps, each to a ``Counter`` of
+    the labels it occurs with.
 
     Candidate cuts are midpoints between adjacent distinct values.  Each
     interval's best cut (minimum weighted class entropy, leftmost on ties) is
@@ -322,17 +324,13 @@ def fayyad_irani_cuts(values, max_cuts: int) -> list[float]:
     """
     if max_cuts <= 0:
         return []
-    labels = sorted({lbl for _, lbl in values})
-    lidx = {l: i for i, l in enumerate(labels)}
-    agg: dict[float, list[int]] = {}
-    for v, lbl in values:
-        agg.setdefault(v, [0] * len(labels))[lidx[lbl]] += 1
-    pts = sorted(agg.items())
+    labels = sorted({lbl for c in counts.values() for lbl in c})
+    pts = sorted((v, [c[lbl] for lbl in labels]) for v, c in counts.items())
     k = len(pts)
     nclasses = len(labels)
     prefix = [[0] * nclasses]
-    for _, counts in pts:
-        prefix.append([a + b for a, b in zip(prefix[-1], counts)])
+    for _, row in pts:
+        prefix.append([a + b for a, b in zip(prefix[-1], row)])
 
     def seg(lo, hi):
         return [prefix[hi][c] - prefix[lo][c] for c in range(nclasses)]
@@ -381,11 +379,11 @@ def fayyad_irani_cuts(values, max_cuts: int) -> list[float]:
 
 
 def discretize(request: DiscretizeRequest, data, background, cfg: LearnerConfig) -> tuple[float, ...]:
-    """Pool the variable's bindings over all examples (labelled with each
-    example's class) and derive the sorted cut points, at most
+    """Count the variable's bindings over all examples, per value and
+    example class, and derive the sorted cut points, at most
     ``cfg.max_thresholds`` of them, each query under ``cfg.resolution_budget``."""
     query = Query(request.query)
-    values: list[tuple[float, str]] = []
+    counts: dict[float, Counter] = {}
     for _, interp in data.stream_examples():
         for t in answer_all(query, request.var, interp, background, cfg.resolution_budget):
             if not isinstance(t, Number):
@@ -393,9 +391,9 @@ def discretize(request: DiscretizeRequest, data, background, cfg: LearnerConfig)
                     f"discretize({query}, {request.var}) collected the non-numeric value "
                     f"{render_term(t)} in example {render_term(interp.ident)}"
                 )
-            values.append((float(t.value), interp.label))
+            counts.setdefault(float(t.value), Counter())[interp.label] += 1
     if cfg.max_thresholds <= 0:
         return ()
-    if not values:
+    if not counts:
         raise DataError(f"discretize({query}, {request.var}) collected no values")
-    return tuple(fayyad_irani_cuts(values, cfg.max_thresholds))
+    return tuple(fayyad_irani_cuts(counts, cfg.max_thresholds))

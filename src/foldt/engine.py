@@ -703,6 +703,8 @@ class Pack:
                             del b[top:]
                             continue
                         cp[4] = i
+                        if i == len(clauses):
+                            stack.pop()
                         owner, goals = cp[1], cp[7]
                         for lit in reversed(c.body):
                             goals = (lit, top, goals)

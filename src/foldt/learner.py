@@ -41,26 +41,25 @@ outcome bit.
 The LDS engine builds one tree level per streaming pass, and the path bits
 travel on disk.  A pass reads the previous pass's spill file, one record
 (ordinal, class index, path bits) per example that was at a node with
-candidates, and skips the records of examples that have since reached a
-leaf.  It merge-joins the rest, in ordinal order, with the stream of the
-examples whose node has a pack: only those are decoded, and a node whose
-candidates all reuse outcomes counts its examples from their records alone.
-A level whose nodes all reuse their outcomes streams no example and opens
-no chunk.  The pass writes each example's record, with its new path bits,
-to a spill file of its own in the system temporary directory.  After the
-pass each open node either becomes a leaf or an internal node, and routing
-reads that spill to move each example to the child its winner's bit names,
-so no second pass over the data is needed; the next pass reads the same
-spill.  Every level costs exactly one pass, including the final all-leaf
-level, so the pass count equals the depth of the finished tree (counted in
-node levels).
+candidates.  The path bits say where the example is: from the root, each
+internal node sends it to the child its winner's outcome names
+(``_reached``), and a record whose node is a leaf is skipped.  The pass
+merge-joins the rest, in ordinal order, with the stream of the examples
+whose node has a pack, which a second reader of the spill lists: only those
+are decoded, and a node whose candidates all reuse outcomes counts its
+examples from their records alone.  A level whose nodes all reuse their
+outcomes streams no example and opens no chunk.  The pass writes each
+example's record, with its new path bits, to the next spill file, in a
+directory of its own in the system temporary directory, and deletes the
+spill it read.  Splitting a node moves no example, so no routing pass or
+second pass over the data is needed.  Every level costs exactly one pass,
+including the final all-leaf level, so the pass count equals the depth of
+the finished tree (counted in node levels).
 
 Memory at any moment is one chunk of examples (bounded by the store's
-granularity) plus the counters and tables of one level, which scale with
-nodes-per-level times candidates-per-node, never with the number of
-examples.  The example-to-node assignment is one reference per example; an
-example whose node became a leaf keeps pointing at it, and a leaf has no
-candidates.
+granularity), the tree, and the counters and tables of one level, which
+scale with nodes-per-level times candidates-per-node.  Nothing is kept per
+example, so memory does not grow with the number of examples.
 
 Both engines make identical decisions from identical integer counters, and
 fresh variable names are derived from path-local state, so the two engines
@@ -70,9 +69,9 @@ names, and leaf distributions) for the same inputs.
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import math
+import os
 import struct
 import tempfile
 import time
@@ -391,21 +390,33 @@ def _grow_classic(root, data, background, cidx, cfg, bias, stats):
 _RECORD = struct.Struct("<II")
 
 
-def _spill_records(spill, width: int):
-    """The ``(ordinal, class index, path bits)`` records of a spill file."""
-    spill.seek(0)
+def _spill_records(path, width: int, total: int):
+    """The ``(ordinal, class index, path bits)`` records of the spill file
+    ``path``; before the first spill (``path`` None), every example's, at
+    the root with no path bits."""
+    if path is None:
+        yield from ((o, None, 0) for o in range(total))
+        return
     size = _RECORD.size + width
-    while record := spill.read(size):
-        ordinal, cls = _RECORD.unpack_from(record)
-        yield ordinal, cls, int.from_bytes(record[_RECORD.size :], "little")
+    with open(path, "rb") as spill:
+        while record := spill.read(size):
+            ordinal, cls = _RECORD.unpack_from(record)
+            yield ordinal, cls, int.from_bytes(record[_RECORD.size :], "little")
+
+
+def _reached(node: _Node, bits: int) -> _Node:
+    """The node an example with path bits ``bits`` reaches from ``node``:
+    each split node sends it to the child its winner's outcome names."""
+    while node.kids is not None:
+        node = node.kids[0 if bits >> node.win_bit & 1 else 1]
+    return node
 
 
 def _grow_lds(root, data, background, cidx, cfg, bias, stats):
-    assignment = [root] * len(data)
     frontier = [root]
     budget = cfg.resolution_budget
-    with contextlib.ExitStack() as files:
-        spill = None  # the previous pass's records
+    with tempfile.TemporaryDirectory() as tmp:
+        spill = spill_width = None  # the previous pass's spill file and its path-bit width
         while frontier:
             stats.passes += 1
             level_wall0 = time.perf_counter()
@@ -414,36 +425,38 @@ def _grow_lds(root, data, background, cidx, cfg, bias, stats):
             candidates = sum(len(n.candidates) for n in evaluable)
             width = (max((len(n.decided) for n in evaluable), default=0) + 7) // 8
 
-            # One pass: the previous pass's records, merge-joined in ordinal
-            # order with the stream of the examples whose node has a pack.
-            # Always exactly one per level, even when it selects no example.
-            if spill is None:  # every example is at the root, with no path bits
-                records = ((o, None, 0) for o in range(len(data)))
-            else:
-                records = _spill_records(spill, spill_width)
-            stream = data.stream_examples(lambda o: assignment[o].pack is not None)
-            out = files.enter_context(tempfile.TemporaryFile())
+            # One pass: the previous pass's records merge-joined in ordinal
+            # order with the stream of the examples whose node has a pack,
+            # which a second reader of the spill lists.  Always exactly one
+            # stream per level, even when it lists no example.
+            ordinals = ()
+            if any(n.pack is not None for n in evaluable):
+                records = _spill_records(spill, spill_width, len(data))
+                ordinals = (o for o, _, bits in records if _reached(root, bits).pack is not None)
+            stream = data.stream_examples(ordinals)
+            out_path = os.path.join(tmp, f"level{stats.passes}")
             touched, decode = 0, 0.0
             pass_t0 = time.perf_counter()
-            for ordinal, cls, bits in records:
-                node = assignment[ordinal]
-                if node.candidates is None:  # the example reached a leaf
-                    continue
-                e = None
-                if node.pack is not None:
-                    t0 = time.perf_counter()
-                    _, e = next(stream)
-                    decode += time.perf_counter() - t0
-                    touched += 1
-                    cls = cidx[e.label]
-                bits = _evaluate(node, e, cls, bits, background, budget)
-                out.write(_RECORD.pack(ordinal, cls) + bits.to_bytes(width, "little"))
+            with open(out_path, "wb") as out:
+                for ordinal, cls, bits in _spill_records(spill, spill_width, len(data)):
+                    node = _reached(root, bits)
+                    if node.candidates is None:  # the example reached a leaf
+                        continue
+                    e = None
+                    if node.pack is not None:
+                        t0 = time.perf_counter()
+                        _, e = next(stream)
+                        decode += time.perf_counter() - t0
+                        touched += 1
+                        cls = cidx[e.label]
+                    bits = _evaluate(node, e, cls, bits, background, budget)
+                    out.write(_RECORD.pack(ordinal, cls) + bits.to_bytes(width, "little"))
             t0 = time.perf_counter()
             next(stream, None)  # ends the pass, and starts it when no record read it
             decode += time.perf_counter() - t0
             if spill is not None:
-                spill.close()
-            spill, spill_width = out, width
+                os.unlink(spill)
+            spill, spill_width = out_path, width
             pass_seconds = time.perf_counter() - pass_t0
             stats.eval_seconds += pass_seconds
 
@@ -452,22 +465,8 @@ def _grow_lds(root, data, background, cidx, cfg, bias, stats):
             for n in evaluable:
                 if _split(n, cfg, data) is not None:
                     new_frontier.extend(n.kids)
-            decide = time.perf_counter() - t0
-
-            # Route each example to its child by the winner's bit in its
-            # record; no re-evaluation pass.  The next pass skips the records
-            # of examples whose child is a leaf.
-            t0 = time.perf_counter()
-            for ordinal, _, bits in _spill_records(spill, width):
-                node = assignment[ordinal]
-                if node.kids is not None:
-                    assignment[ordinal] = node.kids[0 if bits >> node.win_bit & 1 else 1]
-            route = time.perf_counter() - t0
-
-            # Drop the level's candidates and counters before the next level's
-            # are built; a node without candidates selects no example.
-            for n in evaluable:
                 _close(n, stats)
+            decide = time.perf_counter() - t0
             level_wall = time.perf_counter() - level_wall0
             evaluations, reused, steps = (
                 now - then
@@ -486,7 +485,6 @@ def _grow_lds(root, data, background, cidx, cfg, bias, stats):
                     "decode_seconds": decode,
                     "eval_seconds": pass_seconds - decode,
                     "decide_seconds": decide,
-                    "route_seconds": route,
                     "pass_wall_seconds": level_wall,
                 }
             )

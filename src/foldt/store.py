@@ -30,7 +30,7 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import DataError, in_file
 from .terms import (
@@ -496,18 +496,19 @@ class DatasetHandle:
         outside this accounting."""
         return self._peak
 
-    def stream_examples(
-        self, selector: Callable[[int], bool] | None = None
-    ) -> Iterator[tuple[int, Interpretation]]:
-        """Yield ``(ordinal, interpretation)`` in ordinal order.
+    def stream_examples(self, ordinals: Iterable[int] | None = None) -> Iterator[tuple[int, Interpretation]]:
+        """Yield ``(ordinal, interpretation)`` in ordinal order: every
+        example, or only those the ascending iterable ``ordinals`` lists.
 
-        ``selector`` filters by ordinal and is called once per ordinal; only
-        the selected records of a chunk are decoded, at most one chunk (<= G
+        ``ordinals`` is read only as far as the chunk being loaded, and only
+        the listed records of a chunk are decoded, at most one chunk (<= G
         examples) at a time.  The data file is opened at the first chunk with
-        a selected ordinal and read front to back from there: a chunk with
-        none is passed over by its frame header, and a pass that selects
+        a listed ordinal and read front to back from there: a chunk with
+        none is passed over by its frame header, and a pass that lists
         nothing opens no file."""
         path, f = self.chunks[0].path, None
+        listed = iter(range(self.total) if ordinals is None else ordinals)
+        o = next(listed, self.total)
 
         def length(index: int) -> int:  # of the frame body whose header ``f`` is at
             head = f.read(4)
@@ -517,27 +518,28 @@ class DatasetHandle:
 
         with contextlib.ExitStack() as files:
             for index, chunk in enumerate(self.chunks):
-                ordinals = range(chunk.start_ordinal, chunk.start_ordinal + chunk.count)
-                chosen = None if selector is None else list(map(selector, ordinals))
-                wanted = chosen is None or any(chosen)
-                if f is None and wanted:
+                chosen = set()  # the positions of the chunk's listed records
+                while o < chunk.start_ordinal + chunk.count:
+                    chosen.add(o - chunk.start_ordinal)
+                    o = next(listed, self.total)
+                if f is None and chosen:
                     f = files.enter_context(open(path, "rb"))
                     size = os.fstat(f.fileno()).st_size
                     if f.read(len(CHUNK_MAGIC)) != CHUNK_MAGIC:
                         raise DataError(f"data file {path} is not in chunk format v3: compile the data file again")
                     for skipped in range(index):
                         f.seek(length(skipped), 1)
-                if wanted:
+                if chosen:
                     yield from self._load_chunk(index, chunk, f.read(length(index)), chosen)
                 elif f is not None:
                     f.seek(length(index), 1)
             if f is not None and f.tell() != size:
                 raise DataError(f"corrupt chunk {index} of data file {path}: {size - f.tell()} bytes follow it")
 
-    def _load_chunk(self, index, chunk, raw, chosen=None) -> list[tuple[int, Interpretation]]:
-        """The records of chunk ``index`` in its frame body ``raw`` that
-        ``chosen`` selects by position (all of them without it), decoded,
-        with their ordinals; the record framing and count are checked."""
+    def _load_chunk(self, index, chunk, raw, chosen) -> list[tuple[int, Interpretation]]:
+        """The records of chunk ``index`` in its frame body ``raw`` whose
+        positions ``chosen`` holds, decoded, with their ordinals; the record
+        framing and count are checked."""
         counts = self.class_counts
         out: list[tuple[int, Interpretation]] = []
         pos = found = 0
@@ -548,7 +550,7 @@ class DatasetHandle:
                 pos = start + (_FRAME.unpack_from(raw, pos)[0] if start <= len(raw) else len(raw))
                 if pos > len(raw):  # as does a record header cut short
                     raise DataError("its records overrun the frame")
-                if found < chunk.count and (chosen is None or chosen[found]):
+                if found in chosen:
                     interp = decode_record(raw[start:pos], memo)
                     if interp.label not in counts:
                         raise DataError(f"label {interp.label!r} is not among the class counts of {META_NAME}")

@@ -4,7 +4,10 @@ suite.
 These deliberately avoid the package's own evaluation/scoring code paths:
 the join evaluator is a naive nested-loop join over ground facts, the
 entropy oracle recomputes scores from first principles with Fractions where
-possible, and the poker labeler is a direct rank-multiset table.  Next is
+possible, ``pair_fayyad_irani_cuts`` is the cut search that took one
+``(value, label)`` pair per collected value, the reference for
+``bias.fayyad_irani_cuts``, and the poker labeler is a direct rank-multiset
+table.  Next is
 ``SLDResolver``, plain SLD resolution by substitution over named variables
 that counts steps as the engine does, the reference for ``engine.Pack``.
 The helpers after it check a tree's variable scope and theta-subsumption
@@ -21,13 +24,14 @@ predicate name and tagged argument terms, one after another in file order:
 the reference for ``store.encode_record`` and ``store.decode_record``.
 """
 
+import heapq
 import io
 import math
 import struct
 from collections import Counter
 from typing import Iterable, Iterator
 
-from foldt.bias import Bias, RefinementContext
+from foldt.bias import Bias, RefinementContext, entropy, weighted_entropy
 from foldt.engine import Query, matches, succeeds
 from foldt.errors import BudgetExceededError, DataError, ParseError, QueryError
 from foldt.model import Leaf
@@ -351,6 +355,70 @@ def best_single_cut(values_with_labels):
         if best is None or w < best[1] - 1e-15:
             best = (cut, w)
     return best
+
+
+def pair_fayyad_irani_cuts(values, max_cuts: int) -> list[float]:
+    """Fayyad-Irani cut points for a multiset of ``(value, label)`` pairs,
+    aggregated here into per-value class counts."""
+    if max_cuts <= 0:
+        return []
+    labels = sorted({lbl for _, lbl in values})
+    lidx = {l: i for i, l in enumerate(labels)}
+    agg: dict[float, list[int]] = {}
+    for v, lbl in values:
+        agg.setdefault(v, [0] * len(labels))[lidx[lbl]] += 1
+    pts = sorted(agg.items())
+    k = len(pts)
+    nclasses = len(labels)
+    prefix = [[0] * nclasses]
+    for _, counts in pts:
+        prefix.append([a + b for a, b in zip(prefix[-1], counts)])
+
+    def seg(lo, hi):
+        return [prefix[hi][c] - prefix[lo][c] for c in range(nclasses)]
+
+    def present(counts):
+        return sum(1 for c in counts if c)
+
+    def best_split(lo, hi):
+        parent = seg(lo, hi)
+        n = sum(parent)
+        ent = entropy(parent)
+        best = None
+        for b in range(lo + 1, hi):
+            left = seg(lo, b)
+            right = seg(b, hi)
+            w = weighted_entropy(left, right)
+            if best is None or w < best[0] - 1e-12:
+                best = (w, b, left, right)
+        if best is None:
+            return None
+        w, b, left, right = best
+        gain = ent - w
+        kc = present(parent)
+        delta = math.log2(3**kc - 2) - (
+            kc * ent - present(left) * entropy(left) - present(right) * entropy(right)
+        )
+        accepted = gain > (math.log2(n - 1) + delta) / n
+        return gain, b, accepted
+
+    heap: list[tuple[float, int, int, int]] = []
+
+    def push(lo, hi):
+        if hi - lo < 2:
+            return
+        found = best_split(lo, hi)
+        if found and found[2]:
+            heapq.heappush(heap, (-found[0], lo, hi, found[1]))
+
+    push(0, k)
+    cuts: list[float] = []
+    while heap and len(cuts) < max_cuts:
+        _, lo, hi, b = heapq.heappop(heap)
+        cuts.append((pts[b - 1][0] + pts[b][0]) / 2)
+        push(lo, b)
+        push(b, hi)
+    return sorted(cuts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+from collections import Counter
+
 from conftest import mk_query_literals
-from oracles import best_single_cut, root_context, static_bias, theta_subsumes
+from hypothesis import given, strategies as st
+from oracles import best_single_cut, pair_fayyad_irani_cuts, root_context, static_bias, theta_subsumes
 
 from foldt.bias import (
     Candidate,
@@ -189,27 +192,36 @@ rmode(3: (val(-O,-C), C =< threshold(1))).
 # Discretization
 
 
+def _cuts(values, max_cuts):
+    """``fayyad_irani_cuts`` over the per-value label counts of ``(value,
+    label)`` pairs."""
+    counts = {}
+    for v, lbl in values:
+        counts.setdefault(v, Counter())[lbl] += 1
+    return fayyad_irani_cuts(counts, max_cuts)
+
+
 def test_single_cut_between_class_bands():
     values = [(1, "a"), (2, "a"), (3, "a"), (8, "b"), (9, "b"), (10, "b")]
     # independent exhaustive-midpoint oracle confirms the optimum first
     cut, _ = best_single_cut(values)
     assert cut == 5.5
-    assert fayyad_irani_cuts(values, 8) == [5.5]
+    assert _cuts(values, 8) == [5.5]
 
 
 def test_pure_values_no_cuts():
     values = [(1, "a"), (2, "a"), (5, "a"), (9, "a")]
-    assert fayyad_irani_cuts(values, 8) == []
+    assert _cuts(values, 8) == []
 
 
 def test_zero_cap_empty():
     values = [(1, "a"), (9, "b")]
-    assert fayyad_irani_cuts(values, 0) == []
+    assert _cuts(values, 0) == []
 
 
 def test_cuts_strictly_inside_range_and_increasing():
     values = [(i, "a" if i % 4 else "b") for i in range(1, 30)]
-    cuts = fayyad_irani_cuts(values, 8)
+    cuts = _cuts(values, 8)
     vs = [v for v, _ in values]
     assert all(min(vs) < c < max(vs) for c in cuts)
     assert cuts == sorted(cuts)
@@ -218,7 +230,19 @@ def test_cuts_strictly_inside_range_and_increasing():
 
 def test_cap_keeps_highest_gain_cut():
     values = [(1, "a"), (2, "a"), (3, "b"), (4, "b"), (10, "c"), (11, "c"), (12, "c"), (13, "c")]
-    all_cuts = fayyad_irani_cuts(values, 8)
-    capped = fayyad_irani_cuts(values, 1)
+    all_cuts = _cuts(values, 8)
+    capped = _cuts(values, 1)
     assert len(capped) == 1
     assert capped[0] in all_cuts
+
+
+# Labels follow the value's band of five, with some flipped, so that cuts
+# are often accepted and sometimes capped.
+_BANDED = st.tuples(st.integers(0, 14), st.integers(0, 4)).map(
+    lambda t: (t[0] / 2, "abc"[(t[0] // 5 + (t[1] == 0)) % 3])
+)
+
+
+@given(values=st.lists(_BANDED, max_size=80), max_cuts=st.integers(0, 4))
+def test_counted_cuts_equal_the_pair_list_reference(values, max_cuts):
+    assert _cuts(values, max_cuts) == pair_fayyad_irani_cuts(values, max_cuts)

@@ -1,4 +1,7 @@
+import gc
 import logging
+import os
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -196,13 +199,18 @@ def test_level_tests_proven_and_reused_cover_every_candidate(tmp_path, monkeypat
     assert meta["reused"] > 0
 
 
-def test_poker_levels_below_the_root_reuse_every_outcome(tmp_path):
+def test_poker_levels_below_the_root_reuse_every_outcome(tmp_path, monkeypatch):
     # Every poker candidate's coverage query is one of the root's four up to
     # renaming, so below the root nothing is proven and nothing is streamed.
     data, settings = _generated("poker", 150, 11, tmp_path)
+    listings = []  # the ordinals each stream was given
+    stream = type(data).stream_examples
+    monkeypatch.setattr(type(data), "stream_examples", lambda h, o: listings.append(o) or stream(h, o))
     model = learn_with("lds", data, None, settings)
     meta, levels = model.metadata, model.metadata["levels"]
     assert len(levels) == meta["passes"] == tree_depth(model.tree) > 2
+    assert len(listings) == meta["passes"]  # one stream per level
+    assert all(o == () for o in listings[1:])  # nothing to list, nothing called per example
     assert [lv["examples_touched"] for lv in levels] == [150] + [0] * (len(levels) - 1)
     assert meta["evaluations"] == levels[0]["evaluations"] == 150 * levels[0]["candidates"]
     assert all(lv["proof_steps"] == 0 for lv in levels[1:])
@@ -228,7 +236,7 @@ def test_clause_for_a_predicate_with_facts_keeps_both_engines_equal(tmp_path):
 def test_lds_level_time_split_fits_in_the_pass(tmp_path):
     data, settings = _generated("bongard", 120, 5, tmp_path, granularity=10)
     meta = learn_with("lds", data, None, settings).metadata
-    parts = ("decode_seconds", "eval_seconds", "decide_seconds", "route_seconds")
+    parts = ("decode_seconds", "eval_seconds", "decide_seconds")
     for lv in meta["levels"]:
         assert all(lv[p] >= 0 for p in parts), lv
         assert sum(lv[p] for p in parts) <= lv["pass_wall_seconds"], lv
@@ -289,18 +297,56 @@ def test_node_counters_equal_full_query_proofs(tmp_path_factory, domain, count, 
 def test_lds_spills_outside_the_data_directory(bongard12, monkeypatch):
     import tempfile
 
-    dirs = []
-    make = tempfile.TemporaryFile
+    dirs, made, spills = [], [], []
+    make = tempfile.TemporaryDirectory
+    stream = type(bongard12).stream_examples
 
     def recording(*args, **kwargs):
         dirs.append(kwargs.get("dir"))
-        return make(*args, **kwargs)
+        made.append(make(*args, **kwargs))
+        return made[-1]
 
-    monkeypatch.setattr(tempfile, "TemporaryFile", recording)
+    def listing(handle, ordinals):  # the spills a pass starts with
+        spills.append(len(os.listdir(made[-1].name)))
+        return stream(handle, ordinals)
+
+    monkeypatch.setattr(tempfile, "TemporaryDirectory", recording)
+    monkeypatch.setattr(type(bongard12), "stream_examples", listing)
     before = sorted(bongard12.dir.iterdir())
     model = learn_with("lds", bongard12, None, BONGARD_SETTINGS)
-    assert dirs == [None] * model.metadata["passes"]  # the system temporary directory
+    assert dirs == [None]  # one directory per learn, in the system temporary directory
+    assert spills == [0] + [1] * (model.metadata["passes"] - 1)  # each read spill is deleted
+    assert model.metadata["passes"] > 2 and not os.path.exists(made[0].name)
     assert sorted(bongard12.dir.iterdir()) == before
+
+
+def test_lds_memory_does_not_grow_with_the_examples(tmp_path):
+    """An LDS learn keeps nothing per example: on eight copies of each scene,
+    with ``minleaf`` eight times as large so that the tree is the same, its
+    ``tracemalloc`` peak stays within 32 KiB of the peak on one copy.
+
+    Objects freed into the interpreter's free lists stay counted as traced,
+    and a full collection empties those lists, so a collection inside the
+    measured learn would move its peak by when it ran.  The collector is
+    therefore off from the warm-up learn to the end of the measured one."""
+    base, settings = _generated("bongard", 500, 7, tmp_path, granularity=10)
+    peaks, hashes = {}, set()
+    for k in (1, 8):
+        data = replicate(base, k, tmp_path / f"x{k}")
+        cfg = replace(settings.params, minleaf=settings.params.minleaf * k)
+        gc.collect()
+        gc.disable()
+        try:
+            learn_with("lds", data, None, settings, cfg)  # warm-up: imports, caches, free lists
+            tracemalloc.start()
+            model = learn_with("lds", data, None, settings, cfg)
+            peaks[k] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        hashes.add(structure_hash(model.tree))
+    assert len(hashes) == 1
+    assert peaks[8] - peaks[1] < 32 * 1024, peaks
 
 
 def test_resubstitution_accuracy_on_separable_data(bongard12):

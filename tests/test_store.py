@@ -1,5 +1,6 @@
 import json
 import struct
+from collections import Counter
 
 import oracles
 import pytest
@@ -164,7 +165,7 @@ def test_stream_counts_and_peak(tmp_path):
 
 def test_selector_skips_whole_chunk(tmp_path):
     handle = load_dataset(_write_many(tmp_path, 25), POKER_SETTINGS, tmp_path / "store", granularity=10)
-    selected = list(handle.stream_examples(lambda o: not 10 <= o < 20))
+    selected = list(handle.stream_examples([*range(10), *range(20, 25)]))
     assert [o for o, _ in selected] == list(range(10)) + list(range(20, 25))
     assert [e.ident for _, e in selected] == [Number(o + 1) for o, _ in selected]
     assert handle.chunk_loads == 2  # chunk 2 never opened
@@ -179,16 +180,9 @@ def test_selective_stream_decodes_only_selected_records(tmp_path, monkeypatch):
     monkeypatch.setattr(
         foldt.store, "decode_record", lambda rec, memo: decoded.append(1) or decode(rec, memo)
     )
-    calls = []
-
-    def selector(o):
-        calls.append(o)
-        return o % 4 == 0
-
-    selected = [o for o, _ in handle.stream_examples(selector)]
+    selected = [o for o, _ in handle.stream_examples(range(0, 25, 4))]
     assert selected == [0, 4, 8, 12, 16, 20, 24]
     assert len(decoded) == 7
-    assert sorted(calls) == list(range(25))  # once per ordinal
     assert handle.peak_resident() == 3
 
     # Corrupt the payload of record 1 (not selected) but keep its framing.
@@ -198,9 +192,36 @@ def test_selective_stream_decodes_only_selected_records(tmp_path, monkeypatch):
     (ln,) = struct.unpack_from("<I", raw, pos)
     raw[pos + 4 + ln + 4 + 1] = 0x7F  # the kind of its first constant
     data.write_bytes(bytes(raw))
-    assert [o for o, _ in handle.stream_examples(lambda o: o % 4 == 0)] == selected
+    assert [o for o, _ in handle.stream_examples(range(0, 25, 4))] == selected
     with pytest.raises(DataError, match="bad constant kind 127"):
         list(handle.stream_examples())
+
+
+@hsettings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), g=st.integers(1, 7), picks=st.data())
+def test_stream_yields_exactly_the_listed_ordinals(tmp_path_factory, n, g, picks):
+    tmp = tmp_path_factory.mktemp("listed")
+    handle = load_dataset(_write_many(tmp, n), POKER_SETTINGS, tmp / "store", granularity=g)
+    full = dict(handle.stream_examples())
+    listed = sorted(picks.draw(st.sets(st.integers(0, n - 1))))
+    pulled = []
+
+    def ordinals():  # records how far the stream has read the listing
+        for o in listed:
+            pulled.append(o)
+            yield o
+
+    store = open_dataset(handle.dir)
+    seen = []
+    for o, e in store.stream_examples(ordinals()):
+        end = (o // g + 1) * g
+        assert sum(p >= end for p in pulled) <= 1  # no further than the chunk being loaded
+        seen.append(o)
+        assert e == full[o]
+    assert seen == listed
+    per_chunk = Counter(o // g for o in listed)
+    assert store.chunk_loads == len(per_chunk)
+    assert store.peak_resident() == max(per_chunk.values(), default=0) <= g
 
 
 def test_granularity_one_loads_per_example(tmp_path):
@@ -565,7 +586,7 @@ def test_corrupt_data_file_names_its_chunk(tmp_path, edit, message):
 def test_level_that_selects_nothing_opens_nothing(tmp_path):
     handle = load_dataset(_write_many(tmp_path, 12), POKER_SETTINGS, tmp_path / "store", granularity=5)
     (handle.dir / DATA_NAME).unlink()
-    assert list(handle.stream_examples(lambda o: False)) == []
+    assert list(handle.stream_examples(())) == []
     assert handle.chunk_loads == 0
 
 
@@ -574,7 +595,7 @@ def test_stream_reads_only_the_frame_headers_of_unselected_chunks(tmp_path):
     data = handle.dir / DATA_NAME
     bodies = _frames(data)
     _write_frames(data, [b"\xff" * len(bodies[0]), bodies[1], b"\xff" * len(bodies[2])])
-    assert [o for o, _ in handle.stream_examples(lambda o: 5 <= o < 10)] == list(range(5, 10))
+    assert [o for o, _ in handle.stream_examples(range(5, 10))] == list(range(5, 10))
     assert handle.chunk_loads == 1
 
 
@@ -588,7 +609,7 @@ def test_stream_closes_the_data_file_when_abandoned(tmp_path, monkeypatch):
     monkeypatch.setattr(
         foldt.store, "open", lambda *a, **k: opened.append(builtins.open(*a, **k)) or opened[-1], raising=False
     )
-    stream = handle.stream_examples(lambda o: o % 3 == 0)
+    stream = handle.stream_examples(range(0, 12, 3))
     assert next(stream)[0] == 0 and next(stream)[0] == 3
     assert len(opened) == 1 and not opened[0].closed
     stream.close()
