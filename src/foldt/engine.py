@@ -475,12 +475,13 @@ class _Node:
     ``mask`` and the whole of every query in ``ends``.  ``entry`` is the goal
     list that proves the node's literal and then arrives at the node."""
 
-    __slots__ = ("lit", "ends", "mask", "kids", "entry")
+    __slots__ = ("lit", "ends", "mask", "kids", "lone", "entry")
 
     def __init__(self, lit: _Lit | None):
         self.lit = lit
         self.ends = self.mask = 0
         self.kids: tuple[_Node, ...] = ()
+        self.lone: _Node | None = None  # the kid, when there is just one
         self.entry = (lit, 0, (self, 0, None))
 
 
@@ -505,6 +506,7 @@ class Pack:
                 if kid is None:
                     kid = index[id(node), lit] = _Node(_Lit(lit, slots))
                     node.kids += (kid,)
+                    node.lone = kid if len(node.kids) == 1 else None
                 node = kid
                 node.mask |= bit
             node.ends |= bit
@@ -561,6 +563,7 @@ class Pack:
         full = self.full
         limit = budget * len(self.queries)
         b: list = [None] * len(names)
+        size = len(b)  # len(b), kept as clause frames extend it and backtracking cuts it
         trail: list[int] = []
         stack: list[list] = []
         steps = done = 0
@@ -577,13 +580,12 @@ class Pack:
                     sink(b)
                 # The walk reaches a node only while a query below it is
                 # undecided, so a lone kid is still undecided.
-                kids = g.kids
-                if len(kids) == 1:
-                    owner = kids[0]
+                if g.lone is not None:
+                    owner = g.lone
                     goals = owner.entry
                     continue
-                if kids:
-                    stack.append([_BRANCH, g, len(trail), len(b), 0, kids])
+                if g.kids:
+                    stack.append([_BRANCH, g, len(trail), size, iter(g.kids)])
             elif g.op is not None:
                 steps += 1
                 if steps > limit:
@@ -610,7 +612,7 @@ class Pack:
                 plan = g.plan
                 if plan is None and g.key in rules:
                     args = g.args if not off else tuple(_shift(a, off) for a in g.args)
-                    stack.append([_CLAUSES, owner, len(trail), len(b), 0, rules[g.key], args, rest])
+                    stack.append([_CLAUSES, owner, len(trail), size, 0, rules[g.key], args, rest])
                 group = groups.get(g.key)
                 if group is not None:
                     if plan is None:
@@ -631,8 +633,8 @@ class Pack:
                     if i < n:
                         if i + 1 < n:  # facts left to try on backtracking
                             stack.append([
-                                _FACTS, owner, mark, len(b), i + 1,
-                                facts, want, binds, sames, pats, rest,
+                                _FACTS, owner, mark, size, i + 1,
+                                facts, n, want, binds, sames, pats, rest,
                             ])
                         fa = facts[i]
                         for p, s in binds:
@@ -642,21 +644,23 @@ class Pack:
                         continue
 
             # Backtrack: resume the newest choice point that still serves an
-            # undecided query; leave the walk when none is left.
+            # undecided query; leave the walk when none is left.  A choice
+            # point holds its kind, its owner, the trail's and the binding
+            # list's lengths to return to, and what is left to try: the index
+            # of the next fact or clause, or an iterator over the kids.
             while stack:
                 cp = stack[-1]
                 mark = cp[2]
-                if len(trail) > mark:
-                    _undo(b, trail, mark)
-                if len(b) > cp[3]:
-                    del b[cp[3] :]
+                _undo(b, trail, mark)
+                if size > cp[3]:
+                    size = cp[3]
+                    del b[size:]
                 if not cp[1].mask & ~done:
                     stack.pop()
                     continue
-                kind, i = cp[0], cp[4]
+                kind = cp[0]
                 if kind is _FACTS:
-                    facts, want, binds, sames, pats = cp[5], cp[6], cp[7], cp[8], cp[9]
-                    n = len(facts)
+                    i, facts, n, want, binds, sames, pats = cp[4:11]
                     j = _scan(facts, i, want, sames, pats, b, trail) if want or sames or pats else i
                     steps += j + 1 - i if j < n else n - i
                     if steps > limit:
@@ -672,17 +676,18 @@ class Pack:
                     for p, s in binds:
                         b[s] = fa[p]
                         trail.append(s)
-                    owner, goals = cp[1], cp[10]
+                    owner, goals = cp[1], cp[11]
                     break
                 if kind is _CLAUSES:
-                    clauses, args = cp[5], cp[6]
+                    i, clauses, args = cp[4], cp[5], cp[6]
                     while i < len(clauses):
                         c = clauses[i]
                         i += 1
                         steps += 1
                         if steps > limit:
                             raise self._exhausted(interp, budget, cp[1].mask & ~done)
-                        top = len(b)
+                        top = size
+                        size += c.size
                         b.extend([None] * c.size)
                         if c.linear:
                             # What ``_unify`` does against fresh slots: an
@@ -700,6 +705,7 @@ class Pack:
                             _unify(x, _shift(h, top), b, trail) for x, h in zip(args, c.head)
                         ):
                             _undo(b, trail, mark)
+                            size = top
                             del b[top:]
                             continue
                         cp[4] = i
@@ -713,15 +719,15 @@ class Pack:
                         stack.pop()
                         continue
                     break
-                kids = cp[5]
-                while i < len(kids) and not kids[i].mask & ~done:
-                    i += 1
-                if i < len(kids):
-                    cp[4] = i + 1
-                    owner = kids[i]
-                    goals = owner.entry
-                    break
-                stack.pop()
+                for kid in cp[4]:
+                    if kid.mask & ~done:
+                        owner = kid
+                        goals = owner.entry
+                        break
+                else:
+                    stack.pop()
+                    continue
+                break
             else:
                 break
         self.steps += steps

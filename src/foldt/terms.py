@@ -2,6 +2,24 @@
 subset used by data files, background programs, settings files and model
 files.
 
+Each term is a ``tuple`` subclass whose first item is a private tag for its
+kind: ``Atom`` is ``(tag, name)``, ``Number`` is ``(tag, type(value),
+value)``, ``Variable`` is ``(tag, name)`` and ``Compound`` is ``(tag,
+functor, args)``, with ``args`` a tuple of terms.  So ``==``, ``!=`` and
+``hash`` are the tuple's own, run in C, which is what the engine's fact scans,
+first-argument index and ``\\=`` tests do on every example.  Two terms are
+equal exactly when they are of one kind with equal fields: ``Atom('x') !=
+Variable('x')``, and ``Number(1) != Number(1.0) != Number(True)`` because the
+value's type is compared too, while ``Number(0.0) == Number(-0.0)``.  The
+tags compare by identity, so no tuple built without them equals a term.  A
+NaN is equal to itself inside a term, unlike the float alone: tuple equality
+takes one object as equal to itself, so ``n == n`` holds for a ``Number``
+``n`` holding NaN, while two ``Number``s over distinct NaN objects differ.
+The fields are read-only properties over the tuple's items, a term has no
+``__dict__``, and a tuple's items cannot be reassigned, so a term cannot be
+changed after it is built; pickling and copying rebuild it through its
+constructor.
+
 The grammar is deliberately small: unquoted lowercase atoms (interior hyphens
 allowed, so identifiers like ``h2o-1`` are plain atoms), single-quoted atoms
 with ``''`` escaping, signed integers and floats, uppercase/underscore
@@ -32,6 +50,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Union
 
 from .errors import ParseError
@@ -39,37 +58,77 @@ from .errors import ParseError
 BUILTIN_PREDS = frozenset({"=", "\\=", "<", ">", "=<", ">="})
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
-    name: str
+# The private kind tags that open each term's tuple.  They compare by
+# identity, so two terms are equal only when their kinds are, and no plain
+# tuple equals a term.  So pickling and copying go through each class's
+# ``__reduce__``, which rebuilds a term from its fields: copying the items
+# would copy the tag by value (pickle protocols 0 and 1 ignore
+# ``__getnewargs__``), and the copy would equal nothing.
+_ATOM_TAG, _NUMBER_TAG, _VARIABLE_TAG, _COMPOUND_TAG = object(), object(), object(), object()
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Number:
-    """Numeric constant; integers and floats are distinct terms (1 != 1.0)."""
+class Atom(tuple):
+    __slots__ = ()
 
-    value: int | float
+    def __new__(cls, name: str):
+        return tuple.__new__(cls, (_ATOM_TAG, name))
 
-    def __eq__(self, other):
-        return (
-            type(other) is Number
-            and type(other.value) is type(self.value)
-            and other.value == self.value
-        )
+    name = property(itemgetter(1))
 
-    def __hash__(self):
-        return hash((type(self.value).__name__, self.value))
+    def __reduce__(self):
+        return Atom, (self[1],)
+
+    def __repr__(self):
+        return f"Atom(name={self[1]!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class Variable:
-    name: str
+class Number(tuple):
+    """Numeric constant; integers and floats are distinct terms (1 != 1.0),
+    as the value's type is part of the tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: int | float):
+        return tuple.__new__(cls, (_NUMBER_TAG, type(value), value))
+
+    value = property(itemgetter(2))
+
+    def __reduce__(self):
+        return Number, (self[2],)
+
+    def __repr__(self):
+        return f"Number(value={self[2]!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class Compound:
-    functor: str
-    args: "tuple[Term, ...]"
+class Variable(tuple):
+    __slots__ = ()
+
+    def __new__(cls, name: str):
+        return tuple.__new__(cls, (_VARIABLE_TAG, name))
+
+    name = property(itemgetter(1))
+
+    def __reduce__(self):
+        return Variable, (self[1],)
+
+    def __repr__(self):
+        return f"Variable(name={self[1]!r})"
+
+
+class Compound(tuple):
+    __slots__ = ()
+
+    def __new__(cls, functor: str, args: "tuple[Term, ...]"):
+        return tuple.__new__(cls, (_COMPOUND_TAG, functor, args))
+
+    functor = property(itemgetter(1))
+    args = property(itemgetter(2))
+
+    def __reduce__(self):
+        return Compound, (self[1], self[2])
+
+    def __repr__(self):
+        return f"Compound(functor={self[1]!r}, args={self[2]!r})"
 
 
 Term = Union[Atom, Number, Variable, Compound]

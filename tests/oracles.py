@@ -19,9 +19,13 @@ Last comes the parser that ``terms`` had before it parsed each clause from a
 list of tokens, the reference for ``terms.read_clauses``, ``parse_term`` and
 the directive grammars: a one-token-lookahead ``TokenStream`` that pulls
 tokens from the lazy ``_line_tokens`` as a ``TermParser`` advances.
-Last of all comes the v1 chunk record codec, which wrote each fact as its
+Then comes the v1 chunk record codec, which wrote each fact as its
 predicate name and tagged argument terms, one after another in file order:
 the reference for ``store.encode_record`` and ``store.decode_record``.
+Last of all come the frozen dataclasses that were ``terms``' term classes
+before each became a tagged tuple, with their renderer: the reference for
+the equality, hashing, ``repr`` and rendering of ``Atom``, ``Number``,
+``Variable`` and ``Compound``.
 """
 
 import heapq
@@ -29,6 +33,7 @@ import io
 import math
 import struct
 from collections import Counter
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from foldt.bias import Bias, RefinementContext, entropy, weighted_entropy
@@ -49,6 +54,7 @@ from foldt.terms import (
     Variable,
     is_ground,
     literal_variables,
+    render_atom,
     render_literal,
     render_term,
     term_to_literal,
@@ -1013,3 +1019,71 @@ def decode_record(buf: bytes) -> Interpretation:
     if r.pos != len(buf):
         raise DataError(f"corrupt chunk record ({len(buf) - r.pos} bytes unread)")
     return Interpretation(ident, label, tuple(facts))
+
+
+# ---------------------------------------------------------------------------
+# The frozen dataclass terms
+
+
+@dataclass(frozen=True, slots=True)
+class DataclassAtom:
+    name: str
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class DataclassNumber:
+    """Numeric constant; integers and floats are distinct terms (1 != 1.0)."""
+
+    value: int | float
+
+    def __eq__(self, other):
+        return (
+            type(other) is DataclassNumber
+            and type(other.value) is type(self.value)
+            and other.value == self.value
+        )
+
+    def __hash__(self):
+        return hash((type(self.value).__name__, self.value))
+
+
+@dataclass(frozen=True, slots=True)
+class DataclassVariable:
+    name: str
+
+
+@dataclass(frozen=True, slots=True)
+class DataclassCompound:
+    functor: str
+    args: tuple
+
+
+def dataclass_repr(term) -> str:
+    """The dataclass ``repr`` under the names of ``terms``' classes."""
+    return repr(term).replace("Dataclass", "")
+
+
+def render_dataclass_term(term) -> str:
+    if isinstance(term, DataclassAtom):
+        return render_atom(term.name)
+    if isinstance(term, DataclassNumber):
+        v = term.value
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"cannot render non-finite float {v!r}")
+        return repr(v)
+    if isinstance(term, DataclassVariable):
+        return term.name
+    if isinstance(term, DataclassCompound):
+        return render_atom(term.functor) + "(" + ",".join(render_dataclass_term(a) for a in term.args) + ")"
+    raise TypeError(f"not a term: {term!r}")
+
+
+def from_dataclass(term) -> Term:
+    """The ``terms`` term with the fields of the dataclass term ``term``."""
+    if isinstance(term, DataclassAtom):
+        return Atom(term.name)
+    if isinstance(term, DataclassNumber):
+        return Number(term.value)
+    if isinstance(term, DataclassVariable):
+        return Variable(term.name)
+    return Compound(term.functor, tuple(from_dataclass(a) for a in term.args))

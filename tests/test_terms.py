@@ -1,4 +1,6 @@
+import copy
 import io
+import pickle
 from unittest import mock
 
 import oracles
@@ -505,3 +507,89 @@ def test_parse_settings_agrees_with_the_reference_parser(text):
 @example("table(m, [f, n, c]).\ntable(c, [m, a]).\nkey(m, [f]).\nfk(c, [m], m).\nexample_id(m, f).\n")
 def test_parse_schema_agrees_with_the_reference_parser(text):
     assert _outcome(parse_schema, text) == _outcome(_reference(foldt.rdb, parse_schema), text)
+
+
+# ---------------------------------------------------------------------------
+# The term classes against the frozen dataclasses they replaced
+
+# Small pools, so that atoms and variables share names and numbers share
+# values across int, float and bool.
+_shared_names = st.one_of(st.sampled_from(["x", "a", "X", "_1", ""]), st.text(max_size=4))
+_ref_leaves = st.one_of(
+    _shared_names.map(oracles.DataclassAtom),
+    _shared_names.map(oracles.DataclassVariable),
+    st.sampled_from([0, 1, -1, 0.0, -0.0, 1.0, -1.0, True, False]).map(oracles.DataclassNumber),
+    st.integers().map(oracles.DataclassNumber),
+    st.floats(allow_nan=False, allow_infinity=False).map(oracles.DataclassNumber),
+    st.booleans().map(oracles.DataclassNumber),
+)
+
+
+def _ref_terms(depth: int = 3):
+    if depth == 0:
+        return _ref_leaves
+    return st.one_of(
+        _ref_leaves,
+        st.tuples(
+            st.sampled_from(["f", "g", "x"]),
+            st.lists(_ref_terms(depth - 1), max_size=3).map(tuple),
+        ).map(lambda fa: oracles.DataclassCompound(*fa)),
+    )
+
+
+_FIELDS = {Atom: ("name",), Number: ("value",), Variable: ("name",), Compound: ("functor", "args")}
+
+
+@hsettings(max_examples=800, deadline=None)
+@given(_ref_terms(), st.data())
+def test_terms_compare_hash_and_render_like_the_dataclasses(ref, data):
+    other = data.draw(st.one_of(st.just(ref), _ref_terms()))
+    # Built afresh from the fields: equal terms are not the same objects.
+    t, u = oracles.from_dataclass(ref), oracles.from_dataclass(other)
+    assert (t == u) == (ref == other)
+    assert (t != u) == (ref != other)
+    if t == u:
+        assert hash(t) == hash(u)
+    assert repr(t) == oracles.dataclass_repr(ref)
+    assert render_term(t) == oracles.render_dataclass_term(ref)
+
+
+@hsettings(max_examples=200, deadline=None)
+@given(_ref_terms())
+def test_terms_are_immutable_and_copy_through_their_constructors(ref):
+    t = oracles.from_dataclass(ref)
+    for name in _FIELDS[type(t)]:
+        with pytest.raises(AttributeError):
+            setattr(t, name, Atom("z"))
+        with pytest.raises(AttributeError):
+            object.__setattr__(t, name, Atom("z"))
+    with pytest.raises(AttributeError):
+        t.other = 1
+    assert not hasattr(t, "__dict__")
+    copies = [pickle.loads(pickle.dumps(t, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for c in copies + [copy.copy(t), copy.deepcopy(t)]:
+        assert type(c) is type(t) and c == t and hash(c) == hash(t) and repr(c) == repr(t)
+
+
+def test_no_plain_tuple_equals_a_term():
+    terms = (Atom("x"), Number(1), Variable("X"), Compound("f", (Atom("a"),)))
+    # Each kind's tag is an object of its own, equal only to itself.
+    assert len({id(t[0]) for t in terms}) == 4 and all(type(t[0]) is object for t in terms)
+    for t in terms:
+        assert t != t[1:] and t[1:] != t
+        assert t != tuple(getattr(t, name) for name in _FIELDS[type(t)])
+    assert Number(1) != (int, 1) and Atom("x") != ("x",) and Atom("x") != "x"
+    assert Atom("x") != Variable("x") and Number(1) != Number(1.0) != Number(True)
+    assert Number(0.0) == Number(-0.0)
+
+
+def test_a_nan_number_equals_itself_only_as_one_object():
+    # Tuple equality takes an item to equal itself, so a NaN inside one
+    # term does too; the dataclass compared the values with ``==``.
+    nan = float("nan")
+    n = Number(nan)
+    assert n == n and not n != n
+    assert Number(nan) == Number(nan)
+    assert Number(float("nan")) != Number(float("nan"))
+    ref = oracles.DataclassNumber(nan)
+    assert ref != ref
