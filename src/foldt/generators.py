@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError
-from .store import ChunkWriter, DatasetHandle, Interpretation
-from .terms import Atom, Compound, Literal, Number, render_fact
+from .store import ChunkWriter, DatasetHandle, Interpretation, write_block
+from .terms import Atom, Compound, Literal, Number
 
 POKER_CLASSES = (
     "nothing",
@@ -61,14 +61,6 @@ def poker_hand_label(hand) -> str:
     return _RANK_PATTERNS[pattern]
 
 
-def _write_block(f, ident: int, facts, label: str):
-    f.write(f"begin(model({ident})).\n")
-    for fact in facts:
-        f.write(f"  {render_fact(fact)}\n")
-    f.write(f"  {label}.\n")
-    f.write(f"end(model({ident})).\n")
-
-
 def gen_poker(spec: GenSpec, out_path) -> Path:
     """Write ``spec.count`` random five-card hands as a block file."""
     rng = random.Random(spec.seed)
@@ -86,7 +78,7 @@ def gen_poker(spec: GenSpec, out_path) -> Path:
                 hand = rng.sample(DECK, 5)
                 label = poker_hand_label(hand)
             facts = [Literal("card", (r, s)) for r, s in hand]
-            _write_block(f, i, facts, label)
+            write_block(f, Number(i), [*facts, Literal(label, ())])
     return out_path
 
 
@@ -125,7 +117,7 @@ def gen_bongard(spec: GenSpec, out_path) -> Path:
                         break
             else:
                 facts, label = bongard_scene(rng)
-            _write_block(f, i, facts, label)
+            write_block(f, Number(i), [*facts, Literal(label, ())])
     return out_path
 
 

@@ -35,7 +35,7 @@ from .engine import (
 from .errors import ModelFormatError
 from .settings import parse_settings
 from .store import Interpretation
-from .terms import Literal, parse_program, render_conjunction
+from .terms import Literal, parse_program, render_atom, render_conjunction
 
 FORMAT_HEADER = "foldt-model v1"
 
@@ -146,7 +146,7 @@ def to_decision_list(model: Model) -> list[DecisionRule]:
 def render_decision_list(rules: list[DecisionRule]) -> str:
     lines = []
     for r in rules:
-        head = f"class({r.label})"
+        head = f"class({render_atom(r.label)})"
         parts = [render_conjunction(r.guard)] if r.guard else []
         if r.cut:
             parts.append("!")

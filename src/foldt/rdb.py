@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DataError, ParseError
+from .store import write_block
 from .terms import (
     Atom,
     Literal,
@@ -97,85 +98,74 @@ class Schema:
     drop_id: bool = False
 
 
+# The arguments of each schema directive: a name or a list of names.
+_NAME, _NAMES = "name", "names"
+_SHAPES = {
+    "table": (_NAME, _NAMES),
+    "key": (_NAME, _NAMES),
+    "fk": (_NAME, _NAMES, _NAME),
+    "background": (_NAME,),
+    "elide": (_NAME,),
+    "example_id": (_NAME, _NAME),
+    "class_attr": (_NAME, _NAME),
+    "drop_id": (),
+}
+# What a directive declares that may be declared once, from its arguments.
+_ONCE = {
+    "table": "table {!r}",
+    "key": "key of {!r}",
+    "example_id": "example_id",
+    "class_attr": "class_attr",
+}
+
+
 def parse_schema(text: str) -> Schema:
     stream = TermParser(tokenize(text))
-    tables: dict[str, Table] = {}
-    fks: list[tuple[str, tuple[str, ...], str]] = []
-    keys: list[tuple[str, tuple[str, ...]]] = []
-    background: list[str] = []
-    elide: list[str] = []
-    example_id: tuple[str, str] | None = None
-    class_attr: tuple[str, str] | None = None
-    drop_id = False
+    found: dict[str, list[list]] = {d: [] for d in _SHAPES}
+    declared: set[str] = set()
 
-    def atom_list() -> tuple[str, ...]:
-        stream.expect("punct", "[")
-        names = []
-        while True:
-            tok = stream.peek()
-            if tok.kind != "atom":
-                raise ParseError("expected an attribute name", tok.line, tok.col)
-            stream.next()
-            names.append(tok.value)
-            if stream.at("punct", ","):
-                stream.next()
-                continue
-            break
-        stream.expect("punct", "]")
-        return tuple(names)
-
-    def atom_arg() -> str:
+    def read_name(what: str = "a name") -> str:
         tok = stream.peek()
         if tok.kind != "atom":
-            raise ParseError("expected a name", tok.line, tok.col)
+            raise ParseError(f"expected {what}", tok.line, tok.col)
         stream.next()
         return tok.value
+
+    def read_names() -> tuple[str, ...]:
+        stream.expect("punct", "[")
+        out = [read_name("an attribute name")]
+        while stream.at("punct", ","):
+            stream.next()
+            out.append(read_name("an attribute name"))
+        stream.expect("punct", "]")
+        return tuple(out)
 
     while not stream.at("eof"):
         tok = stream.peek()
         if tok.kind != "atom":
             raise ParseError("expected a schema directive", tok.line, tok.col)
         stream.next()
-        if tok.value == "drop_id":
-            stream.expect("end")
-            drop_id = True
-            continue
-        stream.expect("punct", "(")
-        if tok.value == "table":
-            name = atom_arg()
-            stream.expect("punct", ",")
-            attrs = atom_list()
-            if name in tables:
-                raise ParseError(f"table {name!r} declared twice", tok.line, tok.col)
-            tables[name] = Table(name, attrs)
-        elif tok.value == "key":
-            name = atom_arg()
-            stream.expect("punct", ",")
-            keys.append((name, atom_list()))
-        elif tok.value == "fk":
-            name = atom_arg()
-            stream.expect("punct", ",")
-            attrs = atom_list()
-            stream.expect("punct", ",")
-            fks.append((name, attrs, atom_arg()))
-        elif tok.value == "background":
-            background.append(atom_arg())
-        elif tok.value == "elide":
-            elide.append(atom_arg())
-        elif tok.value == "example_id":
-            name = atom_arg()
-            stream.expect("punct", ",")
-            if example_id is not None:
-                raise ParseError("example_id declared twice", tok.line, tok.col)
-            example_id = (name, atom_arg())
-        elif tok.value == "class_attr":
-            name = atom_arg()
-            stream.expect("punct", ",")
-            class_attr = (name, atom_arg())
-        else:
-            raise ParseError(f"unknown schema directive {tok.value!r}", tok.line, tok.col)
-        stream.expect("punct", ")")
+        shape = _SHAPES.get(tok.value)
+        if shape != ():
+            stream.expect("punct", "(")
+            if shape is None:
+                raise ParseError(f"unknown schema directive {tok.value!r}", tok.line, tok.col)
+        args = []
+        for kind in shape:
+            if args:
+                stream.expect("punct", ",")
+            args.append(read_names() if kind is _NAMES else read_name())
+        if tok.value in _ONCE:
+            what = _ONCE[tok.value].format(*args)
+            if what in declared:
+                raise ParseError(f"{what} declared twice", tok.line, tok.col)
+            declared.add(what)
+        if shape:
+            stream.expect("punct", ")")
         stream.expect("end")
+        found[tok.value].append(args)
+
+    tables = {name: Table(name, attrs) for name, attrs in found["table"]}
 
     def table_of(name, what):
         t = tables.get(name)
@@ -183,43 +173,36 @@ def parse_schema(text: str) -> Schema:
             raise ParseError(f"{what} references undeclared table {name!r}")
         return t
 
-    for name, attrs in keys:
+    for name, attrs in found["key"]:
         t = table_of(name, "key")
         _check_attrs(t, attrs, "key")
         t.key = attrs
-    by_table: dict[str, list[ForeignKey]] = {}
-    for name, attrs, target in fks:
+    for name, attrs, target in found["fk"]:
         t = table_of(name, "fk")
         _check_attrs(t, attrs, "fk")
-        tt = table_of(target, "fk target")
-        if not tt.background and len(tt.key) != len(attrs):
+        if len(table_of(target, "fk target").key) != len(attrs):
             raise ParseError(
-                f"fk {name}{attrs} -> {target}: target must declare a key of the same arity"
+                f"fk({render_atom(name)}, [{', '.join(map(render_atom, attrs))}], "
+                f"{render_atom(target)}): target must declare a key of the same arity"
             )
-        by_table.setdefault(name, []).append(ForeignKey(attrs, target))
-    for name, lst in by_table.items():
-        tables[name].fks = tuple(lst)
-    for name in background:
+        t.fks += (ForeignKey(attrs, target),)
+    for (name,) in found["background"]:
         table_of(name, "background").background = True
-    for name in elide:
+    for (name,) in found["elide"]:
         table_of(name, "elide").elide = True
-    if example_id is None:
+    if not found["example_id"]:
         raise ParseError("schema must declare example_id(table, attr)")
-    root = table_of(example_id[0], "example_id")
-    _check_attrs(root, (example_id[1],), "example_id")
+    [(root_name, id_attr)] = found["example_id"]
+    root = table_of(root_name, "example_id")
+    _check_attrs(root, (id_attr,), "example_id")
     if root.background:
         raise ParseError("the example table cannot be background")
-    if class_attr is not None:
-        if class_attr[0] != root.name:
+    class_attr = None
+    for table_name, class_attr in found["class_attr"]:
+        if table_name != root.name:
             raise ParseError("class_attr must be on the example table")
-        _check_attrs(root, (class_attr[1],), "class_attr")
-    return Schema(
-        tables,
-        example_id[0],
-        example_id[1],
-        class_attr[1] if class_attr else None,
-        drop_id,
-    )
+        _check_attrs(root, (class_attr,), "class_attr")
+    return Schema(tables, root_name, id_attr, class_attr, bool(found["drop_id"]))
 
 
 def _check_attrs(table: Table, attrs, what: str):
@@ -228,20 +211,19 @@ def _check_attrs(table: Table, attrs, what: str):
             raise ParseError(f"{what}: {table.name!r} has no attribute {a!r}")
 
 
-@dataclass
-class Snapshot:
-    rows: dict[str, list[tuple[Term, ...]]]
+Rows = dict[str, list[tuple[Term, ...]]]
 
 
-def load_snapshot(directory, schema: Schema, delimiter: str = ",") -> Snapshot:
+def load_snapshot(directory, schema: Schema, delimiter: str = ",") -> Rows:
+    """The rows of each table of ``schema``, read from ``<name>.csv``."""
     directory = Path(directory)
-    rows: dict[str, list[tuple[Term, ...]]] = {}
+    rows: Rows = {}
     for name, table in schema.tables.items():
         path = directory / f"{name}.csv"
         if not path.exists():
             raise DataError(f"missing table file {path}")
         with open(path, "r", encoding="utf-8", newline="") as f:
-            table_rows = []
+            table_rows = rows[name] = []
             for lineno, cells in enumerate(csv.reader(f, delimiter=delimiter), 1):
                 if not cells or (len(cells) == 1 and not cells[0].strip()):
                     continue
@@ -253,121 +235,120 @@ def load_snapshot(directory, schema: Schema, delimiter: str = ",") -> Snapshot:
                     table_rows.append(tuple(cell_term(c) for c in cells))
                 except DataError as e:
                     raise DataError(f"{path}:{lineno}: {e}") from None
-            rows[name] = table_rows
-    return Snapshot(rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # Closure
 
 
+def _group(pairs) -> dict:
+    """Each key of the ``(key, item)`` pairs mapped to its items, in order."""
+    index: dict = {}
+    for key, item in pairs:
+        index.setdefault(key, []).append(item)
+    return index
+
+
+def _by_cells(rows, pos) -> dict[tuple, list[int]]:
+    return _group((tuple(row[p] for p in pos), ri) for ri, row in enumerate(rows))
+
+
 class _Indexes:
-    def __init__(self, snapshot: Snapshot, schema: Schema):
-        self._snapshot = snapshot
-        self._schema = schema
-        self._seeds: dict[str, dict[Term, list[tuple[str, int]]]] = {}
-        self.key_rows: dict[str, dict[tuple, list[int]]] = {}
-        self.fk_rows: dict[tuple[str, int], dict[tuple, list[int]]] = {}
-        self.inbound: dict[str, list[tuple[str, int]]] = {}
-        for name, table in schema.tables.items():
-            if table.key:
-                pos = table.positions(table.key)
-                index: dict[tuple, list[int]] = {}
-                for ri, row in enumerate(snapshot.rows[name]):
-                    index.setdefault(tuple(row[p] for p in pos), []).append(ri)
-                self.key_rows[name] = index
-            for fi, fk in enumerate(table.fks):
+    """Everything one conversion looks up, built once: the example ids with
+    their root rows, the seed rows of each cell value, and per table the
+    foreign keys to follow out of a row and the rows whose foreign keys
+    point into it.  ``warnings`` is the ordered set of dangling-key messages
+    met so far."""
+
+    def __init__(self, rows: Rows, schema: Schema, containing: str, strict_fk: bool):
+        tables = schema.tables
+        root = tables[schema.example_table]
+        self.rows, self.schema, self.strict_fk = rows, schema, strict_fk
+        self.warnings: dict[str, None] = {}
+        self.id_pos = root.attrs.index(schema.id_attr)
+        self.examples = _group((row[self.id_pos], row) for row in rows[root.name])
+        keys = {name: _by_cells(rows[name], t.positions(t.key)) for name, t in tables.items() if t.key}
+        self.follow: dict[str, list] = {}
+        inbound: dict[str, list] = {}
+        for name, table in tables.items():
+            if table.background:
+                continue
+            self.follow[name] = []
+            for fk in table.fks:
+                if tables[fk.target].background:
+                    continue  # background boundary: follow zero steps
                 pos = table.positions(fk.attrs)
-                index = {}
-                for ri, row in enumerate(snapshot.rows[name]):
-                    index.setdefault(tuple(row[p] for p in pos), []).append(ri)
-                self.fk_rows[(name, fi)] = index
-                if not table.background:
-                    self.inbound.setdefault(fk.target, []).append((name, fi))
-
-    def seeds(self, containing: str) -> dict[Term, list[tuple[str, int]]]:
-        """Each cell value mapped to the non-background rows that contain it
-        (in any cell, or in a key cell for ``containing="key"``), in table
-        declaration order then row order; built once per mode."""
-        index = self._seeds.get(containing)
-        if index is None:
-            index = self._seeds[containing] = {}
-            for name, table in self._schema.tables.items():
-                if table.background:
-                    continue
-                if containing == "key":
-                    pos = table.positions(table.key) if table.key else ()
-                else:
-                    pos = range(len(table.attrs))
-                for ri, row in enumerate(self._snapshot.rows[name]):
-                    for value in {row[p] for p in pos}:
-                        index.setdefault(value, []).append((name, ri))
-        return index
+                self.follow[name].append((fk, pos, keys[fk.target]))
+                inbound.setdefault(fk.target, []).append((name, _by_cells(rows[name], pos)))
+        self.inbound = {
+            name: (tables[name].positions(tables[name].key), sources) for name, sources in inbound.items()
+        }
+        # Each cell value mapped to the non-background rows that contain it
+        # (in any cell, or in a key cell), in table then row order.
+        self.seeds = _group(
+            (value, (name, ri))
+            for name, table in tables.items()
+            if not table.background
+            for pos in [table.positions(table.key) if containing == "key" else range(len(table.attrs))]
+            for ri, row in enumerate(rows[name])
+            for value in {row[p] for p in pos}
+        )
 
 
-def _closure(
-    snapshot: Snapshot,
-    schema: Schema,
-    idx: _Indexes,
-    id_value: Term,
-    strict_fk: bool,
-    containing: str,
-    warnings: dict[str, None],
-):
-    """The rows collected for one example id.  ``warnings`` is an ordered
-    set of the dangling-key messages met so far."""
+def _closure(idx: _Indexes, id_value: Term) -> set[tuple[str, int]]:
+    """The ``(table, row number)`` pairs collected for one example id."""
     selected: set[tuple[str, int]] = set()
-    queue = list(idx.seeds(containing).get(id_value, ()))
+    queue = list(idx.seeds.get(id_value, ()))
     while queue:
         item = queue.pop()
         if item in selected:
             continue
         selected.add(item)
         name, ri = item
-        table = schema.tables[name]
-        row = snapshot.rows[name][ri]
-        for fi, fk in enumerate(table.fks):
-            target = schema.tables[fk.target]
-            if target.background:
-                continue  # background boundary: follow zero steps
-            value = tuple(row[p] for p in table.positions(fk.attrs))
-            refs = idx.key_rows.get(fk.target, {}).get(value, [])
+        row = idx.rows[name][ri]
+        for fk, pos, key_rows in idx.follow[name]:
+            value = tuple(row[p] for p in pos)
+            refs = key_rows.get(value, ())
             if not refs:
                 msg = (
                     f"dangling foreign key {name}.{'/'.join(fk.attrs)} = "
                     f"{','.join(render_term(v) for v in value)} (no row in {fk.target})"
                 )
-                if strict_fk:
+                if idx.strict_fk:
                     raise DataError(msg)
-                warnings[msg] = None
-            for rj in refs:
-                queue.append((fk.target, rj))
-        if table.key:
-            key_value = tuple(row[p] for p in table.positions(table.key))
-            for src_name, fi in idx.inbound.get(name, ()):
-                for rj in idx.fk_rows[(src_name, fi)].get(key_value, ()):
-                    queue.append((src_name, rj))
+                idx.warnings[msg] = None
+            queue.extend((fk.target, rj) for rj in refs)
+        if name in idx.inbound:
+            pos, sources = idx.inbound[name]
+            value = tuple(row[p] for p in pos)
+            for src, fk_rows in sources:
+                queue.extend((src, rj) for rj in fk_rows.get(value, ()))
     return selected
 
 
-def _selected_facts(snapshot, schema, selected) -> list[Literal]:
+def _example_facts(idx: _Indexes, id_value: Term) -> list[Literal]:
+    """The closure of one example id as ground facts, in table-declaration
+    order then row order, without elided and background tables."""
+    if id_value not in idx.examples:
+        raise DataError(f"unknown example id {render_term(id_value)}")
+    schema = idx.schema
+    row_numbers = _group(_closure(idx, id_value))
     facts: list[Literal] = []
-    drop_pos = None
-    if schema.drop_id:
-        drop_pos = schema.tables[schema.example_table].attrs.index(schema.id_attr)
     for name, table in schema.tables.items():
         if table.elide or table.background:
             continue
-        for ri in sorted(ri for (n, ri) in selected if n == name):
-            row = snapshot.rows[name][ri]
-            if name == schema.example_table and drop_pos is not None:
-                row = tuple(c for p, c in enumerate(row) if p != drop_pos)
+        drop = schema.drop_id and name == schema.example_table
+        for ri in sorted(row_numbers.get(name, ())):
+            row = idx.rows[name][ri]
+            if drop:
+                row = row[: idx.id_pos] + row[idx.id_pos + 1 :]
             facts.append(Literal(name, row))
     return facts
 
 
 def extract_example(
-    snapshot: Snapshot,
+    snapshot: Rows,
     schema: Schema,
     id_value: Term,
     strict_fk: bool = False,
@@ -375,16 +356,11 @@ def extract_example(
 ) -> list[Literal]:
     """The fixpoint closure for one example id, converted to ground facts in
     table-declaration order then row order."""
-    idx = _Indexes(snapshot, schema)
-    warnings: dict[str, None] = {}
-    root = schema.tables[schema.example_table]
-    id_pos = root.attrs.index(schema.id_attr)
-    if all(row[id_pos] != id_value for row in snapshot.rows[root.name]):
-        raise DataError(f"unknown example id {render_term(id_value)}")
-    selected = _closure(snapshot, schema, idx, id_value, strict_fk, containing, warnings)
-    for w in warnings:
+    idx = _Indexes(snapshot, schema, containing, strict_fk)
+    facts = _example_facts(idx, id_value)
+    for w in idx.warnings:
         log.warning("%s", w)
-    return _selected_facts(snapshot, schema, selected)
+    return facts
 
 
 @dataclass
@@ -396,7 +372,7 @@ class ConversionReport:
 
 
 def convert_all(
-    snapshot: Snapshot,
+    snapshot: Rows,
     schema: Schema,
     out_data,
     out_background,
@@ -406,57 +382,42 @@ def convert_all(
     """One begin/end block per distinct example id in first-occurrence order,
     plus the background tables as a fact program.  Locality (no example
     mentioning another example's id) is checked and reported, not assumed."""
-    idx = _Indexes(snapshot, schema)
-    root = schema.tables[schema.example_table]
-    id_pos = root.attrs.index(schema.id_attr)
-    class_pos = root.attrs.index(schema.class_attr) if schema.class_attr else None
-    root_rows = snapshot.rows[root.name]
-    if not root_rows:
+    idx = _Indexes(snapshot, schema, containing, strict_fk)
+    if not idx.examples:
         raise DataError("no examples: the example table is empty")
-    # Each example id, in first-occurrence order, with the class cells of
-    # its rows.
-    labels_of: dict[Term, set[Term]] = {}
-    for row in root_rows:
-        labels = labels_of.setdefault(row[id_pos], set())
-        if class_pos is not None:
-            labels.add(row[class_pos])
+    root = schema.tables[schema.example_table]
+    class_pos = root.attrs.index(schema.class_attr) if schema.class_attr else None
     report = ConversionReport(0, 0)
-    warnings: dict[str, None] = {}
     with open(out_data, "w", encoding="utf-8") as f:
-        for id_value, labels in labels_of.items():
-            selected = _closure(snapshot, schema, idx, id_value, strict_fk, containing, warnings)
-            label = None
-            if class_pos is not None:
-                if len(labels) != 1:
-                    raise DataError(
-                        f"conflicting class values for example {render_term(id_value)}"
-                    )
-                label = labels.pop()
-                if not isinstance(label, Atom) or not label.name:
-                    raise DataError(
-                        f"missing or non-atom class value for example {render_term(id_value)}"
-                    )
-            facts = _selected_facts(snapshot, schema, selected)
+        for id_value, root_rows in idx.examples.items():
+            facts = _example_facts(idx, id_value)
             for fact in facts:
                 for cell in fact.args:
-                    if cell != id_value and cell in labels_of:
+                    if cell != id_value and cell in idx.examples:
                         report.locality_violations.append(
                             f"example {render_term(id_value)} mentions "
                             f"{render_term(cell)} in {fact.pred}"
                         )
-            f.write(f"begin(model({render_term(id_value)})).\n")
-            if label is not None:
-                f.write(f"  {render_atom(label.name)}.\n")
-            for fact in facts:
-                f.write(f"  {render_fact(fact)}\n")
-            f.write(f"end(model({render_term(id_value)})).\n")
+            if class_pos is not None:
+                labels = {row[class_pos] for row in root_rows}
+                if len(labels) != 1:
+                    raise DataError(
+                        f"conflicting class values for example {render_term(id_value)}"
+                    )
+                [label] = labels
+                if not isinstance(label, Atom) or not label.name:
+                    raise DataError(
+                        f"missing or non-atom class value for example {render_term(id_value)}"
+                    )
+                facts.insert(0, Literal(label.name, ()))
+            write_block(f, id_value, facts)
             report.example_count += 1
-    report.warnings = list(warnings)
+    report.warnings = list(idx.warnings)
     with open(out_background, "w", encoding="utf-8") as f:
         for name, table in schema.tables.items():
             if not table.background:
                 continue
-            for row in snapshot.rows[name]:
+            for row in snapshot[name]:
                 f.write(render_fact(Literal(name, row)) + "\n")
                 report.background_fact_count += 1
     for v in report.locality_violations:

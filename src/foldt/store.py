@@ -41,6 +41,7 @@ from .terms import (
     Term,
     is_ground,
     read_clauses,
+    render_fact,
     render_term,
 )
 
@@ -374,6 +375,16 @@ def iter_kb_blocks(path, classes, allow_unlabeled: bool = False) -> Iterator[Int
             facts.append(fact)
         if ident is not None:
             raise DataError(f"unterminated block {render_term(ident)} at end of file")
+
+
+def write_block(f, ident: Term, facts: Iterable[Literal]) -> None:
+    """Write one example as the ``begin/end`` block that ``iter_kb_blocks``
+    reads: each fact on a line of its own, the class among them as a
+    nullary fact."""
+    f.write(f"begin(model({render_term(ident)})).\n")
+    for fact in facts:
+        f.write(f"  {render_fact(fact)}\n")
+    f.write(f"end(model({render_term(ident)})).\n")
 
 
 def _block_marker(fact: Literal, line: int):

@@ -81,26 +81,37 @@ elide(contains).
 """
 
 
-def bongard_tables(n, seed):
+BONGARD_LABELLED_SCHEMA = (
+    BONGARD_SCHEMA.replace("table(contains, [picture, object]).", "table(contains, [picture, object, class]).")
+    + "class_attr(contains, class).\n"
+)
+
+
+def bongard_tables(n, seed, labelled=False):
     """Tables for ``BONGARD_SCHEMA`` with ``n`` pictures of 2 to 5 objects
     each: every object a circle or a pointing triangle, and one object of
-    each picture inside another."""
+    each picture inside another.  With ``labelled``, the tables are for
+    ``BONGARD_LABELLED_SCHEMA``: ``contains`` gets the class of the picture,
+    ``pos`` iff a triangle is inside an object, the concept of the scene
+    generator."""
     rng = random.Random(seed)
     tables = {name: [] for name in ("contains", "circle", "triangle", "points", "inside")}
     obj = 0
     for picture in range(1, n + 1):
-        objects = []
+        objects, triangles = [], set()
         for _ in range(rng.randint(2, 5)):
             obj += 1
             objects.append(f"o{obj}")
-            tables["contains"].append(f"{picture},o{obj}\n")
             if rng.random() < 0.5:
                 tables["circle"].append(f"o{obj}\n")
             else:
+                triangles.add(f"o{obj}")
                 tables["triangle"].append(f"o{obj}\n")
                 tables["points"].append(f"o{obj},{rng.choice(('up', 'down'))}\n")
         inner, outer = rng.sample(objects, 2)
         tables["inside"].append(f"{inner},{outer}\n")
+        label = ("," + ("pos" if inner in triangles else "neg")) if labelled else ""
+        tables["contains"].extend(f"{picture},{o}{label}\n" for o in objects)
     return {f"{name}.csv": "".join(rows) for name, rows in tables.items()}
 
 

@@ -369,3 +369,19 @@ def test_classify_unlabeled(tmp_path, bias_file, data_file, capsys):
     captured = capsys.readouterr()
     assert "u1\t?\tpos" in captured.out
     assert "classified 1 examples" in captured.err
+
+
+def test_a_class_label_that_needs_quotes_survives_learn_save_and_classify(tmp_path, capsys):
+    bias = tmp_path / "bias.s"
+    bias.write_text(BONGARD_BIAS_TEXT.replace("classes([pos,neg])", "classes(['Big One',neg])"))
+    data = tmp_path / "b12.kb"
+    data.write_text(bongard12_kb_text().replace("  pos.\n", "  'Big One'.\n"))
+    model_path = tmp_path / "m.foldt"
+    assert main(["learn", "--data", str(data), "--settings", str(bias), "--out", str(model_path)]) == 0
+    assert "class('Big One') :- " in model_path.read_text()
+    assert load_model(model_path).classes == ("Big One", "neg")
+    preds = tmp_path / "preds.tsv"
+    capsys.readouterr()
+    assert main(["classify", "--model", str(model_path), "--data", str(data), "--out", str(preds)]) == 0
+    assert "accuracy 12/12 = 1.00000" in capsys.readouterr().out
+    assert "\tBig One\tBig One" in preds.read_text()

@@ -1,7 +1,11 @@
+import logging
+import re
 import time
 
 import pytest
+from conftest import learn_with
 from rdb_fixtures import (
+    BONGARD_LABELLED_SCHEMA,
     BONGARD_SCHEMA,
     BONGARD_TABLES,
     CHEM_SCHEMA,
@@ -16,7 +20,8 @@ from foldt.bench import fit_loglog_slope
 from foldt.errors import DataError, ParseError
 from foldt.rdb import cell_term, convert_all, extract_example, load_snapshot, parse_schema
 from foldt.settings import parse_settings
-from foldt.store import iter_kb_blocks
+from foldt.model import classify, serialize
+from foldt.store import iter_kb_blocks, load_dataset
 from foldt.terms import Atom, Number, parse_term, render_fact
 
 
@@ -230,3 +235,167 @@ def test_convert_all_time_grows_linearly(tmp_path):
         seconds.append(best)
     slope = fit_loglog_slope(sizes, seconds)
     assert slope <= 1.3, (slope, seconds)
+
+
+# ---------------------------------------------------------------------------
+# Pinning tests: containing modes, locality, class facts, and convert_all
+# against extract_example
+
+# Three examples that mention each other through ``sim``, and a key table
+# ``notes`` that names example c only in a non-key cell.
+LINKED_TABLES = {
+    "m.csv": "a,x\nb,y\nc,z\n",
+    "sim.csv": "a,b\nb,c\nq,a\n",
+    "notes.csv": "n1,c\nn2,zz\n",
+}
+LINKED_SCHEMA = """
+table(m, [id, v]). key(m, [id]).
+table(sim, [l, r]). fk(sim, [l], m).
+table(notes, [k, about]). key(notes, [k]).
+example_id(m, id).
+"""
+
+
+@pytest.fixture
+def linked(tmp_path):
+    schema = parse_schema(LINKED_SCHEMA)
+    return load_snapshot(write_tables(tmp_path / "linked", LINKED_TABLES), schema), schema
+
+
+def test_containing_any_seeds_every_cell_and_key_only_key_cells(linked):
+    snapshot, schema = linked
+
+    def facts(ident, containing):
+        return [render_fact(f)[:-1] for f in extract_example(snapshot, schema, Atom(ident), containing=containing)]
+
+    assert facts("c", "any") == ["m(b,y)", "m(c,z)", "sim(b,c)", "notes(n1,c)"]
+    assert facts("c", "key") == ["m(c,z)"]
+    assert facts("a", "any") == ["m(a,x)", "sim(a,b)", "sim(q,a)"]
+    assert facts("a", "key") == ["m(a,x)", "sim(a,b)"]
+
+
+def test_locality_violations_are_reported_in_order(linked, tmp_path, caplog):
+    snapshot, schema = linked
+    with caplog.at_level(logging.WARNING, logger="foldt.rdb"):
+        report = convert_all(snapshot, schema, tmp_path / "x.kb", tmp_path / "x.pl")
+    assert report.locality_violations == [
+        "example a mentions b in sim",
+        "example b mentions a in m",
+        "example b mentions a in sim",
+        "example b mentions c in sim",
+        "example c mentions b in m",
+        "example c mentions b in sim",
+    ]
+    assert report.warnings == ["dangling foreign key sim.l = q (no row in m)"]
+    logged = [r.getMessage() for r in caplog.records if r.message.startswith("locality")]
+    assert logged == [f"locality: {v}" for v in report.locality_violations]
+
+
+def test_class_attr_writes_the_label_as_the_first_fact_of_each_block(tmp_path):
+    d = write_tables(tmp_path / "chem", CHEM_TABLES)
+    schema = parse_schema(CHEM_SCHEMA_WITH_CLASS)
+    out_kb = tmp_path / "chem.kb"
+    convert_all(load_snapshot(d, schema), schema, out_kb, tmp_path / "bg.pl")
+    text = out_kb.read_text()
+    h2o = "".join(f"  {f}.\n" for f in H2O_FACTS)
+    assert text.startswith(f"begin(model('H2O')).\n  inorganic.\n{h2o}end(model('H2O')).\n")
+    assert "begin(model('CH4')).\n  organic.\n  molecules('CH4',methane,organic).\nend(model('CH4')).\n" in text
+
+
+def _chemical_case(tmp_path, containing):
+    rows = [line.split(",") for line in CHEM_TABLES["molecules.csv"].splitlines()]
+    return (
+        write_tables(tmp_path / "chem", CHEM_TABLES),
+        CHEM_SCHEMA_WITH_CLASS,
+        ("inorganic", "organic"),
+        {cell_term(r[0]): r[2] for r in rows},
+        containing,
+    )
+
+
+def _bongard_case(tmp_path, seed, labelled=False):
+    tables = bongard_tables(40, seed, labelled)
+    rows = [line.split(",") for line in tables["contains.csv"].splitlines()]
+    return (
+        write_tables(tmp_path / "bon", tables),
+        BONGARD_LABELLED_SCHEMA if labelled else BONGARD_SCHEMA,
+        ("pos", "neg") if labelled else (),
+        {cell_term(r[0]): r[2] if labelled else "" for r in rows},
+        "any",
+    )
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda p: _chemical_case(p, "any"),
+        lambda p: _chemical_case(p, "key"),
+        lambda p: _bongard_case(p, 1),
+        lambda p: _bongard_case(p, 2),
+        lambda p: _bongard_case(p, 3),
+        lambda p: _bongard_case(p, 4, labelled=True),
+    ],
+    ids=["chem-any", "chem-key", "bongard-1", "bongard-2", "bongard-3", "bongard-labelled"],
+)
+def test_convert_all_blocks_are_the_extracted_examples(tmp_path, case):
+    """Read back, every block of ``convert_all`` holds exactly the facts that
+    ``extract_example`` gives its id, and its class label."""
+    tables, schema_text, classes, labels, containing = case(tmp_path)
+    schema = parse_schema(schema_text)
+    snapshot = load_snapshot(tables, schema)
+    out_kb = tmp_path / "out.kb"
+    convert_all(snapshot, schema, out_kb, tmp_path / "bg.pl", containing=containing)
+    blocks = list(iter_kb_blocks(out_kb, classes, allow_unlabeled=True))
+    assert [(b.ident, b.label) for b in blocks] == list(labels.items())
+    for b in blocks:
+        assert list(b.facts) == extract_example(snapshot, schema, b.ident, containing=containing)
+
+
+@pytest.mark.parametrize(
+    "second,message",
+    [
+        ("key(molecules, [name]).", "key of 'molecules' declared twice"),
+        ("class_attr(molecules, name).", "class_attr declared twice"),
+    ],
+)
+def test_repeated_key_or_class_attr_is_an_error_at_the_directive(second, message):
+    text = CHEM_SCHEMA_WITH_CLASS + second
+    with pytest.raises(ParseError, match=re.escape(message)) as e:
+        parse_schema(text)
+    assert e.value.line == text.count("\n") + 1
+
+
+def test_fk_arity_error_names_the_directive_as_schema_text():
+    text = CHEM_SCHEMA.replace("key(molecules, [formula])", "key(molecules, [formula, formula])")
+    with pytest.raises(
+        ParseError,
+        match=re.escape("fk(contains, [molecule], molecules): target must declare a key of the same arity"),
+    ):
+        parse_schema(text)
+
+
+BONGARD_RELATIONAL_BIAS = """
+classes([pos,neg]).
+rmode(5: triangle(+-V)).
+rmode(5: circle(+-V)).
+rmode(5: inside(+V,+-W)).
+rmode(5: inside(-V,+W)).
+rmode(5: points(+V,up)).
+rmode(5: points(+V,down)).
+"""
+
+
+def test_converted_labelled_bongard_tables_are_learned_alike_by_both_engines(tmp_path):
+    """The relational route end to end: tables, convert, store, learn."""
+    schema = parse_schema(BONGARD_LABELLED_SCHEMA)
+    snapshot = load_snapshot(write_tables(tmp_path / "lbon", bongard_tables(300, 5, labelled=True)), schema)
+    out_kb = tmp_path / "lbon.kb"
+    convert_all(snapshot, schema, out_kb, tmp_path / "bg.pl")
+    settings = parse_settings(BONGARD_RELATIONAL_BIAS)
+    data = load_dataset(out_kb, settings, tmp_path / "store")
+    lds = learn_with("lds", data, None, settings)
+    classic = learn_with("classic", data, None, settings)
+    assert serialize(lds).split("section tree")[1] == serialize(classic).split("section tree")[1]
+    examples = list(iter_kb_blocks(out_kb, settings.classes))
+    assert {e.label for e in examples} == {"pos", "neg"}
+    assert all(classify(lds, e) == e.label for e in examples)
