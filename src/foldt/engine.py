@@ -81,6 +81,7 @@ from .terms import (
     Term,
     Variable,
     is_ground,
+    line_pieces,
     literal_variables,
     read_clauses,
     render_literal,
@@ -190,7 +191,7 @@ EMPTY_BACKGROUND = Background(())
 
 def load_background(path) -> Background:
     with in_file(path), open(path, "r", encoding="utf-8") as f:
-        return Background(tuple(clause for _, clause in read_clauses(f)))
+        return Background(tuple(clause for _, clause in read_clauses(line_pieces(f))))
 
 
 # ---------------------------------------------------------------------------

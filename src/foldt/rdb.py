@@ -409,6 +409,8 @@ def convert_all(
                     raise DataError(
                         f"missing or non-atom class value for example {render_term(id_value)}"
                     )
+                if label.name == "!":  # the nullary fact would read back as the cut
+                    raise DataError(f"class value ! of example {render_term(id_value)} is not a class label")
                 facts.insert(0, Literal(label.name, ()))
             write_block(f, id_value, facts)
             report.example_count += 1

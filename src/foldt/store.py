@@ -40,6 +40,7 @@ from .terms import (
     Number,
     Term,
     is_ground,
+    line_pieces,
     read_clauses,
     render_fact,
     render_term,
@@ -201,8 +202,11 @@ def encode_record(interp: Interpretation) -> bytes:
         else:
             out.append(_FLOAT)
             out += key
-    for c in codes:
-        _put_uvarint(out, c)
+    if max(codes) < 0x80:  # each code is its own one-byte uvarint
+        out += bytes(codes)
+    else:
+        for c in codes:
+            _put_uvarint(out, c)
     return bytes(out)
 
 
@@ -324,7 +328,7 @@ def decode_record(buf: bytes, memo: dict | None = None) -> Interpretation:
 
 def iter_kb_blocks(path, classes, allow_unlabeled: bool = False) -> Iterator[Interpretation]:
     """Stream interpretations from a ``begin/end`` block file, read clause by
-    clause through ``terms.read_clauses``.
+    clause through ``terms.read_clauses`` from the file's ``line_pieces``.
 
     ``classes`` is the declared class-label list: exactly one matching nullary
     fact must appear in each block; it becomes the label and is removed from
@@ -336,7 +340,7 @@ def iter_kb_blocks(path, classes, allow_unlabeled: bool = False) -> Iterator[Int
     facts: list[Literal] = []
     label: str | None = None
     with in_file(path), open(path, "r", encoding="utf-8") as f:
-        for line, clause in read_clauses(f):
+        for line, clause in read_clauses(line_pieces(f)):
             if clause.body:
                 raise DataError(f"a data file holds facts, not rules (line {line})")
             fact = clause.head

@@ -46,7 +46,6 @@ is a ``ParseError`` at its position.
 """
 from __future__ import annotations
 
-import io
 import math
 import re
 from dataclasses import dataclass
@@ -187,14 +186,6 @@ def is_ground(term: Term) -> bool:
     return True
 
 
-def term_to_literal(term: Term, *, line=None, col=None) -> Literal:
-    if isinstance(term, Atom):
-        return Literal(term.name, ())
-    if isinstance(term, Compound):
-        return Literal(term.functor, term.args)
-    raise ParseError("a literal must be an atom or a compound term", line, col)
-
-
 def map_term(term: Term, fn) -> Term:
     """``term`` with every subterm ``t`` for which ``fn(t)`` is not None
     replaced by that value.  Subterms are visited left to right, outermost
@@ -219,23 +210,29 @@ def map_literals(literals, fn) -> tuple[Literal, ...]:
 
 # The lexical grammar, one named group per token kind.  Layout (space, tab,
 # CR, LF and %-comments) is absorbed before each token, and the unnamed last
-# alternative matches the end of the line.  Alternatives are tried in order:
-# a float before an int, a signed number before a '+'/'-' marker, a two-
-# character operator before one.  Unquoted lexemes are ASCII (Unicode goes
-# inside quotes), so digits are [0-9], never \d.  Python 3.10 has neither
-# possessive quantifiers nor atomic groups; ``(?!')`` instead keeps a quoted
-# atom from closing on the first quote of a ``''`` escape.
+# alternative matches the end of the text.  Alternatives are tried in order,
+# the most frequent first: an atom, then the punctuation that no other
+# alternative can start.  Where two alternatives can start alike, the longer
+# comes first: a float before an int, a signed number before a '+'/'-'
+# marker, a two-character operator before a ':' and an ``end`` before a '.'.
+# ``sign`` holds those last four punctuation marks; its tokens are of kind
+# ``punct``.  Unquoted lexemes are ASCII (Unicode goes inside quotes), so
+# digits are [0-9], never \d.  Python 3.10 has neither possessive
+# quantifiers nor atomic groups; ``(?!')`` instead keeps a quoted atom from
+# closing on the first quote of a ``''`` escape.  No token spans a line: a
+# quoted atom and a comment stop at a newline.
 _ATOM = r"[a-z][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*"
 _TOKEN_RE = re.compile(
     rf"""(?:[ \t\r\n]|%[^\n]*)*
-    (?: (?P<quoted>'(?:[^'\n]|'')*'(?!'))
-      | (?P<float>[+-]?[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))
-      | (?P<int>[+-]?[0-9]+)
-      | (?P<atom>{_ATOM})
+    (?: (?P<atom>{_ATOM})
+      | (?P<punct>[(),\[\]!])
+      | (?P<end>\.)(?=[ \t\r\n%]|\Z)
       | (?P<var>[A-Z_][A-Za-z0-9_]*)
       | (?P<op>:-|=<|>=|\\=|[=<>])
-      | (?P<end>\.)(?=[ \t\r\n%]|\Z)
-      | (?P<punct>[(),.\[\]:+!-])
+      | (?P<float>[+-]?[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))
+      | (?P<int>[+-]?[0-9]+)
+      | (?P<quoted>'(?:[^'\n]|'')*'(?!'))
+      | (?P<sign>[.:+-])
       | (?P<unterminated>')
       | (?P<unexpected>.)
       | \Z
@@ -243,6 +240,13 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 _UNQUOTED_ATOM_RE = re.compile(_ATOM + r"\Z")
+# The kind of a token by the index of its group, which ``Match.lastindex``
+# gives faster than ``lastgroup`` gives the name.
+_KINDS = (None,) + tuple(
+    "punct" if name == "sign" else name for name in sorted(_TOKEN_RE.groupindex, key=_TOKEN_RE.groupindex.get)
+)
+# The kinds whose value is not their text, or that are lexical errors.
+_CONVERTED = frozenset({"float", "int", "quoted", "unterminated", "unexpected"})
 
 
 class Token(NamedTuple):
@@ -253,53 +257,105 @@ class Token(NamedTuple):
     col: int
 
 
+def line_pieces(f, size: int = 1 << 16) -> Iterator[str]:
+    """The text of the open file ``f`` in pieces of whole lines: each the
+    next ``size`` characters and the rest of the line they end in."""
+    while piece := f.read(size):
+        yield piece + f.readline()
+
+
 def tokenize(text: str) -> list[Token]:
-    """Tokenize ``text``; raises ParseError with position on bad input."""
-    return [Token._make(tok) for toks in _clause_tokens(io.StringIO(text)) for tok in toks]
+    """Tokenize ``text``; raises ParseError with position on bad input.  The
+    last token is ``eof``, just after the token before it (at line 1, column
+    1 when there is none)."""
+    lexer = _Lexer((text,))
+    toks = [tok for clause in lexer.clauses() for tok in clause]
+    if not toks or toks[-1][0] != "eof":  # no tokens, or an ``end`` last
+        toks.append(("eof", "", None, toks[-1][3] + len(toks[-1][1]) if toks else 0))
+    return [Token(kind, lexeme, value, *lexer.position(pos)) for kind, lexeme, value, pos in toks]
 
 
-def _clause_tokens(lines: Iterable[str]) -> Iterator[list[tuple]]:
-    """The tokens of ``lines`` as tuples of ``Token``'s fields, one list per
-    clause, handed out at its ``end`` token.  The last list ends with ``eof``,
-    just after the last token (at line 1, column 1 when there is none).  A
-    lexical error hands out the tokens before it, and is raised next."""
-    toks: list[tuple] = []
-    last = ("eof", "", None, 1, 1)
-    for line, text in enumerate(lines, 1):
-        try:
-            for m in _TOKEN_RE.finditer(text):
-                kind = m.lastgroup
-                if kind is None:
+class _Lexer:
+    """The tokens of an iterable of items of whole lines, such as the pieces
+    of ``line_pieces`` or a single text; the end of an item ends a line.
+
+    A token is the tuple ``(kind, text, value, pos)``, ``pos`` being its
+    offset in the text the lexer holds, which is the current item, led by
+    the lines of a clause that began in an item before.  ``position`` turns
+    an offset into a line and column by counting newlines from the place
+    it was last asked about, so offsets must be asked about in order."""
+
+    def __init__(self, items: Iterable[str]):
+        self._items = items
+        self._text = ""
+        self._at = 0  # an offset in ``_text``, on line ``_line``
+        self._line = 1
+
+    def line(self, pos: int) -> int:
+        """The line of the offset ``pos``."""
+        self._line += self._text.count("\n", self._at, pos)
+        self._at = pos
+        return self._line
+
+    def position(self, pos: int) -> tuple[int, int]:
+        return self.line(pos), pos - self._text.rfind("\n", 0, pos)
+
+    def clauses(self) -> Iterator[list[tuple]]:
+        """The tokens, one list per clause, handed out at its ``end`` token
+        before anything after it is read.  A list that the input ends before
+        its ``end`` gets an ``eof`` token just after its last one.  A lexical
+        error hands out the tokens before it, and is raised next."""
+        finditer = _TOKEN_RE.finditer
+        kinds, converted = _KINDS, _CONVERTED
+        toks: list[tuple] = []
+        text = ""
+        for piece in self._items:
+            if piece[-1:] != "\n":
+                piece += "\n"
+            if toks:  # a clause runs on: keep its lines, and its tokens' places in them
+                cut = text.rfind("\n", 0, toks[0][3]) + 1
+                self._line += text.count("\n", self._at, cut)
+                text = text[cut:] + piece
+                toks = [(kind, lexeme, value, pos - cut) for kind, lexeme, value, pos in toks]
+            else:
+                self._line += text.count("\n", self._at)
+                text = piece
+            self._text, self._at = text, 0
+            error = None
+            for m in finditer(text, len(text) - len(piece)):
+                i = m.lastindex
+                if i is None:
                     break
-                lexeme = m[kind]
-                col = m.start(kind) + 1
-                if kind == "int":
+                kind, lexeme, pos = kinds[i], m[i], m.start(i)
+                if kind not in converted:
+                    value = lexeme
+                elif kind == "int":
                     try:
                         value = int(lexeme)
                     except ValueError:  # more digits than int() converts
-                        raise ParseError(f"number too long ({len(lexeme)} characters)", line, col) from None
+                        error = f"number too long ({len(lexeme)} characters)"
+                        break
                 elif kind == "float":
                     value = float(lexeme)
                     if not math.isfinite(value):
-                        raise ParseError("number out of range", line, col)
+                        error = "number out of range"
+                        break
                 elif kind == "quoted":
                     kind, value = "atom", lexeme[1:-1].replace("''", "'")
-                elif kind == "unterminated":
-                    raise ParseError("unterminated quote", line, col)
-                elif kind == "unexpected":
-                    raise ParseError(f"unexpected character {lexeme!r}", line, col)
                 else:
-                    value = lexeme
-                toks.append((kind, lexeme, value, line, col))
+                    error = "unterminated quote" if kind == "unterminated" else f"unexpected character {lexeme!r}"
+                    break
+                toks.append((kind, lexeme, value, pos))
                 if kind == "end":
                     yield toks
-                    last, toks = toks[-1], []
-        except ParseError:
+                    toks = []
+            if error is not None:
+                yield toks  # the parser may name one of them first, and places go in order
+                raise ParseError(error, *self.position(pos))
+        if toks:
+            last = toks[-1]
+            toks.append(("eof", "", None, last[3] + len(last[1])))
             yield toks
-            raise
-    last = (toks or [last])[-1]
-    toks.append(("eof", "", None, last[3], last[4] + len(last[1])))
-    yield toks
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +366,6 @@ def _clause_tokens(lines: Iterable[str]) -> Iterator[list[tuple]]:
 _WANTED = {"end": "'.' followed by layout to end the clause"}
 
 
-def _expected(want: str, tok) -> ParseError:
-    return ParseError(f"expected {want}, found {tok[1] or tok[0]!r}", tok[3], tok[4])
-
-
 class TermParser:
     """Recursive-descent parser over a list of tokens that ends with an
     ``end`` or ``eof`` token.  The grammar methods take the list and an index
@@ -321,7 +373,9 @@ class TermParser:
     only after taking the one before it, so tokens that a lexical error cut
     short run out (``IndexError``) where a parser pulling one token at a time
     would meet the error.  ``peek``, ``next``, ``expect``, ``at``, ``term``
-    and ``literal`` work at a cursor over the constructor's list.
+    and ``literal`` work at a cursor over the constructor's list of
+    ``Token``s.  ``where`` gives the line and column of a token, for errors:
+    by default its ``line`` and ``col``.
 
     Every bare ``_`` token becomes a distinct fresh variable (``_1``, ``_2``,
     ...); named underscore variables such as ``_Foo`` are kept as written.
@@ -330,11 +384,12 @@ class TermParser:
     None, a marker is a parse error.
     """
 
-    def __init__(self, tokens: list[Token] = ()):
+    def __init__(self, tokens: list[Token] = (), where=itemgetter(3, 4)):
         self.toks = tokens
         self.i = 0
         self._anon = 0
         self.modes: dict[str, str] | None = None
+        self.where = where
 
     def peek(self) -> Token:
         return self.toks[self.i]
@@ -348,7 +403,7 @@ class TermParser:
     def expect(self, kind: str, text: str | None = None) -> Token:
         tok = self.toks[self.i]
         if tok[0] != kind or (text is not None and tok[1] != text):
-            raise _expected(repr(text) if text is not None else _WANTED.get(kind, repr(kind)), tok)
+            raise self._expected(repr(text) if text is not None else _WANTED.get(kind, repr(kind)), tok)
         return self.next()
 
     def at(self, kind: str, text: str | None = None) -> bool:
@@ -370,7 +425,7 @@ class TermParser:
         tok = toks[i]
         if head.builtin or head.pred == "!":
             what = f"builtin {head.pred!r}" if head.builtin else "cut"
-            raise ParseError(f"{what} cannot appear in head position", toks[0][3], toks[0][4])
+            raise self._error(f"{what} cannot appear in head position", toks[0])
         body: list[Literal] = []
         sep = ":-"
         while tok[1] == sep:
@@ -378,37 +433,45 @@ class TermParser:
             body.append(lit)
             tok, sep = toks[i], ","
         if tok[0] != "end":
-            raise _expected(_WANTED["end"], tok)
+            raise self._expected(_WANTED["end"], tok)
         return Clause(head, tuple(body))
+
+    def _error(self, message: str, tok) -> ParseError:
+        return ParseError(message, *self.where(tok))
+
+    def _expected(self, want: str, tok) -> ParseError:
+        return self._error(f"expected {want}, found {tok[1] or tok[0]!r}", tok)
 
     def _literal(self, toks, i, allow_cut):
         tok = toks[i]
         if tok[1] == "!":
             if not allow_cut:
-                raise ParseError("cut is not allowed here", tok[3], tok[4])
+                raise self._error("cut is not allowed here", tok)
             return Literal("!", ()), i + 1
         if tok[0] == "atom":  # built as a literal unless a builtin follows
             args, i = self._args(toks, i + 2) if toks[i + 1][1] == "(" else ((), i + 1)
             if toks[i][1] not in BUILTIN_PREDS:
                 return Literal(tok[2], args), i
             lhs = Compound(tok[2], args) if args else Atom(tok[2])
-        else:
+        else:  # a variable or a number, which only a builtin makes a literal
             lhs, i = self._term(toks, i)
+            if toks[i][1] not in BUILTIN_PREDS:
+                raise self._error("a literal must be an atom or a compound term", tok)
         op = toks[i][1]
-        if op not in BUILTIN_PREDS:
-            return term_to_literal(lhs, line=tok[3], col=tok[4]), i
         rhs, i = self._term(toks, i + 1)
         return Literal(op, (lhs, rhs), builtin=True), i
 
     def _term(self, toks, i):
-        kind, text, value, line, col = toks[i]
+        tok = toks[i]
+        kind = tok[0]
         if kind == "atom":
             if toks[i + 1][1] == "(":
                 args, i = self._args(toks, i + 2)
-                return Compound(value, args), i
-            return Atom(value), i + 1
+                return Compound(tok[2], args), i
+            return Atom(tok[2]), i + 1
         if kind == "int" or kind == "float":
-            return Number(value), i + 1
+            return Number(tok[2]), i + 1
+        text = tok[1]
         if kind == "var":
             if text == "_":
                 name = self._fresh_anonymous()
@@ -416,11 +479,11 @@ class TermParser:
                     self.modes[name] = "-"  # each anonymous slot is a fresh output
                 return Variable(name), i + 1
             if self.modes is not None and text not in self.modes:
-                raise ParseError(f"variable {text} needs a mode marker at its first occurrence", line, col)
+                raise self._error(f"variable {text} needs a mode marker at its first occurrence", tok)
             return Variable(text), i + 1
         if text == "+" or text == "-":
             return self._marked_variable(toks, i)
-        raise ParseError(f"expected a term, found {text or kind!r}", line, col)
+        raise self._error(f"expected a term, found {text or kind!r}", tok)
 
     def _args(self, toks, i):
         """The comma-separated terms from ``toks[i]`` to a closing ``)``."""
@@ -430,24 +493,24 @@ class TermParser:
             arg, i = self._term(toks, i + 1)
             args.append(arg)
         if toks[i][1] != ")":
-            raise _expected("')'", toks[i])
+            raise self._expected("')'", toks[i])
         return tuple(args), i + 1
 
     def _marked_variable(self, toks, i):
         marker = toks[i]
         if self.modes is None:
-            raise ParseError("mode markers are not allowed here", marker[3], marker[4])
+            raise self._error("mode markers are not allowed here", marker)
         mode = marker[1]
         i += 1
         if mode == "+" and toks[i][1] == "-":
             mode, i = "+-", i + 1
         v = toks[i]
         if v[0] != "var":
-            raise ParseError("mode marker must precede a variable", v[3], v[4])
+            raise self._error("mode marker must precede a variable", v)
         if v[1] == "_":
             name = self._fresh_anonymous()
         elif v[1] in self.modes:
-            raise ParseError(f"variable {v[1]} already carries a mode marker", v[3], v[4])
+            raise self._error(f"variable {v[1]} already carries a mode marker", v)
         else:
             name = v[1]
         self.modes[name] = mode
@@ -470,34 +533,35 @@ def parse_term(text: str) -> Term:
     return term
 
 
-def read_clauses(lines: Iterable[str], allow_cut: bool = False) -> Iterator[tuple[int, Clause]]:
+def read_clauses(items: Iterable[str], allow_cut: bool = False) -> Iterator[tuple[int, Clause]]:
     """Stream ``(line, clause)`` pairs, ``line`` being where the clause
-    starts, from an iterable of text lines such as an open file.
+    starts, from an iterable of items of whole lines, such as the lines of
+    an open file or its ``line_pieces``.  The end of an item ends a line.
 
     Clauses are ``Head.`` facts and ``Head :- B1, ..., Bn.`` rules, each
-    ended by the tokenizer's ``end`` token.  Lines are read up to a clause's
+    ended by the tokenizer's ``end`` token.  Items are read up to a clause's
     ``end`` and no further before the clause is yielded, and at most one
-    clause's tokens are held at a time.  A syntax error takes precedence
-    over a lexical error later in the same clause: the tokens before a
-    lexical error are parsed first.  One ``TermParser`` serves all the
-    lines, so bare ``_`` variables are numbered through the whole input.
+    item (led by the lines of a clause begun before it) and one clause's
+    tokens are held at a time.  A syntax error takes precedence over a
+    lexical error later in the same clause: the tokens before a lexical
+    error are parsed first.  One ``TermParser`` serves all the items, so
+    bare ``_`` variables are numbered through the whole input.
     ``allow_cut`` admits ``!`` as a body literal, which the model-file
     decision-list section uses as a trailing marker token.
     """
-    parser = TermParser()
-    for toks in _clause_tokens(lines):
-        if toks and toks[0][0] == "eof":
-            return
+    lexer = _Lexer(items)
+    parser = TermParser(where=lambda tok: lexer.position(tok[3]))
+    for toks in lexer.clauses():
         try:
             clause = parser.clause(toks, allow_cut)
-        except IndexError:  # cut short by a lexical error, raised by the next list
+        except IndexError:  # cut short by a lexical error, raised next
             continue
-        yield toks[0][3], clause
+        yield lexer.line(toks[0][3]), clause
 
 
 def parse_program(text: str, allow_cut: bool = False) -> tuple[Clause, ...]:
     """Parse a sequence of facts and rules (see ``read_clauses``)."""
-    return tuple(clause for _, clause in read_clauses(io.StringIO(text), allow_cut))
+    return tuple(clause for _, clause in read_clauses((text,), allow_cut))
 
 # ---------------------------------------------------------------------------
 # Renderer

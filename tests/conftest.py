@@ -4,9 +4,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from oracles import term_to_literal
+
 from foldt.learner import learn
 from foldt.store import Interpretation
-from foldt.terms import parse_program, parse_term, term_to_literal
+from foldt.terms import parse_program, parse_term
 
 
 def mk_interp(ident_text, label, *fact_texts) -> Interpretation:

@@ -19,6 +19,8 @@ Last comes the parser that ``terms`` had before it parsed each clause from a
 list of tokens, the reference for ``terms.read_clauses``, ``parse_term`` and
 the directive grammars: a one-token-lookahead ``TokenStream`` that pulls
 tokens from the lazy ``_line_tokens`` as a ``TermParser`` advances.
+``_line_tokens`` scans one line at a time with its own copy of the token
+pattern that ``terms`` had then.
 Then comes the v1 chunk record codec, which wrote each fact as its
 predicate name and tagged argument terms, one after another in file order:
 the reference for ``store.encode_record`` and ``store.decode_record``.
@@ -31,6 +33,7 @@ the equality, hashing, ``repr`` and rendering of ``Atom``, ``Number``,
 import heapq
 import io
 import math
+import re
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -42,7 +45,6 @@ from foldt.errors import BudgetExceededError, DataError, ParseError, QueryError
 from foldt.model import Leaf
 from foldt.store import Interpretation
 from foldt.terms import (
-    _TOKEN_RE,
     BUILTIN_PREDS,
     Atom,
     Clause,
@@ -57,7 +59,6 @@ from foldt.terms import (
     render_atom,
     render_literal,
     render_term,
-    term_to_literal,
 )
 
 
@@ -684,6 +685,27 @@ def _scan_number(text: str, i: int, line: int, col: int):
 # quarter of the lexer's time on a large block file.
 _new_token = tuple.__new__
 
+# The token pattern that ``terms`` scanned each line with before it scanned
+# pieces of whole lines, kept here as it was, so that a change to the
+# package's pattern cannot change what this parser expects.  One named group
+# per token kind; alternatives are tried in order.
+_TOKEN_RE = re.compile(
+    r"""(?:[ \t\r\n]|%[^\n]*)*
+    (?: (?P<quoted>'(?:[^'\n]|'')*'(?!'))
+      | (?P<float>[+-]?[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))
+      | (?P<int>[+-]?[0-9]+)
+      | (?P<atom>[a-z][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*)
+      | (?P<var>[A-Z_][A-Za-z0-9_]*)
+      | (?P<op>:-|=<|>=|\\=|[=<>])
+      | (?P<end>\.)(?=[ \t\r\n%]|\Z)
+      | (?P<punct>[(),.\[\]:+!-])
+      | (?P<unterminated>')
+      | (?P<unexpected>.)
+      | \Z
+    )""",
+    re.VERBOSE,
+)
+
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize ``text``; raises ParseError with position on bad input."""
@@ -724,6 +746,14 @@ def _line_tokens(lines: Iterable[str]) -> Iterator[Token]:
 
 
 _WANTED = {"end": "'.' followed by layout to end the clause"}
+
+
+def term_to_literal(term: Term, *, line=None, col=None) -> Literal:
+    if isinstance(term, Atom):
+        return Literal(term.name, ())
+    if isinstance(term, Compound):
+        return Literal(term.functor, term.args)
+    raise ParseError("a literal must be an atom or a compound term", line, col)
 
 
 class TokenStream:

@@ -1,4 +1,4 @@
-"""Model files pinned byte for byte.
+"""Model files and compiled chunk stores pinned byte for byte.
 
 ``tests/data/golden-*.foldt`` were learned from the CI quick-start inputs:
 300 poker hands (seed 7) and 200 Bongard scenes (seed 7) with a background
@@ -6,12 +6,17 @@ program, each with both engines.  Learning them again must give the same
 bytes, except for the timings: every meta key ending in ``_seconds`` is
 masked before the comparison.
 """
+import hashlib
+import json
 import re
 from pathlib import Path
 
 import pytest
 
 from foldt.cli import main
+from foldt.generators import GenSpec, generate
+from foldt.settings import parse_settings
+from foldt.store import load_dataset
 
 DATA = Path(__file__).parent / "data"
 
@@ -72,3 +77,30 @@ def test_model_file_matches_golden(tmp_path, capsys, domain, algo):
     golden = (DATA / f"golden-{domain}-{algo}.foldt").read_text()
     assert _SECONDS.search(golden)
     assert _masked(out.read_text()) == _masked(golden)
+
+
+# The sha256 of ``chunks.bin`` and the ``fingerprint`` of ``meta.json`` for
+# 500 generated examples of each domain (seed 11) compiled at G=7, so that the
+# last chunk is a partial one.  Each block file is 70-75 kB, more than one
+# piece of the file reader.
+STORES = {
+    "poker": (
+        "63b5a98e83649a0b2513e94d7e169ed97d389f29875c300831c39083ff4ebd3a",
+        "494359800a4b293ab44819c30a403775d6326573a181821b533d1f0ff6b54b7c",
+    ),
+    "bongard": (
+        "2cc2054305f1404f774306d65b8b7cc09f964525df4e2237275210968663b945",
+        "bdbe6b18bbf2d3e2894ede770725a920612a7729bece4d70ce37c1d45916b9bf",
+    ),
+}
+
+
+@pytest.mark.parametrize("domain", sorted(STORES))
+def test_compiled_store_matches_pinned_bytes(tmp_path, domain):
+    _, settings, _ = DOMAINS[domain]
+    data = tmp_path / "train.kb"
+    generate(GenSpec(domain, 500, 11), data)
+    load_dataset(data, parse_settings(settings), tmp_path / "store", granularity=7)
+    chunks = hashlib.sha256((tmp_path / "store" / "chunks.bin").read_bytes()).hexdigest()
+    meta = json.loads((tmp_path / "store" / "meta.json").read_text())
+    assert (chunks, meta["fingerprint"]) == STORES[domain]

@@ -302,6 +302,17 @@ def test_class_attr_writes_the_label_as_the_first_fact_of_each_block(tmp_path):
     assert "begin(model('CH4')).\n  organic.\n  molecules('CH4',methane,organic).\nend(model('CH4')).\n" in text
 
 
+def test_a_cut_class_value_is_rejected_at_conversion(tmp_path):
+    """A nullary ``!`` fact reads back as the cut, so a class cell ``!``
+    could not be read from the data file; quoted, it is a cut head too."""
+    tables = dict(CHEM_TABLES)
+    tables["molecules.csv"] = tables["molecules.csv"].replace("CO,carbon monoxide,inorganic", "CO,carbon monoxide,!")
+    schema = parse_schema(CHEM_SCHEMA_WITH_CLASS)
+    snapshot = load_snapshot(write_tables(tmp_path / "chem", tables), schema)
+    with pytest.raises(DataError, match=r"^class value ! of example 'CO' is not a class label$"):
+        convert_all(snapshot, schema, tmp_path / "chem.kb", tmp_path / "bg.pl")
+
+
 def _chemical_case(tmp_path, containing):
     rows = [line.split(",") for line in CHEM_TABLES["molecules.csv"].splitlines()]
     return (

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 from collections import Counter
 
 import oracles
@@ -133,6 +134,26 @@ def test_last_clause_without_end_rejected(tmp_path, tail):
     with pytest.raises(ParseError) as e:
         list(iter_kb_blocks(path, POKER_SETTINGS.classes))
     assert e.value.line == 3
+
+
+def test_a_block_file_is_read_a_piece_at_a_time(tmp_path):
+    """Reading a 2 MB block file holds about 64 KiB of it at a time, and
+    counts lines across its pieces."""
+    comment = "% " + "x" * 998 + "\n"
+    blocks = "".join(f"begin(model({i})).\n{comment}{comment}  pair.\nend(model({i})).\n" for i in range(1000))
+    path = tmp_path / "big.kb"
+    path.write_text(blocks)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in iter_kb_blocks(path, POKER_SETTINGS.classes))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 1000 and peak < 512 * 1024
+    path.write_text(blocks + "begin(model(x)).\n  card(7,²).\n")
+    with pytest.raises(ParseError) as e:
+        list(iter_kb_blocks(path, POKER_SETTINGS.classes))
+    assert (e.value.message, e.value.line, e.value.column) == ("unexpected character '²'", 5002, 10)
 
 
 def test_compile_leaves_the_block_file_directory_as_it_was(tmp_path):

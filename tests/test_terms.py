@@ -24,6 +24,7 @@ from foldt.terms import (
     Token,
     Variable,
     is_ground,
+    line_pieces,
     parse_program,
     parse_term,
     read_clauses,
@@ -445,6 +446,53 @@ def test_read_clauses_agrees_with_the_reference_parser(text, allow_cut):
     place, as the parser that pulls one token at a time."""
     expected = _outcome(lambda t: list(oracles.read_clauses(io.StringIO(t), allow_cut)), text)
     assert _outcome(lambda t: list(read_clauses(io.StringIO(t), allow_cut)), text) == expected
+
+
+def _whole_line_items(text, cuts, size):
+    """``text`` cut into items of whole lines in each of five ways."""
+    lines = text.split("\n")
+    lines = [line + "\n" for line in lines[:-1]] + ([lines[-1]] if lines[-1] else [])
+    groups, start = [], 0
+    for k in sorted({c % (len(lines) + 1) for c in cuts}) + [len(lines)]:
+        if k > start:
+            groups.append("".join(lines[start:k]))
+            start = k
+    return {
+        "one item": [text],
+        "one per line": lines,
+        "random groups": groups,
+        "without newlines": [line.removesuffix("\n") for line in lines],
+        "file pieces": list(line_pieces(io.StringIO(text), size)),
+    }
+
+
+# Clauses with quoted atoms that hold a ``''`` escape, laid out over lines
+# with comments between them, and one time in two a last line with a
+# lexical error.
+_split_programs = st.builds(
+    lambda text, last: text + last,
+    st.builds(
+        _laid_out,
+        st.lists(_clause_lexemes, min_size=1, max_size=4).map(lambda cs: [x for c in cs for x in c]),
+        st.lists(st.sampled_from([" ", "\n", " % c.\n", "\n\n  ", "\r\n"]), min_size=1, max_size=4),
+        st.lists(st.tuples(st.integers(0, 40), st.sampled_from(["'it''s'", "'''' ", "%'\n"])), max_size=2),
+        st.none(),
+    ),
+    st.sampled_from(["", "", "", "\np(a, ²).", "\nq('open", "\nr(1e999).\n"]),
+)
+
+
+@hsettings(max_examples=300, deadline=None)
+@given(st.one_of(_split_programs, _programs), st.lists(st.integers(0, 60), max_size=6), st.integers(1, 24))
+@example("p('it''s',\n  b) :- % c\n  q(_).\nr(²).", [1], 3)
+def test_read_clauses_gives_the_same_for_any_cut_into_whole_lines(text, cuts, size):
+    """Same ``(line, clause)`` list, or the same ParseError at the same
+    place, whichever way the text is cut into items of whole lines."""
+    items = _whole_line_items(text, cuts, size)
+    assert "".join(items["file pieces"]) == text
+    assert all(piece.endswith("\n") for piece in items["file pieces"][:-1])
+    outcomes = {way: _outcome(lambda its: list(read_clauses(iter(its))), its) for way, its in items.items()}
+    assert len(set(map(repr, outcomes.values()))) == 1, outcomes
 
 
 @hsettings(max_examples=300, deadline=None)
