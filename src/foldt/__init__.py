@@ -42,7 +42,7 @@ from .model import (
     to_decision_list,
     tree_depth,
 )
-from .rdb import Schema, convert_all, extract_example, load_snapshot, parse_schema
+from .rdb import Schema, convert_all, load_snapshot, parse_schema
 from .settings import Settings, parse_settings, render_settings
 from .store import DatasetHandle, Interpretation, load_dataset, open_dataset
 from .terms import Atom, Clause, Compound, Literal, Number, Variable, parse_program, parse_term
@@ -69,7 +69,7 @@ __all__ = [
     "FOLDT", "INode", "Leaf", "Model", "classify", "deserialize", "eval_decision_list",
     "load_model", "save_model", "serialize", "to_decision_list", "tree_depth",
     # rdb
-    "Schema", "convert_all", "extract_example", "load_snapshot", "parse_schema",
+    "Schema", "convert_all", "load_snapshot", "parse_schema",
     # generators
     "GenSpec", "gen_bongard", "gen_poker", "replicate",
     # bench

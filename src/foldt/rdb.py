@@ -40,11 +40,10 @@ from .terms import (
     Literal,
     Number,
     Term,
-    TermParser,
+    lex_clauses,
     render_atom,
     render_fact,
     render_term,
-    tokenize,
 )
 
 log = logging.getLogger(__name__)
@@ -120,50 +119,49 @@ _ONCE = {
 
 
 def parse_schema(text: str) -> Schema:
-    stream = TermParser(tokenize(text))
+    clauses, parser = lex_clauses(text)
     found: dict[str, list[list]] = {d: [] for d in _SHAPES}
     declared: set[str] = set()
 
-    def read_name(what: str = "a name") -> str:
-        tok = stream.peek()
-        if tok.kind != "atom":
-            raise ParseError(f"expected {what}", tok.line, tok.col)
-        stream.next()
-        return tok.value
+    def read_name(toks, i, what: str = "a name"):
+        if toks[i][0] != "atom":
+            raise parser.error(f"expected {what}", toks[i])
+        return toks[i][2], i + 1
 
-    def read_names() -> tuple[str, ...]:
-        stream.expect("punct", "[")
-        out = [read_name("an attribute name")]
-        while stream.at("punct", ","):
-            stream.next()
-            out.append(read_name("an attribute name"))
-        stream.expect("punct", "]")
-        return tuple(out)
+    def read_names(toks, i):
+        name, i = read_name(toks, parser.expect(toks, i, "["), "an attribute name")
+        out = [name]
+        while toks[i][1] == ",":
+            name, i = read_name(toks, i + 1, "an attribute name")
+            out.append(name)
+        return tuple(out), parser.expect(toks, i, "]")
 
-    while not stream.at("eof"):
-        tok = stream.peek()
-        if tok.kind != "atom":
-            raise ParseError("expected a schema directive", tok.line, tok.col)
-        stream.next()
-        shape = _SHAPES.get(tok.value)
+    for toks in clauses:
+        tok = toks[0]
+        if tok[0] != "atom":
+            raise parser.error("expected a schema directive", tok)
+        directive = tok[2]
+        shape = _SHAPES.get(directive)
+        i = 1
         if shape != ():
-            stream.expect("punct", "(")
+            i = parser.expect(toks, i, "(")
             if shape is None:
-                raise ParseError(f"unknown schema directive {tok.value!r}", tok.line, tok.col)
+                raise parser.error(f"unknown schema directive {directive!r}", tok)
         args = []
         for kind in shape:
             if args:
-                stream.expect("punct", ",")
-            args.append(read_names() if kind is _NAMES else read_name())
-        if tok.value in _ONCE:
-            what = _ONCE[tok.value].format(*args)
+                i = parser.expect(toks, i, ",")
+            arg, i = read_names(toks, i) if kind is _NAMES else read_name(toks, i)
+            args.append(arg)
+        if directive in _ONCE:
+            what = _ONCE[directive].format(*args)
             if what in declared:
-                raise ParseError(f"{what} declared twice", tok.line, tok.col)
+                raise parser.error(f"{what} declared twice", tok)
             declared.add(what)
         if shape:
-            stream.expect("punct", ")")
-        stream.expect("end")
-        found[tok.value].append(args)
+            i = parser.expect(toks, i, ")")
+        parser.end(toks, i)
+        found[directive].append(args)
 
     tables = {name: Table(name, attrs) for name, attrs in found["table"]}
 
@@ -177,10 +175,14 @@ def parse_schema(text: str) -> Schema:
         t = table_of(name, "key")
         _check_attrs(t, attrs, "key")
         t.key = attrs
+    # The closure never follows a foreign key into a background table, so
+    # such a target needs no key.
+    background = {name for (name,) in found["background"]}
     for name, attrs, target in found["fk"]:
         t = table_of(name, "fk")
         _check_attrs(t, attrs, "fk")
-        if len(table_of(target, "fk target").key) != len(attrs):
+        target_key = table_of(target, "fk target").key
+        if target not in background and len(target_key) != len(attrs):
             raise ParseError(
                 f"fk({render_atom(name)}, [{', '.join(map(render_atom, attrs))}], "
                 f"{render_atom(target)}): target must declare a key of the same arity"
@@ -344,22 +346,6 @@ def _example_facts(idx: _Indexes, id_value: Term) -> list[Literal]:
             if drop:
                 row = row[: idx.id_pos] + row[idx.id_pos + 1 :]
             facts.append(Literal(name, row))
-    return facts
-
-
-def extract_example(
-    snapshot: Rows,
-    schema: Schema,
-    id_value: Term,
-    strict_fk: bool = False,
-    containing: str = "any",
-) -> list[Literal]:
-    """The fixpoint closure for one example id, converted to ground facts in
-    table-declaration order then row order."""
-    idx = _Indexes(snapshot, schema, containing, strict_fk)
-    facts = _example_facts(idx, id_value)
-    for w in idx.warnings:
-        log.warning("%s", w)
     return facts
 
 

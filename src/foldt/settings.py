@@ -29,13 +29,12 @@ from .terms import (
     Compound,
     Literal,
     Number,
-    TermParser,
     Variable,
+    lex_clauses,
     literal_variables,
     map_literals,
     render_atom,
     render_conjunction,
-    tokenize,
 )
 
 HEURISTICS = ("gainratio", "gain", "weighted_entropy")
@@ -121,8 +120,12 @@ class Settings:
 
 
 class _SettingsParser:
+    """Reads each directive ``name(args).`` from its clause's tokens by
+    index.  One ``TermParser`` serves the whole file, so bare ``_``
+    variables are numbered through it."""
+
     def __init__(self, text: str):
-        self.s = TermParser(tokenize(text))
+        self.clauses, self.p = lex_clauses(text)
         self.classes: list[str] | None = None
         self.rmodes: list[RMode] = []
         self.lookaheads: list[Lookahead] = []
@@ -131,115 +134,130 @@ class _SettingsParser:
         self.params = LearnerConfig()
 
     def run(self) -> Settings:
-        while not self.s.at("eof"):
-            tok = self.s.peek()
-            if tok.kind != "atom":
-                raise ParseError("expected a directive", tok.line, tok.col)
-            self.s.next()
-            self.s.expect("punct", "(")
-            if tok.value in _DIRECTIVES:
-                getattr(self, f"_d_{tok.value}")(tok)
-            elif tok.value in _PARAMS:
-                self._d_param(_PARAMS[tok.value])
+        p = self.p
+        for toks in self.clauses:
+            tok = toks[0]
+            if tok[0] != "atom":
+                raise p.error("expected a directive", tok)
+            i = p.expect(toks, 1, "(")
+            if tok[2] in _DIRECTIVES:
+                i = getattr(self, f"_d_{tok[2]}")(toks, i)
+            elif tok[2] in _PARAMS:
+                i = self._d_param(_PARAMS[tok[2]], toks, i)
             else:
-                raise ParseError(f"unknown directive {tok.value!r}", tok.line, tok.col)
-            self.s.expect("punct", ")")
-            self.s.expect("end")
+                raise p.error(f"unknown directive {tok[2]!r}", tok)
+            p.end(toks, p.expect(toks, i, ")"))
         return self._finish()
 
     # -- individual directives ------------------------------------------
+    # Each reads its arguments from ``toks[i]`` on and returns the index
+    # after them; ``toks[0]`` is the directive's name.
 
-    def _d_classes(self, tok):
-        self.s.expect("punct", "[")
+    def _d_classes(self, toks, i):
+        i = self.p.expect(toks, i, "[")
+        if toks[i][1] == "]":
+            raise self.p.error("class list empty", toks[0])
         labels: list[str] = []
-        if self.s.at("punct", "]"):
-            raise ParseError("class list empty", tok.line, tok.col)
         while True:
-            t = self.s.peek()
-            if t.kind != "atom":
-                raise ParseError("class labels must be atoms", t.line, t.col)
-            self.s.next()
-            if t.value in labels:
-                raise ParseError(f"duplicate class label {t.value!r}", t.line, t.col)
-            labels.append(t.value)
-            if self.s.at("punct", ","):
-                self.s.next()
-                continue
-            break
-        self.s.expect("punct", "]")
+            t = toks[i]
+            if t[0] != "atom":
+                raise self.p.error("class labels must be atoms", t)
+            if t[2] in labels:
+                raise self.p.error(f"duplicate class label {t[2]!r}", t)
+            labels.append(t[2])
+            if toks[i + 1][1] != ",":
+                break
+            i += 2
+        i = self.p.expect(toks, i + 1, "]")
         if self.classes is not None:
-            raise ParseError("classes declared twice", tok.line, tok.col)
+            raise self.p.error("classes declared twice", toks[0])
         self.classes = labels
+        return i
 
-    def _d_rmode(self, tok):
-        cnt = self.s.peek()
-        if cnt.kind != "int" or cnt.value < 1:
-            raise ParseError("rmode count must be a positive integer", cnt.line, cnt.col)
-        self.s.next()
-        self.s.expect("punct", ":")
+    def _d_rmode(self, toks, i):
+        cnt = toks[i]
+        if cnt[0] != "int" or cnt[2] < 1:
+            raise self.p.error("rmode count must be a positive integer", cnt)
         modes: dict[str, str] = {}
-        template = self._conjunction(modes)
-        _check_builtin_safety(template, {v for v, m in modes.items() if m == "+"}, tok)
-        self.rmodes.append(RMode(cnt.value, template, modes))
+        template, i = self._conjunction(toks, self.p.expect(toks, i + 1, ":"), modes)
+        self._check_builtin_safety(template, {v for v, m in modes.items() if m == "+"}, toks)
+        self.rmodes.append(RMode(cnt[2], template, modes))
+        return i
 
-    def _d_lookahead(self, tok):
-        trigger = self._conjunction()
-        self.s.expect("punct", ",")
-        extension = self._conjunction()
-        _check_builtin_safety(extension, set(literal_variables(trigger)), tok)
+    def _d_lookahead(self, toks, i):
+        trigger, i = self._conjunction(toks, i)
+        extension, i = self._conjunction(toks, self.p.expect(toks, i, ","))
+        self._check_builtin_safety(extension, set(literal_variables(trigger)), toks)
         self.lookaheads.append(Lookahead(trigger, extension))
+        return i
 
-    def _d_typed(self, tok):
-        t = self.s.term()
+    def _d_typed(self, toks, i):
+        t, i = self.p.term(toks, i)
         if not isinstance(t, Compound) or not all(isinstance(a, Atom) for a in t.args):
-            raise ParseError("typed/1 expects pred(type1,...,typeN)", tok.line, tok.col)
+            raise self.p.error("typed/1 expects pred(type1,...,typeN)", toks[0])
         key = (t.functor, len(t.args))
         if key in self.types:
-            raise ParseError(f"duplicate type declaration for {t.functor}/{len(t.args)}", tok.line, tok.col)
+            raise self.p.error(f"duplicate type declaration for {t.functor}/{len(t.args)}", toks[0])
         self.types[key] = tuple(a.name for a in t.args)
+        return i
 
-    def _d_discretize(self, tok):
-        query = self._conjunction()
-        self.s.expect("punct", ",")
-        v = self.s.peek()
-        if v.kind != "var":
-            raise ParseError("discretize/2 expects a variable as second argument", v.line, v.col)
-        self.s.next()
-        if v.value not in literal_variables(query):
-            raise ParseError(f"variable {v.value} does not occur in the discretize query", v.line, v.col)
-        self.discretize.append(DiscretizeRequest(query, v.value))
+    def _d_discretize(self, toks, i):
+        query, i = self._conjunction(toks, i)
+        i = self.p.expect(toks, i, ",")
+        v = toks[i]
+        if v[0] != "var":
+            raise self.p.error("discretize/2 expects a variable as second argument", v)
+        if v[2] not in literal_variables(query):
+            raise self.p.error(f"variable {v[2]} does not occur in the discretize query", v)
+        self.discretize.append(DiscretizeRequest(query, v[2]))
+        return i + 1
 
-    def _d_param(self, f):
-        t = self.s.next()
+    def _d_param(self, f, toks, i):
+        t = toks[i]
         kind = f.type.removesuffix(" | None")
-        if (kind, t.kind) in (("int", "int"), ("str", "atom")):
-            value = t.value
-        elif kind == "float" and t.kind in ("int", "float"):
-            value = float(t.value)
+        if (kind, t[0]) in (("int", "int"), ("str", "atom")):
+            value = t[2]
+        elif kind == "float" and t[0] in ("int", "float"):
+            value = float(t[2])
         else:
-            raise ParseError(f"{f.name}/1 expects {_KIND_NAMES[kind]}", t.line, t.col)
+            raise self.p.error(f"{f.name}/1 expects {_KIND_NAMES[kind]}", t)
         try:
             self.params = replace(self.params, **{f.name: value})
         except ParseError as e:
-            raise ParseError(e.message, t.line, t.col) from None
+            raise self.p.error(e.message, t) from None
+        return i + 1
 
     # -- template machinery ----------------------------------------------
 
-    def _conjunction(self, modes: dict[str, str] | None = None) -> tuple[Literal, ...]:
-        """One literal, or a parenthesized comma-list of literals; variables
-        take mode markers, recorded in ``modes``, only when it is given."""
-        self.s.modes = modes
-        if self.s.at("punct", "("):
-            self.s.next()
-            lits = [self.s.literal()]
-            while self.s.at("punct", ","):
-                self.s.next()
-                lits.append(self.s.literal())
-            self.s.expect("punct", ")")
+    def _conjunction(self, toks, i, modes: dict[str, str] | None = None):
+        """One literal, or a parenthesized comma-list of literals, with the
+        index after it; variables take mode markers, recorded in ``modes``,
+        only when it is given."""
+        self.p.modes = modes
+        if toks[i][1] == "(":
+            lits, sep = [], "("
+            while toks[i][1] == sep:
+                lit, i = self.p.literal(toks, i + 1)
+                lits.append(lit)
+                sep = ","
+            i = self.p.expect(toks, i, ")")
         else:
-            lits = [self.s.literal()]
-        self.s.modes = None
-        return tuple(lits)
+            lit, i = self.p.literal(toks, i)
+            lits = [lit]
+        self.p.modes = None
+        return tuple(lits), i
+
+    def _check_builtin_safety(self, literals, input_vars: set[str], toks):
+        """Builtins must only see variables bound by earlier non-builtin
+        literals or by the query (input mode)."""
+        bound = set(input_vars)
+        for lit in literals:
+            if lit.builtin:
+                for v in literal_variables([lit]):
+                    if v not in bound:
+                        raise self.p.error(f"builtin {lit.pred!r} would see unbound variable {v}", toks[0])
+            else:
+                bound.update(literal_variables([lit]))
 
     # -- finalization ------------------------------------------------------
 
@@ -266,23 +284,6 @@ class _SettingsParser:
 _DIRECTIVES = frozenset({"classes", "rmode", "lookahead", "typed", "discretize"})
 
 _KIND_NAMES = {"int": "an integer", "float": "a number", "str": "an atom"}
-
-
-def _check_builtin_safety(literals, input_vars: set[str], tok):
-    """Builtins must only see variables bound by earlier non-builtin literals
-    or by the query (input mode)."""
-    bound = set(input_vars)
-    for lit in literals:
-        if lit.builtin:
-            for v in literal_variables([lit]):
-                if v not in bound:
-                    raise ParseError(
-                        f"builtin {lit.pred!r} would see unbound variable {v}",
-                        tok.line,
-                        tok.col,
-                    )
-        else:
-            bound.update(literal_variables([lit]))
 
 
 def is_threshold(t) -> bool:

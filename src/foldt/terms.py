@@ -50,7 +50,7 @@ import math
 import re
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import ParseError
 
@@ -249,30 +249,11 @@ _KINDS = (None,) + tuple(
 _CONVERTED = frozenset({"float", "int", "quoted", "unterminated", "unexpected"})
 
 
-class Token(NamedTuple):
-    kind: str  # atom var int float punct op end eof
-    text: str
-    value: object
-    line: int
-    col: int
-
-
 def line_pieces(f, size: int = 1 << 16) -> Iterator[str]:
     """The text of the open file ``f`` in pieces of whole lines: each the
     next ``size`` characters and the rest of the line they end in."""
     while piece := f.read(size):
         yield piece + f.readline()
-
-
-def tokenize(text: str) -> list[Token]:
-    """Tokenize ``text``; raises ParseError with position on bad input.  The
-    last token is ``eof``, just after the token before it (at line 1, column
-    1 when there is none)."""
-    lexer = _Lexer((text,))
-    toks = [tok for clause in lexer.clauses() for tok in clause]
-    if not toks or toks[-1][0] != "eof":  # no tokens, or an ``end`` last
-        toks.append(("eof", "", None, toks[-1][3] + len(toks[-1][1]) if toks else 0))
-    return [Token(kind, lexeme, value, *lexer.position(pos)) for kind, lexeme, value, pos in toks]
 
 
 class _Lexer:
@@ -363,7 +344,7 @@ class _Lexer:
 
 # A punctuation or operator token is told by its text alone: no other kind
 # has such a text, as a quoted atom's text keeps its quotes.
-_WANTED = {"end": "'.' followed by layout to end the clause"}
+_END_WANTED = "'.' followed by layout to end the clause"
 
 
 class TermParser:
@@ -372,10 +353,8 @@ class TermParser:
     and return what they parsed with the index after it.  They read a token
     only after taking the one before it, so tokens that a lexical error cut
     short run out (``IndexError``) where a parser pulling one token at a time
-    would meet the error.  ``peek``, ``next``, ``expect``, ``at``, ``term``
-    and ``literal`` work at a cursor over the constructor's list of
-    ``Token``s.  ``where`` gives the line and column of a token, for errors:
-    by default its ``line`` and ``col``.
+    would meet the error.  ``where`` gives the line and column of a token,
+    for errors.
 
     Every bare ``_`` token becomes a distinct fresh variable (``_1``, ``_2``,
     ...); named underscore variables such as ``_Foo`` are kept as written.
@@ -384,69 +363,52 @@ class TermParser:
     None, a marker is a parse error.
     """
 
-    def __init__(self, tokens: list[Token] = (), where=itemgetter(3, 4)):
-        self.toks = tokens
-        self.i = 0
+    def __init__(self, where):
         self._anon = 0
         self.modes: dict[str, str] | None = None
         self.where = where
 
-    def peek(self) -> Token:
-        return self.toks[self.i]
+    def expect(self, toks, i, text: str) -> int:
+        """The index after ``toks[i]``, which must be the punctuation or
+        operator ``text``."""
+        if toks[i][1] != text:
+            raise self._expected(repr(text), toks[i])
+        return i + 1
 
-    def next(self) -> Token:
-        tok = self.toks[self.i]
-        if tok[0] != "eof":
-            self.i += 1
-        return tok
-
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.toks[self.i]
-        if tok[0] != kind or (text is not None and tok[1] != text):
-            raise self._expected(repr(text) if text is not None else _WANTED.get(kind, repr(kind)), tok)
-        return self.next()
-
-    def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.toks[self.i]
-        return tok[0] == kind and (text is None or tok[1] == text)
-
-    def term(self) -> Term:
-        term, self.i = self._term(self.toks, self.i)
-        return term
-
-    def literal(self, allow_cut: bool = False) -> Literal:
-        lit, self.i = self._literal(self.toks, self.i, allow_cut)
-        return lit
+    def end(self, toks, i):
+        """``toks[i]`` must end the clause."""
+        if toks[i][0] != "end":
+            raise self._expected(_END_WANTED, toks[i])
 
     def clause(self, toks, allow_cut: bool = False) -> Clause:
         """The fact ``Head.`` or rule ``Head :- B1, ..., Bn.`` that ``toks``
         holds up to its ``end`` token."""
-        head, i = self._literal(toks, 0, False)
+        head, i = self.literal(toks, 0, False)
         tok = toks[i]
         if head.builtin or head.pred == "!":
             what = f"builtin {head.pred!r}" if head.builtin else "cut"
-            raise self._error(f"{what} cannot appear in head position", toks[0])
+            raise self.error(f"{what} cannot appear in head position", toks[0])
         body: list[Literal] = []
         sep = ":-"
         while tok[1] == sep:
-            lit, i = self._literal(toks, i + 1, allow_cut)
+            lit, i = self.literal(toks, i + 1, allow_cut)
             body.append(lit)
             tok, sep = toks[i], ","
         if tok[0] != "end":
-            raise self._expected(_WANTED["end"], tok)
+            raise self._expected(_END_WANTED, tok)
         return Clause(head, tuple(body))
 
-    def _error(self, message: str, tok) -> ParseError:
+    def error(self, message: str, tok) -> ParseError:
         return ParseError(message, *self.where(tok))
 
     def _expected(self, want: str, tok) -> ParseError:
-        return self._error(f"expected {want}, found {tok[1] or tok[0]!r}", tok)
+        return self.error(f"expected {want}, found {tok[1] or tok[0]!r}", tok)
 
-    def _literal(self, toks, i, allow_cut):
+    def literal(self, toks, i, allow_cut: bool = False):
         tok = toks[i]
         if tok[1] == "!":
             if not allow_cut:
-                raise self._error("cut is not allowed here", tok)
+                raise self.error("cut is not allowed here", tok)
             return Literal("!", ()), i + 1
         if tok[0] == "atom":  # built as a literal unless a builtin follows
             args, i = self._args(toks, i + 2) if toks[i + 1][1] == "(" else ((), i + 1)
@@ -454,14 +416,14 @@ class TermParser:
                 return Literal(tok[2], args), i
             lhs = Compound(tok[2], args) if args else Atom(tok[2])
         else:  # a variable or a number, which only a builtin makes a literal
-            lhs, i = self._term(toks, i)
+            lhs, i = self.term(toks, i)
             if toks[i][1] not in BUILTIN_PREDS:
-                raise self._error("a literal must be an atom or a compound term", tok)
+                raise self.error("a literal must be an atom or a compound term", tok)
         op = toks[i][1]
-        rhs, i = self._term(toks, i + 1)
+        rhs, i = self.term(toks, i + 1)
         return Literal(op, (lhs, rhs), builtin=True), i
 
-    def _term(self, toks, i):
+    def term(self, toks, i):
         tok = toks[i]
         kind = tok[0]
         if kind == "atom":
@@ -479,18 +441,18 @@ class TermParser:
                     self.modes[name] = "-"  # each anonymous slot is a fresh output
                 return Variable(name), i + 1
             if self.modes is not None and text not in self.modes:
-                raise self._error(f"variable {text} needs a mode marker at its first occurrence", tok)
+                raise self.error(f"variable {text} needs a mode marker at its first occurrence", tok)
             return Variable(text), i + 1
         if text == "+" or text == "-":
             return self._marked_variable(toks, i)
-        raise self._error(f"expected a term, found {text or kind!r}", tok)
+        raise self.error(f"expected a term, found {text or kind!r}", tok)
 
     def _args(self, toks, i):
         """The comma-separated terms from ``toks[i]`` to a closing ``)``."""
-        arg, i = self._term(toks, i)
+        arg, i = self.term(toks, i)
         args = [arg]
         while toks[i][1] == ",":
-            arg, i = self._term(toks, i + 1)
+            arg, i = self.term(toks, i + 1)
             args.append(arg)
         if toks[i][1] != ")":
             raise self._expected("')'", toks[i])
@@ -499,18 +461,18 @@ class TermParser:
     def _marked_variable(self, toks, i):
         marker = toks[i]
         if self.modes is None:
-            raise self._error("mode markers are not allowed here", marker)
+            raise self.error("mode markers are not allowed here", marker)
         mode = marker[1]
         i += 1
         if mode == "+" and toks[i][1] == "-":
             mode, i = "+-", i + 1
         v = toks[i]
         if v[0] != "var":
-            raise self._error("mode marker must precede a variable", v)
+            raise self.error("mode marker must precede a variable", v)
         if v[1] == "_":
             name = self._fresh_anonymous()
         elif v[1] in self.modes:
-            raise self._error(f"variable {v[1]} already carries a mode marker", v)
+            raise self.error(f"variable {v[1]} already carries a mode marker", v)
         else:
             name = v[1]
         self.modes[name] = mode
@@ -521,15 +483,24 @@ class TermParser:
         return f"_{self._anon}"
 
 
+def lex_clauses(text: str) -> tuple[list[list[tuple]], TermParser]:
+    """The tokens of ``text``, one list per clause as ``read_clauses`` gets
+    them, and a parser that places them in ``text``.  The whole text is
+    lexed first, so a lexical error anywhere in it comes before any syntax
+    error."""
+    lexer = _Lexer((text,))
+    return list(lexer.clauses()), TermParser(where=lambda tok: lexer.position(tok[3]))
+
+
 def parse_term(text: str) -> Term:
     """Parse a complete term; trailing input is an error."""
-    parser = TermParser(tokenize(text))
-    if parser.at("eof"):
+    clauses, parser = lex_clauses(text)
+    if not clauses:
         raise ParseError("empty input", 1, 1)
-    term = parser.term()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+    toks = clauses[0]
+    term, i = parser.term(toks, 0)
+    if toks[i][0] != "eof":
+        raise parser.error(f"unexpected trailing input {toks[i][1]!r}", toks[i])
     return term
 
 

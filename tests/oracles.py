@@ -14,13 +14,17 @@ The helpers after it check a tree's variable scope and theta-subsumption
 between queries, build the root refinement context and a bias without
 thresholds, and count a node's candidates by proving each full query alone.
 Then comes ``scan``, a character-loop tokenizer that states the lexical
-grammar without regular expressions, the reference for ``terms.tokenize``.
-Last comes the parser that ``terms`` had before it parsed each clause from a
-list of tokens, the reference for ``terms.read_clauses``, ``parse_term`` and
-the directive grammars: a one-token-lookahead ``TokenStream`` that pulls
-tokens from the lazy ``_line_tokens`` as a ``TermParser`` advances.
-``_line_tokens`` scans one line at a time with its own copy of the token
-pattern that ``terms`` had then.
+grammar without regular expressions, the reference for ``terms._Lexer``.
+Next is the parser that ``terms`` had before it parsed each clause from a
+list of tokens, the reference for ``terms.read_clauses`` and ``parse_term``:
+a one-token-lookahead ``TokenStream`` that pulls tokens from the lazy
+``_line_tokens`` as a ``TermParser`` advances.  ``_line_tokens`` scans one
+line at a time with its own copy of the token pattern that ``terms`` had
+then.  Over it run the settings and schema readers that ``settings`` and
+``rdb`` had before they read each directive from its clause's tokens by
+index, the reference for ``parse_settings`` and ``parse_schema``, and
+``extract_example``, the facts of one example id as ``rdb.convert_all``
+writes them.
 Then comes the v1 chunk record codec, which wrote each fact as its
 predicate name and tagged argument terms, one after another in file order:
 the reference for ``store.encode_record`` and ``store.decode_record``.
@@ -36,13 +40,15 @@ import math
 import re
 import struct
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import dataclass, fields, replace
+from typing import Iterable, Iterator, NamedTuple
 
 from foldt.bias import Bias, RefinementContext, entropy, weighted_entropy
 from foldt.engine import Query, matches, succeeds
 from foldt.errors import BudgetExceededError, DataError, ParseError, QueryError
 from foldt.model import Leaf
+from foldt.rdb import ForeignKey, Schema, Table, _example_facts, _Indexes
+from foldt.settings import DiscretizeRequest, LearnerConfig, Lookahead, RMode, Settings, threshold_indices
 from foldt.store import Interpretation
 from foldt.terms import (
     BUILTIN_PREDS,
@@ -52,7 +58,6 @@ from foldt.terms import (
     Literal,
     Number,
     Term,
-    Token,
     Variable,
     is_ground,
     literal_variables,
@@ -532,6 +537,18 @@ def full_query_counters(queries, examples, classes, background=None):
     return counters
 
 
+# ---------------------------------------------------------------------------
+# Reference lexer: one character at a time
+
+
+class Token(NamedTuple):
+    kind: str  # atom var int float punct op end eof
+    text: str
+    value: object
+    line: int
+    col: int
+
+
 _TWO_CHAR_OPS = (":-", "=<", ">=", "\\=")
 _ONE_CHAR_OPS = ("=", "<", ">")
 _PUNCT = "(),.[]:+-!"
@@ -920,13 +937,320 @@ def read_clauses(lines: Iterable[str], allow_cut: bool = False) -> Iterator[tupl
 
 
 class CursorParser(TermParser):
-    """The reference ``TermParser`` with the cursor methods of
-    ``terms.TermParser``, so that the directive grammars of settings and
-    schema files run over it unchanged."""
+    """The reference ``TermParser`` with the cursor methods that
+    ``terms.TermParser`` had, over which the reference settings and schema
+    readers run."""
 
     def __init__(self, tokens):
         super().__init__(TokenStream(tokens))
         self.peek, self.next, self.expect, self.at = self.s.peek, self.s.next, self.s.expect, self.s.at
+
+
+# ---------------------------------------------------------------------------
+# Reference directive readers: settings and schema files through the cursor
+
+
+class _SettingsParser:
+    """The settings reader that ``settings`` had before it read each
+    directive from its clause's tokens by index."""
+
+    def __init__(self, text: str):
+        self.s = CursorParser(tokenize(text))
+        self.classes: list[str] | None = None
+        self.rmodes: list[RMode] = []
+        self.lookaheads: list[Lookahead] = []
+        self.types: dict[tuple[str, int], tuple[str, ...]] = {}
+        self.discretize: list[DiscretizeRequest] = []
+        self.params = LearnerConfig()
+
+    def run(self) -> Settings:
+        while not self.s.at("eof"):
+            tok = self.s.peek()
+            if tok.kind != "atom":
+                raise ParseError("expected a directive", tok.line, tok.col)
+            self.s.next()
+            self.s.expect("punct", "(")
+            if tok.value in _DIRECTIVES:
+                getattr(self, f"_d_{tok.value}")(tok)
+            elif tok.value in _PARAMS:
+                self._d_param(_PARAMS[tok.value])
+            else:
+                raise ParseError(f"unknown directive {tok.value!r}", tok.line, tok.col)
+            self.s.expect("punct", ")")
+            self.s.expect("end")
+        return self._finish()
+
+    # -- individual directives ------------------------------------------
+
+    def _d_classes(self, tok):
+        self.s.expect("punct", "[")
+        labels: list[str] = []
+        if self.s.at("punct", "]"):
+            raise ParseError("class list empty", tok.line, tok.col)
+        while True:
+            t = self.s.peek()
+            if t.kind != "atom":
+                raise ParseError("class labels must be atoms", t.line, t.col)
+            self.s.next()
+            if t.value in labels:
+                raise ParseError(f"duplicate class label {t.value!r}", t.line, t.col)
+            labels.append(t.value)
+            if self.s.at("punct", ","):
+                self.s.next()
+                continue
+            break
+        self.s.expect("punct", "]")
+        if self.classes is not None:
+            raise ParseError("classes declared twice", tok.line, tok.col)
+        self.classes = labels
+
+    def _d_rmode(self, tok):
+        cnt = self.s.peek()
+        if cnt.kind != "int" or cnt.value < 1:
+            raise ParseError("rmode count must be a positive integer", cnt.line, cnt.col)
+        self.s.next()
+        self.s.expect("punct", ":")
+        modes: dict[str, str] = {}
+        template = self._conjunction(modes)
+        _check_builtin_safety(template, {v for v, m in modes.items() if m == "+"}, tok)
+        self.rmodes.append(RMode(cnt.value, template, modes))
+
+    def _d_lookahead(self, tok):
+        trigger = self._conjunction()
+        self.s.expect("punct", ",")
+        extension = self._conjunction()
+        _check_builtin_safety(extension, set(literal_variables(trigger)), tok)
+        self.lookaheads.append(Lookahead(trigger, extension))
+
+    def _d_typed(self, tok):
+        t = self.s.term()
+        if not isinstance(t, Compound) or not all(isinstance(a, Atom) for a in t.args):
+            raise ParseError("typed/1 expects pred(type1,...,typeN)", tok.line, tok.col)
+        key = (t.functor, len(t.args))
+        if key in self.types:
+            raise ParseError(f"duplicate type declaration for {t.functor}/{len(t.args)}", tok.line, tok.col)
+        self.types[key] = tuple(a.name for a in t.args)
+
+    def _d_discretize(self, tok):
+        query = self._conjunction()
+        self.s.expect("punct", ",")
+        v = self.s.peek()
+        if v.kind != "var":
+            raise ParseError("discretize/2 expects a variable as second argument", v.line, v.col)
+        self.s.next()
+        if v.value not in literal_variables(query):
+            raise ParseError(f"variable {v.value} does not occur in the discretize query", v.line, v.col)
+        self.discretize.append(DiscretizeRequest(query, v.value))
+
+    def _d_param(self, f):
+        t = self.s.next()
+        kind = f.type.removesuffix(" | None")
+        if (kind, t.kind) in (("int", "int"), ("str", "atom")):
+            value = t.value
+        elif kind == "float" and t.kind in ("int", "float"):
+            value = float(t.value)
+        else:
+            raise ParseError(f"{f.name}/1 expects {_KIND_NAMES[kind]}", t.line, t.col)
+        try:
+            self.params = replace(self.params, **{f.name: value})
+        except ParseError as e:
+            raise ParseError(e.message, t.line, t.col) from None
+
+    # -- template machinery ----------------------------------------------
+
+    def _conjunction(self, modes: dict[str, str] | None = None) -> tuple[Literal, ...]:
+        """One literal, or a parenthesized comma-list of literals; variables
+        take mode markers, recorded in ``modes``, only when it is given."""
+        self.s.modes = modes
+        if self.s.at("punct", "("):
+            self.s.next()
+            lits = [self.s.literal()]
+            while self.s.at("punct", ","):
+                self.s.next()
+                lits.append(self.s.literal())
+            self.s.expect("punct", ")")
+        else:
+            lits = [self.s.literal()]
+        self.s.modes = None
+        return tuple(lits)
+
+    # -- finalization ------------------------------------------------------
+
+    def _finish(self) -> Settings:
+        if not self.classes:
+            raise ParseError("settings must declare classes([...])")
+        st = Settings(
+            classes=tuple(self.classes),
+            rmodes=tuple(self.rmodes),
+            lookaheads=tuple(self.lookaheads),
+            types=self.types,
+            discretize=tuple(self.discretize),
+            params=self.params,
+        )
+        for rm in st.rmodes:
+            for k in threshold_indices(rm.template):
+                if not 1 <= k <= len(st.discretize):
+                    raise ParseError(
+                        f"threshold({k}) does not match any discretize declaration"
+                    )
+        return st
+
+
+_DIRECTIVES = frozenset({"classes", "rmode", "lookahead", "typed", "discretize"})
+
+_KIND_NAMES = {"int": "an integer", "float": "a number", "str": "an atom"}
+
+_PARAMS = {f.name: f for f in fields(LearnerConfig)}
+
+
+def _check_builtin_safety(literals, input_vars: set[str], tok):
+    """Builtins must only see variables bound by earlier non-builtin literals
+    or by the query (input mode)."""
+    bound = set(input_vars)
+    for lit in literals:
+        if lit.builtin:
+            for v in literal_variables([lit]):
+                if v not in bound:
+                    raise ParseError(
+                        f"builtin {lit.pred!r} would see unbound variable {v}",
+                        tok.line,
+                        tok.col,
+                    )
+        else:
+            bound.update(literal_variables([lit]))
+
+
+def parse_settings(text: str) -> Settings:
+    return _SettingsParser(text).run()
+
+
+# The arguments of each schema directive: a name or a list of names.
+_NAME, _NAMES = "name", "names"
+_SHAPES = {
+    "table": (_NAME, _NAMES),
+    "key": (_NAME, _NAMES),
+    "fk": (_NAME, _NAMES, _NAME),
+    "background": (_NAME,),
+    "elide": (_NAME,),
+    "example_id": (_NAME, _NAME),
+    "class_attr": (_NAME, _NAME),
+    "drop_id": (),
+}
+# What a directive declares that may be declared once, from its arguments.
+_ONCE = {
+    "table": "table {!r}",
+    "key": "key of {!r}",
+    "example_id": "example_id",
+    "class_attr": "class_attr",
+}
+
+
+def parse_schema(text: str) -> Schema:
+    """The schema reader that ``rdb`` had before it read each directive from
+    its clause's tokens by index, with one change: a foreign key into a
+    background table needs no key on its target."""
+    stream = CursorParser(tokenize(text))
+    found: dict[str, list[list]] = {d: [] for d in _SHAPES}
+    declared: set[str] = set()
+
+    def read_name(what: str = "a name") -> str:
+        tok = stream.peek()
+        if tok.kind != "atom":
+            raise ParseError(f"expected {what}", tok.line, tok.col)
+        stream.next()
+        return tok.value
+
+    def read_names() -> tuple[str, ...]:
+        stream.expect("punct", "[")
+        out = [read_name("an attribute name")]
+        while stream.at("punct", ","):
+            stream.next()
+            out.append(read_name("an attribute name"))
+        stream.expect("punct", "]")
+        return tuple(out)
+
+    while not stream.at("eof"):
+        tok = stream.peek()
+        if tok.kind != "atom":
+            raise ParseError("expected a schema directive", tok.line, tok.col)
+        stream.next()
+        shape = _SHAPES.get(tok.value)
+        if shape != ():
+            stream.expect("punct", "(")
+            if shape is None:
+                raise ParseError(f"unknown schema directive {tok.value!r}", tok.line, tok.col)
+        args = []
+        for kind in shape:
+            if args:
+                stream.expect("punct", ",")
+            args.append(read_names() if kind is _NAMES else read_name())
+        if tok.value in _ONCE:
+            what = _ONCE[tok.value].format(*args)
+            if what in declared:
+                raise ParseError(f"{what} declared twice", tok.line, tok.col)
+            declared.add(what)
+        if shape:
+            stream.expect("punct", ")")
+        stream.expect("end")
+        found[tok.value].append(args)
+
+    tables = {name: Table(name, attrs) for name, attrs in found["table"]}
+
+    def table_of(name, what):
+        t = tables.get(name)
+        if t is None:
+            raise ParseError(f"{what} references undeclared table {name!r}")
+        return t
+
+    for name, attrs in found["key"]:
+        t = table_of(name, "key")
+        _check_attrs(t, attrs, "key")
+        t.key = attrs
+    background = {name for (name,) in found["background"]}
+    for name, attrs, target in found["fk"]:
+        t = table_of(name, "fk")
+        _check_attrs(t, attrs, "fk")
+        target_key = table_of(target, "fk target").key
+        if target not in background and len(target_key) != len(attrs):
+            raise ParseError(
+                f"fk({render_atom(name)}, [{', '.join(map(render_atom, attrs))}], "
+                f"{render_atom(target)}): target must declare a key of the same arity"
+            )
+        t.fks += (ForeignKey(attrs, target),)
+    for (name,) in found["background"]:
+        table_of(name, "background").background = True
+    for (name,) in found["elide"]:
+        table_of(name, "elide").elide = True
+    if not found["example_id"]:
+        raise ParseError("schema must declare example_id(table, attr)")
+    [(root_name, id_attr)] = found["example_id"]
+    root = table_of(root_name, "example_id")
+    _check_attrs(root, (id_attr,), "example_id")
+    if root.background:
+        raise ParseError("the example table cannot be background")
+    class_attr = None
+    for table_name, class_attr in found["class_attr"]:
+        if table_name != root.name:
+            raise ParseError("class_attr must be on the example table")
+        _check_attrs(root, (class_attr,), "class_attr")
+    return Schema(tables, root_name, id_attr, class_attr, bool(found["drop_id"]))
+
+
+def _check_attrs(table: Table, attrs, what: str):
+    for a in attrs:
+        if a not in table.attrs:
+            raise ParseError(f"{what}: {table.name!r} has no attribute {a!r}")
+
+
+# ---------------------------------------------------------------------------
+# Per-id extraction
+
+
+def extract_example(snapshot, schema: Schema, id_value: Term, containing: str = "any") -> list[Literal]:
+    """The facts of one example id, in table-declaration order then row
+    order, from an index built for this one id: what ``rdb.convert_all``
+    writes in that id's block."""
+    return _example_facts(_Indexes(snapshot, schema, containing, False), id_value)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from conftest import (
 )
 from oracles import (
     check_scope,
+    extract_example,
     gain_oracle,
     ground_join_succeeds,
     random_join_instance,
@@ -43,7 +44,7 @@ from foldt.model import (
     INode,
     Leaf,
 )
-from foldt.rdb import convert_all, extract_example, load_snapshot, parse_schema
+from foldt.rdb import convert_all, load_snapshot, parse_schema
 from foldt.settings import parse_settings
 from foldt.store import load_dataset
 from foldt.terms import Atom, render_fact

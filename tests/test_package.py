@@ -13,7 +13,7 @@ PUBLIC = {
     "LearnerConfig", "learn",
     "FOLDT", "INode", "Leaf", "Model", "classify", "deserialize", "eval_decision_list",
     "load_model", "save_model", "serialize", "to_decision_list", "tree_depth",
-    "Schema", "convert_all", "extract_example", "load_snapshot", "parse_schema",
+    "Schema", "convert_all", "load_snapshot", "parse_schema",
     "GenSpec", "gen_bongard", "gen_poker", "replicate",
     "BenchReport", "BenchResult", "bench_run",
 }

@@ -4,6 +4,7 @@ import time
 
 import pytest
 from conftest import learn_with
+from oracles import extract_example
 from rdb_fixtures import (
     BONGARD_LABELLED_SCHEMA,
     BONGARD_SCHEMA,
@@ -18,7 +19,7 @@ from rdb_fixtures import (
 
 from foldt.bench import fit_loglog_slope
 from foldt.errors import DataError, ParseError
-from foldt.rdb import cell_term, convert_all, extract_example, load_snapshot, parse_schema
+from foldt.rdb import cell_term, convert_all, load_snapshot, parse_schema
 from foldt.settings import parse_settings
 from foldt.model import classify, serialize
 from foldt.store import iter_kb_blocks, load_dataset
@@ -383,6 +384,23 @@ def test_fk_arity_error_names_the_directive_as_schema_text():
         match=re.escape("fk(contains, [molecule], molecules): target must declare a key of the same arity"),
     ):
         parse_schema(text)
+
+
+def test_a_foreign_key_into_a_background_table_needs_no_key_there(tmp_path):
+    """The closure never follows a foreign key into a background table, so
+    its target declares no key, and its rows go to the background file
+    once, not into the blocks."""
+    schema = parse_schema(
+        "table(a,[x,e]). key(a,[x]). table(el,[e,w]). fk(a,[e],el). background(el). example_id(a,x)."
+    )
+    assert schema.tables["el"].key == () and schema.tables["el"].background
+    tables = write_tables(tmp_path / "bg", {"a.csv": "x1,h\nx2,o\nx3,h\n", "el.csv": "h,1\no,16\n"})
+    snapshot = load_snapshot(tables, schema)
+    report = convert_all(snapshot, schema, tmp_path / "out.kb", tmp_path / "bg.pl")
+    assert (report.example_count, report.background_fact_count, report.warnings) == (3, 2, [])
+    assert (tmp_path / "bg.pl").read_text() == "el(h,1).\nel(o,16).\n"
+    blocks = list(iter_kb_blocks(tmp_path / "out.kb", ("pos",), allow_unlabeled=True))
+    assert [[render_fact(f) for f in b.facts] for b in blocks] == [["a(x1,h)."], ["a(x2,o)."], ["a(x3,h)."]]
 
 
 BONGARD_RELATIONAL_BIAS = """

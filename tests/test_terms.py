@@ -1,15 +1,12 @@
 import copy
 import io
 import pickle
-from unittest import mock
 
 import oracles
 import pytest
 from hypothesis import example, given, settings as hsettings, strategies as st
 from oracles import scan
 
-import foldt.rdb
-import foldt.settings
 from foldt.engine import load_background
 from foldt.errors import FoldtError, ParseError
 from foldt.rdb import parse_schema
@@ -21,8 +18,8 @@ from foldt.terms import (
     Compound,
     Literal,
     Number,
-    Token,
     Variable,
+    _Lexer,
     is_ground,
     line_pieces,
     parse_program,
@@ -32,7 +29,6 @@ from foldt.terms import (
     render_literal,
     render_term,
     term_variables,
-    tokenize,
 )
 
 
@@ -245,7 +241,6 @@ def test_dot_without_layout_is_an_error_everywhere(tmp_path):
     "text", ["classes([a,b])", "classes([a,b]) % x", "classes([a,b])   ", "classes([a,b])\n\n% x\n"]
 )
 def test_eof_sits_just_after_the_last_token(text):
-    assert tokenize(text)[-1] == Token("eof", "", None, 1, 15)
     with pytest.raises(ParseError, match="found 'eof'") as e:
         parse_settings(text)
     assert (e.value.line, e.value.column) == (1, 15)
@@ -263,20 +258,26 @@ _lexer_pieces = st.sampled_from(
 @hsettings(max_examples=500, deadline=None)
 @given(st.one_of(st.lists(_lexer_pieces, max_size=20).map("".join), st.text(max_size=40)))
 def test_tokenize_agrees_with_the_character_scanner(text):
-    """The token pattern gives the reference scanner's tokens, then ``eof``
-    just after the last one, or the same ParseError at the same place."""
+    """The lexer gives the reference scanner's tokens, then ``eof`` just
+    after the last one when the text ends inside a clause, or the same
+    ParseError at the same place."""
+
+    def lexed(text):
+        lexer = _Lexer((text,))
+        toks = [tok for clause in lexer.clauses() for tok in clause]
+        return [(kind, lexeme, value, *lexer.position(pos)) for kind, lexeme, value, pos in toks]
 
     def outcome(lex):
         try:
-            return [(t.kind, t.text, t.value, type(t.value), t.line, t.col) for t in lex(text)]
+            return [(kind, lexeme, value, type(value), line, col) for kind, lexeme, value, line, col in lex(text)]
         except ParseError as e:
             return (e.message, e.line, e.column)
 
     expected = outcome(scan)
-    if isinstance(expected, list):
-        kind, lexeme, _, _, line, col = expected[-1] if expected else ("", "", None, None, 1, 1)
+    if isinstance(expected, list) and expected and expected[-1][0] != "end":
+        kind, lexeme, _, _, line, col = expected[-1]
         expected.append(("eof", "", None, type(None), line, col + len(lexeme)))
-    assert outcome(tokenize) == expected
+    assert outcome(lexed) == expected
 
 _atom_names = st.one_of(
     st.from_regex(r"[a-z][a-z0-9_]{0,6}(-[a-z0-9]{1,3}){0,2}", fullmatch=True),
@@ -501,29 +502,18 @@ def test_parse_term_agrees_with_the_reference_parser(text):
     assert _outcome(parse_term, text) == _outcome(oracles.parse_term, text)
 
 
-def _reference(module, parse):
-    """``parse`` with the reference parser behind ``module``'s directive
-    grammar."""
-
-    def run(text):
-        with mock.patch.object(module, "TermParser", oracles.CursorParser), mock.patch.object(
-            module, "tokenize", oracles.tokenize
-        ):
-            return parse(text)
-
-    return run
-
-
 _directives = st.sampled_from(
     ["classes([pos,neg]).", "classes([a]).", "rmode(2: p(+X,-Y)).", "rmode(1: (q(+-A), r(A,-_), A \\= b)).",
      "rmode(3: s(+_, -B, +-_)).", "rmode(1: t(X)).", "rmode(1: (p(+X), q(+X))).", "rmode(1: p(+ -)).",
      "rmode(1: (p(-X), X < threshold(1))).", "lookahead(p(X), q(X,Y)).", "lookahead((p(X), q(X)), r(X)).",
      "typed(p(t,u)).", "discretize(p(_,X), X).", "minleaf(2).", "heuristic(gain).", "granularity(3).",
-     "minleaf(a).", "rmode(1: !)."]
+     "minleaf(a).", "rmode(1: !).", "classes([]).", "classes([a,a]).", "rmode(0: p(X)).", "typed(p).",
+     "discretize(p(X), Y).", "rmode(1: (p(+X), Y < X))."]
 )
 _schema_directives = st.sampled_from(
     ["table(m, [f, n, c]).", "key(m, [f]).", "table(c, [m, a]).", "fk(c, [m], m).", "background(b).",
-     "table(b, [x]).", "example_id(m, f).", "class_attr(m, c).", "drop_id.", "elide(c).", "key(m, [])."]
+     "table(b, [x]).", "example_id(m, f).", "class_attr(m, c).", "drop_id.", "elide(c).", "key(m, []).",
+     "fk(c, [m], b)."]
 )
 
 
@@ -538,8 +528,9 @@ _schema_directives = st.sampled_from(
     )
 )
 @example("classes([pos,neg]).\nrmode(2: (p(+X,-Y), q(Y, _))).\nrmode(1: r(+-_)).\n")
+@example("classes([a]).\nrmode(1: !).\nminleaf(\u00b2).")
 def test_parse_settings_agrees_with_the_reference_parser(text):
-    assert _outcome(parse_settings, text) == _outcome(_reference(foldt.settings, parse_settings), text)
+    assert _outcome(parse_settings, text) == _outcome(oracles.parse_settings, text)
 
 
 @hsettings(max_examples=200, deadline=None)
@@ -553,8 +544,9 @@ def test_parse_settings_agrees_with_the_reference_parser(text):
     )
 )
 @example("table(m, [f, n, c]).\ntable(c, [m, a]).\nkey(m, [f]).\nfk(c, [m], m).\nexample_id(m, f).\n")
+@example("table(m, [f, n, c]).\ntable(c, [m, a]).\ntable(b, [x]).\nfk(c, [m], b).\nbackground(b).\nexample_id(m, f).\n")
 def test_parse_schema_agrees_with_the_reference_parser(text):
-    assert _outcome(parse_schema, text) == _outcome(_reference(foldt.rdb, parse_schema), text)
+    assert _outcome(parse_schema, text) == _outcome(oracles.parse_schema, text)
 
 
 # ---------------------------------------------------------------------------
