@@ -27,8 +27,11 @@ import hashlib
 import json
 import os
 import struct
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -46,7 +49,7 @@ from .terms import (
     render_term,
 )
 
-CHUNK_MAGIC = b"foldt-chunk v3\n"
+CHUNK_MAGIC = b"foldt-chunk v4\n"
 META_NAME = "meta.json"
 DATA_NAME = "chunks.bin"
 _FRAME = struct.Struct("<I")  # the length of a chunk's frame body, or of a record in it
@@ -125,48 +128,58 @@ class Interpretation:
 # ---------------------------------------------------------------------------
 # Binary codec
 #
-# A record is self-contained.  It opens with its constant table: a count,
-# then per constant a kind byte and its value (an atom's UTF-8 name, an
-# integer's zigzag uvarint, a float's ``<d`` bytes).  Then come the example
-# id (an argument), the label (a constant index), the number of groups and,
-# per predicate/arity key in order of first occurrence, the predicate (a
-# constant index), the arity, the fact count and the facts' arguments in
-# file order, or a 0 byte per fact when the arity is 0.  An argument is one
-# uvarint ``c``: constant ``c >> 1`` when ``c`` is even, else a compound of
-# functor constant ``c >> 1`` followed by its arity and its arguments.
-# Facts and ids are ground, so nothing encodes a variable.
+# A record is self-contained.  It opens with a fixed header: the number of
+# constants, the byte length of the constant table, the width of a code (1,
+# 2 or 4 bytes) and the number of codes.  Then come a kind byte per constant
+# and the constant table: each constant's text in UTF-8, followed by the
+# table's separator, which is its last character.  An atom's text is its
+# name, an integer's its decimal digits, a float's the 16 hex digits of its
+# ``<d`` bytes.  The separator is NUL unless a name holds one.  Last come the
+# codes, little-endian at the record's width: the example id (an argument),
+# the label (a constant index), the number of groups and, per predicate/arity
+# key in order of first occurrence, the predicate (a constant index), the
+# arity doubled, plus 1 when the group is tree-coded, the fact count and the
+# facts' arguments in file order, or a 0 per fact when the arity is 0.  In a
+# plain group each argument is a constant index.  In a tree-coded group, and
+# for the id, an argument is a code ``c``: constant ``c >> 1`` when ``c`` is
+# even, else a compound of functor constant ``c >> 1`` followed by its arity
+# and its arguments.  Facts and ids are ground, so nothing encodes a variable.
 
 _ATOM, _INT, _FLOAT = 0, 1, 2  # constant kinds
 _DOUBLE = struct.Struct("<d")
-
-
-def _put_uvarint(out: bytearray, n: int):
-    while True:
-        b = n & 0x7F
-        n >>= 7
-        if n:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return
+_HEAD = struct.Struct("<IIBI")  # constants, table bytes, code width, codes
+_TYPECODES = {1: "B", 2: "H", 4: "I"}  # code width -> array type code
+_SWAP = sys.byteorder == "big"  # codes are stored little-endian
+# The least a record takes: its header, one constant (the label) of one
+# byte of table, and the codes of an id, a label and a group count.
+_MIN_RECORD = _HEAD.size + 1 + 1 + 3
 
 
 def encode_record(interp: Interpretation) -> bytes:
     # Constants take indexes in order of first use: the dict's order is the
     # table's.  Floats are keyed by their bytes, so -0.0 and 0.0 stay apart.
     consts: dict = {}  # atom name, int value or packed float -> index
-    codes: list[int] = []  # the uvarints after the table, in order
+    numbers: dict[int, int] = {}  # the index of each number constant -> its kind
+    codes: list[int] = []
+    index = consts.setdefault
 
-    def put(t: Term):
+    def number(v) -> int:  # the index of the number constant ``v``
+        if type(v) is int:
+            i = index(v, len(consts))
+            numbers[i] = _INT
+        else:
+            i = index(_DOUBLE.pack(v), len(consts))
+            numbers[i] = _FLOAT
+        return i
+
+    def put(t: Term):  # one argument in the tree coding
         tt = type(t)
         if tt is Atom:
-            codes.append(consts.setdefault(t.name, len(consts)) << 1)
+            codes.append(index(t.name, len(consts)) << 1)
         elif tt is Number:
-            v = t.value
-            key = v if type(v) is int else _DOUBLE.pack(v)
-            codes.append(consts.setdefault(key, len(consts)) << 1)
+            codes.append(number(t.value) << 1)
         elif tt is Compound:
-            codes.append(consts.setdefault(t.functor, len(consts)) << 1 | 1)
+            codes.append(index(t.functor, len(consts)) << 1 | 1)
             codes.append(len(t.args))
             for a in t.args:
                 put(a)
@@ -174,151 +187,194 @@ def encode_record(interp: Interpretation) -> bytes:
             raise TypeError(f"not a ground term: {t!r}")
 
     put(interp.ident)
-    codes.append(consts.setdefault(interp.label, len(consts)))
+    codes.append(index(interp.label, len(consts)))
     codes.append(len(interp.groups))
     for (pred, arity), group in interp.groups.items():
         rows = group.rows
-        codes.append(consts.setdefault(pred, len(consts)))
-        codes.append(arity)
-        codes.append(len(rows))
+        codes += (index(pred, len(consts)), arity << 1, len(rows))
         if not arity:
             codes += [0] * len(rows)
-        for row in rows:
-            for t in row:
-                put(t)
-    out = bytearray()
-    _put_uvarint(out, len(consts))
-    for key in consts:
-        if type(key) is str:
-            raw = key.encode("utf-8")
-            out.append(_ATOM)
-            _put_uvarint(out, len(raw))
-            out += raw
-        elif type(key) is int:
-            if not -(2**63) <= key < 2**63:
-                raise DataError(f"integer {key} out of the 64-bit storable range")
-            out.append(_INT)
-            _put_uvarint(out, (key << 1) ^ (key >> 63))
+            continue
+        mark = len(codes)
+        for t in chain.from_iterable(rows):
+            tt = type(t)
+            if tt is Atom:
+                codes.append(index(t.name, len(consts)))
+            elif tt is Number:
+                codes.append(number(t.value))
+            else:  # a compound, or a variable that ``put`` rejects: tree-code the group
+                del codes[mark:]
+                codes[mark - 2] |= 1
+                for a in chain.from_iterable(rows):
+                    put(a)
+                break
+    texts = list(consts)  # an atom's name is its text
+    kinds = bytearray(len(texts))
+    for i, kind in numbers.items():
+        key = texts[i]
+        if kind == _FLOAT:
+            texts[i] = key.hex()
+        elif -(2**63) <= key < 2**63:
+            texts[i] = str(key)
         else:
-            out.append(_FLOAT)
-            out += key
-    if max(codes) < 0x80:  # each code is its own one-byte uvarint
-        out += bytes(codes)
+            raise DataError(f"integer {key} out of the 64-bit storable range")
+        kinds[i] = kind
+    sep = "\0"
+    table = sep.join(texts) + sep
+    if table.count(sep) != len(texts):  # a name holds NUL: take a character none holds
+        sep = next(c for c in map(chr, range(1, 0x110000)) if all(c not in t for t in texts))
+        table = sep.join(texts) + sep
+    table = table.encode("utf-8")
+    top = max(codes)
+    if top < 1 << 8:
+        width, packed = 1, bytes(codes)
+    elif top < 1 << 32:
+        width = 2 if top < 1 << 16 else 4
+        packed = array(_TYPECODES[width], codes)
+        if _SWAP:
+            packed.byteswap()
+        packed = packed.tobytes()
     else:
-        for c in codes:
-            _put_uvarint(out, c)
-    return bytes(out)
+        raise DataError(f"a count or index of {top} is over the 32 bits of a record code")
+    return b"".join((_HEAD.pack(len(texts), len(table), width, len(codes)), kinds, table, packed))
 
 
-def _uvarint(buf: bytes, pos: int) -> tuple[int, int]:
-    """The uvarint at ``pos``, and the position after it."""
-    n = shift = 0
-    while True:
-        b = buf[pos]
-        pos += 1
-        n |= (b & 0x7F) << shift
-        if b < 0x80:
-            return n, pos
-        shift += 7
+def _constant(memo: dict, key: tuple[int, str]) -> Term:
+    """The constant of kind and text ``key``, built and kept in ``memo``."""
+    kind, text = key
+    if kind == _ATOM:
+        term = Atom(text)
+    elif kind == _INT:
+        try:
+            term = Number(int(text))
+        except ValueError:
+            term = None
+        if term is None or str(term.value) != text:
+            raise DataError(f"corrupt chunk record (bad integer {text!r})")
+    elif kind == _FLOAT:
+        try:
+            term = Number(_DOUBLE.unpack(bytes.fromhex(text))[0])
+        except (ValueError, struct.error):
+            raise DataError(f"corrupt chunk record (bad float {text!r})") from None
+    else:
+        raise DataError(f"corrupt chunk record (bad constant kind {kind})")
+    memo[key] = term
+    return term
 
 
-def _args(buf: bytes, pos: int, count: int, terms: dict, names: dict) -> tuple[list, int]:
-    """The ``count`` arguments from ``pos`` on, and the position after them."""
+def _name(terms: list, c: int) -> str:
+    """The name of atom constant ``c``."""
+    t = terms[c]
+    if type(t) is not Atom:
+        raise DataError(f"corrupt chunk record (constant {c} is a number where a name is required)")
+    return t.name
+
+
+def _args(codes, pos: int, count: int, terms: list) -> tuple[list, int]:
+    """The ``count`` tree-coded arguments from ``pos`` on, and the position
+    after them."""
     out = []
     for _ in range(count):
-        c, pos = _uvarint(buf, pos)
+        if pos >= len(codes):
+            raise DataError("corrupt chunk record (truncated)")
+        c = codes[pos]
         if c & 1:
-            functor = names[c >> 1]
-            arity, pos = _uvarint(buf, pos)
-            args, pos = _args(buf, pos, arity, terms, names)
+            functor = _name(terms, c >> 1)
+            if pos + 1 >= len(codes):
+                raise DataError("corrupt chunk record (truncated)")
+            args, pos = _args(codes, pos + 2, codes[pos + 1], terms)
             out.append(Compound(functor, tuple(args)))
         else:
-            out.append(terms[c])
+            out.append(terms[c >> 1])
+            pos += 1
     return out, pos
 
 
 def decode_record(buf: bytes, memo: dict | None = None) -> Interpretation:
     """The example a record holds, its facts decoded straight into groups.
     A record that does not decode, or leaves bytes unread, is a
-    ``DataError``.  ``memo`` keeps the constants built so far, an atom under
-    its UTF-8 bytes and an integer under its zigzag value, so that records
-    decoded with one memo share them."""
+    ``DataError``.  ``memo`` keeps the constants built so far under their
+    kind and text, so that records decoded with one memo share them."""
     if memo is None:
         memo = {}
-    terms: dict[int, Term] = {}  # argument code (constant index << 1) -> its term
-    names: dict[int, str] = {}  # atom constant index -> its name
     size = len(buf)
+    if size < _HEAD.size:
+        raise DataError("corrupt chunk record (truncated)")
+    nconst, tlen, width, ncodes = _HEAD.unpack_from(buf)
+    start = _HEAD.size + nconst  # of the table
+    end = start + tlen  # of the table, and the start of the codes
+    if end > size:
+        raise DataError(f"corrupt chunk record (its constant table of {tlen} bytes ends past the record)")
+    typecode = _TYPECODES.get(width)
+    if typecode is None:
+        raise DataError(f"corrupt chunk record (bad code width {width})")
+    unread = size - end - width * ncodes
+    if unread > 0:
+        raise DataError(f"corrupt chunk record ({unread} bytes unread)")
+    if unread < 0:
+        raise DataError(f"corrupt chunk record ({ncodes} codes of {width} bytes do not fit)")
+    codes = array(typecode, buf[end:])
+    if _SWAP:
+        codes.byteswap()
+    kinds = buf[_HEAD.size : start]
     try:
-        n, pos = _uvarint(buf, 0)
-        for i in range(n):
-            kind = buf[pos]
-            pos += 1
-            if kind == _ATOM:
-                ln, pos = _uvarint(buf, pos)
-                end = pos + ln
-                if end > size:
-                    raise IndexError
-                raw = buf[pos:end]
-                atom = memo.get(raw)
-                if atom is None:
-                    atom = memo[raw] = Atom(raw.decode("utf-8"))
-                terms[i << 1] = atom
-                names[i] = atom.name
-                pos = end
-            elif kind == _INT:
-                z, pos = _uvarint(buf, pos)
-                number = memo.get(z)
-                if number is None:
-                    number = memo[z] = Number((z >> 1) ^ -(z & 1))
-                terms[i << 1] = number
-            elif kind == _FLOAT:
-                terms[i << 1] = Number(_DOUBLE.unpack_from(buf, pos)[0])
-                pos += 8
-            else:
-                raise DataError(f"corrupt chunk record (bad constant kind {kind})")
-        (ident,), pos = _args(buf, pos, 1, terms, names)
-        c, pos = _uvarint(buf, pos)
-        label = names[c]
-        ngroups, pos = _uvarint(buf, pos)
+        text = buf[start:end].decode("utf-8")
+    except UnicodeDecodeError:
+        raise DataError("corrupt chunk record (its constant table is not UTF-8)") from None
+    texts = text.split(text[-1]) if text else [""]
+    del texts[-1]  # what follows the separator that ends the table
+    if len(texts) != nconst:
+        raise DataError(f"corrupt chunk record ({len(texts)} constants in a table of {nconst})")
+    terms = list(map(memo.get, zip(kinds, texts)))
+    if None in terms:  # constants new to the memo
+        i = 0
+        for _ in range(terms.count(None)):
+            i = terms.index(None, i)
+            terms[i] = _constant(memo, (kinds[i], texts[i]))
+    get = terms.__getitem__
+    try:
+        (ident,), pos = _args(codes, 0, 1, terms)
+        c, ngroups = codes[pos : pos + 2]
+        label = _name(terms, c)
+        pos += 2
         groups: dict[tuple[str, int], _FactGroup] = {}
         for _ in range(ngroups):
-            c, pos = _uvarint(buf, pos)
-            arity, pos = _uvarint(buf, pos)
-            key = (names[c], arity)
+            c, arity, n = codes[pos : pos + 3]
+            pos += 3
+            tree = arity & 1
+            arity >>= 1
+            key = (_name(terms, c), arity)
             if key in groups:
                 raise DataError(f"corrupt chunk record ({key[0]}/{arity} grouped twice)")
-            n, pos = _uvarint(buf, pos)
-            # Every fact takes at least a byte per argument, a nullary one
+            # Every fact takes at least a code per argument, a nullary one
             # its 0 marker, and no group is empty: this bounds what a
             # corrupt count or arity allocates by the record's length.
-            if not 0 < n * max(arity, 1) <= size - pos:
-                raise DataError(f"corrupt chunk record ({n} facts of {key[0]}/{arity} do not fit)")
-            if arity:
-                args, pos = _args(buf, pos, n * arity, terms, names)
-                rows = tuple(zip(*[iter(args)] * arity))
-            else:
-                if any(buf[pos : pos + n]):
+            if not arity:
+                if not 0 < n <= ncodes - pos:
+                    raise DataError(f"corrupt chunk record ({n} facts of {key[0]}/0 do not fit)")
+                if any(codes[pos : pos + n]):
                     raise DataError(f"corrupt chunk record (a fact of {key[0]}/0 is not marked 0)")
-                rows = ((),) * n
                 pos += n
-            groups[key] = _FactGroup(rows)
-    except (IndexError, struct.error):
+                groups[key] = _FactGroup(((),) * n)
+                continue
+            stop = pos + n * arity
+            if not pos < stop <= ncodes:
+                raise DataError(f"corrupt chunk record ({n} facts of {key[0]}/{arity} do not fit)")
+            if tree:
+                args, pos = _args(codes, pos, n * arity, terms)
+                args = iter(args)
+            else:
+                args = map(get, codes[pos:stop])
+                pos = stop
+            groups[key] = _FactGroup(tuple(zip(*[args] * arity)))
+    except ValueError:  # a slice of codes cut short
         raise DataError("corrupt chunk record (truncated)") from None
-    except KeyError as e:
-        # Every constant is in ``terms``; only an index past the table, or a
-        # number where ``names`` wants an atom, is missing.
-        (k,) = e.args
-        raise DataError(
-            f"corrupt chunk record (constant {k} is a number where a name is required)"
-            if k < len(terms)
-            else f"corrupt chunk record (a constant index beyond the table of {len(terms)})"
-        ) from None
-    except UnicodeDecodeError:
-        raise DataError("corrupt chunk record (an atom name is not UTF-8)") from None
+    except IndexError:
+        raise DataError(f"corrupt chunk record (a constant index beyond the table of {nconst})") from None
     except RecursionError:
         raise DataError("corrupt chunk record (compounds nested too deeply)") from None
-    if pos != size:
-        raise DataError(f"corrupt chunk record ({size - pos} bytes unread)")
+    if pos != ncodes:
+        raise DataError(f"corrupt chunk record ({(ncodes - pos) * width} bytes unread)")
     return Interpretation.from_groups(ident, label, groups)
 
 
@@ -541,7 +597,7 @@ class DatasetHandle:
                     f = files.enter_context(open(path, "rb"))
                     size = os.fstat(f.fileno()).st_size
                     if f.read(len(CHUNK_MAGIC)) != CHUNK_MAGIC:
-                        raise DataError(f"data file {path} is not in chunk format v3: compile the data file again")
+                        raise DataError(f"data file {path} is not in chunk format v4: compile the data file again")
                     for skipped in range(index):
                         f.seek(length(skipped), 1)
                 if chosen:
@@ -621,9 +677,10 @@ def open_dataset(directory) -> DatasetHandle:
     data = directory / DATA_NAME
     if not data.is_file():
         raise DataError(f"chunk store {directory} has no {DATA_NAME}: compile the data file again")
-    # Every frame takes its 4-byte length and every record its own and a
-    # byte: before the layout is built, a tampered total allocates nothing.
-    if data.stat().st_size < len(CHUNK_MAGIC) + 4 * -(-total // granularity) + 5 * total:
+    # Every frame takes its 4-byte length and every record its own and the
+    # least a record holds: before the layout is built, a tampered total
+    # allocates nothing.
+    if data.stat().st_size < len(CHUNK_MAGIC) + 4 * -(-total // granularity) + (4 + _MIN_RECORD) * total:
         raise DataError(f"data file {data} is too short for the {total} examples of {meta_path}")
     chunks = [ChunkInfo(data, min(granularity, total - o), o) for o in range(0, total, granularity)]
     return DatasetHandle(directory, chunks, granularity, total, dict(class_counts), fingerprint, predicates)

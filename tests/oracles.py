@@ -25,9 +25,9 @@ then.  Over it run the settings and schema readers that ``settings`` and
 index, the reference for ``parse_settings`` and ``parse_schema``, and
 ``extract_example``, the facts of one example id as ``rdb.convert_all``
 writes them.
-Then comes the v1 chunk record codec, which wrote each fact as its
-predicate name and tagged argument terms, one after another in file order:
-the reference for ``store.encode_record`` and ``store.decode_record``.
+Then comes the chunk record codec of formats v2 and v3, which read each
+record one uvarint at a time: the reference for ``store.encode_record`` and
+``store.decode_record``.
 Last of all come the frozen dataclasses that were ``terms``' term classes
 before each became a tagged tuple, with their renderer: the reference for
 the equality, hashing, ``repr`` and rendering of ``Atom``, ``Number``,
@@ -49,7 +49,7 @@ from foldt.errors import BudgetExceededError, DataError, ParseError, QueryError
 from foldt.model import Leaf
 from foldt.rdb import ForeignKey, Schema, Table, _example_facts, _Indexes
 from foldt.settings import DiscretizeRequest, LearnerConfig, Lookahead, RMode, Settings, threshold_indices
-from foldt.store import Interpretation
+from foldt.store import Interpretation, _FactGroup
 from foldt.terms import (
     BUILTIN_PREDS,
     Atom,
@@ -1254,11 +1254,19 @@ def extract_example(snapshot, schema: Schema, id_value: Term, containing: str = 
 
 
 # ---------------------------------------------------------------------------
-# The v1 chunk record codec
+# The chunk record codec of formats v2 and v3
+#
+# A record opens with its constant table: a count, then per constant a kind
+# byte and its value (an atom's UTF-8 name, an integer's zigzag uvarint, a
+# float's ``<d`` bytes).  Then come the example id (an argument), the label
+# (a constant index), the number of groups and, per predicate/arity key, the
+# predicate (a constant index), the arity, the fact count and the facts'
+# arguments, or a 0 byte per fact when the arity is 0.  An argument is one
+# uvarint ``c``: constant ``c >> 1`` when ``c`` is even, else a compound of
+# functor constant ``c >> 1`` followed by its arity and its arguments.
 
-# Facts and ids are ground, so no tag encodes a variable.  Tag 3 stays
-# unassigned so that stores already written keep their tag numbers.
-_TAG_ATOM, _TAG_INT, _TAG_FLOAT, _TAG_COMPOUND = 0, 1, 2, 4
+_ATOM, _INT, _FLOAT = 0, 1, 2  # constant kinds
+_DOUBLE = struct.Struct("<d")
 
 
 def _put_uvarint(out: bytearray, n: int):
@@ -1272,107 +1280,175 @@ def _put_uvarint(out: bytearray, n: int):
             return
 
 
-def _put_str(out: bytearray, s: str):
-    raw = s.encode("utf-8")
-    _put_uvarint(out, len(raw))
-    out.extend(raw)
-
-
-def _put_term(out: bytearray, t: Term):
-    if isinstance(t, Atom):
-        out.append(_TAG_ATOM)
-        _put_str(out, t.name)
-    elif isinstance(t, Number):
-        if isinstance(t.value, int):
-            out.append(_TAG_INT)
-            n = t.value
-            _put_uvarint(out, (n << 1) ^ (n >> 63) if -(2**63) <= n < 2**63 else _reject_int(n))
-        else:
-            out.append(_TAG_FLOAT)
-            out.extend(struct.pack("<d", t.value))
-    elif isinstance(t, Compound):
-        out.append(_TAG_COMPOUND)
-        _put_str(out, t.functor)
-        _put_uvarint(out, len(t.args))
-        for a in t.args:
-            _put_term(out, a)
-    else:
-        raise TypeError(f"not a ground term: {t!r}")
-
-
-def _reject_int(n: int):
-    raise DataError(f"integer {n} out of the 64-bit storable range")
-
-
-class _Reader:
-    __slots__ = ("buf", "pos")
-
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def uvarint(self) -> int:
-        shift = n = 0
-        while True:
-            b = self.buf[self.pos]
-            self.pos += 1
-            n |= (b & 0x7F) << shift
-            if not b & 0x80:
-                return n
-            shift += 7
-
-    def string(self) -> str:
-        ln = self.uvarint()
-        raw = self.buf[self.pos : self.pos + ln]
-        self.pos += ln
-        return raw.decode("utf-8")
-
-    def term(self) -> Term:
-        tag = self.buf[self.pos]
-        self.pos += 1
-        if tag == _TAG_ATOM:
-            return Atom(self.string())
-        if tag == _TAG_INT:
-            z = self.uvarint()
-            return Number((z >> 1) ^ -(z & 1))
-        if tag == _TAG_FLOAT:
-            (v,) = struct.unpack_from("<d", self.buf, self.pos)
-            self.pos += 8
-            return Number(v)
-        if tag == _TAG_COMPOUND:
-            functor = self.string()
-            arity = self.uvarint()
-            return Compound(functor, tuple(self.term() for _ in range(arity)))
-        raise DataError(f"corrupt chunk record (bad tag {tag})")
-
-
 def encode_record(interp: Interpretation) -> bytes:
+    # Constants take indexes in order of first use: the dict's order is the
+    # table's.  Floats are keyed by their bytes, so -0.0 and 0.0 stay apart.
+    consts: dict = {}  # atom name, int value or packed float -> index
+    codes: list[int] = []  # the uvarints after the table, in order
+
+    def put(t: Term):
+        tt = type(t)
+        if tt is Atom:
+            codes.append(consts.setdefault(t.name, len(consts)) << 1)
+        elif tt is Number:
+            v = t.value
+            key = v if type(v) is int else _DOUBLE.pack(v)
+            codes.append(consts.setdefault(key, len(consts)) << 1)
+        elif tt is Compound:
+            codes.append(consts.setdefault(t.functor, len(consts)) << 1 | 1)
+            codes.append(len(t.args))
+            for a in t.args:
+                put(a)
+        else:
+            raise TypeError(f"not a ground term: {t!r}")
+
+    put(interp.ident)
+    codes.append(consts.setdefault(interp.label, len(consts)))
+    codes.append(len(interp.groups))
+    for (pred, arity), group in interp.groups.items():
+        rows = group.rows
+        codes.append(consts.setdefault(pred, len(consts)))
+        codes.append(arity)
+        codes.append(len(rows))
+        if not arity:
+            codes += [0] * len(rows)
+        for row in rows:
+            for t in row:
+                put(t)
     out = bytearray()
-    _put_term(out, interp.ident)
-    _put_str(out, interp.label)
-    _put_uvarint(out, len(interp.facts))
-    for f in interp.facts:
-        _put_str(out, f.pred)
-        _put_uvarint(out, len(f.args))
-        for a in f.args:
-            _put_term(out, a)
+    _put_uvarint(out, len(consts))
+    for key in consts:
+        if type(key) is str:
+            raw = key.encode("utf-8")
+            out.append(_ATOM)
+            _put_uvarint(out, len(raw))
+            out += raw
+        elif type(key) is int:
+            if not -(2**63) <= key < 2**63:
+                raise DataError(f"integer {key} out of the 64-bit storable range")
+            out.append(_INT)
+            _put_uvarint(out, (key << 1) ^ (key >> 63))
+        else:
+            out.append(_FLOAT)
+            out += key
+    if max(codes) < 0x80:  # each code is its own one-byte uvarint
+        out += bytes(codes)
+    else:
+        for c in codes:
+            _put_uvarint(out, c)
     return bytes(out)
 
 
-def decode_record(buf: bytes) -> Interpretation:
-    r = _Reader(buf)
-    ident = r.term()
-    label = r.string()
-    nfacts = r.uvarint()
-    facts = []
-    for _ in range(nfacts):
-        pred = r.string()
-        arity = r.uvarint()
-        args = tuple(r.term() for _ in range(arity))
-        facts.append(Literal(pred, args))
-    if r.pos != len(buf):
-        raise DataError(f"corrupt chunk record ({len(buf) - r.pos} bytes unread)")
-    return Interpretation(ident, label, tuple(facts))
+def _uvarint(buf: bytes, pos: int) -> tuple[int, int]:
+    """The uvarint at ``pos``, and the position after it."""
+    n = shift = 0
+    while True:
+        b = buf[pos]
+        pos += 1
+        n |= (b & 0x7F) << shift
+        if b < 0x80:
+            return n, pos
+        shift += 7
+
+
+def _args(buf: bytes, pos: int, count: int, terms: dict, names: dict) -> tuple[list, int]:
+    """The ``count`` arguments from ``pos`` on, and the position after them."""
+    out = []
+    for _ in range(count):
+        c, pos = _uvarint(buf, pos)
+        if c & 1:
+            functor = names[c >> 1]
+            arity, pos = _uvarint(buf, pos)
+            args, pos = _args(buf, pos, arity, terms, names)
+            out.append(Compound(functor, tuple(args)))
+        else:
+            out.append(terms[c])
+    return out, pos
+
+
+def decode_record(buf: bytes, memo: dict | None = None) -> Interpretation:
+    """The example a record holds, its facts decoded straight into groups.
+    A record that does not decode, or leaves bytes unread, is a
+    ``DataError``.  ``memo`` keeps the constants built so far, an atom under
+    its UTF-8 bytes and an integer under its zigzag value, so that records
+    decoded with one memo share them."""
+    if memo is None:
+        memo = {}
+    terms: dict[int, Term] = {}  # argument code (constant index << 1) -> its term
+    names: dict[int, str] = {}  # atom constant index -> its name
+    size = len(buf)
+    try:
+        n, pos = _uvarint(buf, 0)
+        for i in range(n):
+            kind = buf[pos]
+            pos += 1
+            if kind == _ATOM:
+                ln, pos = _uvarint(buf, pos)
+                end = pos + ln
+                if end > size:
+                    raise IndexError
+                raw = buf[pos:end]
+                atom = memo.get(raw)
+                if atom is None:
+                    atom = memo[raw] = Atom(raw.decode("utf-8"))
+                terms[i << 1] = atom
+                names[i] = atom.name
+                pos = end
+            elif kind == _INT:
+                z, pos = _uvarint(buf, pos)
+                number = memo.get(z)
+                if number is None:
+                    number = memo[z] = Number((z >> 1) ^ -(z & 1))
+                terms[i << 1] = number
+            elif kind == _FLOAT:
+                terms[i << 1] = Number(_DOUBLE.unpack_from(buf, pos)[0])
+                pos += 8
+            else:
+                raise DataError(f"corrupt chunk record (bad constant kind {kind})")
+        (ident,), pos = _args(buf, pos, 1, terms, names)
+        c, pos = _uvarint(buf, pos)
+        label = names[c]
+        ngroups, pos = _uvarint(buf, pos)
+        groups: dict[tuple[str, int], _FactGroup] = {}
+        for _ in range(ngroups):
+            c, pos = _uvarint(buf, pos)
+            arity, pos = _uvarint(buf, pos)
+            key = (names[c], arity)
+            if key in groups:
+                raise DataError(f"corrupt chunk record ({key[0]}/{arity} grouped twice)")
+            n, pos = _uvarint(buf, pos)
+            # Every fact takes at least a byte per argument, a nullary one
+            # its 0 marker, and no group is empty: this bounds what a
+            # corrupt count or arity allocates by the record's length.
+            if not 0 < n * max(arity, 1) <= size - pos:
+                raise DataError(f"corrupt chunk record ({n} facts of {key[0]}/{arity} do not fit)")
+            if arity:
+                args, pos = _args(buf, pos, n * arity, terms, names)
+                rows = tuple(zip(*[iter(args)] * arity))
+            else:
+                if any(buf[pos : pos + n]):
+                    raise DataError(f"corrupt chunk record (a fact of {key[0]}/0 is not marked 0)")
+                rows = ((),) * n
+                pos += n
+            groups[key] = _FactGroup(rows)
+    except (IndexError, struct.error):
+        raise DataError("corrupt chunk record (truncated)") from None
+    except KeyError as e:
+        # Every constant is in ``terms``; only an index past the table, or a
+        # number where ``names`` wants an atom, is missing.
+        (k,) = e.args
+        raise DataError(
+            f"corrupt chunk record (constant {k} is a number where a name is required)"
+            if k < len(terms)
+            else f"corrupt chunk record (a constant index beyond the table of {len(terms)})"
+        ) from None
+    except UnicodeDecodeError:
+        raise DataError("corrupt chunk record (an atom name is not UTF-8)") from None
+    except RecursionError:
+        raise DataError("corrupt chunk record (compounds nested too deeply)") from None
+    if pos != size:
+        raise DataError(f"corrupt chunk record ({size - pos} bytes unread)")
+    return Interpretation.from_groups(ident, label, groups)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from conftest import BONGARD_BIAS_TEXT, bongard12_kb_text
 
@@ -50,6 +52,28 @@ def test_bench_reports_monotone_N(tmp_path, bongard12):
     )
     ns = [r.examples for r in result.reports]
     assert ns == sorted(ns) and len(set(ns)) == len(ns)
+
+
+@pytest.mark.parametrize("algorithm", ["lds", "classic"])
+def test_mean_test_seconds_leaves_chunk_decoding_out(tmp_path, bongard12, monkeypatch, algorithm):
+    """c times the evaluations is the evaluation time without decoding: the
+    levels' eval_seconds for LDS, the run's eval_seconds for classic."""
+    import foldt.bench
+
+    models = []
+    learn = foldt.bench.learn
+    monkeypatch.setattr(foldt.bench, "learn", lambda *args: models.append(learn(*args)) or models[-1])
+    cfg = replace(LearnerConfig.from_settings(BONGARD_SETTINGS), algorithm=algorithm)
+    [report] = bench_run(bongard12, None, BONGARD_SETTINGS, cfg, k_list=(1,), workdir=tmp_path / "w").reports
+    [meta] = [m.metadata for m in models]
+    if algorithm == "lds":
+        evaluating = sum(level["eval_seconds"] for level in meta["levels"])
+        assert sum(level["decode_seconds"] for level in meta["levels"]) > 0
+        assert evaluating < meta["eval_seconds"]
+    else:
+        evaluating = meta["eval_seconds"]
+    assert meta["evaluations"] > 0
+    assert report.mean_test_seconds * meta["evaluations"] == pytest.approx(evaluating)
 
 
 def test_structure_hash_ignores_counts():

@@ -85,12 +85,12 @@ def test_model_file_matches_golden(tmp_path, capsys, domain, algo):
 # piece of the file reader.
 STORES = {
     "poker": (
-        "63b5a98e83649a0b2513e94d7e169ed97d389f29875c300831c39083ff4ebd3a",
-        "494359800a4b293ab44819c30a403775d6326573a181821b533d1f0ff6b54b7c",
+        "342a18e28b0e050ab2cbbe46c383d5baf1dcdf3c6fab3b04c562d65ed618c7fa",
+        "2d4ab1a46750c537a609a71ac3c99b45ca0167e0b1b8bbe59c938242ed36d813",
     ),
     "bongard": (
-        "2cc2054305f1404f774306d65b8b7cc09f964525df4e2237275210968663b945",
-        "bdbe6b18bbf2d3e2894ede770725a920612a7729bece4d70ce37c1d45916b9bf",
+        "3fb597cbe511fff197d6cf75f40e57e38a82dfb7763c41554bb52cdb217b6094",
+        "1f976516812698248e59f9f25dbadb3835642bc7bbf7d3355d21c6792d4781e7",
     ),
 }
 

@@ -9,9 +9,10 @@ from conftest import POKER_BIAS_TEXT, learn_with, mk_interp
 from hypothesis import given, settings as hsettings, strategies as st
 
 from foldt.errors import DataError, ParseError
-from foldt.generators import GenSpec, gen_poker
+from foldt.generators import GenSpec, gen_bongard, gen_poker, replicate
 from foldt.settings import ALGORITHMS, parse_settings
 from foldt.store import (
+    _MIN_RECORD,
     CHUNK_MAGIC,
     DATA_NAME,
     Interpretation,
@@ -26,6 +27,7 @@ from foldt.terms import Atom, Compound, Literal, Number, parse_term
 POKER_SETTINGS = parse_settings(
     "classes([nothing,pair,two_pairs,three_of_a_kind,full_house,four_of_a_kind])."
 )
+BONGARD_SETTINGS = parse_settings("classes([pos,neg]).")
 
 FIG_BLOCK = """\
 begin(model(4)).
@@ -211,7 +213,7 @@ def test_selective_stream_decodes_only_selected_records(tmp_path, monkeypatch):
     raw = bytearray(data.read_bytes())
     pos = len(CHUNK_MAGIC) + 4  # past the first frame's header
     (ln,) = struct.unpack_from("<I", raw, pos)
-    raw[pos + 4 + ln + 4 + 1] = 0x7F  # the kind of its first constant
+    raw[pos + 4 + ln + 4 + 13] = 0x7F  # the kind of its first constant, after the 13-byte header
     data.write_bytes(bytes(raw))
     assert [o for o, _ in handle.stream_examples(range(0, 25, 4))] == selected
     with pytest.raises(DataError, match="bad constant kind 127"):
@@ -330,6 +332,11 @@ def _edit_meta(**changes):
             "open",
             r"data file .*chunks\.bin is too short for the 1000000000000 examples of .*meta\.json",
         ),
+        (
+            _edit_meta(total=40, class_counts={"pair": 40}),
+            "open",
+            r"data file .*chunks\.bin is too short for the 40 examples of .*meta\.json",
+        ),
         (_edit_meta(granularity=4), "stream", r"chunk 0 of data file .*chunks\.bin: expected 4 records, found 5"),
         (
             _edit_meta(total=11, class_counts={"pair": 11}),
@@ -354,6 +361,7 @@ def _edit_meta(**changes):
         "total-float",
         "total-zero",
         "total-without-chunks",
+        "total-past-the-least-records",
         "chunk-above-granularity",
         "last-chunk-above-total",
     ],
@@ -386,11 +394,21 @@ def test_class_counts_unlike_the_examples_rejected(tmp_path, algorithm):
 
 
 def test_rechunking_preserves_content(tmp_path):
-    path = _write_many(tmp_path, 23)
-    h1 = load_dataset(path, POKER_SETTINGS, out_dir=tmp_path / "g10", granularity=10)
-    h2 = load_dataset(path, POKER_SETTINGS, out_dir=tmp_path / "g3", granularity=3)
-    assert h1.fingerprint == h2.fingerprint
-    assert h1.class_counts == h2.class_counts
+    """The fingerprint is the same at every granularity, for cards and for
+    Bongard scenes, and also for the compound ids ``rep(Id, K)`` that
+    replication gives."""
+    inputs = {
+        "cards": (_write_many(tmp_path, 23), POKER_SETTINGS),
+        "bongard": (gen_bongard(GenSpec("bongard", 23, seed=3), tmp_path / "b.kb"), BONGARD_SETTINGS),
+    }
+    for name, (path, settings) in inputs.items():
+        seen = set()
+        for g in (1, 3, 10):
+            handle = load_dataset(path, settings, out_dir=tmp_path / f"{name}{g}", granularity=g)
+            copies = replicate(handle, 2, tmp_path / f"{name}-rep{g}")
+            assert Compound("rep", (Number(1), Number(2))) in {e.ident for _, e in copies.stream_examples()}
+            seen.add((handle.fingerprint, copies.fingerprint, tuple(sorted(handle.class_counts.items()))))
+        assert len(seen) == 1
 
 
 def test_streaming_order_deterministic(tmp_path):
@@ -428,6 +446,21 @@ def test_record_codec_roundtrip():
     assert decode_record(encode_record(interp)) == interp
 
 
+def test_the_least_record_is_the_one_open_dataset_assumes():
+    # One constant, the empty name, is both id and label; no facts.
+    assert len(encode_record(Interpretation(Atom(""), "", ()))) == _MIN_RECORD
+
+
+def test_names_that_hold_nul_round_trip():
+    """The table's separator is NUL unless a name holds one; then it is the
+    first character that no constant's text holds."""
+    interp = Interpretation(Atom("\0"), "a\0b", (Literal("p\1", (Atom("\2\0"), Number(3))),))
+    record = encode_record(interp)
+    assert decode_record(record) == interp
+    table = record[18 : 18 + struct.unpack_from("<I", record, 4)[0]]  # past the header and 5 kinds
+    assert table == b"\0\3a\0b\3p\1\3\2\0\0033\3"
+
+
 def test_records_decoded_with_one_memo_share_their_constants():
     hands = [
         mk_interp("1", "pair", "card(7,spades)", "v(2.5)"),
@@ -447,11 +480,14 @@ def test_record_codec_rejects_variables_bad_tags_and_unread_bytes(tmp_path):
     with pytest.raises(TypeError, match="ground"):
         encode_record(Interpretation(Number(1), "pair", (Literal("card", (parse_term("X"), Atom("hearts"))),)))
     record = encode_record(Interpretation(Number(1), "pair", (Literal("flush", ()),)))
-    assert record[:3] == b"\x03\x01\x02"  # three constants, the first the integer 1
+    assert record[:4] == b"\x03\x00\x00\x00"  # three constants
+    assert record[13:16] == b"\x01\x00\x00"  # their kinds: the integer 1, then two atoms
     with pytest.raises(DataError, match="bad constant kind 3"):
-        decode_record(record[:1] + b"\x03" + record[2:])  # an unassigned kind
+        decode_record(record[:13] + b"\x03" + record[14:])  # an unassigned kind
     with pytest.raises(DataError, match="1 bytes unread"):
         decode_record(record + b"\x00")
+    with pytest.raises(DataError, match="truncated"):
+        decode_record(record[:12])  # its header cut short
     handle = load_dataset(_write_many(tmp_path, 2), POKER_SETTINGS, tmp_path / "store", granularity=5)
     data = handle.chunks[0].path
     [body] = _frames(data)
@@ -530,9 +566,9 @@ def test_non_integer_ids(tmp_path):
 def test_v1_chunk_rejected_with_a_recompile_hint(tmp_path):
     handle = load_dataset(_write_many(tmp_path, 3), POKER_SETTINGS, tmp_path / "store", granularity=5)
     data = handle.chunks[0].path
-    assert data.read_bytes().startswith(b"foldt-chunk v3\n")
+    assert data.read_bytes().startswith(b"foldt-chunk v4\n")
     data.write_bytes(b"foldt-chunk v1\n" + data.read_bytes()[len(CHUNK_MAGIC) :])
-    with pytest.raises(DataError, match=r"store/chunks\.bin is not in chunk format v3: compile the data file again"):
+    with pytest.raises(DataError, match=r"store/chunks\.bin is not in chunk format v4: compile the data file again"):
         list(open_dataset(handle.dir).stream_examples())
 
 
@@ -545,19 +581,25 @@ def _v2_layout(directory):
     data.unlink()
 
 
-def _v2_magic(directory):
-    data = directory / DATA_NAME
-    data.write_bytes(b"foldt-chunk v2\n" + data.read_bytes()[len(CHUNK_MAGIC) :])
+def _magic(line: bytes):
+    """Put the first line ``line`` of an older format on the data file."""
+
+    def edit(directory):
+        data = directory / DATA_NAME
+        data.write_bytes(line + data.read_bytes()[len(CHUNK_MAGIC) :])
+
+    return edit
 
 
 @pytest.mark.parametrize(
     "edit,when,message",
     [
         (_v2_layout, "open", r"chunk store .*/store has no chunks\.bin: compile the data file again"),
-        (_v2_magic, "stream", r"data file .*/store/chunks\.bin is not in chunk format v3: compile the data file again"),
+        (_magic(b"foldt-chunk v2\n"), "stream", r"data file .*/store/chunks\.bin is not in chunk format v4: compile the data file again"),
+        (_magic(b"foldt-chunk v3\n"), "stream", r"data file .*/store/chunks\.bin is not in chunk format v4: compile the data file again"),
         (lambda d: (d / DATA_NAME).unlink(), "open", r"chunk store .*/store has no chunks\.bin"),
     ],
-    ids=["v2-layout", "v2-magic", "no-data-file"],
+    ids=["v2-layout", "v2-magic", "v3-magic", "no-data-file"],
 )
 def test_older_store_rejected_with_a_recompile_hint(tmp_path, edit, when, message):
     handle = load_dataset(_write_many(tmp_path, 12), POKER_SETTINGS, tmp_path / "store", granularity=5)
@@ -639,40 +681,61 @@ def test_stream_closes_the_data_file_when_abandoned(tmp_path, monkeypatch):
     assert len(opened) == 2 and opened[1].closed
 
 
-def _record(consts, body) -> bytes:
-    """A v2 record from its constants, each ``(kind, payload)``, and the
-    bytes that follow the table."""
-    return bytes([len(consts)]) + b"".join(bytes([k]) + p for k, p in consts) + bytes(body)
+def _record(consts, codes, width=1, **head) -> bytes:
+    """A record from its constants, each ``(kind, text)`` with the text in
+    bytes, and its codes at ``width`` bytes each; ``head`` overrides the
+    header's ``nconst``, ``tlen``, ``width`` or ``ncodes``."""
+    table = b"".join(text + b"\0" for _, text in consts)
+    fields = dict(nconst=len(consts), tlen=len(table), width=width, ncodes=len(codes)) | head
+    return (
+        struct.pack("<IIBI", *fields.values())
+        + bytes(kind for kind, _ in consts)
+        + table
+        + b"".join(c.to_bytes(width, "little") for c in codes)
+    )
 
 
 # One example: id 1, label pair, one fact card(x).  Constants: 0 the integer
-# 1, 1 pair, 2 card, 3 x.  The body: id, label, one group of card/1 with one
-# fact whose argument is constant 3.
-_CONSTS = [(1, b"\x02"), (0, b"\x04pair"), (0, b"\x04card"), (0, b"\x01x")]
-_BODY = [0 << 1, 1, 1, 2, 1, 1, 3 << 1]
+# 1, 1 pair, 2 card, 3 x.  The codes: the id (constant 0, tree-coded), the
+# label, one group of card/1 (arity 1 doubled, plain) with one fact whose
+# argument is constant 3.
+_CONSTS = [(1, b"1"), (0, b"pair"), (0, b"card"), (0, b"x")]
+_BODY = [0 << 1, 1, 1, 2, 1 << 1, 1, 3]
+_WIDE = (2**31 - 1) << 1  # the largest arity that a 4-byte code holds
 
 
+# The test keeps the name it had when records first carried their own
+# constant table (format v2); its records are those of the current format.
 @pytest.mark.parametrize(
     "record,message",
     [
         (_record(_CONSTS, _BODY), None),
-        (_record(_CONSTS, _BODY[:-1] + [9 << 1]), r"constant index beyond the table of 4"),
+        (_record(_CONSTS, _BODY[:-1] + [9]), r"constant index beyond the table of 4"),
         (_record(_CONSTS, _BODY[:1] + [7] + _BODY[2:]), r"constant index beyond the table of 4"),
         (_record(_CONSTS, _BODY[:3] + [0] + _BODY[4:]), r"constant 0 is a number where a name"),
         (_record(_CONSTS, _BODY[:1] + [0] + _BODY[2:]), r"constant 0 is a number where a name"),
         (_record(_CONSTS, [0 << 1 | 1, 1, 3 << 1] + _BODY[1:]), r"constant 0 is a number where a name"),
-        (_record(_CONSTS[:3] + [(7, b"\x01x")], _BODY), r"bad constant kind 7"),
+        (_record(_CONSTS[:3] + [(7, b"x")], _BODY), r"bad constant kind 7"),
         (_record(_CONSTS, _BODY + [0]), r"1 bytes unread"),
         (_record(_CONSTS, _BODY[:3]), r"truncated"),
         (_record(_CONSTS, _BODY[:-1]), r"1 facts of card/1 do not fit"),
         (_record(_CONSTS, _BODY[:2] + [2] + _BODY[3:] + _BODY[3:]), r"card/1 grouped twice"),
         (_record(_CONSTS, _BODY[:5] + [0]), r"0 facts of card/1 do not fit"),
-        (_record(_CONSTS, _BODY[:4] + [0x80] * 5 + [0x20, 0]), r"0 facts of card/1099511627776 do not fit"),
-        (_record(_CONSTS, _BODY[:4] + [0x80] * 9 + [0x02, 1]), r"1 facts of card/18446744073709551616 do not fit"),
-        (_record(_CONSTS, _BODY[:3] + [2, 0, 0x81, 0x80, 0x04]), r"65537 facts of card/0 do not fit"),
+        (_record(_CONSTS, _BODY[:4] + [_WIDE, 0], width=4), r"0 facts of card/2147483647 do not fit"),
+        (_record(_CONSTS, _BODY[:4] + [_WIDE, 1, 3], width=4), r"1 facts of card/2147483647 do not fit"),
+        (_record(_CONSTS, _BODY[:3] + [2, 0, 65537, 0], width=4), r"65537 facts of card/0 do not fit"),
         (_record(_CONSTS, _BODY[:3] + [2, 0, 2, 0, 5]), r"a fact of card/0 is not marked 0"),
-        (_record(_CONSTS[:3] + [(0, b"\x01\xff")], _BODY), r"not UTF-8"),
+        (_record(_CONSTS[:3] + [(0, b"\xff")], _BODY), r"not UTF-8"),
         (_record(_CONSTS, [1 << 1 | 1, 1] * 5000 + _BODY), r"nested too deeply"),
+        (_record(_CONSTS, _BODY, width=3), r"bad code width 3"),
+        (_record(_CONSTS, _BODY, tlen=1000), r"constant table of 1000 bytes ends past the record"),
+        (_record(_CONSTS, _BODY, ncodes=8), r"8 codes of 1 bytes do not fit"),
+        (_record(_CONSTS, _BODY, ncodes=6), r"1 bytes unread"),
+        (_record(_CONSTS, _BODY, width=2, ncodes=3), r"8 bytes unread"),
+        (_record(_CONSTS[:3] + [(0, b"x\0y")], _BODY), r"5 constants in a table of 4"),
+        (_record([(1, b"01")] + _CONSTS[1:], _BODY), r"bad integer '01'"),
+        (_record([(2, b"00")] + _CONSTS[1:], _BODY), r"bad float '00'"),
+        (_record([], [0] * 5), r"constant index beyond the table of 0"),
     ],
     ids=[
         "valid", "argument-index", "label-index", "predicate-number", "label-number",
@@ -680,6 +743,8 @@ _BODY = [0 << 1, 1, 1, 2, 1, 1, 3 << 1]
         "group-twice",
         "zero-facts", "zero-facts-huge-arity", "arity-past-record", "nullary-count",
         "nullary-marker", "utf8", "deep-compound",
+        "code-width", "table-past-record", "code-count-past-record", "code-count-short-of-record",
+        "code-width-unlike-codes", "table-count", "integer-text", "float-text", "no-constants",
     ],
 )
 def test_corrupt_v2_record_names_its_chunk(tmp_path, record, message):
@@ -695,11 +760,11 @@ def test_corrupt_v2_record_names_its_chunk(tmp_path, record, message):
 
 
 def test_float_constants_keep_their_bits():
-    values = [0.0, -0.0, float("nan"), 1.0, float("-inf")]
+    values = [0.0, -0.0, float("nan"), 1.0, float("-inf"), *_NANS]
     interp = Interpretation(Atom("e"), "pos", (Literal("v", tuple(map(Number, values)) + (Number(1),)),))
-    [row] = decode_record(encode_record(interp)).groups[("v", 6)].rows
-    assert [struct.pack("<d", t.value) for t in row[:5]] == [struct.pack("<d", v) for v in values]
-    assert type(row[5].value) is int
+    [row] = decode_record(encode_record(interp)).groups[("v", len(values) + 1)].rows
+    assert [struct.pack("<d", t.value) for t in row[:-1]] == [struct.pack("<d", v) for v in values]
+    assert type(row[-1].value) is int
 
 
 def test_many_nullary_facts_round_trip():
@@ -744,8 +809,13 @@ def test_compile_that_fails_midway_leaves_no_store(tmp_path):
         open_dataset(store)
 
 
-_NAMES = ["p", "card", "o1", "pair", "", "it's", "two words", "Upper", "ünï", "π"]
-_INT_EDGES = [-(2**63), -(2**63) + 1, -1, 0, 1, 63, 64, 2**63 - 2, 2**63 - 1]
+_NAMES = ["p", "card", "o1", "pair", "", "it's", "two words", "Upper", "ünï", "π", "\0", "a\0b", "\1\0"]
+_INT_EDGES = [-(2**63), -(2**63) + 1, -1, 0, 1, 63, 64, 255, 256, 65535, 65536, 2**63 - 2, 2**63 - 1]
+# NaNs other than Python's own: quiet with a payload, signalling, negative.
+_NANS = [
+    struct.unpack("<d", struct.pack("<Q", bits))[0]
+    for bits in (0x7FF8000000000001, 0x7FF0000000000001, 0xFFF8000000000000, 0xFFFFFFFFFFFFFFFF)
+]
 
 
 def _ground_terms(allow_nan: bool):
@@ -754,6 +824,7 @@ def _ground_terms(allow_nan: bool):
         st.builds(Atom, names)
         | st.builds(Number, st.sampled_from(_INT_EDGES) | st.integers(-(2**63), 2**63 - 1))
         | st.builds(Number, st.sampled_from([0.0, -0.0, 1.0]) | st.floats(allow_nan=allow_nan))
+        | st.builds(Number, st.sampled_from(_NANS if allow_nan else [0.5]))
     )
     return st.recursive(
         leaves,
@@ -772,7 +843,9 @@ def _interpretations(draw, allow_nan=True):
     ))
     facts = draw(st.lists(st.sampled_from(pool), max_size=12))
     label = draw(st.sampled_from(_NAMES))
-    return Interpretation(draw(terms), label, tuple(Literal(p, args) for p, args in facts))
+    rep = st.builds(lambda i, k: Compound("rep", (Number(i), Number(k))), st.integers(0, 10**6), st.integers(1, 300))
+    ident = draw(terms | rep)  # ``replicate`` gives ids rep(Id, K)
+    return Interpretation(ident, label, tuple(Literal(p, args) for p, args in facts))
 
 
 def _bits(t):
@@ -787,16 +860,42 @@ def _bits(t):
 
 @hsettings(max_examples=300, deadline=None)
 @given(interp=_interpretations())
-def test_v2_record_groups_what_the_v1_codec_decodes(interp):
+def test_v4_record_groups_what_the_v2_codec_decodes(interp):
+    def content(e):  # floats by their bits; group keys in order of first occurrence
+        return _bits(e.ident), e.label, [(k, [tuple(map(_bits, row)) for row in g.rows]) for k, g in e.groups.items()]
+
     reference = oracles.decode_record(oracles.encode_record(interp))
-    expected: dict = {}
-    for f in reference.facts:
-        expected.setdefault(f.key, []).append(tuple(map(_bits, f.args)))
-    decoded = decode_record(encode_record(interp))
-    assert _bits(decoded.ident) == _bits(reference.ident)
-    assert decoded.label == reference.label
-    assert {k: [tuple(map(_bits, row)) for row in g.rows] for k, g in decoded.groups.items()} == expected
-    assert list(decoded.groups) == list(expected)  # keys in order of first occurrence
+    assert content(decode_record(encode_record(interp))) == content(reference) == content(interp)
+
+
+def _well_formed(t) -> bool:
+    if type(t) is Compound:
+        return type(t.functor) is str and all(map(_well_formed, t.args))
+    return type(t) in (Atom, Number)
+
+
+@hsettings(max_examples=300, deadline=None)
+@given(
+    interp=_interpretations(),
+    cut=st.none() | st.integers(0, 10**6),
+    flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 7)), max_size=3),
+)
+def test_a_damaged_record_decodes_or_raises_data_error(interp, cut, flips):
+    """Records with compounds and floats, cut short or with flipped bits,
+    decode to well-formed examples or raise a DataError."""
+    record = encode_record(interp)
+    raw = bytearray(record if cut is None else record[: cut % (len(record) + 1)])
+    for pos, bit in flips:
+        if raw:
+            raw[pos % len(raw)] ^= 1 << bit
+    try:
+        e = decode_record(bytes(raw))
+    except DataError:
+        return
+    assert _well_formed(e.ident) and type(e.label) is str
+    for (pred, arity), group in e.groups.items():
+        assert type(pred) is str and group.rows
+        assert all(len(row) == arity and all(map(_well_formed, row)) for row in group.rows)
 
 
 @hsettings(max_examples=200, deadline=None)
