@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
     QueryError,
 )
-from .generators import GenSpec, gen_bongard, gen_poker, replicate
+from .generators import GenSpec, generate, replicate
 from .learner import LearnerConfig, learn
 from .model import (
     FOLDT,
@@ -71,7 +71,7 @@ __all__ = [
     # rdb
     "Schema", "convert_all", "load_snapshot", "parse_schema",
     # generators
-    "GenSpec", "gen_bongard", "gen_poker", "replicate",
+    "GenSpec", "generate", "replicate",
     # bench
     "BenchReport", "BenchResult", "bench_run",
 ]

@@ -95,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="seed the closure from any cell or key cells only")
 
     sp = sub.add_parser("gen", help="generate a synthetic dataset")
-    sp.add_argument("--domain", required=True, choices=("poker", "bongard"))
+    sp.add_argument("--domain", required=True, choices=tuple(generators.DOMAINS))
     sp.add_argument("--count", required=True, type=int)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--balance", action="store_true")

@@ -1,11 +1,11 @@
 """Conjunctive query evaluation against one interpretation plus background.
 
-One evaluator proves every query: ``compile_pack`` turns a list of queries
-into a ``Pack`` and ``Pack.run`` decides them all on one example in a single
-depth-first walk.  The learner runs one pack per (example, node), holding the
-coverage queries of the node's candidates; ``model.classify`` runs a
-one-query pack per node; ``succeeds`` and ``answer_all`` wrap a one-query
-pack.
+One evaluator proves every query: ``Pack(queries)`` compiles a list of
+queries into one pack and ``Pack.run`` decides them all on one example in a
+single depth-first walk.  The learner runs one pack per (example, node),
+holding the coverage queries of the node's candidates; ``model.classify``
+runs a one-query pack per node; ``succeeds`` and ``answer_all`` wrap a
+one-query pack.
 
 The pack is a trie over literal prefixes, so a prefix that several queries
 share is proved once.  The walk reaches a query's end once per solution of
@@ -491,7 +491,7 @@ _BRANCH, _FACTS, _CLAUSES = 0, 1, 2  # choice point kinds
 
 class Pack:
     """Queries compiled into one literal-prefix trie (see the module
-    docstring); build it with ``compile_pack``."""
+    docstring); ``run`` decides them all on an example in one walk."""
 
     def __init__(self, queries):
         self.queries = tuple(queries)
@@ -735,12 +735,6 @@ class Pack:
         return done
 
 
-def compile_pack(queries) -> Pack:
-    """Compile ``queries`` into one pack; ``Pack.run`` decides them all on
-    an example in one walk."""
-    return Pack(queries)
-
-
 def succeeds(
     query: Query,
     interp: Interpretation,
@@ -748,7 +742,7 @@ def succeeds(
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
     """True iff the query is provable in the example plus background."""
-    return compile_pack((query,)).run(interp, background, budget) == 1
+    return Pack((query,)).run(interp, background, budget) == 1
 
 
 def answer_all(
@@ -762,7 +756,7 @@ def answer_all(
     order)."""
     if var not in query.variables():
         raise QueryError(f"variable {var} does not occur in the query")
-    pack = compile_pack((query,))
+    pack = Pack((query,))
     slot, names, out = pack.slots[var], pack.names, []
     pack._walk(interp, background, budget, lambda b: out.append(_term(slot, b, names)))
     return out

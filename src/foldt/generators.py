@@ -1,11 +1,13 @@
 """Synthetic interpretation generators and dataset replication.
 
-Both generators are deterministic per seed: the same ``GenSpec`` always
-produces a byte-identical file.  Poker hands are five distinct cards drawn
-without replacement and labelled from the rank multiset (flushes and
-straights are not separate classes); scenes contain circles, triangles, and
-squares, triangles point up or down, and the containment relation is acyclic
-by construction.
+``generate`` is the one generator: one loop over a table that gives each
+domain its classes and a function drawing one example from an RNG.  It is
+deterministic per seed: the same ``GenSpec`` always produces a
+byte-identical file.  Poker hands are five distinct cards drawn without
+replacement and labelled from the rank multiset (flushes and straights are
+not separate classes); scenes contain circles, triangles, and squares,
+triangles point up or down, and the containment relation is acyclic by
+construction.
 """
 
 from __future__ import annotations
@@ -19,14 +21,16 @@ from .errors import DataError
 from .store import ChunkWriter, DatasetHandle, Interpretation, write_block
 from .terms import Atom, Compound, Literal, Number
 
-POKER_CLASSES = (
-    "nothing",
-    "pair",
-    "two_pairs",
-    "three_of_a_kind",
-    "full_house",
-    "four_of_a_kind",
-)
+# Each poker class by the rank multiset of its hands, in class order.
+_RANK_PATTERNS = {
+    (1, 1, 1, 1, 1): "nothing",
+    (2, 1, 1, 1): "pair",
+    (2, 2, 1): "two_pairs",
+    (3, 1, 1): "three_of_a_kind",
+    (3, 2): "full_house",
+    (4, 1): "four_of_a_kind",
+}
+POKER_CLASSES = tuple(_RANK_PATTERNS.values())
 
 RANKS = tuple(Number(n) for n in range(2, 11)) + tuple(
     Atom(a) for a in ("jack", "queen", "king", "ace")
@@ -34,24 +38,17 @@ RANKS = tuple(Number(n) for n in range(2, 11)) + tuple(
 SUITS = tuple(Atom(s) for s in ("hearts", "spades", "diamonds", "clubs"))
 DECK = tuple((r, s) for r in RANKS for s in SUITS)
 
-_RANK_PATTERNS = {
-    (4, 1): "four_of_a_kind",
-    (3, 2): "full_house",
-    (3, 1, 1): "three_of_a_kind",
-    (2, 2, 1): "two_pairs",
-    (2, 1, 1, 1): "pair",
-    (1, 1, 1, 1, 1): "nothing",
-}
-
 
 @dataclass
 class GenSpec:
-    domain: str  # "poker" | "bongard"
+    domain: str  # a key of DOMAINS
     count: int
     seed: int
     balance: bool = False
 
     def __post_init__(self):
+        if self.domain not in DOMAINS:
+            raise DataError(f"unknown generator domain {self.domain!r}")
         if self.count < 1:
             raise DataError("example count must be at least 1")
 
@@ -61,25 +58,10 @@ def poker_hand_label(hand) -> str:
     return _RANK_PATTERNS[pattern]
 
 
-def gen_poker(spec: GenSpec, out_path) -> Path:
-    """Write ``spec.count`` random five-card hands as a block file."""
-    rng = random.Random(spec.seed)
-    out_path = Path(out_path)
-    with open(out_path, "w", encoding="utf-8") as f:
-        for i in range(1, spec.count + 1):
-            if spec.balance:
-                target = POKER_CLASSES[(i - 1) % len(POKER_CLASSES)]
-                while True:
-                    hand = rng.sample(DECK, 5)
-                    if poker_hand_label(hand) == target:
-                        break
-                label = target
-            else:
-                hand = rng.sample(DECK, 5)
-                label = poker_hand_label(hand)
-            facts = [Literal("card", (r, s)) for r, s in hand]
-            write_block(f, Number(i), [*facts, Literal(label, ())])
-    return out_path
+def poker_hand(rng) -> tuple[list[Literal], str]:
+    """Five distinct cards, labelled from their rank multiset."""
+    hand = rng.sample(DECK, 5)
+    return [Literal("card", (r, s)) for r, s in hand], poker_hand_label(hand)
 
 
 def bongard_scene(rng) -> tuple[list[Literal], str]:
@@ -104,29 +86,27 @@ def bongard_scene(rng) -> tuple[list[Literal], str]:
     return facts, ("pos" if positive else "neg")
 
 
-def gen_bongard(spec: GenSpec, out_path) -> Path:
+# Each domain's classes and the function that draws one example from an RNG.
+DOMAINS = {
+    "poker": (POKER_CLASSES, poker_hand),
+    "bongard": (("pos", "neg"), bongard_scene),
+}
+
+
+def generate(spec: GenSpec, out_path) -> Path:
+    """Write ``spec.count`` examples of ``spec.domain`` as a block file, with
+    ids 1 to count.  With ``balance``, example i is drawn again until its
+    label is class ``(i - 1) % len(classes)`` of the domain."""
+    classes, draw = DOMAINS[spec.domain]
     rng = random.Random(spec.seed)
     out_path = Path(out_path)
     with open(out_path, "w", encoding="utf-8") as f:
         for i in range(1, spec.count + 1):
-            if spec.balance:
-                target = "pos" if i % 2 else "neg"
-                while True:
-                    facts, label = bongard_scene(rng)
-                    if label == target:
-                        break
-            else:
-                facts, label = bongard_scene(rng)
+            facts, label = draw(rng)
+            while spec.balance and label != classes[(i - 1) % len(classes)]:
+                facts, label = draw(rng)
             write_block(f, Number(i), [*facts, Literal(label, ())])
     return out_path
-
-
-def generate(spec: GenSpec, out_path) -> Path:
-    if spec.domain == "poker":
-        return gen_poker(spec, out_path)
-    if spec.domain == "bongard":
-        return gen_bongard(spec, out_path)
-    raise DataError(f"unknown generator domain {spec.domain!r}")
 
 
 def replicate(data: DatasetHandle, k: int, out_dir) -> DatasetHandle:
@@ -138,5 +118,5 @@ def replicate(data: DatasetHandle, k: int, out_dir) -> DatasetHandle:
         for _, e in data.stream_examples():
             for copy in range(1, k + 1):
                 ident = Compound("rep", (e.ident, Number(copy)))
-                writer.add(Interpretation.from_groups(ident, e.label, e.groups))
+                writer.add(Interpretation(ident, e.label, e.groups))
         return writer.finish()

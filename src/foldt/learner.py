@@ -20,7 +20,7 @@ at every node, so it holds on the same examples.  This is common: a right
 child keeps its parent's ``Q`` and rmode usage, and a conjunction that
 shares no variable with ``Q`` has the same coverage query at every depth.
 Only the remaining queries are compiled into the node's query pack
-(``engine.compile_pack``), whose outcomes take the next positions.  Each
+(``engine.Pack``), whose outcomes take the next positions.  Each
 example reaching the node runs that pack once, if there is one, and adds
 its class to the counters ``counter[candidate][branch][class]``
 (``_evaluate``).  ``evaluations`` counts the (example, query) outcomes the
@@ -85,7 +85,7 @@ from .bias import (
     refinements,
     weighted_entropy,
 )
-from .engine import Background, Pack, Query, compile_pack, coverage_query
+from .engine import Background, Pack, Query, coverage_query
 from .errors import DataError
 from .model import FOLDT, INode, Leaf, Model, count_nodes, tree_depth
 from .settings import LearnerConfig, Settings, render_settings
@@ -249,7 +249,7 @@ def _open(node: _Node, cfg: LearnerConfig, bias, stats: BuildStats) -> bool:
             fresh.append(query)
         node.positions.append(decided[key])
     node.base, node.decided = len(inherited), decided
-    node.pack = compile_pack(fresh) if fresh else None
+    node.pack = Pack(fresh) if fresh else None
     nclasses = len(node.counts)
     node.counters = [[[0] * nclasses, [0] * nclasses] for _ in node.candidates]
     examples = sum(node.counts)

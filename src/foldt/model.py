@@ -10,7 +10,7 @@ reaches a node satisfies its ``Q``, and ``classify`` proves only the node's
 coverage query (``engine.coverage_query``), which leaves out the literals of
 ``Q`` that the conjunction does not reach.  Each such query is compiled
 once per ``Model``, when it is built, into a one-query pack
-(``engine.compile_pack``, ``Model.tests``), so ``classify`` runs one pack per
+(``engine.Pack``, ``Model.tests``), so ``classify`` runs one pack per
 (example, node) on the evaluator the learner uses.  Exported as a decision
 list, each leaf becomes one guarded clause ending in a cut, except the final
 catch-all clause, and first-matching-clause evaluation agrees with tree
@@ -28,7 +28,6 @@ from .engine import (
     Background,
     Pack,
     Query,
-    compile_pack,
     coverage_query,
     succeeds,
 )
@@ -70,7 +69,7 @@ def _compile(node: FOLDT, q_lits: tuple[Literal, ...] = ()) -> _Test | Leaf:
     if isinstance(node, Leaf):
         return node
     return _Test(
-        compile_pack((coverage_query(Query(q_lits), node.conj),)),
+        Pack((coverage_query(Query(q_lits), node.conj),)),
         _compile(node.left, q_lits + node.conj),
         _compile(node.right, q_lits),
     )

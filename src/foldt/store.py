@@ -13,11 +13,13 @@ directory it is given, in place of any store it held: one data file whose
 frames are chunks of ``G`` pre-parsed examples each, the last holding the
 rest, and a metadata file whose ``granularity`` and ``total`` give that
 layout and which also records every predicate/arity key the examples' facts
-use.  Each record decodes straight into the grouped fact index that the
-engine reads (``Interpretation.groups``).  A streaming pass reads the data
-file front to back and decodes one chunk at a time, so at most ``G``
-examples are ever resident; the handle counts chunk loads and the peak
-number of resident examples so that callers can verify the bound.
+use.  An ``Interpretation`` is built from its fact groups alone, the index
+the engine reads (``Interpretation.groups``): the block reader adds each
+fact's arguments to its key's group as it reads, and each record decodes
+straight into its groups.  A streaming pass reads the data file front to
+back and decodes one chunk at a time, so at most ``G`` examples are ever
+resident; the handle counts chunk loads and the peak number of resident
+examples so that callers can verify the bound.
 """
 
 from __future__ import annotations
@@ -78,26 +80,15 @@ class _FactGroup:
 class Interpretation:
     """One example: an identifier, a class label, and its ground facts (the
     class fact itself is kept out).  ``groups`` maps each predicate/arity
-    key, in order of first occurrence, to its facts."""
+    key, in order of first occurrence, to the ``_FactGroup`` of its facts;
+    the groups are kept as given, shared and not copied."""
 
     __slots__ = ("ident", "label", "groups")
 
-    def __init__(self, ident: Term, label: str, facts: tuple[Literal, ...]):
-        groups: dict[tuple[str, int], list] = {}
-        for f in facts:
-            groups.setdefault(f.key, []).append(f.args)
+    def __init__(self, ident: Term, label: str, groups: dict[tuple[str, int], _FactGroup]):
         self.ident = ident
         self.label = label
-        self.groups = {k: _FactGroup(tuple(v)) for k, v in groups.items()}
-
-    @classmethod
-    def from_groups(cls, ident: Term, label: str, groups: dict[tuple[str, int], _FactGroup]):
-        """An example over ``groups`` as they are, shared and not copied."""
-        interp = cls.__new__(cls)
-        interp.ident = ident
-        interp.label = label
-        interp.groups = groups
-        return interp
+        self.groups = groups
 
     @property
     def facts(self) -> tuple[Literal, ...]:
@@ -375,7 +366,7 @@ def decode_record(buf: bytes, memo: dict | None = None) -> Interpretation:
         raise DataError("corrupt chunk record (compounds nested too deeply)") from None
     if pos != ncodes:
         raise DataError(f"corrupt chunk record ({(ncodes - pos) * width} bytes unread)")
-    return Interpretation.from_groups(ident, label, groups)
+    return Interpretation(ident, label, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +384,7 @@ def iter_kb_blocks(path, classes, allow_unlabeled: bool = False) -> Iterator[Int
     """
     class_set = set(classes)
     ident = None
-    facts: list[Literal] = []
+    groups: dict[tuple[str, int], list] = {}  # of the open block: each key's rows
     label: str | None = None
     with in_file(path), open(path, "r", encoding="utf-8") as f:
         for line, clause in read_clauses(line_pieces(f)):
@@ -405,7 +396,7 @@ def iter_kb_blocks(path, classes, allow_unlabeled: bool = False) -> Iterator[Int
                 if kind == "begin":
                     if ident is not None:
                         raise DataError(f"begin inside block {render_term(ident)} (line {line})")
-                    ident, facts, label = block_id, [], None
+                    ident, groups, label = block_id, {}, None
                     continue
                 if ident is None:
                     raise DataError(f"end outside any block (line {line})")
@@ -417,7 +408,7 @@ def iter_kb_blocks(path, classes, allow_unlabeled: bool = False) -> Iterator[Int
                     if not allow_unlabeled:
                         raise DataError(f"no class fact in example {render_term(ident)}")
                     label = ""
-                yield Interpretation(ident, label, tuple(facts))
+                yield Interpretation(ident, label, {k: _FactGroup(tuple(v)) for k, v in groups.items()})
                 ident = None
                 continue
             if ident is None:
@@ -432,7 +423,7 @@ def iter_kb_blocks(path, classes, allow_unlabeled: bool = False) -> Iterator[Int
                 continue
             if not all(map(is_ground, fact.args)):
                 raise DataError(f"non-ground fact in example {render_term(ident)} (line {line})")
-            facts.append(fact)
+            groups.setdefault(fact.key, []).append(fact.args)
         if ident is not None:
             raise DataError(f"unterminated block {render_term(ident)} at end of file")
 

@@ -142,10 +142,6 @@ class Literal:
     builtin: bool = False
 
     @property
-    def arity(self) -> int:
-        return len(self.args)
-
-    @property
     def key(self) -> tuple[str, int]:
         return (self.pred, len(self.args))
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from oracles import term_to_literal
+from oracles import interp_of, term_to_literal
 
 from foldt.learner import learn
 from foldt.store import Interpretation
@@ -13,7 +13,7 @@ from foldt.terms import parse_program, parse_term
 
 def mk_interp(ident_text, label, *fact_texts) -> Interpretation:
     facts = tuple(term_to_literal(parse_term(t)) for t in fact_texts)
-    return Interpretation(parse_term(str(ident_text)), label, facts)
+    return interp_of(parse_term(str(ident_text)), label, facts)
 
 
 def learn_with(algorithm, data, background, settings, config=None):

@@ -25,9 +25,10 @@ then.  Over it run the settings and schema readers that ``settings`` and
 index, the reference for ``parse_settings`` and ``parse_schema``, and
 ``extract_example``, the facts of one example id as ``rdb.convert_all``
 writes them.
-Then comes the chunk record codec of formats v2 and v3, which read each
-record one uvarint at a time: the reference for ``store.encode_record`` and
-``store.decode_record``.
+Then comes ``interp_of``, which builds an example from a list of facts by
+grouping them as the block reader does, and the chunk record codec of
+formats v2 and v3, which read each record one uvarint at a time: the
+reference for ``store.encode_record`` and ``store.decode_record``.
 Last of all come the frozen dataclasses that were ``terms``' term classes
 before each became a tagged tuple, with their renderer: the reference for
 the equality, hashing, ``repr`` and rendering of ``Atom``, ``Number``,
@@ -1254,6 +1255,19 @@ def extract_example(snapshot, schema: Schema, id_value: Term, containing: str = 
 
 
 # ---------------------------------------------------------------------------
+# Examples from fact lists
+
+
+def interp_of(ident: Term, label: str, facts: Iterable[Literal]) -> Interpretation:
+    """The example with ``facts``, grouped by predicate/arity key in order of
+    first occurrence, each group's rows in the facts' order."""
+    groups: dict[tuple[str, int], list] = {}
+    for f in facts:
+        groups.setdefault(f.key, []).append(f.args)
+    return Interpretation(ident, label, {k: _FactGroup(tuple(v)) for k, v in groups.items()})
+
+
+# ---------------------------------------------------------------------------
 # The chunk record codec of formats v2 and v3
 #
 # A record opens with its constant table: a count, then per constant a kind
@@ -1448,7 +1462,7 @@ def decode_record(buf: bytes, memo: dict | None = None) -> Interpretation:
         raise DataError("corrupt chunk record (compounds nested too deeply)") from None
     if pos != size:
         raise DataError(f"corrupt chunk record ({size - pos} bytes unread)")
-    return Interpretation.from_groups(ident, label, groups)
+    return Interpretation(ident, label, groups)
 
 
 # ---------------------------------------------------------------------------

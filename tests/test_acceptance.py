@@ -33,7 +33,7 @@ from rdb_fixtures import CHEM_SCHEMA, CHEM_TABLES, H2O_FACTS, write_tables
 from foldt.bench import bench_run, fit_loglog_slope
 from foldt.bias import refinements, RefinementContext
 from foldt.engine import Query, succeeds
-from foldt.generators import GenSpec, gen_bongard, gen_poker
+from foldt.generators import GenSpec, generate
 from foldt.learner import LearnerConfig, score
 from foldt.model import (
     classify,
@@ -171,8 +171,7 @@ def test_criterion_2_classic_equals_lds(tmp_path):
         overrides = _CONFIGS[i % len(_CONFIGS)]
         configs_used.add(tuple(sorted(overrides.items())))
         settings = POKER if domain == "poker" else BONGARD
-        gen = gen_poker if domain == "poker" else gen_bongard
-        path = gen(GenSpec(domain, count, seed=seed), tmp_path / f"{domain}{seed}.kb")
+        path = generate(GenSpec(domain, count, seed=seed), tmp_path / f"{domain}{seed}.kb")
         data = load_dataset(
             path, settings, out_dir=tmp_path / f"{domain}{seed}.chunks",
             granularity=overrides["granularity"],
@@ -210,7 +209,7 @@ def test_criterion_2_classic_equals_lds(tmp_path):
 
 def test_criterion_3_replication_invariance(tmp_path):
     t0 = time.perf_counter()
-    path = gen_poker(GenSpec("poker", 300, seed=77), tmp_path / "p300.kb")
+    path = generate(GenSpec("poker", 300, seed=77), tmp_path / "p300.kb")
     data = load_dataset(path, POKER, tmp_path / "p300.chunks", granularity=10)
     out_tsv = tmp_path / "bench.tsv"
     # Each k's time is its total over three runs.  One induction takes
@@ -253,7 +252,7 @@ def test_criterion_3_replication_invariance(tmp_path):
 
 
 def test_criterion_5_memory_bound(tmp_path):
-    path = gen_poker(GenSpec("poker", 10_000, seed=55), tmp_path / "p10k.kb")
+    path = generate(GenSpec("poker", 10_000, seed=55), tmp_path / "p10k.kb")
     loads = {}
     hashes = set()
     for g in (1, 10, 100):
@@ -279,8 +278,8 @@ def test_criterion_5_memory_bound(tmp_path):
 
 def test_criterion_6_poker_accuracy(tmp_path):
     t0 = time.perf_counter()
-    train_path = gen_poker(GenSpec("poker", 1000, seed=31), tmp_path / "train.kb")
-    test_path = gen_poker(GenSpec("poker", 10_000, seed=32), tmp_path / "test.kb")
+    train_path = generate(GenSpec("poker", 1000, seed=31), tmp_path / "train.kb")
+    test_path = generate(GenSpec("poker", 10_000, seed=32), tmp_path / "test.kb")
     train = load_dataset(train_path, POKER, tmp_path / "train.chunks", granularity=10)
     model = _lds(train, POKER)
     test = load_dataset(test_path, POKER, out_dir=tmp_path / "test.chunks", granularity=100)
@@ -355,13 +354,12 @@ def test_criterion_8_property_suites(tmp_path):
     pairs = 0
     for j, domain in enumerate(("poker", "bongard") * 5):
         settings = POKER if domain == "poker" else BONGARD
-        gen = gen_poker if domain == "poker" else gen_bongard
-        train = gen(GenSpec(domain, 200, seed=400 + j), tmp_path / f"t{j}.kb")
+        train = generate(GenSpec(domain, 200, seed=400 + j), tmp_path / f"t{j}.kb")
         data = load_dataset(train, settings, tmp_path / f"t{j}.chunks", granularity=20)
         model = learn_with("classic", data, None, settings)
         assert check_scope(model)
         rules = to_decision_list(model)
-        fresh = gen(GenSpec(domain, 100, seed=500 + j), tmp_path / f"f{j}.kb")
+        fresh = generate(GenSpec(domain, 100, seed=500 + j), tmp_path / f"f{j}.kb")
         fresh_data = load_dataset(fresh, settings, tmp_path / f"f{j}.chunks", granularity=50)
         for _, e in fresh_data.stream_examples():
             assert classify(model, e) == eval_decision_list(rules, e)
@@ -395,8 +393,7 @@ def test_criterion_4_pass_count_law(tmp_path):
         _lds(data, BONGARD, cfg)
     for seed, minleaf in ((61, 1), (62, 2), (63, 5)):
         for domain, settings in (("poker", POKER), ("bongard", BONGARD)):
-            gen = gen_poker if domain == "poker" else gen_bongard
-            path = gen(GenSpec(domain, 250, seed=seed), tmp_path / f"{domain}{seed}.kb")
+            path = generate(GenSpec(domain, 250, seed=seed), tmp_path / f"{domain}{seed}.kb")
             d = load_dataset(path, settings, tmp_path / f"{domain}{seed}.chunks", granularity=25)
             _lds(d, settings, LearnerConfig.from_settings(settings, minleaf=minleaf))
     assert len(_LDS_RUNS) >= 10  # plus everything the earlier criteria ran

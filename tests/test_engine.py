@@ -7,9 +7,9 @@ from oracles import ground_join_succeeds, theta_subsumes
 
 from foldt.engine import (
     Background,
+    Pack,
     Query,
     answer_all,
-    compile_pack,
     coverage_query,
     succeeds,
 )
@@ -119,7 +119,7 @@ def test_builtin_errors_name_the_example_and_the_first_undecided_query():
     ]
     for queries, cause, query in cases:
         with pytest.raises(QueryError) as info:
-            compile_pack(queries).run(e, checks)
+            Pack(queries).run(e, checks)
         assert type(info.value) is QueryError
         assert str(info.value) == f"{cause} in example e7 on query {query}"
 
@@ -326,7 +326,7 @@ def _separate_steps(queries, interp, background=None) -> int:
     """Steps of proving each query alone, added up."""
     total = 0
     for query in queries:
-        pack = compile_pack((query,))
+        pack = Pack((query,))
         pack.run(interp, background)
         total += pack.steps
     return total
@@ -361,10 +361,10 @@ def test_pack_bits_equal_separate_proofs_and_naive_join(seed, k, derived):
         Literal("t", f.args if f.pred == "r" else f.args * 2) for f in e.facts
     )
     queries = [q(*t) for t in texts]
-    pack = compile_pack(queries)
+    pack = Pack(queries)
     bits = pack.run(e, background)
     for i, query in enumerate(queries):
-        alone = compile_pack((query,)).run(e, background) == 1
+        alone = Pack((query,)).run(e, background) == 1
         assert (bits >> i & 1 == 1) == alone == succeeds(query, e, background), texts[i]
         assert alone == ground_join_succeeds(query.literals, closed), texts[i]
     assert pack.steps <= _separate_steps(queries, e, background), texts
@@ -374,7 +374,7 @@ def test_one_query_pack_spends_what_succeeds_spends():
     queries = [q("card(A,B)", "card(A,C)", "B \\= C"), q("triangle(X)", "inside(X,Y)")]
     for query in queries:
         for e in (P1, P2, HAND):
-            pack = compile_pack((query,))
+            pack = Pack((query,))
             pack.run(e, BG)
             # ``_steps`` tries budgets from 1, so it reads 1 for a 0-step proof
             assert max(pack.steps, 1) == _steps(query, e, BG)
@@ -450,7 +450,7 @@ def test_step_counts_pinned(texts, e, background, expected, steps):
 
 def test_pack_through_recursive_background():
     queries = [q("anc(a,d)"), q("anc(d,a)"), q("anc(b,X)", "par(X,Y)"), q("anc(X,a)")]
-    pack = compile_pack(queries)
+    pack = Pack(queries)
     assert pack.run(CHAIN, ANCESTOR) == 0b0101
     assert pack.steps <= _separate_steps(queries, CHAIN, ANCESTOR)
     assert answer_all(q("anc(a,X)"), "X", CHAIN, ANCESTOR) == [Atom("b"), Atom("c"), Atom("d")]
@@ -487,7 +487,7 @@ def test_answer_all_keeps_fact_then_clause_order():
 
 def test_pack_budget_error_names_example_and_first_undecided_query():
     looping = Background(parse_program("p(X) :- p(X)."))
-    pack = compile_pack([q("triangle(X)"), q("p(a)"), q("p(b)")])
+    pack = Pack([q("triangle(X)"), q("p(a)"), q("p(b)")])
     expected = r"of 3 x 100 exhausted in example 1 on query p\(a\)"
     with pytest.raises(BudgetExceededError, match=expected):
         pack.run(P1, looping, budget=100)
@@ -584,7 +584,7 @@ def test_engine_agrees_with_the_reference_resolver(clauses, facts, query_texts, 
     full = 200
     for query in queries:
         for budget in (full, small):
-            pack = compile_pack((query,))
+            pack = Pack((query,))
             got = caught(lambda: (pack.run(e, background, budget) == 1, pack.steps))
             assert got == sld_outcome(query, e, program, budget), (clauses, facts, str(query))
             for var in query.variables():
@@ -592,5 +592,5 @@ def test_engine_agrees_with_the_reference_resolver(clauses, facts, query_texts, 
                 assert got == sld_answers(query, var, e, program, budget), (clauses, facts, str(query))
     outcomes = [sld_outcome(query, e, program, full)[0] for query in queries]
     if all(type(o) is bool for o in outcomes):
-        bits = compile_pack(queries).run(e, background, full)
+        bits = Pack(queries).run(e, background, full)
         assert bits == sum(1 << i for i, o in enumerate(outcomes) if o)

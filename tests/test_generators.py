@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -5,12 +6,12 @@ from conftest import BONGARD_BIAS_TEXT, mk_query_literals
 from oracles import poker_label_oracle
 
 from foldt.engine import Query, succeeds
+from foldt.errors import DataError
 from foldt.generators import (
     DECK,
     GenSpec,
     POKER_CLASSES,
-    gen_bongard,
-    gen_poker,
+    generate,
     poker_hand_label,
     replicate,
 )
@@ -23,13 +24,13 @@ BONGARD_SETTINGS = parse_settings(BONGARD_BIAS_TEXT)
 
 
 def test_generators_reproducible(tmp_path):
-    a = gen_poker(GenSpec("poker", 60, seed=42), tmp_path / "a.kb").read_bytes()
-    b = gen_poker(GenSpec("poker", 60, seed=42), tmp_path / "b.kb").read_bytes()
-    c = gen_poker(GenSpec("poker", 60, seed=43), tmp_path / "c.kb").read_bytes()
+    a = generate(GenSpec("poker", 60, seed=42), tmp_path / "a.kb").read_bytes()
+    b = generate(GenSpec("poker", 60, seed=42), tmp_path / "b.kb").read_bytes()
+    c = generate(GenSpec("poker", 60, seed=43), tmp_path / "c.kb").read_bytes()
     assert a == b
     assert a != c
-    x = gen_bongard(GenSpec("bongard", 60, seed=42), tmp_path / "x.kb").read_bytes()
-    y = gen_bongard(GenSpec("bongard", 60, seed=42), tmp_path / "y.kb").read_bytes()
+    x = generate(GenSpec("bongard", 60, seed=42), tmp_path / "x.kb").read_bytes()
+    y = generate(GenSpec("bongard", 60, seed=42), tmp_path / "y.kb").read_bytes()
     assert x == y
 
 
@@ -52,7 +53,7 @@ def test_poker_label_against_enumeration_oracle():
 
 
 def test_generated_poker_labels_consistent(tmp_path):
-    path = gen_poker(GenSpec("poker", 200, seed=3), tmp_path / "p.kb")
+    path = generate(GenSpec("poker", 200, seed=3), tmp_path / "p.kb")
     for interp in iter_kb_blocks(path, POKER_SETTINGS.classes):
         group = interp.groups[("card", 2)]
         assert len(group.rows) == 5
@@ -62,7 +63,7 @@ def test_generated_poker_labels_consistent(tmp_path):
 
 
 def test_generated_bongard_labels_match_query(tmp_path):
-    path = gen_bongard(GenSpec("bongard", 200, seed=8), tmp_path / "b.kb")
+    path = generate(GenSpec("bongard", 200, seed=8), tmp_path / "b.kb")
     target = Query(mk_query_literals("triangle(X)", "inside(X,Y)"))
     seen = Counter()
     for interp in iter_kb_blocks(path, ("pos", "neg")):
@@ -72,7 +73,7 @@ def test_generated_bongard_labels_match_query(tmp_path):
 
 
 def test_bongard_inside_acyclic(tmp_path):
-    path = gen_bongard(GenSpec("bongard", 150, seed=21), tmp_path / "b.kb")
+    path = generate(GenSpec("bongard", 150, seed=21), tmp_path / "b.kb")
     for interp in iter_kb_blocks(path, ("pos", "neg")):
         group = interp.groups.get(("inside", 2))
         if group is None:
@@ -84,16 +85,16 @@ def test_bongard_inside_acyclic(tmp_path):
 
 
 def test_balanced_generation(tmp_path):
-    path = gen_bongard(GenSpec("bongard", 40, seed=5, balance=True), tmp_path / "b.kb")
+    path = generate(GenSpec("bongard", 40, seed=5, balance=True), tmp_path / "b.kb")
     labels = Counter(i.label for i in iter_kb_blocks(path, ("pos", "neg")))
     assert labels == {"pos": 20, "neg": 20}
-    path = gen_poker(GenSpec("poker", 18, seed=5, balance=True), tmp_path / "p.kb")
+    path = generate(GenSpec("poker", 18, seed=5, balance=True), tmp_path / "p.kb")
     labels = Counter(i.label for i in iter_kb_blocks(path, POKER_SETTINGS.classes))
     assert all(labels[c] == 3 for c in POKER_CLASSES)
 
 
 def test_replicate_counts_and_histogram(tmp_path):
-    path = gen_poker(GenSpec("poker", 188, seed=1), tmp_path / "m.kb")
+    path = generate(GenSpec("poker", 188, seed=1), tmp_path / "m.kb")
     data = load_dataset(path, POKER_SETTINGS, tmp_path / "m.chunks", granularity=25)
     rep = replicate(data, 8, tmp_path / "rep8")
     assert rep.total == 1504
@@ -101,7 +102,7 @@ def test_replicate_counts_and_histogram(tmp_path):
 
 
 def test_replicate_k1_content_identical_new_ids(tmp_path):
-    path = gen_poker(GenSpec("poker", 12, seed=2), tmp_path / "s.kb")
+    path = generate(GenSpec("poker", 12, seed=2), tmp_path / "s.kb")
     data = load_dataset(path, POKER_SETTINGS, tmp_path / "s.chunks", granularity=5)
     rep = replicate(data, 1, tmp_path / "rep1")
     originals = [e for _, e in data.stream_examples()]
@@ -117,3 +118,22 @@ def test_replicate_k1_content_identical_new_ids(tmp_path):
 def test_genspec_validation():
     with pytest.raises(Exception):
         GenSpec("poker", 0, seed=1)
+    with pytest.raises(DataError, match="unknown generator domain 'chess'"):
+        GenSpec("chess", 5, 0)
+
+
+# sha256 of the block file that ``generate`` writes for 300 examples at seed
+# 7, by domain and ``balance``.  Any change to the draws, the balancing or
+# the block text changes these.
+GENERATED = {
+    ("poker", False): "16e2859df7a815def7d760a7ebb4b9f3a8fe9f6ea9e20c8a839cdfa6a7737b09",
+    ("poker", True): "ca5fae2ffe016089679dd3e25c80db1faf5cfb21d4278fdc8c67ec1c56e23cae",
+    ("bongard", False): "0cb6aacd4163b4118b4b3cc8175a088465104de3d21b7a749925a328e9b7484f",
+    ("bongard", True): "cd46515aa71deea47f3cebbcf09751890ac7669809356e11fcf59dd09c694c5b",
+}
+
+
+@pytest.mark.parametrize("domain, balance", sorted(GENERATED))
+def test_generated_file_matches_pinned_bytes(tmp_path, domain, balance):
+    path = generate(GenSpec(domain, 300, 7, balance=balance), tmp_path / "out.kb")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GENERATED[(domain, balance)]

@@ -21,7 +21,7 @@ import foldt.learner
 from foldt.bench import structure_hash
 from foldt.engine import Background, succeeds
 from foldt.errors import BudgetExceededError, DataError
-from foldt.generators import GenSpec, gen_bongard, gen_poker, replicate
+from foldt.generators import GenSpec, generate, replicate
 from foldt.learner import (
     LearnerConfig,
     choose_split,
@@ -174,8 +174,7 @@ def test_lds_level_records_sum_to_totals(bongard12):
 
 def _generated(domain, count, seed, tmp_path, granularity=17):
     settings = parse_settings(POKER_BIAS_TEXT) if domain == "poker" else BONGARD_SETTINGS
-    gen = gen_poker if domain == "poker" else gen_bongard
-    path = gen(GenSpec(domain, count, seed=seed), tmp_path / f"{domain}{seed}.kb")
+    path = generate(GenSpec(domain, count, seed=seed), tmp_path / f"{domain}{seed}.kb")
     return load_dataset(path, settings, tmp_path / f"{domain}{seed}.chunks", granularity), settings
 
 
@@ -224,7 +223,7 @@ def test_clause_for_a_predicate_with_facts_keeps_both_engines_equal(tmp_path):
         BONGARD_BIAS_TEXT + "rmode(5: polygon(+-V)).\nrmode(5: doubletriangle(+-V,+-W)).\n"
     )
     background = Background(parse_program(BONGARD_BACKGROUND + "points(O,up) :- circle(O).\n"))
-    path = gen_bongard(GenSpec("bongard", 400, seed=7), tmp_path / "scenes.kb")
+    path = generate(GenSpec("bongard", 400, seed=7), tmp_path / "scenes.kb")
     data = load_dataset(path, settings, tmp_path / "scenes.chunks")
     classic, lds = (learn_with(a, data, background, settings) for a in ("classic", "lds"))
     assert classic.tree == lds.tree
@@ -424,14 +423,14 @@ def test_replication_invariance_small(tmp_path, bongard12):
 
 def test_classic_equals_lds_on_generated_data(tmp_path):
     poker_settings = parse_settings(POKER_BIAS_TEXT)
-    path = gen_poker(GenSpec("poker", 150, seed=11), tmp_path / "p.kb")
+    path = generate(GenSpec("poker", 150, seed=11), tmp_path / "p.kb")
     data = load_dataset(path, poker_settings, tmp_path / "p.chunks", granularity=20)
     classic = learn_with("classic", data, None, poker_settings)
     lds = learn_with("lds", data, None, poker_settings)
     assert classic.tree == lds.tree
     assert check_scope(lds)
 
-    bon_path = gen_bongard(GenSpec("bongard", 120, seed=5), tmp_path / "b.kb")
+    bon_path = generate(GenSpec("bongard", 120, seed=5), tmp_path / "b.kb")
     bon = load_dataset(bon_path, BONGARD_SETTINGS, tmp_path / "b.chunks", granularity=17)
     assert learn_with("classic", bon, None, BONGARD_SETTINGS).tree == learn_with("lds", 
         bon, None, BONGARD_SETTINGS
@@ -445,7 +444,7 @@ def test_budget_bounds_one_coverage_test(tmp_path):
     # re-proof needs thousands of steps on some hand, the coverage queries
     # at most about 150.
     settings = parse_settings(POKER_BIAS_TEXT)
-    path = gen_poker(GenSpec("poker", 150, seed=11), tmp_path / "p.kb")
+    path = generate(GenSpec("poker", 150, seed=11), tmp_path / "p.kb")
     data = load_dataset(path, settings, tmp_path / "p.chunks", granularity=20)
     unbounded = learn_with("classic", data, None, settings)
     assert tree_depth(unbounded.tree) >= 3
@@ -474,7 +473,7 @@ def test_max_thresholds_override_acts_like_the_directive(tmp_path):
 
 
 def test_lds_pass_count_equals_depth_various(tmp_path):
-    bon_path = gen_bongard(GenSpec("bongard", 80, seed=9), tmp_path / "b.kb")
+    bon_path = generate(GenSpec("bongard", 80, seed=9), tmp_path / "b.kb")
     data = load_dataset(bon_path, BONGARD_SETTINGS, tmp_path / "b.chunks", granularity=10)
     for minleaf in (1, 2, 6):
         settings = replace(BONGARD_SETTINGS, params=replace(BONGARD_SETTINGS.params, minleaf=minleaf))
@@ -487,7 +486,7 @@ def test_lds_pass_count_equals_depth_various(tmp_path):
 
 
 def _poker100(tmp_path):
-    path = gen_poker(GenSpec("poker", 100, seed=7), tmp_path / "poker.kb")
+    path = generate(GenSpec("poker", 100, seed=7), tmp_path / "poker.kb")
     return load_dataset(path, parse_settings(POKER_BIAS_TEXT), tmp_path / "poker.chunks")
 
 

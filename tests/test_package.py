@@ -14,7 +14,7 @@ PUBLIC = {
     "FOLDT", "INode", "Leaf", "Model", "classify", "deserialize", "eval_decision_list",
     "load_model", "save_model", "serialize", "to_decision_list", "tree_depth",
     "Schema", "convert_all", "load_snapshot", "parse_schema",
-    "GenSpec", "gen_bongard", "gen_poker", "replicate",
+    "GenSpec", "generate", "replicate",
     "BenchReport", "BenchResult", "bench_run",
 }
 

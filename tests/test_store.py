@@ -9,13 +9,12 @@ from conftest import POKER_BIAS_TEXT, learn_with, mk_interp
 from hypothesis import given, settings as hsettings, strategies as st
 
 from foldt.errors import DataError, ParseError
-from foldt.generators import GenSpec, gen_bongard, gen_poker, replicate
+from foldt.generators import GenSpec, generate, replicate
 from foldt.settings import ALGORITHMS, parse_settings
 from foldt.store import (
     _MIN_RECORD,
     CHUNK_MAGIC,
     DATA_NAME,
-    Interpretation,
     decode_record,
     encode_record,
     iter_kb_blocks,
@@ -384,7 +383,7 @@ def test_open_dataset_rejects_inconsistent_store(tmp_path, edit, when, names):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_class_counts_unlike_the_examples_rejected(tmp_path, algorithm):
     settings = parse_settings(POKER_BIAS_TEXT)
-    path = gen_poker(GenSpec("poker", 200, seed=5), tmp_path / "p.kb")
+    path = generate(GenSpec("poker", 200, seed=5), tmp_path / "p.kb")
     handle = load_dataset(path, settings, tmp_path / "store", granularity=10)
     counts = dict(handle.class_counts, pair=handle.class_counts["pair"] - 5)
     counts["nothing"] += 5
@@ -399,7 +398,7 @@ def test_rechunking_preserves_content(tmp_path):
     replication gives."""
     inputs = {
         "cards": (_write_many(tmp_path, 23), POKER_SETTINGS),
-        "bongard": (gen_bongard(GenSpec("bongard", 23, seed=3), tmp_path / "b.kb"), BONGARD_SETTINGS),
+        "bongard": (generate(GenSpec("bongard", 23, seed=3), tmp_path / "b.kb"), BONGARD_SETTINGS),
     }
     for name, (path, settings) in inputs.items():
         seen = set()
@@ -435,7 +434,7 @@ def test_empty_dataset_rejected(tmp_path):
 
 
 def test_record_codec_roundtrip():
-    interp = Interpretation(
+    interp = oracles.interp_of(
         parse_term("rep('E 71',3)"),
         "pos",
         (
@@ -448,13 +447,13 @@ def test_record_codec_roundtrip():
 
 def test_the_least_record_is_the_one_open_dataset_assumes():
     # One constant, the empty name, is both id and label; no facts.
-    assert len(encode_record(Interpretation(Atom(""), "", ()))) == _MIN_RECORD
+    assert len(encode_record(oracles.interp_of(Atom(""), "", ()))) == _MIN_RECORD
 
 
 def test_names_that_hold_nul_round_trip():
     """The table's separator is NUL unless a name holds one; then it is the
     first character that no constant's text holds."""
-    interp = Interpretation(Atom("\0"), "a\0b", (Literal("p\1", (Atom("\2\0"), Number(3))),))
+    interp = oracles.interp_of(Atom("\0"), "a\0b", (Literal("p\1", (Atom("\2\0"), Number(3))),))
     record = encode_record(interp)
     assert decode_record(record) == interp
     table = record[18 : 18 + struct.unpack_from("<I", record, 4)[0]]  # past the header and 5 kinds
@@ -478,8 +477,8 @@ def test_records_decoded_with_one_memo_share_their_constants():
 
 def test_record_codec_rejects_variables_bad_tags_and_unread_bytes(tmp_path):
     with pytest.raises(TypeError, match="ground"):
-        encode_record(Interpretation(Number(1), "pair", (Literal("card", (parse_term("X"), Atom("hearts"))),)))
-    record = encode_record(Interpretation(Number(1), "pair", (Literal("flush", ()),)))
+        encode_record(oracles.interp_of(Number(1), "pair", (Literal("card", (parse_term("X"), Atom("hearts"))),)))
+    record = encode_record(oracles.interp_of(Number(1), "pair", (Literal("flush", ()),)))
     assert record[:4] == b"\x03\x00\x00\x00"  # three constants
     assert record[13:16] == b"\x01\x00\x00"  # their kinds: the integer 1, then two atoms
     with pytest.raises(DataError, match="bad constant kind 3"):
@@ -500,7 +499,7 @@ def test_record_codec_rejects_variables_bad_tags_and_unread_bytes(tmp_path):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_chunk_label_outside_class_counts_rejected(tmp_path, algorithm):
     settings = parse_settings(POKER_BIAS_TEXT)
-    path = gen_poker(GenSpec("poker", 40, seed=3), tmp_path / "p.kb")
+    path = generate(GenSpec("poker", 40, seed=3), tmp_path / "p.kb")
     handle = load_dataset(path, settings, tmp_path / "store", granularity=10)
     data = handle.chunks[1].path
     bodies = _frames(data)
@@ -514,7 +513,7 @@ def test_chunk_label_outside_class_counts_rejected(tmp_path, algorithm):
 @pytest.fixture(scope="module")
 def fuzz_store(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("fuzz")
-    path = gen_poker(GenSpec("poker", 30, seed=5), tmp / "p.kb")
+    path = generate(GenSpec("poker", 30, seed=5), tmp / "p.kb")
     handle = load_dataset(path, POKER_SETTINGS, tmp / "store", granularity=10)
     return handle.dir, handle.chunks[0].path
 
@@ -761,14 +760,14 @@ def test_corrupt_v2_record_names_its_chunk(tmp_path, record, message):
 
 def test_float_constants_keep_their_bits():
     values = [0.0, -0.0, float("nan"), 1.0, float("-inf"), *_NANS]
-    interp = Interpretation(Atom("e"), "pos", (Literal("v", tuple(map(Number, values)) + (Number(1),)),))
+    interp = oracles.interp_of(Atom("e"), "pos", (Literal("v", tuple(map(Number, values)) + (Number(1),)),))
     [row] = decode_record(encode_record(interp)).groups[("v", len(values) + 1)].rows
     assert [struct.pack("<d", t.value) for t in row[:-1]] == [struct.pack("<d", v) for v in values]
     assert type(row[-1].value) is int
 
 
 def test_many_nullary_facts_round_trip():
-    interp = Interpretation(Number(1), "pair", (Literal("flush", ()),) * (2**16 + 1))
+    interp = oracles.interp_of(Number(1), "pair", (Literal("flush", ()),) * (2**16 + 1))
     assert decode_record(encode_record(interp)) == interp
 
 
@@ -794,8 +793,8 @@ def test_compile_over_a_larger_store_leaves_only_its_own_files(tmp_path):
 
 def test_compile_that_fails_midway_leaves_no_store(tmp_path):
     store = tmp_path / "store"
-    load_dataset(gen_poker(GenSpec("poker", 30, seed=1), tmp_path / "a.kb"), POKER_SETTINGS, store, granularity=5)
-    text = gen_poker(GenSpec("poker", 30, seed=4), tmp_path / "b.kb").read_text()
+    load_dataset(generate(GenSpec("poker", 30, seed=1), tmp_path / "a.kb"), POKER_SETTINGS, store, granularity=5)
+    text = generate(GenSpec("poker", 30, seed=4), tmp_path / "b.kb").read_text()
     lines = text.splitlines(keepends=True)
     ends = [i for i, line in enumerate(lines) if line.startswith("end(")]
     broken = tmp_path / "broken.kb"
@@ -845,7 +844,7 @@ def _interpretations(draw, allow_nan=True):
     label = draw(st.sampled_from(_NAMES))
     rep = st.builds(lambda i, k: Compound("rep", (Number(i), Number(k))), st.integers(0, 10**6), st.integers(1, 300))
     ident = draw(terms | rep)  # ``replicate`` gives ids rep(Id, K)
-    return Interpretation(ident, label, tuple(Literal(p, args) for p, args in facts))
+    return oracles.interp_of(ident, label, tuple(Literal(p, args) for p, args in facts))
 
 
 def _bits(t):
