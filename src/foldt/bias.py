@@ -35,9 +35,9 @@ import itertools
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .engine import Query, answer_all, matches
+from .engine import Pack, Query, matches
 from .errors import DataError
 from .settings import DiscretizeRequest, LearnerConfig, Settings, is_threshold, threshold_indices
 from .terms import (
@@ -66,6 +66,10 @@ class Bias:
 
     settings: Settings
     cuts: dict[int, tuple[float, ...]]  # 1-based discretize index -> cut points
+    # rmode index -> its formals and its template's threshold indices, on first use
+    templates: dict = field(default_factory=dict, repr=False, compare=False)
+    # a candidate's shape (see ``refinements``) -> its ``_canonical_key``
+    keys: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass
@@ -198,12 +202,13 @@ def _instantiate(template, assignment, name_base):
             actual = fresh_name(name_base + fresh)
             fresh += 1
         names[formal] = Variable(actual)
-    lits = map_literals(template, lambda t: names[t.name] if isinstance(t, Variable) else None)
+    lits = map_literals(template, lambda t: names[t.name] if type(t) is Variable else None)
     return lits, fresh
 
 
-def _expand_thresholds(literals, bias: Bias):
-    ks = threshold_indices(literals)
+def _expand_thresholds(literals, ks: list[int], bias: Bias):
+    """``literals`` once per combination of cuts for the ``threshold(K)``
+    placeholders whose indices ``ks`` lists."""
     if not ks:
         return [literals]
     expanded = []
@@ -221,8 +226,11 @@ def _canonical_key(added, qvars_set):
     names: dict[str, Variable] = {}
 
     def rename(t):
-        if isinstance(t, Variable) and t.name not in qvars_set:
-            return names.setdefault(t.name, Variable(f"N{len(names)}"))
+        if type(t) is Variable and t.name not in qvars_set:
+            v = names.get(t.name)
+            if v is None:
+                v = names[t.name] = Variable(f"N{len(names)}")
+            return v
         return None
 
     return tuple(render_literal(l) for l in map_literals(added, rename))
@@ -264,8 +272,12 @@ def refinements(ctx: RefinementContext, bias: Bias) -> list[Candidate]:
     qvars_set = set(qvars)
     vtypes = infer_var_types(ctx.query, settings)
 
-    def emit(added, ri):
-        key = _canonical_key(added, qvars_set)
+    def emit(added, ri, shape=None):
+        key = bias.keys.get(shape) if shape is not None else None
+        if key is None:
+            key = _canonical_key(added, qvars_set)
+            if shape is not None:
+                bias.keys[shape] = key
         if key in seen:
             return False
         seen.add(key)
@@ -275,11 +287,23 @@ def refinements(ctx: RefinementContext, bias: Bias) -> list[Candidate]:
     for ri, rm in enumerate(settings.rmodes):
         if ctx.usage[ri] >= rm.count:
             continue
-        formals = _formal_specs(rm, settings)
+        template = bias.templates.get(ri)
+        if template is None:
+            template = bias.templates[ri] = (_formal_specs(rm, settings), threshold_indices(rm.template))
+        formals, ks = template
         for assignment in _assignments(formals, qvars, vtypes):
             base_added, fresh_used = _instantiate(rm.template, assignment, ctx.name_base)
-            for added in _expand_thresholds(base_added, bias):
-                emit(added, ri)
+            # The canonical key renames the variables that are not the
+            # query's, by first occurrence, so it is the same wherever the
+            # rmode's formals take the same query variables and cuts.
+            fresh = (fresh_name(ctx.name_base + i) for i in range(fresh_used))
+            shape = (
+                ri,
+                tuple(None if a is _FRESH else a for a in assignment.values()),
+                tuple(n if n in qvars_set else None for n in fresh),
+            )
+            for j, added in enumerate(_expand_thresholds(base_added, ks, bias)):
+                emit(added, ri, (shape, j))
                 for ext in lookahead_extensions(added, bias, ctx.name_base, fresh_used):
                     emit(added + ext, ri)
     return out
@@ -383,9 +407,10 @@ def discretize(request: DiscretizeRequest, data, background, cfg: LearnerConfig)
     example class, and derive the sorted cut points, at most
     ``cfg.max_thresholds`` of them, each query under ``cfg.resolution_budget``."""
     query = Query(request.query)
+    pack = Pack((query,))
     counts: dict[float, Counter] = {}
     for _, interp in data.stream_examples():
-        for t in answer_all(query, request.var, interp, background, cfg.resolution_budget):
+        for t in pack.answers(request.var, interp, background, cfg.resolution_budget):
             if not isinstance(t, Number):
                 raise DataError(
                     f"discretize({query}, {request.var}) collected the non-numeric value "

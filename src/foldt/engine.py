@@ -2,10 +2,12 @@
 
 One evaluator proves every query: ``Pack(queries)`` compiles a list of
 queries into one pack and ``Pack.run`` decides them all on one example in a
-single depth-first walk.  The learner runs one pack per (example, node),
-holding the coverage queries of the node's candidates; ``model.classify``
-runs a one-query pack per node; ``succeeds`` and ``answer_all`` wrap a
-one-query pack.
+single depth-first walk, and ``Pack.answers`` lists a variable's bindings.
+The learner runs one pack per (example, node), holding the coverage queries
+of the node's candidates; ``model.classify`` runs a one-query pack per node,
+``model.eval_decision_list`` one per rule and ``bias.discretize`` one per
+request, each built once.  ``succeeds`` and ``answer_all`` build a one-query
+pack per call.
 
 The pack is a trie over literal prefixes, so a prefix that several queries
 share is proved once.  The walk reaches a query's end once per solution of
@@ -18,29 +20,43 @@ are those whose first argument equals the literal's when that argument is
 ground.  So a query meets its solutions in the same order inside a pack as
 alone, and ``answer_all`` lists them in that order, duplicates included.
 
-Variables are integer slots in one flat binding list; a trail records the
-bindings to undo on backtracking.  Each literal is compiled once per pack and
-background.  Every literal meets the example's facts through a fact plan:
-its ground arguments must equal the fact's (the first argument, when ground,
-picks the facts through the first-argument index), a slot it repeats must
-meet equal arguments, its unbound slots take the fact's values, and an
-argument that holds a compound with an unbound slot is a pattern that the
-fact's argument must match.  Example facts are ground, so no occurs check is
-needed.  A pack's literal whose predicate has no background clauses gets its
-plan once, where the slots it sees are known along its trie path to be
-unbound or bound to ground terms (a query's variables are bound to ground
-subterms after a literal that only example facts prove).  Any other literal,
-in a clause body, after a literal that background clauses prove, or with
-clauses of its own, gets its plan when the walk reaches it, from its
-arguments dereferenced.  The facts are tried first, through the plan, and
-then the predicate's clauses.  Background clauses are compiled once and get
-fresh variables by shifting their slots past the end of the binding list.  A
-head of distinct variables (a linear head) binds each argument to its fresh
-slot, or the slot to the argument, with no unification; other heads and
-``=`` unify with the occurs check.  Builtins and run-time plans dereference
-their arguments and rebuild a term only for a compound.  Choice points live
-on an explicit stack: recursion in the background grows the stack, not the
-Python call depth, so an exhausted budget surfaces before any stack limit.
+A pack is compiled to Python code.  The first time it runs against a
+background, ``_generate`` writes one function for its trie and builds it with
+``compile`` and ``exec``.  Variables are integer slots; along each trie path
+it is known which slots are bound to ground terms (a query's variables are,
+after a literal that only example facts prove).  A literal whose predicate
+has no background clauses and whose arguments are constants and such slots
+or unbound ones has a static plan, and becomes a ``for`` loop over the
+example's facts of its predicate, or over those whose first argument its
+ground first argument picks: its other ground arguments and repeated slots
+become comparisons, and the slots it binds become Python locals.  A builtin
+over constants and ground-bound slots becomes an ``if``.  Each loop's body is
+the code of its trie node: reaching a query's end marks it succeeded, the
+function returns once every query has, and a loop is left once every query
+below its node has succeeded.  A path that nests too deep goes on in a
+function of its own, so no function nears CPython's limits on nested blocks
+and indentation.  Writing and compiling a pack's function costs about
+0.2 ms for one three-literal query and 0.8 ms for the four queries (27
+literals) of the poker root, against a few microseconds per example for the
+walk; walks are kept by their queries and background, so a pack of the same
+queries compiles once per process.
+
+Every other literal (one with background clauses, one after such a literal
+whose slots may be bound to anything, one that must match a compound
+pattern) is a loop over the solutions of ``_solve``, an explicit-stack SLD
+machine for that one goal.  The machine keeps the slots in one flat binding
+list with a trail of the bindings to undo on backtracking.  It tries the
+example's facts through a plan made from the goal's arguments as they are
+bound now (``_goal_plan``), then the predicate's clauses.  Background
+clauses are compiled once and get fresh variables by shifting their slots
+past the end of the binding list.  A head of distinct variables (a linear
+head) binds each argument to its fresh slot, or the slot to the argument,
+with no unification; other heads and ``=`` unify with the occurs check.
+Builtins and run-time plans dereference their arguments and rebuild a term
+only for a compound.  Example facts are ground, so matching a fact needs no
+occurs check.  Recursion in the background grows the machine's stack, not
+the Python call depth, so an exhausted budget surfaces before any stack
+limit.
 
 A step is one fact tried, one clause tried or one builtin evaluated.  A pack
 of k queries may spend k times ``budget`` steps on an example, and exhausting
@@ -136,26 +152,22 @@ def _compile_term(t: Term, slots: dict[str, int]):
 
 
 class _Lit:
-    """A compiled literal.  ``plan`` is set for a pack's literal whose
-    predicate has no clauses and whose arguments are constants and slots
-    known to be unbound or bound to a ground term (see ``_fact_plan`` and
-    ``_builtin_plan``); every other literal that is not a builtin gets its
-    fact plan from ``_goal_plan`` when the walk reaches it."""
+    """A compiled literal: ``op`` is the builtin's name, None for a literal
+    that facts and clauses prove."""
 
-    __slots__ = ("lit", "key", "args", "op", "plan")
+    __slots__ = ("lit", "key", "args", "op")
 
     def __init__(self, lit: Literal, slots: dict[str, int]):
         self.lit = lit
         self.key = lit.key
         self.args = tuple(_compile_term(a, slots) for a in lit.args)
         self.op = lit.pred if lit.builtin else None
-        self.plan = None
 
 
 class _Clause:
     """A compiled clause.  ``linear`` is set when the head's arguments are
     distinct variables in slot order, so that matching the head is binding
-    each argument (see ``Pack._walk``)."""
+    each argument (see ``_solve``)."""
 
     __slots__ = ("size", "head", "body", "linear")
 
@@ -169,7 +181,8 @@ class _Clause:
 
 class Background:
     """Horn background program indexed by head predicate/arity, each clause
-    compiled once."""
+    compiled once.  It keeps the pack walks compiled against it (see
+    ``_generate``)."""
 
     def __init__(self, clauses: tuple[Clause, ...] = ()):
         self.clauses = clauses
@@ -180,6 +193,7 @@ class Background:
                     raise DataError("background clauses cannot contain cuts")
             by_key.setdefault(c.head.key, []).append(_Clause(c))
         self._by_key = {k: tuple(v) for k, v in by_key.items()}
+        self._walks: dict = {}
 
     def clauses_for(self, key: tuple[str, int]) -> tuple:
         """The compiled clauses for ``key``, in program order."""
@@ -354,13 +368,15 @@ def _builtin(g: _Lit, off: int, b: list, trail: list, names) -> bool:
 
 
 def _goal_plan(args: tuple, off: int, b: list, names: list[str]):
-    """The fact plan of a literal with no static one, made when the walk
-    reaches it: ``_fact_plan``'s ``(index, want, checks, binds, sames,
-    pats)`` with every argument dereferenced, so ground values go to
-    ``want`` (or the index) and ``checks`` is empty.  An argument that holds
-    a compound with an unbound slot goes to ``pats``; then the unbound slots
-    go there too, ahead of it, so ``_scan`` binds them before it matches the
-    compounds, and ``binds`` is empty."""
+    """The fact plan of a literal, made when the machine reaches it, from
+    its arguments dereferenced: ``(index, want, binds, sames, pats)``.  A
+    fact must have ``want``'s ground values at their positions (the first
+    argument, when ground, is left out and is the first-argument ``index``
+    key, else ``index`` is None) and equal arguments at each pair of
+    ``sames`` positions; then ``binds``' unbound slots take its values.  An
+    argument that holds a compound with an unbound slot goes to ``pats``;
+    then the unbound slots go there too, ahead of it, so ``_scan`` binds
+    them before it matches the compounds, and ``binds`` is empty."""
     want, binds, sames, pats = [], [], [], []
     for p, a in enumerate(args):
         if type(a) is int:
@@ -382,16 +398,21 @@ def _goal_plan(args: tuple, off: int, b: list, names: list[str]):
                 continue
             a = t
         want.append((p, a))
-    index = (False, want.pop(0)[1]) if want and want[0][0] == 0 else None
+    index = want.pop(0)[1] if want and want[0][0] == 0 else None
     if pats:
-        return index, want, (), (), sames, binds + pats
-    return index, want, (), binds, sames, ()
+        return index, want, (), sames, binds + pats
+    return index, want, binds, sames, ()
 
 
 # ---------------------------------------------------------------------------
-# Plans: what is known, along a path of the trie, about each slot
+# Static plans: what is known, along a path of the trie, about each slot
+#
+# A slot that the path binds to a ground term is _DIRECT: the generated walk
+# holds its value in a Python local.  One that a literal proved by the
+# machine may bind to anything is _UNKNOWN: its value lives in the binding
+# list.  A slot that is absent is unbound.
 
-_DIRECT, _UNKNOWN = 1, 2  # bound to a ground term / anything; absent: unbound
+_DIRECT, _UNKNOWN = 1, 2
 
 
 def _known(a, state: dict) -> bool:
@@ -401,26 +422,23 @@ def _known(a, state: dict) -> bool:
 
 def _builtin_plan(g: _Lit, state: dict):
     """For an argument pair that is all constants and ground-bound slots:
-    ``(x, x_is_slot, y, y_is_slot, equal)``, where ``equal`` is what the
-    builtin needs of ``x == y`` (True for ``=``, False for ``\\=``, None for a
-    comparison)."""
+    ``(x, y, equal)``, where ``equal`` is what the builtin needs of ``x ==
+    y`` (True for ``=``, False for ``\\=``, None for a comparison)."""
     x, y = g.args
     if _known(x, state) and _known(y, state):
-        equal = {"=": True, "\\=": False}.get(g.op)
-        return (x, type(x) is int, y, type(y) is int, equal)
+        return (x, y, {"=": True, "\\=": False}.get(g.op))
     return None
 
 
 def _fact_plan(g: _Lit, state: dict, rules: dict):
     """For a literal that only facts prove, over constants and slots that are
-    unbound or ground-bound: ``(index, want, checks, binds, sames, pats)``.
+    unbound or ground-bound: ``(index, want, checks, binds, sames)``.
 
     ``index`` is None (scan every fact), ``(False, constant)`` or ``(True,
     slot)`` for the first-argument index key.  A fact must have ``want``'s
     constants and ``checks``' slot values at their positions (position 0 is
     left out when indexed), equal arguments at each pair of ``sames``
-    positions, and then gives ``binds``' unbound slots their values.
-    ``pats`` is always empty here (see ``_goal_plan``)."""
+    positions, and then gives ``binds``' unbound slots their values."""
     if g.key in rules:
         return None
     want, checks, binds, sames, first = [], [], [], [], {}
@@ -443,7 +461,7 @@ def _fact_plan(g: _Lit, state: dict, rules: dict):
         index = (False, want.pop(0)[1])
     elif checks and checks[0][0] == 0:
         index = (True, checks.pop(0)[1])
-    return (index, tuple(want), tuple(checks), tuple(binds), tuple(sames), ())
+    return index, want, checks, binds, sames
 
 
 def _after(g: _Lit, state: dict, rules: dict) -> dict:
@@ -452,19 +470,24 @@ def _after(g: _Lit, state: dict, rules: dict) -> dict:
     background clauses may leave them anything."""
     if g.op is not None and g.op != "=":
         return state
+    new = _DIRECT if g.op is None and g.key not in rules else _UNKNOWN
+    out = dict(state)
+    for s in _slots(g.args):
+        out.setdefault(s, new)
+    return out
+
+
+def _slots(args) -> list[int]:
+    """The slots that compiled terms ``args`` hold, compounds included."""
     slots: list[int] = []
-    stack = list(g.args)
+    stack = list(args)
     while stack:
         a = stack.pop()
         if type(a) is int:
             slots.append(a)
         elif type(a) is _Struct:
             stack.extend(a.args)
-    new = _DIRECT if g.op is None and g.key not in rules else _UNKNOWN
-    out = dict(state)
-    for s in slots:
-        out.setdefault(s, new)
-    return out
+    return slots
 
 
 # ---------------------------------------------------------------------------
@@ -473,25 +496,20 @@ def _after(g: _Lit, state: dict, rules: dict) -> dict:
 
 class _Node:
     """A trie node: the literals on its path are a prefix of every query in
-    ``mask`` and the whole of every query in ``ends``.  ``entry`` is the goal
-    list that proves the node's literal and then arrives at the node."""
+    ``mask`` and the whole of every query in ``ends``."""
 
-    __slots__ = ("lit", "ends", "mask", "kids", "lone", "entry")
+    __slots__ = ("lit", "ends", "mask", "kids")
 
     def __init__(self, lit: _Lit | None):
         self.lit = lit
         self.ends = self.mask = 0
         self.kids: tuple[_Node, ...] = ()
-        self.lone: _Node | None = None  # the kid, when there is just one
-        self.entry = (lit, 0, (self, 0, None))
-
-
-_BRANCH, _FACTS, _CLAUSES = 0, 1, 2  # choice point kinds
 
 
 class Pack:
     """Queries compiled into one literal-prefix trie (see the module
-    docstring); ``run`` decides them all on an example in one walk."""
+    docstring); ``run`` decides them all on an example in one walk, and
+    ``answers`` lists the bindings of a variable over every solution."""
 
     def __init__(self, queries):
         self.queries = tuple(queries)
@@ -507,7 +525,6 @@ class Pack:
                 if kid is None:
                     kid = index[id(node), lit] = _Node(_Lit(lit, slots))
                     node.kids += (kid,)
-                    node.lone = kid if len(node.kids) == 1 else None
                 node = kid
                 node.mask |= bit
             node.ends |= bit
@@ -515,18 +532,17 @@ class Pack:
         self.names = list(slots)  # slot -> variable name
         self.full = (1 << len(self.queries)) - 1
         self.steps = 0
-        self._background = None  # the background the plans were made for
+        self._background = None  # the background the walks were generated for
+        self._walks: dict = {}  # answer variable (None: outcome bits) -> walk
 
-    def _plan(self, background: Background):
-        rules = background._by_key
-        todo = [(self.root, {})]
-        while todo:
-            node, state = todo.pop()
-            for kid in node.kids:
-                g = kid.lit
-                g.plan = _fact_plan(g, state, rules) if g.op is None else _builtin_plan(g, state)
-                todo.append((kid, _after(g, state, rules)))
-        self._background = background
+    def _walk(self, background: Background | None, answer: str | None):
+        bg = EMPTY_BACKGROUND if background is None else background
+        if bg is not self._background:
+            self._background, self._walks = bg, {}
+        walk = self._walks.get(answer)
+        if walk is None:
+            walk = self._walks[answer] = _generate(self, bg, answer)
+        return walk
 
     def run(
         self,
@@ -535,7 +551,27 @@ class Pack:
         budget: int = DEFAULT_BUDGET,
     ) -> int:
         """Outcome bits on one example: bit i is set when query i succeeds."""
-        return self._walk(interp, background, budget, None)
+        if budget <= 0:
+            raise QueryError("resolution budget must be positive")
+        return self._walk(background, None)(interp, budget, budget * len(self.queries), None)
+
+    def answers(
+        self,
+        var: str,
+        interp: Interpretation,
+        background: Background | None = None,
+        budget: int = DEFAULT_BUDGET,
+    ) -> list[Term]:
+        """Bindings of ``var`` at every solution of every query (duplicates
+        kept, discovery order); a binding that is not ground comes back with
+        its unbound variables named."""
+        if var not in self.slots:
+            raise QueryError(f"variable {var} does not occur in the query")
+        if budget <= 0:
+            raise QueryError("resolution budget must be positive")
+        out: list[Term] = []
+        self._walk(background, var)(interp, budget, budget * len(self.queries), out)
+        return out
 
     def _error(self, cls, what: str, interp, pending: int) -> QueryError:
         """The error ``cls`` for a walk that failed with ``what`` while
@@ -549,190 +585,403 @@ class Pack:
         what = f"resolution step budget of {budget if k == 1 else f'{k} x {budget}'} exhausted"
         return self._error(BudgetExceededError, what, interp, pending)
 
-    def _walk(self, interp, background, budget: int, sink) -> int:
-        """The depth-first walk.  Without ``sink`` it decides the queries and
-        returns their outcome bits.  With one, it calls ``sink(bindings)`` at
-        every solution of every query and never prunes."""
-        if budget <= 0:
-            raise QueryError("resolution budget must be positive")
-        bg = EMPTY_BACKGROUND if background is None else background
-        if bg is not self._background:
-            self._plan(bg)
-        rules = bg._by_key
-        groups = interp.groups
-        names = self.names
-        full = self.full
-        limit = budget * len(self.queries)
-        b: list = [None] * len(names)
-        size = len(b)  # len(b), kept as clause frames extend it and backtracking cuts it
-        trail: list[int] = []
-        stack: list[list] = []
-        steps = done = 0
-        owner = self.root  # the trie node the current goals lead to
-        goals = owner.entry[2]
-        while True:
-            g, off, rest = goals
-            if type(g) is _Node:
-                if sink is None:
-                    done |= g.ends
-                    if done == full:
-                        break
-                elif g.ends:
-                    sink(b)
-                # The walk reaches a node only while a query below it is
-                # undecided, so a lone kid is still undecided.
-                if g.lone is not None:
-                    owner = g.lone
-                    goals = owner.entry
-                    continue
-                if g.kids:
-                    stack.append([_BRANCH, g, len(trail), size, iter(g.kids)])
-            elif g.op is not None:
-                steps += 1
-                if steps > limit:
-                    raise self._exhausted(interp, budget, owner.mask & ~done)
-                plan = g.plan
-                try:
-                    if plan is None:
-                        ok = _builtin(g, off, b, trail, names)
-                    else:
-                        x, xs, y, ys, equal = plan
-                        x = b[x] if xs else x
-                        y = b[y] if ys else y
-                        ok = _test(g.op, x, y, g.lit) if equal is None else (x == y) is equal
-                except QueryError as e:
-                    raise self._error(QueryError, e.message, interp, owner.mask & ~done) from None
-                if ok:
-                    goals = rest
-                    continue
+
+# ---------------------------------------------------------------------------
+# The generated walk (see the module docstring)
+#
+# Where a path nests deeper than ``_NEST`` levels, the rest of it goes to a
+# function of its own, so that no function comes near CPython's limits of 20
+# nested blocks and 100 indentation levels.
+
+_NEST = 16
+_OPS = {"<": "<", ">": ">", "=<": "<=", ">=": ">="}
+
+
+def _no_rows(term, default):
+    return default
+
+
+class _Writer:
+    """The source of one pack's walk, with the objects it names."""
+
+    def __init__(self, pack: Pack, rules: dict, answer: str | None):
+        self.pack, self.rules = pack, rules
+        self.answer = None if answer is None else pack.slots[answer]
+        self.env = {
+            "P": pack, "FULL": pack.full, "NAMES": pack.names, "RULES": rules,
+            "Number": Number, "QueryError": QueryError, "_Run": _Run, "_solve": _solve,
+            "_term": _term, "_no_rows": _no_rows,
+        }
+        self.names: dict = {}  # id of a named object -> its name
+        self.groups: dict = {}  # predicate key -> (its name's number, uses rows, uses first)
+        self.machine = False
+        self.funcs: list[list[str]] = []
+
+    def name(self, obj, prefix: str) -> str:
+        got = self.names.get(id(obj))
+        if got is None:
+            got = self.names[id(obj)] = f"{prefix}{len(self.names)}"
+            self.env[got] = obj
+        return got
+
+    def term(self, a) -> str:
+        return f"v{a}" if type(a) is int else self.name(a, "C")
+
+    def source(self, key, first: bool) -> str:
+        k, rows, firsts = self.groups.get(key, (len(self.groups), False, False))
+        self.groups[key] = (k, rows or not first, firsts or first)
+        return f"{'F' if first else 'R'}{k}"
+
+    def exit(self, top: bool) -> list[str]:
+        return ["P.steps += steps", "return done"] if top else ["return steps, done"]
+
+    def write(self) -> str:
+        body: list[str] = []
+        self.node(self.pack.root, {}, 1, body, True)
+        head = ["groups = interp.groups", "steps = done = 0"]
+        if self.machine:
+            head += ["run = _Run(P, interp, budget, limit, RULES)", "b = run.b"]
+        else:
+            head += ["run = b = None"]
+        for key, (k, rows, firsts) in self.groups.items():
+            head += [f"g = groups.get({self.name(key, 'K')})", "if g is None:"]
+            head += [f"    R{k} = ()"] if rows else []
+            head += [f"    F{k} = _no_rows"] if firsts else []
+            head += ["else:"]
+            head += [f"    R{k} = g.rows"] if rows else []
+            head += [f"    F{k} = g.index().get"] if firsts else []
+        lines = ["def walk(interp, budget, limit, out):"]
+        lines += ["    " + line for line in head] + body + ["    " + line for line in self.exit(True)]
+        for func in self.funcs:
+            lines += func
+        return "\n".join(lines).replace("@CTX@", self.context()) + "\n"
+
+    def context(self) -> str:
+        """What every split-off function takes before its locals."""
+        names = ["interp", "budget", "limit", "out", "run", "b", "steps", "done"]
+        for k, rows, firsts in self.groups.values():
+            names += [f"R{k}"] if rows else []
+            names += [f"F{k}"] if firsts else []
+        return ", ".join(names)
+
+    def node(self, node: _Node, state: dict, d: int, out: list[str], top: bool):
+        """Arrive at ``node`` with the slot states ``state``, at nesting ``d``."""
+        pad = "    " * d
+        if node.ends:
+            if self.answer is None:
+                out += [f"{pad}done |= {node.ends}", f"{pad}if done == FULL:"]
+                out += [f"{pad}    {line}" for line in self.exit(top)]
             else:
-                # Facts prove the literal through its plan (the static one,
-                # else one made now), then its clauses: their choice point
-                # goes below the facts' one, to resume once the facts are
-                # spent.
-                plan = g.plan
-                if plan is None and g.key in rules:
-                    args = g.args if not off else tuple(_shift(a, off) for a in g.args)
-                    stack.append([_CLAUSES, owner, len(trail), size, 0, rules[g.key], args, rest])
-                group = groups.get(g.key)
-                if group is not None:
-                    if plan is None:
-                        plan = _goal_plan(g.args, off, b, names)
-                    index, want, checks, binds, sames, pats = plan
-                    if index is None:
-                        facts = group.rows
-                    else:
-                        facts = group.first(b[index[1]] if index[0] else index[1])
-                    if checks:
-                        want = want + tuple((p, b[s]) for p, s in checks)
-                    n = len(facts)
-                    mark = len(trail)
-                    i = _scan(facts, 0, want, sames, pats, b, trail) if want or sames or pats else 0
-                    steps += i + 1 if i < n else n
+                out.append(f"{pad}out.append({self.answer_term(state)})")
+        if len(node.kids) == 1 or self.answer is not None:
+            for kid in node.kids:
+                self.kid(kid, state, d, out, top)
+        else:
+            # More than one kid: a kid whose queries have all succeeded on an
+            # earlier visit of this node is skipped.
+            for kid in node.kids:
+                out.append(f"{pad}if {kid.mask} & ~done:")
+                self.kid(kid, state, d + 1, out, top)
+
+    def answer_term(self, state: dict) -> str:
+        s = self.answer
+        if state.get(s) == _DIRECT:
+            return f"v{s}"
+        if state.get(s) == _UNKNOWN:
+            return f"_term({s}, b, NAMES)"
+        return self.name(Variable(self.pack.names[s]), "C")
+
+    def kid(self, kid: _Node, state: dict, d: int, out: list[str], top: bool):
+        """Prove ``kid``'s literal and arrive at ``kid`` at each solution."""
+        pad = "    " * d
+        if d > _NEST:
+            live = sorted(s for s, how in state.items() if how == _DIRECT)
+            args = "@CTX@" + "".join(f", v{s}" for s in live)
+            name = f"walk{len(self.funcs) + 1}"
+            func = [f"def {name}({args}):"]
+            self.funcs.append(func)
+            self.kid(kid, state, 1, func, False)
+            func.append("    return steps, done")
+            out.append(f"{pad}steps, done = {name}({args})")
+            if self.answer is None:
+                out.append(f"{pad}if done == FULL:")
+                out += [f"{pad}    {line}" for line in self.exit(top)]
+            return
+        g, mask = kid.lit, kid.mask
+        budget_check = [
+            f"{pad}if steps > limit:",
+            f"{pad}    raise P._exhausted(interp, budget, {mask} & ~done)",
+        ]
+        if g.op is not None:
+            plan = _builtin_plan(g, state)
+            if plan is not None:
+                x, y, equal = plan
+                x, y = self.term(x), self.term(y)
+                out += [f"{pad}steps += 1"] + budget_check
+                if equal is not None:
+                    out.append(f"{pad}if {x} {'==' if equal else '!='} {y}:")
+                else:
+                    what = self.name(f"{g.op} needs numeric arguments, got {render_literal(g.lit)}", "M")
+                    out += [
+                        f"{pad}if type({x}) is not Number or type({y}) is not Number:",
+                        f"{pad}    raise P._error(QueryError, {what}, interp, {mask} & ~done)",
+                        f"{pad}if {x}.value {_OPS[g.op]} {y}.value:",
+                    ]
+                self.node(kid, state, d + 1, out, top)
+                return
+        else:
+            plan = _fact_plan(g, state, self.rules)
+            if plan is not None:
+                self.loop(kid, plan, state, d, out, top, budget_check)
+                return
+        self.solve(kid, state, d, out, top)
+
+    def loop(self, kid: _Node, plan, state: dict, d: int, out: list[str], top: bool, budget_check):
+        """A literal with a static fact plan: a loop over the facts."""
+        pad = "    " * d
+        index, want, checks, binds, sames = plan
+        if index is None:
+            facts = self.source(kid.lit.key, False)
+        else:
+            at = f"v{index[1]}" if index[0] else self.term(index[1])
+            facts = f"{self.source(kid.lit.key, True)}({at}, ())"
+        args = [f"a{p}" for p in range(len(kid.lit.args))]
+        for p, s in binds:
+            args[p] = f"v{s}"
+        tests = [f"{args[p]} != {self.term(v)}" for p, v in want]
+        tests += [f"{args[p]} != v{s}" for p, s in checks]
+        tests += [f"{args[p]} != {args[q]}" for p, q in sames]
+        target = "_" if not args else f"({args[0]},)" if len(args) == 1 else ", ".join(args)
+        out += [f"{pad}for {target} in {facts}:", f"{pad}    steps += 1"]
+        if tests:
+            out.append(f"{pad}    if {' or '.join(tests)}:")
+            out.append(f"{pad}        continue")
+        out += ["    " + line for line in budget_check]
+        self.node(kid, _after(kid.lit, state, self.rules), d + 1, out, top)
+        if self.answer is None:
+            out += [f"{pad}    if not {kid.mask} & ~done:", f"{pad}        break"]
+        if tests:
+            out.append(f"{pad}else:")
+            out += ["    " + line for line in budget_check]
+
+    def solve(self, kid: _Node, state: dict, d: int, out: list[str], top: bool):
+        """A literal with no static plan: a loop over ``_solve``'s solutions,
+        with the slots it reads set in the binding list first.  Slots that
+        it binds to ground terms are read back into locals."""
+        pad = "    " * d
+        self.machine = True
+        g, mask = kid.lit, kid.mask
+        after = _after(g, state, self.rules)
+        for s in sorted(set(_slots(g.args))):
+            if state.get(s) == _DIRECT:
+                out.append(f"{pad}b[{s}] = v{s}")
+            elif s not in state:
+                out.append(f"{pad}b[{s}] = None")
+        sync = [f"{pad}run.steps = steps"] + ([f"{pad}run.done = done"] if self.answer is None else [])
+        out += sync + [f"{pad}for _ in _solve(run, {self.name(g, 'L')}, {mask}):"]
+        out.append(f"{pad}    steps = run.steps")
+        out += [
+            f"{pad}    v{s} = b[{s}]" for s in sorted(after)
+            if after[s] == _DIRECT and state.get(s) != _DIRECT
+        ]
+        self.node(kid, after, d + 1, out, top)
+        if self.answer is None:
+            out += [f"{pad}    if not {mask} & ~done:", f"{pad}        break"]
+        out += ["    " + line for line in sync]
+        out += [f"{pad}else:", f"{pad}    steps = run.steps"]
+
+
+def _generate(pack: Pack, background: Background, answer: str | None):
+    """The walk of ``pack`` against ``background``: ``walk(interp, budget,
+    limit, out)``.  Without ``answer`` it decides the queries and returns
+    their outcome bits.  With one, it appends that variable's binding to
+    ``out`` at every solution of every query and never prunes.
+
+    The background keeps the code of each walk with the objects it names,
+    by queries and answer variable, so that packs of the same queries, such
+    as those of one bias in repeated learns, compile once; only ``P``, the
+    pack whose steps the walk counts, is bound anew.  The key holds the
+    queries rendered as well, since equal terms can render apart (0.0 and
+    -0.0) and the walk hands its literals' terms back."""
+    key = (pack.queries, tuple(map(str, pack.queries)), answer)
+    walks = background._walks
+    made = walks.get(key)
+    if made is None:
+        writer = _Writer(pack, background._by_key, answer)
+        code = compile(writer.write(), "<query pack>", "exec")
+        if len(walks) >= _WALKS_KEPT:
+            walks.clear()
+        made = walks[key] = (code, writer.env)
+    env = dict(made[1], P=pack)
+    exec(made[0], env)
+    return env["walk"]
+
+
+_WALKS_KEPT = 256  # walks a background keeps
+
+
+# ---------------------------------------------------------------------------
+# The machine: SLD resolution of one goal on an explicit stack
+
+_FACTS, _CLAUSES = 1, 2  # choice point kinds
+
+
+class _Run:
+    """What a generated walk shares with ``_solve`` on one example: the
+    binding list and trail, the steps spent and the queries decided so
+    far (kept current before each solution is resumed)."""
+
+    __slots__ = ("pack", "interp", "budget", "limit", "rules", "groups", "b", "trail", "steps", "done")
+
+    def __init__(self, pack: Pack, interp, budget: int, limit: int, rules: dict):
+        self.pack, self.interp, self.budget, self.limit = pack, interp, budget, limit
+        self.rules = rules
+        self.groups = interp.groups
+        self.b: list = [None] * len(pack.names)
+        self.trail: list[int] = []
+        self.steps = self.done = 0
+
+    def exhausted(self, mask: int) -> BudgetExceededError:
+        return self.pack._exhausted(self.interp, self.budget, mask & ~self.done)
+
+    def failed(self, what: str, mask: int) -> QueryError:
+        return self.pack._error(QueryError, what, self.interp, mask & ~self.done)
+
+
+def _solve(run: _Run, goal: _Lit, mask: int):
+    """Yield at each solution of the pack literal ``goal``, whose trie node
+    holds the queries ``mask``.  Facts of the example are tried through a
+    plan made from the literal's arguments as they are bound now, then the
+    predicate's clauses; a clause body's literals are proved the same way,
+    and the choice points live on an explicit stack.  Closing the generator
+    undoes every binding it made."""
+    b, trail, groups, rules, limit = run.b, run.trail, run.groups, run.rules, run.limit
+    names = run.pack.names
+    mark = len(trail)
+    base = size = len(b)  # len(b), kept as clause frames extend it and backtracking cuts it
+    stack: list[list] = []
+    steps = run.steps
+    goals = (goal, 0, None)  # a goal list: (literal, frame offset, rest); None is a solution
+    try:
+        while True:
+            if goals is None:
+                run.steps = steps
+                yield
+                steps = run.steps
+            else:
+                g, off, rest = goals
+                if g.op is not None:
+                    steps += 1
                     if steps > limit:
-                        raise self._exhausted(interp, budget, owner.mask & ~done)
-                    if i < n:
-                        if i + 1 < n:  # facts left to try on backtracking
-                            stack.append([
-                                _FACTS, owner, mark, size, i + 1,
-                                facts, n, want, binds, sames, pats, rest,
-                            ])
-                        fa = facts[i]
-                        for p, s in binds:
-                            b[s] = fa[p]
-                            trail.append(s)
+                        raise run.exhausted(mask)
+                    try:
+                        ok = _builtin(g, off, b, trail, names)
+                    except QueryError as e:
+                        raise run.failed(e.message, mask) from None
+                    if ok:
                         goals = rest
                         continue
+                else:
+                    # Facts first, then clauses: their choice point goes
+                    # below the facts' one, to resume once the facts are
+                    # spent.
+                    clauses = rules.get(g.key)
+                    if clauses is not None:
+                        args = g.args if not off else tuple(_shift(a, off) for a in g.args)
+                        stack.append([_CLAUSES, len(trail), size, 0, clauses, args, rest])
+                    group = groups.get(g.key)
+                    if group is not None:
+                        index, want, binds, sames, pats = _goal_plan(g.args, off, b, names)
+                        facts = group.rows if index is None else group.first(index)
+                        n = len(facts)
+                        fmark = len(trail)
+                        i = _scan(facts, 0, want, sames, pats, b, trail) if want or sames or pats else 0
+                        steps += i + 1 if i < n else n
+                        if steps > limit:
+                            raise run.exhausted(mask)
+                        if i < n:
+                            if i + 1 < n:  # facts left to try on backtracking
+                                stack.append([_FACTS, fmark, size, i + 1, facts, n, want, binds, sames, pats, rest])
+                            fa = facts[i]
+                            for p, s in binds:
+                                b[s] = fa[p]
+                                trail.append(s)
+                            goals = rest
+                            continue
 
-            # Backtrack: resume the newest choice point that still serves an
-            # undecided query; leave the walk when none is left.  A choice
-            # point holds its kind, its owner, the trail's and the binding
-            # list's lengths to return to, and what is left to try: the index
-            # of the next fact or clause, or an iterator over the kids.
+            # Backtrack: resume the newest choice point; leave when none is
+            # left.  A choice point holds its kind, the trail's and the
+            # binding list's lengths to return to, the index of the next
+            # fact or clause, and what that index runs over.
             while stack:
                 cp = stack[-1]
-                mark = cp[2]
-                _undo(b, trail, mark)
-                if size > cp[3]:
-                    size = cp[3]
+                _undo(b, trail, cp[1])
+                if size > cp[2]:
+                    size = cp[2]
                     del b[size:]
-                if not cp[1].mask & ~done:
-                    stack.pop()
-                    continue
-                kind = cp[0]
-                if kind is _FACTS:
-                    i, facts, n, want, binds, sames, pats = cp[4:11]
+                if cp[0] is _FACTS:
+                    i, facts, n, want, binds, sames, pats = cp[3:10]
                     j = _scan(facts, i, want, sames, pats, b, trail) if want or sames or pats else i
                     steps += j + 1 - i if j < n else n - i
                     if steps > limit:
-                        raise self._exhausted(interp, budget, cp[1].mask & ~done)
+                        raise run.exhausted(mask)
                     if j == n:
                         stack.pop()
                         continue
                     if j + 1 < n:
-                        cp[4] = j + 1
+                        cp[3] = j + 1
                     else:
                         stack.pop()
                     fa = facts[j]
                     for p, s in binds:
                         b[s] = fa[p]
                         trail.append(s)
-                    owner, goals = cp[1], cp[11]
+                    goals = cp[10]
                     break
-                if kind is _CLAUSES:
-                    i, clauses, args = cp[4], cp[5], cp[6]
-                    while i < len(clauses):
-                        c = clauses[i]
-                        i += 1
-                        steps += 1
-                        if steps > limit:
-                            raise self._exhausted(interp, budget, cp[1].mask & ~done)
-                        top = size
-                        size += c.size
-                        b.extend([None] * c.size)
-                        if c.linear:
-                            # What ``_unify`` does against fresh slots: an
-                            # unbound argument is bound to its head slot,
-                            # anything else binds the head slot.
-                            for s, x in enumerate(args, top):
-                                x = _deref(x, b)
-                                if type(x) is int:
-                                    b[x] = s
-                                    trail.append(x)
-                                else:
-                                    b[s] = x
-                                    trail.append(s)
-                        elif not all(
-                            _unify(x, _shift(h, top), b, trail) for x, h in zip(args, c.head)
-                        ):
-                            _undo(b, trail, mark)
-                            size = top
-                            del b[top:]
-                            continue
-                        cp[4] = i
-                        if i == len(clauses):
-                            stack.pop()
-                        owner, goals = cp[1], cp[7]
-                        for lit in reversed(c.body):
-                            goals = (lit, top, goals)
-                        break
-                    else:
-                        stack.pop()
+                i, clauses, args = cp[3], cp[4], cp[5]
+                while i < len(clauses):
+                    c = clauses[i]
+                    i += 1
+                    steps += 1
+                    if steps > limit:
+                        raise run.exhausted(mask)
+                    top = size
+                    size += c.size
+                    b.extend([None] * c.size)
+                    if c.linear:
+                        # What ``_unify`` does against fresh slots: an
+                        # unbound argument is bound to its head slot,
+                        # anything else binds the head slot.
+                        for s, x in enumerate(args, top):
+                            x = _deref(x, b)
+                            if type(x) is int:
+                                b[x] = s
+                                trail.append(x)
+                            else:
+                                b[s] = x
+                                trail.append(s)
+                    elif not all(_unify(x, _shift(h, top), b, trail) for x, h in zip(args, c.head)):
+                        _undo(b, trail, cp[1])
+                        size = top
+                        del b[top:]
                         continue
+                    cp[3] = i
+                    if i == len(clauses):
+                        stack.pop()
+                    goals = cp[6]
+                    for lit in reversed(c.body):
+                        goals = (lit, top, goals)
                     break
-                for kid in cp[4]:
-                    if kid.mask & ~done:
-                        owner = kid
-                        goals = owner.entry
-                        break
                 else:
                     stack.pop()
                     continue
                 break
             else:
-                break
-        self.steps += steps
-        return done
+                run.steps = steps
+                return
+    finally:
+        _undo(b, trail, mark)
+        del b[base:]
 
 
 def succeeds(
@@ -754,12 +1003,7 @@ def answer_all(
 ) -> list[Term]:
     """Bindings of ``var`` over all solutions (duplicates kept, discovery
     order)."""
-    if var not in query.variables():
-        raise QueryError(f"variable {var} does not occur in the query")
-    pack = Pack((query,))
-    slot, names, out = pack.slots[var], pack.names, []
-    pack._walk(interp, background, budget, lambda b: out.append(_term(slot, b, names)))
-    return out
+    return Pack((query,)).answers(var, interp, background, budget)
 
 
 def coverage_query(query: Query, added: tuple[Literal, ...]) -> Query:

@@ -14,7 +14,8 @@ once per ``Model``, when it is built, into a one-query pack
 (example, node) on the evaluator the learner uses.  Exported as a decision
 list, each leaf becomes one guarded clause ending in a cut, except the final
 catch-all clause, and first-matching-clause evaluation agrees with tree
-classification; ``eval_decision_list`` proves the full guards.
+classification; ``eval_decision_list`` proves the full guards, each through
+the one-query pack its ``DecisionRule`` builds once.
 """
 
 from __future__ import annotations
@@ -23,14 +24,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Union
 
-from .engine import (
-    DEFAULT_BUDGET,
-    Background,
-    Pack,
-    Query,
-    coverage_query,
-    succeeds,
-)
+from .engine import DEFAULT_BUDGET, Background, Pack, Query, coverage_query
 from .errors import ModelFormatError
 from .settings import parse_settings
 from .store import Interpretation
@@ -120,6 +114,11 @@ class DecisionRule:
     label: str
     guard: tuple[Literal, ...]
     cut: bool
+    # the guard as a one-query pack, built once (None for an empty guard)
+    pack: Pack | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pack", Pack((Query(self.guard),)) if self.guard else None)
 
 
 def to_decision_list(model: Model) -> list[DecisionRule]:
@@ -164,7 +163,7 @@ def eval_decision_list(
 ) -> str:
     """First-matching-clause semantics (what the cuts encode)."""
     for r in rules:
-        if not r.guard or succeeds(Query(r.guard), interp, background, budget):
+        if r.pack is None or r.pack.run(interp, background, budget):
             return r.label
     raise ModelFormatError("decision list has no applicable clause")
 

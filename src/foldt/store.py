@@ -60,7 +60,8 @@ _FRAME = struct.Struct("<I")  # the length of a chunk's frame body, or of a reco
 class _FactGroup:
     """The facts of one predicate/arity key in one example: ``rows`` holds
     their argument tuples in file order.  ``first(t)`` gives the rows whose
-    first argument is ``t``; its index is built on first use."""
+    first argument is ``t``, from ``index()``, which maps each first argument
+    to its rows and is built on first use."""
 
     __slots__ = ("rows", "_index")
 
@@ -68,13 +69,16 @@ class _FactGroup:
         self.rows = rows
         self._index = None
 
-    def first(self, term: Term):
+    def index(self) -> dict:
         index = self._index
         if index is None:
             index = self._index = {}
             for row in self.rows:
                 index.setdefault(row[0], []).append(row)
-        return index.get(term, ())
+        return index
+
+    def first(self, term: Term):
+        return self.index().get(term, ())
 
 
 class Interpretation:
@@ -230,9 +234,8 @@ def encode_record(interp: Interpretation) -> bytes:
     return b"".join((_HEAD.pack(len(texts), len(table), width, len(codes)), kinds, table, packed))
 
 
-def _constant(memo: dict, key: tuple[int, str]) -> Term:
-    """The constant of kind and text ``key``, built and kept in ``memo``."""
-    kind, text = key
+def _constant(kind: int, text: str) -> Term:
+    """The constant of kind ``kind`` and text ``text``."""
     if kind == _ATOM:
         term = Atom(text)
     elif kind == _INT:
@@ -249,7 +252,6 @@ def _constant(memo: dict, key: tuple[int, str]) -> Term:
             raise DataError(f"corrupt chunk record (bad float {text!r})") from None
     else:
         raise DataError(f"corrupt chunk record (bad constant kind {kind})")
-    memo[key] = term
     return term
 
 
@@ -318,10 +320,15 @@ def decode_record(buf: bytes, memo: dict | None = None) -> Interpretation:
         raise DataError(f"corrupt chunk record ({len(texts)} constants in a table of {nconst})")
     terms = list(map(memo.get, zip(kinds, texts)))
     if None in terms:  # constants new to the memo
+        # An id that is one constant is unique to its record, so it is built
+        # but not kept.
+        ident_at = codes[0] >> 1 if ncodes and not codes[0] & 1 else -1
         i = 0
         for _ in range(terms.count(None)):
             i = terms.index(None, i)
-            terms[i] = _constant(memo, (kinds[i], texts[i]))
+            term = terms[i] = _constant(kinds[i], texts[i])
+            if i != ident_at:
+                memo[kinds[i], texts[i]] = term
     get = terms.__getitem__
     try:
         (ident,), pos = _args(codes, 0, 1, terms)

@@ -4,11 +4,22 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from hypothesis import settings as hsettings
 from oracles import interp_of, term_to_literal
 
 from foldt.learner import learn
 from foldt.store import Interpretation
 from foldt.terms import parse_program, parse_term
+
+
+# More cases for the property tests that ask for them through ``examples``:
+# ``pytest --hypothesis-profile=deep``.  The default run does not load it.
+hsettings.register_profile("deep", max_examples=1000)
+
+
+def examples(n: int) -> int:
+    """``n`` cases, or the loaded profile's number when that is larger."""
+    return max(n, hsettings.default.max_examples)
 
 
 def mk_interp(ident_text, label, *fact_texts) -> Interpretation:

@@ -45,7 +45,24 @@ from dataclasses import dataclass, fields, replace
 from typing import Iterable, Iterator, NamedTuple
 
 from foldt.bias import Bias, RefinementContext, entropy, weighted_entropy
-from foldt.engine import Query, matches, succeeds
+from foldt.engine import (
+    DEFAULT_BUDGET,
+    EMPTY_BACKGROUND,
+    Background,
+    Query,
+    _compile_term as _e_compile_term,
+    _deref as _e_deref,
+    _ground as _e_ground,
+    _match as _e_match,
+    _shift as _e_shift,
+    _Struct as _e_Struct,
+    _term as _e_term,
+    _test as _e_test,
+    _undo as _e_undo,
+    _unify as _e_unify,
+    matches,
+    succeeds,
+)
 from foldt.errors import BudgetExceededError, DataError, ParseError, QueryError
 from foldt.model import Leaf
 from foldt.rdb import ForeignKey, Schema, Table, _example_facts, _Indexes
@@ -1531,3 +1548,478 @@ def from_dataclass(term) -> Term:
     if isinstance(term, DataclassVariable):
         return Variable(term.name)
     return Compound(term.functor, tuple(from_dataclass(a) for a in term.args))
+
+
+# ---------------------------------------------------------------------------
+# The interpreted query-pack walk
+#
+# ``InterpretedPack`` is ``engine.Pack`` as it was while its trie was walked
+# by an interpreter: a static plan per pack literal (``_plan``), then one
+# explicit-stack loop (``_walk``) over trie nodes, static plans, run-time
+# plans and clause resolution.  It is kept, with its helpers renamed, as the
+# reference that the generated walks must agree with: outcome bits, steps,
+# ``answers`` lists and error texts.  It reads the term helpers that the
+# engine still has, and compiles background clauses with its own literal
+# class (``_walk_rules``).
+
+class _WalkLit:
+    """A compiled literal.  ``plan`` is set for a pack's literal whose
+    predicate has no clauses and whose arguments are constants and slots
+    known to be unbound or bound to a ground term (see ``_walk_fact_plan`` and
+    ``_walk_builtin_plan``); every other literal that is not a builtin gets its
+    fact plan from ``_walk_goal_plan`` when the walk reaches it."""
+
+    __slots__ = ("lit", "key", "args", "op", "plan")
+
+    def __init__(self, lit: Literal, slots: dict[str, int]):
+        self.lit = lit
+        self.key = lit.key
+        self.args = tuple(_e_compile_term(a, slots) for a in lit.args)
+        self.op = lit.pred if lit.builtin else None
+        self.plan = None
+
+
+class _WalkClause:
+    """A compiled clause.  ``linear`` is set when the head's arguments are
+    distinct variables in slot order, so that matching the head is binding
+    each argument (see ``InterpretedPack._walk``)."""
+
+    __slots__ = ("size", "head", "body", "linear")
+
+    def __init__(self, clause: Clause):
+        slots: dict[str, int] = {}
+        self.head = tuple(_e_compile_term(a, slots) for a in clause.head.args)
+        self.body = tuple(_WalkLit(l, slots) for l in clause.body)
+        self.size = len(slots)
+        self.linear = self.head == tuple(range(len(self.head)))
+
+
+
+def _walk_scan(facts, i: int, want, sames, pats, b: list, trail: list) -> int:
+    """Index of the first fact from ``i`` on (``facts`` holds argument
+    tuples) with ``want``'s values at their positions, equal arguments at
+    each pair of ``sames`` positions, and arguments that ``pats``' compiled
+    terms match in order; ``len(facts)`` when there is none.  The matches
+    with the fact found stay bound."""
+    n = len(facts)
+    while i < n:
+        fa = facts[i]
+        for p, v in want:
+            if fa[p] != v:
+                break
+        else:
+            if not sames or all(fa[p] == fa[q] for p, q in sames):
+                if not pats:
+                    return i
+                mark = len(trail)
+                if all(_e_match(t, fa[p], b, trail) for p, t in pats):
+                    return i
+                _e_undo(b, trail, mark)
+        i += 1
+    return n
+
+
+def _walk_builtin(g: _WalkLit, off: int, b: list, trail: list, names) -> bool:
+    x, y = g.args
+    if off:
+        x, y = _e_shift(x, off), _e_shift(y, off)
+    if g.op == "=":
+        return _e_unify(x, y, b, trail)
+    return _e_test(g.op, _e_ground(x, b, names), _e_ground(y, b, names), g.lit)
+
+
+def _walk_goal_plan(args: tuple, off: int, b: list, names: list[str]):
+    """The fact plan of a literal with no static one, made when the walk
+    reaches it: ``_walk_fact_plan``'s ``(index, want, checks, binds, sames,
+    pats)`` with every argument dereferenced, so ground values go to
+    ``want`` (or the index) and ``checks`` is empty.  An argument that holds
+    a compound with an unbound slot goes to ``pats``; then the unbound slots
+    go there too, ahead of it, so ``_walk_scan`` binds them before it matches the
+    compounds, and ``binds`` is empty."""
+    want, binds, sames, pats = [], [], [], []
+    for p, a in enumerate(args):
+        if type(a) is int:
+            a = _e_deref(a + off, b)
+            if type(a) is int:
+                for q, s in binds:
+                    if s == a:
+                        sames.append((p, q))
+                        break
+                else:
+                    binds.append((p, a))
+                continue
+        elif type(a) is _e_Struct and off:
+            a = _e_shift(a, off)
+        if type(a) is _e_Struct:
+            t = _e_ground(a, b, names)
+            if t is None:
+                pats.append((p, a))
+                continue
+            a = t
+        want.append((p, a))
+    index = (False, want.pop(0)[1]) if want and want[0][0] == 0 else None
+    if pats:
+        return index, want, (), (), sames, binds + pats
+    return index, want, (), binds, sames, ()
+
+
+# ---------------------------------------------------------------------------
+# Plans: what is known, along a path of the trie, about each slot
+
+_WALK_DIRECT, _WALK_UNKNOWN = 1, 2  # bound to a ground term / anything; absent: unbound
+
+
+def _walk_known(a, state: dict) -> bool:
+    """A constant, or a slot bound to a ground term."""
+    return type(a) is not _e_Struct and (type(a) is not int or state.get(a) == _WALK_DIRECT)
+
+
+def _walk_builtin_plan(g: _WalkLit, state: dict):
+    """For an argument pair that is all constants and ground-bound slots:
+    ``(x, x_is_slot, y, y_is_slot, equal)``, where ``equal`` is what the
+    builtin needs of ``x == y`` (True for ``=``, False for ``\\=``, None for a
+    comparison)."""
+    x, y = g.args
+    if _walk_known(x, state) and _walk_known(y, state):
+        equal = {"=": True, "\\=": False}.get(g.op)
+        return (x, type(x) is int, y, type(y) is int, equal)
+    return None
+
+
+def _walk_fact_plan(g: _WalkLit, state: dict, rules: dict):
+    """For a literal that only facts prove, over constants and slots that are
+    unbound or ground-bound: ``(index, want, checks, binds, sames, pats)``.
+
+    ``index`` is None (scan every fact), ``(False, constant)`` or ``(True,
+    slot)`` for the first-argument index key.  A fact must have ``want``'s
+    constants and ``checks``' slot values at their positions (position 0 is
+    left out when indexed), equal arguments at each pair of ``sames``
+    positions, and then gives ``binds``' unbound slots their values.
+    ``pats`` is always empty here (see ``_walk_goal_plan``)."""
+    if g.key in rules:
+        return None
+    want, checks, binds, sames, first = [], [], [], [], {}
+    for p, a in enumerate(g.args):
+        if type(a) is _e_Struct:
+            return None
+        if type(a) is not int:
+            want.append((p, a))
+        elif state.get(a) == _WALK_UNKNOWN:
+            return None
+        elif state.get(a) == _WALK_DIRECT:
+            checks.append((p, a))
+        elif a in first:
+            sames.append((p, first[a]))
+        else:
+            first[a] = p
+            binds.append((p, a))
+    index = None
+    if want and want[0][0] == 0:
+        index = (False, want.pop(0)[1])
+    elif checks and checks[0][0] == 0:
+        index = (True, checks.pop(0)[1])
+    return (index, tuple(want), tuple(checks), tuple(binds), tuple(sames), ())
+
+
+def _walk_after(g: _WalkLit, state: dict, rules: dict) -> dict:
+    """The slot states once ``g`` has succeeded: a literal that only facts
+    prove binds its unbound slots to ground terms; ``=`` and a literal with
+    background clauses may leave them anything."""
+    if g.op is not None and g.op != "=":
+        return state
+    slots: list[int] = []
+    stack = list(g.args)
+    while stack:
+        a = stack.pop()
+        if type(a) is int:
+            slots.append(a)
+        elif type(a) is _e_Struct:
+            stack.extend(a.args)
+    new = _WALK_DIRECT if g.op is None and g.key not in rules else _WALK_UNKNOWN
+    out = dict(state)
+    for s in slots:
+        out.setdefault(s, new)
+    return out
+
+
+
+class _WalkNode:
+    """A trie node: the literals on its path are a prefix of every query in
+    ``mask`` and the whole of every query in ``ends``.  ``entry`` is the goal
+    list that proves the node's literal and then arrives at the node."""
+
+    __slots__ = ("lit", "ends", "mask", "kids", "lone", "entry")
+
+    def __init__(self, lit: _WalkLit | None):
+        self.lit = lit
+        self.ends = self.mask = 0
+        self.kids: tuple[_WalkNode, ...] = ()
+        self.lone: _WalkNode | None = None  # the kid, when there is just one
+        self.entry = (lit, 0, (self, 0, None))
+
+
+_WALK_BRANCH, _WALK_FACTS, _WALK_CLAUSES = 0, 1, 2  # choice point kinds
+
+
+class InterpretedPack:
+    """Queries compiled into one literal-prefix trie (see the module
+    docstring); ``run`` decides them all on an example in one walk."""
+
+    def __init__(self, queries):
+        self.queries = tuple(queries)
+        slots: dict[str, int] = {}
+        self.root = _WalkNode(None)
+        index: dict[tuple[int, Literal], _WalkNode] = {}
+        for qi, query in enumerate(self.queries):
+            bit = 1 << qi
+            node = self.root
+            node.mask |= bit
+            for lit in query.literals:
+                kid = index.get((id(node), lit))
+                if kid is None:
+                    kid = index[id(node), lit] = _WalkNode(_WalkLit(lit, slots))
+                    node.kids += (kid,)
+                    node.lone = kid if len(node.kids) == 1 else None
+                node = kid
+                node.mask |= bit
+            node.ends |= bit
+        self.slots = slots
+        self.names = list(slots)  # slot -> variable name
+        self.full = (1 << len(self.queries)) - 1
+        self.steps = 0
+        self._background = None  # the background the plans were made for
+
+    def _plan(self, background: Background):
+        rules = self._rules = _walk_rules(background)
+        todo = [(self.root, {})]
+        while todo:
+            node, state = todo.pop()
+            for kid in node.kids:
+                g = kid.lit
+                g.plan = _walk_fact_plan(g, state, rules) if g.op is None else _walk_builtin_plan(g, state)
+                todo.append((kid, _walk_after(g, state, rules)))
+        self._background = background
+
+    def run(
+        self,
+        interp: Interpretation,
+        background: Background | None = None,
+        budget: int = DEFAULT_BUDGET,
+    ) -> int:
+        """Outcome bits on one example: bit i is set when query i succeeds."""
+        return self._walk(interp, background, budget, None)
+
+    def _error(self, cls, what: str, interp, pending: int) -> QueryError:
+        """The error ``cls`` for a walk that failed with ``what`` while
+        proving for the undecided queries ``pending``: it names the example
+        and the first of them."""
+        first = (pending & -pending).bit_length() - 1
+        return cls(f"{what} in example {render_term(interp.ident)} on query {self.queries[first]}")
+
+    def _exhausted(self, interp, budget: int, pending: int) -> BudgetExceededError:
+        k = len(self.queries)
+        what = f"resolution step budget of {budget if k == 1 else f'{k} x {budget}'} exhausted"
+        return self._error(BudgetExceededError, what, interp, pending)
+
+    def _walk(self, interp, background, budget: int, sink) -> int:
+        """The depth-first walk.  Without ``sink`` it decides the queries and
+        returns their outcome bits.  With one, it calls ``sink(bindings)`` at
+        every solution of every query and never prunes."""
+        if budget <= 0:
+            raise QueryError("resolution budget must be positive")
+        bg = EMPTY_BACKGROUND if background is None else background
+        if bg is not self._background:
+            self._plan(bg)
+        rules = self._rules
+        groups = interp.groups
+        names = self.names
+        full = self.full
+        limit = budget * len(self.queries)
+        b: list = [None] * len(names)
+        size = len(b)  # len(b), kept as clause frames extend it and backtracking cuts it
+        trail: list[int] = []
+        stack: list[list] = []
+        steps = done = 0
+        owner = self.root  # the trie node the current goals lead to
+        goals = owner.entry[2]
+        while True:
+            g, off, rest = goals
+            if type(g) is _WalkNode:
+                if sink is None:
+                    done |= g.ends
+                    if done == full:
+                        break
+                elif g.ends:
+                    sink(b)
+                # The walk reaches a node only while a query below it is
+                # undecided, so a lone kid is still undecided.
+                if g.lone is not None:
+                    owner = g.lone
+                    goals = owner.entry
+                    continue
+                if g.kids:
+                    stack.append([_WALK_BRANCH, g, len(trail), size, iter(g.kids)])
+            elif g.op is not None:
+                steps += 1
+                if steps > limit:
+                    raise self._exhausted(interp, budget, owner.mask & ~done)
+                plan = g.plan
+                try:
+                    if plan is None:
+                        ok = _walk_builtin(g, off, b, trail, names)
+                    else:
+                        x, xs, y, ys, equal = plan
+                        x = b[x] if xs else x
+                        y = b[y] if ys else y
+                        ok = _e_test(g.op, x, y, g.lit) if equal is None else (x == y) is equal
+                except QueryError as e:
+                    raise self._error(QueryError, e.message, interp, owner.mask & ~done) from None
+                if ok:
+                    goals = rest
+                    continue
+            else:
+                # Facts prove the literal through its plan (the static one,
+                # else one made now), then its clauses: their choice point
+                # goes below the facts' one, to resume once the facts are
+                # spent.
+                plan = g.plan
+                if plan is None and g.key in rules:
+                    args = g.args if not off else tuple(_e_shift(a, off) for a in g.args)
+                    stack.append([_WALK_CLAUSES, owner, len(trail), size, 0, rules[g.key], args, rest])
+                group = groups.get(g.key)
+                if group is not None:
+                    if plan is None:
+                        plan = _walk_goal_plan(g.args, off, b, names)
+                    index, want, checks, binds, sames, pats = plan
+                    if index is None:
+                        facts = group.rows
+                    else:
+                        facts = group.first(b[index[1]] if index[0] else index[1])
+                    if checks:
+                        want = want + tuple((p, b[s]) for p, s in checks)
+                    n = len(facts)
+                    mark = len(trail)
+                    i = _walk_scan(facts, 0, want, sames, pats, b, trail) if want or sames or pats else 0
+                    steps += i + 1 if i < n else n
+                    if steps > limit:
+                        raise self._exhausted(interp, budget, owner.mask & ~done)
+                    if i < n:
+                        if i + 1 < n:  # facts left to try on backtracking
+                            stack.append([
+                                _WALK_FACTS, owner, mark, size, i + 1,
+                                facts, n, want, binds, sames, pats, rest,
+                            ])
+                        fa = facts[i]
+                        for p, s in binds:
+                            b[s] = fa[p]
+                            trail.append(s)
+                        goals = rest
+                        continue
+
+            # Backtrack: resume the newest choice point that still serves an
+            # undecided query; leave the walk when none is left.  A choice
+            # point holds its kind, its owner, the trail's and the binding
+            # list's lengths to return to, and what is left to try: the index
+            # of the next fact or clause, or an iterator over the kids.
+            while stack:
+                cp = stack[-1]
+                mark = cp[2]
+                _e_undo(b, trail, mark)
+                if size > cp[3]:
+                    size = cp[3]
+                    del b[size:]
+                if not cp[1].mask & ~done:
+                    stack.pop()
+                    continue
+                kind = cp[0]
+                if kind is _WALK_FACTS:
+                    i, facts, n, want, binds, sames, pats = cp[4:11]
+                    j = _walk_scan(facts, i, want, sames, pats, b, trail) if want or sames or pats else i
+                    steps += j + 1 - i if j < n else n - i
+                    if steps > limit:
+                        raise self._exhausted(interp, budget, cp[1].mask & ~done)
+                    if j == n:
+                        stack.pop()
+                        continue
+                    if j + 1 < n:
+                        cp[4] = j + 1
+                    else:
+                        stack.pop()
+                    fa = facts[j]
+                    for p, s in binds:
+                        b[s] = fa[p]
+                        trail.append(s)
+                    owner, goals = cp[1], cp[11]
+                    break
+                if kind is _WALK_CLAUSES:
+                    i, clauses, args = cp[4], cp[5], cp[6]
+                    while i < len(clauses):
+                        c = clauses[i]
+                        i += 1
+                        steps += 1
+                        if steps > limit:
+                            raise self._exhausted(interp, budget, cp[1].mask & ~done)
+                        top = size
+                        size += c.size
+                        b.extend([None] * c.size)
+                        if c.linear:
+                            # What ``_e_unify`` does against fresh slots: an
+                            # unbound argument is bound to its head slot,
+                            # anything else binds the head slot.
+                            for s, x in enumerate(args, top):
+                                x = _e_deref(x, b)
+                                if type(x) is int:
+                                    b[x] = s
+                                    trail.append(x)
+                                else:
+                                    b[s] = x
+                                    trail.append(s)
+                        elif not all(
+                            _e_unify(x, _e_shift(h, top), b, trail) for x, h in zip(args, c.head)
+                        ):
+                            _e_undo(b, trail, mark)
+                            size = top
+                            del b[top:]
+                            continue
+                        cp[4] = i
+                        if i == len(clauses):
+                            stack.pop()
+                        owner, goals = cp[1], cp[7]
+                        for lit in reversed(c.body):
+                            goals = (lit, top, goals)
+                        break
+                    else:
+                        stack.pop()
+                        continue
+                    break
+                for kid in cp[4]:
+                    if kid.mask & ~done:
+                        owner = kid
+                        goals = owner.entry
+                        break
+                else:
+                    stack.pop()
+                    continue
+                break
+            else:
+                break
+        self.steps += steps
+        return done
+
+
+    def answers(self, var: str, interp, background=None, budget: int = DEFAULT_BUDGET) -> list[Term]:
+        """What ``answer_all`` returned: the bindings of ``var`` at every
+        solution, through the walk's sink."""
+        if var not in self.slots:
+            raise QueryError(f"variable {var} does not occur in the query")
+        slot, names, out = self.slots[var], self.names, []
+        self._walk(interp, background, budget, lambda b: out.append(_e_term(slot, b, names)))
+        return out
+
+
+def _walk_rules(background) -> dict:
+    """``background``'s clauses by head key, compiled with ``_WalkLit``."""
+    by_key: dict = {}
+    for c in background.clauses:
+        by_key.setdefault(c.head.key, []).append(_WalkClause(c))
+    return {k: tuple(v) for k, v in by_key.items()}

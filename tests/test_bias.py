@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from oracles import best_single_cut, pair_fayyad_irani_cuts, root_context, static_bias, theta_subsumes
 
 from foldt.bias import (
+    Bias,
     Candidate,
     RefinementContext,
     fayyad_irani_cuts,
@@ -246,3 +247,32 @@ _BANDED = st.tuples(st.integers(0, 14), st.integers(0, 4)).map(
 @given(values=st.lists(_BANDED, max_size=80), max_cuts=st.integers(0, 4))
 def test_counted_cuts_equal_the_pair_list_reference(values, max_cuts):
     assert _cuts(values, max_cuts) == pair_fayyad_irani_cuts(values, max_cuts)
+
+
+def test_canonical_keys_kept_by_a_bias_change_no_candidate():
+    """A bias keeps each candidate's canonical key by its rmode, the query
+    variables its formals take and its cuts; a bias that has served other
+    contexts gives the candidates a fresh one gives.  The last context's
+    fresh names (from A on) collide with its query's variables."""
+    bands = parse_settings(
+        "classes([a,b]).\ndiscretize(val(_,C), C).\n"
+        "rmode(2: (val(+-O,-C), C =< threshold(1))).\nrmode(2: near(+O,-P)).\n"
+    )
+    cases = [
+        (BONGARD_BIAS, lambda: static_bias(BONGARD_BIAS), [
+            root_context(BONGARD_BIAS),
+            ctx_for("triangle(X)"),
+            ctx_for("triangle(X)", "inside(X,Y)"),
+            ctx_for("square(B)", "inside(B,A)"),
+            RefinementContext(Query(tuple(mk_query_literals("triangle(B)", "inside(B,A)"))), (0,) * 7, 0),
+        ]),
+        (bands, lambda: Bias(bands, {1: (1.5, 2.5)}), [
+            root_context(bands),
+            ctx_for("val(X,C)", settings=bands),
+            RefinementContext(Query(tuple(mk_query_literals("val(A,B)"))), (0, 0), 0),
+        ]),
+    ]
+    for settings, make, contexts in cases:
+        warm = make()
+        for ctx in contexts + contexts[::-1]:
+            assert refinements(ctx, warm) == refinements(ctx, make())

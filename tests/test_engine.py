@@ -1,8 +1,8 @@
 import random
 
 import pytest
-from conftest import BONGARD_BACKGROUND, PICTURE_1, PICTURE_2, mk_interp, mk_query_literals
-from hypothesis import assume, given, settings as hsettings, strategies as st
+from conftest import BONGARD_BACKGROUND, PICTURE_1, PICTURE_2, examples, mk_interp, mk_query_literals
+from hypothesis import assume, example, given, settings as hsettings, strategies as st
 from oracles import ground_join_succeeds, theta_subsumes
 
 from foldt.engine import (
@@ -337,7 +337,7 @@ def _separate_steps(queries, interp, background=None) -> int:
 _JOIN_BACKGROUND = Background(parse_program("t(X,Y) :- r(X,Y).\nt(X,X) :- p(X).\n"))
 
 
-@hsettings(max_examples=300, deadline=None)
+@hsettings(max_examples=examples(300), deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans())
 def test_pack_bits_equal_separate_proofs_and_naive_join(seed, k, derived):
     """Outcome bits of a k-query pack equal those of k one-query packs and of
@@ -555,7 +555,7 @@ def _clause(draw):
     return text + (" :- " + ", ".join(body) if body else "") + "."
 
 
-@hsettings(max_examples=400, deadline=None)
+@hsettings(max_examples=examples(400), deadline=None)
 @given(
     st.lists(_clause(), max_size=5),
     st.lists(_FACTS, max_size=8),
@@ -594,3 +594,107 @@ def test_engine_agrees_with_the_reference_resolver(clauses, facts, query_texts, 
     if all(type(o) is bool for o in outcomes):
         bits = Pack(queries).run(e, background, full)
         assert bits == sum(1 << i for i, o in enumerate(outcomes) if o)
+
+
+# ---------------------------------------------------------------------------
+# The generated walk against the interpreted walk it replaced
+
+
+def _every_outcome(queries, interp, background, budget):
+    """Outcome bits and steps of a fresh ``Pack`` and ``InterpretedPack`` of
+    ``queries``, or the type and text of the error each raised."""
+    from oracles import InterpretedPack
+
+    got = []
+    for make in (Pack, InterpretedPack):
+        pack = make(queries)
+        try:
+            got.append((pack.run(interp, background, budget), pack.steps))
+        except QueryError as error:
+            got.append((type(error), str(error)))
+    return got
+
+
+def _every_answer(query, var, interp, background, budget):
+    from oracles import InterpretedPack
+
+    got = []
+    for make in (Pack, InterpretedPack):
+        pack = make((query,))
+        try:
+            got.append((pack.answers(var, interp, background, budget), pack.steps))
+        except QueryError as error:
+            got.append((type(error), str(error)))
+    return got
+
+
+def _assert_walks_agree(queries, interp, background, full=200):
+    """At every budget from 1 up to what the pack spends at ``full`` (and at
+    ``full``), outcome bits, steps and errors agree, and so do the answers
+    of every variable of every query alone."""
+    new, old = _every_outcome(queries, interp, background, full)
+    assert new == old, [str(q) for q in queries]
+    spent = new[1] if type(new[0]) is int else full
+    per_query = -(-spent // len(queries))
+    for budget in range(1, min(per_query, full) + 1):
+        new, old = _every_outcome(queries, interp, background, budget)
+        assert new == old, (budget, [str(q) for q in queries])
+    for query in queries:
+        for var in query.variables():
+            new, old = _every_answer(query, var, interp, background, full)
+            assert new == old, (str(query), var)
+
+
+@st.composite
+def _pack_queries(draw):
+    """Queries over the literals of the reference-resolver test; a query
+    may start with a prefix of an earlier one, so that the trie branches."""
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        tail = draw(st.lists(_derived_literal(_QUERY_VARS) | _body_literal(_QUERY_VARS), min_size=1, max_size=3))
+        if out and draw(st.booleans()):
+            base = draw(st.sampled_from(out))
+            tail = base[: draw(st.integers(0, len(base)))] + tail
+        out.append(tail)
+    return out
+
+
+@hsettings(max_examples=examples(200), deadline=None)
+@given(st.lists(_clause(), max_size=5), st.lists(_FACTS, max_size=8), _pack_queries())
+# A literal that clauses prove twice, under which its query is decided while
+# another is not: the walk must leave its solutions there.
+@example(["d(a).", "d(b)."], ["e(a)"], [["d(A)"], ["e(c)"]])
+@example(["t(X,Y) :- r(X,Y).", "t(a,Z)."], ["r(a,b)", "r(a,c)", "e(b)"], [["t(a,B)", "e(B)"], ["t(a,B)", "n(B)"]])
+def test_generated_walk_agrees_with_the_interpreted_walk(clauses, facts, query_texts):
+    """Packs of up to four queries with shared prefixes, over recursive
+    background clauses, ``=``, ``\\=`` and ``<``, compounds, repeated
+    variables and ground first arguments."""
+    background = Background(parse_program("\n".join(clauses)))
+    e = mk_interp("1", "pos", *dict.fromkeys(facts))
+    _assert_walks_agree([q(*texts) for texts in query_texts], e, background)
+
+
+def test_long_queries_compile_and_agree_with_the_interpreted_walk():
+    chain = mk_interp("12", "pos", "s(n0)", *(f"p(n{i},n{i + 1})" for i in range(60)), "p(n60,n0)")
+    hops = [f"p(X{i},X{i + 1})" for i in range(60)]
+    guarded = [t for i, h in enumerate(hops[:30]) for t in (h, f"X{i} \\= X{i + 1}")]
+    queries = [q(*hops), q(*hops[:59], "p(X59,n0)"), q("s(X0)", *guarded[:59]), q(*guarded)]
+    assert [len(query.literals) for query in queries] == [60] * 4
+    assert Pack(queries).run(chain) == 0b1111
+    _assert_walks_agree(queries, chain, None, full=400)
+    # 25 nested fact literals, each binding a new variable, under a trie
+    # whose deepest node is 26 literals down.
+    spread = mk_interp("13", "pos", *(f"e{i}(a)" for i in range(26)), "e25(b)", "f(b)")
+    nested = [f"e{i}(Y{i})" for i in range(26)]
+    queries = [q(*nested), q(*nested[:25], "f(Y24)"), q(*nested, "f(Y25)"), q(*nested[:12])]
+    assert Pack(queries).run(spread) == 0b1101
+    _assert_walks_agree(queries, spread, None, full=100)
+
+
+def test_equal_queries_that_render_apart_get_walks_of_their_own():
+    e = mk_interp("14", "pos", "v(1)")
+    assert Pack([q("X = 0.0")]).answers("X", e) == [Number(0.0)]
+    answer = Pack([q("X = -0.0")]).answers("X", e)
+    assert str(answer[0].value) == "-0.0"
+    with pytest.raises(QueryError, match=r"< needs numeric arguments, got X < -0.0 in example 14"):
+        Pack([q("X = a", "X < -0.0")]).run(e)

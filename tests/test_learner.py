@@ -536,3 +536,24 @@ def test_pack_budget_exhaustion_in_learn_names_example_and_query(tmp_path):
             BudgetExceededError, match=r"exhausted in example 1 on query looping\(A\)"
         ):
             learn_with(algorithm, data, looping, settings, config)
+
+
+def test_classic_equals_lds_when_coverage_queries_grow_with_depth(tmp_path):
+    """Chains of 0 to 23 links, labelled by the parity of their length: each
+    left child extends the chain by one literal, so the tree is 24 levels
+    deep and its coverage queries grow to 23 linked literals.  No depth
+    limit is set."""
+    path = tmp_path / "chains.kb"
+    path.write_text("".join(
+        f"begin(model({i})). {' '.join(f'next(n{j},n{j + 1}).' for j in range(i % 24))} "
+        f"{'odd' if i % 24 % 2 else 'even'}. end(model({i})).\n"
+        for i in range(72)
+    ))
+    settings = parse_settings("classes([odd,even]).\nrmode(30: next(+-V,-W)).\n")
+    assert settings.params.max_depth is None
+    data = load_dataset(path, settings, tmp_path / "chains.chunks", granularity=5)
+    classic = learn_with("classic", data, None, settings)
+    lds = learn_with("lds", data, None, settings)
+    assert tree_depth(lds.tree) == 24
+    assert classic.tree == lds.tree
+    assert classic.metadata["proof_steps"] == lds.metadata["proof_steps"]

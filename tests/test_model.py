@@ -181,3 +181,40 @@ def test_tampered_dlist_rejected():
     text = serialize(bongard_tree()).replace("class(neg) :- triangle(X), !.", "class(pos) :- triangle(X), !.")
     with pytest.raises(ModelFormatError, match="decision-list"):
         deserialize(text)
+
+
+def test_packs_are_built_once_per_caller_not_per_example(tmp_path):
+    """``discretize`` builds one pack per request and each decision rule one
+    for its guard; streaming the examples builds no more."""
+    from unittest import mock
+
+    from foldt.bias import discretize
+    from foldt.engine import Pack
+    from foldt.settings import parse_settings
+    from foldt.store import load_dataset
+
+    built = []
+    init = Pack.__init__
+
+    def counting(self, queries):
+        built.append(self)
+        init(self, queries)
+
+    path = tmp_path / "bands.kb"
+    path.write_text(
+        "".join(f"begin(model({i})). val(x,{i}). {'abc'[i // 10]}. end(model({i})).\n" for i in range(30))
+    )
+    settings = parse_settings("classes([a,b,c]).\ndiscretize(val(_,C), C).\nrmode(1: val(-O,-C)).\n")
+    data = load_dataset(path, settings, tmp_path / "bands.chunks")
+    with mock.patch.object(Pack, "__init__", counting):
+        cuts = discretize(settings.discretize[0], data, None, settings.params)
+        assert len(built) == 1 and cuts == (9.5, 19.5)
+        m = bongard_tree()  # one pack per internal node, in ``Model.tests``
+        before = len(built)
+        rules = to_decision_list(m)
+        guarded = sum(1 for r in rules if r.guard)
+        assert len(built) == before + guarded == 3 + guarded
+        examples = [mk_interp(*PICTURE_1), mk_interp(*PICTURE_2), mk_interp("7", "neg", "circle(c1)")] * 5
+        labels = [eval_decision_list(rules, e) for e in examples]
+        assert len(built) == before + guarded
+    assert labels == [classify(m, e) for e in examples]
