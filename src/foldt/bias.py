@@ -36,6 +36,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .engine import Pack, Query, matches
 from .errors import DataError
@@ -66,10 +67,16 @@ class Bias:
 
     settings: Settings
     cuts: dict[int, tuple[float, ...]]  # 1-based discretize index -> cut points
-    # rmode index -> its formals and its template's threshold indices, on first use
-    templates: dict = field(default_factory=dict, repr=False, compare=False)
     # a candidate's shape (see ``refinements``) -> its ``_canonical_key``
     keys: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @cached_property
+    def templates(self) -> tuple:
+        """Per rmode: its formals and its template's threshold indices."""
+        return tuple(
+            (_formal_specs(rm, self.settings), threshold_indices(rm.template))
+            for rm in self.settings.rmodes
+        )
 
 
 @dataclass
@@ -202,7 +209,7 @@ def _instantiate(template, assignment, name_base):
             actual = fresh_name(name_base + fresh)
             fresh += 1
         names[formal] = Variable(actual)
-    lits = map_literals(template, lambda t: names[t.name] if type(t) is Variable else None)
+    lits = map_literals(template, lambda t: names[t.name] if isinstance(t, Variable) else None)
     return lits, fresh
 
 
@@ -226,11 +233,8 @@ def _canonical_key(added, qvars_set):
     names: dict[str, Variable] = {}
 
     def rename(t):
-        if type(t) is Variable and t.name not in qvars_set:
-            v = names.get(t.name)
-            if v is None:
-                v = names[t.name] = Variable(f"N{len(names)}")
-            return v
+        if isinstance(t, Variable) and t.name not in qvars_set:
+            return names.setdefault(t.name, Variable(f"N{len(names)}"))
         return None
 
     return tuple(render_literal(l) for l in map_literals(added, rename))
@@ -287,15 +291,13 @@ def refinements(ctx: RefinementContext, bias: Bias) -> list[Candidate]:
     for ri, rm in enumerate(settings.rmodes):
         if ctx.usage[ri] >= rm.count:
             continue
-        template = bias.templates.get(ri)
-        if template is None:
-            template = bias.templates[ri] = (_formal_specs(rm, settings), threshold_indices(rm.template))
-        formals, ks = template
+        formals, ks = bias.templates[ri]
         for assignment in _assignments(formals, qvars, vtypes):
             base_added, fresh_used = _instantiate(rm.template, assignment, ctx.name_base)
-            # The canonical key renames the variables that are not the
-            # query's, by first occurrence, so it is the same wherever the
-            # rmode's formals take the same query variables and cuts.
+            # Every variable of a candidate is a formal's image: a query
+            # variable, kept, or a fresh one, renamed by first occurrence
+            # unless a query variable has its name.  So the canonical key of
+            # the j-th cut combination depends only on this shape.
             fresh = (fresh_name(ctx.name_base + i) for i in range(fresh_used))
             shape = (
                 ri,

@@ -36,10 +36,11 @@ function returns once every query has, and a loop is left once every query
 below its node has succeeded.  A path that nests too deep goes on in a
 function of its own, so no function nears CPython's limits on nested blocks
 and indentation.  Writing and compiling a pack's function costs about
-0.2 ms for one three-literal query and 0.8 ms for the four queries (27
+0.3 ms for one three-literal query and 1 ms for the four queries (27
 literals) of the poker root, against a few microseconds per example for the
-walk; walks are kept by their queries and background, so a pack of the same
-queries compiles once per process.
+walk.  A pack keeps its walks for the background it last ran against, so
+each pack compiles once, and every learn or classification pays for the
+packs it builds.
 
 Every other literal (one with background clauses, one after such a literal
 whose slots may be bound to anything, one that must match a compound
@@ -181,8 +182,7 @@ class _Clause:
 
 class Background:
     """Horn background program indexed by head predicate/arity, each clause
-    compiled once.  It keeps the pack walks compiled against it (see
-    ``_generate``)."""
+    compiled once."""
 
     def __init__(self, clauses: tuple[Clause, ...] = ()):
         self.clauses = clauses
@@ -193,7 +193,6 @@ class Background:
                     raise DataError("background clauses cannot contain cuts")
             by_key.setdefault(c.head.key, []).append(_Clause(c))
         self._by_key = {k: tuple(v) for k, v in by_key.items()}
-        self._walks: dict = {}
 
     def clauses_for(self, key: tuple[str, int]) -> tuple:
         """The compiled clauses for ``key``, in program order."""
@@ -597,8 +596,8 @@ _NEST = 16
 _OPS = {"<": "<", ">": ">", "=<": "<=", ">=": ">="}
 
 
-def _no_rows(term, default):
-    return default
+def _no_rows(term):
+    return ()
 
 
 class _Writer:
@@ -649,7 +648,7 @@ class _Writer:
             head += [f"    F{k} = _no_rows"] if firsts else []
             head += ["else:"]
             head += [f"    R{k} = g.rows"] if rows else []
-            head += [f"    F{k} = g.index().get"] if firsts else []
+            head += [f"    F{k} = g.first"] if firsts else []
         lines = ["def walk(interp, budget, limit, out):"]
         lines += ["    " + line for line in head] + body + ["    " + line for line in self.exit(True)]
         for func in self.funcs:
@@ -744,7 +743,7 @@ class _Writer:
             facts = self.source(kid.lit.key, False)
         else:
             at = f"v{index[1]}" if index[0] else self.term(index[1])
-            facts = f"{self.source(kid.lit.key, True)}({at}, ())"
+            facts = f"{self.source(kid.lit.key, True)}({at})"
         args = [f"a{p}" for p in range(len(kid.lit.args))]
         for p, s in binds:
             args[p] = f"v{s}"
@@ -795,29 +794,10 @@ def _generate(pack: Pack, background: Background, answer: str | None):
     """The walk of ``pack`` against ``background``: ``walk(interp, budget,
     limit, out)``.  Without ``answer`` it decides the queries and returns
     their outcome bits.  With one, it appends that variable's binding to
-    ``out`` at every solution of every query and never prunes.
-
-    The background keeps the code of each walk with the objects it names,
-    by queries and answer variable, so that packs of the same queries, such
-    as those of one bias in repeated learns, compile once; only ``P``, the
-    pack whose steps the walk counts, is bound anew.  The key holds the
-    queries rendered as well, since equal terms can render apart (0.0 and
-    -0.0) and the walk hands its literals' terms back."""
-    key = (pack.queries, tuple(map(str, pack.queries)), answer)
-    walks = background._walks
-    made = walks.get(key)
-    if made is None:
-        writer = _Writer(pack, background._by_key, answer)
-        code = compile(writer.write(), "<query pack>", "exec")
-        if len(walks) >= _WALKS_KEPT:
-            walks.clear()
-        made = walks[key] = (code, writer.env)
-    env = dict(made[1], P=pack)
-    exec(made[0], env)
-    return env["walk"]
-
-
-_WALKS_KEPT = 256  # walks a background keeps
+    ``out`` at every solution of every query and never prunes."""
+    writer = _Writer(pack, background._by_key, answer)
+    exec(compile(writer.write(), "<query pack>", "exec"), writer.env)
+    return writer.env["walk"]
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ from .errors import DataError
 from .model import FOLDT, INode, Leaf, Model, count_nodes, tree_depth
 from .settings import LearnerConfig, Settings, render_settings
 from .store import META_NAME, DatasetHandle
-from .terms import Variable, map_term
+from .terms import Literal, Variable, map_literals
 
 log = logging.getLogger(__name__)
 
@@ -186,24 +186,18 @@ class BuildStats:
     levels: list = field(default_factory=list)
 
 
-def _query_key(query: Query) -> tuple:
-    """``query``'s literals as ``(pred, args, builtin)`` tuples, with its
-    variables renamed V0, V1, ... by first occurrence and its literal order
-    kept.  Two queries with one key are the same up to renaming, so they
-    hold on the same examples."""
+def _query_key(query: Query) -> tuple[Literal, ...]:
+    """``query`` with its variables renamed V0, V1, ... by first occurrence
+    and its literal order kept.  Two queries with one key are the same up to
+    renaming, so they hold on the same examples."""
     names: dict[str, Variable] = {}
 
     def rename(t):
-        if type(t) is Variable:
-            v = names.get(t.name)
-            if v is None:
-                v = names[t.name] = Variable(f"V{len(names)}")
-            return v
+        if isinstance(t, Variable):
+            return names.setdefault(t.name, Variable(f"V{len(names)}"))
         return None
 
-    return tuple([
-        (l.pred, tuple([map_term(a, rename) for a in l.args]), l.builtin) for l in query.literals
-    ])
+    return map_literals(query.literals, rename)
 
 
 @dataclass(eq=False)
@@ -220,7 +214,7 @@ class _Node:
     name_base: int
     depth: int
     counts: tuple[int, ...]
-    decided: dict[tuple, int] | None
+    decided: dict[tuple[Literal, ...], int] | None
     candidates: list[Candidate] | None = None  # set while the node is evaluated
     positions: list[int] | None = None  # per candidate: the position of its outcome
     base: int = 0  # the position of the outcome of the pack's first query

@@ -60,8 +60,7 @@ _FRAME = struct.Struct("<I")  # the length of a chunk's frame body, or of a reco
 class _FactGroup:
     """The facts of one predicate/arity key in one example: ``rows`` holds
     their argument tuples in file order.  ``first(t)`` gives the rows whose
-    first argument is ``t``, from ``index()``, which maps each first argument
-    to its rows and is built on first use."""
+    first argument is ``t``; its index is built on first use."""
 
     __slots__ = ("rows", "_index")
 
@@ -69,16 +68,13 @@ class _FactGroup:
         self.rows = rows
         self._index = None
 
-    def index(self) -> dict:
+    def first(self, term: Term):
         index = self._index
         if index is None:
             index = self._index = {}
             for row in self.rows:
                 index.setdefault(row[0], []).append(row)
-        return index
-
-    def first(self, term: Term):
-        return self.index().get(term, ())
+        return index.get(term, ())
 
 
 class Interpretation:

@@ -189,16 +189,16 @@ def map_term(term: Term, fn) -> Term:
     new = fn(term)
     if new is not None:
         return new
-    if type(term) is Compound:
-        return Compound(term.functor, tuple([map_term(a, fn) for a in term.args]))
+    if isinstance(term, Compound):
+        return Compound(term.functor, tuple(map_term(a, fn) for a in term.args))
     return term
 
 
 def map_literals(literals, fn) -> tuple[Literal, ...]:
     """``map_term`` over the arguments of each literal, in order."""
-    return tuple([
-        Literal(l.pred, tuple([map_term(a, fn) for a in l.args]), l.builtin) for l in literals
-    ])
+    return tuple(
+        Literal(l.pred, tuple(map_term(a, fn) for a in l.args), l.builtin) for l in literals
+    )
 
 
 # ---------------------------------------------------------------------------

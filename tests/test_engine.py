@@ -691,7 +691,7 @@ def test_long_queries_compile_and_agree_with_the_interpreted_walk():
     _assert_walks_agree(queries, spread, None, full=100)
 
 
-def test_equal_queries_that_render_apart_get_walks_of_their_own():
+def test_walks_keep_the_sign_of_zero():
     e = mk_interp("14", "pos", "v(1)")
     assert Pack([q("X = 0.0")]).answers("X", e) == [Number(0.0)]
     answer = Pack([q("X = -0.0")]).answers("X", e)
