@@ -8,12 +8,14 @@ options.  Distinct formals always map to distinct variables (write the same
 formal twice to force sharing).  Every candidate extends the query by the
 instantiated template, so each one is theta-subsumed by its parent query.
 
-Fresh variables are named ``A``, ``B``, ... starting from the context's
-``name_base`` (the number of variable names consumed along the path from the
-root).  Carrying the base in the node state keeps names deterministic, makes
-the two induction engines produce byte-identical trees, and guarantees that a
-name introduced by a node's conjunction can never reappear in that node's
-right subtree.
+Fresh variables are named ``A``, ``B``, ... by first occurrence, starting
+from the context's ``name_base`` (the number of variable names consumed along
+the path from the root).  Carrying the base in the node state keeps names
+deterministic, makes the two induction engines produce byte-identical trees,
+and guarantees that a name introduced by a node's conjunction can never
+reappear in that node's right subtree.  As the base is past every variable of
+the query, candidates equal up to renaming their new variables are literally
+equal: the added conjunction is its own key for removing duplicates.
 
 Numeric thresholds come from ``discretize(Query, Var)`` declarations: the
 query runs in every example, each collected value's occurrences are counted
@@ -35,7 +37,7 @@ import itertools
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .engine import Pack, Query, matches
@@ -47,7 +49,6 @@ from .terms import (
     Number,
     Variable,
     map_literals,
-    render_literal,
     render_term,
     term_variables,
 )
@@ -67,8 +68,6 @@ class Bias:
 
     settings: Settings
     cuts: dict[int, tuple[float, ...]]  # 1-based discretize index -> cut points
-    # a candidate's shape (see ``refinements``) -> its ``_canonical_key``
-    keys: dict = field(default_factory=dict, repr=False, compare=False)
 
     @cached_property
     def templates(self) -> tuple:
@@ -227,19 +226,6 @@ def _expand_thresholds(literals, ks: list[int], bias: Bias):
     return expanded
 
 
-def _canonical_key(added, qvars_set):
-    """Added conjunction with its new variables renamed N0, N1, ... by first
-    occurrence; used to drop duplicates up to variable renaming."""
-    names: dict[str, Variable] = {}
-
-    def rename(t):
-        if isinstance(t, Variable) and t.name not in qvars_set:
-            return names.setdefault(t.name, Variable(f"N{len(names)}"))
-        return None
-
-    return tuple(render_literal(l) for l in map_literals(added, rename))
-
-
 def lookahead_extensions(added, bias: Bias, name_base: int, fresh_used: int):
     """Extension conjunctions triggered by an added conjunction, one list per
     matching lookahead declaration/substitution (one level, no chaining)."""
@@ -268,25 +254,14 @@ def refinements(ctx: RefinementContext, bias: Bias) -> list[Candidate]:
     """All candidate queries derivable from the associated query, in
     deterministic order: rmode declaration order, then instantiation
     enumeration order, with lookahead extensions right after their trigger
-    candidate.  Duplicates up to renaming of the new variables are removed."""
+    candidate.  Duplicates up to renaming of the new variables are removed
+    by their literals, which needs ``ctx.name_base`` past every variable of
+    the query (see the module docstring)."""
     settings = bias.settings
     out: list[Candidate] = []
-    seen: set = set()
+    seen: set[tuple[Literal, ...]] = set()
     qvars = ctx.query.variables()
-    qvars_set = set(qvars)
     vtypes = infer_var_types(ctx.query, settings)
-
-    def emit(added, ri, shape=None):
-        key = bias.keys.get(shape) if shape is not None else None
-        if key is None:
-            key = _canonical_key(added, qvars_set)
-            if shape is not None:
-                bias.keys[shape] = key
-        if key in seen:
-            return False
-        seen.add(key)
-        out.append(Candidate(Query(ctx.query.literals + added), added, ri))
-        return True
 
     for ri, rm in enumerate(settings.rmodes):
         if ctx.usage[ri] >= rm.count:
@@ -294,20 +269,12 @@ def refinements(ctx: RefinementContext, bias: Bias) -> list[Candidate]:
         formals, ks = bias.templates[ri]
         for assignment in _assignments(formals, qvars, vtypes):
             base_added, fresh_used = _instantiate(rm.template, assignment, ctx.name_base)
-            # Every variable of a candidate is a formal's image: a query
-            # variable, kept, or a fresh one, renamed by first occurrence
-            # unless a query variable has its name.  So the canonical key of
-            # the j-th cut combination depends only on this shape.
-            fresh = (fresh_name(ctx.name_base + i) for i in range(fresh_used))
-            shape = (
-                ri,
-                tuple(None if a is _FRESH else a for a in assignment.values()),
-                tuple(n if n in qvars_set else None for n in fresh),
-            )
-            for j, added in enumerate(_expand_thresholds(base_added, ks, bias)):
-                emit(added, ri, (shape, j))
-                for ext in lookahead_extensions(added, bias, ctx.name_base, fresh_used):
-                    emit(added + ext, ri)
+            for added in _expand_thresholds(base_added, ks, bias):
+                extensions = lookahead_extensions(added, bias, ctx.name_base, fresh_used)
+                for conj in [added, *(added + ext for ext in extensions)]:
+                    if conj not in seen:
+                        seen.add(conj)
+                        out.append(Candidate(Query(ctx.query.literals + conj), conj, ri))
     return out
 
 

@@ -1,7 +1,7 @@
 from collections import Counter
 
-from conftest import mk_query_literals
-from hypothesis import given, strategies as st
+from conftest import examples, mk_query_literals
+from hypothesis import given, settings as hsettings, strategies as st
 from oracles import best_single_cut, pair_fayyad_irani_cuts, root_context, static_bias, theta_subsumes
 
 from foldt.bias import (
@@ -14,7 +14,7 @@ from foldt.bias import (
 )
 from foldt.engine import Query
 from foldt.settings import parse_settings
-from foldt.terms import render_conjunction
+from foldt.terms import Variable, map_literals, render_conjunction
 
 BONGARD_BIAS = parse_settings(
     """
@@ -28,6 +28,14 @@ rmode(5: points(+V,up)).
 rmode(5: points(+V,down)).
 """
 )
+
+BANDS_BIAS = parse_settings(
+    "classes([a,b]).\ndiscretize(val(_,C), C).\n"
+    "rmode(2: (val(+-O,-C), C =< threshold(1))).\nrmode(2: near(+O,-P)).\n"
+)
+
+# A second new variable and a query variable can take the same place.
+PAIR_BIAS = parse_settings("classes([a,b]).\nrmode(1: q(-Z)).\nrmode(1: p(-X,+-Y)).\n")
 
 
 def added_strings(cands: list[Candidate]) -> list[str]:
@@ -170,6 +178,68 @@ rmode(5: triangle(+-V)).
     assert added_strings(cands) == ["triangle(A)"]
 
 
+def test_query_variable_named_like_a_renamed_new_variable_kept_apart():
+    """``fresh_name(39)`` is ``N1``; a query variable of that name is not
+    taken for the second new variable of another candidate."""
+    bias = static_bias(PAIR_BIAS)
+    for name in ("N1", "M1"):
+        ctx = RefinementContext(Query(tuple(mk_query_literals(f"q({name})"))), (1, 0), 40)
+        assert added_strings(refinements(ctx, bias)) == [f"p(O1,{name})", "p(O1,P1)"]
+
+
+def test_zero_and_negative_zero_constants_give_one_candidate():
+    settings = parse_settings("classes([a,b]).\nrmode(1: p(-X, 0.0)).\nrmode(1: p(-X, -0.0)).\n")
+    assert added_strings(refinements(root_context(settings), static_bias(settings))) == ["p(A,0.0)"]
+
+
+_BASE = 100  # past fresh_name(91), which is N3
+_NAMES = st.sampled_from(("N1", "N2", "N3")) | st.integers(0, _BASE - 1).map(fresh_name)
+
+
+def _rename(literals, names: dict[str, str]):
+    """``literals`` with each variable that ``names`` maps renamed."""
+
+    def rename(t):
+        return Variable(names.get(t.name, t.name)) if isinstance(t, Variable) else None
+
+    return map_literals(literals, rename)
+
+
+@hsettings(max_examples=examples(100), deadline=None)
+@given(data=st.data())
+def test_candidates_follow_a_renaming_of_the_query_variables(data):
+    """The associated query is grown by candidates chosen along a path, then
+    its variables are renamed injectively to other names below the context's
+    base; the candidates come back with the same renaming and are otherwise
+    equal, in the same order and from the same rmodes."""
+    rules, bias = data.draw(
+        st.sampled_from(
+            [
+                (BONGARD_BIAS, static_bias(BONGARD_BIAS)),
+                (BANDS_BIAS, Bias(BANDS_BIAS, {1: (1.5, 2.5)})),
+                (PAIR_BIAS, static_bias(PAIR_BIAS)),
+            ]
+        )
+    )
+    ctx = root_context(rules)
+    for _ in range(data.draw(st.integers(0, 3))):
+        cands = refinements(ctx, bias)
+        if not cands:
+            break
+        c = cands[data.draw(st.integers(0, len(cands) - 1))]
+        usage = tuple(u + (i == c.rmode_index) for i, u in enumerate(ctx.usage))
+        ctx = RefinementContext(c.query, usage, len(c.query.variables()))
+    qvars = ctx.query.variables()
+    images = data.draw(st.lists(_NAMES, min_size=len(qvars), max_size=len(qvars), unique=True))
+    names = dict(zip(qvars, images))
+    renamed = RefinementContext(Query(_rename(ctx.query.literals, names)), ctx.usage, _BASE)
+    expected = [
+        Candidate(Query(_rename(c.query.literals, names)), _rename(c.added, names), c.rmode_index)
+        for c in refinements(RefinementContext(ctx.query, ctx.usage, _BASE), bias)
+    ]
+    assert refinements(renamed, bias) == expected
+
+
 def test_threshold_placeholder_expansion():
     settings = parse_settings(
         """
@@ -250,14 +320,10 @@ def test_counted_cuts_equal_the_pair_list_reference(values, max_cuts):
 
 
 def test_canonical_keys_kept_by_a_bias_change_no_candidate():
-    """A bias keeps each candidate's canonical key by its rmode, the query
-    variables its formals take and its cuts; a bias that has served other
-    contexts gives the candidates a fresh one gives.  The last context's
-    fresh names (from A on) collide with its query's variables."""
-    bands = parse_settings(
-        "classes([a,b]).\ndiscretize(val(_,C), C).\n"
-        "rmode(2: (val(+-O,-C), C =< threshold(1))).\nrmode(2: near(+O,-P)).\n"
-    )
+    """A bias keeps no state from one context to the next: a bias that has
+    served other contexts gives the candidates a fresh one gives.  The last
+    context's fresh names (from A on) collide with its query's variables."""
+    bands = BANDS_BIAS
     cases = [
         (BONGARD_BIAS, lambda: static_bias(BONGARD_BIAS), [
             root_context(BONGARD_BIAS),
