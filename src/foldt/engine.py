@@ -42,10 +42,27 @@ walk.  A pack keeps its walks for the background it last ran against, so
 each pack compiles once, and every learn or classification pays for the
 packs it builds.
 
-Every other literal (one with background clauses, one after such a literal
-whose slots may be bound to anything, one that must match a compound
-pattern) is a loop over the solutions of ``_solve``, an explicit-stack SLD
-machine for that one goal.  The machine keeps the slots in one flat binding
+A literal with background clauses over constants and such slots compiles
+inline when its clauses do (``_Writer.clauses``): none of them is recursive,
+each head is distinct variables, and once the head's variables stand for the
+literal's arguments, every body literal has a static plan and the body binds
+every argument that was unbound.  The literal becomes a loop over the
+example's facts of its predicate and then, for each clause in order, one
+step, a budget check and the body's loops and ``if``s, whose own variables
+are fresh locals; a body literal whose clauses compile inline is inlined the
+same way.  What follows a solution of such a literal is one function that the
+fact loop and each clause body call, so the code grows linearly with the
+literals and not by a factor per clause.  The Bongard background's
+``polygon/1`` and ``doubletriangle/2`` compile this way.  An answer walk
+keeps these literals on the machine, which names an unbound answer after the
+clause frame it holds.
+
+Every other literal (one whose clauses are recursive, have a head that is not
+distinct variables or a body with a compound or a variable no literal binds;
+one after a literal whose slots may be bound to anything; one that must match
+a compound pattern; in an answer walk, every literal with background clauses)
+is a loop over the solutions of ``_solve``, an explicit-stack SLD machine for
+that one goal.  The machine keeps the slots in one flat binding
 list with a trail of the bindings to undo on backtracking.  It tries the
 example's facts through a plan made from the goal's arguments as they are
 bound now (``_goal_plan``), then the predicate's clauses.  Background
@@ -163,6 +180,12 @@ class _Lit:
         self.key = lit.key
         self.args = tuple(_compile_term(a, slots) for a in lit.args)
         self.op = lit.pred if lit.builtin else None
+
+    def renamed(self, args: tuple) -> _Lit:
+        """The same literal over the compiled terms ``args``."""
+        out = object.__new__(_Lit)
+        out.lit, out.key, out.args, out.op = self.lit, self.key, args, self.op
+        return out
 
 
 class _Clause:
@@ -429,8 +452,8 @@ def _builtin_plan(g: _Lit, state: dict):
     return None
 
 
-def _fact_plan(g: _Lit, state: dict, rules: dict):
-    """For a literal that only facts prove, over constants and slots that are
+def _fact_plan(g: _Lit, state: dict):
+    """For the example's facts of a literal over constants and slots that are
     unbound or ground-bound: ``(index, want, checks, binds, sames)``.
 
     ``index`` is None (scan every fact), ``(False, constant)`` or ``(True,
@@ -438,8 +461,6 @@ def _fact_plan(g: _Lit, state: dict, rules: dict):
     constants and ``checks``' slot values at their positions (position 0 is
     left out when indexed), equal arguments at each pair of ``sames``
     positions, and then gives ``binds``' unbound slots their values."""
-    if g.key in rules:
-        return None
     want, checks, binds, sames, first = [], [], [], [], {}
     for p, a in enumerate(g.args):
         if type(a) is _Struct:
@@ -463,13 +484,13 @@ def _fact_plan(g: _Lit, state: dict, rules: dict):
     return index, want, checks, binds, sames
 
 
-def _after(g: _Lit, state: dict, rules: dict) -> dict:
-    """The slot states once ``g`` has succeeded: a literal that only facts
-    prove binds its unbound slots to ground terms; ``=`` and a literal with
-    background clauses may leave them anything."""
+def _after(g: _Lit, state: dict, new: int) -> dict:
+    """The slot states once ``g`` has succeeded: its unbound slots become
+    ``new`` (_DIRECT where static loops or facts bound them, _UNKNOWN where
+    ``=`` or clauses the machine tried may have bound them to anything); a
+    builtin other than ``=`` binds none."""
     if g.op is not None and g.op != "=":
         return state
-    new = _DIRECT if g.op is None and g.key not in rules else _UNKNOWN
     out = dict(state)
     for s in _slots(g.args):
         out.setdefault(s, new)
@@ -615,6 +636,7 @@ class _Writer:
         self.groups: dict = {}  # predicate key -> (its name's number, uses rows, uses first)
         self.machine = False
         self.funcs: list[list[str]] = []
+        self.fresh = len(pack.names)  # the next slot for a variable of an inlined clause
 
     def name(self, obj, prefix: str) -> str:
         got = self.names.get(id(obj))
@@ -692,31 +714,23 @@ class _Writer:
 
     def kid(self, kid: _Node, state: dict, d: int, out: list[str], top: bool):
         """Prove ``kid``'s literal and arrive at ``kid`` at each solution."""
-        pad = "    " * d
+        self.prove(kid.lit, kid.mask, state, d, out, top, lambda st, dd, o, tp: self.node(kid, st, dd, o, tp))
+
+    def prove(self, g: _Lit, mask: int, state: dict, d: int, out: list[str], top: bool, then):
+        """Prove ``g`` for the queries ``mask`` from the slot states
+        ``state``, and at each solution write ``then(states, nesting, out,
+        top)``."""
         if d > _NEST:
-            live = sorted(s for s, how in state.items() if how == _DIRECT)
-            args = "@CTX@" + "".join(f", v{s}" for s in live)
-            name = f"walk{len(self.funcs) + 1}"
-            func = [f"def {name}({args}):"]
-            self.funcs.append(func)
-            self.kid(kid, state, 1, func, False)
-            func.append("    return steps, done")
-            out.append(f"{pad}steps, done = {name}({args})")
-            if self.answer is None:
-                out.append(f"{pad}if done == FULL:")
-                out += [f"{pad}    {line}" for line in self.exit(top)]
+            func = self.function(state, lambda func: self.prove(g, mask, state, 1, func, False, then))
+            self.call(func, d, out, top)
             return
-        g, mask = kid.lit, kid.mask
-        budget_check = [
-            f"{pad}if steps > limit:",
-            f"{pad}    raise P._exhausted(interp, budget, {mask} & ~done)",
-        ]
+        pad = "    " * d
         if g.op is not None:
             plan = _builtin_plan(g, state)
             if plan is not None:
                 x, y, equal = plan
                 x, y = self.term(x), self.term(y)
-                out += [f"{pad}steps += 1"] + budget_check
+                out += [f"{pad}steps += 1"] + self.check(pad, mask)
                 if equal is not None:
                     out.append(f"{pad}if {x} {'==' if equal else '!='} {y}:")
                 else:
@@ -726,25 +740,54 @@ class _Writer:
                         f"{pad}    raise P._error(QueryError, {what}, interp, {mask} & ~done)",
                         f"{pad}if {x}.value {_OPS[g.op]} {y}.value:",
                     ]
-                self.node(kid, state, d + 1, out, top)
+                then(state, d + 1, out, top)
+                return
+        elif g.key not in self.rules:
+            plan = _fact_plan(g, state)
+            if plan is not None:
+                self.loop(g, mask, plan, state, d, out, top, then)
                 return
         else:
-            plan = _fact_plan(g, state, self.rules)
-            if plan is not None:
-                self.loop(kid, plan, state, d, out, top, budget_check)
+            bodies = self.clauses(g, state)
+            if bodies is not None:
+                self.inline(g, mask, bodies, state, d, out, top, then)
                 return
-        self.solve(kid, state, d, out, top)
+        self.solve(g, mask, state, d, out, top, then)
 
-    def loop(self, kid: _Node, plan, state: dict, d: int, out: list[str], top: bool, budget_check):
+    def check(self, pad: str, mask: int) -> list[str]:
+        """The budget check, naming the first undecided query of ``mask``."""
+        return [f"{pad}if steps > limit:", f"{pad}    raise P._exhausted(interp, budget, {mask} & ~done)"]
+
+    def function(self, state: dict, write) -> str:
+        """A function of its own for the code ``write(func)`` writes at
+        nesting 1, which takes the slots ``state`` binds to ground terms:
+        the statement that calls it."""
+        live = sorted(s for s, how in state.items() if how == _DIRECT)
+        args = "@CTX@" + "".join(f", v{s}" for s in live)
+        name = f"walk{len(self.funcs) + 1}"
+        func = [f"def {name}({args}):"]
+        self.funcs.append(func)
+        write(func)
+        func.append("    return steps, done")
+        return f"steps, done = {name}({args})"
+
+    def call(self, call: str, d: int, out: list[str], top: bool):
+        pad = "    " * d
+        out.append(pad + call)
+        if self.answer is None:
+            out.append(f"{pad}if done == FULL:")
+            out += [f"{pad}    {line}" for line in self.exit(top)]
+
+    def loop(self, g: _Lit, mask: int, plan, state: dict, d: int, out: list[str], top: bool, then):
         """A literal with a static fact plan: a loop over the facts."""
         pad = "    " * d
         index, want, checks, binds, sames = plan
         if index is None:
-            facts = self.source(kid.lit.key, False)
+            facts = self.source(g.key, False)
         else:
             at = f"v{index[1]}" if index[0] else self.term(index[1])
-            facts = f"{self.source(kid.lit.key, True)}({at})"
-        args = [f"a{p}" for p in range(len(kid.lit.args))]
+            facts = f"{self.source(g.key, True)}({at})"
+        args = [f"a{p}" for p in range(len(g.args))]
         for p, s in binds:
             args[p] = f"v{s}"
         tests = [f"{args[p]} != {self.term(v)}" for p, v in want]
@@ -755,22 +798,85 @@ class _Writer:
         if tests:
             out.append(f"{pad}    if {' or '.join(tests)}:")
             out.append(f"{pad}        continue")
-        out += ["    " + line for line in budget_check]
-        self.node(kid, _after(kid.lit, state, self.rules), d + 1, out, top)
+        out += self.check(pad + "    ", mask)
+        then(_after(g, state, _DIRECT), d + 1, out, top)
         if self.answer is None:
-            out += [f"{pad}    if not {kid.mask} & ~done:", f"{pad}        break"]
+            out += [f"{pad}    if not {mask} & ~done:", f"{pad}        break"]
         if tests:
             out.append(f"{pad}else:")
-            out += ["    " + line for line in budget_check]
+            out += self.check(pad + "    ", mask)
 
-    def solve(self, kid: _Node, state: dict, d: int, out: list[str], top: bool):
+    def clauses(self, g: _Lit, state: dict, active: tuple = ()):
+        """For a literal whose background clauses compile inline, each
+        clause's body with the head's variables replaced by the literal's
+        arguments and the clause's own variables by fresh slots; None when
+        one does not.  They do when the outcome bits are asked for, the
+        literal's arguments are constants and slots unbound or bound to
+        ground terms, and every clause is non-recursive (``active`` holds
+        the predicates being inlined around ``g``), has a head of distinct
+        variables and a body of literals with static plans, and binds each
+        unbound argument."""
+        if (
+            self.answer is not None
+            or g.key in active
+            or any(type(a) is _Struct or type(a) is int and state.get(a) == _UNKNOWN for a in g.args)
+        ):
+            return None
+        active += (g.key,)
+        bodies = []
+        for c in self.rules[g.key]:
+            if not c.linear:
+                return None
+            sub = g.args + tuple(range(self.fresh, self.fresh + c.size - len(g.args)))
+            self.fresh += c.size - len(g.args)
+            body, st = [], state
+            for lit in c.body:
+                # A compound keeps its clause slots, and no static plan takes it.
+                lit = lit.renamed(tuple(sub[a] if type(a) is int else a for a in lit.args))
+                if lit.op is not None:
+                    plan = _builtin_plan(lit, st)
+                elif lit.key in self.rules:
+                    plan = self.clauses(lit, st, active)
+                else:
+                    plan = _fact_plan(lit, st)
+                if plan is None:
+                    return None
+                st = _after(lit, st, _DIRECT)
+                body.append(lit)
+            if any(type(a) is int and st.get(a) != _DIRECT for a in g.args):
+                return None
+            bodies.append(body)
+        return bodies
+
+    def inline(self, g: _Lit, mask: int, bodies, state: dict, d: int, out: list[str], top: bool, then):
+        """A literal whose clauses compile inline: a loop over its facts,
+        then each clause's body as static code, one step and a budget check
+        for the clause first.  What follows a solution is written once, as
+        a function that each of them calls."""
+        pad = "    " * d
+        after = _after(g, state, _DIRECT)
+        func = self.function(after, lambda func: then(after, 1, func, False))
+        found = lambda st, dd, o, tp: self.call(func, dd, o, tp)  # noqa: E731
+        self.loop(g, mask, _fact_plan(g, state), state, d, out, top, found)
+        for body in bodies:
+            out += [f"{pad}if {mask} & ~done:", f"{pad}    steps += 1"] + self.check(pad + "    ", mask)
+            self.conj(body, mask, state, d + 1, out, top, found)
+
+    def conj(self, lits: list, mask: int, state: dict, d: int, out: list[str], top: bool, then):
+        """Prove ``lits`` in order, then ``then``."""
+        if not lits:
+            then(state, d, out, top)
+            return
+        rest = lambda st, dd, o, tp: self.conj(lits[1:], mask, st, dd, o, tp, then)  # noqa: E731
+        self.prove(lits[0], mask, state, d, out, top, rest)
+
+    def solve(self, g: _Lit, mask: int, state: dict, d: int, out: list[str], top: bool, then):
         """A literal with no static plan: a loop over ``_solve``'s solutions,
         with the slots it reads set in the binding list first.  Slots that
         it binds to ground terms are read back into locals."""
         pad = "    " * d
         self.machine = True
-        g, mask = kid.lit, kid.mask
-        after = _after(g, state, self.rules)
+        after = _after(g, state, _DIRECT if g.op is None and g.key not in self.rules else _UNKNOWN)
         for s in sorted(set(_slots(g.args))):
             if state.get(s) == _DIRECT:
                 out.append(f"{pad}b[{s}] = v{s}")
@@ -783,7 +889,7 @@ class _Writer:
             f"{pad}    v{s} = b[{s}]" for s in sorted(after)
             if after[s] == _DIRECT and state.get(s) != _DIRECT
         ]
-        self.node(kid, after, d + 1, out, top)
+        then(after, d + 1, out, top)
         if self.answer is None:
             out += [f"{pad}    if not {mask} & ~done:", f"{pad}        break"]
         out += ["    " + line for line in sync]

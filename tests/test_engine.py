@@ -9,6 +9,7 @@ from foldt.engine import (
     Background,
     Pack,
     Query,
+    _Writer,
     answer_all,
     coverage_query,
     succeeds,
@@ -207,20 +208,26 @@ def test_coverage_query_keeps_linked_literals_in_order():
 
 
 def _steps(query, interp, background=None) -> int:
-    """The least budget under which ``succeeds`` finishes."""
-    lo, hi = 1, 1
-    while True:
+    """The least budget under which ``succeeds`` finishes, with its outcome
+    or with an error other than an exhausted budget."""
+
+    def finishes(budget):
         try:
-            succeeds(query, interp, background, budget=hi)
-            break
+            succeeds(query, interp, background, budget=budget)
         except BudgetExceededError:
-            lo, hi = hi + 1, hi * 2
+            return False
+        except QueryError:
+            pass
+        return True
+
+    lo, hi = 1, 1
+    while not finishes(hi):
+        lo, hi = hi + 1, hi * 2
     while lo < hi:
         mid = (lo + hi) // 2
-        try:
-            succeeds(query, interp, background, budget=mid)
+        if finishes(mid):
             hi = mid
-        except BudgetExceededError:
+        else:
             lo = mid + 1
     return lo
 
@@ -404,14 +411,24 @@ LINKED = Background(parse_program(
 COL = Background(parse_program("col(X) :- red(X).\ncol(X) :- blue(X).\ncol(green).\n"))
 COLOURED = mk_interp("1", "pos", "blue(b1)", "red(r1)", "col(c0)", "red(r2)")
 NESTED = mk_interp("11", "pos", "s(g(b))", "s(f(a))", "r(a,f(a))", "r(b,f(c))", "r(c,f(c))")
+SCENE = mk_interp(
+    "15", "pos",
+    "circle(o1)", "square(o2)", "triangle(o3)", "triangle(o4)",
+    "inside(o3,o2)", "inside(o4,o1)", "size(o1,2)", "size(o3,big)", "size(o4,3)",
+)
+# ``large/1`` nests ``polygon/1`` and compares a clause-local variable.
+SIZED = Background(parse_program(BONGARD_BACKGROUND + "large(O) :- polygon(O), size(O,S), S > 1.\n"))
 
 # Least budgets under which ``succeeds`` finishes, measured with ``_steps``
 # and pinned.  The rows over LINKS were measured on the resolver before
 # clause bodies were proved through fact plans; those over COLOURED and
 # NESTED and those with an s(f(...)) literal on the resolver that matched
-# such literals against facts in a loop of its own; the others on the
-# resolver that query packs replaced.  A step is one fact tried, one clause
-# tried or one builtin evaluated.
+# such literals against facts in a loop of its own; those over SCENE on the
+# walk that proved every literal with background clauses through the
+# machine; the others on the resolver that query packs replaced.  A step is
+# one fact tried, one clause tried or one builtin evaluated.  An expected
+# outcome that is text is the error the query raises, and its steps are the
+# least budget under which it raises that error.
 STEP_TABLE = [
     (("triangle(X)", "inside(X,Y)"), P1, None, True, 2),
     (("triangle(X)", "inside(X,Y)"), P2, None, True, 2),
@@ -438,13 +455,31 @@ STEP_TABLE = [
     (("r(X,f(X))",), NESTED, None, True, 1),
     (("r(X,f(Y))", "s(f(Y))"), NESTED, None, True, 2),
     (("r(X,f(X))", "X \\= a"), NESTED, None, True, 5),
+    (("polygon(X)",), SCENE, BG, True, 2),
+    # the last step is square(o2) in polygon's second clause
+    (("polygon(o2)",), SCENE, BG, True, 3),
+    (("polygon(o1)",), SCENE, BG, False, 2),
+    (("polygon(X)", "inside(X,Y)", "circle(Y)"), SCENE, BG, True, 6),
+    (("doubletriangle(A,B)",), SCENE, BG, True, 6),
+    (("doubletriangle(A,o3)",), SCENE, BG, True, 7),
+    (("inside(X,Y)", "doubletriangle(X,Y)"), SCENE, BG, False, 6),
+    (("large(X)",), SCENE, SIZED, "> needs numeric arguments, got S > 1 in example 15 on query large(X)", 5),
+    (
+        ("size(X,S)", "large(X)"), SCENE, SIZED,
+        "> needs numeric arguments, got S > 1 in example 15 on query size(X,S), large(X)", 10,
+    ),
 ]
 
 
 @pytest.mark.parametrize("texts,e,background,expected,steps", STEP_TABLE)
 def test_step_counts_pinned(texts, e, background, expected, steps):
     query = q(*texts)
-    assert succeeds(query, e, background) is expected
+    if type(expected) is str:
+        with pytest.raises(QueryError) as info:
+            succeeds(query, e, background)
+        assert type(info.value) is QueryError and str(info.value) == expected
+    else:
+        assert succeeds(query, e, background) is expected
     assert _steps(query, e, background) == steps
 
 
@@ -569,6 +604,10 @@ def test_engine_agrees_with_the_reference_resolver(clauses, facts, query_texts, 
     """One-query outcomes and steps, ``answer_all`` lists (unbound answers
     included) and errors, at a full and at a small budget, and the bits of
     a pack of the queries, equal those of plain SLD resolution."""
+    _assert_agrees_with_the_reference(clauses, facts, query_texts, small)
+
+
+def _assert_agrees_with_the_reference(clauses, facts, query_texts, small):
     from oracles import sld_answers, sld_outcome
 
     def caught(call):
@@ -646,12 +685,13 @@ def _assert_walks_agree(queries, interp, background, full=200):
 
 
 @st.composite
-def _pack_queries(draw):
-    """Queries over the literals of the reference-resolver test; a query
-    may start with a prefix of an earlier one, so that the trie branches."""
+def _pack_queries(draw, literal=_derived_literal(_QUERY_VARS) | _body_literal(_QUERY_VARS)):
+    """Queries over the literals of the reference-resolver test, or over
+    ``literal``; a query may start with a prefix of an earlier one, so that
+    the trie branches."""
     out = []
     for _ in range(draw(st.integers(1, 4))):
-        tail = draw(st.lists(_derived_literal(_QUERY_VARS) | _body_literal(_QUERY_VARS), min_size=1, max_size=3))
+        tail = draw(st.lists(literal, min_size=1, max_size=3))
         if out and draw(st.booleans()):
             base = draw(st.sampled_from(out))
             tail = base[: draw(st.integers(0, len(base)))] + tail
@@ -672,6 +712,127 @@ def test_generated_walk_agrees_with_the_interpreted_walk(clauses, facts, query_t
     background = Background(parse_program("\n".join(clauses)))
     e = mk_interp("1", "pos", *dict.fromkeys(facts))
     _assert_walks_agree([q(*texts) for texts in query_texts], e, background)
+
+
+# ---------------------------------------------------------------------------
+# Background clauses compiled into the walk
+#
+# Programs that are mostly non-recursive clauses with heads of distinct
+# variables over e/1, n/1 and r/2, which bind every head variable and then
+# test with \= and <: the walk compiles those inline.  r/2 has example facts
+# and may have clauses; d/1 may have both and calls r/2; t/2 calls d/1, so
+# clauses nest two and three deep.  Now and then a clause of the general
+# strategy joins them, and with it recursion, other heads and compounds.
+
+_CALLS = {"r": ("e", "n"), "d": ("e", "n", "r"), "t": ("e", "n", "r", "d")}
+_INLINE_FACTS = _FACTS | st.sampled_from(("a", "b", "1")).map("d({})".format)
+
+
+def _mostly(usual, other, odds: int):
+    """``usual``, or ``other`` in about one draw of ``odds``."""
+    return st.integers(1, odds).flatmap(lambda i: other if i == odds else usual)
+
+
+@st.composite
+def _inline_clause(draw):
+    pred = draw(st.sampled_from(("d", "d", "t", "t", "r")))
+    head = draw(st.permutations(_CLAUSE_VARS))[: 1 if pred == "d" else 2]
+    arg = _mostly(st.sampled_from(_CLAUSE_VARS), st.sampled_from(("a", "b", "1", "2")), 4)
+    body = []
+    for callee in draw(st.lists(st.sampled_from(_CALLS[pred]), min_size=1, max_size=3)):
+        args = [draw(arg) for _ in range(2 if callee == "r" else 1)]
+        body.append(f"{callee}({','.join(args)})")
+    bound = [v for v in _CLAUSE_VARS if any(v in lit for lit in body)]
+    for v in head:
+        if v not in bound:
+            body.append(f"{draw(st.sampled_from(('e', 'n')))}({v})")
+            bound.append(v)
+    for op in draw(st.lists(st.sampled_from(("\\=", "<")), max_size=2)):
+        x, y = draw(st.sampled_from(bound)), draw(st.sampled_from(bound + ["2"]))
+        body.append(f"{x} {op} {y}")
+    return f"{pred}({','.join(head)}) :- {', '.join(body)}."
+
+
+_INLINE_ARG = _mostly(st.sampled_from(_QUERY_VARS), st.sampled_from(("a", "b", "1")), 4)
+_INLINE_PROGRAM = st.lists(_mostly(_inline_clause(), _clause(), 8), max_size=6)
+_INLINE_QUERIES = _pack_queries(
+    _mostly(
+        st.builds("d({})".format, _INLINE_ARG)
+        | st.builds("t({},{})".format, _INLINE_ARG, _INLINE_ARG)
+        | st.builds("r({},{})".format, _INLINE_ARG, _INLINE_ARG),
+        _body_literal(_QUERY_VARS),
+        4,
+    )
+)
+
+
+@hsettings(max_examples=examples(300), deadline=None)
+@given(_INLINE_PROGRAM, st.lists(_INLINE_FACTS, max_size=8), _INLINE_QUERIES, st.integers(1, 12))
+def test_inlined_clauses_agree_with_the_reference_resolver(clauses, facts, query_texts, small):
+    _assert_agrees_with_the_reference(clauses, facts, query_texts, small)
+
+
+@hsettings(max_examples=examples(200), deadline=None)
+@given(_INLINE_PROGRAM, st.lists(_INLINE_FACTS, max_size=8), _INLINE_QUERIES)
+def test_inlined_clauses_agree_with_the_interpreted_walk(clauses, facts, query_texts):
+    background = Background(parse_program("\n".join(clauses)))
+    e = mk_interp("1", "pos", *dict.fromkeys(facts))
+    _assert_walks_agree([q(*texts) for texts in query_texts], e, background)
+
+
+def _machine(queries, background, answer=None) -> bool:
+    """Whether the walk of ``queries`` calls the machine."""
+    writer = _Writer(Pack(queries), background._by_key, answer)
+    writer.write()
+    return writer.machine
+
+
+def test_bongard_background_compiles_inline():
+    queries = [q("polygon(X)"), q("doubletriangle(X,Y)"), q("inside(X,Y)", "polygon(Y)")]
+    assert not _machine(queries, BG)
+    assert not _machine([q("size(X,S)", "large(X)")], SIZED)
+    # An answer walk keeps the machine, which names unbound answers by the
+    # frames it allocates.
+    assert _machine([q("polygon(X)")], BG, "X")
+
+
+@pytest.mark.parametrize(
+    "program,text",
+    [
+        ("anc(X,Y) :- par(X,Y).\nanc(X,Y) :- par(X,Z), anc(Z,Y).", "anc(a,B)"),  # recursive
+        ("points(O,up) :- circle(O).", "points(A,B)"),  # a head that is not distinct variables
+        ("bad(X) :- X \\= Y.", "bad(a)"),  # a body variable absent from the head, never bound
+        ("any(X) :- circle(Y).", "any(A)"),  # a head variable the body leaves unbound
+        ("wrap(X) :- s(f(X)).", "wrap(A)"),  # a compound in the body
+        ("p(X) :- q(X).\nq(X) :- r(X, X).\nq(X) :- q(X).", "p(A)"),  # calls a recursive predicate
+    ],
+)
+def test_other_clauses_go_to_the_machine(program, text):
+    assert _machine([q(text)], Background(parse_program(program)))
+
+
+def test_inlined_clauses_keep_the_walk_linear_in_size():
+    """Each polygon literal after the first adds the same number of lines:
+    what follows a literal with several clauses is written once, not once
+    per clause."""
+    literals = [f"polygon(X{i})" for i in range(12)]
+    sources = [_Writer(Pack([q(*literals[:k])]), BG._by_key, None).write() for k in range(1, 13)]
+    lines = [len(source.splitlines()) for source in sources]
+    assert len({b - a for a, b in zip(lines, lines[1:])}) == 1, lines
+    queries = [q(*literals[:k]) for k in range(1, 13)]
+    assert not _machine(queries, BG)
+    scene = mk_interp("16", "pos", "circle(o1)", "triangle(o2)", "inside(o2,o1)")
+    assert Pack(queries).run(scene, BG) == (1 << 12) - 1
+    _assert_walks_agree(queries, scene, BG)
+    _assert_walks_agree([q(*literals, "circle(X11)"), q(*literals[:6], "square(X5)")], scene, BG)
+
+
+def test_budget_runs_out_inside_an_inlined_clause_body():
+    assert not _machine([q("polygon(o2)")], BG)
+    exhausted = r"budget of 2 exhausted in example 15 on query polygon\(o2\)"
+    with pytest.raises(BudgetExceededError, match=exhausted):
+        succeeds(q("polygon(o2)"), SCENE, BG, budget=2)
+    assert succeeds(q("polygon(o2)"), SCENE, BG, budget=3)
 
 
 def test_long_queries_compile_and_agree_with_the_interpreted_walk():
