@@ -63,18 +63,22 @@ one after a literal whose slots may be bound to anything; one that must match
 a compound pattern; in an answer walk, every literal with background clauses)
 is a loop over the solutions of ``_solve``, an explicit-stack SLD machine for
 that one goal.  The machine keeps the slots in one flat binding
-list with a trail of the bindings to undo on backtracking.  It tries the
-example's facts through a plan made from the goal's arguments as they are
-bound now (``_goal_plan``), then the predicate's clauses.  Background
-clauses are compiled once and get fresh variables by shifting their slots
-past the end of the binding list.  A head of distinct variables (a linear
-head) binds each argument to its fresh slot, or the slot to the argument,
-with no unification; other heads and ``=`` unify with the occurs check.
-Builtins and run-time plans dereference their arguments and rebuild a term
-only for a compound.  Example facts are ground, so matching a fact needs no
-occurs check.  Recursion in the background grows the machine's stack, not
-the Python call depth, so an exhausted budget surfaces before any stack
-limit.
+list with a trail of the bindings to undo on backtracking.  A goal pushes a
+choice point for the predicate's clauses and, above it, one for the
+example's facts: those that its first argument picks when that argument is
+ground now (``_goal_plan``), else all of them.  Every fact, the first as
+well as those tried on backtracking, is tried the same way: its arguments
+are matched against the goal's others (``_scan``).  Example facts are
+ground, so matching a fact needs no occurs check.  Background clauses are
+compiled once and get fresh variables by shifting their slots past the end
+of the binding list.  A head of distinct variables (a linear head) binds
+each argument to its fresh slot, or the slot to the argument, with no
+unification; other heads and ``=`` unify with the occurs check.  Builtins
+dereference their arguments and rebuild a term only for a compound.
+Recursion in the background grows the machine's stack, not the Python call
+depth, but the terms it builds are walked by recursive functions: a term
+nested deeper than Python's recursion limit allows raises ``QueryError``
+("term nested too deeply"), where the budget has not run out first.
 
 A step is one fact tried, one clause tried or one builtin evaluated.  A pack
 of k queries may spend k times ``budget`` steps on an example, and exhausting
@@ -356,26 +360,18 @@ def _test(op: str, x: Term | None, y: Term | None, lit: Literal) -> bool:
     raise QueryError(f"unknown builtin {op!r}")
 
 
-def _scan(facts, i: int, want, sames, pats, b: list, trail: list) -> int:
+def _scan(facts, i: int, pats, b: list, trail: list) -> int:
     """Index of the first fact from ``i`` on (``facts`` holds argument
-    tuples) with ``want``'s values at their positions, equal arguments at
-    each pair of ``sames`` positions, and arguments that ``pats``' compiled
-    terms match in order; ``len(facts)`` when there is none.  The matches
-    with the fact found stay bound."""
+    tuples) whose arguments ``pats``' compiled terms match in order;
+    ``len(facts)`` when there is none.  The matches with the fact found stay
+    bound."""
     n = len(facts)
+    mark = len(trail)
     while i < n:
         fa = facts[i]
-        for p, v in want:
-            if fa[p] != v:
-                break
-        else:
-            if not sames or all(fa[p] == fa[q] for p, q in sames):
-                if not pats:
-                    return i
-                mark = len(trail)
-                if all(_match(t, fa[p], b, trail) for p, t in pats):
-                    return i
-                _undo(b, trail, mark)
+        if all(_match(t, fa[p], b, trail) for p, t in pats):
+            return i
+        _undo(b, trail, mark)
         i += 1
     return n
 
@@ -390,40 +386,17 @@ def _builtin(g: _Lit, off: int, b: list, trail: list, names) -> bool:
 
 
 def _goal_plan(args: tuple, off: int, b: list, names: list[str]):
-    """The fact plan of a literal, made when the machine reaches it, from
-    its arguments dereferenced: ``(index, want, binds, sames, pats)``.  A
-    fact must have ``want``'s ground values at their positions (the first
-    argument, when ground, is left out and is the first-argument ``index``
-    key, else ``index`` is None) and equal arguments at each pair of
-    ``sames`` positions; then ``binds``' unbound slots take its values.  An
-    argument that holds a compound with an unbound slot goes to ``pats``;
-    then the unbound slots go there too, ahead of it, so ``_scan`` binds
-    them before it matches the compounds, and ``binds`` is empty."""
-    want, binds, sames, pats = [], [], [], []
-    for p, a in enumerate(args):
-        if type(a) is int:
-            a = _deref(a + off, b)
-            if type(a) is int:
-                for q, s in binds:
-                    if s == a:
-                        sames.append((p, q))
-                        break
-                else:
-                    binds.append((p, a))
-                continue
-        elif type(a) is _Struct and off:
-            a = _shift(a, off)
-        if type(a) is _Struct:
-            t = _ground(a, b, names)
-            if t is None:
-                pats.append((p, a))
-                continue
-            a = t
-        want.append((p, a))
-    index = want.pop(0)[1] if want and want[0][0] == 0 else None
-    if pats:
-        return index, want, (), sames, binds + pats
-    return index, want, binds, sames, ()
+    """How the machine tries the example's facts of a literal with the
+    arguments ``args`` in the frame at ``off``: ``(index, pats)``.  ``index``
+    is the first argument when it is ground under the bindings, and picks
+    the facts tried; else it is None and every fact is tried.  ``pats``
+    holds each other argument's position and shifted compiled term, for
+    ``_scan`` to match."""
+    pats = [(p, _shift(a, off)) for p, a in enumerate(args)]
+    index = _ground(pats[0][1], b, names) if pats else None
+    if index is not None:
+        del pats[0]
+    return index, pats
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +563,12 @@ class Pack:
         if budget <= 0:
             raise QueryError("resolution budget must be positive")
         out: list[Term] = []
-        self._walk(background, var)(interp, budget, budget * len(self.queries), out)
+        walk = self._walk(background, var)
+        try:
+            walk(interp, budget, budget * len(self.queries), out)
+        except RecursionError:
+            # ``_term`` rendering a binding that nests too deeply.
+            raise self._error(QueryError, "term nested too deeply", interp, self.full) from None
         return out
 
     def _error(self, cls, what: str, interp, pending: int) -> QueryError:
@@ -936,11 +914,10 @@ class _Run:
 
 def _solve(run: _Run, goal: _Lit, mask: int):
     """Yield at each solution of the pack literal ``goal``, whose trie node
-    holds the queries ``mask``.  Facts of the example are tried through a
-    plan made from the literal's arguments as they are bound now, then the
-    predicate's clauses; a clause body's literals are proved the same way,
-    and the choice points live on an explicit stack.  Closing the generator
-    undoes every binding it made."""
+    holds the queries ``mask``.  Facts of the example are tried, then the
+    predicate's clauses, each through a choice point on an explicit stack;
+    a clause body's literals are proved the same way.  Closing the
+    generator undoes every binding it made."""
     b, trail, groups, rules, limit = run.b, run.trail, run.groups, run.rules, run.limit
     names = run.pack.names
     mark = len(trail)
@@ -968,35 +945,22 @@ def _solve(run: _Run, goal: _Lit, mask: int):
                         goals = rest
                         continue
                 else:
-                    # Facts first, then clauses: their choice point goes
-                    # below the facts' one, to resume once the facts are
-                    # spent.
+                    # A literal's facts and clauses are each tried through
+                    # a choice point, the facts' one on top, so that they
+                    # are tried first and the clauses once they are spent.
                     clauses = rules.get(g.key)
                     if clauses is not None:
                         args = g.args if not off else tuple(_shift(a, off) for a in g.args)
                         stack.append([_CLAUSES, len(trail), size, 0, clauses, args, rest])
                     group = groups.get(g.key)
                     if group is not None:
-                        index, want, binds, sames, pats = _goal_plan(g.args, off, b, names)
+                        index, pats = _goal_plan(g.args, off, b, names)
                         facts = group.rows if index is None else group.first(index)
-                        n = len(facts)
-                        fmark = len(trail)
-                        i = _scan(facts, 0, want, sames, pats, b, trail) if want or sames or pats else 0
-                        steps += i + 1 if i < n else n
-                        if steps > limit:
-                            raise run.exhausted(mask)
-                        if i < n:
-                            if i + 1 < n:  # facts left to try on backtracking
-                                stack.append([_FACTS, fmark, size, i + 1, facts, n, want, binds, sames, pats, rest])
-                            fa = facts[i]
-                            for p, s in binds:
-                                b[s] = fa[p]
-                                trail.append(s)
-                            goals = rest
-                            continue
+                        stack.append([_FACTS, len(trail), size, 0, facts, len(facts), pats, rest])
 
-            # Backtrack: resume the newest choice point; leave when none is
-            # left.  A choice point holds its kind, the trail's and the
+            # Try the newest choice point's next fact or clause, dropping
+            # the choice point once it has none left, and leave when none
+            # is left.  A choice point holds its kind, the trail's and the
             # binding list's lengths to return to, the index of the next
             # fact or clause, and what that index runs over.
             while stack:
@@ -1005,66 +969,56 @@ def _solve(run: _Run, goal: _Lit, mask: int):
                 if size > cp[2]:
                     size = cp[2]
                     del b[size:]
+                i = cp[3]
                 if cp[0] is _FACTS:
-                    i, facts, n, want, binds, sames, pats = cp[3:10]
-                    j = _scan(facts, i, want, sames, pats, b, trail) if want or sames or pats else i
+                    facts, n, pats = cp[4:7]
+                    j = _scan(facts, i, pats, b, trail)
                     steps += j + 1 - i if j < n else n - i
                     if steps > limit:
                         raise run.exhausted(mask)
-                    if j == n:
+                    if j + 1 >= n:
                         stack.pop()
-                        continue
-                    if j + 1 < n:
-                        cp[3] = j + 1
-                    else:
-                        stack.pop()
-                    fa = facts[j]
-                    for p, s in binds:
-                        b[s] = fa[p]
-                        trail.append(s)
-                    goals = cp[10]
+                        if j == n:
+                            continue
+                    cp[3] = j + 1
+                    goals = cp[7]
                     break
-                i, clauses, args = cp[3], cp[4], cp[5]
-                while i < len(clauses):
-                    c = clauses[i]
-                    i += 1
-                    steps += 1
-                    if steps > limit:
-                        raise run.exhausted(mask)
-                    top = size
-                    size += c.size
-                    b.extend([None] * c.size)
-                    if c.linear:
-                        # What ``_unify`` does against fresh slots: an
-                        # unbound argument is bound to its head slot,
-                        # anything else binds the head slot.
-                        for s, x in enumerate(args, top):
-                            x = _deref(x, b)
-                            if type(x) is int:
-                                b[x] = s
-                                trail.append(x)
-                            else:
-                                b[s] = x
-                                trail.append(s)
-                    elif not all(_unify(x, _shift(h, top), b, trail) for x, h in zip(args, c.head)):
-                        _undo(b, trail, cp[1])
-                        size = top
-                        del b[top:]
-                        continue
-                    cp[3] = i
-                    if i == len(clauses):
-                        stack.pop()
-                    goals = cp[6]
-                    for lit in reversed(c.body):
-                        goals = (lit, top, goals)
-                    break
-                else:
+                clauses, args = cp[4], cp[5]
+                if i + 1 == len(clauses):
                     stack.pop()
-                    continue
+                cp[3] = i + 1
+                c = clauses[i]
+                steps += 1
+                if steps > limit:
+                    raise run.exhausted(mask)
+                top = size
+                size += c.size
+                b.extend([None] * c.size)
+                if c.linear:
+                    # What ``_unify`` does against fresh slots: an unbound
+                    # argument is bound to its head slot, anything else
+                    # binds the head slot.
+                    for s, x in enumerate(args, top):
+                        x = _deref(x, b)
+                        if type(x) is int:
+                            b[x] = s
+                            trail.append(x)
+                        else:
+                            b[s] = x
+                            trail.append(s)
+                elif not all(_unify(x, _shift(h, top), b, trail) for x, h in zip(args, c.head)):
+                    continue  # the next turn of the loop undoes the bindings
+                goals = cp[6]
+                for lit in reversed(c.body):
+                    goals = (lit, top, goals)
                 break
             else:
                 run.steps = steps
                 return
+    except RecursionError:
+        # A term the proof built nests deeper than the recursive term
+        # functions (``_term``, ``_unify``, ``_occurs``) can walk.
+        raise run.failed("term nested too deeply", mask) from None
     finally:
         _undo(b, trail, mark)
         del b[base:]

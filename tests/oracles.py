@@ -319,12 +319,15 @@ class SLDResolver:
 
 def sld_outcome(query, interp: Interpretation, clauses, budget: int):
     """``(True or False, steps to decide)`` for a query proved alone, or the
-    error it raises, as ``(type, message)``."""
+    error it raises, as ``(type, message)``; a term nested deeper than
+    Python's recursion allows is the engine's ``QueryError`` for it."""
     r = SLDResolver(query, interp, clauses, budget)
     try:
         found = next(r.solutions(), None) is not None
     except QueryError as e:
         return type(e), str(e)
+    except RecursionError:
+        return QueryError, str(r._fail(QueryError, "term nested too deeply"))
     return found, r.steps
 
 
@@ -336,6 +339,8 @@ def sld_answers(query, var: str, interp: Interpretation, clauses, budget: int):
         return [_resolved(Variable(var), s) for s in r.solutions()]
     except QueryError as e:
         return type(e), str(e)
+    except RecursionError:
+        return QueryError, str(r._fail(QueryError, "term nested too deeply"))
 
 
 # ---------------------------------------------------------------------------
@@ -1842,167 +1847,172 @@ class InterpretedPack:
         steps = done = 0
         owner = self.root  # the trie node the current goals lead to
         goals = owner.entry[2]
-        while True:
-            g, off, rest = goals
-            if type(g) is _WalkNode:
-                if sink is None:
-                    done |= g.ends
-                    if done == full:
-                        break
-                elif g.ends:
-                    sink(b)
-                # The walk reaches a node only while a query below it is
-                # undecided, so a lone kid is still undecided.
-                if g.lone is not None:
-                    owner = g.lone
-                    goals = owner.entry
-                    continue
-                if g.kids:
-                    stack.append([_WALK_BRANCH, g, len(trail), size, iter(g.kids)])
-            elif g.op is not None:
-                steps += 1
-                if steps > limit:
-                    raise self._exhausted(interp, budget, owner.mask & ~done)
-                plan = g.plan
-                try:
-                    if plan is None:
-                        ok = _walk_builtin(g, off, b, trail, names)
-                    else:
-                        x, xs, y, ys, equal = plan
-                        x = b[x] if xs else x
-                        y = b[y] if ys else y
-                        ok = _e_test(g.op, x, y, g.lit) if equal is None else (x == y) is equal
-                except QueryError as e:
-                    raise self._error(QueryError, e.message, interp, owner.mask & ~done) from None
-                if ok:
-                    goals = rest
-                    continue
-            else:
-                # Facts prove the literal through its plan (the static one,
-                # else one made now), then its clauses: their choice point
-                # goes below the facts' one, to resume once the facts are
-                # spent.
-                plan = g.plan
-                if plan is None and g.key in rules:
-                    args = g.args if not off else tuple(_e_shift(a, off) for a in g.args)
-                    stack.append([_WALK_CLAUSES, owner, len(trail), size, 0, rules[g.key], args, rest])
-                group = groups.get(g.key)
-                if group is not None:
-                    if plan is None:
-                        plan = _walk_goal_plan(g.args, off, b, names)
-                    index, want, checks, binds, sames, pats = plan
-                    if index is None:
-                        facts = group.rows
-                    else:
-                        facts = group.first(b[index[1]] if index[0] else index[1])
-                    if checks:
-                        want = want + tuple((p, b[s]) for p, s in checks)
-                    n = len(facts)
-                    mark = len(trail)
-                    i = _walk_scan(facts, 0, want, sames, pats, b, trail) if want or sames or pats else 0
-                    steps += i + 1 if i < n else n
+        try:
+            while True:
+                g, off, rest = goals
+                if type(g) is _WalkNode:
+                    if sink is None:
+                        done |= g.ends
+                        if done == full:
+                            break
+                    elif g.ends:
+                        sink(b)
+                    # The walk reaches a node only while a query below it is
+                    # undecided, so a lone kid is still undecided.
+                    if g.lone is not None:
+                        owner = g.lone
+                        goals = owner.entry
+                        continue
+                    if g.kids:
+                        stack.append([_WALK_BRANCH, g, len(trail), size, iter(g.kids)])
+                elif g.op is not None:
+                    steps += 1
                     if steps > limit:
                         raise self._exhausted(interp, budget, owner.mask & ~done)
-                    if i < n:
-                        if i + 1 < n:  # facts left to try on backtracking
-                            stack.append([
-                                _WALK_FACTS, owner, mark, size, i + 1,
-                                facts, n, want, binds, sames, pats, rest,
-                            ])
-                        fa = facts[i]
+                    plan = g.plan
+                    try:
+                        if plan is None:
+                            ok = _walk_builtin(g, off, b, trail, names)
+                        else:
+                            x, xs, y, ys, equal = plan
+                            x = b[x] if xs else x
+                            y = b[y] if ys else y
+                            ok = _e_test(g.op, x, y, g.lit) if equal is None else (x == y) is equal
+                    except QueryError as e:
+                        raise self._error(QueryError, e.message, interp, owner.mask & ~done) from None
+                    if ok:
+                        goals = rest
+                        continue
+                else:
+                    # Facts prove the literal through its plan (the static one,
+                    # else one made now), then its clauses: their choice point
+                    # goes below the facts' one, to resume once the facts are
+                    # spent.
+                    plan = g.plan
+                    if plan is None and g.key in rules:
+                        args = g.args if not off else tuple(_e_shift(a, off) for a in g.args)
+                        stack.append([_WALK_CLAUSES, owner, len(trail), size, 0, rules[g.key], args, rest])
+                    group = groups.get(g.key)
+                    if group is not None:
+                        if plan is None:
+                            plan = _walk_goal_plan(g.args, off, b, names)
+                        index, want, checks, binds, sames, pats = plan
+                        if index is None:
+                            facts = group.rows
+                        else:
+                            facts = group.first(b[index[1]] if index[0] else index[1])
+                        if checks:
+                            want = want + tuple((p, b[s]) for p, s in checks)
+                        n = len(facts)
+                        mark = len(trail)
+                        i = _walk_scan(facts, 0, want, sames, pats, b, trail) if want or sames or pats else 0
+                        steps += i + 1 if i < n else n
+                        if steps > limit:
+                            raise self._exhausted(interp, budget, owner.mask & ~done)
+                        if i < n:
+                            if i + 1 < n:  # facts left to try on backtracking
+                                stack.append([
+                                    _WALK_FACTS, owner, mark, size, i + 1,
+                                    facts, n, want, binds, sames, pats, rest,
+                                ])
+                            fa = facts[i]
+                            for p, s in binds:
+                                b[s] = fa[p]
+                                trail.append(s)
+                            goals = rest
+                            continue
+
+                # Backtrack: resume the newest choice point that still serves an
+                # undecided query; leave the walk when none is left.  A choice
+                # point holds its kind, its owner, the trail's and the binding
+                # list's lengths to return to, and what is left to try: the index
+                # of the next fact or clause, or an iterator over the kids.
+                while stack:
+                    cp = stack[-1]
+                    mark = cp[2]
+                    _e_undo(b, trail, mark)
+                    if size > cp[3]:
+                        size = cp[3]
+                        del b[size:]
+                    if not cp[1].mask & ~done:
+                        stack.pop()
+                        continue
+                    kind = cp[0]
+                    if kind is _WALK_FACTS:
+                        i, facts, n, want, binds, sames, pats = cp[4:11]
+                        j = _walk_scan(facts, i, want, sames, pats, b, trail) if want or sames or pats else i
+                        steps += j + 1 - i if j < n else n - i
+                        if steps > limit:
+                            raise self._exhausted(interp, budget, cp[1].mask & ~done)
+                        if j == n:
+                            stack.pop()
+                            continue
+                        if j + 1 < n:
+                            cp[4] = j + 1
+                        else:
+                            stack.pop()
+                        fa = facts[j]
                         for p, s in binds:
                             b[s] = fa[p]
                             trail.append(s)
-                        goals = rest
-                        continue
-
-            # Backtrack: resume the newest choice point that still serves an
-            # undecided query; leave the walk when none is left.  A choice
-            # point holds its kind, its owner, the trail's and the binding
-            # list's lengths to return to, and what is left to try: the index
-            # of the next fact or clause, or an iterator over the kids.
-            while stack:
-                cp = stack[-1]
-                mark = cp[2]
-                _e_undo(b, trail, mark)
-                if size > cp[3]:
-                    size = cp[3]
-                    del b[size:]
-                if not cp[1].mask & ~done:
-                    stack.pop()
-                    continue
-                kind = cp[0]
-                if kind is _WALK_FACTS:
-                    i, facts, n, want, binds, sames, pats = cp[4:11]
-                    j = _walk_scan(facts, i, want, sames, pats, b, trail) if want or sames or pats else i
-                    steps += j + 1 - i if j < n else n - i
-                    if steps > limit:
-                        raise self._exhausted(interp, budget, cp[1].mask & ~done)
-                    if j == n:
-                        stack.pop()
-                        continue
-                    if j + 1 < n:
-                        cp[4] = j + 1
-                    else:
-                        stack.pop()
-                    fa = facts[j]
-                    for p, s in binds:
-                        b[s] = fa[p]
-                        trail.append(s)
-                    owner, goals = cp[1], cp[11]
-                    break
-                if kind is _WALK_CLAUSES:
-                    i, clauses, args = cp[4], cp[5], cp[6]
-                    while i < len(clauses):
-                        c = clauses[i]
-                        i += 1
-                        steps += 1
-                        if steps > limit:
-                            raise self._exhausted(interp, budget, cp[1].mask & ~done)
-                        top = size
-                        size += c.size
-                        b.extend([None] * c.size)
-                        if c.linear:
-                            # What ``_e_unify`` does against fresh slots: an
-                            # unbound argument is bound to its head slot,
-                            # anything else binds the head slot.
-                            for s, x in enumerate(args, top):
-                                x = _e_deref(x, b)
-                                if type(x) is int:
-                                    b[x] = s
-                                    trail.append(x)
-                                else:
-                                    b[s] = x
-                                    trail.append(s)
-                        elif not all(
-                            _e_unify(x, _e_shift(h, top), b, trail) for x, h in zip(args, c.head)
-                        ):
-                            _e_undo(b, trail, mark)
-                            size = top
-                            del b[top:]
-                            continue
-                        cp[4] = i
-                        if i == len(clauses):
+                        owner, goals = cp[1], cp[11]
+                        break
+                    if kind is _WALK_CLAUSES:
+                        i, clauses, args = cp[4], cp[5], cp[6]
+                        while i < len(clauses):
+                            c = clauses[i]
+                            i += 1
+                            steps += 1
+                            if steps > limit:
+                                raise self._exhausted(interp, budget, cp[1].mask & ~done)
+                            top = size
+                            size += c.size
+                            b.extend([None] * c.size)
+                            if c.linear:
+                                # What ``_e_unify`` does against fresh slots: an
+                                # unbound argument is bound to its head slot,
+                                # anything else binds the head slot.
+                                for s, x in enumerate(args, top):
+                                    x = _e_deref(x, b)
+                                    if type(x) is int:
+                                        b[x] = s
+                                        trail.append(x)
+                                    else:
+                                        b[s] = x
+                                        trail.append(s)
+                            elif not all(
+                                _e_unify(x, _e_shift(h, top), b, trail) for x, h in zip(args, c.head)
+                            ):
+                                _e_undo(b, trail, mark)
+                                size = top
+                                del b[top:]
+                                continue
+                            cp[4] = i
+                            if i == len(clauses):
+                                stack.pop()
+                            owner, goals = cp[1], cp[7]
+                            for lit in reversed(c.body):
+                                goals = (lit, top, goals)
+                            break
+                        else:
                             stack.pop()
-                        owner, goals = cp[1], cp[7]
-                        for lit in reversed(c.body):
-                            goals = (lit, top, goals)
+                            continue
                         break
+                    for kid in cp[4]:
+                        if kid.mask & ~done:
+                            owner = kid
+                            goals = owner.entry
+                            break
                     else:
                         stack.pop()
                         continue
                     break
-                for kid in cp[4]:
-                    if kid.mask & ~done:
-                        owner = kid
-                        goals = owner.entry
-                        break
                 else:
-                    stack.pop()
-                    continue
-                break
-            else:
-                break
+                    break
+        except RecursionError:
+            # As the engine: a term nested deeper than the recursive term
+            # helpers can walk is an error of the query being proved.
+            raise self._error(QueryError, "term nested too deeply", interp, owner.mask & ~done) from None
         self.steps += steps
         return done
 

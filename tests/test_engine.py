@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from conftest import BONGARD_BACKGROUND, PICTURE_1, PICTURE_2, examples, mk_interp, mk_query_literals
@@ -468,6 +469,9 @@ STEP_TABLE = [
         ("size(X,S)", "large(X)"), SCENE, SIZED,
         "> needs numeric arguments, got S > 1 in example 15 on query size(X,S), large(X)", 10,
     ),
+    # s(T)'s first argument is a compound ground only under the bindings:
+    # it picks s(f(a)) as the one fact to try (4 steps without the index).
+    (("T = f(U)", "U = a", "s(T)"), TERMS, None, True, 3),
 ]
 
 
@@ -493,6 +497,26 @@ def test_pack_through_recursive_background():
     assert succeeds(q("anc(n0,n300)"), deep, ANCESTOR)
     with pytest.raises(BudgetExceededError, match=r"budget of 50 exhausted in example 8"):
         succeeds(q("anc(n0,n300)"), deep, ANCESTOR, budget=50)
+
+
+def test_a_term_nested_too_deeply_is_a_query_error():
+    # Each grow/1 call wraps its argument once more, and \\= walks the
+    # whole of it, until it nests deeper than Python's recursion allows.
+    grow = Background(parse_program("grow(X) :- X \\= a, grow(f(X)).\n"))
+    with pytest.raises(QueryError) as info:
+        succeeds(q("grow(b)"), CHAIN, grow)
+    assert type(info.value) is QueryError
+    assert str(info.value) == "term nested too deeply in example 5 on query grow(b)"
+    # wrap/2 builds its answer from the outside in, one shallow binding per
+    # par/2 fact, so only rendering the answer walks the whole term.
+    wrap = Background(parse_program("wrap(N,a) :- last(N).\nwrap(N,f(Y)) :- par(N,M), wrap(M,Y).\n"))
+    n = sys.getrecursionlimit()
+    deep = mk_interp("9", "pos", *(f"par(n{i},n{i + 1})" for i in range(n)), f"last(n{n})")
+    assert succeeds(q("wrap(n0,X)"), deep, wrap)
+    with pytest.raises(QueryError) as info:
+        answer_all(q("wrap(n0,X)"), "X", deep, wrap)
+    assert type(info.value) is QueryError
+    assert str(info.value) == "term nested too deeply in example 9 on query wrap(n0,X)"
 
 
 def test_unification_with_compounds_and_occurs_check():

@@ -216,20 +216,33 @@ def test_poker_levels_below_the_root_reuse_every_outcome(tmp_path, monkeypatch):
     assert meta["reused"] > 0
 
 
-def test_clause_for_a_predicate_with_facts_keeps_both_engines_equal(tmp_path):
-    # points/2 has facts in the scenes and, here, a clause too, so a points
-    # test tries the scene's facts and then the clause.
+@pytest.mark.parametrize(
+    "rmodes,clauses,counts",
+    [
+        # points/2 has facts in the scenes and, here, a clause too, so a
+        # points test tries the scene's facts and then the clause.
+        ("", "points(O,up) :- circle(O).\n", (5090, 1545, 10021)),
+        # above/2 is recursive, so its tests run on the machine.
+        (
+            "rmode(5: above(+V,+-W)).\n",
+            "above(X,Y) :- inside(X,Y).\nabove(X,Y) :- inside(X,Z), above(Z,Y).\n",
+            (5399, 1545, 10566),
+        ),
+    ],
+    ids=["facts", "recursive"],
+)
+def test_clause_for_a_predicate_with_facts_keeps_both_engines_equal(tmp_path, rmodes, clauses, counts):
     settings = parse_settings(
-        BONGARD_BIAS_TEXT + "rmode(5: polygon(+-V)).\nrmode(5: doubletriangle(+-V,+-W)).\n"
+        BONGARD_BIAS_TEXT + "rmode(5: polygon(+-V)).\nrmode(5: doubletriangle(+-V,+-W)).\n" + rmodes
     )
-    background = Background(parse_program(BONGARD_BACKGROUND + "points(O,up) :- circle(O).\n"))
+    background = Background(parse_program(BONGARD_BACKGROUND + clauses))
     path = generate(GenSpec("bongard", 400, seed=7), tmp_path / "scenes.kb")
     data = load_dataset(path, settings, tmp_path / "scenes.chunks")
     classic, lds = (learn_with(a, data, background, settings) for a in ("classic", "lds"))
     assert classic.tree == lds.tree
     for model in (classic, lds):
         meta = model.metadata
-        assert (meta["evaluations"], meta["reused"], meta["proof_steps"]) == (5090, 1545, 10021)
+        assert (meta["evaluations"], meta["reused"], meta["proof_steps"]) == counts
 
 
 def test_lds_level_time_split_fits_in_the_pass(tmp_path):
