@@ -41,6 +41,8 @@ from .terms import (
     Number,
     Term,
     lex_clauses,
+    lexeme_kind,
+    lexeme_value,
     render_atom,
     render_fact,
     render_term,
@@ -119,44 +121,44 @@ _ONCE = {
 
 
 def parse_schema(text: str) -> Schema:
-    clauses, parser = lex_clauses(text)
+    parser, starts = lex_clauses(text)
+    toks = parser.toks
     found: dict[str, list[list]] = {d: [] for d in _SHAPES}
     declared: set[str] = set()
 
-    def read_name(toks, i, what: str = "a name"):
-        if toks[i][0] != "atom":
-            raise parser.error(f"expected {what}", toks[i])
-        return toks[i][2], i + 1
+    def read_name(i, what: str = "a name"):
+        if lexeme_kind(toks[i]) != "atom":
+            raise parser.error(f"expected {what}", i)
+        return lexeme_value(toks[i]), i + 1
 
-    def read_names(toks, i):
-        name, i = read_name(toks, parser.expect(toks, i, "["), "an attribute name")
+    def read_names(i):
+        name, i = read_name(parser.expect(toks, i, "["), "an attribute name")
         out = [name]
-        while toks[i][1] == ",":
-            name, i = read_name(toks, i + 1, "an attribute name")
+        while toks[i] == ",":
+            name, i = read_name(i + 1, "an attribute name")
             out.append(name)
         return tuple(out), parser.expect(toks, i, "]")
 
-    for toks in clauses:
-        tok = toks[0]
-        if tok[0] != "atom":
-            raise parser.error("expected a schema directive", tok)
-        directive = tok[2]
+    for s in starts:
+        if lexeme_kind(toks[s]) != "atom":
+            raise parser.error("expected a schema directive", s)
+        directive = lexeme_value(toks[s])
         shape = _SHAPES.get(directive)
-        i = 1
+        i = s + 1
         if shape != ():
             i = parser.expect(toks, i, "(")
             if shape is None:
-                raise parser.error(f"unknown schema directive {directive!r}", tok)
+                raise parser.error(f"unknown schema directive {directive!r}", s)
         args = []
         for kind in shape:
             if args:
                 i = parser.expect(toks, i, ",")
-            arg, i = read_names(toks, i) if kind is _NAMES else read_name(toks, i)
+            arg, i = read_names(i) if kind is _NAMES else read_name(i)
             args.append(arg)
         if directive in _ONCE:
             what = _ONCE[directive].format(*args)
             if what in declared:
-                raise parser.error(f"{what} declared twice", tok)
+                raise parser.error(f"{what} declared twice", s)
             declared.add(what)
         if shape:
             i = parser.expect(toks, i, ")")

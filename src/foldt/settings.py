@@ -31,6 +31,8 @@ from .terms import (
     Number,
     Variable,
     lex_clauses,
+    lexeme_kind,
+    lexeme_value,
     literal_variables,
     map_literals,
     render_atom,
@@ -120,12 +122,13 @@ class Settings:
 
 
 class _SettingsParser:
-    """Reads each directive ``name(args).`` from its clause's tokens by
+    """Reads each directive ``name(args).`` from the file's lexemes by
     index.  One ``TermParser`` serves the whole file, so bare ``_``
     variables are numbered through it."""
 
     def __init__(self, text: str):
-        self.clauses, self.p = lex_clauses(text)
+        self.p, self.starts = lex_clauses(text)
+        self.start = 0  # the index of the directive being read
         self.classes: list[str] | None = None
         self.rmodes: list[RMode] = []
         self.lookaheads: list[Lookahead] = []
@@ -135,69 +138,70 @@ class _SettingsParser:
 
     def run(self) -> Settings:
         p = self.p
-        for toks in self.clauses:
-            tok = toks[0]
-            if tok[0] != "atom":
-                raise p.error("expected a directive", tok)
-            i = p.expect(toks, 1, "(")
-            if tok[2] in _DIRECTIVES:
-                i = getattr(self, f"_d_{tok[2]}")(toks, i)
-            elif tok[2] in _PARAMS:
-                i = self._d_param(_PARAMS[tok[2]], toks, i)
+        toks = p.toks
+        for s in self.starts:
+            self.start = s
+            if lexeme_kind(toks[s]) != "atom":
+                raise p.error("expected a directive", s)
+            name = lexeme_value(toks[s])
+            i = p.expect(toks, s + 1, "(")
+            if name in _DIRECTIVES:
+                i = getattr(self, f"_d_{name}")(toks, i)
+            elif name in _PARAMS:
+                i = self._d_param(_PARAMS[name], toks, i)
             else:
-                raise p.error(f"unknown directive {tok[2]!r}", tok)
+                raise p.error(f"unknown directive {name!r}", s)
             p.end(toks, p.expect(toks, i, ")"))
         return self._finish()
 
     # -- individual directives ------------------------------------------
     # Each reads its arguments from ``toks[i]`` on and returns the index
-    # after them; ``toks[0]`` is the directive's name.
+    # after them; ``toks[self.start]`` is the directive's name.
 
     def _d_classes(self, toks, i):
         i = self.p.expect(toks, i, "[")
-        if toks[i][1] == "]":
-            raise self.p.error("class list empty", toks[0])
+        if toks[i] == "]":
+            raise self.p.error("class list empty", self.start)
         labels: list[str] = []
         while True:
-            t = toks[i]
-            if t[0] != "atom":
-                raise self.p.error("class labels must be atoms", t)
-            if t[2] in labels:
-                raise self.p.error(f"duplicate class label {t[2]!r}", t)
-            labels.append(t[2])
-            if toks[i + 1][1] != ",":
+            if lexeme_kind(toks[i]) != "atom":
+                raise self.p.error("class labels must be atoms", i)
+            label = lexeme_value(toks[i])
+            if label in labels:
+                raise self.p.error(f"duplicate class label {label!r}", i)
+            labels.append(label)
+            if toks[i + 1] != ",":
                 break
             i += 2
         i = self.p.expect(toks, i + 1, "]")
         if self.classes is not None:
-            raise self.p.error("classes declared twice", toks[0])
+            raise self.p.error("classes declared twice", self.start)
         self.classes = labels
         return i
 
     def _d_rmode(self, toks, i):
-        cnt = toks[i]
-        if cnt[0] != "int" or cnt[2] < 1:
-            raise self.p.error("rmode count must be a positive integer", cnt)
+        if lexeme_kind(toks[i]) != "int" or (count := lexeme_value(toks[i])) < 1:
+            raise self.p.error("rmode count must be a positive integer", i)
         modes: dict[str, str] = {}
         template, i = self._conjunction(toks, self.p.expect(toks, i + 1, ":"), modes)
-        self._check_builtin_safety(template, {v for v, m in modes.items() if m == "+"}, toks)
-        self.rmodes.append(RMode(cnt[2], template, modes))
+        self._check_builtin_safety(template, {v for v, m in modes.items() if m == "+"})
+        self.rmodes.append(RMode(count, template, modes))
         return i
 
     def _d_lookahead(self, toks, i):
         trigger, i = self._conjunction(toks, i)
         extension, i = self._conjunction(toks, self.p.expect(toks, i, ","))
-        self._check_builtin_safety(extension, set(literal_variables(trigger)), toks)
+        self._check_builtin_safety(extension, set(literal_variables(trigger)))
         self.lookaheads.append(Lookahead(trigger, extension))
         return i
 
     def _d_typed(self, toks, i):
         t, i = self.p.term(toks, i)
         if not isinstance(t, Compound) or not all(isinstance(a, Atom) for a in t.args):
-            raise self.p.error("typed/1 expects pred(type1,...,typeN)", toks[0])
+            raise self.p.error("typed/1 expects pred(type1,...,typeN)", self.start)
         key = (t.functor, len(t.args))
         if key in self.types:
-            raise self.p.error(f"duplicate type declaration for {t.functor}/{len(t.args)}", toks[0])
+            raise self.p.error(f"duplicate type declaration for {t.functor}/{len(t.args)}", self.start)
         self.types[key] = tuple(a.name for a in t.args)
         return i
 
@@ -205,26 +209,25 @@ class _SettingsParser:
         query, i = self._conjunction(toks, i)
         i = self.p.expect(toks, i, ",")
         v = toks[i]
-        if v[0] != "var":
-            raise self.p.error("discretize/2 expects a variable as second argument", v)
-        if v[2] not in literal_variables(query):
-            raise self.p.error(f"variable {v[2]} does not occur in the discretize query", v)
-        self.discretize.append(DiscretizeRequest(query, v[2]))
+        if lexeme_kind(v) != "var":
+            raise self.p.error("discretize/2 expects a variable as second argument", i)
+        if v not in literal_variables(query):
+            raise self.p.error(f"variable {v} does not occur in the discretize query", i)
+        self.discretize.append(DiscretizeRequest(query, v))
         return i + 1
 
     def _d_param(self, f, toks, i):
-        t = toks[i]
-        kind = f.type.removesuffix(" | None")
-        if (kind, t[0]) in (("int", "int"), ("str", "atom")):
-            value = t[2]
-        elif kind == "float" and t[0] in ("int", "float"):
-            value = float(t[2])
+        kind, found = f.type.removesuffix(" | None"), lexeme_kind(toks[i])
+        if (kind, found) in (("int", "int"), ("str", "atom")):
+            value = lexeme_value(toks[i])
+        elif kind == "float" and found in ("int", "float"):
+            value = float(lexeme_value(toks[i]))
         else:
-            raise self.p.error(f"{f.name}/1 expects {_KIND_NAMES[kind]}", t)
+            raise self.p.error(f"{f.name}/1 expects {_KIND_NAMES[kind]}", i)
         try:
             self.params = replace(self.params, **{f.name: value})
         except ParseError as e:
-            raise self.p.error(e.message, t) from None
+            raise self.p.error(e.message, i) from None
         return i + 1
 
     # -- template machinery ----------------------------------------------
@@ -234,9 +237,9 @@ class _SettingsParser:
         index after it; variables take mode markers, recorded in ``modes``,
         only when it is given."""
         self.p.modes = modes
-        if toks[i][1] == "(":
+        if toks[i] == "(":
             lits, sep = [], "("
-            while toks[i][1] == sep:
+            while toks[i] == sep:
                 lit, i = self.p.literal(toks, i + 1)
                 lits.append(lit)
                 sep = ","
@@ -247,7 +250,7 @@ class _SettingsParser:
         self.p.modes = None
         return tuple(lits), i
 
-    def _check_builtin_safety(self, literals, input_vars: set[str], toks):
+    def _check_builtin_safety(self, literals, input_vars: set[str]):
         """Builtins must only see variables bound by earlier non-builtin
         literals or by the query (input mode)."""
         bound = set(input_vars)
@@ -255,7 +258,7 @@ class _SettingsParser:
             if lit.builtin:
                 for v in literal_variables([lit]):
                     if v not in bound:
-                        raise self.p.error(f"builtin {lit.pred!r} would see unbound variable {v}", toks[0])
+                        raise self.p.error(f"builtin {lit.pred!r} would see unbound variable {v}", self.start)
             else:
                 bound.update(literal_variables([lit]))
 

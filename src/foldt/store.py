@@ -44,9 +44,10 @@ from .terms import (
     Literal,
     Number,
     Term,
+    TermParser,
+    Unfinished,
     is_ground,
     line_pieces,
-    read_clauses,
     render_fact,
     render_term,
 )
@@ -377,8 +378,11 @@ def decode_record(buf: bytes, memo: dict | None = None) -> Interpretation:
 
 
 def iter_kb_blocks(path, classes, allow_unlabeled: bool = False) -> Iterator[Interpretation]:
-    """Stream interpretations from a ``begin/end`` block file, read clause by
-    clause through ``terms.read_clauses`` from the file's ``line_pieces``.
+    """Stream interpretations from a ``begin/end`` block file, read a
+    ``line_pieces`` piece at a time through a ``terms.TermParser``.  A fact
+    ``pred(args).`` goes as ``(pred, args)`` straight into its group; any
+    other clause is parsed whole by ``TermParser.clause``, and a rule is an
+    error.  The line that an error names is worked out when it is raised.
 
     ``classes`` is the declared class-label list: exactly one matching nullary
     fact must appear in each block; it becomes the label and is removed from
@@ -389,46 +393,73 @@ def iter_kb_blocks(path, classes, allow_unlabeled: bool = False) -> Iterator[Int
     ident = None
     groups: dict[tuple[str, int], list] = {}  # of the open block: each key's rows
     label: str | None = None
+    parser = TermParser()
+    args_at = parser.args
     with in_file(path), open(path, "r", encoding="utf-8") as f:
-        for line, clause in read_clauses(line_pieces(f)):
-            if clause.body:
-                raise DataError(f"a data file holds facts, not rules (line {line})")
-            fact = clause.head
-            if fact.pred in ("begin", "end") and (marker := _block_marker(fact, line)) is not None:
-                kind, block_id = marker
-                if kind == "begin":
-                    if ident is not None:
-                        raise DataError(f"begin inside block {render_term(ident)} (line {line})")
-                    ident, groups, label = block_id, {}, None
-                    continue
-                if ident is None:
-                    raise DataError(f"end outside any block (line {line})")
-                if block_id != ident:
-                    raise DataError(
-                        f"mismatched begin/end ids: {render_term(ident)} vs {render_term(block_id)} (line {line})"
-                    )
-                if label is None:
-                    if not allow_unlabeled:
-                        raise DataError(f"no class fact in example {render_term(ident)}")
-                    label = ""
-                yield Interpretation(ident, label, {k: _FactGroup(tuple(v)) for k, v in groups.items()})
-                ident = None
-                continue
-            if ident is None:
-                raise DataError(f"fact outside of a begin/end block (line {line})")
-            if not fact.args and fact.pred in class_set:
-                if label is not None:
-                    raise DataError(
-                        f"ambiguous class in example {render_term(ident)}: "
-                        f"both {label} and {fact.pred} (line {line})"
-                    )
-                label = fact.pred
-                continue
-            if not all(map(is_ground, fact.args)):
-                raise DataError(f"non-ground fact in example {render_term(ident)} (line {line})")
-            groups.setdefault(fact.key, []).append(fact.args)
+        for toks in parser.pieces(line_pieces(f)):
+            i = 0
+            try:
+                while toks[i]:
+                    start, variables = i, parser.variables
+                    pred, args = toks[i], None
+                    if "a" <= pred[0] <= "z":  # an unquoted atom: a fact, if an end follows
+                        args, i = args_at(toks, i + 2) if toks[i + 1] == "(" else ((), i + 1)
+                        if "." < toks[i] < "/":  # an end (``terms._is_end``)
+                            i += 1
+                        else:
+                            args = None
+                    if args is None:  # any other clause, parsed whole
+                        clause, i = parser.clause(toks, start)
+                        if clause.body:
+                            raise _line_error("a data file holds facts, not rules", parser, start)
+                        pred, args = clause.head.pred, clause.head.args
+                    if pred in ("begin", "end") and (block_id := _block_id(args)) is not None:
+                        if not is_ground(block_id):
+                            raise _line_error("example identifier must be ground", parser, start)
+                        if pred == "begin":
+                            if ident is not None:
+                                raise _line_error(f"begin inside block {render_term(ident)}", parser, start)
+                            ident, groups, label = block_id, {}, None
+                            continue
+                        if ident is None:
+                            raise _line_error("end outside any block", parser, start)
+                        if block_id != ident:
+                            raise _line_error(
+                                f"mismatched begin/end ids: {render_term(ident)} vs {render_term(block_id)}",
+                                parser,
+                                start,
+                            )
+                        if label is None:
+                            if not allow_unlabeled:
+                                raise DataError(f"no class fact in example {render_term(ident)}")
+                            label = ""
+                        yield Interpretation(ident, label, {k: _FactGroup(tuple(v)) for k, v in groups.items()})
+                        ident = None
+                        continue
+                    if ident is None:
+                        raise _line_error("fact outside of a begin/end block", parser, start)
+                    if not args and pred in class_set:
+                        if label is not None:
+                            raise _line_error(
+                                f"ambiguous class in example {render_term(ident)}: both {label} and {pred}",
+                                parser,
+                                start,
+                            )
+                        label = pred
+                        continue
+                    if parser.variables != variables:
+                        raise _line_error(f"non-ground fact in example {render_term(ident)}", parser, start)
+                    groups.setdefault((pred, len(args)), []).append(args)
+            except Unfinished:
+                parser.keep(start)
         if ident is not None:
             raise DataError(f"unterminated block {render_term(ident)} at end of file")
+
+
+def _line_error(message: str, parser: TermParser, i: int) -> DataError:
+    """The DataError ``message`` about the clause that begins at
+    ``parser.toks[i]``, naming its line."""
+    return DataError(f"{message} (line {parser.line_of(i)})")
 
 
 def write_block(f, ident: Term, facts: Iterable[Literal]) -> None:
@@ -441,17 +472,11 @@ def write_block(f, ident: Term, facts: Iterable[Literal]) -> None:
     f.write(f"end(model({render_term(ident)})).\n")
 
 
-def _block_marker(fact: Literal, line: int):
-    if (
-        len(fact.args) == 1
-        and isinstance(fact.args[0], Compound)
-        and fact.args[0].functor == "model"
-        and len(fact.args[0].args) == 1
-    ):
-        block_id = fact.args[0].args[0]
-        if not is_ground(block_id):
-            raise DataError(f"example identifier must be ground (line {line})")
-        return fact.pred, block_id
+def _block_id(args):
+    """The ``Id`` of a ``begin`` or ``end`` fact's arguments ``(model(Id),)``,
+    or None when they are not of that shape."""
+    if len(args) == 1 and isinstance(args[0], Compound) and args[0].functor == "model" and len(args[0].args) == 1:
+        return args[0].args[0]
     return None
 
 

@@ -1,4 +1,4 @@
-"""Term model, tokenizer, parser, renderer and term mapper for the Prolog
+"""Term model, lexer, parser, renderer and term mapper for the Prolog
 subset used by data files, background programs, settings files and model
 files.
 
@@ -23,16 +23,22 @@ constructor.
 The grammar is deliberately small: unquoted lowercase atoms (interior hyphens
 allowed, so identifiers like ``h2o-1`` are plain atoms), single-quoted atoms
 with ``''`` escaping, signed integers and floats, uppercase/underscore
-variables, and compounds ``f(t1,...,tn)``.  The only infix operators are
-``:-`` and the comparison builtins; ``%`` starts a comment.
+variables, and compounds ``f(t1,...,tn)`` nested at most 256 deep.  The
+only infix operators are ``:-`` and the comparison builtins; ``%`` starts a
+comment.
 
-The tokenizer alone decides where a clause ends: a ``.`` followed by layout,
-``%`` or the end of the input is an ``end`` token, in every input (a data
-file's last clause included).  Any other ``.`` is a ``punct`` token that no
-grammar accepts, so ``p(a).q(b).`` is a ``ParseError``.  Rendering is
-canonical: ``parse(render(parse(t)))`` is structurally identical to
-``parse(t)``, and atoms are quoted exactly when they would not re-parse
-unquoted.
+The lexer gets the lexemes of a whole text, or of a piece of whole lines,
+with one ``findall`` of ``_TOKEN_RE``: a flat list of plain strings, built
+in C, with no kind, value or place beside them.  The parser tells a
+lexeme's kind from its first character and converts a number or a quoted
+atom only when it takes it, and a line and column are worked out only for
+an error, by lexing the text again.  The lexer alone decides where a
+clause ends: a ``.`` followed by layout, ``%`` or the end of the input is
+an end lexeme, in every input (a data file's last clause included).  Any
+other ``.`` is a punctuation lexeme that no grammar accepts, so
+``p(a).q(b).`` is a ``ParseError``.  Rendering is canonical:
+``parse(render(parse(t)))`` is structurally identical to ``parse(t)``, and
+atoms are quoted exactly when they would not re-parse unquoted.
 
 Refinement templates (the ``rmode`` directive of settings files) extend the
 grammar with mode markers: a variable may be written ``+V`` (input), ``-V``
@@ -49,6 +55,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Iterator, Union
 
@@ -202,276 +209,400 @@ def map_literals(literals, fn) -> tuple[Literal, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Lexer
 
-# The lexical grammar, one named group per token kind.  Layout (space, tab,
-# CR, LF and %-comments) is absorbed before each token, and the unnamed last
-# alternative matches the end of the text.  Alternatives are tried in order,
-# the most frequent first: an atom, then the punctuation that no other
-# alternative can start.  Where two alternatives can start alike, the longer
-# comes first: a float before an int, a signed number before a '+'/'-'
-# marker, a two-character operator before a ':' and an ``end`` before a '.'.
-# ``sign`` holds those last four punctuation marks; its tokens are of kind
-# ``punct``.  Unquoted lexemes are ASCII (Unicode goes inside quotes), so
-# digits are [0-9], never \d.  Python 3.10 has neither possessive
-# quantifiers nor atomic groups; ``(?!')`` instead keeps a quoted atom from
-# closing on the first quote of a ``''`` escape.  No token spans a line: a
-# quoted atom and a comment stop at a newline.
+# The lexical grammar.  Layout (space, tab, CR, LF and %-comments) is
+# absorbed before each lexeme, and the pattern's one group holds the lexeme,
+# so ``findall`` gives the lexemes of a text as one flat list of strings,
+# built in C.  Alternatives are tried in order, the most frequent first: an
+# atom, then the punctuation that no other alternative can start.  Where two
+# alternatives can start alike, the longer comes first: an end before a
+# '.', a two-character operator before a ':', a number (float or int, one
+# alternative) before a '+'/'-' marker.  A clause's ending '.' takes the
+# layout character or the comment after it into its lexeme, so an end is
+# the one kind of lexeme that starts with '.' and is longer than one
+# character; every text the lexer reads ends with a newline, so each '.'
+# that ends a clause has layout or a comment after it.  The any-character
+# alternative gives the other one-character lexemes: '.', ':', '+', '-', a
+# lone quote (an unterminated quoted atom) and an unexpected character.
+# Unquoted lexemes are ASCII (Unicode goes inside quotes), so digits are
+# [0-9], never \d.  Python 3.10 has neither possessive quantifiers nor
+# atomic groups; ``(?!')`` instead keeps a quoted atom from closing on the
+# first quote of a ``''`` escape.  No lexeme spans a line: a quoted atom
+# and a comment stop at a newline.  The last alternative matches the end of
+# the text, so the list ends with '' (once or twice), the end of the input.
 _ATOM = r"[a-z][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*"
 _TOKEN_RE = re.compile(
     rf"""(?:[ \t\r\n]|%[^\n]*)*
-    (?: (?P<atom>{_ATOM})
-      | (?P<punct>[(),\[\]!])
-      | (?P<end>\.)(?=[ \t\r\n%]|\Z)
-      | (?P<var>[A-Z_][A-Za-z0-9_]*)
-      | (?P<op>:-|=<|>=|\\=|[=<>])
-      | (?P<float>[+-]?[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))
-      | (?P<int>[+-]?[0-9]+)
-      | (?P<quoted>'(?:[^'\n]|'')*'(?!'))
-      | (?P<sign>[.:+-])
-      | (?P<unterminated>')
-      | (?P<unexpected>.)
-      | \Z
+    ( {_ATOM}
+    | [(),\[\]!]
+    | \.(?:[ \t\r\n]|%[^\n]*)
+    | [A-Z_][A-Za-z0-9_]*
+    | :-|=<|>=|\\=|[=<>]
+    | [+-]?[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)?
+    | '(?:[^'\n]|'')*'(?!')
+    | .
+    | \Z
     )""",
     re.VERBOSE,
 )
 _UNQUOTED_ATOM_RE = re.compile(_ATOM + r"\Z")
-# The kind of a token by the index of its group, which ``Match.lastindex``
-# gives faster than ``lastgroup`` gives the name.
-_KINDS = (None,) + tuple(
-    "punct" if name == "sign" else name for name in sorted(_TOKEN_RE.groupindex, key=_TOKEN_RE.groupindex.get)
-)
-# The kinds whose value is not their text, or that are lexical errors.
-_CONVERTED = frozenset({"float", "int", "quoted", "unterminated", "unexpected"})
+_PUNCT = frozenset("(),[]!.:+-")
+_OPS = frozenset({":-", "=<", ">=", "\\=", "=", "<", ">"})
+# How deeply compounds may nest: a compound inside this many others (a
+# literal counting as one) is a ParseError.  The parser takes two Python
+# frames per level, and the term helpers that recurse over what it builds
+# take one or two, so a term it accepts stays well inside Python's default
+# recursion limit of 1000.
+_MAX_DEPTH = 256
 
 
-def line_pieces(f, size: int = 1 << 16) -> Iterator[str]:
+def lexeme_kind(tok: str) -> str:
+    """The kind of the lexeme ``tok``, told by its first character: atom
+    (quoted or not), var, int, float, punct, op, end or eof, or one of the
+    lexical errors unterminated (a lone quote) and unexpected."""
+    c = tok[:1]
+    if "a" <= c <= "z" or (c == "'" and len(tok) > 1):
+        return "atom"
+    if "A" <= c <= "Z" or c == "_":
+        return "var"
+    if "0" <= c <= "9" or (len(tok) > 1 and c in "+-"):
+        return "float" if _is_float(tok) else "int"
+    if tok in _PUNCT:
+        return "punct"
+    if tok in _OPS:
+        return "op"
+    if c == ".":
+        return "end"
+    if not tok:
+        return "eof"
+    return "unterminated" if tok == "'" else "unexpected"
+
+
+def lexeme_value(tok: str):
+    """The value of the lexeme ``tok``, which has no lexical error: an
+    atom's name, a number's int or float, an end's '.', or else the lexeme
+    itself."""
+    kind = lexeme_kind(tok)
+    if kind == "atom":
+        return _name(tok)
+    if kind == "int":
+        return int(tok)
+    if kind == "float":
+        return float(tok)
+    return "." if kind == "end" else tok
+
+
+def _name(atom: str) -> str:
+    """The name of an atom lexeme, quoted or not."""
+    return atom[1:-1].replace("''", "'") if atom[0] == "'" else atom
+
+
+def _is_float(number: str) -> bool:
+    return "." in number or "e" in number or "E" in number
+
+
+def _lexical_error(tok: str) -> str | None:
+    """What makes ``tok`` no lexeme of the grammar, if anything."""
+    kind = lexeme_kind(tok)
+    if kind == "int":
+        try:
+            int(tok)
+        except ValueError:  # more digits than int() converts
+            return f"number too long ({len(tok)} characters)"
+    elif kind == "float":
+        if not math.isfinite(float(tok)):
+            return "number out of range"
+    elif kind == "unterminated":
+        return "unterminated quote"
+    elif kind == "unexpected":
+        return f"unexpected character {tok!r}"
+    return None
+
+
+def _is_end(tok: str) -> bool:
+    # The strings between '.' and '/' are those that start with '.' and
+    # are longer than it: the ends.
+    return "." < tok < "/"
+
+
+def _shown(tok: str) -> str:
+    """A lexeme as an error message names it."""
+    return "eof" if not tok else "." if tok[0] == "." else tok
+
+
+def line_pieces(f, size: int = 1 << 15) -> Iterator[str]:
     """The text of the open file ``f`` in pieces of whole lines: each the
     next ``size`` characters and the rest of the line they end in."""
     while piece := f.read(size):
         yield piece + f.readline()
 
 
-class _Lexer:
-    """The tokens of an iterable of items of whole lines, such as the pieces
-    of ``line_pieces`` or a single text; the end of an item ends a line.
-
-    A token is the tuple ``(kind, text, value, pos)``, ``pos`` being its
-    offset in the text the lexer holds, which is the current item, led by
-    the lines of a clause that began in an item before.  ``position`` turns
-    an offset into a line and column by counting newlines from the place
-    it was last asked about, so offsets must be asked about in order."""
-
-    def __init__(self, items: Iterable[str]):
-        self._items = items
-        self._text = ""
-        self._at = 0  # an offset in ``_text``, on line ``_line``
-        self._line = 1
-
-    def line(self, pos: int) -> int:
-        """The line of the offset ``pos``."""
-        self._line += self._text.count("\n", self._at, pos)
-        self._at = pos
-        return self._line
-
-    def position(self, pos: int) -> tuple[int, int]:
-        return self.line(pos), pos - self._text.rfind("\n", 0, pos)
-
-    def clauses(self) -> Iterator[list[tuple]]:
-        """The tokens, one list per clause, handed out at its ``end`` token
-        before anything after it is read.  A list that the input ends before
-        its ``end`` gets an ``eof`` token just after its last one.  A lexical
-        error hands out the tokens before it, and is raised next."""
-        finditer = _TOKEN_RE.finditer
-        kinds, converted = _KINDS, _CONVERTED
-        toks: list[tuple] = []
-        text = ""
-        for piece in self._items:
-            if piece[-1:] != "\n":
-                piece += "\n"
-            if toks:  # a clause runs on: keep its lines, and its tokens' places in them
-                cut = text.rfind("\n", 0, toks[0][3]) + 1
-                self._line += text.count("\n", self._at, cut)
-                text = text[cut:] + piece
-                toks = [(kind, lexeme, value, pos - cut) for kind, lexeme, value, pos in toks]
-            else:
-                self._line += text.count("\n", self._at)
-                text = piece
-            self._text, self._at = text, 0
-            error = None
-            for m in finditer(text, len(text) - len(piece)):
-                i = m.lastindex
-                if i is None:
-                    break
-                kind, lexeme, pos = kinds[i], m[i], m.start(i)
-                if kind not in converted:
-                    value = lexeme
-                elif kind == "int":
-                    try:
-                        value = int(lexeme)
-                    except ValueError:  # more digits than int() converts
-                        error = f"number too long ({len(lexeme)} characters)"
-                        break
-                elif kind == "float":
-                    value = float(lexeme)
-                    if not math.isfinite(value):
-                        error = "number out of range"
-                        break
-                elif kind == "quoted":
-                    kind, value = "atom", lexeme[1:-1].replace("''", "'")
-                else:
-                    error = "unterminated quote" if kind == "unterminated" else f"unexpected character {lexeme!r}"
-                    break
-                toks.append((kind, lexeme, value, pos))
-                if kind == "end":
-                    yield toks
-                    toks = []
-            if error is not None:
-                yield toks  # the parser may name one of them first, and places go in order
-                raise ParseError(error, *self.position(pos))
-        if toks:
-            last = toks[-1]
-            toks.append(("eof", "", None, last[3] + len(last[1])))
-            yield toks
-
-
 # ---------------------------------------------------------------------------
 # Parser
 
-# A punctuation or operator token is told by its text alone: no other kind
-# has such a text, as a quoted atom's text keeps its quotes.
 _END_WANTED = "'.' followed by layout to end the clause"
 
 
-class TermParser:
-    """Recursive-descent parser over a list of tokens that ends with an
-    ``end`` or ``eof`` token.  The grammar methods take the list and an index
-    and return what they parsed with the index after it.  They read a token
-    only after taking the one before it, so tokens that a lexical error cut
-    short run out (``IndexError``) where a parser pulling one token at a time
-    would meet the error.  ``where`` gives the line and column of a token,
-    for errors.
+class Unfinished(Exception):
+    """Raised by a ``TermParser`` that reads ``pieces`` in place of an error
+    at the end of a piece: the clause may go on in the next one."""
 
-    Every bare ``_`` token becomes a distinct fresh variable (``_1``, ``_2``,
+
+class TermParser:
+    """Recursive-descent parser over the lexemes that it holds as ``toks``,
+    those of ``text`` from the offset where lexing began.  The grammar
+    methods take the list and an index and return what they parsed with the
+    index after it.  A lexeme's kind is told by its first character (see
+    ``lexeme_kind``), and a number or a quoted atom is converted only when
+    the parser takes it, so a lexical error is raised only when the parser
+    reads the lexeme that holds it.  A line and column are worked out only
+    for an error or when asked for (``where``, ``line_of``), by lexing the
+    text again with the same pattern.  The parser keeps each atom and number
+    it builds, by its lexeme, until the next text is lexed, so a repeated
+    constant is built once.
+
+    Every bare ``_`` becomes a distinct fresh variable (``_1``, ``_2``,
     ...); named underscore variables such as ``_Foo`` are kept as written.
-    While ``modes`` is a dict, variables take mode markers and the dict
-    records each variable's marker (``+``, ``-`` or ``+-``); while it is
-    None, a marker is a parse error.
+    ``variables`` counts the variables built.  While ``modes`` is a dict,
+    variables take mode markers and the dict records each variable's marker
+    (``+``, ``-`` or ``+-``); while it is None, a marker is a parse error.
+    A compound nested more than ``_MAX_DEPTH`` deep is a parse error at its
+    functor.
     """
 
-    def __init__(self, where):
+    def __init__(self):
         self._anon = 0
+        self.variables = 0
         self.modes: dict[str, str] | None = None
-        self.where = where
+        self._final = True  # whether the end of ``text`` ends the input
+        self._kept: int | None = None
+        self.lex("")
 
-    def expect(self, toks, i, text: str) -> int:
+    # -- lexing and places ---------------------------------------------------
+
+    def lex(self, text: str, start: int = 0, line: int = 1) -> list[str]:
+        """Hold the lexemes of ``text`` from the offset ``start``, which is
+        on its first line, numbered ``line``, and return them.  A newline
+        is added to a text that does not end with one."""
+        if text[-1:] != "\n":
+            text += "\n"
+        self.text, self._line, self._start = text, line, start
+        self._at = (0, start, line)
+        self._consts: dict[str, Term] = {}
+        self.toks = _TOKEN_RE.findall(text, start)
+        return self.toks
+
+    def pieces(self, items: Iterable[str]) -> Iterator[list[str]]:
+        """The lexemes of each of ``items``, which hold whole lines, such as
+        the pieces of ``line_pieces``; the end of an item ends a line.  The
+        caller parses the clauses of each list in turn from index 0 up to
+        the first ''.  Where a clause runs into that '' (``Unfinished``),
+        the caller hands its first index to ``keep``: its lines then lead
+        the next item.  Once the items run out, the lines of a kept clause
+        are lexed alone as the last piece, which the end of the input
+        ends."""
+        self._final = False
+        line, text, start = 1, "", 0  # the place and lines of a kept clause
+        for item in items:
+            if item[-1:] != "\n":
+                item += "\n"
+            self._kept = None
+            yield self.lex(text + item, start, line)
+            self.toks.clear()  # free the lexemes the caller still refers to before lexing more
+            text = self.text
+            if self._kept is None:
+                line, text, start = line + text.count("\n"), "", 0
+            else:
+                off = self._place(self._kept)[0]
+                cut = text.rfind("\n", 0, off) + 1
+                line, text, start = self._line + text.count("\n", 0, cut), text[cut:], off - cut
+        self._final = True
+        if text:
+            yield self.lex(text, start, line)
+
+    def keep(self, i: int):
+        """Carry the clause that begins at ``toks[i]`` over to the next
+        piece.  Its bare ``_`` variables, all numbered before it ran out,
+        are numbered again when it is parsed whole."""
+        self._kept = i
+        self._anon -= self.toks[i:].count("_")
+
+    def _place(self, i: int) -> tuple[int, int]:
+        """The offset of ``toks[i]`` in ``text`` and its line, found by
+        lexing again from the lexeme last asked about, or from the start
+        when ``i`` lies before it."""
+        k, off, line = self._at  # lexing from ``off``, on ``line``, gives ``toks[k]`` first
+        if i < k:
+            k, off, line = 0, self._start, self._line
+        new = next(islice(_TOKEN_RE.finditer(self.text, off), i - k, None)).start(1)
+        line += self.text.count("\n", off, new)
+        self._at = (i, new, line)
+        return new, line
+
+    def line_of(self, i: int) -> int:
+        """The line of ``toks[i]``."""
+        return self._place(i)[1]
+
+    def where(self, i: int) -> tuple[int, int]:
+        """The line and column of ``toks[i]``; the end of the input sits
+        just after the lexeme before it."""
+        toks = self.toks
+        if not toks[i] and i:
+            off, line = self._place(i - 1)
+            off += len(toks[i - 1])
+        else:
+            off, line = self._place(i)
+        return line, off - self.text.rfind("\n", 0, off)
+
+    # -- errors ----------------------------------------------------------------
+
+    def error(self, message: str, i: int, seen: int | None = None) -> Exception:
+        """The error ``message`` at ``toks[i]``, met on reading ``toks[seen]``
+        (by default ``toks[i]``).  If that lexeme is a lexical error, it is
+        the error instead; if it is the end of a piece that more may
+        follow, the error is ``Unfinished``."""
+        k = i if seen is None else seen
+        if not self.toks[k] and not self._final:
+            return Unfinished()
+        if _lexical_error(self.toks[k]) is not None:
+            return self._bad(k)
+        return ParseError(message, *self.where(i))
+
+    def _bad(self, i: int) -> ParseError:
+        """The lexical error of ``toks[i]``."""
+        return ParseError(_lexical_error(self.toks[i]), *self.where(i))
+
+    def _expected(self, want: str, i: int) -> Exception:
+        return self.error(f"expected {want}, found {_shown(self.toks[i])!r}", i)
+
+    def expect(self, toks, i: int, text: str) -> int:
         """The index after ``toks[i]``, which must be the punctuation or
         operator ``text``."""
-        if toks[i][1] != text:
-            raise self._expected(repr(text), toks[i])
+        if toks[i] != text:
+            raise self._expected(repr(text), i)
         return i + 1
 
-    def end(self, toks, i):
+    def end(self, toks, i: int):
         """``toks[i]`` must end the clause."""
-        if toks[i][0] != "end":
-            raise self._expected(_END_WANTED, toks[i])
+        if not _is_end(toks[i]):
+            raise self._expected(_END_WANTED, i)
 
-    def clause(self, toks, allow_cut: bool = False) -> Clause:
-        """The fact ``Head.`` or rule ``Head :- B1, ..., Bn.`` that ``toks``
-        holds up to its ``end`` token."""
-        head, i = self.literal(toks, 0, False)
+    # -- grammar ---------------------------------------------------------------
+
+    def clause(self, toks, i: int, allow_cut: bool = False) -> tuple[Clause, int]:
+        """The fact ``Head.`` or rule ``Head :- B1, ..., Bn.`` from
+        ``toks[i]`` on, and the index after its end."""
+        start = i
+        head, i = self.literal(toks, i)
         tok = toks[i]
-        if head.builtin or head.pred == "!":
-            what = f"builtin {head.pred!r}" if head.builtin else "cut"
-            raise self.error(f"{what} cannot appear in head position", toks[0])
+        if head.builtin:
+            raise self.error(f"builtin {head.pred!r} cannot appear in head position", start, i)
         body: list[Literal] = []
         sep = ":-"
-        while tok[1] == sep:
+        while tok == sep:
             lit, i = self.literal(toks, i + 1, allow_cut)
             body.append(lit)
             tok, sep = toks[i], ","
-        if tok[0] != "end":
-            raise self._expected(_END_WANTED, tok)
-        return Clause(head, tuple(body))
+        if not _is_end(tok):
+            raise self._expected(_END_WANTED, i)
+        return Clause(head, tuple(body)), i + 1
 
-    def error(self, message: str, tok) -> ParseError:
-        return ParseError(message, *self.where(tok))
-
-    def _expected(self, want: str, tok) -> ParseError:
-        return self.error(f"expected {want}, found {tok[1] or tok[0]!r}", tok)
-
-    def literal(self, toks, i, allow_cut: bool = False):
+    def literal(self, toks, i: int, allow_cut: bool = False):
         tok = toks[i]
-        if tok[1] == "!":
+        if tok == "!":
             if not allow_cut:
-                raise self.error("cut is not allowed here", tok)
+                raise self.error("cut is not allowed here", i)
             return Literal("!", ()), i + 1
-        if tok[0] == "atom":  # built as a literal unless a builtin follows
-            args, i = self._args(toks, i + 2) if toks[i + 1][1] == "(" else ((), i + 1)
-            if toks[i][1] not in BUILTIN_PREDS:
-                return Literal(tok[2], args), i
-            lhs = Compound(tok[2], args) if args else Atom(tok[2])
+        start = i
+        c = tok[:1]
+        if "a" <= c <= "z" or (c == "'" and len(tok) > 1):  # a literal unless a builtin follows
+            name = _name(tok)
+            args, i = self.args(toks, i + 2) if toks[i + 1] == "(" else ((), i + 1)
+            if toks[i] not in BUILTIN_PREDS:
+                return Literal(name, args), i
+            lhs = Compound(name, args) if args else Atom(name)
         else:  # a variable or a number, which only a builtin makes a literal
             lhs, i = self.term(toks, i)
-            if toks[i][1] not in BUILTIN_PREDS:
-                raise self.error("a literal must be an atom or a compound term", tok)
-        op = toks[i][1]
+            if toks[i] not in BUILTIN_PREDS:
+                raise self.error("a literal must be an atom or a compound term", start, i)
+        op = toks[i]
         rhs, i = self.term(toks, i + 1)
         return Literal(op, (lhs, rhs), builtin=True), i
 
-    def term(self, toks, i):
+    def term(self, toks, i: int, depth: int = 0):
+        """The term at ``toks[i]``, inside ``depth`` compounds."""
         tok = toks[i]
-        kind = tok[0]
-        if kind == "atom":
-            if toks[i + 1][1] == "(":
-                args, i = self._args(toks, i + 2)
-                return Compound(tok[2], args), i
-            return Atom(tok[2]), i + 1
-        if kind == "int" or kind == "float":
-            return Number(tok[2]), i + 1
-        text = tok[1]
-        if kind == "var":
-            if text == "_":
+        c = tok[:1]
+        if "a" <= c <= "z" or c == "'":
+            if tok == "'":
+                raise self._bad(i)
+            name = _name(tok)
+            if toks[i + 1] == "(":
+                if depth == _MAX_DEPTH:
+                    raise self.error("term nested too deeply", i)
+                args, i = self.args(toks, i + 2, depth + 1)
+                return Compound(name, args), i
+            t = self._consts[tok] = Atom(name)
+            return t, i + 1
+        if "A" <= c <= "Z" or c == "_":
+            self.variables += 1
+            if tok == "_":
                 name = self._fresh_anonymous()
                 if self.modes is not None:
                     self.modes[name] = "-"  # each anonymous slot is a fresh output
                 return Variable(name), i + 1
-            if self.modes is not None and text not in self.modes:
-                raise self.error(f"variable {text} needs a mode marker at its first occurrence", tok)
-            return Variable(text), i + 1
-        if text == "+" or text == "-":
+            if self.modes is not None and tok not in self.modes:
+                raise self.error(f"variable {tok} needs a mode marker at its first occurrence", i)
+            return Variable(tok), i + 1
+        if "0" <= c <= "9" or (len(tok) > 1 and c in "+-"):
+            if _lexical_error(tok) is not None:
+                raise self._bad(i)
+            t = self._consts[tok] = Number(float(tok) if _is_float(tok) else int(tok))
+            return t, i + 1
+        if tok == "+" or tok == "-":
             return self._marked_variable(toks, i)
-        raise self.error(f"expected a term, found {text or kind!r}", tok)
+        raise self._expected("a term", i)
 
-    def _args(self, toks, i):
-        """The comma-separated terms from ``toks[i]`` to a closing ``)``."""
-        arg, i = self.term(toks, i)
-        args = [arg]
-        while toks[i][1] == ",":
-            arg, i = self.term(toks, i + 1)
-            args.append(arg)
-        if toks[i][1] != ")":
-            raise self._expected("')'", toks[i])
+    def args(self, toks, i: int, depth: int = 1):
+        """The comma-separated terms from ``toks[i]`` to a closing ``)``,
+        inside ``depth`` compounds, and the index after the ``)``.  A
+        constant built before is taken as it is."""
+        consts = self._consts
+        args = []
+        while True:
+            tok = toks[i]
+            t = consts.get(tok)
+            if t is None or toks[i + 1] == "(":
+                t, i = self.term(toks, i, depth)
+            else:
+                i += 1
+            args.append(t)
+            if toks[i] != ",":
+                break
+            i += 1
+        if toks[i] != ")":
+            raise self._expected("')'", i)
         return tuple(args), i + 1
 
-    def _marked_variable(self, toks, i):
-        marker = toks[i]
+    def _marked_variable(self, toks, i: int):
         if self.modes is None:
-            raise self.error("mode markers are not allowed here", marker)
-        mode = marker[1]
+            raise self.error("mode markers are not allowed here", i)
+        mode = toks[i]
         i += 1
-        if mode == "+" and toks[i][1] == "-":
+        if mode == "+" and toks[i] == "-":
             mode, i = "+-", i + 1
         v = toks[i]
-        if v[0] != "var":
-            raise self.error("mode marker must precede a variable", v)
-        if v[1] == "_":
+        if lexeme_kind(v) != "var":
+            raise self.error("mode marker must precede a variable", i)
+        if v == "_":
             name = self._fresh_anonymous()
-        elif v[1] in self.modes:
-            raise self.error(f"variable {v[1]} already carries a mode marker", v)
+        elif v in self.modes:
+            raise self.error(f"variable {v} already carries a mode marker", i)
         else:
-            name = v[1]
+            name = v
         self.modes[name] = mode
+        self.variables += 1
         return Variable(name), i + 1
 
     def _fresh_anonymous(self) -> str:
@@ -479,24 +610,32 @@ class TermParser:
         return f"_{self._anon}"
 
 
-def lex_clauses(text: str) -> tuple[list[list[tuple]], TermParser]:
-    """The tokens of ``text``, one list per clause as ``read_clauses`` gets
-    them, and a parser that places them in ``text``.  The whole text is
-    lexed first, so a lexical error anywhere in it comes before any syntax
-    error."""
-    lexer = _Lexer((text,))
-    return list(lexer.clauses()), TermParser(where=lambda tok: lexer.position(tok[3]))
+def lex_clauses(text: str) -> tuple[TermParser, list[int]]:
+    """A parser holding the lexemes of ``text``, and the index of each
+    clause's first lexeme: the first, each one after an end, but not the
+    end of the input.  Every lexeme is checked first, so a lexical error
+    anywhere in the text comes before any syntax error."""
+    parser = TermParser()
+    starts = [0]
+    for i, tok in enumerate(parser.lex(text)):
+        if _lexical_error(tok) is not None:
+            raise parser._bad(i)
+        if _is_end(tok):
+            starts.append(i + 1)
+    if not parser.toks[starts[-1]]:
+        starts.pop()
+    return parser, starts
 
 
 def parse_term(text: str) -> Term:
     """Parse a complete term; trailing input is an error."""
-    clauses, parser = lex_clauses(text)
-    if not clauses:
+    parser, _ = lex_clauses(text)
+    toks = parser.toks
+    if not toks[0]:
         raise ParseError("empty input", 1, 1)
-    toks = clauses[0]
     term, i = parser.term(toks, 0)
-    if toks[i][0] != "eof":
-        raise parser.error(f"unexpected trailing input {toks[i][1]!r}", toks[i])
+    if toks[i]:
+        raise parser.error(f"unexpected trailing input {_shown(toks[i])!r}", i)
     return term
 
 
@@ -506,29 +645,32 @@ def read_clauses(items: Iterable[str], allow_cut: bool = False) -> Iterator[tupl
     an open file or its ``line_pieces``.  The end of an item ends a line.
 
     Clauses are ``Head.`` facts and ``Head :- B1, ..., Bn.`` rules, each
-    ended by the tokenizer's ``end`` token.  Items are read up to a clause's
-    ``end`` and no further before the clause is yielded, and at most one
-    item (led by the lines of a clause begun before it) and one clause's
-    tokens are held at a time.  A syntax error takes precedence over a
-    lexical error later in the same clause: the tokens before a lexical
+    ended by an end lexeme.  Each item is lexed when the clauses before it
+    have been yielded, and the clauses it ends are yielded before the next
+    one is read, so one item's lexemes (led by the lines of a clause begun
+    before it) are held at a time.  A syntax error takes precedence over a
+    lexical error later in the same clause: the lexemes before a lexical
     error are parsed first.  One ``TermParser`` serves all the items, so
     bare ``_`` variables are numbered through the whole input.
     ``allow_cut`` admits ``!`` as a body literal, which the model-file
     decision-list section uses as a trailing marker token.
     """
-    lexer = _Lexer(items)
-    parser = TermParser(where=lambda tok: lexer.position(tok[3]))
-    for toks in lexer.clauses():
+    parser = TermParser()
+    for toks in parser.pieces(items):
+        i = 0
         try:
-            clause = parser.clause(toks, allow_cut)
-        except IndexError:  # cut short by a lexical error, raised next
-            continue
-        yield lexer.line(toks[0][3]), clause
+            while toks[i]:
+                clause, j = parser.clause(toks, i, allow_cut)
+                yield parser.line_of(i), clause
+                i = j
+        except Unfinished:
+            parser.keep(i)
 
 
 def parse_program(text: str, allow_cut: bool = False) -> tuple[Clause, ...]:
     """Parse a sequence of facts and rules (see ``read_clauses``)."""
     return tuple(clause for _, clause in read_clauses((text,), allow_cut))
+
 
 # ---------------------------------------------------------------------------
 # Renderer

@@ -14,7 +14,8 @@ The helpers after it check a tree's variable scope and theta-subsumption
 between queries, build the root refinement context and a bias without
 thresholds, and count a node's candidates by proving each full query alone.
 Then comes ``scan``, a character-loop tokenizer that states the lexical
-grammar without regular expressions, the reference for ``terms._Lexer``.
+grammar without regular expressions, the reference for the lexemes of
+``terms.TermParser`` with their kinds, values and places.
 Next is the parser that ``terms`` had before it parsed each clause from a
 list of tokens, the reference for ``terms.read_clauses`` and ``parse_term``:
 a one-token-lookahead ``TokenStream`` that pulls tokens from the lazy
@@ -25,6 +26,10 @@ then.  Over it run the settings and schema readers that ``settings`` and
 index, the reference for ``parse_settings`` and ``parse_schema``, and
 ``extract_example``, the facts of one example id as ``rdb.convert_all``
 writes them.
+Its ``TermParser`` takes a compound nested more than ``MAX_DEPTH`` deep
+for an error, as ``terms`` does.  ``iter_kb_blocks`` is the block reader
+that ``store`` had before it read facts straight from a piece's lexemes,
+over that ``read_clauses``: the reference for ``store.iter_kb_blocks``.
 Then comes ``interp_of``, which builds an example from a list of facts by
 grouping them as the block reader does, and the chunk record codec of
 formats v2 and v3, which read each record one uvarint at a time: the
@@ -63,7 +68,7 @@ from foldt.engine import (
     matches,
     succeeds,
 )
-from foldt.errors import BudgetExceededError, DataError, ParseError, QueryError
+from foldt.errors import BudgetExceededError, DataError, ParseError, QueryError, in_file
 from foldt.model import Leaf
 from foldt.rdb import ForeignKey, Schema, Table, _example_facts, _Indexes
 from foldt.settings import DiscretizeRequest, LearnerConfig, Lookahead, RMode, Settings, threshold_indices
@@ -786,6 +791,8 @@ def _line_tokens(lines: Iterable[str]) -> Iterator[Token]:
 
 
 _WANTED = {"end": "'.' followed by layout to end the clause"}
+# How many compounds a term may sit inside, as ``terms`` allows.
+MAX_DEPTH = 256
 
 
 def term_to_literal(term: Term, *, line=None, col=None) -> Literal:
@@ -840,7 +847,10 @@ class TermParser:
         self._anon = 0
         self.modes: dict[str, str] | None = None
 
-    def term(self) -> Term:
+    def term(self, depth: int = 0) -> Term:
+        """The next term, inside ``depth`` compounds (a literal counting as
+        one); a compound inside ``MAX_DEPTH`` of them is an error at its
+        functor."""
         tok = self.s.peek()
         if tok.kind == "var":
             self.s.next()
@@ -862,11 +872,13 @@ class TermParser:
         if tok.kind == "atom":
             self.s.next()
             if self.s.at("punct", "("):
+                if depth == MAX_DEPTH:
+                    raise ParseError("term nested too deeply", tok.line, tok.col)
                 self.s.next()
-                args = [self.term()]
+                args = [self.term(depth + 1)]
                 while self.s.at("punct", ","):
                     self.s.next()
-                    args.append(self.term())
+                    args.append(self.term(depth + 1))
                 self.s.expect("punct", ")")
                 return Compound(tok.value, tuple(args))
             return Atom(tok.value)
@@ -1287,6 +1299,77 @@ def interp_of(ident: Term, label: str, facts: Iterable[Literal]) -> Interpretati
     for f in facts:
         groups.setdefault(f.key, []).append(f.args)
     return Interpretation(ident, label, {k: _FactGroup(tuple(v)) for k, v in groups.items()})
+
+
+# ---------------------------------------------------------------------------
+# Reference block reader: one clause at a time through the reference parser
+#
+# The block reader that ``store`` had before it read facts straight from a
+# piece's lexemes: each clause comes whole from ``read_clauses`` above, with
+# the line it starts on, as a ``Clause`` of ``Literal``s.
+
+
+def iter_kb_blocks(path, classes, allow_unlabeled: bool = False) -> Iterator[Interpretation]:
+    """The examples of a ``begin/end`` block file, the reference for
+    ``store.iter_kb_blocks``."""
+    class_set = set(classes)
+    ident = None
+    groups: dict[tuple[str, int], list] = {}
+    label: str | None = None
+    with in_file(path), open(path, "r", encoding="utf-8") as f:
+        for line, clause in read_clauses(f):
+            if clause.body:
+                raise DataError(f"a data file holds facts, not rules (line {line})")
+            fact = clause.head
+            if fact.pred in ("begin", "end") and (marker := _block_marker(fact, line)) is not None:
+                kind, block_id = marker
+                if kind == "begin":
+                    if ident is not None:
+                        raise DataError(f"begin inside block {render_term(ident)} (line {line})")
+                    ident, groups, label = block_id, {}, None
+                    continue
+                if ident is None:
+                    raise DataError(f"end outside any block (line {line})")
+                if block_id != ident:
+                    raise DataError(
+                        f"mismatched begin/end ids: {render_term(ident)} vs {render_term(block_id)} (line {line})"
+                    )
+                if label is None:
+                    if not allow_unlabeled:
+                        raise DataError(f"no class fact in example {render_term(ident)}")
+                    label = ""
+                yield Interpretation(ident, label, {k: _FactGroup(tuple(v)) for k, v in groups.items()})
+                ident = None
+                continue
+            if ident is None:
+                raise DataError(f"fact outside of a begin/end block (line {line})")
+            if not fact.args and fact.pred in class_set:
+                if label is not None:
+                    raise DataError(
+                        f"ambiguous class in example {render_term(ident)}: "
+                        f"both {label} and {fact.pred} (line {line})"
+                    )
+                label = fact.pred
+                continue
+            if not all(map(is_ground, fact.args)):
+                raise DataError(f"non-ground fact in example {render_term(ident)} (line {line})")
+            groups.setdefault(fact.key, []).append(fact.args)
+        if ident is not None:
+            raise DataError(f"unterminated block {render_term(ident)} at end of file")
+
+
+def _block_marker(fact: Literal, line: int):
+    if (
+        len(fact.args) == 1
+        and isinstance(fact.args[0], Compound)
+        and fact.args[0].functor == "model"
+        and len(fact.args[0].args) == 1
+    ):
+        block_id = fact.args[0].args[0]
+        if not is_ground(block_id):
+            raise DataError(f"example identifier must be ground (line {line})")
+        return fact.pred, block_id
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,35 @@ def test_parse_errors_name_their_file(tmp_path, bias_file, data_file, capsys, fl
     assert capsys.readouterr().err == f"error: {bad}: unexpected character '²' at {where}\n"
 
 
+@pytest.mark.parametrize(
+    "flag,raw,where",
+    [
+        ("--data", b"begin(model(1)).\np(\xff).\npos.\nend(model(1)).\n", "(invalid start byte) at line 2, column 3"),
+        ("--bg", b"p(a).\r\nq('\xc3(').\n", "(invalid continuation byte) at line 2, column 4"),
+        ("--settings", b"classes([pos,neg]).\r% caf\xc3\xa9 \xe9t\xe9\n", "(invalid continuation byte) at line 2, column 8"),
+        ("--model", b"foldt-model 2\nsection meta 1\n{\"a\":\"\xff\"}\n", "(invalid start byte) at line 3, column 7"),
+        ("--schema", b"table(m, [f]).\n\n\xc3", "(unexpected end of data) at line 3, column 1"),
+    ],
+    ids=["data", "background", "settings", "model", "schema"],
+)
+def test_a_file_that_is_not_utf8_is_an_error_at_its_first_bad_byte(
+    tmp_path, bias_file, data_file, capsys, flag, raw, where
+):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(raw)
+    if flag == "--model":
+        args = ["classify", "--model", str(bad), "--data", str(data_file)]
+    elif flag == "--schema":
+        args = ["convert", "--tables", str(tmp_path), "--schema", str(bad), "--out", "o.kb", "--bg", "o.pl"]
+    else:
+        background = tmp_path / "bg.pl"
+        background.write_text("p(a).\n")
+        files = {"--data": data_file, "--settings": bias_file, "--bg": background, flag: bad}
+        args = ["learn", *[x for f, path in files.items() for x in (f, str(path))], "--out", str(tmp_path / "m")]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text {where}\n"
+
+
 def test_builtin_error_names_its_example_and_query(tmp_path, data_file, capsys):
     bias = tmp_path / "bias.s"
     bias.write_text("classes([pos,neg]).\nrmode(5: triangle(+-V)).\nrmode(5: bad(+-V)).\n")

@@ -2,13 +2,16 @@ import json
 import struct
 import tracemalloc
 from collections import Counter
+from functools import partial
+from unittest import mock
 
 import oracles
 import pytest
-from conftest import POKER_BIAS_TEXT, learn_with, mk_interp
-from hypothesis import given, settings as hsettings, strategies as st
+from conftest import POKER_BIAS_TEXT, examples, learn_with, mk_interp
+from hypothesis import example, given, settings as hsettings, strategies as st
 
-from foldt.errors import DataError, ParseError
+from foldt import store
+from foldt.errors import DataError, FoldtError, ParseError
 from foldt.generators import GenSpec, generate, replicate
 from foldt.settings import ALGORITHMS, parse_settings
 from foldt.store import (
@@ -21,7 +24,7 @@ from foldt.store import (
     load_dataset,
     open_dataset,
 )
-from foldt.terms import Atom, Compound, Literal, Number, parse_term
+from foldt.terms import Atom, Compound, Literal, Number, line_pieces, parse_term
 
 POKER_SETTINGS = parse_settings(
     "classes([nothing,pair,two_pairs,three_of_a_kind,full_house,four_of_a_kind])."
@@ -155,6 +158,99 @@ def test_a_block_file_is_read_a_piece_at_a_time(tmp_path):
     with pytest.raises(ParseError) as e:
         list(iter_kb_blocks(path, POKER_SETTINGS.classes))
     assert (e.value.message, e.value.line, e.value.column) == ("unexpected character '²'", 5002, 10)
+
+
+def test_a_dense_block_file_is_read_a_piece_at_a_time(tmp_path):
+    """Reading 2 MB of facts, with no comments, holds one 32 KiB piece and
+    its lexemes at a time.  Such a piece holds about 1,900 lines and 12,500
+    lexemes, whose list takes about 0.45 MiB (each lexeme longer than one
+    character is a string object of its own); the peak, about 0.55 MiB,
+    stays under 0.75 MiB."""
+    hand = "".join(f"  card({r},{s}).\n" for r, s in zip((7, "queen", 9, 10, "ace"), ("spades", "hearts", "clubs") * 2))
+    blocks = "".join(f"begin(model({i})).\n{hand}  pair.\nend(model({i})).\n" for i in range(15000))
+    path = tmp_path / "dense.kb"
+    path.write_text(blocks)
+    assert 2_000_000 < path.stat().st_size < 2_200_000
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in iter_kb_blocks(path, POKER_SETTINGS.classes))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 15000 and peak < 768 * 1024
+
+
+# Block files for the reference reader: facts whose arguments hold quoted
+# atoms with a ``''`` escape, compounds, signed and float numbers, written
+# over several lines with comments between them, and one time in two one
+# bad clause: a lexical or syntax error, a non-ground fact, a rule, a block
+# marker out of place or a term nested too deeply.
+_block_args = st.sampled_from(
+    ["a", "h2o-1", "'it''s'", "''", "'Q r'", "7", "-2", "+3", "1.5", "-2.5e3", "0.0", "f(a,7)", "g(f(b),'x''y')"]
+)
+_arg_separators = st.sampled_from([",", ",", ", ", ",\n    ", ", % c. x\n  "])
+_block_facts = st.builds(
+    lambda pred, args, seps: pred
+    + ("(" + args[0] + "".join(seps[k % len(seps)] + a for k, a in enumerate(args[1:])) + ")" if args else ""),
+    st.sampled_from(["card", "p", "q", "'Big'", "'it''s'", "begin", "end"]),
+    st.lists(_block_args, max_size=3),
+    st.lists(_arg_separators, min_size=1, max_size=3),
+)
+_bad_clauses = st.sampled_from(
+    ["p(a, \u00b2).", "q('open", "r(1e999).", "s(" + "1" * 5000 + ").", "p(a b).", "p(X).", "p(a, _).", "q(f(Y)).",
+     "p(a) :- q(a).", "end(model(zz)).", "begin(model(Y)).", "begin(model(1)).", "X = y.", "p(a).q(b).", "pos.",
+     "neg.", "p(" + "f(" * 260 + "a" + ")" * 260 + ").", "'begin'(model(1)).", "p(a)", "end(model(1))."]
+)
+
+
+def _block_text(blocks, layouts, bad):
+    clauses = []
+    for ident, facts, label in blocks:
+        clauses += [f"begin(model({ident})).", *[f + "." for f in facts], *label, f"end(model({ident}))."]
+    if bad is not None:
+        k, clause = bad
+        clauses.insert(k % (len(clauses) + 1), clause)
+    return "".join(c + layouts[k % len(layouts)] for k, c in enumerate(clauses))
+
+
+_block_files = st.builds(
+    _block_text,
+    st.lists(
+        st.tuples(
+            st.sampled_from(["1", "2", "b7", "'id 3'", "-4", "2.5", "f(a)"]),
+            st.lists(_block_facts, max_size=4),
+            st.sampled_from([["pos."], ["neg."], ["pos."], ["neg."], []]),
+        ),
+        max_size=4,
+    ),
+    st.lists(st.sampled_from(["\n", "\n  ", " ", " % c.\n", "\r\n", "\n\n% x\n"]), min_size=1, max_size=3),
+    st.none() | st.tuples(st.integers(0, 30), _bad_clauses),
+)
+
+
+def _read_outcome(read):
+    try:
+        return list(read())
+    except FoldtError as e:
+        return (type(e).__name__, str(e), getattr(e, "line", None), getattr(e, "column", None))
+
+
+@hsettings(max_examples=examples(200), deadline=None)
+@given(_block_files, st.integers(1, 40), st.booleans())
+@example("begin(model(1)).\n  card(7,\n    'it''s') % c\n  .\n  pos.\nend(model(1)).\n", 3, False)
+@example("begin(model(1)).\n  p(a).\n  q(\u00b2).\n  pos.\nend(model(1)).\n", 8, False)
+@example("begin(model(1)).\n  p(a,\n    f(X)).\n  pos.\nend(model(1)).\n", 2, True)
+def test_iter_kb_blocks_agrees_with_the_reference_reader(tmp_path_factory, text, size, allow_unlabeled):
+    """Equal examples, or the same error at the same place, as the reader
+    that took each clause whole from the reference parser, whatever the
+    size of the pieces the file is read in."""
+    path = tmp_path_factory.getbasetemp() / "blocks.kb"
+    path.write_text(text, encoding="utf-8")
+    classes = ("pos", "neg")
+    expected = _read_outcome(lambda: oracles.iter_kb_blocks(path, classes, allow_unlabeled))
+    assert _read_outcome(lambda: iter_kb_blocks(path, classes, allow_unlabeled)) == expected
+    with mock.patch.object(store, "line_pieces", partial(line_pieces, size=size)):
+        assert _read_outcome(lambda: iter_kb_blocks(path, classes, allow_unlabeled)) == expected
 
 
 def test_compile_leaves_the_block_file_directory_as_it_was(tmp_path):

@@ -4,6 +4,7 @@ import pickle
 
 import oracles
 import pytest
+from conftest import examples
 from hypothesis import example, given, settings as hsettings, strategies as st
 from oracles import scan
 
@@ -19,8 +20,11 @@ from foldt.terms import (
     Literal,
     Number,
     Variable,
-    _Lexer,
+    _shown,
     is_ground,
+    lex_clauses,
+    lexeme_kind,
+    lexeme_value,
     line_pieces,
     parse_program,
     parse_term,
@@ -99,6 +103,33 @@ def test_parse_errors_have_positions():
     with pytest.raises(ParseError, match="number out of range") as e:
         parse_term("f(a, -1.5e999)")
     assert e.value.column == 6
+
+
+def _nested(n: int, leaf: str = "a") -> str:
+    return "f(" * n + leaf + ")" * n
+
+
+def test_a_term_nested_too_deeply_is_a_parse_error(tmp_path):
+    """A compound inside 256 others (a literal counting as one) is an error
+    at its functor, wherever the term is read; one level less parses."""
+    assert parse_term(_nested(256)) == parse_term(_nested(255, "f(a)"))
+    assert len(parse_program(f"p({_nested(255)}).")) == 1
+    data = tmp_path / "deep.kb"
+    data.write_text(f"begin(model(1)).\n  p({_nested(500)}).\n  pair.\nend(model(1)).\n")
+    background = tmp_path / "deep.pl"
+    background.write_text(f"q(X) :-\n  r(X, {_nested(500)}).\n")
+    cases = [
+        (lambda: parse_term(_nested(500)), (1, 513)),
+        (lambda: parse_term(_nested(257)), (1, 513)),
+        (lambda: parse_program(f"p({_nested(500)}) :- q."), (1, 513)),
+        (lambda: list(iter_kb_blocks(data, ("pair",))), (2, 515)),
+        (lambda: load_background(background), (2, 518)),
+        (lambda: parse_settings(f"classes([a]).\ntyped({_nested(500)})."), (2, 519)),
+    ]
+    for read, place in cases:
+        with pytest.raises(ParseError) as e:
+            read()
+        assert (e.value.message, e.value.line, e.value.column) == ("term nested too deeply", *place)
 
 
 @pytest.mark.parametrize("text,col", [("f(a,+X)", 5), ("f(-X)", 3), ("f(+-X)", 3)])
@@ -255,17 +286,24 @@ _lexer_pieces = st.sampled_from(
 )
 
 
-@hsettings(max_examples=500, deadline=None)
+@hsettings(max_examples=examples(500), deadline=None)
 @given(st.one_of(st.lists(_lexer_pieces, max_size=20).map("".join), st.text(max_size=40)))
 def test_tokenize_agrees_with_the_character_scanner(text):
     """The lexer gives the reference scanner's tokens, then ``eof`` just
     after the last one when the text ends inside a clause, or the same
-    ParseError at the same place."""
+    ParseError at the same place.  Each lexeme's kind and value come from
+    ``lexeme_kind`` and ``lexeme_value``, its place from the parser, and an
+    end's text is its '.'."""
 
     def lexed(text):
-        lexer = _Lexer((text,))
-        toks = [tok for clause in lexer.clauses() for tok in clause]
-        return [(kind, lexeme, value, *lexer.position(pos)) for kind, lexeme, value, pos in toks]
+        parser, _ = lex_clauses(text)
+        toks = parser.toks[: parser.toks.index("")]
+        if toks and lexeme_kind(toks[-1]) != "end":
+            toks.append("")
+        return [
+            (lexeme_kind(tok), _shown(tok) if tok else "", lexeme_value(tok) if tok else None, *parser.where(i))
+            for i, tok in enumerate(toks)
+        ]
 
     def outcome(lex):
         try:
@@ -306,7 +344,7 @@ def _terms(depth: int, leaf=st.one_of(_ground_leaves, _var_names.map(Variable)))
     )
 
 
-@hsettings(max_examples=300, deadline=None)
+@hsettings(max_examples=examples(300), deadline=None)
 @given(_terms(3))
 def test_render_parse_roundtrip(term):
     text = render_term(term)
@@ -315,7 +353,7 @@ def test_render_parse_roundtrip(term):
     assert render_term(parse_term(text)) == text
 
 
-@hsettings(max_examples=300, deadline=None)
+@hsettings(max_examples=examples(300), deadline=None)
 @given(st.text(max_size=40))
 def test_parser_totality_on_fuzz(text):
     try:
@@ -324,7 +362,7 @@ def test_parser_totality_on_fuzz(text):
         pass
 
 
-@hsettings(max_examples=300, deadline=None)
+@hsettings(max_examples=examples(300), deadline=None)
 @given(
     st.one_of(st.text(max_size=60), st.text(alphabet="pX_(),.:-'%\n 1.5e=\\!<>+", max_size=60)),
     st.booleans(),
@@ -341,7 +379,7 @@ _ground_facts = st.tuples(_functors, st.lists(_terms(2, _ground_leaves), max_siz
 )
 
 
-@hsettings(max_examples=200, deadline=None)
+@hsettings(max_examples=examples(200), deadline=None)
 @given(
     st.lists(
         st.tuples(_ground_facts, st.booleans(), st.sampled_from([" ", "\n", " % a. b.\n", "%\n", "\n\n"])),
@@ -435,13 +473,15 @@ def _outcome(read, text):
         return (type(e).__name__, str(e), getattr(e, "line", None), getattr(e, "column", None))
 
 
-@hsettings(max_examples=600, deadline=None)
+@hsettings(max_examples=examples(600), deadline=None)
 @given(st.one_of(_programs, st.lists(_noise, max_size=12).map("".join)), st.booleans())
 @example("p(a b\nc \u00b2).", False)
 @example("q.\nX = f(Y) \u00b2.", False)
 @example("p(_, X) :- q(_),\n  r(X, _).\ns(_).\n", False)
 @example("p :- q, !.\nr(a) :- !.", True)
 @example("p(a).\nq(b", False)
+@example(f"p(a).\nq({_nested(255)}).\nr({_nested(256)}).\n", False)
+@example(f"p(X) :- q(X,\n  {_nested(300, 'Y')}).", False)
 def test_read_clauses_agrees_with_the_reference_parser(text, allow_cut):
     """Same ``(line, clause)`` list, or the same ParseError at the same
     place, as the parser that pulls one token at a time."""
@@ -483,7 +523,7 @@ _split_programs = st.builds(
 )
 
 
-@hsettings(max_examples=300, deadline=None)
+@hsettings(max_examples=examples(300), deadline=None)
 @given(st.one_of(_split_programs, _programs), st.lists(st.integers(0, 60), max_size=6), st.integers(1, 24))
 @example("p('it''s',\n  b) :- % c\n  q(_).\nr(²).", [1], 3)
 def test_read_clauses_gives_the_same_for_any_cut_into_whole_lines(text, cuts, size):
@@ -496,8 +536,11 @@ def test_read_clauses_gives_the_same_for_any_cut_into_whole_lines(text, cuts, si
     assert len(set(map(repr, outcomes.values()))) == 1, outcomes
 
 
-@hsettings(max_examples=300, deadline=None)
+@hsettings(max_examples=examples(300), deadline=None)
 @given(st.one_of(_term_lexemes.map(" ".join), st.lists(_noise, max_size=8).map("".join)))
+@example(_nested(256))
+@example(_nested(257))
+@example(_nested(500, "\u00b2"))
 def test_parse_term_agrees_with_the_reference_parser(text):
     assert _outcome(parse_term, text) == _outcome(oracles.parse_term, text)
 
@@ -517,7 +560,7 @@ _schema_directives = st.sampled_from(
 )
 
 
-@hsettings(max_examples=300, deadline=None)
+@hsettings(max_examples=examples(300), deadline=None)
 @given(
     st.builds(
         _laid_out,
@@ -533,7 +576,7 @@ def test_parse_settings_agrees_with_the_reference_parser(text):
     assert _outcome(parse_settings, text) == _outcome(oracles.parse_settings, text)
 
 
-@hsettings(max_examples=200, deadline=None)
+@hsettings(max_examples=examples(200), deadline=None)
 @given(
     st.builds(
         _laid_out,
@@ -580,7 +623,7 @@ def _ref_terms(depth: int = 3):
 _FIELDS = {Atom: ("name",), Number: ("value",), Variable: ("name",), Compound: ("functor", "args")}
 
 
-@hsettings(max_examples=800, deadline=None)
+@hsettings(max_examples=examples(800), deadline=None)
 @given(_ref_terms(), st.data())
 def test_terms_compare_hash_and_render_like_the_dataclasses(ref, data):
     other = data.draw(st.one_of(st.just(ref), _ref_terms()))
@@ -594,7 +637,7 @@ def test_terms_compare_hash_and_render_like_the_dataclasses(ref, data):
     assert render_term(t) == oracles.render_dataclass_term(ref)
 
 
-@hsettings(max_examples=200, deadline=None)
+@hsettings(max_examples=examples(200), deadline=None)
 @given(_ref_terms())
 def test_terms_are_immutable_and_copy_through_their_constructors(ref):
     t = oracles.from_dataclass(ref)
