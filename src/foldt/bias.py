@@ -40,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .engine import Pack, Query, matches
+from .engine import Pack, Query, answers, matches
 from .errors import DataError
 from .settings import DiscretizeRequest, LearnerConfig, Settings, is_threshold, threshold_indices
 from .terms import (
@@ -379,7 +379,7 @@ def discretize(request: DiscretizeRequest, data, background, cfg: LearnerConfig)
     pack = Pack((query,))
     counts: dict[float, Counter] = {}
     for _, interp in data.stream_examples():
-        for t in pack.answers(request.var, interp, background, cfg.resolution_budget):
+        for t in answers(pack, request.var, interp, background, cfg.resolution_budget):
             if not isinstance(t, Number):
                 raise DataError(
                     f"discretize({query}, {request.var}) collected the non-numeric value "

@@ -1,13 +1,15 @@
 """Conjunctive query evaluation against one interpretation plus background.
 
-One evaluator proves every query: ``Pack(queries)`` compiles a list of
+One evaluator decides every query: ``Pack(queries)`` compiles a list of
 queries into one pack and ``Pack.run`` decides them all on one example in a
-single depth-first walk, and ``Pack.answers`` lists a variable's bindings.
-The learner runs one pack per (example, node), holding the coverage queries
-of the node's candidates; ``model.classify`` runs a one-query pack per node,
-``model.eval_decision_list`` one per rule and ``bias.discretize`` one per
-request, each built once.  ``succeeds`` and ``answer_all`` build a one-query
-pack per call.
+single depth-first walk.  The learner runs one pack per (example, node),
+holding the coverage queries of the node's candidates; ``model.classify``
+runs a one-query pack per node and ``model.eval_decision_list`` one per
+rule, each built once.  ``succeeds`` builds a one-query pack per call.
+``answers`` lists a variable's bindings for a one-query pack by running the
+SLD machine over the whole query, without generating the pack's walk;
+``bias.discretize`` builds its pack once per request, and ``answer_all``
+once per call.
 
 The pack is a trie over literal prefixes, so a prefix that several queries
 share is proved once.  The walk reaches a query's end once per solution of
@@ -18,7 +20,8 @@ selection and clause order as written.  Facts of the current example are
 tried before background clauses for the same predicate, and the facts tried
 are those whose first argument equals the literal's when that argument is
 ground.  So a query meets its solutions in the same order inside a pack as
-alone, and ``answer_all`` lists them in that order, duplicates included.
+alone, and ``answers``, proving it on the machine, lists them in that
+order, duplicates included.
 
 A pack is compiled to Python code.  The first time it runs against a
 background, ``_generate`` writes one function for its trie and builds it with
@@ -38,7 +41,7 @@ function of its own, so no function nears CPython's limits on nested blocks
 and indentation.  Writing and compiling a pack's function costs about
 0.3 ms for one three-literal query and 1 ms for the four queries (27
 literals) of the poker root, against a few microseconds per example for the
-walk.  A pack keeps its walks for the background it last ran against, so
+walk.  A pack keeps its walk for the background it last ran against, so
 each pack compiles once, and every learn or classification pays for the
 packs it builds.
 
@@ -53,32 +56,33 @@ are fresh locals; a body literal whose clauses compile inline is inlined the
 same way.  What follows a solution of such a literal is one function that the
 fact loop and each clause body call, so the code grows linearly with the
 literals and not by a factor per clause.  The Bongard background's
-``polygon/1`` and ``doubletriangle/2`` compile this way.  An answer walk
-keeps these literals on the machine, which names an unbound answer after the
-clause frame it holds.
+``polygon/1`` and ``doubletriangle/2`` compile this way.
 
 Every other literal (one whose clauses are recursive, have a head that is not
 distinct variables or a body with a compound or a variable no literal binds;
 one after a literal whose slots may be bound to anything; one that must match
-a compound pattern; in an answer walk, every literal with background clauses)
-is a loop over the solutions of ``_solve``, an explicit-stack SLD machine for
-that one goal.  The machine keeps the slots in one flat binding
-list with a trail of the bindings to undo on backtracking.  A goal pushes a
-choice point for the predicate's clauses and, above it, one for the
-example's facts: those that its first argument picks when that argument is
-ground now (``_goal_plan``), else all of them.  Every fact, the first as
-well as those tried on backtracking, is tried the same way: its arguments
-are matched against the goal's others (``_scan``).  Example facts are
-ground, so matching a fact needs no occurs check.  Background clauses are
-compiled once and get fresh variables by shifting their slots past the end
-of the binding list.  A head of distinct variables (a linear head) binds
-each argument to its fresh slot, or the slot to the argument, with no
-unification; other heads and ``=`` unify with the occurs check.  Builtins
-dereference their arguments and rebuild a term only for a compound.
-Recursion in the background grows the machine's stack, not the Python call
-depth, but the terms it builds are walked by recursive functions: a term
-nested deeper than Python's recursion limit allows raises ``QueryError``
-("term nested too deeply"), where the budget has not run out first.
+a compound pattern) is a loop over the solutions of ``_solve``, an
+explicit-stack SLD machine, started on the goal list of that one literal.
+``answers`` starts it on the goal list of the whole query, and at each
+solution renders the variable's binding, naming a slot left unbound after
+its query variable, or ``_G<slot>`` for a slot of a clause frame.  The
+machine keeps the slots in one flat binding list with a trail of the
+bindings to undo on backtracking.  A goal pushes a choice point for the
+predicate's clauses and, above it, one for the example's facts: those that
+its first argument picks when that argument is ground now (``_goal_plan``),
+else all of them.  Every fact, the first as well as those tried on
+backtracking, is tried the same way: its arguments are matched against the
+goal's others (``_scan``).  Example facts are ground, so matching a fact
+needs no occurs check.  Background clauses are compiled once and get fresh
+variables by shifting their slots past the end of the binding list.  A head
+of distinct variables (a linear head) binds each argument to its fresh slot,
+or the slot to the argument, with no unification; other heads and ``=``
+unify with the occurs check.  Builtins dereference their arguments and
+rebuild a term only for a compound.  Recursion in the background grows the
+machine's stack, not the Python call depth, but the terms it builds are
+walked by recursive functions: a term nested deeper than Python's recursion
+limit allows raises ``QueryError`` ("term nested too deeply"), where the
+budget has not run out first.
 
 A step is one fact tried, one clause tried or one builtin evaluated.  A pack
 of k queries may spend k times ``budget`` steps on an example, and exhausting
@@ -501,8 +505,8 @@ class _Node:
 
 class Pack:
     """Queries compiled into one literal-prefix trie (see the module
-    docstring); ``run`` decides them all on an example in one walk, and
-    ``answers`` lists the bindings of a variable over every solution."""
+    docstring); ``run`` decides them all on an example in one walk,
+    generated once per background."""
 
     def __init__(self, queries):
         self.queries = tuple(queries)
@@ -525,17 +529,8 @@ class Pack:
         self.names = list(slots)  # slot -> variable name
         self.full = (1 << len(self.queries)) - 1
         self.steps = 0
-        self._background = None  # the background the walks were generated for
-        self._walks: dict = {}  # answer variable (None: outcome bits) -> walk
-
-    def _walk(self, background: Background | None, answer: str | None):
-        bg = EMPTY_BACKGROUND if background is None else background
-        if bg is not self._background:
-            self._background, self._walks = bg, {}
-        walk = self._walks.get(answer)
-        if walk is None:
-            walk = self._walks[answer] = _generate(self, bg, answer)
-        return walk
+        self._background = None  # the background the walk was generated for
+        self._walk = None
 
     def run(
         self,
@@ -546,30 +541,10 @@ class Pack:
         """Outcome bits on one example: bit i is set when query i succeeds."""
         if budget <= 0:
             raise QueryError("resolution budget must be positive")
-        return self._walk(background, None)(interp, budget, budget * len(self.queries), None)
-
-    def answers(
-        self,
-        var: str,
-        interp: Interpretation,
-        background: Background | None = None,
-        budget: int = DEFAULT_BUDGET,
-    ) -> list[Term]:
-        """Bindings of ``var`` at every solution of every query (duplicates
-        kept, discovery order); a binding that is not ground comes back with
-        its unbound variables named."""
-        if var not in self.slots:
-            raise QueryError(f"variable {var} does not occur in the query")
-        if budget <= 0:
-            raise QueryError("resolution budget must be positive")
-        out: list[Term] = []
-        walk = self._walk(background, var)
-        try:
-            walk(interp, budget, budget * len(self.queries), out)
-        except RecursionError:
-            # ``_term`` rendering a binding that nests too deeply.
-            raise self._error(QueryError, "term nested too deeply", interp, self.full) from None
-        return out
+        bg = EMPTY_BACKGROUND if background is None else background
+        if bg is not self._background:
+            self._background, self._walk = bg, _generate(self, bg)
+        return self._walk(interp, budget, budget * len(self.queries))
 
     def _error(self, cls, what: str, interp, pending: int) -> QueryError:
         """The error ``cls`` for a walk that failed with ``what`` while
@@ -602,13 +577,11 @@ def _no_rows(term):
 class _Writer:
     """The source of one pack's walk, with the objects it names."""
 
-    def __init__(self, pack: Pack, rules: dict, answer: str | None):
+    def __init__(self, pack: Pack, rules: dict):
         self.pack, self.rules = pack, rules
-        self.answer = None if answer is None else pack.slots[answer]
         self.env = {
-            "P": pack, "FULL": pack.full, "NAMES": pack.names, "RULES": rules,
-            "Number": Number, "QueryError": QueryError, "_Run": _Run, "_solve": _solve,
-            "_term": _term, "_no_rows": _no_rows,
+            "P": pack, "FULL": pack.full, "RULES": rules, "Number": Number,
+            "QueryError": QueryError, "_Run": _Run, "_solve": _solve, "_no_rows": _no_rows,
         }
         self.names: dict = {}  # id of a named object -> its name
         self.groups: dict = {}  # predicate key -> (its name's number, uses rows, uses first)
@@ -649,7 +622,7 @@ class _Writer:
             head += ["else:"]
             head += [f"    R{k} = g.rows"] if rows else []
             head += [f"    F{k} = g.first"] if firsts else []
-        lines = ["def walk(interp, budget, limit, out):"]
+        lines = ["def walk(interp, budget, limit):"]
         lines += ["    " + line for line in head] + body + ["    " + line for line in self.exit(True)]
         for func in self.funcs:
             lines += func
@@ -657,7 +630,7 @@ class _Writer:
 
     def context(self) -> str:
         """What every split-off function takes before its locals."""
-        names = ["interp", "budget", "limit", "out", "run", "b", "steps", "done"]
+        names = ["interp", "budget", "limit", "run", "b", "steps", "done"]
         for k, rows, firsts in self.groups.values():
             names += [f"R{k}"] if rows else []
             names += [f"F{k}"] if firsts else []
@@ -667,28 +640,16 @@ class _Writer:
         """Arrive at ``node`` with the slot states ``state``, at nesting ``d``."""
         pad = "    " * d
         if node.ends:
-            if self.answer is None:
-                out += [f"{pad}done |= {node.ends}", f"{pad}if done == FULL:"]
-                out += [f"{pad}    {line}" for line in self.exit(top)]
-            else:
-                out.append(f"{pad}out.append({self.answer_term(state)})")
-        if len(node.kids) == 1 or self.answer is not None:
-            for kid in node.kids:
-                self.kid(kid, state, d, out, top)
+            out += [f"{pad}done |= {node.ends}", f"{pad}if done == FULL:"]
+            out += [f"{pad}    {line}" for line in self.exit(top)]
+        if len(node.kids) == 1:
+            self.kid(node.kids[0], state, d, out, top)
         else:
             # More than one kid: a kid whose queries have all succeeded on an
             # earlier visit of this node is skipped.
             for kid in node.kids:
                 out.append(f"{pad}if {kid.mask} & ~done:")
                 self.kid(kid, state, d + 1, out, top)
-
-    def answer_term(self, state: dict) -> str:
-        s = self.answer
-        if state.get(s) == _DIRECT:
-            return f"v{s}"
-        if state.get(s) == _UNKNOWN:
-            return f"_term({s}, b, NAMES)"
-        return self.name(Variable(self.pack.names[s]), "C")
 
     def kid(self, kid: _Node, state: dict, d: int, out: list[str], top: bool):
         """Prove ``kid``'s literal and arrive at ``kid`` at each solution."""
@@ -751,10 +712,8 @@ class _Writer:
 
     def call(self, call: str, d: int, out: list[str], top: bool):
         pad = "    " * d
-        out.append(pad + call)
-        if self.answer is None:
-            out.append(f"{pad}if done == FULL:")
-            out += [f"{pad}    {line}" for line in self.exit(top)]
+        out += [pad + call, f"{pad}if done == FULL:"]
+        out += [f"{pad}    {line}" for line in self.exit(top)]
 
     def loop(self, g: _Lit, mask: int, plan, state: dict, d: int, out: list[str], top: bool, then):
         """A literal with a static fact plan: a loop over the facts."""
@@ -778,8 +737,7 @@ class _Writer:
             out.append(f"{pad}        continue")
         out += self.check(pad + "    ", mask)
         then(_after(g, state, _DIRECT), d + 1, out, top)
-        if self.answer is None:
-            out += [f"{pad}    if not {mask} & ~done:", f"{pad}        break"]
+        out += [f"{pad}    if not {mask} & ~done:", f"{pad}        break"]
         if tests:
             out.append(f"{pad}else:")
             out += self.check(pad + "    ", mask)
@@ -788,16 +746,13 @@ class _Writer:
         """For a literal whose background clauses compile inline, each
         clause's body with the head's variables replaced by the literal's
         arguments and the clause's own variables by fresh slots; None when
-        one does not.  They do when the outcome bits are asked for, the
-        literal's arguments are constants and slots unbound or bound to
-        ground terms, and every clause is non-recursive (``active`` holds
-        the predicates being inlined around ``g``), has a head of distinct
-        variables and a body of literals with static plans, and binds each
-        unbound argument."""
-        if (
-            self.answer is not None
-            or g.key in active
-            or any(type(a) is _Struct or type(a) is int and state.get(a) == _UNKNOWN for a in g.args)
+        one does not.  They do when the literal's arguments are constants and
+        slots unbound or bound to ground terms, and every clause is
+        non-recursive (``active`` holds the predicates being inlined around
+        ``g``), has a head of distinct variables and a body of literals with
+        static plans, and binds each unbound argument."""
+        if g.key in active or any(
+            type(a) is _Struct or type(a) is int and state.get(a) == _UNKNOWN for a in g.args
         ):
             return None
         active += (g.key,)
@@ -860,26 +815,23 @@ class _Writer:
                 out.append(f"{pad}b[{s}] = v{s}")
             elif s not in state:
                 out.append(f"{pad}b[{s}] = None")
-        sync = [f"{pad}run.steps = steps"] + ([f"{pad}run.done = done"] if self.answer is None else [])
-        out += sync + [f"{pad}for _ in _solve(run, {self.name(g, 'L')}, {mask}):"]
+        sync = [f"{pad}run.steps = steps", f"{pad}run.done = done"]
+        out += sync + [f"{pad}for _ in _solve(run, {self.name((g, 0, None), 'L')}, {mask}):"]
         out.append(f"{pad}    steps = run.steps")
         out += [
             f"{pad}    v{s} = b[{s}]" for s in sorted(after)
             if after[s] == _DIRECT and state.get(s) != _DIRECT
         ]
         then(after, d + 1, out, top)
-        if self.answer is None:
-            out += [f"{pad}    if not {mask} & ~done:", f"{pad}        break"]
+        out += [f"{pad}    if not {mask} & ~done:", f"{pad}        break"]
         out += ["    " + line for line in sync]
         out += [f"{pad}else:", f"{pad}    steps = run.steps"]
 
 
-def _generate(pack: Pack, background: Background, answer: str | None):
+def _generate(pack: Pack, background: Background):
     """The walk of ``pack`` against ``background``: ``walk(interp, budget,
-    limit, out)``.  Without ``answer`` it decides the queries and returns
-    their outcome bits.  With one, it appends that variable's binding to
-    ``out`` at every solution of every query and never prunes."""
-    writer = _Writer(pack, background._by_key, answer)
+    limit)`` decides the queries and returns their outcome bits."""
+    writer = _Writer(pack, background._by_key)
     exec(compile(writer.write(), "<query pack>", "exec"), writer.env)
     return writer.env["walk"]
 
@@ -891,9 +843,10 @@ _FACTS, _CLAUSES = 1, 2  # choice point kinds
 
 
 class _Run:
-    """What a generated walk shares with ``_solve`` on one example: the
-    binding list and trail, the steps spent and the queries decided so
-    far (kept current before each solution is resumed)."""
+    """What ``_solve`` shares with its caller, a generated walk or
+    ``answers``, on one example: the binding list and trail, the steps
+    spent and the queries decided so far (kept current before each solution
+    is resumed)."""
 
     __slots__ = ("pack", "interp", "budget", "limit", "rules", "groups", "b", "trail", "steps", "done")
 
@@ -912,19 +865,19 @@ class _Run:
         return self.pack._error(QueryError, what, self.interp, mask & ~self.done)
 
 
-def _solve(run: _Run, goal: _Lit, mask: int):
-    """Yield at each solution of the pack literal ``goal``, whose trie node
-    holds the queries ``mask``.  Facts of the example are tried, then the
-    predicate's clauses, each through a choice point on an explicit stack;
-    a clause body's literals are proved the same way.  Closing the
-    generator undoes every binding it made."""
+def _solve(run: _Run, goals, mask: int):
+    """Yield at each solution of the goal list ``goals``, proved for the
+    queries ``mask``.  A goal list is ``(literal, frame offset, rest)``, and
+    None once every goal is proved.  Each literal's facts in the example are
+    tried, then its predicate's clauses, each through a choice point on an
+    explicit stack, and a clause's body goes on the front of the list.
+    Closing the generator undoes every binding it made."""
     b, trail, groups, rules, limit = run.b, run.trail, run.groups, run.rules, run.limit
     names = run.pack.names
     mark = len(trail)
     base = size = len(b)  # len(b), kept as clause frames extend it and backtracking cuts it
     stack: list[list] = []
     steps = run.steps
-    goals = (goal, 0, None)  # a goal list: (literal, frame offset, rest); None is a solution
     try:
         while True:
             if goals is None:
@@ -1041,9 +994,42 @@ def answer_all(
     background: Background | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> list[Term]:
-    """Bindings of ``var`` over all solutions (duplicates kept, discovery
-    order)."""
-    return Pack((query,)).answers(var, interp, background, budget)
+    """Bindings of ``var`` at every solution of ``query`` (duplicates kept,
+    discovery order): ``answers`` of a one-query pack built for the call."""
+    return answers(Pack((query,)), var, interp, background, budget)
+
+
+def answers(
+    pack: Pack,
+    var: str,
+    interp: Interpretation,
+    background: Background | None = None,
+    budget: int = DEFAULT_BUDGET,
+) -> list[Term]:
+    """Bindings of ``var`` at every solution of the query of the one-query
+    ``pack`` (duplicates kept, discovery order); a binding that is not
+    ground comes back with its unbound variables named.  The machine proves
+    the whole query, so the pack's walk is never generated; a caller that
+    lists answers on many examples builds the pack once."""
+    (query,) = pack.queries
+    slot = pack.slots.get(var)
+    if slot is None:
+        raise QueryError(f"variable {var} does not occur in the query")
+    if budget <= 0:
+        raise QueryError("resolution budget must be positive")
+    rules = (EMPTY_BACKGROUND if background is None else background)._by_key
+    run = _Run(pack, interp, budget, budget, rules)
+    goals = None
+    for lit in reversed(query.literals):
+        goals = (_Lit(lit, pack.slots), 0, goals)
+    out: list[Term] = []
+    try:
+        for _ in _solve(run, goals, pack.full):
+            out.append(_term(slot, run.b, pack.names))
+    except RecursionError:
+        # ``_term`` rendering a binding that nests too deeply.
+        raise pack._error(QueryError, "term nested too deeply", interp, pack.full) from None
+    return out
 
 
 def coverage_query(query: Query, added: tuple[Literal, ...]) -> Query:

@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DataError, ParseError
+from .errors import DataError, ParseError, in_file
 from .store import write_block
 from .terms import (
     Atom,
@@ -226,19 +226,20 @@ def load_snapshot(directory, schema: Schema, delimiter: str = ",") -> Rows:
         path = directory / f"{name}.csv"
         if not path.exists():
             raise DataError(f"missing table file {path}")
-        with open(path, "r", encoding="utf-8", newline="") as f:
-            table_rows = rows[name] = []
-            for lineno, cells in enumerate(csv.reader(f, delimiter=delimiter), 1):
-                if not cells or (len(cells) == 1 and not cells[0].strip()):
-                    continue
-                if len(cells) != len(table.attrs):
-                    raise DataError(
-                        f"{path}:{lineno}: expected {len(table.attrs)} cells, found {len(cells)}"
-                    )
-                try:
-                    table_rows.append(tuple(cell_term(c) for c in cells))
-                except DataError as e:
-                    raise DataError(f"{path}:{lineno}: {e}") from None
+        with in_file(path), open(path, "r", encoding="utf-8", newline="") as f:
+            records = list(csv.reader(f, delimiter=delimiter))
+        table_rows = rows[name] = []
+        for lineno, cells in enumerate(records, 1):
+            if not cells or (len(cells) == 1 and not cells[0].strip()):
+                continue
+            if len(cells) != len(table.attrs):
+                raise DataError(
+                    f"{path}:{lineno}: expected {len(table.attrs)} cells, found {len(cells)}"
+                )
+            try:
+                table_rows.append(tuple(cell_term(c) for c in cells))
+            except DataError as e:
+                raise DataError(f"{path}:{lineno}: {e}") from None
     return rows
 
 

@@ -186,18 +186,24 @@ def test_parse_errors_name_their_file(tmp_path, bias_file, data_file, capsys, fl
         ("--settings", b"classes([pos,neg]).\r% caf\xc3\xa9 \xe9t\xe9\n", "(invalid continuation byte) at line 2, column 8"),
         ("--model", b"foldt-model 2\nsection meta 1\n{\"a\":\"\xff\"}\n", "(invalid start byte) at line 3, column 7"),
         ("--schema", b"table(m, [f]).\n\n\xc3", "(unexpected end of data) at line 3, column 1"),
+        ("--tables", b"1,q\n2,p\xff\n", "(invalid start byte) at line 2, column 4"),
     ],
-    ids=["data", "background", "settings", "model", "schema"],
+    ids=["data", "background", "settings", "model", "schema", "table"],
 )
 def test_a_file_that_is_not_utf8_is_an_error_at_its_first_bad_byte(
     tmp_path, bias_file, data_file, capsys, flag, raw, where
 ):
-    bad = tmp_path / "bad.txt"
+    bad = tmp_path / ("m.csv" if flag == "--tables" else "bad.txt")
     bad.write_bytes(raw)
     if flag == "--model":
         args = ["classify", "--model", str(bad), "--data", str(data_file)]
     elif flag == "--schema":
         args = ["convert", "--tables", str(tmp_path), "--schema", str(bad), "--out", "o.kb", "--bg", "o.pl"]
+    elif flag == "--tables":
+        schema = tmp_path / "schema.s"
+        schema.write_text("table(m, [f, g]).\nkey(m, [f]).\nexample_id(m, f).\n")
+        out = ["--out", str(tmp_path / "o.kb"), "--bg", str(tmp_path / "o.pl")]
+        args = ["convert", "--tables", str(tmp_path), "--schema", str(schema), *out]
     else:
         background = tmp_path / "bg.pl"
         background.write_text("p(a).\n")

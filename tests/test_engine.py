@@ -631,14 +631,17 @@ def test_engine_agrees_with_the_reference_resolver(clauses, facts, query_texts, 
     _assert_agrees_with_the_reference(clauses, facts, query_texts, small)
 
 
+def _caught(call):
+    """What ``call()`` returns, or the type and text of the ``QueryError`` it
+    raises."""
+    try:
+        return call()
+    except QueryError as error:
+        return type(error), str(error)
+
+
 def _assert_agrees_with_the_reference(clauses, facts, query_texts, small):
     from oracles import sld_answers, sld_outcome
-
-    def caught(call):
-        try:
-            return call()
-        except QueryError as error:
-            return type(error), str(error)
 
     program = parse_program("\n".join(clauses))
     background = Background(program)
@@ -648,10 +651,10 @@ def _assert_agrees_with_the_reference(clauses, facts, query_texts, small):
     for query in queries:
         for budget in (full, small):
             pack = Pack((query,))
-            got = caught(lambda: (pack.run(e, background, budget) == 1, pack.steps))
+            got = _caught(lambda: (pack.run(e, background, budget) == 1, pack.steps))
             assert got == sld_outcome(query, e, program, budget), (clauses, facts, str(query))
             for var in query.variables():
-                got = caught(lambda: answer_all(query, var, e, background, budget))
+                got = _caught(lambda: answer_all(query, var, e, background, budget))
                 assert got == sld_answers(query, var, e, program, budget), (clauses, facts, str(query))
     outcomes = [sld_outcome(query, e, program, full)[0] for query in queries]
     if all(type(o) is bool for o in outcomes):
@@ -678,23 +681,36 @@ def _every_outcome(queries, interp, background, budget):
     return got
 
 
-def _every_answer(query, var, interp, background, budget):
+def _assert_answers_agree(query, interp, background, full):
+    """``answer_all`` lists the answers of the interpreted walk, or raises
+    its error, for every variable of ``query`` at ``full``, and for its first
+    variable at every budget from 1 up to the steps that walk spends at
+    ``full``: so it spends the same steps.  The proof, and so the budget at
+    which it runs out, is the same whichever variable's answers it lists."""
     from oracles import InterpretedPack
 
-    got = []
-    for make in (Pack, InterpretedPack):
-        pack = make((query,))
-        try:
-            got.append((pack.answers(var, interp, background, budget), pack.steps))
-        except QueryError as error:
-            got.append((type(error), str(error)))
-    return got
+    old = InterpretedPack((query,))
+
+    def both(var, budget):
+        before = old.steps
+        want = _caught(lambda: old.answers(var, interp, background, budget))
+        got = _caught(lambda: answer_all(query, var, interp, background, budget))
+        assert got == want, (budget, str(query), var)
+        return old.steps - before if type(want) is list else full
+
+    variables = query.variables()
+    for var in variables[1:]:
+        both(var, full)
+    if variables:
+        spent = both(variables[0], full)
+        for budget in range(1, min(spent, full) + 1):
+            both(variables[0], budget)
 
 
 def _assert_walks_agree(queries, interp, background, full=200):
     """At every budget from 1 up to what the pack spends at ``full`` (and at
     ``full``), outcome bits, steps and errors agree, and so do the answers
-    of every variable of every query alone."""
+    of every variable of every query alone (``_assert_answers_agree``)."""
     new, old = _every_outcome(queries, interp, background, full)
     assert new == old, [str(q) for q in queries]
     spent = new[1] if type(new[0]) is int else full
@@ -703,9 +719,7 @@ def _assert_walks_agree(queries, interp, background, full=200):
         new, old = _every_outcome(queries, interp, background, budget)
         assert new == old, (budget, [str(q) for q in queries])
     for query in queries:
-        for var in query.variables():
-            new, old = _every_answer(query, var, interp, background, full)
-            assert new == old, (str(query), var)
+        _assert_answers_agree(query, interp, background, full)
 
 
 @st.composite
@@ -804,9 +818,9 @@ def test_inlined_clauses_agree_with_the_interpreted_walk(clauses, facts, query_t
     _assert_walks_agree([q(*texts) for texts in query_texts], e, background)
 
 
-def _machine(queries, background, answer=None) -> bool:
+def _machine(queries, background) -> bool:
     """Whether the walk of ``queries`` calls the machine."""
-    writer = _Writer(Pack(queries), background._by_key, answer)
+    writer = _Writer(Pack(queries), background._by_key)
     writer.write()
     return writer.machine
 
@@ -815,9 +829,6 @@ def test_bongard_background_compiles_inline():
     queries = [q("polygon(X)"), q("doubletriangle(X,Y)"), q("inside(X,Y)", "polygon(Y)")]
     assert not _machine(queries, BG)
     assert not _machine([q("size(X,S)", "large(X)")], SIZED)
-    # An answer walk keeps the machine, which names unbound answers by the
-    # frames it allocates.
-    assert _machine([q("polygon(X)")], BG, "X")
 
 
 @pytest.mark.parametrize(
@@ -840,7 +851,7 @@ def test_inlined_clauses_keep_the_walk_linear_in_size():
     what follows a literal with several clauses is written once, not once
     per clause."""
     literals = [f"polygon(X{i})" for i in range(12)]
-    sources = [_Writer(Pack([q(*literals[:k])]), BG._by_key, None).write() for k in range(1, 13)]
+    sources = [_Writer(Pack([q(*literals[:k])]), BG._by_key).write() for k in range(1, 13)]
     lines = [len(source.splitlines()) for source in sources]
     assert len({b - a for a, b in zip(lines, lines[1:])}) == 1, lines
     queries = [q(*literals[:k]) for k in range(1, 13)]
@@ -878,8 +889,8 @@ def test_long_queries_compile_and_agree_with_the_interpreted_walk():
 
 def test_walks_keep_the_sign_of_zero():
     e = mk_interp("14", "pos", "v(1)")
-    assert Pack([q("X = 0.0")]).answers("X", e) == [Number(0.0)]
-    answer = Pack([q("X = -0.0")]).answers("X", e)
+    assert answer_all(q("X = 0.0"), "X", e) == [Number(0.0)]
+    answer = answer_all(q("X = -0.0"), "X", e)
     assert str(answer[0].value) == "-0.0"
     with pytest.raises(QueryError, match=r"< needs numeric arguments, got X < -0.0 in example 14"):
         Pack([q("X = a", "X < -0.0")]).run(e)

@@ -141,7 +141,7 @@ def test_last_clause_without_end_rejected(tmp_path, tail):
 
 
 def test_a_block_file_is_read_a_piece_at_a_time(tmp_path):
-    """Reading a 2 MB block file holds about 64 KiB of it at a time, and
+    """Reading a 2 MB block file holds about 32 KiB of it at a time, and
     counts lines across its pieces."""
     comment = "% " + "x" * 998 + "\n"
     blocks = "".join(f"begin(model({i})).\n{comment}{comment}  pair.\nend(model({i})).\n" for i in range(1000))
