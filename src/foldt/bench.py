@@ -107,17 +107,12 @@ def bench_run(
         meta = model.metadata
         evals = meta["evaluations"]
         nodes = meta["nodes_evaluated"]
-        # An LDS run's eval_seconds also holds its levels' chunk decoding.
-        if meta["algorithm"] == "lds":
-            eval_seconds = sum(level["eval_seconds"] for level in meta["levels"])
-        else:
-            eval_seconds = meta["eval_seconds"]
         report = BenchReport(
             k=k,
             examples=len(rep),
             node_count=meta["internal_nodes"],
             mean_candidates=meta["candidates_generated"] / nodes if nodes else 0.0,
-            mean_test_seconds=eval_seconds / evals if evals else 0.0,
+            mean_test_seconds=meta["eval_seconds"] / evals if evals else 0.0,
             passes=meta["passes"],
             peak_resident=rep.peak_resident(),
             chunk_wall_seconds=chunk_wall,

@@ -71,18 +71,17 @@ bindings to undo on backtracking.  A goal pushes a choice point for the
 predicate's clauses and, above it, one for the example's facts: those that
 its first argument picks when that argument is ground now (``_goal_plan``),
 else all of them.  Every fact, the first as well as those tried on
-backtracking, is tried the same way: its arguments are matched against the
-goal's others (``_scan``).  Example facts are ground, so matching a fact
-needs no occurs check.  Background clauses are compiled once and get fresh
-variables by shifting their slots past the end of the binding list.  A head
-of distinct variables (a linear head) binds each argument to its fresh slot,
-or the slot to the argument, with no unification; other heads and ``=``
-unify with the occurs check.  Builtins dereference their arguments and
-rebuild a term only for a compound.  Recursion in the background grows the
-machine's stack, not the Python call depth, but the terms it builds are
-walked by recursive functions: a term nested deeper than Python's recursion
-limit allows raises ``QueryError`` ("term nested too deeply"), where the
-budget has not run out first.
+backtracking, is tried the same way: its arguments are unified with the
+goal's others (``_scan``).  Background clauses are compiled once and get
+fresh variables by shifting their slots past the end of the binding list.
+The machine binds one way: fact arguments, clause heads and ``=`` all go
+through ``_unify``, with the occurs check.  Builtins dereference their
+arguments and rebuild a term only for a compound.  Recursion in the
+background grows the machine's stack, not the Python call depth, and the
+occurs check keeps a stack of its own, but unifying two compounds and
+rebuilding a term (for a builtin or an answer) recurse: a term nested deeper
+than Python's recursion limit allows raises ``QueryError`` ("term nested too
+deeply") there, where the budget has not run out first.
 
 A step is one fact tried, one clause tried or one builtin evaluated.  A pack
 of k queries may spend k times ``budget`` steps on an example, and exhausting
@@ -198,8 +197,8 @@ class _Lit:
 
 class _Clause:
     """A compiled clause.  ``linear`` is set when the head's arguments are
-    distinct variables in slot order, so that matching the head is binding
-    each argument (see ``_solve``)."""
+    distinct variables in slot order: such a clause may compile inline into
+    a generated walk (``_Writer.clauses``)."""
 
     __slots__ = ("size", "head", "body", "linear")
 
@@ -235,7 +234,7 @@ EMPTY_BACKGROUND = Background(())
 
 def load_background(path) -> Background:
     with in_file(path), open(path, "r", encoding="utf-8") as f:
-        return Background(tuple(clause for _, clause in read_clauses(line_pieces(f))))
+        return Background(tuple(read_clauses(line_pieces(f))))
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +265,16 @@ def _undo(b: list, trail: list, mark: int):
 
 
 def _occurs(s: int, t, b: list) -> bool:
-    t = _deref(t, b)
-    if type(t) is int:
-        return t == s
-    if type(t) is _Struct:
-        return any(_occurs(s, a, b) for a in t.args)
+    """Whether the slot ``s`` occurs in ``t`` under the bindings.  The walk
+    keeps its own stack, so a term of any depth can be bound."""
+    stack = [t]
+    while stack:
+        t = _deref(stack.pop(), b)
+        if type(t) is int:
+            if t == s:
+                return True
+        elif type(t) is _Struct:
+            stack.extend(t.args)
     return False
 
 
@@ -303,22 +307,6 @@ def _unify(x, y, b: list, trail: list) -> bool:
             and all(_unify(p, q, b, trail) for p, q in zip(x.args, y.args))
         )
     return x == y
-
-
-def _match(t, g: Term, b: list, trail: list) -> bool:
-    """Unify ``t`` with the ground term ``g`` (no occurs check needed)."""
-    t = _deref(t, b)
-    if type(t) is int:
-        _bind(t, g, b, trail)
-        return True
-    if type(t) is _Struct:
-        return (
-            type(g) is Compound
-            and g.functor == t.functor
-            and len(g.args) == len(t.args)
-            and all(_match(x, y, b, trail) for x, y in zip(t.args, g.args))
-        )
-    return t == g
 
 
 def _term(t, b: list, names: list[str]) -> Term:
@@ -366,14 +354,14 @@ def _test(op: str, x: Term | None, y: Term | None, lit: Literal) -> bool:
 
 def _scan(facts, i: int, pats, b: list, trail: list) -> int:
     """Index of the first fact from ``i`` on (``facts`` holds argument
-    tuples) whose arguments ``pats``' compiled terms match in order;
-    ``len(facts)`` when there is none.  The matches with the fact found stay
-    bound."""
+    tuples) whose arguments ``pats``' compiled terms unify with in order;
+    ``len(facts)`` when there is none.  The bindings made with the fact
+    found stay."""
     n = len(facts)
     mark = len(trail)
     while i < n:
         fa = facts[i]
-        if all(_match(t, fa[p], b, trail) for p, t in pats):
+        if all(_unify(t, fa[p], b, trail) for p, t in pats):
             return i
         _undo(b, trail, mark)
         i += 1
@@ -947,19 +935,7 @@ def _solve(run: _Run, goals, mask: int):
                 top = size
                 size += c.size
                 b.extend([None] * c.size)
-                if c.linear:
-                    # What ``_unify`` does against fresh slots: an unbound
-                    # argument is bound to its head slot, anything else
-                    # binds the head slot.
-                    for s, x in enumerate(args, top):
-                        x = _deref(x, b)
-                        if type(x) is int:
-                            b[x] = s
-                            trail.append(x)
-                        else:
-                            b[s] = x
-                            trail.append(s)
-                elif not all(_unify(x, _shift(h, top), b, trail) for x, h in zip(args, c.head)):
+                if not all(_unify(x, _shift(h, top), b, trail) for x, h in zip(args, c.head)):
                     continue  # the next turn of the loop undoes the bindings
                 goals = cp[6]
                 for lit in reversed(c.body):
@@ -970,7 +946,7 @@ def _solve(run: _Run, goals, mask: int):
                 return
     except RecursionError:
         # A term the proof built nests deeper than the recursive term
-        # functions (``_term``, ``_unify``, ``_occurs``) can walk.
+        # functions (``_term``, ``_unify``) can walk.
         raise run.failed("term nested too deeply", mask) from None
     finally:
         _undo(b, trail, mark)

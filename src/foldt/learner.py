@@ -457,8 +457,8 @@ def _grow_lds(root, data, background, cidx, cfg, bias, stats):
             if spill is not None:
                 os.unlink(spill)
             spill, spill_width = out_path, width
-            pass_seconds = time.perf_counter() - pass_t0
-            stats.eval_seconds += pass_seconds
+            evaluating = time.perf_counter() - pass_t0 - decode
+            stats.eval_seconds += evaluating
 
             t0 = time.perf_counter()
             new_frontier: list[_Node] = []
@@ -483,7 +483,7 @@ def _grow_lds(root, data, background, cidx, cfg, bias, stats):
                     "reused": reused,
                     "proof_steps": steps,
                     "decode_seconds": decode,
-                    "eval_seconds": pass_seconds - decode,
+                    "eval_seconds": evaluating,
                     "decide_seconds": decide,
                     "pass_wall_seconds": level_wall,
                 }

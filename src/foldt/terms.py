@@ -639,10 +639,10 @@ def parse_term(text: str) -> Term:
     return term
 
 
-def read_clauses(items: Iterable[str], allow_cut: bool = False) -> Iterator[tuple[int, Clause]]:
-    """Stream ``(line, clause)`` pairs, ``line`` being where the clause
-    starts, from an iterable of items of whole lines, such as the lines of
-    an open file or its ``line_pieces``.  The end of an item ends a line.
+def read_clauses(items: Iterable[str], allow_cut: bool = False) -> Iterator[Clause]:
+    """Stream the clauses of an iterable of items of whole lines, such as
+    the lines of an open file or its ``line_pieces``.  The end of an item
+    ends a line.
 
     Clauses are ``Head.`` facts and ``Head :- B1, ..., Bn.`` rules, each
     ended by an end lexeme.  Each item is lexed when the clauses before it
@@ -660,16 +660,15 @@ def read_clauses(items: Iterable[str], allow_cut: bool = False) -> Iterator[tupl
         i = 0
         try:
             while toks[i]:
-                clause, j = parser.clause(toks, i, allow_cut)
-                yield parser.line_of(i), clause
-                i = j
+                clause, i = parser.clause(toks, i, allow_cut)
+                yield clause
         except Unfinished:
             parser.keep(i)
 
 
 def parse_program(text: str, allow_cut: bool = False) -> tuple[Clause, ...]:
     """Parse a sequence of facts and rules (see ``read_clauses``)."""
-    return tuple(clause for _, clause in read_clauses((text,), allow_cut))
+    return tuple(read_clauses((text,), allow_cut))
 
 
 # ---------------------------------------------------------------------------

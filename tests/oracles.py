@@ -58,7 +58,6 @@ from foldt.engine import (
     _compile_term as _e_compile_term,
     _deref as _e_deref,
     _ground as _e_ground,
-    _match as _e_match,
     _shift as _e_shift,
     _Struct as _e_Struct,
     _term as _e_term,
@@ -1647,8 +1646,8 @@ def from_dataclass(term) -> Term:
 # plans and clause resolution.  It is kept, with its helpers renamed, as the
 # reference that the generated walks must agree with: outcome bits, steps,
 # ``answers`` lists and error texts.  It reads the term helpers that the
-# engine still has, and compiles background clauses with its own literal
-# class (``_walk_rules``).
+# engine still has, matches facts with its own ``_walk_match``, and compiles
+# background clauses with its own literal class (``_walk_rules``).
 
 class _WalkLit:
     """A compiled literal.  ``plan`` is set for a pack's literal whose
@@ -1683,6 +1682,23 @@ class _WalkClause:
 
 
 
+def _walk_match(t, g: Term, b: list, trail: list) -> bool:
+    """Unify ``t`` with the ground term ``g`` (no occurs check needed)."""
+    t = _e_deref(t, b)
+    if type(t) is int:
+        b[t] = g
+        trail.append(t)
+        return True
+    if type(t) is _e_Struct:
+        return (
+            type(g) is Compound
+            and g.functor == t.functor
+            and len(g.args) == len(t.args)
+            and all(_walk_match(x, y, b, trail) for x, y in zip(t.args, g.args))
+        )
+    return t == g
+
+
 def _walk_scan(facts, i: int, want, sames, pats, b: list, trail: list) -> int:
     """Index of the first fact from ``i`` on (``facts`` holds argument
     tuples) with ``want``'s values at their positions, equal arguments at
@@ -1700,7 +1716,7 @@ def _walk_scan(facts, i: int, want, sames, pats, b: list, trail: list) -> int:
                 if not pats:
                     return i
                 mark = len(trail)
-                if all(_e_match(t, fa[p], b, trail) for p, t in pats):
+                if all(_walk_match(t, fa[p], b, trail) for p, t in pats):
                     return i
                 _e_undo(b, trail, mark)
         i += 1

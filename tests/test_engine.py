@@ -419,6 +419,8 @@ SCENE = mk_interp(
 )
 # ``large/1`` nests ``polygon/1`` and compares a clause-local variable.
 SIZED = Background(parse_program(BONGARD_BACKGROUND + "large(O) :- polygon(O), size(O,S), S > 1.\n"))
+# ``up/2`` is ``anc/2`` over r/2, whose second arguments in NESTED are compounds.
+REACH = Background(parse_program("up(X,Y) :- r(X,Y).\nup(X,Y) :- r(X,Z), up(Z,Y).\n"))
 
 # Least budgets under which ``succeeds`` finishes, measured with ``_steps``
 # and pinned.  The rows over LINKS were measured on the resolver before
@@ -426,7 +428,9 @@ SIZED = Background(parse_program(BONGARD_BACKGROUND + "large(O) :- polygon(O), s
 # NESTED and those with an s(f(...)) literal on the resolver that matched
 # such literals against facts in a loop of its own; those over SCENE on the
 # walk that proved every literal with background clauses through the
-# machine; the others on the resolver that query packs replaced.  A step is
+# machine; the anc(X,X) and up(X,f(Y)) rows on the machine that bound a
+# clause head of distinct variables without unifying; the others on the
+# resolver that query packs replaced.  A step is
 # one fact tried, one clause tried or one builtin evaluated.  An expected
 # outcome that is text is the error the query raises, and its steps are the
 # least budget under which it raises that error.
@@ -472,6 +476,10 @@ STEP_TABLE = [
     # s(T)'s first argument is a compound ground only under the bindings:
     # it picks s(f(a)) as the one fact to try (4 steps without the index).
     (("T = f(U)", "U = a", "s(T)"), TERMS, None, True, 3),
+    # One unbound variable passed twice to the recursive head anc(X,Y), and
+    # a compound passed to up(X,Y): both heads are distinct variables.
+    (("anc(X,X)",), CHAIN, ANCESTOR, False, 26),
+    (("up(X,f(Y))", "X \\= Y"), NESTED, REACH, True, 5),
 ]
 
 
@@ -517,6 +525,10 @@ def test_a_term_nested_too_deeply_is_a_query_error():
         answer_all(q("wrap(n0,X)"), "X", deep, wrap)
     assert type(info.value) is QueryError
     assert str(info.value) == "term nested too deeply in example 9 on query wrap(n0,X)"
+    # Binding the whole term to keep/1's head slot walks it in the occurs
+    # check, which keeps a stack of its own.
+    keep = Background(wrap.clauses + parse_program("keep(Y) :- ok.\nok.\n"))
+    assert succeeds(q("wrap(n0,X)", "keep(X)"), deep, keep)
 
 
 def test_unification_with_compounds_and_occurs_check():
@@ -666,16 +678,14 @@ def _assert_agrees_with_the_reference(clauses, facts, query_texts, small):
 # The generated walk against the interpreted walk it replaced
 
 
-def _every_outcome(queries, interp, background, budget):
-    """Outcome bits and steps of a fresh ``Pack`` and ``InterpretedPack`` of
-    ``queries``, or the type and text of the error each raised."""
-    from oracles import InterpretedPack
-
+def _every_outcome(packs, interp, background, budget):
+    """Outcome bits and the steps of this run of each of ``packs``, or the
+    type and text of the error each raised."""
     got = []
-    for make in (Pack, InterpretedPack):
-        pack = make(queries)
+    for pack in packs:
+        before = pack.steps
         try:
-            got.append((pack.run(interp, background, budget), pack.steps))
+            got.append((pack.run(interp, background, budget), pack.steps - before))
         except QueryError as error:
             got.append((type(error), str(error)))
     return got
@@ -710,13 +720,17 @@ def _assert_answers_agree(query, interp, background, full):
 def _assert_walks_agree(queries, interp, background, full=200):
     """At every budget from 1 up to what the pack spends at ``full`` (and at
     ``full``), outcome bits, steps and errors agree, and so do the answers
-    of every variable of every query alone (``_assert_answers_agree``)."""
-    new, old = _every_outcome(queries, interp, background, full)
+    of every variable of every query alone (``_assert_answers_agree``).  One
+    ``Pack`` and one ``InterpretedPack`` of ``queries`` serve every budget."""
+    from oracles import InterpretedPack
+
+    packs = (Pack(queries), InterpretedPack(queries))
+    new, old = _every_outcome(packs, interp, background, full)
     assert new == old, [str(q) for q in queries]
     spent = new[1] if type(new[0]) is int else full
     per_query = -(-spent // len(queries))
     for budget in range(1, min(per_query, full) + 1):
-        new, old = _every_outcome(queries, interp, background, budget)
+        new, old = _every_outcome(packs, interp, background, budget)
         assert new == old, (budget, [str(q) for q in queries])
     for query in queries:
         _assert_answers_agree(query, interp, background, full)

@@ -188,20 +188,18 @@ def test_read_clauses_streaming():
         "begin(model(4)).\n  card(7,spades). % inline comment\n  card(9,clubs).\n"
         "pair.\nend(model(4)).\n% trailing comment\n"
     )
-    clauses = list(read_clauses(src))
-    assert [render_literal(c.head) for _, c in clauses] == [
+    assert [render_literal(c.head) for c in read_clauses(src)] == [
         "begin(model(4))",
         "card(7,spades)",
         "card(9,clubs)",
         "pair",
         "end(model(4))",
     ]
-    assert [line for line, _ in clauses] == [1, 2, 3, 4, 5]
 
 
 def test_read_clauses_decimal_dot_not_terminator():
     src = io.StringIO("turn(137.4931640625).\nf(1.5,2).")
-    texts = [render_literal(c.head) for _, c in read_clauses(src)]
+    texts = [render_literal(c.head) for c in read_clauses(src)]
     assert texts == ["turn(137.4931640625)", "f(1.5,2)"]
 
 
@@ -211,7 +209,7 @@ def test_read_clauses_reads_lines_as_it_goes():
         yield "q(b).\n"
         raise AssertionError("read past the line after the first clause")
 
-    assert next(read_clauses(lines())) == (1, Clause(Literal("p", (Atom("a"),))))
+    assert next(read_clauses(lines())) == Clause(Literal("p", (Atom("a"),)))
 
 
 def test_read_clauses_yields_a_clause_before_reading_the_next_line():
@@ -219,7 +217,7 @@ def test_read_clauses_yields_a_clause_before_reading_the_next_line():
         yield "p(a).\n"
         raise AssertionError("read the line after the first clause")
 
-    assert next(read_clauses(lines())) == (1, Clause(Literal("p", (Atom("a"),))))
+    assert next(read_clauses(lines())) == Clause(Literal("p", (Atom("a"),)))
 
 
 @pytest.mark.parametrize(
@@ -243,7 +241,7 @@ def test_a_syntax_error_precedes_a_later_lexical_error(text, error):
 
 def test_read_clauses_numbers_anonymous_variables_through_the_input():
     src = io.StringIO("p(_) :- q(_).\nr(_).\n")
-    assert [c for _, c in read_clauses(src)] == [
+    assert list(read_clauses(src)) == [
         Clause(Literal("p", (Variable("_1"),)), (Literal("q", (Variable("_2"),)),)),
         Clause(Literal("r", (Variable("_3"),))),
     ]
@@ -389,13 +387,13 @@ _ground_facts = st.tuples(_functors, st.lists(_terms(2, _ground_leaves), max_siz
 )
 def test_read_clauses_roundtrip_of_laid_out_facts(items):
     """Facts written several to a line, some split across two lines, with
-    comments between them, read back as the same facts at their lines."""
+    comments between them, read back as the same facts."""
     text, expected = "", []
     for fact, split, layout in items:
         rendered = render_fact(fact)
         if split and fact.args:
             rendered = rendered.replace("(", "(\n", 1)
-        expected.append((text.count("\n") + 1, Clause(fact)))
+        expected.append(Clause(fact))
         text += rendered + layout
     assert list(read_clauses(io.StringIO(text))) == expected
     assert list(read_clauses(io.StringIO(text.rstrip(" \n")))) == expected
@@ -483,9 +481,9 @@ def _outcome(read, text):
 @example(f"p(a).\nq({_nested(255)}).\nr({_nested(256)}).\n", False)
 @example(f"p(X) :- q(X,\n  {_nested(300, 'Y')}).", False)
 def test_read_clauses_agrees_with_the_reference_parser(text, allow_cut):
-    """Same ``(line, clause)`` list, or the same ParseError at the same
-    place, as the parser that pulls one token at a time."""
-    expected = _outcome(lambda t: list(oracles.read_clauses(io.StringIO(t), allow_cut)), text)
+    """Same clauses, or the same ParseError at the same place, as the
+    parser that pulls one token at a time."""
+    expected = _outcome(lambda t: [c for _, c in oracles.read_clauses(io.StringIO(t), allow_cut)], text)
     assert _outcome(lambda t: list(read_clauses(io.StringIO(t), allow_cut)), text) == expected
 
 
@@ -527,8 +525,8 @@ _split_programs = st.builds(
 @given(st.one_of(_split_programs, _programs), st.lists(st.integers(0, 60), max_size=6), st.integers(1, 24))
 @example("p('it''s',\n  b) :- % c\n  q(_).\nr(²).", [1], 3)
 def test_read_clauses_gives_the_same_for_any_cut_into_whole_lines(text, cuts, size):
-    """Same ``(line, clause)`` list, or the same ParseError at the same
-    place, whichever way the text is cut into items of whole lines."""
+    """Same clauses, or the same ParseError at the same place, whichever
+    way the text is cut into items of whole lines."""
     items = _whole_line_items(text, cuts, size)
     assert "".join(items["file pieces"]) == text
     assert all(piece.endswith("\n") for piece in items["file pieces"][:-1])
