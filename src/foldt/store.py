@@ -15,11 +15,13 @@ rest, and a metadata file whose ``granularity`` and ``total`` give that
 layout and which also records every predicate/arity key the examples' facts
 use.  An ``Interpretation`` is built from its fact groups alone, the index
 the engine reads (``Interpretation.groups``): the block reader adds each
-fact's arguments to its key's group as it reads, and each record decodes
-straight into its groups.  A streaming pass reads the data file front to
-back and decodes one chunk at a time, so at most ``G`` examples are ever
-resident; the handle counts chunk loads and the peak number of resident
-examples so that callers can verify the bound.
+fact's arguments to its key's group as it reads.  A chunk holds one
+constant table and, per predicate/arity key, one column of its facts, so it
+decodes a table and a column at a time, and a record's groups are slices of
+its keys' rows.  A streaming pass reads the data file front to back and
+decodes one chunk at a time, so at most ``G`` examples are ever resident;
+the handle counts chunk loads and the peak number of resident examples so
+that callers can verify the bound.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -46,16 +48,18 @@ from .terms import (
     Term,
     TermParser,
     Unfinished,
+    atoms,
     is_ground,
     line_pieces,
+    numbers,
     render_fact,
     render_term,
 )
 
-CHUNK_MAGIC = b"foldt-chunk v4\n"
+CHUNK_MAGIC = b"foldt-chunk v5\n"
 META_NAME = "meta.json"
 DATA_NAME = "chunks.bin"
-_FRAME = struct.Struct("<I")  # the length of a chunk's frame body, or of a record in it
+_FRAME = struct.Struct("<I")  # the length of a chunk's frame body
 
 
 class _FactGroup:
@@ -120,67 +124,124 @@ class Interpretation:
 # ---------------------------------------------------------------------------
 # Binary codec
 #
-# A record is self-contained.  It opens with a fixed header: the number of
-# constants, the byte length of the constant table, the width of a code (1,
-# 2 or 4 bytes) and the number of codes.  Then come a kind byte per constant
-# and the constant table: each constant's text in UTF-8, followed by the
-# table's separator, which is its last character.  An atom's text is its
-# name, an integer's its decimal digits, a float's the 16 hex digits of its
-# ``<d`` bytes.  The separator is NUL unless a name holds one.  Last come the
-# codes, little-endian at the record's width: the example id (an argument),
-# the label (a constant index), the number of groups and, per predicate/arity
-# key in order of first occurrence, the predicate (a constant index), the
-# arity doubled, plus 1 when the group is tree-coded, the fact count and the
-# facts' arguments in file order, or a 0 per fact when the arity is 0.  In a
-# plain group each argument is a constant index.  In a tree-coded group, and
-# for the id, an argument is a code ``c``: constant ``c >> 1`` when ``c`` is
-# even, else a compound of functor constant ``c >> 1`` followed by its arity
-# and its arguments.  Facts and ids are ground, so nothing encodes a variable.
+# A chunk's frame body opens with a fixed header: the numbers of records, of
+# predicate/arity keys and of constants, the byte length of the constant
+# table, the width of a code (1, 2 or 4 bytes) and the number of codes.  Then
+# come a kind byte per constant and the constant table: each constant's text
+# in UTF-8, followed by the table's separator, which is its last character.
+# An atom's text is its name, an integer's its decimal digits, a float's the
+# 16 hex digits of its ``<d`` bytes.  The separator is NUL unless a name holds
+# one.  Last come the codes, little-endian at the chunk's width.  First, per
+# predicate/arity key in order of first occurrence in the chunk: the
+# predicate (a constant index), the arity doubled, plus 1 when the key's
+# column is tree-coded, and the key's fact count.  Then, per key, its column:
+# the arguments of the chunk's facts of that key in record order, or a 0 per
+# fact when the arity is 0.  Last, per record: the example id (an argument),
+# the label (a constant index), the number of groups and, per group in the
+# record's order of first occurrence, its key's index and its fact count.  A
+# record's facts of a key follow in the key's column those of the records
+# before it.  In a plain column each argument is a constant index.  In a
+# tree-coded column, and for the id, an argument is a code ``c``: constant
+# ``c >> 1`` when ``c`` is even, else a compound of functor constant ``c >>
+# 1`` followed by its arity and its arguments.  Facts and ids are ground, so
+# nothing encodes a variable.  A chunk is decoded whole: its constants once,
+# each key's column at once, and a record's groups are slices of the rows.
+#
+# The store's fingerprint is defined by each example's record of format v4
+# (``encode_record``), which held its own constant table and its groups one
+# after another; the chunks no longer hold those records.
 
 _ATOM, _INT, _FLOAT = 0, 1, 2  # constant kinds
 _DOUBLE = struct.Struct("<d")
-_HEAD = struct.Struct("<IIBI")  # constants, table bytes, code width, codes
+_HEAD = struct.Struct("<IIIIBI")  # records, keys, constants, table bytes, code width, codes
+_RECORD_HEAD = struct.Struct("<IIBI")  # of a v4 record: constants, table bytes, code width, codes
 _TYPECODES = {1: "B", 2: "H", 4: "I"}  # code width -> array type code
+_KINDS = {str: _ATOM, int: _INT, bytes: _FLOAT}  # the type of a constant's key -> its kind
 _SWAP = sys.byteorder == "big"  # codes are stored little-endian
-# The least a record takes: its header, one constant (the label) of one
-# byte of table, and the codes of an id, a label and a group count.
-_MIN_RECORD = _HEAD.size + 1 + 1 + 3
+# The least a chunk takes: its header and one constant (a label) of one byte
+# of table; and the least that each of its records adds: the codes of an id,
+# a label and a group count.
+_MIN_CHUNK = _HEAD.size + 1 + 1
+_MIN_RECORD = 3
+
+
+def _table(texts: list[str]) -> bytes:
+    """The constant table of ``texts``: each text in UTF-8, followed by the
+    separator, NUL unless a text holds one, else the first character that
+    none holds."""
+    sep = "\0"
+    table = sep.join(texts) + sep
+    if table.count(sep) != len(texts):
+        sep = next(c for c in map(chr, range(1, 0x110000)) if all(c not in t for t in texts))
+        table = sep.join(texts) + sep
+    return table.encode("utf-8")
+
+
+def _texts(consts: dict) -> tuple[bytes, bytes]:
+    """The kind bytes and the constant table of the constants that
+    ``consts`` keys as ``_put`` does, in its order."""
+    kinds = bytes(map(_KINDS.__getitem__, map(type, consts)))
+    texts = list(consts)  # an atom's name is its text
+    for i in compress(range(len(kinds)), kinds):
+        key = texts[i]
+        if type(key) is bytes:
+            texts[i] = key.hex()
+        elif -(2**63) <= key < 2**63:
+            texts[i] = str(key)
+        else:
+            raise DataError(f"integer {key} out of the 64-bit storable range")
+    return kinds, _table(texts)
+
+
+def _packed(codes: list[int]) -> tuple[int, bytes]:
+    """The width of the codes, the least of 1, 2 and 4 bytes that holds the
+    largest, and their bytes."""
+    try:
+        return 1, bytes(codes)
+    except ValueError:  # a code of 256 or more
+        pass
+    top = max(codes)
+    if top >= 1 << 32:
+        raise DataError(f"a count or index of {top} is over the 32 bits of a code")
+    width = 2 if top < 1 << 16 else 4
+    packed = array(_TYPECODES[width], codes)
+    if _SWAP:
+        packed.byteswap()
+    return width, packed.tobytes()
+
+
+def _put(t: Term, codes: list[int], consts: dict):
+    """Append ``t`` to ``codes`` in the tree coding.  ``consts`` maps each
+    constant's key to its index, in order of first use: an atom's name, an
+    integer's value, a float's ``<d`` bytes, so that -0.0 and 0.0 stay
+    apart."""
+    tt = type(t)
+    if tt is Atom:
+        codes.append(consts.setdefault(t[1], len(consts)) << 1)
+    elif tt is Number:
+        v = t[2]
+        codes.append(consts.setdefault(v if type(v) is int else _DOUBLE.pack(v), len(consts)) << 1)
+    elif tt is Compound:
+        codes += (consts.setdefault(t[1], len(consts)) << 1 | 1, len(t[2]))
+        for a in t[2]:
+            _put(a, codes, consts)
+    else:
+        raise TypeError(f"not a ground term: {t!r}")
 
 
 def encode_record(interp: Interpretation) -> bytes:
-    # Constants take indexes in order of first use: the dict's order is the
-    # table's.  Floats are keyed by their bytes, so -0.0 and 0.0 stay apart.
-    consts: dict = {}  # atom name, int value or packed float -> index
-    numbers: dict[int, int] = {}  # the index of each number constant -> its kind
-    codes: list[int] = []
+    """``interp`` as a record of chunk format v4, whose bytes define the
+    store's fingerprint (``ChunkWriter.finish``).  The record holds its own
+    constant table, in order of first use, after a header of the numbers of
+    constants and of table bytes, the code width and the number of codes;
+    its codes are the id, the label, the number of groups and, per group in
+    order of first occurrence, the predicate, the arity doubled (plus 1 when
+    the group is tree-coded), the fact count and the facts' arguments."""
+    consts: dict = {}
     index = consts.setdefault
-
-    def number(v) -> int:  # the index of the number constant ``v``
-        if type(v) is int:
-            i = index(v, len(consts))
-            numbers[i] = _INT
-        else:
-            i = index(_DOUBLE.pack(v), len(consts))
-            numbers[i] = _FLOAT
-        return i
-
-    def put(t: Term):  # one argument in the tree coding
-        tt = type(t)
-        if tt is Atom:
-            codes.append(index(t.name, len(consts)) << 1)
-        elif tt is Number:
-            codes.append(number(t.value) << 1)
-        elif tt is Compound:
-            codes.append(index(t.functor, len(consts)) << 1 | 1)
-            codes.append(len(t.args))
-            for a in t.args:
-                put(a)
-        else:
-            raise TypeError(f"not a ground term: {t!r}")
-
-    put(interp.ident)
-    codes.append(index(interp.label, len(consts)))
-    codes.append(len(interp.groups))
+    codes: list[int] = []
+    _put(interp.ident, codes, consts)
+    codes += (index(interp.label, len(consts)), len(interp.groups))
     for (pred, arity), group in interp.groups.items():
         rows = group.rows
         codes += (index(pred, len(consts)), arity << 1, len(rows))
@@ -191,64 +252,107 @@ def encode_record(interp: Interpretation) -> bytes:
         for t in chain.from_iterable(rows):
             tt = type(t)
             if tt is Atom:
-                codes.append(index(t.name, len(consts)))
+                codes.append(index(t[1], len(consts)))
             elif tt is Number:
-                codes.append(number(t.value))
-            else:  # a compound, or a variable that ``put`` rejects: tree-code the group
+                v = t[2]
+                codes.append(index(v if type(v) is int else _DOUBLE.pack(v), len(consts)))
+            else:  # a compound, or a variable that ``_put`` rejects: tree-code the group
                 del codes[mark:]
                 codes[mark - 2] |= 1
                 for a in chain.from_iterable(rows):
-                    put(a)
+                    _put(a, codes, consts)
                 break
-    texts = list(consts)  # an atom's name is its text
-    kinds = bytearray(len(texts))
-    for i, kind in numbers.items():
-        key = texts[i]
-        if kind == _FLOAT:
-            texts[i] = key.hex()
-        elif -(2**63) <= key < 2**63:
-            texts[i] = str(key)
-        else:
-            raise DataError(f"integer {key} out of the 64-bit storable range")
-        kinds[i] = kind
-    sep = "\0"
-    table = sep.join(texts) + sep
-    if table.count(sep) != len(texts):  # a name holds NUL: take a character none holds
-        sep = next(c for c in map(chr, range(1, 0x110000)) if all(c not in t for t in texts))
-        table = sep.join(texts) + sep
-    table = table.encode("utf-8")
-    top = max(codes)
-    if top < 1 << 8:
-        width, packed = 1, bytes(codes)
-    elif top < 1 << 32:
-        width = 2 if top < 1 << 16 else 4
-        packed = array(_TYPECODES[width], codes)
-        if _SWAP:
-            packed.byteswap()
-        packed = packed.tobytes()
-    else:
-        raise DataError(f"a count or index of {top} is over the 32 bits of a record code")
-    return b"".join((_HEAD.pack(len(texts), len(table), width, len(codes)), kinds, table, packed))
+    kinds, table = _texts(consts)
+    width, packed = _packed(codes)
+    return b"".join((_RECORD_HEAD.pack(len(kinds), len(table), width, len(codes)), kinds, table, packed))
+
+
+def encode_chunk(interps: list[Interpretation]) -> bytes:
+    """The frame body of a chunk of ``interps``, in order."""
+    consts: dict = {}  # keyed as ``_put`` keys them
+    index = consts.setdefault
+    keys: dict[tuple[str, int], list] = {}  # -> [its index, predicate, arity code, fact count]
+    columns: list[list[int]] = []  # per key
+    records: list[int] = []
+    for interp in interps:
+        _put(interp.ident, records, consts)
+        records += (index(interp.label, len(consts)), len(interp.groups))
+        for key, group in interp.groups.items():
+            rows = group.rows
+            head = keys.get(key)
+            if head is None:
+                head = keys[key] = [len(columns), index(key[0], len(consts)), key[1] << 1, 0]
+                columns.append([])
+            head[3] += len(rows)
+            records += (head[0], len(rows))
+            column = columns[head[0]]
+            if not head[2]:  # nullary
+                column += [0] * len(rows)
+                continue
+            if not head[2] & 1:  # a plain column: each argument a constant index
+                mark = len(column)
+                for t in chain.from_iterable(rows):
+                    tt = type(t)
+                    if tt is Atom:
+                        column.append(index(t[1], len(consts)))
+                    elif tt is Number:
+                        v = t[2]
+                        column.append(index(v if type(v) is int else _DOUBLE.pack(v), len(consts)))
+                    else:  # a compound, or a variable that ``_put`` rejects: tree-code the column
+                        del column[mark:]
+                        column[:] = [c << 1 for c in column]
+                        head[2] |= 1
+                        break
+                else:
+                    continue
+            for t in chain.from_iterable(rows):
+                _put(t, column, consts)
+    kinds, table = _texts(consts)
+    codes = [*chain.from_iterable(head[1:] for head in keys.values()), *chain.from_iterable(columns), *records]
+    width, packed = _packed(codes)
+    return b"".join((_HEAD.pack(len(interps), len(keys), len(kinds), len(table), width, len(codes)), kinds, table, packed))
+
+
+def _constants(kinds: bytes, texts: list[str]) -> list[Term]:
+    """The constants of a table of kinds ``kinds`` and texts ``texts``.  The
+    atoms and the integers are each built at once."""
+    terms = atoms(texts)
+    numbered = list(compress(range(len(texts)), kinds))
+    if numbered:
+        ints = [i for i in numbered if kinds[i] == _INT]
+        digits = list(map(texts.__getitem__, ints))
+        try:
+            values = list(map(int, digits))
+        except ValueError:
+            values = None
+        if values is None or list(map(str, values)) != digits:
+            for text in digits:  # raises at the first that is not canonical
+                _constant(_INT, text)
+        for i, term in zip(ints, numbers(values)):
+            terms[i] = term
+        if len(ints) < len(numbered):
+            for i in numbered:
+                if kinds[i] != _INT:
+                    terms[i] = _constant(kinds[i], texts[i])
+    return terms
 
 
 def _constant(kind: int, text: str) -> Term:
-    """The constant of kind ``kind`` and text ``text``."""
-    if kind == _ATOM:
-        term = Atom(text)
-    elif kind == _INT:
+    """The number constant of kind ``kind`` and text ``text``."""
+    if kind == _INT:
         try:
             term = Number(int(text))
         except ValueError:
             term = None
         if term is None or str(term.value) != text:
-            raise DataError(f"corrupt chunk record (bad integer {text!r})")
+            raise DataError(f"bad integer {text!r}")
     elif kind == _FLOAT:
         try:
             term = Number(_DOUBLE.unpack(bytes.fromhex(text))[0])
         except (ValueError, struct.error):
-            raise DataError(f"corrupt chunk record (bad float {text!r})") from None
+            raise DataError(f"bad float {text!r}") from None
     else:
-        raise DataError(f"corrupt chunk record (bad constant kind {kind})")
+        raise DataError(f"bad constant kind {kind}")
     return term
 
 
@@ -256,7 +360,7 @@ def _name(terms: list, c: int) -> str:
     """The name of atom constant ``c``."""
     t = terms[c]
     if type(t) is not Atom:
-        raise DataError(f"corrupt chunk record (constant {c} is a number where a name is required)")
+        raise DataError(f"constant {c} is a number where a name is required")
     return t.name
 
 
@@ -266,12 +370,12 @@ def _args(codes, pos: int, count: int, terms: list) -> tuple[list, int]:
     out = []
     for _ in range(count):
         if pos >= len(codes):
-            raise DataError("corrupt chunk record (truncated)")
+            raise DataError("its codes are truncated")
         c = codes[pos]
         if c & 1:
             functor = _name(terms, c >> 1)
             if pos + 1 >= len(codes):
-                raise DataError("corrupt chunk record (truncated)")
+                raise DataError("its codes are truncated")
             args, pos = _args(codes, pos + 2, codes[pos + 1], terms)
             out.append(Compound(functor, tuple(args)))
         else:
@@ -280,97 +384,133 @@ def _args(codes, pos: int, count: int, terms: list) -> tuple[list, int]:
     return out, pos
 
 
-def decode_record(buf: bytes, memo: dict | None = None) -> Interpretation:
-    """The example a record holds, its facts decoded straight into groups.
-    A record that does not decode, or leaves bytes unread, is a
-    ``DataError``.  ``memo`` keeps the constants built so far under their
-    kind and text, so that records decoded with one memo share them."""
-    if memo is None:
-        memo = {}
-    size = len(buf)
+def decode_chunk(raw: bytes, count: int, chosen, start: int = 0) -> list[tuple[int, Interpretation]]:
+    """The records of the chunk whose frame body is ``raw`` at the positions
+    that ``chosen`` holds, in order, each with its ordinal, the chunk's first
+    being ``start``.  The whole body is checked: unless it holds ``count``
+    records and decodes with no byte unread, it is a ``DataError``.  The
+    constants are built once per chunk, so its records share them, and each
+    key's column is decoded at once: a record's groups are slices of its
+    keys' rows."""
+    size = len(raw)
     if size < _HEAD.size:
-        raise DataError("corrupt chunk record (truncated)")
-    nconst, tlen, width, ncodes = _HEAD.unpack_from(buf)
-    start = _HEAD.size + nconst  # of the table
-    end = start + tlen  # of the table, and the start of the codes
+        raise DataError("its header is truncated")
+    nrec, nkeys, nconst, tlen, width, ncodes = _HEAD.unpack_from(raw)
+    if nrec != count:
+        raise DataError(f"expected {count} records, found {nrec}")
+    at = _HEAD.size + nconst  # the start of the table
+    end = at + tlen  # of the table, and the start of the codes
     if end > size:
-        raise DataError(f"corrupt chunk record (its constant table of {tlen} bytes ends past the record)")
+        raise DataError(f"its constant table of {tlen} bytes ends past the frame")
     typecode = _TYPECODES.get(width)
     if typecode is None:
-        raise DataError(f"corrupt chunk record (bad code width {width})")
+        raise DataError(f"bad code width {width}")
     unread = size - end - width * ncodes
     if unread > 0:
-        raise DataError(f"corrupt chunk record ({unread} bytes unread)")
+        raise DataError(f"{unread} bytes unread")
     if unread < 0:
-        raise DataError(f"corrupt chunk record ({ncodes} codes of {width} bytes do not fit)")
-    codes = array(typecode, buf[end:])
+        raise DataError(f"{ncodes} codes of {width} bytes do not fit")
+    codes = array(typecode, raw[end:])
     if _SWAP:
         codes.byteswap()
-    kinds = buf[_HEAD.size : start]
+    kinds = raw[_HEAD.size : at]
     try:
-        text = buf[start:end].decode("utf-8")
+        text = raw[at:end].decode("utf-8")
     except UnicodeDecodeError:
-        raise DataError("corrupt chunk record (its constant table is not UTF-8)") from None
+        raise DataError("its constant table is not UTF-8") from None
     texts = text.split(text[-1]) if text else [""]
     del texts[-1]  # what follows the separator that ends the table
     if len(texts) != nconst:
-        raise DataError(f"corrupt chunk record ({len(texts)} constants in a table of {nconst})")
-    terms = list(map(memo.get, zip(kinds, texts)))
-    if None in terms:  # constants new to the memo
-        # An id that is one constant is unique to its record, so it is built
-        # but not kept.
-        ident_at = codes[0] >> 1 if ncodes and not codes[0] & 1 else -1
-        i = 0
-        for _ in range(terms.count(None)):
-            i = terms.index(None, i)
-            term = terms[i] = _constant(kinds[i], texts[i])
-            if i != ident_at:
-                memo[kinds[i], texts[i]] = term
+        raise DataError(f"{len(texts)} constants in a table of {nconst}")
+    terms = _constants(kinds, texts)
     get = terms.__getitem__
+    pos = 3 * nkeys  # past the keys
+    if pos > ncodes:
+        raise DataError(f"{nkeys} keys do not fit")
+    out: list[tuple[int, Interpretation]] = []
     try:
-        (ident,), pos = _args(codes, 0, 1, terms)
-        c, ngroups = codes[pos : pos + 2]
-        label = _name(terms, c)
-        pos += 2
-        groups: dict[tuple[str, int], _FactGroup] = {}
-        for _ in range(ngroups):
-            c, arity, n = codes[pos : pos + 3]
-            pos += 3
+        keys: dict[tuple[str, int], int] = {}  # -> its index
+        rows = []  # per key: the rows of its column
+        for k in range(0, 3 * nkeys, 3):
+            c, arity, n = codes[k : k + 3]
             tree = arity & 1
             arity >>= 1
-            key = (_name(terms, c), arity)
-            if key in groups:
-                raise DataError(f"corrupt chunk record ({key[0]}/{arity} grouped twice)")
+            pred = _name(terms, c)
+            if keys.setdefault((pred, arity), len(rows)) != len(rows):
+                raise DataError(f"{pred}/{arity} keyed twice")
             # Every fact takes at least a code per argument, a nullary one
-            # its 0 marker, and no group is empty: this bounds what a
-            # corrupt count or arity allocates by the record's length.
+            # its 0 marker, and no key is empty: this bounds what a corrupt
+            # count or arity allocates by the frame's length.
             if not arity:
                 if not 0 < n <= ncodes - pos:
-                    raise DataError(f"corrupt chunk record ({n} facts of {key[0]}/0 do not fit)")
+                    raise DataError(f"{n} facts of {pred}/0 do not fit")
                 if any(codes[pos : pos + n]):
-                    raise DataError(f"corrupt chunk record (a fact of {key[0]}/0 is not marked 0)")
+                    raise DataError(f"a fact of {pred}/0 is not marked 0")
                 pos += n
-                groups[key] = _FactGroup(((),) * n)
+                rows.append(((),) * n)
                 continue
             stop = pos + n * arity
             if not pos < stop <= ncodes:
-                raise DataError(f"corrupt chunk record ({n} facts of {key[0]}/{arity} do not fit)")
+                raise DataError(f"{n} facts of {pred}/{arity} do not fit")
             if tree:
                 args, pos = _args(codes, pos, n * arity, terms)
                 args = iter(args)
             else:
                 args = map(get, codes[pos:stop])
                 pos = stop
-            groups[key] = _FactGroup(tuple(zip(*[args] * arity)))
+            # Through a list: a tuple built from an iterator starts at 10
+            # items and grows, and CPython then keeps the tuples of each
+            # other size it frees, up to 2,000 of each, so the process
+            # grows by megabytes.
+            rows.append(tuple(list(zip(*[args] * arity))))
+        names = list(keys)
+        used = [0] * nkeys  # the facts of each key that the records so far claim
+        for r in range(nrec):
+            if pos >= ncodes:
+                raise DataError("its codes are truncated")
+            c = codes[pos]
+            if c & 1:
+                (ident,), pos = _args(codes, pos, 1, terms)
+            else:
+                ident = terms[c >> 1]
+                pos += 1
+            c, ngroups = codes[pos : pos + 2]
+            label = _name(terms, c)
+            pos += 2
+            stop = pos + 2 * ngroups
+            if stop > ncodes:
+                raise DataError(f"the {ngroups} groups of record {r} do not fit")
+            take = r in chosen
+            groups = {}
+            for i in range(pos, stop, 2):
+                k = codes[i]
+                n = codes[i + 1]
+                if k >= nkeys:
+                    raise DataError(f"a key index beyond the {nkeys} keys")
+                if not n:
+                    raise DataError(f"a group of record {r} holds no facts")
+                a = used[k]
+                used[k] = b = a + n
+                groups[names[k]] = _FactGroup(rows[k][a:b]) if take else None
+            if len(groups) < ngroups:
+                ks = list(codes[pos:stop:2])
+                pred, arity = names[next(k for k in ks if ks.count(k) > 1)]
+                raise DataError(f"{pred}/{arity} grouped twice in record {r}")
+            if take:
+                out.append((start + r, Interpretation(ident, label, groups)))
+            pos = stop
     except ValueError:  # a slice of codes cut short
-        raise DataError("corrupt chunk record (truncated)") from None
+        raise DataError("its codes are truncated") from None
     except IndexError:
-        raise DataError(f"corrupt chunk record (a constant index beyond the table of {nconst})") from None
+        raise DataError(f"a constant index beyond the table of {nconst}") from None
     except RecursionError:
-        raise DataError("corrupt chunk record (compounds nested too deeply)") from None
+        raise DataError("compounds nested too deeply") from None
     if pos != ncodes:
-        raise DataError(f"corrupt chunk record ({(ncodes - pos) * width} bytes unread)")
-    return Interpretation(ident, label, groups)
+        raise DataError(f"{(ncodes - pos) * width} bytes unread")
+    for (pred, arity), n, claimed in zip(keys, map(len, rows), used):
+        if claimed != n:
+            raise DataError(f"its records claim {claimed} facts of {pred}/{arity}, of the {n} its column holds")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -533,11 +673,8 @@ class ChunkWriter(contextlib.AbstractContextManager):
         and once at the end, which is the layout ``open_dataset`` derives."""
         if not self._buffer:
             return
-        body = bytearray()
-        for interp in self._buffer:
-            rec = encode_record(interp)
-            self._record_hashes.append(hashlib.sha256(rec).digest())
-            body += _FRAME.pack(len(rec)) + rec
+        self._record_hashes += (hashlib.sha256(encode_record(e)).digest() for e in self._buffer)
+        body = encode_chunk(self._buffer)
         if len(body) >= 1 << 32:
             raise DataError(f"a chunk of {len(body)} bytes is over the 4 GiB that a frame holds")
         self._file.write(_FRAME.pack(len(body)) + body)
@@ -591,11 +728,11 @@ class DatasetHandle:
         example, or only those the ascending iterable ``ordinals`` lists.
 
         ``ordinals`` is read only as far as the chunk being loaded, and only
-        the listed records of a chunk are decoded, at most one chunk (<= G
-        examples) at a time.  The data file is opened at the first chunk with
-        a listed ordinal and read front to back from there: a chunk with
-        none is passed over by its frame header, and a pass that lists
-        nothing opens no file."""
+        the listed records of a chunk get groups, at most one chunk (<= G
+        examples) at a time; a loaded chunk is checked whole.  The data file
+        is opened at the first chunk with a listed ordinal and read front to
+        back from there: a chunk with none is passed over by its frame
+        header, and a pass that lists nothing opens no file."""
         path, f = self.chunks[0].path, None
         listed = iter(range(self.total) if ordinals is None else ordinals)
         o = next(listed, self.total)
@@ -616,7 +753,7 @@ class DatasetHandle:
                     f = files.enter_context(open(path, "rb"))
                     size = os.fstat(f.fileno()).st_size
                     if f.read(len(CHUNK_MAGIC)) != CHUNK_MAGIC:
-                        raise DataError(f"data file {path} is not in chunk format v4: compile the data file again")
+                        raise DataError(f"data file {path} is not in chunk format v5: compile the data file again")
                     for skipped in range(index):
                         f.seek(length(skipped), 1)
                 if chosen:
@@ -628,26 +765,14 @@ class DatasetHandle:
 
     def _load_chunk(self, index, chunk, raw, chosen) -> list[tuple[int, Interpretation]]:
         """The records of chunk ``index`` in its frame body ``raw`` whose
-        positions ``chosen`` holds, decoded, with their ordinals; the record
-        framing and count are checked."""
+        positions ``chosen`` holds, decoded, with their ordinals; the whole
+        body is checked."""
         counts = self.class_counts
-        out: list[tuple[int, Interpretation]] = []
-        pos = found = 0
-        memo: dict = {}  # the chunk's constants, shared by its records
         try:
-            while pos < len(raw):
-                start = pos + 4
-                pos = start + (_FRAME.unpack_from(raw, pos)[0] if start <= len(raw) else len(raw))
-                if pos > len(raw):  # as does a record header cut short
-                    raise DataError("its records overrun the frame")
-                if found in chosen:
-                    interp = decode_record(raw[start:pos], memo)
-                    if interp.label not in counts:
-                        raise DataError(f"label {interp.label!r} is not among the class counts of {META_NAME}")
-                    out.append((chunk.start_ordinal + found, interp))
-                found += 1
-            if found != chunk.count:
-                raise DataError(f"expected {chunk.count} records, found {found}")
+            out = decode_chunk(raw, chunk.count, chosen, chunk.start_ordinal)
+            for _, interp in out:
+                if interp.label not in counts:
+                    raise DataError(f"label {interp.label!r} is not among the class counts of {META_NAME}")
         except DataError as e:
             raise DataError(f"corrupt chunk {index} of data file {chunk.path}: {e}") from e
         self.chunk_loads += 1
@@ -696,10 +821,10 @@ def open_dataset(directory) -> DatasetHandle:
     data = directory / DATA_NAME
     if not data.is_file():
         raise DataError(f"chunk store {directory} has no {DATA_NAME}: compile the data file again")
-    # Every frame takes its 4-byte length and every record its own and the
-    # least a record holds: before the layout is built, a tampered total
-    # allocates nothing.
-    if data.stat().st_size < len(CHUNK_MAGIC) + 4 * -(-total // granularity) + (4 + _MIN_RECORD) * total:
+    # Every frame takes its 4-byte length and the least a chunk holds, and
+    # every record the least it adds: before the layout is built, a tampered
+    # total allocates nothing.
+    if data.stat().st_size < len(CHUNK_MAGIC) + (4 + _MIN_CHUNK) * -(-total // granularity) + _MIN_RECORD * total:
         raise DataError(f"data file {data} is too short for the {total} examples of {meta_path}")
     chunks = [ChunkInfo(data, min(granularity, total - o), o) for o in range(0, total, granularity)]
     return DatasetHandle(directory, chunks, granularity, total, dict(class_counts), fingerprint, predicates)

@@ -55,7 +55,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Union
 
@@ -138,6 +138,16 @@ class Compound(tuple):
 
 
 Term = Union[Atom, Number, Variable, Compound]
+
+
+def atoms(names: Iterable[str]) -> list[Atom]:
+    """``[Atom(n) for n in names]``, built without a call per atom."""
+    return list(map(tuple.__new__, repeat(Atom), zip(repeat(_ATOM_TAG), names)))
+
+
+def numbers(values: list[int | float]) -> list[Number]:
+    """``[Number(v) for v in values]``, built without a call per number."""
+    return list(map(tuple.__new__, repeat(Number), zip(repeat(_NUMBER_TAG), map(type, values), values)))
 
 
 @dataclass(frozen=True, slots=True)

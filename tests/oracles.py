@@ -32,8 +32,10 @@ that ``store`` had before it read facts straight from a piece's lexemes,
 over that ``read_clauses``: the reference for ``store.iter_kb_blocks``.
 Then comes ``interp_of``, which builds an example from a list of facts by
 grouping them as the block reader does, and the chunk record codec of
-formats v2 and v3, which read each record one uvarint at a time: the
-reference for ``store.encode_record`` and ``store.decode_record``.
+format v4, in which each record held its own constant table: its
+``encode_record`` is the reference for ``store.encode_record``, whose bytes
+define a store's fingerprint, and its ``decode_record`` the reference for
+the examples that ``store.decode_chunk`` decodes from a format v5 chunk.
 Last of all come the frozen dataclasses that were ``terms``' term classes
 before each became a tagged tuple, with their renderer: the reference for
 the equality, hashing, ``repr`` and rendering of ``Atom``, ``Number``,
@@ -1372,48 +1374,56 @@ def _block_marker(fact: Literal, line: int):
 
 
 # ---------------------------------------------------------------------------
-# The chunk record codec of formats v2 and v3
+# The chunk record codec of format v4
 #
-# A record opens with its constant table: a count, then per constant a kind
-# byte and its value (an atom's UTF-8 name, an integer's zigzag uvarint, a
-# float's ``<d`` bytes).  Then come the example id (an argument), the label
-# (a constant index), the number of groups and, per predicate/arity key, the
-# predicate (a constant index), the arity, the fact count and the facts'
-# arguments, or a 0 byte per fact when the arity is 0.  An argument is one
-# uvarint ``c``: constant ``c >> 1`` when ``c`` is even, else a compound of
-# functor constant ``c >> 1`` followed by its arity and its arguments.
+# A record is self-contained.  It opens with a fixed header: the number of
+# constants, the byte length of the constant table, the width of a code (1,
+# 2 or 4 bytes) and the number of codes.  Then come a kind byte per constant
+# and the constant table: each constant's text in UTF-8, followed by the
+# table's separator, which is its last character.  An atom's text is its
+# name, an integer's its decimal digits, a float's the 16 hex digits of its
+# ``<d`` bytes.  The separator is NUL unless a name holds one.  Last come the
+# codes, little-endian at the record's width: the example id (an argument),
+# the label (a constant index), the number of groups and, per predicate/arity
+# key in order of first occurrence, the predicate (a constant index), the
+# arity doubled, plus 1 when the group is tree-coded, the fact count and the
+# facts' arguments in file order, or a 0 per fact when the arity is 0.  In a
+# plain group each argument is a constant index.  In a tree-coded group, and
+# for the id, an argument is a code ``c``: constant ``c >> 1`` when ``c`` is
+# even, else a compound of functor constant ``c >> 1`` followed by its arity
+# and its arguments.
 
 _ATOM, _INT, _FLOAT = 0, 1, 2  # constant kinds
 _DOUBLE = struct.Struct("<d")
-
-
-def _put_uvarint(out: bytearray, n: int):
-    while True:
-        b = n & 0x7F
-        n >>= 7
-        if n:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return
+_HEAD = struct.Struct("<IIBI")  # constants, table bytes, code width, codes
+_TYPECODES = {1: "B", 2: "H", 4: "I"}  # code width -> array type code
 
 
 def encode_record(interp: Interpretation) -> bytes:
     # Constants take indexes in order of first use: the dict's order is the
     # table's.  Floats are keyed by their bytes, so -0.0 and 0.0 stay apart.
     consts: dict = {}  # atom name, int value or packed float -> index
-    codes: list[int] = []  # the uvarints after the table, in order
+    numbers: dict[int, int] = {}  # the index of each number constant -> its kind
+    codes: list[int] = []
+    index = consts.setdefault
 
-    def put(t: Term):
+    def number(v) -> int:  # the index of the number constant ``v``
+        if type(v) is int:
+            i = index(v, len(consts))
+            numbers[i] = _INT
+        else:
+            i = index(_DOUBLE.pack(v), len(consts))
+            numbers[i] = _FLOAT
+        return i
+
+    def put(t: Term):  # one argument in the tree coding
         tt = type(t)
         if tt is Atom:
-            codes.append(consts.setdefault(t.name, len(consts)) << 1)
+            codes.append(index(t.name, len(consts)) << 1)
         elif tt is Number:
-            v = t.value
-            key = v if type(v) is int else _DOUBLE.pack(v)
-            codes.append(consts.setdefault(key, len(consts)) << 1)
+            codes.append(number(t.value) << 1)
         elif tt is Compound:
-            codes.append(consts.setdefault(t.functor, len(consts)) << 1 | 1)
+            codes.append(index(t.functor, len(consts)) << 1 | 1)
             codes.append(len(t.args))
             for a in t.args:
                 put(a)
@@ -1421,151 +1431,134 @@ def encode_record(interp: Interpretation) -> bytes:
             raise TypeError(f"not a ground term: {t!r}")
 
     put(interp.ident)
-    codes.append(consts.setdefault(interp.label, len(consts)))
+    codes.append(index(interp.label, len(consts)))
     codes.append(len(interp.groups))
     for (pred, arity), group in interp.groups.items():
         rows = group.rows
-        codes.append(consts.setdefault(pred, len(consts)))
-        codes.append(arity)
-        codes.append(len(rows))
+        codes += (index(pred, len(consts)), arity << 1, len(rows))
         if not arity:
             codes += [0] * len(rows)
+            continue
+        mark = len(codes)
+        for row in rows:
+            for t in row:
+                tt = type(t)
+                if tt is Atom:
+                    codes.append(index(t.name, len(consts)))
+                elif tt is Number:
+                    codes.append(number(t.value))
+                else:
+                    break
+            else:
+                continue
+            break
+        else:
+            continue
+        del codes[mark:]  # a compound, or a variable that ``put`` rejects: tree-code the group
+        codes[mark - 2] |= 1
         for row in rows:
             for t in row:
                 put(t)
-    out = bytearray()
-    _put_uvarint(out, len(consts))
-    for key in consts:
-        if type(key) is str:
-            raw = key.encode("utf-8")
-            out.append(_ATOM)
-            _put_uvarint(out, len(raw))
-            out += raw
-        elif type(key) is int:
-            if not -(2**63) <= key < 2**63:
-                raise DataError(f"integer {key} out of the 64-bit storable range")
-            out.append(_INT)
-            _put_uvarint(out, (key << 1) ^ (key >> 63))
+    texts = list(consts)  # an atom's name is its text
+    kinds = bytearray(len(texts))
+    for i, kind in numbers.items():
+        key = texts[i]
+        if kind == _FLOAT:
+            texts[i] = key.hex()
+        elif -(2**63) <= key < 2**63:
+            texts[i] = str(key)
         else:
-            out.append(_FLOAT)
-            out += key
-    if max(codes) < 0x80:  # each code is its own one-byte uvarint
-        out += bytes(codes)
-    else:
-        for c in codes:
-            _put_uvarint(out, c)
-    return bytes(out)
+            raise DataError(f"integer {key} out of the 64-bit storable range")
+        kinds[i] = kind
+    sep = "\0"
+    if any(sep in t for t in texts):  # take the first character that no text holds
+        sep = next(c for c in map(chr, range(1, 0x110000)) if all(c not in t for t in texts))
+    table = "".join(t + sep for t in texts).encode("utf-8")
+    top = max(codes)
+    if top >= 1 << 32:
+        raise DataError(f"a count or index of {top} is over the 32 bits of a record code")
+    width = 1 if top < 1 << 8 else 2 if top < 1 << 16 else 4
+    packed = b"".join(c.to_bytes(width, "little") for c in codes)
+    return _HEAD.pack(len(texts), len(table), width, len(codes)) + bytes(kinds) + table + packed
 
 
-def _uvarint(buf: bytes, pos: int) -> tuple[int, int]:
-    """The uvarint at ``pos``, and the position after it."""
-    n = shift = 0
-    while True:
-        b = buf[pos]
-        pos += 1
-        n |= (b & 0x7F) << shift
-        if b < 0x80:
-            return n, pos
-        shift += 7
+def _constant(kind: int, text: str) -> Term:
+    """The constant of kind ``kind`` and text ``text``."""
+    if kind == _ATOM:
+        return Atom(text)
+    if kind == _INT:
+        if str(value := int(text)) != text:
+            raise ValueError(text)
+        return Number(value)
+    if kind == _FLOAT:
+        return Number(_DOUBLE.unpack(bytes.fromhex(text))[0])
+    raise DataError(f"corrupt chunk record (bad constant kind {kind})")
 
 
-def _args(buf: bytes, pos: int, count: int, terms: dict, names: dict) -> tuple[list, int]:
-    """The ``count`` arguments from ``pos`` on, and the position after them."""
+def _args(codes: list, pos: int, count: int, terms: list) -> tuple[list, int]:
+    """The ``count`` tree-coded arguments from ``pos`` on, and the position
+    after them."""
     out = []
     for _ in range(count):
-        c, pos = _uvarint(buf, pos)
+        c = codes[pos]
         if c & 1:
-            functor = names[c >> 1]
-            arity, pos = _uvarint(buf, pos)
-            args, pos = _args(buf, pos, arity, terms, names)
-            out.append(Compound(functor, tuple(args)))
+            args, pos = _args(codes, pos + 2, codes[pos + 1], terms)
+            out.append(Compound(_atom_name(terms[c >> 1]), tuple(args)))
         else:
-            out.append(terms[c])
+            out.append(terms[c >> 1])
+            pos += 1
     return out, pos
 
 
-def decode_record(buf: bytes, memo: dict | None = None) -> Interpretation:
-    """The example a record holds, its facts decoded straight into groups.
-    A record that does not decode, or leaves bytes unread, is a
-    ``DataError``.  ``memo`` keeps the constants built so far, an atom under
-    its UTF-8 bytes and an integer under its zigzag value, so that records
-    decoded with one memo share them."""
-    if memo is None:
-        memo = {}
-    terms: dict[int, Term] = {}  # argument code (constant index << 1) -> its term
-    names: dict[int, str] = {}  # atom constant index -> its name
-    size = len(buf)
+def _atom_name(t: Term) -> str:
+    if type(t) is not Atom:
+        raise DataError("corrupt chunk record (a number where a name is required)")
+    return t.name
+
+
+def decode_record(buf: bytes) -> Interpretation:
+    """The example a v4 record holds, its facts in groups.  A record that
+    does not decode, or leaves bytes unread, is a ``DataError``."""
     try:
-        n, pos = _uvarint(buf, 0)
-        for i in range(n):
-            kind = buf[pos]
-            pos += 1
-            if kind == _ATOM:
-                ln, pos = _uvarint(buf, pos)
-                end = pos + ln
-                if end > size:
-                    raise IndexError
-                raw = buf[pos:end]
-                atom = memo.get(raw)
-                if atom is None:
-                    atom = memo[raw] = Atom(raw.decode("utf-8"))
-                terms[i << 1] = atom
-                names[i] = atom.name
-                pos = end
-            elif kind == _INT:
-                z, pos = _uvarint(buf, pos)
-                number = memo.get(z)
-                if number is None:
-                    number = memo[z] = Number((z >> 1) ^ -(z & 1))
-                terms[i << 1] = number
-            elif kind == _FLOAT:
-                terms[i << 1] = Number(_DOUBLE.unpack_from(buf, pos)[0])
-                pos += 8
-            else:
-                raise DataError(f"corrupt chunk record (bad constant kind {kind})")
-        (ident,), pos = _args(buf, pos, 1, terms, names)
-        c, pos = _uvarint(buf, pos)
-        label = names[c]
-        ngroups, pos = _uvarint(buf, pos)
+        nconst, tlen, width, ncodes = _HEAD.unpack_from(buf)
+        start = _HEAD.size + nconst  # of the table
+        end = start + tlen  # of the table, and the start of the codes
+        if end + width * ncodes != len(buf) or width not in _TYPECODES:
+            raise DataError("corrupt chunk record (its sizes disagree with its length)")
+        codes = [int.from_bytes(buf[i : i + width], "little") for i in range(end, len(buf), width)]
+        text = buf[start:end].decode("utf-8")
+        texts = text.split(text[-1])[:-1] if text else []
+        if len(texts) != nconst:
+            raise DataError(f"corrupt chunk record ({len(texts)} constants in a table of {nconst})")
+        terms = [_constant(kind, t) for kind, t in zip(buf[_HEAD.size : start], texts)]
+        (ident,), pos = _args(codes, 0, 1, terms)
+        label = _atom_name(terms[codes[pos]])
+        ngroups = codes[pos + 1]
+        pos += 2
         groups: dict[tuple[str, int], _FactGroup] = {}
         for _ in range(ngroups):
-            c, pos = _uvarint(buf, pos)
-            arity, pos = _uvarint(buf, pos)
-            key = (names[c], arity)
-            if key in groups:
-                raise DataError(f"corrupt chunk record ({key[0]}/{arity} grouped twice)")
-            n, pos = _uvarint(buf, pos)
-            # Every fact takes at least a byte per argument, a nullary one
-            # its 0 marker, and no group is empty: this bounds what a
-            # corrupt count or arity allocates by the record's length.
-            if not 0 < n * max(arity, 1) <= size - pos:
-                raise DataError(f"corrupt chunk record ({n} facts of {key[0]}/{arity} do not fit)")
-            if arity:
-                args, pos = _args(buf, pos, n * arity, terms, names)
-                rows = tuple(zip(*[iter(args)] * arity))
-            else:
-                if any(buf[pos : pos + n]):
+            c, arity, n = codes[pos], codes[pos + 1], codes[pos + 2]
+            pos += 3
+            key = (_atom_name(terms[c]), arity >> 1)
+            if key in groups or not n or n * max(key[1], 1) > ncodes - pos:
+                raise DataError(f"corrupt chunk record (bad group {key[0]}/{key[1]})")
+            if not key[1]:
+                if any(codes[pos : pos + n]):
                     raise DataError(f"corrupt chunk record (a fact of {key[0]}/0 is not marked 0)")
                 rows = ((),) * n
                 pos += n
+            elif arity & 1:
+                args, pos = _args(codes, pos, n * key[1], terms)
+                rows = tuple(zip(*[iter(args)] * key[1]))
+            else:
+                args = [terms[c] for c in codes[pos : pos + n * key[1]]]
+                rows = tuple(zip(*[iter(args)] * key[1]))
+                pos += n * key[1]
             groups[key] = _FactGroup(rows)
-    except (IndexError, struct.error):
-        raise DataError("corrupt chunk record (truncated)") from None
-    except KeyError as e:
-        # Every constant is in ``terms``; only an index past the table, or a
-        # number where ``names`` wants an atom, is missing.
-        (k,) = e.args
-        raise DataError(
-            f"corrupt chunk record (constant {k} is a number where a name is required)"
-            if k < len(terms)
-            else f"corrupt chunk record (a constant index beyond the table of {len(terms)})"
-        ) from None
-    except UnicodeDecodeError:
-        raise DataError("corrupt chunk record (an atom name is not UTF-8)") from None
-    except RecursionError:
-        raise DataError("corrupt chunk record (compounds nested too deeply)") from None
-    if pos != size:
-        raise DataError(f"corrupt chunk record ({size - pos} bytes unread)")
+    except (IndexError, ValueError, struct.error, UnicodeDecodeError, RecursionError):
+        raise DataError("corrupt chunk record") from None
+    if pos != ncodes:
+        raise DataError(f"corrupt chunk record ({(ncodes - pos) * width} bytes unread)")
     return Interpretation(ident, label, groups)
 
 

@@ -1,5 +1,6 @@
 import random
 import sys
+from functools import partial
 
 import pytest
 from conftest import BONGARD_BACKGROUND, PICTURE_1, PICTURE_2, examples, mk_interp, mk_query_literals
@@ -12,6 +13,7 @@ from foldt.engine import (
     Query,
     _Writer,
     answer_all,
+    answers,
     coverage_query,
     succeeds,
 )
@@ -692,19 +694,21 @@ def _every_outcome(packs, interp, background, budget):
 
 
 def _assert_answers_agree(query, interp, background, full):
-    """``answer_all`` lists the answers of the interpreted walk, or raises
-    its error, for every variable of ``query`` at ``full``, and for its first
+    """``answers`` lists the answers of the interpreted walk, or raises its
+    error, for every variable of ``query`` at ``full``, and for its first
     variable at every budget from 1 up to the steps that walk spends at
     ``full``: so it spends the same steps.  The proof, and so the budget at
-    which it runs out, is the same whichever variable's answers it lists."""
+    which it runs out, is the same whichever variable's answers it lists.
+    One ``Pack`` serves every call, and ``answer_all``, which builds its
+    own, lists the first variable's answers at ``full`` alike."""
     from oracles import InterpretedPack
 
-    old = InterpretedPack((query,))
+    old, pack = InterpretedPack((query,)), Pack((query,))
 
-    def both(var, budget):
+    def both(var, budget, listed=partial(answers, pack)):
         before = old.steps
         want = _caught(lambda: old.answers(var, interp, background, budget))
-        got = _caught(lambda: answer_all(query, var, interp, background, budget))
+        got = _caught(lambda: listed(var, interp, background, budget))
         assert got == want, (budget, str(query), var)
         return old.steps - before if type(want) is list else full
 
@@ -713,6 +717,7 @@ def _assert_answers_agree(query, interp, background, full):
         both(var, full)
     if variables:
         spent = both(variables[0], full)
+        both(variables[0], full, partial(answer_all, query))
         for budget in range(1, min(spent, full) + 1):
             both(variables[0], budget)
 

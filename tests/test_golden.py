@@ -85,11 +85,11 @@ def test_model_file_matches_golden(tmp_path, capsys, domain, algo):
 # piece of the file reader.
 STORES = {
     "poker": (
-        "342a18e28b0e050ab2cbbe46c383d5baf1dcdf3c6fab3b04c562d65ed618c7fa",
+        "f3ed0685265c765f51a36724cb56cded36a1ffd380ae859e211aa2f502be6c90",
         "2d4ab1a46750c537a609a71ac3c99b45ca0167e0b1b8bbe59c938242ed36d813",
     ),
     "bongard": (
-        "3fb597cbe511fff197d6cf75f40e57e38a82dfb7763c41554bb52cdb217b6094",
+        "04edf981e2352371d2b502ff0d5fbf411f3d3ea4a6d64042d32a701d2f75d5bd",
         "1f976516812698248e59f9f25dbadb3835642bc7bbf7d3355d21c6792d4781e7",
     ),
 }

@@ -15,10 +15,12 @@ from foldt.errors import DataError, FoldtError, ParseError
 from foldt.generators import GenSpec, generate, replicate
 from foldt.settings import ALGORITHMS, parse_settings
 from foldt.store import (
+    _MIN_CHUNK,
     _MIN_RECORD,
     CHUNK_MAGIC,
     DATA_NAME,
-    decode_record,
+    decode_chunk,
+    encode_chunk,
     encode_record,
     iter_kb_blocks,
     load_dataset,
@@ -68,24 +70,34 @@ def _frames(path) -> list[bytes]:
     return bodies
 
 
-def _records(body: bytes) -> list[bytes]:
-    """The records of a frame body, in order; it must frame exactly."""
-    pos, records = 0, []
-    while pos < len(body):
-        (ln,) = struct.unpack_from("<I", body, pos)
-        records.append(body[pos + 4 : pos + 4 + ln])
-        pos += 4 + ln
-    assert pos == len(body)
-    return records
+_HEAD = struct.Struct("<IIIIBI")  # of a frame body: records, keys, constants, table bytes, code width, codes
 
 
-def _body(records) -> bytes:
-    """A frame body, or a data file's frames: each item after its length."""
-    return b"".join(struct.pack("<I", len(r)) + r for r in records)
+def _recount(body: bytes, n: int) -> bytes:
+    """A frame body whose header gives ``n`` records."""
+    return struct.pack("<I", n) + body[4:]
+
+
+def _codes(body: bytes) -> tuple[int, int]:
+    """Where the codes of a frame body start, and their width."""
+    _, _, nconst, tlen, width, _ = _HEAD.unpack_from(body)
+    return _HEAD.size + nconst + tlen, width
+
+
+def _body(frames) -> bytes:
+    """A data file's frames: each body after its length."""
+    return b"".join(struct.pack("<I", len(r)) + r for r in frames)
 
 
 def _write_frames(path, bodies):
     path.write_bytes(CHUNK_MAGIC + _body(bodies))
+
+
+def _round_trip(interps, listed=None) -> list:
+    """The examples of a chunk of ``interps``, or of those at the positions
+    ``listed``, as decoded."""
+    chosen = set(range(len(interps)) if listed is None else listed)
+    return [e for _, e in decode_chunk(encode_chunk(interps), len(interps), chosen)]
 
 
 def test_block_parse_card_example(tmp_path):
@@ -293,26 +305,25 @@ def test_selective_stream_decodes_only_selected_records(tmp_path, monkeypatch):
     import foldt.store
 
     handle = load_dataset(_write_many(tmp_path, 25), POKER_SETTINGS, tmp_path / "store", granularity=10)
-    decoded = []
-    decode = foldt.store.decode_record
-    monkeypatch.setattr(
-        foldt.store, "decode_record", lambda rec, memo: decoded.append(1) or decode(rec, memo)
-    )
+    built = []
+    make = foldt.store.Interpretation
+    monkeypatch.setattr(foldt.store, "Interpretation", lambda *a: built.append(a[0]) or make(*a))
     selected = [o for o, _ in handle.stream_examples(range(0, 25, 4))]
     assert selected == [0, 4, 8, 12, 16, 20, 24]
-    assert len(decoded) == 7
+    assert built == [Number(o + 1) for o in selected]  # only listed records get groups
     assert handle.peak_resident() == 3
 
-    # Corrupt the payload of record 1 (not selected) but keep its framing.
+    # Point the label of record 1 (not selected) past the constant table.
+    # A loaded chunk is checked whole, so a pass that lists a record of
+    # chunk 0 fails; one that lists none passes it over by its frame header.
     data = handle.chunks[0].path
-    raw = bytearray(data.read_bytes())
-    pos = len(CHUNK_MAGIC) + 4  # past the first frame's header
-    (ln,) = struct.unpack_from("<I", raw, pos)
-    raw[pos + 4 + ln + 4 + 13] = 0x7F  # the kind of its first constant, after the 13-byte header
-    data.write_bytes(bytes(raw))
-    assert [o for o, _ in handle.stream_examples(range(0, 25, 4))] == selected
-    with pytest.raises(DataError, match="bad constant kind 127"):
-        list(handle.stream_examples())
+    [body, *rest] = _frames(data)
+    assert _codes(body)[1] == 1  # one byte a code
+    label = len(body) - 5 * 10 + 5 + 1  # records take 5 codes each: id, label, 1 group, its key, 2 facts
+    _write_frames(data, [body[:label] + b"\xff" + body[label + 1 :], *rest])
+    assert [o for o, _ in handle.stream_examples(range(12, 25, 4))] == selected[3:]
+    with pytest.raises(DataError, match=r"corrupt chunk 0 of data file .*: a constant index beyond the table of 14"):
+        list(handle.stream_examples(range(0, 25, 4)))
 
 
 @hsettings(max_examples=60, deadline=None)
@@ -383,7 +394,7 @@ def test_store_layout_follows_from_meta(tmp_path, n, g):
     assert {c.path for c in handle.chunks} == {data}
     frames = _frames(data)
     assert len(frames) == len(handle.chunks) == -(-n // g)
-    assert [c.count for c in handle.chunks] == [len(_records(b)) for b in frames]
+    assert [c.count for c in handle.chunks] == [_HEAD.unpack_from(b)[0] for b in frames]
     assert [c.start_ordinal for c in handle.chunks] == list(range(0, n, g))
     assert vars(handle) == vars(open_dataset(handle.dir))
 
@@ -538,57 +549,63 @@ def test_record_codec_roundtrip():
             Literal("flag", ()),
         ),
     )
-    assert decode_record(encode_record(interp)) == interp
+    assert _round_trip([interp]) == [interp]
 
 
 def test_the_least_record_is_the_one_open_dataset_assumes():
-    # One constant, the empty name, is both id and label; no facts.
-    assert len(encode_record(oracles.interp_of(Atom(""), "", ()))) == _MIN_RECORD
+    # One constant, the empty name, is both id and label; no facts.  Each
+    # such record adds the codes of its id, its label and its group count.
+    least = oracles.interp_of(Atom(""), "", ())
+    assert [len(encode_chunk([least] * k)) for k in (1, 2, 3)] == [_MIN_CHUNK + k * _MIN_RECORD for k in (1, 2, 3)]
 
 
 def test_names_that_hold_nul_round_trip():
     """The table's separator is NUL unless a name holds one; then it is the
     first character that no constant's text holds."""
     interp = oracles.interp_of(Atom("\0"), "a\0b", (Literal("p\1", (Atom("\2\0"), Number(3))),))
-    record = encode_record(interp)
-    assert decode_record(record) == interp
-    table = record[18 : 18 + struct.unpack_from("<I", record, 4)[0]]  # past the header and 5 kinds
-    assert table == b"\0\3a\0b\3p\1\3\2\0\0033\3"
+    body = encode_chunk([interp])
+    assert _round_trip([interp]) == [interp]
+    _, _, nconst, tlen, _, _ = _HEAD.unpack_from(body)
+    table = body[_HEAD.size + nconst : _HEAD.size + nconst + tlen]
+    assert sorted(table.decode().split("\3")) == sorted(["", "\0", "a\0b", "p\1", "\2\0", "3"])
+    assert table.endswith(b"\3")
 
 
-def test_records_decoded_with_one_memo_share_their_constants():
+def test_records_of_one_chunk_share_one_object_per_constant():
     hands = [
         mk_interp("1", "pair", "card(7,spades)", "v(2.5)"),
         mk_interp("2", "pair", "card(queen,spades)", "card(7,clubs)"),
     ]
-    memo: dict = {}
-    first, second = (decode_record(encode_record(e), memo) for e in hands)
-    assert [first, second] == hands == [decode_record(encode_record(e)) for e in hands]
+    first, second = _round_trip(hands)
+    assert [first, second] == hands
     [(seven, spades)] = first.groups[("card", 2)].rows
     [(_, spades_again), (seven_again, _)] = second.groups[("card", 2)].rows
     assert spades_again is spades and seven_again is seven
-    # without the memo, each record builds its own
-    assert decode_record(encode_record(hands[1])).groups[("card", 2)].rows[0][1] is not spades
+    # another chunk builds its own
+    [again] = _round_trip(hands[1:])
+    assert again.groups[("card", 2)].rows[0][1] is not spades
 
 
 def test_record_codec_rejects_variables_bad_tags_and_unread_bytes(tmp_path):
-    with pytest.raises(TypeError, match="ground"):
-        encode_record(oracles.interp_of(Number(1), "pair", (Literal("card", (parse_term("X"), Atom("hearts"))),)))
-    record = encode_record(oracles.interp_of(Number(1), "pair", (Literal("flush", ()),)))
-    assert record[:4] == b"\x03\x00\x00\x00"  # three constants
-    assert record[13:16] == b"\x01\x00\x00"  # their kinds: the integer 1, then two atoms
+    unground = oracles.interp_of(Number(1), "pair", (Literal("card", (parse_term("X"), Atom("hearts"))),))
+    for encode in (encode_record, lambda e: encode_chunk([e])):
+        with pytest.raises(TypeError, match="ground"):
+            encode(unground)
+    body = encode_chunk([oracles.interp_of(Number(1), "pair", (Literal("flush", ()),))])
+    assert body[8:12] == b"\x03\x00\x00\x00"  # three constants
+    kinds = _HEAD.size
+    assert sorted(body[kinds : kinds + 3]) == [0, 0, 1]  # two names and the integer 1
     with pytest.raises(DataError, match="bad constant kind 3"):
-        decode_record(record[:13] + b"\x03" + record[14:])  # an unassigned kind
+        decode_chunk(body[:kinds] + b"\x03" + body[kinds + 1 :], 1, {0})  # an unassigned kind
     with pytest.raises(DataError, match="1 bytes unread"):
-        decode_record(record + b"\x00")
+        decode_chunk(body + b"\x00", 1, {0})
     with pytest.raises(DataError, match="truncated"):
-        decode_record(record[:12])  # its header cut short
+        decode_chunk(body[: _HEAD.size - 1], 1, {0})  # its header cut short
     handle = load_dataset(_write_many(tmp_path, 2), POKER_SETTINGS, tmp_path / "store", granularity=5)
     data = handle.chunks[0].path
     [body] = _frames(data)
-    first, second = _records(body)
-    _write_frames(data, [_body([first + b"\x00", second])])
-    with pytest.raises(DataError, match=r"chunk 0 of data file .*chunks\.bin: corrupt chunk record"):
+    _write_frames(data, [body + b"\x00"])
+    with pytest.raises(DataError, match=r"chunk 0 of data file .*chunks\.bin: 1 bytes unread"):
         list(open_dataset(handle.dir).stream_examples())
 
 
@@ -635,7 +652,8 @@ def test_corrupt_chunk_streams_or_raises_data_error(fuzz_store, which, cut, flip
     data.write_bytes(original[:start] + bytes(raw) + original[start + len(frame) :])
     try:
         examples = [e for _, e in open_dataset(directory).stream_examples()]
-    except DataError:
+    except DataError as e:
+        assert str(e).startswith("corrupt chunk ")
         examples = []
     finally:
         data.write_bytes(original)
@@ -661,9 +679,9 @@ def test_non_integer_ids(tmp_path):
 def test_v1_chunk_rejected_with_a_recompile_hint(tmp_path):
     handle = load_dataset(_write_many(tmp_path, 3), POKER_SETTINGS, tmp_path / "store", granularity=5)
     data = handle.chunks[0].path
-    assert data.read_bytes().startswith(b"foldt-chunk v4\n")
+    assert data.read_bytes().startswith(b"foldt-chunk v5\n")
     data.write_bytes(b"foldt-chunk v1\n" + data.read_bytes()[len(CHUNK_MAGIC) :])
-    with pytest.raises(DataError, match=r"store/chunks\.bin is not in chunk format v4: compile the data file again"):
+    with pytest.raises(DataError, match=r"store/chunks\.bin is not in chunk format v5: compile the data file again"):
         list(open_dataset(handle.dir).stream_examples())
 
 
@@ -690,11 +708,12 @@ def _magic(line: bytes):
     "edit,when,message",
     [
         (_v2_layout, "open", r"chunk store .*/store has no chunks\.bin: compile the data file again"),
-        (_magic(b"foldt-chunk v2\n"), "stream", r"data file .*/store/chunks\.bin is not in chunk format v4: compile the data file again"),
-        (_magic(b"foldt-chunk v3\n"), "stream", r"data file .*/store/chunks\.bin is not in chunk format v4: compile the data file again"),
+        (_magic(b"foldt-chunk v2\n"), "stream", r"data file .*/store/chunks\.bin is not in chunk format v5: compile the data file again"),
+        (_magic(b"foldt-chunk v3\n"), "stream", r"data file .*/store/chunks\.bin is not in chunk format v5: compile the data file again"),
+        (_magic(b"foldt-chunk v4\n"), "stream", r"data file .*/store/chunks\.bin is not in chunk format v5: compile the data file again"),
         (lambda d: (d / DATA_NAME).unlink(), "open", r"chunk store .*/store has no chunks\.bin"),
     ],
-    ids=["v2-layout", "v2-magic", "v3-magic", "no-data-file"],
+    ids=["v2-layout", "v2-magic", "v3-magic", "v4-magic", "no-data-file"],
 )
 def test_older_store_rejected_with_a_recompile_hint(tmp_path, edit, when, message):
     handle = load_dataset(_write_many(tmp_path, 12), POKER_SETTINGS, tmp_path / "store", granularity=5)
@@ -721,10 +740,10 @@ def _edit_frames(edit, tail=b"", cut=0):
         (_edit_frames(lambda b: b[:2], tail=b"\x05\x00"), r"chunk 2 .*: its frame is truncated"),
         (_edit_frames(lambda b: b, cut=1), r"chunk 2 .*: its frame is truncated"),
         (_edit_frames(lambda b: b[:2]), r"chunk 2 .*: its frame is truncated"),
-        (_edit_frames(lambda b: [b[0] + b"\x01", *b[1:]]), r"chunk 0 .*: its records overrun the frame"),
-        (_edit_frames(lambda b: [b[0][:-1], *b[1:]]), r"chunk 0 .*: its records overrun the frame"),
-        (_edit_frames(lambda b: [b[0], _body(_records(b[1])[:4]), b[2]]), r"chunk 1 .*: expected 5 records, found 4"),
-        (_edit_frames(lambda b: [b[0], b[1] + b[2]]), r"chunk 1 .*: expected 5 records, found 7"),
+        (_edit_frames(lambda b: [b[0] + b"\x01", *b[1:]]), r"chunk 0 .*: 1 bytes unread"),
+        (_edit_frames(lambda b: [b[0][:-1], *b[1:]]), r"chunk 0 .*: \d+ codes of 1 bytes do not fit"),
+        (_edit_frames(lambda b: [b[0], _recount(b[1], 4), b[2]]), r"chunk 1 .*: expected 5 records, found 4"),
+        (_edit_frames(lambda b: [b[0], _recount(b[1], 7), b[2]]), r"chunk 1 .*: expected 5 records, found 7"),
         (_edit_frames(lambda b: [*b, b"x"]), r"chunk 2 .*: 5 bytes follow it"),
         (_edit_frames(lambda b: b, tail=b"\x00\x00"), r"chunk 2 .*: 2 bytes follow it"),
     ],
@@ -776,14 +795,15 @@ def test_stream_closes_the_data_file_when_abandoned(tmp_path, monkeypatch):
     assert len(opened) == 2 and opened[1].closed
 
 
-def _record(consts, codes, width=1, **head) -> bytes:
-    """A record from its constants, each ``(kind, text)`` with the text in
-    bytes, and its codes at ``width`` bytes each; ``head`` overrides the
-    header's ``nconst``, ``tlen``, ``width`` or ``ncodes``."""
+def _chunk(consts, codes, width=1, **head) -> bytes:
+    """The frame body of a chunk from its constants, each ``(kind, text)``
+    with the text in bytes, and its codes at ``width`` bytes each; ``head``
+    overrides the header's ``nrec``, ``nkeys``, ``nconst``, ``tlen``,
+    ``width`` or ``ncodes``."""
     table = b"".join(text + b"\0" for _, text in consts)
-    fields = dict(nconst=len(consts), tlen=len(table), width=width, ncodes=len(codes)) | head
+    fields = dict(nrec=1, nkeys=1, nconst=len(consts), tlen=len(table), width=width, ncodes=len(codes)) | head
     return (
-        struct.pack("<IIBI", *fields.values())
+        _HEAD.pack(*fields.values())
         + bytes(kind for kind, _ in consts)
         + table
         + b"".join(c.to_bytes(width, "little") for c in codes)
@@ -791,46 +811,55 @@ def _record(consts, codes, width=1, **head) -> bytes:
 
 
 # One example: id 1, label pair, one fact card(x).  Constants: 0 the integer
-# 1, 1 pair, 2 card, 3 x.  The codes: the id (constant 0, tree-coded), the
-# label, one group of card/1 (arity 1 doubled, plain) with one fact whose
-# argument is constant 3.
+# 1, 1 pair, 2 card, 3 x.  The codes: the key card/1 (arity 1 doubled, plain)
+# with one fact; its column, whose one argument is constant 3; the record:
+# its id (constant 0, tree-coded), its label and one group, of key 0 with
+# one fact.
 _CONSTS = [(1, b"1"), (0, b"pair"), (0, b"card"), (0, b"x")]
-_BODY = [0 << 1, 1, 1, 2, 1 << 1, 1, 3]
+_KEY, _COLUMN, _RECORD = [2, 1 << 1, 1], [3], [0 << 1, 1, 1, 0, 1]
+_BODY = _KEY + _COLUMN + _RECORD
 _WIDE = (2**31 - 1) << 1  # the largest arity that a 4-byte code holds
 
 
 # The test keeps the name it had when records first carried their own
-# constant table (format v2); its records are those of the current format.
+# constant table (format v2); its chunks are those of the current format,
+# and its ids the names of the cases it had then.
 @pytest.mark.parametrize(
-    "record,message",
+    "body,message",
     [
-        (_record(_CONSTS, _BODY), None),
-        (_record(_CONSTS, _BODY[:-1] + [9]), r"constant index beyond the table of 4"),
-        (_record(_CONSTS, _BODY[:1] + [7] + _BODY[2:]), r"constant index beyond the table of 4"),
-        (_record(_CONSTS, _BODY[:3] + [0] + _BODY[4:]), r"constant 0 is a number where a name"),
-        (_record(_CONSTS, _BODY[:1] + [0] + _BODY[2:]), r"constant 0 is a number where a name"),
-        (_record(_CONSTS, [0 << 1 | 1, 1, 3 << 1] + _BODY[1:]), r"constant 0 is a number where a name"),
-        (_record(_CONSTS[:3] + [(7, b"x")], _BODY), r"bad constant kind 7"),
-        (_record(_CONSTS, _BODY + [0]), r"1 bytes unread"),
-        (_record(_CONSTS, _BODY[:3]), r"truncated"),
-        (_record(_CONSTS, _BODY[:-1]), r"1 facts of card/1 do not fit"),
-        (_record(_CONSTS, _BODY[:2] + [2] + _BODY[3:] + _BODY[3:]), r"card/1 grouped twice"),
-        (_record(_CONSTS, _BODY[:5] + [0]), r"0 facts of card/1 do not fit"),
-        (_record(_CONSTS, _BODY[:4] + [_WIDE, 0], width=4), r"0 facts of card/2147483647 do not fit"),
-        (_record(_CONSTS, _BODY[:4] + [_WIDE, 1, 3], width=4), r"1 facts of card/2147483647 do not fit"),
-        (_record(_CONSTS, _BODY[:3] + [2, 0, 65537, 0], width=4), r"65537 facts of card/0 do not fit"),
-        (_record(_CONSTS, _BODY[:3] + [2, 0, 2, 0, 5]), r"a fact of card/0 is not marked 0"),
-        (_record(_CONSTS[:3] + [(0, b"\xff")], _BODY), r"not UTF-8"),
-        (_record(_CONSTS, [1 << 1 | 1, 1] * 5000 + _BODY), r"nested too deeply"),
-        (_record(_CONSTS, _BODY, width=3), r"bad code width 3"),
-        (_record(_CONSTS, _BODY, tlen=1000), r"constant table of 1000 bytes ends past the record"),
-        (_record(_CONSTS, _BODY, ncodes=8), r"8 codes of 1 bytes do not fit"),
-        (_record(_CONSTS, _BODY, ncodes=6), r"1 bytes unread"),
-        (_record(_CONSTS, _BODY, width=2, ncodes=3), r"8 bytes unread"),
-        (_record(_CONSTS[:3] + [(0, b"x\0y")], _BODY), r"5 constants in a table of 4"),
-        (_record([(1, b"01")] + _CONSTS[1:], _BODY), r"bad integer '01'"),
-        (_record([(2, b"00")] + _CONSTS[1:], _BODY), r"bad float '00'"),
-        (_record([], [0] * 5), r"constant index beyond the table of 0"),
+        (_chunk(_CONSTS, _BODY), None),
+        (_chunk(_CONSTS, _KEY + [9] + _RECORD), r"a constant index beyond the table of 4"),
+        (_chunk(_CONSTS, _KEY + _COLUMN + [0, 7, 1, 0, 1]), r"a constant index beyond the table of 4"),
+        (_chunk(_CONSTS, [0] + _BODY[1:]), r"constant 0 is a number where a name"),
+        (_chunk(_CONSTS, _KEY + _COLUMN + [0, 0, 1, 0, 1]), r"constant 0 is a number where a name"),
+        (_chunk(_CONSTS, _KEY + _COLUMN + [0 << 1 | 1, 1, 3 << 1] + _RECORD[1:]), r"constant 0 is a number where a name"),
+        (_chunk(_CONSTS[:3] + [(7, b"x")], _BODY), r"bad constant kind 7"),
+        (_chunk(_CONSTS, _BODY + [0]), r"1 bytes unread"),
+        (_chunk(_CONSTS, _BODY[:-3]), r"its codes are truncated"),
+        (_chunk(_CONSTS, _KEY), r"1 facts of card/1 do not fit"),
+        (_chunk(_CONSTS, [2, 2, 2, 3, 3, 0, 1, 2, 0, 1, 0, 1]), r"card/1 grouped twice in record 0"),
+        (_chunk(_CONSTS, [2, 2, 0] + _BODY[3:]), r"0 facts of card/1 do not fit"),
+        (_chunk(_CONSTS, [2, _WIDE, 0] + _BODY[3:], width=4), r"0 facts of card/2147483647 do not fit"),
+        (_chunk(_CONSTS, [2, _WIDE, 1] + _BODY[3:], width=4), r"1 facts of card/2147483647 do not fit"),
+        (_chunk(_CONSTS, [2, 0, 65537, 0] + _RECORD, width=4), r"65537 facts of card/0 do not fit"),
+        (_chunk(_CONSTS, [2, 0, 2, 0, 5, 0, 1, 1, 0, 2]), r"a fact of card/0 is not marked 0"),
+        (_chunk(_CONSTS[:3] + [(0, b"\xff")], _BODY), r"its constant table is not UTF-8"),
+        (_chunk(_CONSTS, _KEY + _COLUMN + [1 << 1 | 1, 1] * 5000 + _RECORD), r"compounds nested too deeply"),
+        (_chunk(_CONSTS, _BODY, width=3), r"bad code width 3"),
+        (_chunk(_CONSTS, _BODY, tlen=1000), r"its constant table of 1000 bytes ends past the frame"),
+        (_chunk(_CONSTS, _BODY, ncodes=10), r"10 codes of 1 bytes do not fit"),
+        (_chunk(_CONSTS, _BODY, ncodes=8), r"1 bytes unread"),
+        (_chunk(_CONSTS, _BODY, width=2, ncodes=5), r"8 bytes unread"),
+        (_chunk(_CONSTS[:3] + [(0, b"x\0y")], _BODY), r"5 constants in a table of 4"),
+        (_chunk([(1, b"01")] + _CONSTS[1:], _BODY), r"bad integer '01'"),
+        (_chunk([(2, b"00")] + _CONSTS[1:], _BODY), r"bad float '00'"),
+        (_chunk([], [0] * 3, width=4, nkeys=0), r"a constant index beyond the table of 0"),
+        (_chunk(_CONSTS, _KEY * 2 + _COLUMN * 2 + _RECORD, nkeys=2), r"card/1 keyed twice"),
+        (_chunk(_CONSTS, _BODY, nkeys=4), r"4 keys do not fit"),
+        (_chunk(_CONSTS, _BODY[:-2] + [1, 1]), r"a key index beyond the 1 keys"),
+        (_chunk(_CONSTS, _BODY[:-1] + [0]), r"a group of record 0 holds no facts"),
+        (_chunk(_CONSTS, [2, 2, 2, 3, 3] + _RECORD), r"its records claim 1 facts of card/1, of the 2 its column holds"),
+        (_chunk(_CONSTS, _BODY[:4] + [0, 1, 3] + _BODY[-2:]), r"the 3 groups of record 0 do not fit"),
     ],
     ids=[
         "valid", "argument-index", "label-index", "predicate-number", "label-number",
@@ -840,31 +869,56 @@ _WIDE = (2**31 - 1) << 1  # the largest arity that a 4-byte code holds
         "nullary-marker", "utf8", "deep-compound",
         "code-width", "table-past-record", "code-count-past-record", "code-count-short-of-record",
         "code-width-unlike-codes", "table-count", "integer-text", "float-text", "no-constants",
+        "key-twice", "keys-past-codes", "key-index", "empty-group", "facts-unclaimed", "groups-past-codes",
     ],
 )
-def test_corrupt_v2_record_names_its_chunk(tmp_path, record, message):
+def test_corrupt_v2_record_names_its_chunk(tmp_path, body, message):
     handle = load_dataset(_write_many(tmp_path, 1), POKER_SETTINGS, tmp_path / "store", granularity=5)
-    _write_frames(handle.dir / DATA_NAME, [_body([record])])
+    _write_frames(handle.dir / DATA_NAME, [body])
     store = open_dataset(handle.dir)
     if message is None:
         [(_, e)] = store.stream_examples()
         assert (e.ident, e.label, e.facts) == (Number(1), "pair", (Literal("card", (Atom("x"),)),))
         return
-    with pytest.raises(DataError, match=rf"corrupt chunk 0 of data file .*chunks\.bin: corrupt chunk record .*{message}"):
+    with pytest.raises(DataError, match=rf"^corrupt chunk 0 of data file .*chunks\.bin: {message}"):
         list(store.stream_examples())
+
+
+@pytest.mark.parametrize("field", ["nrec", "nkeys", "nconst", "ncodes", "key-count", "group-count", "arity"])
+def test_a_corrupt_count_allocates_no_more_than_the_frame_holds(field):
+    """A count past what the frame holds fails before anything of that
+    size is built: the decoder's peak memory stays within a small multiple
+    of the frame's length."""
+    huge = 2**32 - 1
+    codes = {
+        "key-count": [2, 2, huge] + _BODY[3:],
+        "group-count": _KEY + _COLUMN + [0, 1, huge, 0, 1],
+        "arity": [2, huge - 1, 1] + _BODY[3:],
+    }.get(field, _BODY)
+    head = {field: huge} if field in ("nrec", "nkeys", "nconst", "ncodes") else {}
+    body = _chunk(_CONSTS, codes, width=4, **head)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError):
+            decode_chunk(body, head.get("nrec", 1), {0})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * len(body) + 10_000
 
 
 def test_float_constants_keep_their_bits():
     values = [0.0, -0.0, float("nan"), 1.0, float("-inf"), *_NANS]
     interp = oracles.interp_of(Atom("e"), "pos", (Literal("v", tuple(map(Number, values)) + (Number(1),)),))
-    [row] = decode_record(encode_record(interp)).groups[("v", len(values) + 1)].rows
+    [decoded] = _round_trip([interp])
+    [row] = decoded.groups[("v", len(values) + 1)].rows
     assert [struct.pack("<d", t.value) for t in row[:-1]] == [struct.pack("<d", v) for v in values]
     assert type(row[-1].value) is int
 
 
 def test_many_nullary_facts_round_trip():
     interp = oracles.interp_of(Number(1), "pair", (Literal("flush", ()),) * (2**16 + 1))
-    assert decode_record(encode_record(interp)) == interp
+    assert _round_trip([interp, interp]) == [interp, interp]
 
 
 def test_compile_over_a_larger_store_leaves_only_its_own_files(tmp_path):
@@ -953,14 +1007,37 @@ def _bits(t):
     return t
 
 
-@hsettings(max_examples=300, deadline=None)
-@given(interp=_interpretations())
-def test_v4_record_groups_what_the_v2_codec_decodes(interp):
-    def content(e):  # floats by their bits; group keys in order of first occurrence
-        return _bits(e.ident), e.label, [(k, [tuple(map(_bits, row)) for row in g.rows]) for k, g in e.groups.items()]
+def _content(e):
+    """An example's id, label and groups, floats by their bits, group keys
+    in order of first occurrence."""
+    return _bits(e.ident), e.label, [(k, [tuple(map(_bits, row)) for row in g.rows]) for k, g in e.groups.items()]
 
-    reference = oracles.decode_record(oracles.encode_record(interp))
-    assert content(decode_record(encode_record(interp))) == content(reference) == content(interp)
+
+# A key whose column turns tree-coded at a later record of the chunk, a
+# nullary key, and floats that compare equal but differ in their bits.
+_MIXED = [
+    oracles.interp_of(Number(1), "pos", (Literal("p", (Atom("a"), Number(-0.0))), Literal("q", ()))),
+    oracles.interp_of(Number(2), "neg", (Literal("p", (Compound("f", (Atom("a"),)), Number(0.0))),)),
+    oracles.interp_of(Compound("rep", (Number(1), Number(2))), "pos", (Literal("q", ()),) * 3),
+]
+
+
+@hsettings(max_examples=examples(300), deadline=None)
+@given(interps=st.lists(_interpretations(), min_size=1, max_size=5), listed=st.sets(st.integers(0, 4)))
+@example(interps=_MIXED, listed={0, 1, 2})
+@example(interps=_MIXED, listed={1})
+def test_a_v5_chunk_decodes_what_v4_records_decode(interps, listed):
+    """The listed records of a chunk decode, in order and with their
+    ordinals, to the examples that their format v4 records decode to, group
+    for group; and the v4 bytes that define the fingerprint are those of the
+    reference encoder."""
+    chosen = {i for i in listed if i < len(interps)}
+    got = decode_chunk(encode_chunk(interps), len(interps), chosen, 7)
+    reference = [oracles.decode_record(oracles.encode_record(interps[i])) for i in sorted(chosen)]
+    assert [o for o, _ in got] == [7 + i for i in sorted(chosen)]
+    assert [_content(e) for _, e in got] == list(map(_content, reference))
+    assert list(map(_content, reference)) == [_content(interps[i]) for i in sorted(chosen)]
+    assert [encode_record(e) for e in interps] == [oracles.encode_record(e) for e in interps]
 
 
 def _well_formed(t) -> bool:
@@ -969,34 +1046,36 @@ def _well_formed(t) -> bool:
     return type(t) in (Atom, Number)
 
 
-@hsettings(max_examples=300, deadline=None)
+@hsettings(max_examples=examples(300), deadline=None)
 @given(
-    interp=_interpretations(),
+    interps=st.lists(_interpretations(), min_size=1, max_size=3),
     cut=st.none() | st.integers(0, 10**6),
     flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 7)), max_size=3),
 )
-def test_a_damaged_record_decodes_or_raises_data_error(interp, cut, flips):
-    """Records with compounds and floats, cut short or with flipped bits,
-    decode to well-formed examples or raise a DataError."""
-    record = encode_record(interp)
-    raw = bytearray(record if cut is None else record[: cut % (len(record) + 1)])
+def test_a_damaged_chunk_decodes_or_raises_data_error(interps, cut, flips):
+    """Chunks with compounds and floats, cut short or with flipped bits,
+    decode to well-formed examples or raise a DataError, whatever records
+    are listed."""
+    body = encode_chunk(interps)
+    raw = bytearray(body if cut is None else body[: cut % (len(body) + 1)])
     for pos, bit in flips:
         if raw:
             raw[pos % len(raw)] ^= 1 << bit
     try:
-        e = decode_record(bytes(raw))
+        out = decode_chunk(bytes(raw), len(interps), set(range(0, len(interps), 2)))
     except DataError:
         return
-    assert _well_formed(e.ident) and type(e.label) is str
-    for (pred, arity), group in e.groups.items():
-        assert type(pred) is str and group.rows
-        assert all(len(row) == arity and all(map(_well_formed, row)) for row in group.rows)
+    for _, e in out:
+        assert _well_formed(e.ident) and type(e.label) is str
+        for (pred, arity), group in e.groups.items():
+            assert type(pred) is str and group.rows
+            assert all(len(row) == arity and all(map(_well_formed, row)) for row in group.rows)
 
 
 @hsettings(max_examples=200, deadline=None)
 @given(interp=_interpretations(allow_nan=False), absent=_ground_terms(allow_nan=False))
 def test_first_argument_index_equals_an_eager_index(interp, absent):
-    decoded = decode_record(encode_record(interp))
+    [decoded] = _round_trip([interp])
     for group in decoded.groups.values():
         if not group.rows or not group.rows[0]:
             continue
