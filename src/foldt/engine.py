@@ -31,9 +31,12 @@ after a literal that only example facts prove).  A literal whose predicate
 has no background clauses and whose arguments are constants and such slots
 or unbound ones has a static plan, and becomes a ``for`` loop over the
 example's facts of its predicate, or over those whose first argument its
-ground first argument picks: its other ground arguments and repeated slots
-become comparisons, and the slots it binds become Python locals.  A builtin
-over constants and ground-bound slots becomes an ``if``.  Each loop's body is
+ground first argument picks from the example's first-argument index
+(``Interpretation.firsts``, built once per example and key, so the packs
+run on one example share it), whose ``get`` the function binds once per
+run: its other ground arguments and repeated slots become comparisons, and
+the slots it binds become Python locals.  A builtin over constants and
+ground-bound slots becomes an ``if``.  Each loop's body is
 the code of its trie node: reaching a query's end marks it succeeded, the
 function returns once every query has, and a loop is left once every query
 below its node has succeeded.  A path that nests too deep goes on in a
@@ -558,10 +561,6 @@ _NEST = 16
 _OPS = {"<": "<", ">": ">", "=<": "<=", ">=": ">="}
 
 
-def _no_rows(term):
-    return ()
-
-
 class _Writer:
     """The source of one pack's walk, with the objects it names."""
 
@@ -569,7 +568,7 @@ class _Writer:
         self.pack, self.rules = pack, rules
         self.env = {
             "P": pack, "FULL": pack.full, "RULES": rules, "Number": Number,
-            "QueryError": QueryError, "_Run": _Run, "_solve": _solve, "_no_rows": _no_rows,
+            "QueryError": QueryError, "_Run": _Run, "_solve": _solve, "_no_rows": {}.get,
         }
         self.names: dict = {}  # id of a named object -> its name
         self.groups: dict = {}  # predicate key -> (its name's number, uses rows, uses first)
@@ -604,12 +603,9 @@ class _Writer:
         else:
             head += ["run = b = None"]
         for key, (k, rows, firsts) in self.groups.items():
-            head += [f"g = groups.get({self.name(key, 'K')})", "if g is None:"]
-            head += [f"    R{k} = ()"] if rows else []
-            head += [f"    F{k} = _no_rows"] if firsts else []
-            head += ["else:"]
-            head += [f"    R{k} = g.rows"] if rows else []
-            head += [f"    F{k} = g.first"] if firsts else []
+            name = self.name(key, "K")
+            head += [f"R{k} = groups.get({name}, ())"] if rows else []
+            head += [f"F{k} = interp.firsts({name}).get if {name} in groups else _no_rows"] if firsts else []
         lines = ["def walk(interp, budget, limit):"]
         lines += ["    " + line for line in head] + body + ["    " + line for line in self.exit(True)]
         for func in self.funcs:
@@ -711,7 +707,7 @@ class _Writer:
             facts = self.source(g.key, False)
         else:
             at = f"v{index[1]}" if index[0] else self.term(index[1])
-            facts = f"{self.source(g.key, True)}({at})"
+            facts = f"{self.source(g.key, True)}({at}, ())"
         args = [f"a{p}" for p in range(len(g.args))]
         for p, s in binds:
             args[p] = f"v{s}"
@@ -893,10 +889,11 @@ def _solve(run: _Run, goals, mask: int):
                     if clauses is not None:
                         args = g.args if not off else tuple(_shift(a, off) for a in g.args)
                         stack.append([_CLAUSES, len(trail), size, 0, clauses, args, rest])
-                    group = groups.get(g.key)
-                    if group is not None:
+                    facts = groups.get(g.key)
+                    if facts is not None:
                         index, pats = _goal_plan(g.args, off, b, names)
-                        facts = group.rows if index is None else group.first(index)
+                        if index is not None:
+                            facts = run.interp.firsts(g.key).get(index, ())
                         stack.append([_FACTS, len(trail), size, 0, facts, len(facts), pats, rest])
 
             # Try the newest choice point's next fact or clause, dropping

@@ -21,45 +21,58 @@ child keeps its parent's ``Q`` and rmode usage, and a conjunction that
 shares no variable with ``Q`` has the same coverage query at every depth.
 Only the remaining queries are compiled into the node's query pack
 (``engine.Pack``), whose outcomes take the next positions.  Each
-example reaching the node runs that pack once, if there is one, and adds
-its class to the counters ``counter[candidate][branch][class]``
-(``_evaluate``).  ``evaluations`` counts the (example, query) outcomes the
-packs proved, ``reused`` those read from the path bits, and ``proof_steps``
-the steps the packs spent.  ``choose_split`` picks the winner from the
-counters alone, and ``_split`` makes the two children, which inherit the
-node's table.  Selection considers only admissible candidates: positive
-gain and at least ``minleaf`` examples on each side.  Without that validity
-filter the gain ratio favors degenerate near-empty splits (a split isolating
-one example of a rare class scores a ratio of ~1.0), which would then be
-vetoed and turn the node into a leaf prematurely; a node becomes a leaf only
-when no admissible candidate exists.
+example reaching the node runs that pack once, if there is one, and is
+tallied under its class and its path bits at the candidates' positions
+(``_evaluate``): the tally maps each such (bits, class) pattern to its
+number of examples, so the counters are updated per pattern, not per
+example.  Folding the tally (``_fold``) adds each pattern's
+examples to the counters ``counter[candidate][branch][class]`` and empties
+it: a tally that would hold more than G keys (the store's granularity) is
+folded first, so its memory does not grow with the examples, and every
+tally is folded once the node's examples are all evaluated.  ``evaluations``
+counts the (example, query) outcomes the packs proved, ``reused`` those read
+from the path bits, and ``proof_steps`` the steps the packs spent.
+``choose_split`` picks the winner from the counters alone, and ``_split``
+makes the two children, which inherit the node's table.  Selection
+considers only admissible candidates: positive gain and at least ``minleaf``
+examples on each side.  Without that validity filter the gain ratio favors
+degenerate near-empty splits (a split isolating one example of a rare class
+scores a ratio of ~1.0), which would then be vetoed and turn the node into a
+leaf prematurely; a node becomes a leaf only when no admissible candidate
+exists.
 
 The classic engine keeps every example and its path bits resident and
 recurses depth-first, partitioning the examples of a node by the winner's
 outcome bit.
 
 The LDS engine builds one tree level per streaming pass, and the path bits
-travel on disk.  A pass reads the previous pass's spill file, one record
-(ordinal, class index, path bits) per example that was at a node with
-candidates.  The path bits say where the example is: from the root, each
-internal node sends it to the child its winner's outcome names
-(``_reached``), and a record whose node is a leaf is skipped.  The pass
-merge-joins the rest, in ordinal order, with the stream of the examples
-whose node has a pack, which a second reader of the spill lists: only those
-are decoded, and a node whose candidates all reuse outcomes counts its
-examples from their records alone.  A level whose nodes all reuse their
-outcomes streams no example and opens no chunk.  The pass writes each
-example's record, with its new path bits, to the next spill file, in a
-directory of its own in the system temporary directory, and deletes the
-spill it read.  Splitting a node moves no example, so no routing pass or
+travel on disk.  A pass reads the previous pass's spill file once, a block
+of at most G records at a time: one record (ordinal, class index, path
+bits) per example that was at a node with candidates.  The path bits say
+where the example is: from the root, each internal node sends it to the
+child its winner's outcome names (``_reached``), and a record whose node is
+a leaf is skipped.  At a level where some node has a pack, the pass
+(``_pass``) lists to the store's stream the ordinals of the records whose
+node has a pack, and only those examples are decoded.  A record whose node
+has no pack is tallied from the record alone and written to the next spill
+as it is read; a listed one holds its place in the next spill until its
+example comes and is evaluated.  The stream reads the listing only as far
+as the chunk it loads, so no more than a chunk's listed records wait, and
+the records between two listed ones are never kept.  The next spill goes
+to a directory of its own in the system temporary directory, and the spill
+that was read is deleted.  A level where no node has a pack changes no path
+bits: it decodes no example, writes no spill and passes the spill it read
+to the next level.  Every level still starts exactly one stream, even when
+it lists nothing.  Splitting a node moves no example, so no routing pass or
 second pass over the data is needed.  Every level costs exactly one pass,
 including the final all-leaf level, so the pass count equals the depth of
 the finished tree (counted in node levels).
 
 Memory at any moment is one chunk of examples (bounded by the store's
-granularity), the tree, and the counters and tables of one level, which
-scale with nodes-per-level times candidates-per-node.  Nothing is kept per
-example, so memory does not grow with the number of examples.
+granularity), a block of spill records and the records waiting for a
+chunk's examples, the tree, and the tallies, counters and tables of one
+level, which scale with nodes-per-level times candidates-per-node.  Nothing
+is kept per example, so memory does not grow with the number of examples.
 
 Both engines make identical decisions from identical integer counters, and
 fresh variable names are derived from path-local state, so the two engines
@@ -75,6 +88,7 @@ import os
 import struct
 import tempfile
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 from .bias import (
@@ -217,8 +231,10 @@ class _Node:
     decided: dict[tuple[Literal, ...], int] | None
     candidates: list[Candidate] | None = None  # set while the node is evaluated
     positions: list[int] | None = None  # per candidate: the position of its outcome
+    mask: int = 0  # the path bits at the candidates' positions
     base: int = 0  # the position of the outcome of the pack's first query
     pack: Pack | None = None  # the coverage queries the path has not decided, if any
+    tally: dict | None = None  # (path bits & mask, class index) -> examples not yet counted
     counters: list | None = None  # per candidate: [left per-class, right per-class]
     win_bit: int | None = None  # the position of the winner's outcome, once split
     conj: tuple = ()  # the winner's added conjunction
@@ -227,10 +243,11 @@ class _Node:
 
 def _open(node: _Node, cfg: LearnerConfig, bias, stats: BuildStats) -> bool:
     """Give the node its candidates, the position of each one's outcome,
-    the pack of the coverage queries its path has not decided and zeroed
-    counters; False when it is a leaf without evaluation (forced, or no
-    refinement applies).  The node's examples are counted as proving the
-    pack's queries and reusing the other candidates' outcomes."""
+    the pack of the coverage queries its path has not decided, an empty
+    tally and zeroed counters; False when it is a leaf without evaluation
+    (forced, or no refinement applies).  The node's examples are counted as
+    proving the pack's queries and reusing the other candidates'
+    outcomes."""
     inherited, node.decided = node.decided, None
     if _forced_leaf(node.counts, node.depth, cfg):
         return False
@@ -250,6 +267,8 @@ def _open(node: _Node, cfg: LearnerConfig, bias, stats: BuildStats) -> bool:
         node.positions.append(decided[key])
     node.base, node.decided = len(inherited), decided
     node.pack = Pack(fresh) if fresh else None
+    node.mask = sum(1 << p for p in set(node.positions))
+    node.tally = {}
     nclasses = len(node.counts)
     node.counters = [[[0] * nclasses, [0] * nclasses] for _ in node.candidates]
     examples = sum(node.counts)
@@ -260,26 +279,41 @@ def _open(node: _Node, cfg: LearnerConfig, bias, stats: BuildStats) -> bool:
     return True
 
 
-def _evaluate(node: _Node, example, cls: int, bits: int, background, budget: int) -> int:
+def _evaluate(node: _Node, example, cls: int, bits: int, background, cfg: LearnerConfig) -> int:
     """Evaluate the node's candidates on one example of class index ``cls``
     that satisfies the node's associated query and brings the path bits
     ``bits``; ``example`` is read only when the node has a pack.  The pack
-    adds its outcomes to the bits, the example is counted in each
-    candidate's succeeding or failing branch, and the new bits are
-    returned."""
+    adds its outcomes to the bits, and the new bits are returned.  The
+    example is tallied under its bits at the candidates' positions and its
+    class; a tally that a new key would take past ``cfg.granularity`` keys
+    is first folded, so a node's tally holds at most G keys whatever the
+    number of its examples."""
     if node.pack is not None:
-        bits |= node.pack.run(example, background, budget) << node.base
-    for pos, (left, right) in zip(node.positions, node.counters):
-        (left if bits >> pos & 1 else right)[cls] += 1
+        bits |= node.pack.run(example, background, cfg.resolution_budget) << node.base
+    tally = node.tally
+    key = bits & node.mask, cls
+    n = tally.get(key, 0)
+    if not n and len(tally) >= cfg.granularity:
+        _fold(node)
+    tally[key] = n + 1
     return bits
 
 
+def _fold(node: _Node):
+    """Count the node's tallied examples in each candidate's succeeding or
+    failing branch, and empty the tally."""
+    for (bits, cls), n in node.tally.items():
+        for pos, (left, right) in zip(node.positions, node.counters):
+            (left if bits >> pos & 1 else right)[cls] += n
+    node.tally.clear()
+
+
 def _close(node: _Node, stats: BuildStats):
-    """Drop an evaluated node's candidates, pack, counters and table, and
-    add the steps its pack spent to the run's proof steps."""
+    """Drop an evaluated node's candidates, pack, tally, counters and
+    table, and add the steps its pack spent to the run's proof steps."""
     if node.pack is not None:
         stats.proof_steps += node.pack.steps
-    node.candidates = node.positions = node.pack = node.counters = node.decided = None
+    node.candidates = node.positions = node.pack = node.tally = node.counters = node.decided = None
 
 
 def _split(node: _Node, cfg: LearnerConfig, data: DatasetHandle) -> int | None:
@@ -367,9 +401,8 @@ def _grow_classic(root, data, background, cidx, cfg, bias, stats):
             return
         t0 = time.perf_counter()
         for i in idxs:
-            bits[i] = _evaluate(
-                node, examples[i], labels[i], bits[i], background, cfg.resolution_budget
-            )
+            bits[i] = _evaluate(node, examples[i], labels[i], bits[i], background, cfg)
+        _fold(node)
         stats.eval_seconds += time.perf_counter() - t0
         pos = _split(node, cfg, data)
         _close(node, stats)
@@ -388,20 +421,26 @@ def _grow_classic(root, data, background, cidx, cfg, bias, stats):
 # A spill record: an example's ordinal and class index, then its path bits in
 # a width fixed per file.
 _RECORD = struct.Struct("<II")
+_BUFFER = 1 << 13  # bytes of records a pass holds before it writes them
 
 
-def _spill_records(path, width: int, total: int):
+def _spill_blocks(path, width: int, total: int, block: int):
     """The ``(ordinal, class index, path bits)`` records of the spill file
-    ``path``; before the first spill (``path`` None), every example's, at
-    the root with no path bits."""
+    ``path``, in lists of at most ``block``, read a list at a time; before
+    the first spill (``path`` None), every example's, at the root with no
+    path bits."""
     if path is None:
-        yield from ((o, None, 0) for o in range(total))
+        for start in range(0, total, block):
+            yield [(o, None, 0) for o in range(start, min(start + block, total))]
         return
     size = _RECORD.size + width
+    unpack = _RECORD.unpack_from
     with open(path, "rb") as spill:
-        while record := spill.read(size):
-            ordinal, cls = _RECORD.unpack_from(record)
-            yield ordinal, cls, int.from_bytes(record[_RECORD.size :], "little")
+        while records := spill.read(size * block):
+            yield [
+                (*unpack(records, at), int.from_bytes(records[at + _RECORD.size : at + size], "little"))
+                for at in range(0, len(records), size)
+            ]
 
 
 def _reached(node: _Node, bits: int) -> _Node:
@@ -412,11 +451,67 @@ def _reached(node: _Node, bits: int) -> _Node:
     return node
 
 
+def _pass(root, blocks, data, path, width, background, cidx, cfg) -> int:
+    """One pass of a level at which some node has a pack, writing the spill
+    file ``path``; the number of examples streamed.  The previous spill's
+    records are read once, a block at a time.  A record at a leaf is
+    dropped.  One at a node without a pack is tallied and written as it is
+    read.  One at a node with a pack lists its ordinal to the level's
+    stream, and a placeholder holds its place in the new spill until the
+    stream brings its example, which is evaluated and its record patched
+    in: in the buffer while the placeholder is there, else in the file.
+    The stream reads the listing as far as the chunk it loads, so at most
+    that chunk's listed records and one more wait, and the records between
+    two listed ones are never kept."""
+    pack = _RECORD.pack
+    size = _RECORD.size + width
+    blank = bytes(size)
+    buf = bytearray()  # the records after the first ``written`` bytes of the file
+    put = buf.extend
+    pending: deque = deque()  # per waiting record: its offset in the file, node and path bits
+    written = touched = 0
+
+    def listed():
+        nonlocal written
+        for block in blocks:
+            for ordinal, cls, bits in block:
+                node = _reached(root, bits)
+                if node.candidates is None:  # the example reached a leaf
+                    continue
+                if node.pack is None:
+                    bits = _evaluate(node, None, cls, bits, background, cfg)
+                    put(pack(ordinal, cls) + bits.to_bytes(width, "little"))
+                    continue
+                pending.append((written + len(buf), node, bits))
+                put(blank)
+                yield ordinal
+            if len(buf) >= _BUFFER:
+                out.write(buf)
+                written += len(buf)
+                buf.clear()
+
+    stream = data.stream_examples(listed())
+    with open(path, "wb") as out:
+        for ordinal, e in stream:
+            at, node, bits = pending.popleft()
+            cls = cidx[e.label]
+            bits = _evaluate(node, e, cls, bits, background, cfg)
+            record = pack(ordinal, cls) + bits.to_bytes(width, "little")
+            if at >= written:
+                buf[at - written : at - written + size] = record
+            else:
+                out.seek(at)
+                out.write(record)
+                out.seek(written)
+            touched += 1
+        out.write(buf)
+    return touched
+
+
 def _grow_lds(root, data, background, cidx, cfg, bias, stats):
     frontier = [root]
-    budget = cfg.resolution_budget
     with tempfile.TemporaryDirectory() as tmp:
-        spill = spill_width = None  # the previous pass's spill file and its path-bit width
+        spill = spill_width = None  # the spill file the level reads and its path-bit width
         while frontier:
             stats.passes += 1
             level_wall0 = time.perf_counter()
@@ -424,39 +519,30 @@ def _grow_lds(root, data, background, cidx, cfg, bias, stats):
             evaluable = [n for n in frontier if _open(n, cfg, bias, stats)]
             candidates = sum(len(n.candidates) for n in evaluable)
             width = (max((len(n.decided) for n in evaluable), default=0) + 7) // 8
+            blocks = _spill_blocks(spill, spill_width, len(data), data.granularity) if evaluable else ()
 
-            # One pass: the previous pass's records merge-joined in ordinal
-            # order with the stream of the examples whose node has a pack,
-            # which a second reader of the spill lists.  Always exactly one
-            # stream per level, even when it lists no example.
-            ordinals = ()
+            # Always exactly one stream per level, even when it lists no
+            # example.  A level without packs changes no path bits: it
+            # counts its examples from their records, and its spill is the
+            # next level's.
+            pass_t0, decode0 = time.perf_counter(), data.decode_seconds
             if any(n.pack is not None for n in evaluable):
-                records = _spill_records(spill, spill_width, len(data))
-                ordinals = (o for o, _, bits in records if _reached(root, bits).pack is not None)
-            stream = data.stream_examples(ordinals)
-            out_path = os.path.join(tmp, f"level{stats.passes}")
-            touched, decode = 0, 0.0
-            pass_t0 = time.perf_counter()
-            with open(out_path, "wb") as out:
-                for ordinal, cls, bits in _spill_records(spill, spill_width, len(data)):
-                    node = _reached(root, bits)
-                    if node.candidates is None:  # the example reached a leaf
-                        continue
-                    e = None
-                    if node.pack is not None:
-                        t0 = time.perf_counter()
-                        _, e = next(stream)
-                        decode += time.perf_counter() - t0
-                        touched += 1
-                        cls = cidx[e.label]
-                    bits = _evaluate(node, e, cls, bits, background, budget)
-                    out.write(_RECORD.pack(ordinal, cls) + bits.to_bytes(width, "little"))
-            t0 = time.perf_counter()
-            next(stream, None)  # ends the pass, and starts it when no record read it
-            decode += time.perf_counter() - t0
-            if spill is not None:
-                os.unlink(spill)
-            spill, spill_width = out_path, width
+                out_path = os.path.join(tmp, f"level{stats.passes}")
+                touched = _pass(root, blocks, data, out_path, width, background, cidx, cfg)
+                if spill is not None:
+                    os.unlink(spill)
+                spill, spill_width = out_path, width
+            else:
+                touched = 0
+                next(data.stream_examples(()), None)
+                for block in blocks:
+                    for _, cls, bits in block:
+                        node = _reached(root, bits)
+                        if node.candidates is not None:
+                            _evaluate(node, None, cls, bits, background, cfg)
+            for n in evaluable:
+                _fold(n)
+            decode = data.decode_seconds - decode0
             evaluating = time.perf_counter() - pass_t0 - decode
             stats.eval_seconds += evaluating
 

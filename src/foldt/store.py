@@ -14,8 +14,11 @@ frames are chunks of ``G`` pre-parsed examples each, the last holding the
 rest, and a metadata file whose ``granularity`` and ``total`` give that
 layout and which also records every predicate/arity key the examples' facts
 use.  An ``Interpretation`` is built from its fact groups alone, the index
-the engine reads (``Interpretation.groups``): the block reader adds each
-fact's arguments to its key's group as it reads.  A chunk holds one
+the engine reads (``Interpretation.groups``): a group is the tuple of its
+facts' argument tuples, and the block reader adds each fact's arguments to
+its key's group as it reads.  The engine's lookups of a key's facts by their
+first argument read an index that is built once per example and key and
+kept on the example (``Interpretation.firsts``).  A chunk holds one
 constant table and, per predicate/arity key, one column of its facts, so it
 decodes a table and a column at a time, and a record's groups are slices of
 its keys' rows.  A streaming pass reads the data file front to back and
@@ -32,6 +35,7 @@ import json
 import os
 import struct
 import sys
+import time
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -62,48 +66,44 @@ DATA_NAME = "chunks.bin"
 _FRAME = struct.Struct("<I")  # the length of a chunk's frame body
 
 
-class _FactGroup:
-    """The facts of one predicate/arity key in one example: ``rows`` holds
-    their argument tuples in file order.  ``first(t)`` gives the rows whose
-    first argument is ``t``; its index is built on first use."""
-
-    __slots__ = ("rows", "_index")
-
-    def __init__(self, rows: tuple[tuple[Term, ...], ...]):
-        self.rows = rows
-        self._index = None
-
-    def first(self, term: Term):
-        index = self._index
-        if index is None:
-            index = self._index = {}
-            for row in self.rows:
-                index.setdefault(row[0], []).append(row)
-        return index.get(term, ())
-
-
 class Interpretation:
     """One example: an identifier, a class label, and its ground facts (the
     class fact itself is kept out).  ``groups`` maps each predicate/arity
-    key, in order of first occurrence, to the ``_FactGroup`` of its facts;
-    the groups are kept as given, shared and not copied."""
+    key, in order of first occurrence, to the tuple of its facts' argument
+    tuples (its rows) in file order; the groups are kept as given, shared and
+    not copied.  ``firsts(key)`` indexes a key's rows by their first
+    argument, and the index is kept on the example."""
 
-    __slots__ = ("ident", "label", "groups")
+    __slots__ = ("ident", "label", "groups", "_firsts")
 
-    def __init__(self, ident: Term, label: str, groups: dict[tuple[str, int], _FactGroup]):
+    def __init__(self, ident: Term, label: str, groups: dict[tuple[str, int], tuple]):
         self.ident = ident
         self.label = label
         self.groups = groups
+        self._firsts = None
+
+    def firsts(self, key: tuple[str, int]) -> dict:
+        """The rows of ``key``'s group by their first argument, each list
+        in file order, empty when the example has none.  The index is built
+        at the first call for ``key`` and kept, so every pack run on the
+        example shares it."""
+        cache = self._firsts
+        if cache is None:
+            cache = self._firsts = {}
+        index = cache.get(key)
+        if index is None:
+            index = cache[key] = {}
+            for row in self.groups.get(key, ()):
+                index.setdefault(row[0], []).append(row)
+        return index
 
     @property
     def facts(self) -> tuple[Literal, ...]:
         """The facts as literals, key by key in ``groups`` order."""
-        return tuple(
-            Literal(pred, row) for (pred, _), g in self.groups.items() for row in g.rows
-        )
+        return tuple(Literal(pred, row) for (pred, _), rows in self.groups.items() for row in rows)
 
     def _content(self):
-        return tuple((k, g.rows) for k, g in self.groups.items())
+        return tuple(self.groups.items())
 
     def __eq__(self, other):
         return (
@@ -117,7 +117,7 @@ class Interpretation:
         return hash((self.ident, self.label, self._content()))
 
     def __repr__(self):
-        n = sum(len(g.rows) for g in self.groups.values())
+        n = sum(map(len, self.groups.values()))
         return f"Interpretation({render_term(self.ident)}, {self.label}, {n} facts)"
 
 
@@ -242,8 +242,7 @@ def encode_record(interp: Interpretation) -> bytes:
     codes: list[int] = []
     _put(interp.ident, codes, consts)
     codes += (index(interp.label, len(consts)), len(interp.groups))
-    for (pred, arity), group in interp.groups.items():
-        rows = group.rows
+    for (pred, arity), rows in interp.groups.items():
         codes += (index(pred, len(consts)), arity << 1, len(rows))
         if not arity:
             codes += [0] * len(rows)
@@ -277,8 +276,7 @@ def encode_chunk(interps: list[Interpretation]) -> bytes:
     for interp in interps:
         _put(interp.ident, records, consts)
         records += (index(interp.label, len(consts)), len(interp.groups))
-        for key, group in interp.groups.items():
-            rows = group.rows
+        for key, rows in interp.groups.items():
             head = keys.get(key)
             if head is None:
                 head = keys[key] = [len(columns), index(key[0], len(consts)), key[1] << 1, 0]
@@ -491,7 +489,7 @@ def decode_chunk(raw: bytes, count: int, chosen, start: int = 0) -> list[tuple[i
                     raise DataError(f"a group of record {r} holds no facts")
                 a = used[k]
                 used[k] = b = a + n
-                groups[names[k]] = _FactGroup(rows[k][a:b]) if take else None
+                groups[names[k]] = rows[k][a:b] if take else None
             if len(groups) < ngroups:
                 ks = list(codes[pos:stop:2])
                 pred, arity = names[next(k for k in ks if ks.count(k) > 1)]
@@ -573,7 +571,7 @@ def iter_kb_blocks(path, classes, allow_unlabeled: bool = False) -> Iterator[Int
                             if not allow_unlabeled:
                                 raise DataError(f"no class fact in example {render_term(ident)}")
                             label = ""
-                        yield Interpretation(ident, label, {k: _FactGroup(tuple(v)) for k, v in groups.items()})
+                        yield Interpretation(ident, label, {k: tuple(v) for k, v in groups.items()})
                         ident = None
                         continue
                     if ident is None:
@@ -711,6 +709,7 @@ class DatasetHandle:
         self.fingerprint = fingerprint
         self.predicates: frozenset[tuple[str, int]] = predicates  # of every example's facts
         self.chunk_loads = 0
+        self.decode_seconds = 0.0  # spent reading and decoding the chunks that streams loaded
         self._peak = 0
 
     def __len__(self):
@@ -757,7 +756,10 @@ class DatasetHandle:
                     for skipped in range(index):
                         f.seek(length(skipped), 1)
                 if chosen:
-                    yield from self._load_chunk(index, chunk, f.read(length(index)), chosen)
+                    t0 = time.perf_counter()
+                    out = self._load_chunk(index, chunk, f.read(length(index)), chosen)
+                    self.decode_seconds += time.perf_counter() - t0
+                    yield from out
                 elif f is not None:
                     f.seek(length(index), 1)
             if f is not None and f.tell() != size:

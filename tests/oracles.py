@@ -73,7 +73,7 @@ from foldt.errors import BudgetExceededError, DataError, ParseError, QueryError,
 from foldt.model import Leaf
 from foldt.rdb import ForeignKey, Schema, Table, _example_facts, _Indexes
 from foldt.settings import DiscretizeRequest, LearnerConfig, Lookahead, RMode, Settings, threshold_indices
-from foldt.store import Interpretation, _FactGroup
+from foldt.store import Interpretation
 from foldt.terms import (
     BUILTIN_PREDS,
     Atom,
@@ -1299,7 +1299,7 @@ def interp_of(ident: Term, label: str, facts: Iterable[Literal]) -> Interpretati
     groups: dict[tuple[str, int], list] = {}
     for f in facts:
         groups.setdefault(f.key, []).append(f.args)
-    return Interpretation(ident, label, {k: _FactGroup(tuple(v)) for k, v in groups.items()})
+    return Interpretation(ident, label, {k: tuple(v) for k, v in groups.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -1339,7 +1339,7 @@ def iter_kb_blocks(path, classes, allow_unlabeled: bool = False) -> Iterator[Int
                     if not allow_unlabeled:
                         raise DataError(f"no class fact in example {render_term(ident)}")
                     label = ""
-                yield Interpretation(ident, label, {k: _FactGroup(tuple(v)) for k, v in groups.items()})
+                yield Interpretation(ident, label, {k: tuple(v) for k, v in groups.items()})
                 ident = None
                 continue
             if ident is None:
@@ -1433,8 +1433,7 @@ def encode_record(interp: Interpretation) -> bytes:
     put(interp.ident)
     codes.append(index(interp.label, len(consts)))
     codes.append(len(interp.groups))
-    for (pred, arity), group in interp.groups.items():
-        rows = group.rows
+    for (pred, arity), rows in interp.groups.items():
         codes += (index(pred, len(consts)), arity << 1, len(rows))
         if not arity:
             codes += [0] * len(rows)
@@ -1535,7 +1534,7 @@ def decode_record(buf: bytes) -> Interpretation:
         label = _atom_name(terms[codes[pos]])
         ngroups = codes[pos + 1]
         pos += 2
-        groups: dict[tuple[str, int], _FactGroup] = {}
+        groups: dict[tuple[str, int], tuple] = {}
         for _ in range(ngroups):
             c, arity, n = codes[pos], codes[pos + 1], codes[pos + 2]
             pos += 3
@@ -1554,7 +1553,7 @@ def decode_record(buf: bytes) -> Interpretation:
                 args = [terms[c] for c in codes[pos : pos + n * key[1]]]
                 rows = tuple(zip(*[iter(args)] * key[1]))
                 pos += n * key[1]
-            groups[key] = _FactGroup(rows)
+            groups[key] = rows
     except (IndexError, ValueError, struct.error, UnicodeDecodeError, RecursionError):
         raise DataError("corrupt chunk record") from None
     if pos != ncodes:
@@ -1984,15 +1983,13 @@ class InterpretedPack:
                     if plan is None and g.key in rules:
                         args = g.args if not off else tuple(_e_shift(a, off) for a in g.args)
                         stack.append([_WALK_CLAUSES, owner, len(trail), size, 0, rules[g.key], args, rest])
-                    group = groups.get(g.key)
-                    if group is not None:
+                    facts = groups.get(g.key)
+                    if facts is not None:
                         if plan is None:
                             plan = _walk_goal_plan(g.args, off, b, names)
                         index, want, checks, binds, sames, pats = plan
-                        if index is None:
-                            facts = group.rows
-                        else:
-                            facts = group.first(b[index[1]] if index[0] else index[1])
+                        if index is not None:
+                            facts = interp.firsts(g.key).get(b[index[1]] if index[0] else index[1], ())
                         if checks:
                             want = want + tuple((p, b[s]) for p, s in checks)
                         n = len(facts)

@@ -55,10 +55,10 @@ def test_poker_label_against_enumeration_oracle():
 def test_generated_poker_labels_consistent(tmp_path):
     path = generate(GenSpec("poker", 200, seed=3), tmp_path / "p.kb")
     for interp in iter_kb_blocks(path, POKER_SETTINGS.classes):
-        group = interp.groups[("card", 2)]
-        assert len(group.rows) == 5
-        assert len(set(group.rows)) == 5  # distinct cards
-        ranks = [render_term(rank) for rank, _ in group.rows]
+        rows = interp.groups[("card", 2)]
+        assert len(rows) == 5
+        assert len(set(rows)) == 5  # distinct cards
+        ranks = [render_term(rank) for rank, _ in rows]
         assert interp.label == poker_label_oracle(ranks)
 
 
@@ -75,10 +75,10 @@ def test_generated_bongard_labels_match_query(tmp_path):
 def test_bongard_inside_acyclic(tmp_path):
     path = generate(GenSpec("bongard", 150, seed=21), tmp_path / "b.kb")
     for interp in iter_kb_blocks(path, ("pos", "neg")):
-        group = interp.groups.get(("inside", 2))
-        if group is None:
+        rows = interp.groups.get(("inside", 2))
+        if rows is None:
             continue
-        edges = {(render_term(inner), render_term(outer)) for inner, outer in group.rows}
+        edges = {(render_term(inner), render_term(outer)) for inner, outer in rows}
         # inner always has a higher object index than outer
         for inner, outer in edges:
             assert int(inner[1:]) > int(outer[1:])

@@ -1,6 +1,7 @@
 import gc
 import logging
 import os
+import random
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -33,8 +34,8 @@ from foldt.learner import (
 )
 from foldt.model import INode, Leaf, classify, tree_depth
 from foldt.settings import ALGORITHMS, parse_settings
-from foldt.store import iter_kb_blocks, load_dataset
-from foldt.terms import parse_program
+from foldt.store import iter_kb_blocks, load_dataset, write_block
+from foldt.terms import Atom, Literal, Number, parse_program
 
 BONGARD_SETTINGS = parse_settings(BONGARD_BIAS_TEXT)
 
@@ -205,9 +206,17 @@ def test_poker_levels_below_the_root_reuse_every_outcome(tmp_path, monkeypatch):
     listings = []  # the ordinals each stream was given
     stream = type(data).stream_examples
     monkeypatch.setattr(type(data), "stream_examples", lambda h, o: listings.append(o) or stream(h, o))
+    spills = []  # the files the learner writes
+    monkeypatch.setattr(
+        foldt.learner,
+        "open",
+        lambda path, mode="r", *a, **k: (spills.append(path) if "w" in mode else None) or open(path, mode, *a, **k),
+        raising=False,
+    )
     model = learn_with("lds", data, None, settings)
     meta, levels = model.metadata, model.metadata["levels"]
     assert len(levels) == meta["passes"] == tree_depth(model.tree) > 2
+    assert len(spills) == 1  # the root's level writes a spill; the levels below keep it
     assert len(listings) == meta["passes"]  # one stream per level
     assert all(o == () for o in listings[1:])  # nothing to list, nothing called per example
     assert [lv["examples_touched"] for lv in levels] == [150] + [0] * (len(levels) - 1)
@@ -259,6 +268,7 @@ _DIFFERENTIAL_CONFIGS = [
     dict(heuristic="gainratio", minleaf=1, granularity=7),
     dict(heuristic="gain", minleaf=3, granularity=25),
     dict(heuristic="weighted_entropy", minleaf=2, granularity=10, max_depth=3),
+    dict(heuristic="gainratio", minleaf=2, granularity=2),  # tallies fold all the time
 ]
 
 
@@ -305,6 +315,50 @@ def test_node_counters_equal_full_query_proofs(tmp_path_factory, domain, count, 
         assert not evaluated, algorithm  # every evaluated node was reached
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_tally_past_g_keys_folds_into_the_counters(tmp_path, monkeypatch, algorithm):
+    """At G = 2 the root's examples fall into more (class, path bits)
+    patterns than G.  Its tally never holds more than G keys, and the
+    counters ``choose_split`` receives equal those from proving each
+    candidate's full query alone on every example."""
+    data, settings = _generated("bongard", 120, 5, tmp_path, granularity=2)
+    examples = [e for _, e in data.stream_examples()]
+    patterns, largest, counted = set(), [0], []
+    evaluate, split = foldt.learner._evaluate, foldt.learner._split
+
+    def tallying(node, *args):
+        bits = evaluate(node, *args)
+        if node.depth == 0:
+            patterns.add((bits & node.mask, args[1]))
+            largest[0] = max(largest[0], len(node.tally))
+        return bits
+
+    def recording(node, *args):
+        if node.depth == 0:
+            counted.append(([c.query for c in node.candidates], node.counters))
+        return split(node, *args)
+
+    monkeypatch.setattr(foldt.learner, "_evaluate", tallying)
+    monkeypatch.setattr(foldt.learner, "_split", recording)
+    learn_with(algorithm, data, None, settings)
+    [(queries, counters)] = counted
+    assert len(patterns) > data.granularity >= largest[0] > 0
+    assert counters == full_query_counters(queries, examples, settings.classes)
+
+
+def test_placeholders_written_out_before_their_example_are_patched_in_the_file(tmp_path, monkeypatch):
+    """With a pass writing its buffer out after every block, the records
+    waiting for their examples are patched in the file, and the tree and the
+    counts are those of the classic engine."""
+    data, settings = _generated("bongard", 200, 3, tmp_path, granularity=4)
+    classic = learn_with("classic", data, None, settings)
+    monkeypatch.setattr(foldt.learner, "_BUFFER", 1)
+    lds = learn_with("lds", data, None, settings)
+    assert lds.tree == classic.tree and lds.metadata["passes"] > 2
+    for key in ("evaluations", "reused", "proof_steps"):
+        assert lds.metadata[key] == classic.metadata[key], key
+
+
 def test_lds_spills_outside_the_data_directory(bongard12, monkeypatch):
     import tempfile
 
@@ -331,33 +385,92 @@ def test_lds_spills_outside_the_data_directory(bongard12, monkeypatch):
     assert sorted(bongard12.dir.iterdir()) == before
 
 
-def test_lds_memory_does_not_grow_with_the_examples(tmp_path):
-    """An LDS learn keeps nothing per example: on eight copies of each scene,
-    with ``minleaf`` eight times as large so that the tree is the same, its
-    ``tracemalloc`` peak stays within 32 KiB of the peak on one copy.
+def _lds_memory(base, settings, tmp_path):
+    """What LDS learns on one and on eight copies of each example of
+    ``base`` hold, with ``minleaf`` eight times as large on eight so that the
+    tree is the same: per number of copies, the ``tracemalloc`` peak and the
+    most memory traced when the stream yields an example; and the model
+    learnt on one copy.
 
     Objects freed into the interpreter's free lists stay counted as traced,
     and a full collection empties those lists, so a collection inside the
     measured learn would move its peak by when it ran.  The collector is
     therefore off from the warm-up learn to the end of the measured one."""
-    base, settings = _generated("bongard", 500, 7, tmp_path, granularity=10)
-    peaks, hashes = {}, set()
+    peaks, highs, hashes, models = {}, {}, set(), {}
     for k in (1, 8):
         data = replicate(base, k, tmp_path / f"x{k}")
         cfg = replace(settings.params, minleaf=settings.params.minleaf * k)
+        stream = type(data).stream_examples
+        high = 0
+
+        def sampling(handle, ordinals=None):
+            nonlocal high
+            for item in stream(handle, ordinals):
+                high = max(high, tracemalloc.get_traced_memory()[0])
+                yield item
+
         gc.collect()
         gc.disable()
         try:
             learn_with("lds", data, None, settings, cfg)  # warm-up: imports, caches, free lists
             tracemalloc.start()
-            model = learn_with("lds", data, None, settings, cfg)
+            with mock.patch.object(type(data), "stream_examples", sampling):
+                models[k] = learn_with("lds", data, None, settings, cfg)
             peaks[k] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
             gc.enable()
-        hashes.add(structure_hash(model.tree))
+        highs[k] = high
+        hashes.add(structure_hash(models[k].tree))
     assert len(hashes) == 1
+    return peaks, highs, models[1]
+
+
+def test_lds_memory_does_not_grow_with_the_examples(tmp_path):
+    """An LDS learn keeps nothing per example: on eight copies of each scene
+    its ``tracemalloc`` peak stays within 32 KiB of the peak on one copy."""
+    base, settings = _generated("bongard", 500, 7, tmp_path, granularity=10)
+    peaks, _, _ = _lds_memory(base, settings, tmp_path)
     assert peaks[8] - peaks[1] < 32 * 1024, peaks
+
+
+_MINORITY_SETTINGS = parse_settings("classes([pos,neg]).\nrmode(5: r(+-V)).\nrmode(5: s(+V,+-W)).\n")
+
+
+def _minority_kb(path, count: int, seed: int):
+    """``count`` examples, of which about 2 % hold ``r(o9)``: half of those
+    hold ``s(o9,o8)`` too and are positive, the other half negative.  The
+    rest are positive at random, 30 % of them."""
+    rng = random.Random(seed)
+    with open(path, "w", encoding="utf-8") as f:
+        for i in range(1, count + 1):
+            facts, label = [], "pos" if rng.random() < 0.3 else "neg"
+            if rng.random() < 0.02:
+                facts, label = [Literal("r", (Atom("o9"),))], "neg"
+                if rng.random() < 0.5:
+                    facts.append(Literal("s", (Atom("o9"), Atom("o8"))))
+                    label = "pos"
+            write_block(f, Number(i), [*facts, Literal(label, ())])
+    return path
+
+
+def test_lds_pass_keeps_no_record_between_listed_ones(tmp_path):
+    """The root splits on ``r(A)``.  At the second level only the examples
+    with ``r`` are listed to the stream (about 2 %); the others are at a
+    node whose candidates all reuse their outcomes, and their records lie
+    between the listed ones.  The pass reads the spill once and writes those
+    records as it reads them, so on eight copies of each example, where the
+    listed ones lie eight times as far apart, the memory traced while
+    examples stream stays within 24 KiB of that on one copy.  (The peak
+    does not show this: compiling the packs takes more.)  A pass that kept
+    the records between two listed ones until the stream brought the
+    second read about 50 KiB more on eight copies."""
+    path = _minority_kb(tmp_path / "minority.kb", 2000, 3)
+    base = load_dataset(path, _MINORITY_SETTINGS, tmp_path / "minority.chunks", granularity=10)
+    _, highs, model = _lds_memory(base, _MINORITY_SETTINGS, tmp_path)
+    second = model.metadata["levels"][1]
+    assert second["evaluated_nodes"] == 2 and 0 < second["examples_touched"] < len(base) // 20
+    assert highs[8] - highs[1] < 24 * 1024, highs
 
 
 def test_resubstitution_accuracy_on_separable_data(bongard12):

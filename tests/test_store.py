@@ -108,12 +108,14 @@ def test_block_parse_card_example(tmp_path):
     assert interp.label == "pair"
     assert len(interp.facts) == 5
     group = interp.groups[("card", 2)]
-    assert group is not None and len(group.rows) == 5
-    assert list(group.first(Number(9))) == [
+    assert group is not None and len(group) == 5
+    index = interp.firsts(("card", 2))
+    assert list(index.get(Number(9), ())) == [
         (Number(9), Atom("clubs")),
         (Number(9), Atom("spades")),
     ]
-    assert list(group.first(Number(10))) == []
+    assert list(index.get(Number(10), ())) == []
+    assert interp.firsts(("card", 2)) is index  # built once, kept on the example
 
 
 def test_ambiguous_class_rejected(tmp_path):
@@ -578,12 +580,12 @@ def test_records_of_one_chunk_share_one_object_per_constant():
     ]
     first, second = _round_trip(hands)
     assert [first, second] == hands
-    [(seven, spades)] = first.groups[("card", 2)].rows
-    [(_, spades_again), (seven_again, _)] = second.groups[("card", 2)].rows
+    [(seven, spades)] = first.groups[("card", 2)]
+    [(_, spades_again), (seven_again, _)] = second.groups[("card", 2)]
     assert spades_again is spades and seven_again is seven
     # another chunk builds its own
     [again] = _round_trip(hands[1:])
-    assert again.groups[("card", 2)].rows[0][1] is not spades
+    assert again.groups[("card", 2)][0][1] is not spades
 
 
 def test_record_codec_rejects_variables_bad_tags_and_unread_bytes(tmp_path):
@@ -658,9 +660,9 @@ def test_corrupt_chunk_streams_or_raises_data_error(fuzz_store, which, cut, flip
     finally:
         data.write_bytes(original)
     for e in examples:
-        for (pred, arity), group in e.groups.items():
+        for (pred, arity), rows in e.groups.items():
             assert type(pred) is str
-            for row in group.rows:
+            for row in rows:
                 assert len(row) == arity and all(type(t) in (Atom, Number, Compound) for t in row)
 
 
@@ -911,7 +913,7 @@ def test_float_constants_keep_their_bits():
     values = [0.0, -0.0, float("nan"), 1.0, float("-inf"), *_NANS]
     interp = oracles.interp_of(Atom("e"), "pos", (Literal("v", tuple(map(Number, values)) + (Number(1),)),))
     [decoded] = _round_trip([interp])
-    [row] = decoded.groups[("v", len(values) + 1)].rows
+    [row] = decoded.groups[("v", len(values) + 1)]
     assert [struct.pack("<d", t.value) for t in row[:-1]] == [struct.pack("<d", v) for v in values]
     assert type(row[-1].value) is int
 
@@ -1010,7 +1012,7 @@ def _bits(t):
 def _content(e):
     """An example's id, label and groups, floats by their bits, group keys
     in order of first occurrence."""
-    return _bits(e.ident), e.label, [(k, [tuple(map(_bits, row)) for row in g.rows]) for k, g in e.groups.items()]
+    return _bits(e.ident), e.label, [(k, [tuple(map(_bits, row)) for row in rows]) for k, rows in e.groups.items()]
 
 
 # A key whose column turns tree-coded at a later record of the chunk, a
@@ -1067,21 +1069,23 @@ def test_a_damaged_chunk_decodes_or_raises_data_error(interps, cut, flips):
         return
     for _, e in out:
         assert _well_formed(e.ident) and type(e.label) is str
-        for (pred, arity), group in e.groups.items():
-            assert type(pred) is str and group.rows
-            assert all(len(row) == arity and all(map(_well_formed, row)) for row in group.rows)
+        for (pred, arity), rows in e.groups.items():
+            assert type(pred) is str and rows
+            assert all(len(row) == arity and all(map(_well_formed, row)) for row in rows)
 
 
 @hsettings(max_examples=200, deadline=None)
 @given(interp=_interpretations(allow_nan=False), absent=_ground_terms(allow_nan=False))
 def test_first_argument_index_equals_an_eager_index(interp, absent):
     [decoded] = _round_trip([interp])
-    for group in decoded.groups.values():
-        if not group.rows or not group.rows[0]:
+    for key, rows in decoded.groups.items():
+        if not rows or not rows[0]:
             continue
         eager: dict = {}
-        for row in group.rows:
+        for row in rows:
             eager.setdefault(row[0], []).append(row)
-        for t in [row[0] for row in group.rows] + [absent]:
-            assert list(group.first(t)) == eager.get(t, [])
-            assert list(group.first(t)) == [row for row in group.rows if row[0] == t]
+        index = decoded.firsts(key)
+        for t in [row[0] for row in rows] + [absent]:
+            assert list(index.get(t, ())) == eager.get(t, [])
+            assert list(index.get(t, ())) == [row for row in rows if row[0] == t]
+        assert decoded.firsts(key) is index
