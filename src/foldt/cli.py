@@ -156,6 +156,7 @@ def _learn_settings(args):
         heuristic=args.heuristic,
         minleaf=args.minleaf,
         max_depth=args.max_depth,
+        granularity=args.granularity,
     )
     return settings, cfg
 
@@ -235,7 +236,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_discretize(args) -> int:
     settings = _settings(args)
-    cfg = LearnerConfig.from_settings(settings, max_thresholds=args.max_thresholds)
+    cfg = LearnerConfig.from_settings(settings, max_thresholds=args.max_thresholds, granularity=args.granularity)
     if not settings.discretize:
         print("no discretize declarations in the settings file")
         return 0

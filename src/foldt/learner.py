@@ -46,33 +46,32 @@ recurses depth-first, partitioning the examples of a node by the winner's
 outcome bit.
 
 The LDS engine builds one tree level per streaming pass, and the path bits
-travel on disk.  A pass reads the previous pass's spill file once, a block
-of at most G records at a time: one record (ordinal, class index, path
-bits) per example that was at a node with candidates.  The path bits say
-where the example is: from the root, each internal node sends it to the
-child its winner's outcome names (``_reached``), and a record whose node is
-a leaf is skipped.  At a level where some node has a pack, the pass
-(``_pass``) lists to the store's stream the ordinals of the records whose
-node has a pack, and only those examples are decoded.  A record whose node
-has no pack is tallied from the record alone and written to the next spill
-as it is read; a listed one holds its place in the next spill until its
-example comes and is evaluated.  The stream reads the listing only as far
-as the chunk it loads, so no more than a chunk's listed records wait, and
-the records between two listed ones are never kept.  The next spill goes
-to a directory of its own in the system temporary directory, and the spill
-that was read is deleted.  A level where no node has a pack changes no path
-bits: it decodes no example, writes no spill and passes the spill it read
-to the next level.  Every level still starts exactly one stream, even when
-it lists nothing.  Splitting a node moves no example, so no routing pass or
-second pass over the data is needed.  Every level costs exactly one pass,
-including the final all-leaf level, so the pass count equals the depth of
-the finished tree (counted in node levels).
+travel on disk.  The chunk of the store is the unit of a pass.  The spill
+file a pass reads holds, per chunk, the records (ordinal, class index, path
+bits) of its examples that were at a node with candidates, and a chunk
+without such examples holds none.  The path bits say where the example is:
+from the root, each internal node sends it to the child its winner's
+outcome names (``_reached``).  At a level where some node has a pack, the
+pass (``_pass``) reads a chunk's records when the level's stream reaches
+that chunk: a record whose node is a leaf is dropped, one whose node has no
+pack is tallied from the record alone, and the ordinals of the others are
+the chunk's listing, so only those examples are decoded.  Once the stream
+has brought and evaluated them, the chunk's records are written to the next
+spill, in order.  The next spill goes to a directory of its own in the
+system temporary directory, and the spill that was read is deleted.  A
+level where no node has a pack changes no path bits: it decodes no example,
+writes no spill and passes the spill it read to the next level.  Every
+level still starts exactly one stream, even when it lists nothing.
+Splitting a node moves no example, so no routing pass or second pass over
+the data is needed.  Every level costs exactly one pass, including the
+final all-leaf level, so the pass count equals the depth of the finished
+tree (counted in node levels).
 
-Memory at any moment is one chunk of examples (bounded by the store's
-granularity), a block of spill records and the records waiting for a
-chunk's examples, the tree, and the tallies, counters and tables of one
-level, which scale with nodes-per-level times candidates-per-node.  Nothing
-is kept per example, so memory does not grow with the number of examples.
+Memory at any moment is one chunk of examples and one chunk's spill
+records (each bounded by the store's granularity), the tree, and the
+tallies, counters and tables of one level, which scale with
+nodes-per-level times candidates-per-node.  Nothing is kept per example, so
+memory does not grow with the number of examples.
 
 Both engines make identical decisions from identical integer counters, and
 fresh variable names are derived from path-local state, so the two engines
@@ -88,7 +87,6 @@ import os
 import struct
 import tempfile
 import time
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 from .bias import (
@@ -418,25 +416,28 @@ def _grow_classic(root, data, background, cidx, cfg, bias, stats):
 # ---------------------------------------------------------------------------
 # LDS engine
 
-# A spill record: an example's ordinal and class index, then its path bits in
-# a width fixed per file.
+# A spill file holds, per chunk of the store in order, the number of its
+# records (``_COUNT``) and then its records: each an example's ordinal and
+# class index, then its path bits in a width fixed per file.
+_COUNT = struct.Struct("<I")
 _RECORD = struct.Struct("<II")
-_BUFFER = 1 << 13  # bytes of records a pass holds before it writes them
 
 
-def _spill_blocks(path, width: int, total: int, block: int):
-    """The ``(ordinal, class index, path bits)`` records of the spill file
-    ``path``, in lists of at most ``block``, read a list at a time; before
-    the first spill (``path`` None), every example's, at the root with no
-    path bits."""
+def _spill_chunks(path, width: int, data: DatasetHandle):
+    """Per chunk of the store ``data``, in order, the list of its
+    ``(ordinal, class index, path bits)`` records in the spill file ``path``,
+    read a chunk at a time; before the first spill (``path`` None), every
+    example's, at the root with no path bits."""
     if path is None:
-        for start in range(0, total, block):
-            yield [(o, None, 0) for o in range(start, min(start + block, total))]
+        for chunk in data.chunks:
+            yield [(o, None, 0) for o in range(chunk.start_ordinal, chunk.start_ordinal + chunk.count)]
         return
     size = _RECORD.size + width
     unpack = _RECORD.unpack_from
     with open(path, "rb") as spill:
-        while records := spill.read(size * block):
+        for _ in data.chunks:
+            (count,) = _COUNT.unpack(spill.read(_COUNT.size))
+            records = spill.read(size * count)
             yield [
                 (*unpack(records, at), int.from_bytes(records[at + _RECORD.size : at + size], "little"))
                 for at in range(0, len(records), size)
@@ -451,60 +452,46 @@ def _reached(node: _Node, bits: int) -> _Node:
     return node
 
 
-def _pass(root, blocks, data, path, width, background, cidx, cfg) -> int:
+def _pass(root, chunks, data, path, width, background, cidx, cfg) -> int:
     """One pass of a level at which some node has a pack, writing the spill
     file ``path``; the number of examples streamed.  The previous spill's
-    records are read once, a block at a time.  A record at a leaf is
-    dropped.  One at a node without a pack is tallied and written as it is
-    read.  One at a node with a pack lists its ordinal to the level's
-    stream, and a placeholder holds its place in the new spill until the
-    stream brings its example, which is evaluated and its record patched
-    in: in the buffer while the placeholder is there, else in the file.
-    The stream reads the listing as far as the chunk it loads, so at most
-    that chunk's listed records and one more wait, and the records between
-    two listed ones are never kept."""
+    records are read once, a chunk's at a time (``chunks``), when the
+    level's stream reaches that chunk.  A record at a leaf is dropped, one at
+    a node without a pack is tallied, and the ordinals of the others are the
+    chunk's listing.  Once the stream has brought those examples and each was
+    evaluated, the chunk's records are written, in order.  So one chunk's
+    records are held at a time, and the records between two listed ones are
+    kept no longer than their chunk."""
     pack = _RECORD.pack
-    size = _RECORD.size + width
-    blank = bytes(size)
-    buf = bytearray()  # the records after the first ``written`` bytes of the file
-    put = buf.extend
-    pending: deque = deque()  # per waiting record: its offset in the file, node and path bits
-    written = touched = 0
+    held = {}  # of the chunk the stream is at: ordinal -> [class index, path bits, node with a pack or None]
 
-    def listed():
-        nonlocal written
-        for block in blocks:
-            for ordinal, cls, bits in block:
+    def listing():
+        for records in chunks:
+            held.clear()
+            for ordinal, cls, bits in records:
                 node = _reached(root, bits)
                 if node.candidates is None:  # the example reached a leaf
                     continue
                 if node.pack is None:
-                    bits = _evaluate(node, None, cls, bits, background, cfg)
-                    put(pack(ordinal, cls) + bits.to_bytes(width, "little"))
-                    continue
-                pending.append((written + len(buf), node, bits))
-                put(blank)
-                yield ordinal
-            if len(buf) >= _BUFFER:
-                out.write(buf)
-                written += len(buf)
-                buf.clear()
+                    _evaluate(node, None, cls, bits, background, cfg)
+                    node = None  # the record waits for no example
+                held[ordinal] = [cls, bits, node]
+            yield [o for o, (_, _, node) in held.items() if node is not None]
+            out.write(
+                _COUNT.pack(len(held))
+                + b"".join(pack(o, cls) + bits.to_bytes(width, "little") for o, (cls, bits, _) in held.items())
+            )
 
-    stream = data.stream_examples(listed())
+    lists = listing()
+    stream = data.stream_examples(lists)
+    touched = 0
     with open(path, "wb") as out:
         for ordinal, e in stream:
-            at, node, bits = pending.popleft()
-            cls = cidx[e.label]
-            bits = _evaluate(node, e, cls, bits, background, cfg)
-            record = pack(ordinal, cls) + bits.to_bytes(width, "little")
-            if at >= written:
-                buf[at - written : at - written + size] = record
-            else:
-                out.seek(at)
-                out.write(record)
-                out.seek(written)
+            record = held[ordinal]
+            cls = record[0] = cidx[e.label]
+            record[1] = _evaluate(record[2], e, cls, record[1], background, cfg)
             touched += 1
-        out.write(buf)
+        next(lists, None)  # writes the last chunk's records
     return touched
 
 
@@ -519,7 +506,7 @@ def _grow_lds(root, data, background, cidx, cfg, bias, stats):
             evaluable = [n for n in frontier if _open(n, cfg, bias, stats)]
             candidates = sum(len(n.candidates) for n in evaluable)
             width = (max((len(n.decided) for n in evaluable), default=0) + 7) // 8
-            blocks = _spill_blocks(spill, spill_width, len(data), data.granularity) if evaluable else ()
+            chunks = _spill_chunks(spill, spill_width, data) if evaluable else ()
 
             # Always exactly one stream per level, even when it lists no
             # example.  A level without packs changes no path bits: it
@@ -528,15 +515,15 @@ def _grow_lds(root, data, background, cidx, cfg, bias, stats):
             pass_t0, decode0 = time.perf_counter(), data.decode_seconds
             if any(n.pack is not None for n in evaluable):
                 out_path = os.path.join(tmp, f"level{stats.passes}")
-                touched = _pass(root, blocks, data, out_path, width, background, cidx, cfg)
+                touched = _pass(root, chunks, data, out_path, width, background, cidx, cfg)
                 if spill is not None:
                     os.unlink(spill)
                 spill, spill_width = out_path, width
             else:
                 touched = 0
                 next(data.stream_examples(()), None)
-                for block in blocks:
-                    for _, cls, bits in block:
+                for records in chunks:
+                    for _, cls, bits in records:
                         node = _reached(root, bits)
                         if node.candidates is not None:
                             _evaluate(node, None, cls, bits, background, cfg)

@@ -41,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .errors import DataError, in_file
 from .terms import (
@@ -722,19 +722,21 @@ class DatasetHandle:
         outside this accounting."""
         return self._peak
 
-    def stream_examples(self, ordinals: Iterable[int] | None = None) -> Iterator[tuple[int, Interpretation]]:
+    def stream_examples(self, listing: Iterable[Collection[int]] | None = None) -> Iterator[tuple[int, Interpretation]]:
         """Yield ``(ordinal, interpretation)`` in ordinal order: every
-        example, or only those the ascending iterable ``ordinals`` lists.
+        example, or only those that ``listing`` lists, one collection of
+        ordinals per chunk, in chunk order.
 
-        ``ordinals`` is read only as far as the chunk being loaded, and only
+        A chunk's collection is taken from ``listing`` when the stream
+        reaches that chunk, after every example of the chunks before it was
+        yielded; the chunks past the end of ``listing`` list nothing.  Only
         the listed records of a chunk get groups, at most one chunk (<= G
         examples) at a time; a loaded chunk is checked whole.  The data file
         is opened at the first chunk with a listed ordinal and read front to
         back from there: a chunk with none is passed over by its frame
         header, and a pass that lists nothing opens no file."""
         path, f = self.chunks[0].path, None
-        listed = iter(range(self.total) if ordinals is None else ordinals)
-        o = next(listed, self.total)
+        listing = None if listing is None else iter(listing)
 
         def length(index: int) -> int:  # of the frame body whose header ``f`` is at
             head = f.read(4)
@@ -744,10 +746,10 @@ class DatasetHandle:
 
         with contextlib.ExitStack() as files:
             for index, chunk in enumerate(self.chunks):
-                chosen = set()  # the positions of the chunk's listed records
-                while o < chunk.start_ordinal + chunk.count:
-                    chosen.add(o - chunk.start_ordinal)
-                    o = next(listed, self.total)
+                if listing is None:
+                    chosen = range(chunk.count)  # the positions of the chunk's listed records
+                else:
+                    chosen = {o - chunk.start_ordinal for o in next(listing, ())}
                 if f is None and chosen:
                     f = files.enter_context(open(path, "rb"))
                     size = os.fstat(f.fileno()).st_size

@@ -132,6 +132,7 @@ def test_discretize_names_a_non_numeric_value_and_its_example(tmp_path, capsys):
     [
         (["--max-thresholds", "-3"], 2, "max_thresholds must be nonnegative"),
         (["--minleaf", "0"], 1, "unrecognized arguments: --minleaf"),
+        (["--granularity", "-3"], 2, "granularity must be at least 1"),
     ],
 )
 def test_discretize_flags(tmp_path, bias_file, data_file, capsys, flags, rc, cause):
@@ -296,6 +297,7 @@ def test_granularity_of_an_existing_store_is_fixed(tmp_path, bias_file, data_fil
     [
         (["--minleaf", "0"], "minleaf must be at least 1"),
         (["--max-depth", "-1"], "max_depth must be nonnegative"),
+        (["--granularity", "0"], "granularity must be at least 1"),
     ],
 )
 def test_learner_flags_checked_like_directives(tmp_path, bias_file, data_file, capsys, flags, cause):

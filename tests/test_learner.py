@@ -20,7 +20,7 @@ from oracles import check_scope, full_query_counters, gain_oracle
 
 import foldt.learner
 from foldt.bench import structure_hash
-from foldt.engine import Background, succeeds
+from foldt.engine import Background, Query, succeeds
 from foldt.errors import BudgetExceededError, DataError
 from foldt.generators import GenSpec, generate, replicate
 from foldt.learner import (
@@ -346,17 +346,48 @@ def test_a_tally_past_g_keys_folds_into_the_counters(tmp_path, monkeypatch, algo
     assert counters == full_query_counters(queries, examples, settings.classes)
 
 
-def test_placeholders_written_out_before_their_example_are_patched_in_the_file(tmp_path, monkeypatch):
-    """With a pass writing its buffer out after every block, the records
-    waiting for their examples are patched in the file, and the tree and the
-    counts are those of the classic engine."""
+def test_chunks_without_spill_records_keep_their_place_in_the_listing(tmp_path, monkeypatch):
+    """The scenes are written shallowest leaf first, so at the deeper levels
+    the first chunks keep no spill record while later chunks still stream.
+    Each chunk still takes its own collection of the listing, and the tree
+    and the counts are those of the classic engine."""
     data, settings = _generated("bongard", 200, 3, tmp_path, granularity=4)
-    classic = learn_with("classic", data, None, settings)
-    monkeypatch.setattr(foldt.learner, "_BUFFER", 1)
-    lds = learn_with("lds", data, None, settings)
-    assert lds.tree == classic.tree and lds.metadata["passes"] > 2
+    reference = learn_with("classic", data, None, settings)
+
+    def depth(e):  # of the scene's leaf in the reference tree, the root's being 1
+        tree, query, d = reference.tree, (), 1
+        while isinstance(tree, INode):
+            if succeeds(Query(query + tree.conj), e):
+                tree, query = tree.left, query + tree.conj
+            else:
+                tree = tree.right
+            d += 1
+        return d
+
+    scenes = sorted((e for _, e in data.stream_examples()), key=depth)
+    path = tmp_path / "by_depth.kb"
+    with open(path, "w", encoding="utf-8") as f:
+        for e in scenes:
+            write_block(f, e.ident, [*e.facts, Literal(e.label, ())])
+    ordered = load_dataset(path, settings, tmp_path / "by_depth.chunks", granularity=4)
+    listings = []  # per level with a listing: the collection each chunk took
+    stream = type(ordered).stream_examples
+
+    def recording(handle, listing=None):
+        if listing is not None:
+            taken = []
+            listings.append(taken)
+            listing = (taken.append(list(c)) or c for c in listing)
+        return stream(handle, listing)
+
+    classic = learn_with("classic", ordered, None, settings)
+    monkeypatch.setattr(type(ordered), "stream_examples", recording)
+    lds = learn_with("lds", ordered, None, settings)
+    assert lds.tree == classic.tree == reference.tree and lds.metadata["passes"] > 2
     for key in ("evaluations", "reused", "proof_steps"):
         assert lds.metadata[key] == classic.metadata[key], key
+    # Some level lists nothing of its first chunks, and then lists examples.
+    assert any(taken[:2] == [[], []] and any(taken) for taken in listings), listings
 
 
 def test_lds_spills_outside_the_data_directory(bongard12, monkeypatch):
@@ -458,10 +489,11 @@ def test_lds_pass_keeps_no_record_between_listed_ones(tmp_path):
     """The root splits on ``r(A)``.  At the second level only the examples
     with ``r`` are listed to the stream (about 2 %); the others are at a
     node whose candidates all reuse their outcomes, and their records lie
-    between the listed ones.  The pass reads the spill once and writes those
-    records as it reads them, so on eight copies of each example, where the
-    listed ones lie eight times as far apart, the memory traced while
-    examples stream stays within 24 KiB of that on one copy.  (The peak
+    between the listed ones.  The pass holds one chunk's records at a time
+    and writes them once the chunk's listed examples are evaluated, so on
+    eight copies of each example, where the listed ones lie eight times as
+    far apart, the memory traced while examples stream stays within 24 KiB
+    of that on one copy.  (The peak
     does not show this: compiling the packs takes more.)  A pass that kept
     the records between two listed ones until the stream brought the
     second read about 50 KiB more on eight copies."""

@@ -297,7 +297,7 @@ def test_stream_counts_and_peak(tmp_path):
 
 def test_selector_skips_whole_chunk(tmp_path):
     handle = load_dataset(_write_many(tmp_path, 25), POKER_SETTINGS, tmp_path / "store", granularity=10)
-    selected = list(handle.stream_examples([*range(10), *range(20, 25)]))
+    selected = list(handle.stream_examples([range(10), (), range(20, 25)]))
     assert [o for o, _ in selected] == list(range(10)) + list(range(20, 25))
     assert [e.ident for _, e in selected] == [Number(o + 1) for o, _ in selected]
     assert handle.chunk_loads == 2  # chunk 2 never opened
@@ -310,7 +310,8 @@ def test_selective_stream_decodes_only_selected_records(tmp_path, monkeypatch):
     built = []
     make = foldt.store.Interpretation
     monkeypatch.setattr(foldt.store, "Interpretation", lambda *a: built.append(a[0]) or make(*a))
-    selected = [o for o, _ in handle.stream_examples(range(0, 25, 4))]
+    every_fourth = [[0, 4, 8], [12, 16], [20, 24]]  # per chunk
+    selected = [o for o, _ in handle.stream_examples(every_fourth)]
     assert selected == [0, 4, 8, 12, 16, 20, 24]
     assert built == [Number(o + 1) for o in selected]  # only listed records get groups
     assert handle.peak_resident() == 3
@@ -323,34 +324,38 @@ def test_selective_stream_decodes_only_selected_records(tmp_path, monkeypatch):
     assert _codes(body)[1] == 1  # one byte a code
     label = len(body) - 5 * 10 + 5 + 1  # records take 5 codes each: id, label, 1 group, its key, 2 facts
     _write_frames(data, [body[:label] + b"\xff" + body[label + 1 :], *rest])
-    assert [o for o, _ in handle.stream_examples(range(12, 25, 4))] == selected[3:]
+    assert [o for o, _ in handle.stream_examples([(), *every_fourth[1:]])] == selected[3:]
     with pytest.raises(DataError, match=r"corrupt chunk 0 of data file .*: a constant index beyond the table of 14"):
-        list(handle.stream_examples(range(0, 25, 4)))
+        list(handle.stream_examples(every_fourth))
 
 
-@hsettings(max_examples=60, deadline=None)
+@hsettings(max_examples=examples(60), deadline=None)
 @given(n=st.integers(1, 40), g=st.integers(1, 7), picks=st.data())
 def test_stream_yields_exactly_the_listed_ordinals(tmp_path_factory, n, g, picks):
     tmp = tmp_path_factory.mktemp("listed")
     handle = load_dataset(_write_many(tmp, n), POKER_SETTINGS, tmp / "store", granularity=g)
     full = dict(handle.stream_examples())
     listed = sorted(picks.draw(st.sets(st.integers(0, n - 1))))
-    pulled = []
+    chunks = -(-n // g)
+    listing = [[o for o in listed if o // g == c] for c in range(picks.draw(st.integers(0, chunks)))]
+    seen = []
+    pulled = 0  # the collections the stream has taken
 
-    def ordinals():  # records how far the stream has read the listing
-        for o in listed:
-            pulled.append(o)
-            yield o
+    def collections():  # checks when the stream takes each chunk's collection
+        nonlocal pulled
+        for c, ordinals in enumerate(listing):
+            assert seen == [o for o in listed if o < c * g]  # the chunks before it were all yielded
+            pulled += 1
+            yield ordinals
 
     store = open_dataset(handle.dir)
-    seen = []
-    for o, e in store.stream_examples(ordinals()):
-        end = (o // g + 1) * g
-        assert sum(p >= end for p in pulled) <= 1  # no further than the chunk being loaded
+    for o, e in store.stream_examples(collections()):
+        assert pulled == o // g + 1  # no collection past the example's chunk
         seen.append(o)
         assert e == full[o]
-    assert seen == listed
-    per_chunk = Counter(o // g for o in listed)
+    assert seen == [o for o in listed if o < len(listing) * g]  # the chunks past the listing list nothing
+    assert pulled == len(listing)
+    per_chunk = Counter(o // g for o in seen)
     assert store.chunk_loads == len(per_chunk)
     assert store.peak_resident() == max(per_chunk.values(), default=0) <= g
 
@@ -774,7 +779,7 @@ def test_stream_reads_only_the_frame_headers_of_unselected_chunks(tmp_path):
     data = handle.dir / DATA_NAME
     bodies = _frames(data)
     _write_frames(data, [b"\xff" * len(bodies[0]), bodies[1], b"\xff" * len(bodies[2])])
-    assert [o for o, _ in handle.stream_examples(range(5, 10))] == list(range(5, 10))
+    assert [o for o, _ in handle.stream_examples([(), range(5, 10)])] == list(range(5, 10))
     assert handle.chunk_loads == 1
 
 
@@ -788,7 +793,7 @@ def test_stream_closes_the_data_file_when_abandoned(tmp_path, monkeypatch):
     monkeypatch.setattr(
         foldt.store, "open", lambda *a, **k: opened.append(builtins.open(*a, **k)) or opened[-1], raising=False
     )
-    stream = handle.stream_examples(range(0, 12, 3))
+    stream = handle.stream_examples([[0, 3], [6, 9], ()])
     assert next(stream)[0] == 0 and next(stream)[0] == 3
     assert len(opened) == 1 and not opened[0].closed
     stream.close()
