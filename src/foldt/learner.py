@@ -51,17 +51,14 @@ file a pass reads holds, per chunk, the records (ordinal, class index, path
 bits) of its examples that were at a node with candidates, and a chunk
 without such examples holds none.  The path bits say where the example is:
 from the root, each internal node sends it to the child its winner's
-outcome names (``_reached``).  At a level where some node has a pack, the
-pass (``_pass``) reads a chunk's records when the level's stream reaches
-that chunk: a record whose node is a leaf is dropped, one whose node has no
-pack is tallied from the record alone, and the ordinals of the others are
-the chunk's listing, so only those examples are decoded.  Once the stream
-has brought and evaluated them, the chunk's records are written to the next
-spill, in order.  The next spill goes to a directory of its own in the
-system temporary directory, and the spill that was read is deleted.  A
-level where no node has a pack changes no path bits: it decodes no example,
-writes no spill and passes the spill it read to the next level.  Every
-level still starts exactly one stream, even when it lists nothing.
+outcome names (``_reached``).  Every level makes one pass (``_pass``),
+which reads a chunk's records when the level's stream reaches that chunk: a
+record whose node is a leaf is dropped, one whose node has no pack is
+tallied from the record alone, and the ordinals of the others are the
+chunk's listing, so only those examples are decoded.  Once the stream has
+brought and evaluated them, the chunk's records are written to the level's
+own spill, in order, and the spill that was read is deleted.  The spills
+go to a directory of their own in the system temporary directory.
 Splitting a node moves no example, so no routing pass or second pass over
 the data is needed.  Every level costs exactly one pass, including the
 final all-leaf level, so the pass count equals the depth of the finished
@@ -417,31 +414,31 @@ def _grow_classic(root, data, background, cidx, cfg, bias, stats):
 # LDS engine
 
 # A spill file holds, per chunk of the store in order, the number of its
-# records (``_COUNT``) and then its records: each an example's ordinal and
-# class index, then its path bits in a width fixed per file.
+# records (``_COUNT``) and then its records (``_record``): each an example's
+# ordinal and class index, then its path bits in a width fixed per file.
 _COUNT = struct.Struct("<I")
-_RECORD = struct.Struct("<II")
+
+
+def _record(width: int) -> struct.Struct:
+    return struct.Struct(f"<II{width}s")
 
 
 def _spill_chunks(path, width: int, data: DatasetHandle):
     """Per chunk of the store ``data``, in order, the list of its
     ``(ordinal, class index, path bits)`` records in the spill file ``path``,
-    read a chunk at a time; before the first spill (``path`` None), every
-    example's, at the root with no path bits."""
+    read a chunk at a time and deleted once read; before the first spill
+    (``path`` None), every example's, at the root with no path bits."""
     if path is None:
         for chunk in data.chunks:
             yield [(o, None, 0) for o in range(chunk.start_ordinal, chunk.start_ordinal + chunk.count)]
         return
-    size = _RECORD.size + width
-    unpack = _RECORD.unpack_from
+    record = _record(width)
     with open(path, "rb") as spill:
         for _ in data.chunks:
             (count,) = _COUNT.unpack(spill.read(_COUNT.size))
-            records = spill.read(size * count)
-            yield [
-                (*unpack(records, at), int.from_bytes(records[at + _RECORD.size : at + size], "little"))
-                for at in range(0, len(records), size)
-            ]
+            records = record.iter_unpack(spill.read(record.size * count))
+            yield [(o, cls, int.from_bytes(bits, "little")) for o, cls, bits in records]
+    os.unlink(path)
 
 
 def _reached(node: _Node, bits: int) -> _Node:
@@ -453,33 +450,35 @@ def _reached(node: _Node, bits: int) -> _Node:
 
 
 def _pass(root, chunks, data, path, width, background, cidx, cfg) -> int:
-    """One pass of a level at which some node has a pack, writing the spill
-    file ``path``; the number of examples streamed.  The previous spill's
-    records are read once, a chunk's at a time (``chunks``), when the
-    level's stream reaches that chunk.  A record at a leaf is dropped, one at
-    a node without a pack is tallied, and the ordinals of the others are the
-    chunk's listing.  Once the stream has brought those examples and each was
-    evaluated, the chunk's records are written, in order.  So one chunk's
-    records are held at a time, and the records between two listed ones are
-    kept no longer than their chunk."""
-    pack = _RECORD.pack
-    held = {}  # of the chunk the stream is at: ordinal -> [class index, path bits, node with a pack or None]
+    """One pass of a level, writing its spill file ``path``; the number of
+    examples streamed.  The previous spill's records are read once, a
+    chunk's at a time (``chunks``), when the level's stream reaches that
+    chunk.  A record at a leaf is dropped, one at a node without a pack is
+    tallied, and the ordinals of the others are the chunk's listing.  Once
+    the stream has brought those examples and each was evaluated, the
+    chunk's records are written, in order.  So one chunk's records are held
+    at a time, and the records between two listed ones are kept no longer
+    than their chunk."""
+    pack = _record(width).pack
+    held = {}  # of the chunk the stream is at: ordinal -> [class index, path bits, node]
 
     def listing():
         for records in chunks:
             held.clear()
+            listed = []
             for ordinal, cls, bits in records:
                 node = _reached(root, bits)
                 if node.candidates is None:  # the example reached a leaf
                     continue
                 if node.pack is None:
                     _evaluate(node, None, cls, bits, background, cfg)
-                    node = None  # the record waits for no example
+                else:
+                    listed.append(ordinal)
                 held[ordinal] = [cls, bits, node]
-            yield [o for o, (_, _, node) in held.items() if node is not None]
+            yield listed
             out.write(
                 _COUNT.pack(len(held))
-                + b"".join(pack(o, cls) + bits.to_bytes(width, "little") for o, (cls, bits, _) in held.items())
+                + b"".join(pack(o, cls, bits.to_bytes(width, "little")) for o, (cls, bits, _) in held.items())
             )
 
     lists = listing()
@@ -506,27 +505,10 @@ def _grow_lds(root, data, background, cidx, cfg, bias, stats):
             evaluable = [n for n in frontier if _open(n, cfg, bias, stats)]
             candidates = sum(len(n.candidates) for n in evaluable)
             width = (max((len(n.decided) for n in evaluable), default=0) + 7) // 8
-            chunks = _spill_chunks(spill, spill_width, data) if evaluable else ()
-
-            # Always exactly one stream per level, even when it lists no
-            # example.  A level without packs changes no path bits: it
-            # counts its examples from their records, and its spill is the
-            # next level's.
             pass_t0, decode0 = time.perf_counter(), data.decode_seconds
-            if any(n.pack is not None for n in evaluable):
-                out_path = os.path.join(tmp, f"level{stats.passes}")
-                touched = _pass(root, chunks, data, out_path, width, background, cidx, cfg)
-                if spill is not None:
-                    os.unlink(spill)
-                spill, spill_width = out_path, width
-            else:
-                touched = 0
-                next(data.stream_examples(()), None)
-                for records in chunks:
-                    for _, cls, bits in records:
-                        node = _reached(root, bits)
-                        if node.candidates is not None:
-                            _evaluate(node, None, cls, bits, background, cfg)
+            path = os.path.join(tmp, f"level{stats.passes}")
+            touched = _pass(root, _spill_chunks(spill, spill_width, data), data, path, width, background, cidx, cfg)
+            spill, spill_width = path, width
             for n in evaluable:
                 _fold(n)
             decode = data.decode_seconds - decode0

@@ -508,6 +508,8 @@ class TermParser:
         tok = toks[i]
         if head.builtin:
             raise self.error(f"builtin {head.pred!r} cannot appear in head position", start, i)
+        if head.pred == "!":
+            raise self.error("cut cannot appear in head position", start, i)
         body: list[Literal] = []
         sep = ":-"
         while tok == sep:

@@ -203,9 +203,16 @@ def test_poker_levels_below_the_root_reuse_every_outcome(tmp_path, monkeypatch):
     # Every poker candidate's coverage query is one of the root's four up to
     # renaming, so below the root nothing is proven and nothing is streamed.
     data, settings = _generated("poker", 150, 11, tmp_path)
-    listings = []  # the ordinals each stream was given
+    listings = []  # per stream: the collections its listing yielded
+    loads = []  # per stream: the chunks loaded before it started
     stream = type(data).stream_examples
-    monkeypatch.setattr(type(data), "stream_examples", lambda h, o: listings.append(o) or stream(h, o))
+
+    def recording(handle, listing):
+        listings.append(taken := [])
+        loads.append(handle.chunk_loads)
+        return stream(handle, (taken.append(c) or c for c in listing))
+
+    monkeypatch.setattr(type(data), "stream_examples", recording)
     spills = []  # the files the learner writes
     monkeypatch.setattr(
         foldt.learner,
@@ -216,9 +223,10 @@ def test_poker_levels_below_the_root_reuse_every_outcome(tmp_path, monkeypatch):
     model = learn_with("lds", data, None, settings)
     meta, levels = model.metadata, model.metadata["levels"]
     assert len(levels) == meta["passes"] == tree_depth(model.tree) > 2
-    assert len(spills) == 1  # the root's level writes a spill; the levels below keep it
+    assert len(set(spills)) == len(spills) == meta["passes"]  # each level writes its own spill
     assert len(listings) == meta["passes"]  # one stream per level
-    assert all(o == () for o in listings[1:])  # nothing to list, nothing called per example
+    assert not any(c for taken in listings[1:] for c in taken)  # nothing to list, nothing called per example
+    assert loads[1] > 0 and data.chunk_loads == loads[1]  # no chunk is loaded after level 1
     assert [lv["examples_touched"] for lv in levels] == [150] + [0] * (len(levels) - 1)
     assert meta["evaluations"] == levels[0]["evaluations"] == 150 * levels[0]["candidates"]
     assert all(lv["proof_steps"] == 0 for lv in levels[1:])

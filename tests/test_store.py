@@ -254,6 +254,7 @@ def _read_outcome(read):
 @example("begin(model(1)).\n  card(7,\n    'it''s') % c\n  .\n  pos.\nend(model(1)).\n", 3, False)
 @example("begin(model(1)).\n  p(a).\n  q(\u00b2).\n  pos.\nend(model(1)).\n", 8, False)
 @example("begin(model(1)).\n  p(a,\n    f(X)).\n  pos.\nend(model(1)).\n", 2, True)
+@example("begin(model(1)).\n  '!'.\n  pos.\nend(model(1)).\n", 8, False)
 def test_iter_kb_blocks_agrees_with_the_reference_reader(tmp_path_factory, text, size, allow_unlabeled):
     """Equal examples, or the same error at the same place, as the reader
     that took each clause whole from the reference parser, whatever the

@@ -14,6 +14,7 @@ from foldt.rdb import parse_schema
 from foldt.settings import parse_settings
 from foldt.store import iter_kb_blocks
 from foldt.terms import (
+    BUILTIN_PREDS,
     Atom,
     Clause,
     Compound,
@@ -170,6 +171,9 @@ def test_cut_only_where_allowed():
         parse_program("class(pos) :- triangle(X), !.")
     prog = parse_program("class(pos) :- triangle(X), !.", allow_cut=True)
     assert prog[0].body[-1] == Literal("!", ())
+    for text in ("'!'.", "'!' :- q.", "'!'"):
+        with pytest.raises(ParseError, match="cut cannot appear in head position"):
+            parse_program(text)
 
 
 def test_quoting_exactly_when_needed():
@@ -372,9 +376,11 @@ def test_read_clauses_raises_only_parse_errors(text, allow_cut):
         pass
 
 
-_ground_facts = st.tuples(_functors, st.lists(_terms(2, _ground_leaves), max_size=3)).map(
-    lambda fa: Literal(fa[0], tuple(fa[1]))
-)
+# Predicate names that mean something to the parser, drawn besides plain ones.
+_meaningful_preds = st.sampled_from(["!", *sorted(BUILTIN_PREDS)])
+_ground_facts = st.tuples(
+    st.one_of(_functors, _meaningful_preds), st.lists(_terms(2, _ground_leaves), max_size=3)
+).map(lambda fa: Literal(fa[0], tuple(fa[1])))
 
 
 @hsettings(max_examples=examples(200), deadline=None)
@@ -387,7 +393,9 @@ _ground_facts = st.tuples(_functors, st.lists(_terms(2, _ground_leaves), max_siz
 )
 def test_read_clauses_roundtrip_of_laid_out_facts(items):
     """Facts written several to a line, some split across two lines, with
-    comments between them, read back as the same facts."""
+    comments between them, read back as the same facts.  A fact named ``!``,
+    rendered ``!.`` or ``'!'(...).``, is a cut in head position: the text
+    holding one does not read."""
     text, expected = "", []
     for fact, split, layout in items:
         rendered = render_fact(fact)
@@ -395,8 +403,12 @@ def test_read_clauses_roundtrip_of_laid_out_facts(items):
             rendered = rendered.replace("(", "(\n", 1)
         expected.append(Clause(fact))
         text += rendered + layout
-    assert list(read_clauses(io.StringIO(text))) == expected
-    assert list(read_clauses(io.StringIO(text.rstrip(" \n")))) == expected
+    for laid_out in (text, text.rstrip(" \n")):
+        if any(fact.pred == "!" for fact, _, _ in items):
+            with pytest.raises(ParseError):
+                list(read_clauses(io.StringIO(laid_out)))
+        else:
+            assert list(read_clauses(io.StringIO(laid_out))) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +489,8 @@ def _outcome(read, text):
 @example("q.\nX = f(Y) \u00b2.", False)
 @example("p(_, X) :- q(_),\n  r(X, _).\ns(_).\n", False)
 @example("p :- q, !.\nr(a) :- !.", True)
+@example("'!'", False)
+@example("'!' :- q.", False)
 @example("p(a).\nq(b", False)
 @example(f"p(a).\nq({_nested(255)}).\nr({_nested(256)}).\n", False)
 @example(f"p(X) :- q(X,\n  {_nested(300, 'Y')}).", False)
