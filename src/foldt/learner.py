@@ -27,11 +27,13 @@ tallied under its class and its path bits at the candidates' positions
 number of examples, so the counters are updated per pattern, not per
 example.  Folding the tally (``_fold``) adds each pattern's
 examples to the counters ``counter[candidate][branch][class]`` and empties
-it: a tally that would hold more than G keys (the store's granularity) is
-folded first, so its memory does not grow with the examples, and every
-tally is folded once the node's examples are all evaluated.  ``evaluations``
-counts the (example, query) outcomes the packs proved, ``reused`` those read
-from the path bits, and ``proof_steps`` the steps the packs spent.
+it.  Every tally is folded once the node's examples are all evaluated, and
+before that only when a new key would take it past ``_TALLY_KEYS`` keys:
+that constant bounds a tally, so its memory does not grow with the
+examples, and folding early only regroups the same integer sums.
+``evaluations`` counts the (example, query) outcomes the packs proved,
+``reused`` those read from the path bits, and ``proof_steps`` the steps the
+packs spent.
 ``choose_split`` picks the winner from the counters alone, and ``_split``
 makes the two children, which inherit the node's table.  Selection
 considers only admissible candidates: positive gain and at least ``minleaf``
@@ -66,9 +68,9 @@ tree (counted in node levels).
 
 Memory at any moment is one chunk of examples and one chunk's spill
 records (each bounded by the store's granularity), the tree, and the
-tallies, counters and tables of one level, which scale with
-nodes-per-level times candidates-per-node.  Nothing is kept per example, so
-memory does not grow with the number of examples.
+tallies (each bounded by ``_TALLY_KEYS``), counters and tables of one
+level, which scale with nodes-per-level times candidates-per-node.  Nothing
+is kept per example, so memory does not grow with the number of examples.
 
 Both engines make identical decisions from identical integer counters, and
 fresh variable names are derived from path-local state, so the two engines
@@ -274,21 +276,25 @@ def _open(node: _Node, cfg: LearnerConfig, bias, stats: BuildStats) -> bool:
     return True
 
 
+# The most (path bits, class) keys a node's tally holds before it is folded.
+_TALLY_KEYS = 256
+
+
 def _evaluate(node: _Node, example, cls: int, bits: int, background, cfg: LearnerConfig) -> int:
     """Evaluate the node's candidates on one example of class index ``cls``
     that satisfies the node's associated query and brings the path bits
     ``bits``; ``example`` is read only when the node has a pack.  The pack
     adds its outcomes to the bits, and the new bits are returned.  The
     example is tallied under its bits at the candidates' positions and its
-    class; a tally that a new key would take past ``cfg.granularity`` keys
-    is first folded, so a node's tally holds at most G keys whatever the
-    number of its examples."""
+    class; a tally that a new key would take past ``_TALLY_KEYS`` keys is
+    first folded, so a node's tally holds at most ``_TALLY_KEYS`` keys
+    whatever the number of its examples."""
     if node.pack is not None:
         bits |= node.pack.run(example, background, cfg.resolution_budget) << node.base
     tally = node.tally
     key = bits & node.mask, cls
     n = tally.get(key, 0)
-    if not n and len(tally) >= cfg.granularity:
+    if not n and len(tally) >= _TALLY_KEYS:
         _fold(node)
     tally[key] = n + 1
     return bits

@@ -504,7 +504,7 @@ class TermParser:
         """The fact ``Head.`` or rule ``Head :- B1, ..., Bn.`` from
         ``toks[i]`` on, and the index after its end."""
         start = i
-        head, i = self.literal(toks, i)
+        head, i = self.literal(toks, i, allow_cut=True)
         tok = toks[i]
         if head.builtin:
             raise self.error(f"builtin {head.pred!r} cannot appear in head position", start, i)
@@ -532,6 +532,8 @@ class TermParser:
             name = _name(tok)
             args, i = self.args(toks, i + 2) if toks[i + 1] == "(" else ((), i + 1)
             if toks[i] not in BUILTIN_PREDS:
+                if name == "!" and not args and not allow_cut:  # the quoted cut
+                    raise self.error("cut is not allowed here", start, i)
                 return Literal(name, args), i
             lhs = Compound(name, args) if args else Atom(name)
         else:  # a variable or a number, which only a builtin makes a literal

@@ -925,6 +925,8 @@ class TermParser:
             self.s.next()
             rhs = self.term()
             return Literal(nxt.text, (lhs, rhs), builtin=True)
+        if lhs == Atom("!") and not allow_cut:  # the quoted cut
+            raise ParseError("cut is not allowed here", tok.line, tok.col)
         return term_to_literal(lhs, line=tok.line, col=tok.col)
 
 
@@ -956,7 +958,7 @@ def read_clauses(lines: Iterable[str], allow_cut: bool = False) -> Iterator[tupl
     parser = TermParser(stream)
     while not stream.at("eof"):
         tok = stream.peek()
-        head = parser.literal(allow_cut=False)
+        head = parser.literal(allow_cut=True)
         if head.builtin:
             raise ParseError(f"builtin {head.pred!r} cannot appear in head position", tok.line, tok.col)
         if head.pred == "!":

@@ -276,7 +276,7 @@ _DIFFERENTIAL_CONFIGS = [
     dict(heuristic="gainratio", minleaf=1, granularity=7),
     dict(heuristic="gain", minleaf=3, granularity=25),
     dict(heuristic="weighted_entropy", minleaf=2, granularity=10, max_depth=3),
-    dict(heuristic="gainratio", minleaf=2, granularity=2),  # tallies fold all the time
+    dict(heuristic="gainratio", minleaf=2, granularity=2, tally_keys=2),  # tallies fold all the time
 ]
 
 
@@ -293,6 +293,8 @@ def test_node_counters_equal_full_query_proofs(tmp_path_factory, domain, count, 
     example at the node, with no coverage query or reused outcome
     involved."""
     tmp = tmp_path_factory.mktemp("differential")
+    overrides = dict(overrides)
+    tally_keys = overrides.pop("tally_keys", foldt.learner._TALLY_KEYS)
     data, settings = _generated(domain, count, seed, tmp, overrides["granularity"])
     cfg = LearnerConfig.from_settings(settings, **overrides)
     examples = [e for _, e in data.stream_examples()]
@@ -305,7 +307,10 @@ def test_node_counters_equal_full_query_proofs(tmp_path_factory, domain, count, 
             evaluated[id(node)] = (node, queries, node.counters)
             return split(node, *args)
 
-        with mock.patch.object(foldt.learner, "_split", recording):
+        with (
+            mock.patch.object(foldt.learner, "_split", recording),
+            mock.patch.object(foldt.learner, "_TALLY_KEYS", tally_keys),
+        ):
             learn_with(algorithm, data, None, settings, cfg)
         if not evaluated:
             continue
@@ -324,12 +329,14 @@ def test_node_counters_equal_full_query_proofs(tmp_path_factory, domain, count, 
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_a_tally_past_g_keys_folds_into_the_counters(tmp_path, monkeypatch, algorithm):
-    """At G = 2 the root's examples fall into more (class, path bits)
-    patterns than G.  Its tally never holds more than G keys, and the
-    counters ``choose_split`` receives equal those from proving each
-    candidate's full query alone on every example."""
-    data, settings = _generated("bongard", 120, 5, tmp_path, granularity=2)
+def test_a_tally_past_its_key_cap_folds_into_the_counters(tmp_path, monkeypatch, algorithm):
+    """With the tally cap ``_TALLY_KEYS`` set to 2, the root's examples fall
+    into more (class, path bits) patterns than the cap.  Its tally never
+    holds more keys than the cap, and the counters ``choose_split``
+    receives equal those from proving each candidate's full query alone on
+    every example."""
+    monkeypatch.setattr(foldt.learner, "_TALLY_KEYS", 2)
+    data, settings = _generated("bongard", 120, 5, tmp_path, granularity=10)
     examples = [e for _, e in data.stream_examples()]
     patterns, largest, counted = set(), [0], []
     evaluate, split = foldt.learner._evaluate, foldt.learner._split
@@ -350,8 +357,31 @@ def test_a_tally_past_g_keys_folds_into_the_counters(tmp_path, monkeypatch, algo
     monkeypatch.setattr(foldt.learner, "_split", recording)
     learn_with(algorithm, data, None, settings)
     [(queries, counters)] = counted
-    assert len(patterns) > data.granularity >= largest[0] > 0
+    assert len(patterns) > foldt.learner._TALLY_KEYS >= largest[0] > 0
     assert counters == full_query_counters(queries, examples, settings.classes)
+
+
+def test_each_node_folds_once_whatever_the_granularity(tmp_path, monkeypatch):
+    """On 500 Bongard scenes with the default tally cap, every evaluated
+    node's tally is folded exactly once, after its examples are all
+    evaluated, at G = 1, 2 and 10 alike, and the tree and the counts do
+    not depend on G."""
+    path = generate(GenSpec("bongard", 500, seed=55), tmp_path / "scenes.kb")
+    folded, decided = [], []  # the nodes passed to _fold and to _split
+    fold, split = foldt.learner._fold, foldt.learner._split
+    monkeypatch.setattr(foldt.learner, "_fold", lambda node: folded.append(node) or fold(node))
+    monkeypatch.setattr(foldt.learner, "_split", lambda node, *args: decided.append(node) or split(node, *args))
+    runs = {}
+    for algorithm in ALGORITHMS:
+        for g in (1, 2, 10):
+            data = load_dataset(path, BONGARD_SETTINGS, tmp_path / f"g{g}.chunks", granularity=g)
+            del folded[:], decided[:]
+            model = learn_with(algorithm, data, None, BONGARD_SETTINGS)
+            meta = model.metadata
+            assert len(decided) == meta["nodes_evaluated"] > 1, (algorithm, g)
+            assert sorted(map(id, folded)) == sorted(map(id, decided)), (algorithm, g)
+            runs[algorithm, g] = model.tree, meta["evaluations"], meta["reused"], meta["proof_steps"]
+    assert len(set(runs.values())) == 1, runs
 
 
 def test_chunks_without_spill_records_keep_their_place_in_the_listing(tmp_path, monkeypatch):

@@ -26,7 +26,7 @@ from foldt.store import (
     load_dataset,
     open_dataset,
 )
-from foldt.terms import Atom, Compound, Literal, Number, line_pieces, parse_term
+from foldt.terms import BUILTIN_PREDS, Atom, Compound, Literal, Number, line_pieces, parse_term
 
 POKER_SETTINGS = parse_settings(
     "classes([nothing,pair,two_pairs,three_of_a_kind,full_house,four_of_a_kind])."
@@ -198,15 +198,19 @@ def test_a_dense_block_file_is_read_a_piece_at_a_time(tmp_path):
 # atoms with a ``''`` escape, compounds, signed and float numbers, written
 # over several lines with comments between them, and one time in two one
 # bad clause: a lexical or syntax error, a non-ground fact, a rule, a block
-# marker out of place or a term nested too deeply.
+# marker out of place or a term nested too deeply.  Facts and arguments may
+# also be named by the atoms that mean something to the parser, the cut
+# and the builtins, quoted or not.
+_meaningful_names = [name for pred in ["!", *sorted(BUILTIN_PREDS)] for name in (pred, f"'{pred}'")]
 _block_args = st.sampled_from(
-    ["a", "h2o-1", "'it''s'", "''", "'Q r'", "7", "-2", "+3", "1.5", "-2.5e3", "0.0", "f(a,7)", "g(f(b),'x''y')"]
+    ["a", "h2o-1", "'it''s'", "''", "'Q r'", "7", "-2", "+3", "1.5", "-2.5e3", "0.0", "f(a,7)", "g(f(b),'x''y')",
+     "'!'", "'='"]
 )
 _arg_separators = st.sampled_from([",", ",", ", ", ",\n    ", ", % c. x\n  "])
 _block_facts = st.builds(
     lambda pred, args, seps: pred
     + ("(" + args[0] + "".join(seps[k % len(seps)] + a for k, a in enumerate(args[1:])) + ")" if args else ""),
-    st.sampled_from(["card", "p", "q", "'Big'", "'it''s'", "begin", "end"]),
+    st.sampled_from(["card", "p", "q", "'Big'", "'it''s'", "begin", "end"] * 2 + _meaningful_names),
     st.lists(_block_args, max_size=3),
     st.lists(_arg_separators, min_size=1, max_size=3),
 )

@@ -171,9 +171,15 @@ def test_cut_only_where_allowed():
         parse_program("class(pos) :- triangle(X), !.")
     prog = parse_program("class(pos) :- triangle(X), !.", allow_cut=True)
     assert prog[0].body[-1] == Literal("!", ())
-    for text in ("'!'.", "'!' :- q.", "'!'"):
+    for text in ("'!'.", "'!' :- q.", "'!'", "!.", "! :- q."):
         with pytest.raises(ParseError, match="cut cannot appear in head position"):
             parse_program(text)
+    # A quoted cut in a body is the cut: an error where cuts are not allowed.
+    for text, column in (("p :- '!'.", 6), ("p(X) :- q(X), '!'.", 15), ("p :- q,\n  '!', r.", 3)):
+        with pytest.raises(ParseError, match="cut is not allowed here") as e:
+            parse_program(text)
+        assert (e.value.line, e.value.column) == (text.count("\n") + 1, column), text
+    assert parse_program("p :- q, '!'.", allow_cut=True)[0].body[-1] == Literal("!", ())
 
 
 def test_quoting_exactly_when_needed():
@@ -377,9 +383,9 @@ def test_read_clauses_raises_only_parse_errors(text, allow_cut):
 
 
 # Predicate names that mean something to the parser, drawn besides plain ones.
-_meaningful_preds = st.sampled_from(["!", *sorted(BUILTIN_PREDS)])
+_meaningful_preds = ["!", *sorted(BUILTIN_PREDS)]
 _ground_facts = st.tuples(
-    st.one_of(_functors, _meaningful_preds), st.lists(_terms(2, _ground_leaves), max_size=3)
+    st.one_of(_functors, st.sampled_from(_meaningful_preds)), st.lists(_terms(2, _ground_leaves), max_size=3)
 ).map(lambda fa: Literal(fa[0], tuple(fa[1])))
 
 
@@ -415,12 +421,14 @@ def test_read_clauses_roundtrip_of_laid_out_facts(items):
 # The list-indexed parser against the reference parser that pulls one token
 # at a time (tests/oracles.py)
 
+# The names that mean something to the parser, unquoted and quoted.
+_meaningful_names = [name for pred in _meaningful_preds for name in (pred, f"'{pred}'")]
 _noise = st.sampled_from(
-    ["\u00b2", "'", "1" * 5000, "1e999", "(", ")", ",", ".", ". ", ":-", "=", "!", "+", "-", "X", "_", "a",
-     "\n", " ", "%c\n", "[", "]", ":"]
+    ["\u00b2", "'", "1" * 5000, "1e999", "(", ")", ",", ".", ". ", ":-", "+", "-", "X", "_", "a",
+     "\n", " ", "%c\n", "[", "]", ":", *_meaningful_names]
 )
 _leaves = st.sampled_from(
-    ["a", "b", "'B c'", "X", "Y", "_", "_Y", "7", "-2", "3.5e1"] * 6 + ["+X", "-_", "'!'"]
+    ["a", "b", "'B c'", "X", "Y", "_", "_Y", "7", "-2", "3.5e1"] * 6 + ["+X", "-_", "'!'", "'='", "'=<'"]
 )
 
 
@@ -441,16 +449,18 @@ _term_lexemes = st.recursive(
     max_leaves=6,
 )
 _predicate_lexemes = _applied(st.sampled_from(["p", "q", "r"]), st.lists(_term_lexemes, max_size=3))
-# Mostly predicates; one literal in eight a builtin, one in sixteen a cut, a
-# variable or a number.
+# Mostly predicates; one literal in nine a builtin, one in eighteen a
+# variable or a number, and one in six a name that means something, alone
+# or applied to arguments.
 _literal_lexemes = st.tuples(
-    st.integers(0, 15),
+    st.integers(0, 17),
     _predicate_lexemes,
-    st.tuples(_term_lexemes, st.sampled_from(["=", "\\=", "<", ">=", "=<"]), _term_lexemes).map(
+    st.tuples(_term_lexemes, st.sampled_from(sorted(BUILTIN_PREDS)), _term_lexemes).map(
         lambda t: t[0] + [t[1]] + t[2]
     ),
-    st.sampled_from([["!"], ["X"], ["7"]]),
-).map(lambda t: t[1] if t[0] < 13 else t[2] if t[0] < 15 else t[3])
+    st.sampled_from([["X"], ["7"]]),
+    _applied(st.sampled_from(_meaningful_names), st.lists(_term_lexemes, max_size=2)),
+).map(lambda t: t[1] if t[0] < 12 else t[2] if t[0] < 14 else t[3] if t[0] < 15 else t[4])
 _clause_lexemes = st.tuples(_literal_lexemes, st.lists(_literal_lexemes, max_size=3)).map(
     lambda hb: hb[0] + ([":-"] + _comma_separated(hb[1]) if hb[1] else []) + ["."]
 )
@@ -491,6 +501,8 @@ def _outcome(read, text):
 @example("p :- q, !.\nr(a) :- !.", True)
 @example("'!'", False)
 @example("'!' :- q.", False)
+@example("p(X) :- q(X), '!'.", False)
+@example("p :- q, '!'.\n'!'(a).", True)
 @example("p(a).\nq(b", False)
 @example(f"p(a).\nq({_nested(255)}).\nr({_nested(256)}).\n", False)
 @example(f"p(X) :- q(X,\n  {_nested(300, 'Y')}).", False)
